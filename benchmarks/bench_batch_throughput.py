@@ -58,7 +58,7 @@ def test_batch_throughput(benchmark, setup):
     stop = StopAfterIterations(2)
     scalar = FastPPV(graph, index, delta=DELTA, online_epsilon=ONLINE_EPSILON)
     batch = BatchFastPPV(
-        graph, index, delta=DELTA, online_epsilon=ONLINE_EPSILON, cache_size=0
+        graph, index, delta=DELTA, online_epsilon=ONLINE_EPSILON
     )
     batch.splice  # build the matrix lowering outside the timed region
 

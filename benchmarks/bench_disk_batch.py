@@ -1,24 +1,16 @@
-"""Disk-engine batching: cluster faults and hub reads per query vs batch,
-and the vectorised splice kernel against the historical per-hub loop.
+"""Disk-engine batching: cluster faults and hub reads per query vs batch.
 
-The scalar disk engine pays its I/O per query: every cluster its prime
-subgraph overlaps is faulted in, and every spliced hub costs one index
-read.  ``BatchDiskFastPPV`` amortises both — a scheduling wave drains one
-cluster for every query that needs it, and each hub payload is read once
-per batch — so physical I/O per query falls as the batch grows while the
-returned scores stay bitwise identical to scalar serving.
-
-``test_disk_batch_kernel_speedup`` times the vectorised exact kernel
-(:func:`repro.core.splice.splice_rounds_exact` plus the list-backed push
-loop) against ``kernel="reference"`` — the pre-PR per-hub dict loops kept
-as the executable baseline — over the batch-16 workload, and records the
-wall-clock speedup in ``benchmarks/results/BENCH_disk_batch.json``
-alongside the I/O table.
+A per-query loop over the disk engine pays its I/O per query: every
+cluster a prime subgraph overlaps is faulted in, and every spliced hub
+costs one index read.  ``DiskFastPPV.query_many`` amortises both — a
+scheduling wave drains one cluster for every query that needs it, and
+each hub payload is read once per batch — so physical I/O per query
+falls as the batch grows while the returned scores stay bitwise
+identical to serving each query alone.  The I/O table is also written
+to ``benchmarks/results/BENCH_disk_batch.json``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -27,7 +19,6 @@ from benchmarks.common import BENCH_SCALE, emit, emit_json
 from repro import StopAfterIterations, build_index, select_hubs, social_graph
 from repro.experiments.report import Table
 from repro.storage import (
-    BatchDiskFastPPV,
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
@@ -37,8 +28,6 @@ from repro.storage import (
 
 BATCH_SIZES = (1, 4, 16)
 NUM_CLUSTERS = 10
-KERNEL_BATCH = 16
-KERNEL_REPETITIONS = 3
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +54,7 @@ def test_disk_batch_io(setup):
     root, graph, assignment, index_path, queries = setup
     stop = StopAfterIterations(2)
 
-    # Scalar baseline: sequential serving against one (warm) store.
+    # Per-query-loop baseline: sequential serving against one (warm) store.
     scalar_store = DiskGraphStore(graph, assignment, root / "scalar")
     with DiskPPVStore(index_path) as ppv_store:
         engine = DiskFastPPV(scalar_store, ppv_store, delta=0.0)
@@ -87,7 +76,7 @@ def test_disk_batch_io(setup):
         workload = queries[:size]
         store = DiskGraphStore(graph, assignment, root / f"batch{size}")
         with DiskPPVStore(index_path) as ppv_store:
-            batch = BatchDiskFastPPV(store, ppv_store, delta=0.0)
+            batch = DiskFastPPV(store, ppv_store, delta=0.0)
             results = batch.query_many(workload, stop=stop)
             faults = store.faults / size
             reads = ppv_store.reads / size
@@ -129,72 +118,3 @@ def test_disk_batch_io(setup):
     single_faults = single_store.faults
     assert faults_at_max * max(BATCH_SIZES) < max(BATCH_SIZES) * single_faults
     assert faults_at_max < scalar_faults
-
-
-def test_disk_batch_kernel_speedup(setup):
-    root, graph, assignment, index_path, queries = setup
-    stop = StopAfterIterations(2)
-    workload = queries[:KERNEL_BATCH]
-
-    def best_seconds(kernel: str) -> "tuple[float, list]":
-        best = float("inf")
-        for repetition in range(KERNEL_REPETITIONS):
-            store = DiskGraphStore(
-                graph, assignment, root / f"kernel_{kernel}_{repetition}"
-            )
-            with DiskPPVStore(index_path) as ppv_store:
-                engine = BatchDiskFastPPV(
-                    store, ppv_store, delta=0.0, kernel=kernel
-                )
-                started = time.perf_counter()
-                results = engine.query_many(workload, stop=stop)
-            best = min(best, time.perf_counter() - started)
-        return best, results
-
-    reference_seconds, reference_results = best_seconds("reference")
-    vectorised_seconds, vectorised_results = best_seconds("vectorised")
-    speedup = reference_seconds / vectorised_seconds
-
-    # Equality is part of the bench contract: the speedup is only worth
-    # quoting because the answers are bit-for-bit the per-hub loop's.
-    for reference, vectorised in zip(reference_results, vectorised_results):
-        np.testing.assert_array_equal(reference.scores, vectorised.scores)
-
-    table = Table(
-        title=f"Disk splice kernels, batch {KERNEL_BATCH} "
-        f"({graph.num_nodes} nodes, {NUM_CLUSTERS} clusters, eta=2)",
-        headers=["kernel", "batch ms", "ms/query", "speedup"],
-    )
-    table.add_row(
-        "reference (per-hub loop)",
-        f"{reference_seconds * 1000:.1f}",
-        f"{reference_seconds / KERNEL_BATCH * 1000:.2f}",
-        "1.0x",
-    )
-    table.add_row(
-        "vectorised (exact splice)",
-        f"{vectorised_seconds * 1000:.1f}",
-        f"{vectorised_seconds / KERNEL_BATCH * 1000:.2f}",
-        f"{speedup:.2f}x",
-    )
-    emit("disk_batch_kernels", table)
-    emit_json(
-        "disk_batch",
-        {
-            "kernel_speedup": {
-                "batch": KERNEL_BATCH,
-                "num_nodes": graph.num_nodes,
-                "num_clusters": NUM_CLUSTERS,
-                "reference_seconds": reference_seconds,
-                "vectorised_seconds": vectorised_seconds,
-                "speedup": speedup,
-            }
-        },
-    )
-
-    # Lenient floor at any scale (CI runs this at 0.1); the acceptance
-    # target — >= 2x at the default 0.4 scale — is read from
-    # BENCH_disk_batch.json.
-    assert speedup > 1.2, (
-        f"vectorised kernel only {speedup:.2f}x over the per-hub loop"
-    )

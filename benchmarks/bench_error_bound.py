@@ -1,5 +1,5 @@
 """Theorem 2 ablation: measured L1 error vs the analytic bound, plus the
-delta / clip sensitivity sweeps called out in DESIGN.md."""
+delta / clip sensitivity sweeps."""
 
 import numpy as np
 import pytest

@@ -79,7 +79,7 @@ def test_family_throughput_and_equivalence(setup):
         for q in queries
     ]
 
-    batch = BatchFastPPV(graph, index, delta=DELTA, cache_size=0)
+    batch = BatchFastPPV(graph, index, delta=DELTA)
     with PPVService.open(
         index, graph=graph, delta=DELTA, cache_size=0
     ) as service:

@@ -58,7 +58,7 @@ def _best_rate(run, size: int, repetitions: int = 3) -> float:
 def test_topk_batch_throughput(benchmark, setup):
     graph, index, queries = setup
     scalar = FastPPV(graph, index, delta=0.0)
-    batch = BatchFastPPV(graph, index, delta=0.0, cache_size=0)
+    batch = BatchFastPPV(graph, index, delta=0.0)
     batch.splice  # build the matrix lowering outside the timed region
 
     table = Table(

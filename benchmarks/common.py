@@ -2,15 +2,15 @@
 
 Every bench both *prints* its paper-shaped table (visible with ``-s`` or
 in the pytest summary on failure) and *saves* it under
-``benchmarks/results/`` so EXPERIMENTS.md can quote the latest run.
+``benchmarks/results/`` (gitignored scratch output).
 Benches with machine-readable trajectories additionally write a
 ``BENCH_<name>.json`` next to the text table (:func:`emit_json`) — the
 CI workflow uploads both as artifacts, so run-over-run numbers can be
 diffed without parsing tables.
 
 ``BENCH_SCALE`` (env var ``REPRO_BENCH_SCALE``, default 0.4) scales the
-evaluation graphs; 1.0 reproduces the sizes quoted in DESIGN.md at the
-cost of a few extra minutes.
+evaluation graphs; 1.0 reproduces the sizes quoted in
+:mod:`repro.experiments.datasets` at the cost of a few extra minutes.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def main() -> None:
         # ... and the facade adds no numerics of its own: a direct call
         # into the batch engine gives bitwise-identical scores.
         direct = BatchFastPPV(
-            graph, index, delta=1e-4, online_epsilon=1e-5, cache_size=0
+            graph, index, delta=1e-4, online_epsilon=1e-5
         ).query_many(batch, stop=stop)
         bitwise = all(
             np.array_equal(a.scores, b.scores)

@@ -17,8 +17,7 @@ Quickstart
 >>> result.l1_error < 0.2
 True
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-paper-to-module map.
+See ``README.md`` for the architecture overview.
 """
 
 from repro.core import (

@@ -22,7 +22,7 @@ The subcommands cover the offline/online lifecycle end to end::
 All online subcommands run through the :class:`~repro.serving.PPVService`
 façade: ``query`` and ``disk-query`` submit their nodes as one burst (so
 multi-node invocations coalesce into the batched sparse-matrix / cluster
--grouped disk engines automatically), and ``serve`` keeps a service open
+-grouped disk engine automatically), and ``serve`` keeps a service open
 over a JSONL request loop — on stdin/stdout by default (each input line
 is a request, responses are emitted in request order at every blank
 line or at end of input), or over the network with ``--tcp HOST:PORT``

@@ -10,10 +10,10 @@ Public surface:
 * :class:`~repro.core.query.FastPPV` — incremental, accuracy-aware online
   query engine (Algorithm 2), with stopping conditions from
   :mod:`repro.core.query`.
-* :class:`~repro.core.batch.BatchFastPPV` — the batched twin: whole
-  workloads as sparse-matrix rounds over the
-  :class:`~repro.core.splice.SpliceMatrix` lowering of the index, with a
-  completed-PPV LRU cache (``FastPPV.batch_engine`` exposes it).
+* :class:`~repro.core.batch.BatchFastPPV` — the batch form of the same
+  engine: whole workloads as sparse-matrix rounds over the
+  :class:`~repro.core.splice.SpliceMatrix` lowering of the index
+  (result caching lives in :mod:`repro.serving.cache`, not here).
 * :mod:`repro.core.errors` — the Theorem 2 error bound and query-time L1
   error.
 * :mod:`repro.core.linearity` — multi-node queries via the Linearity

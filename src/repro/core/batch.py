@@ -30,25 +30,11 @@ non-deterministic, exactly as in the scalar engine.
 
 Stopping conditions are shared across the batch and must therefore be
 stateless (all built-in conditions are frozen dataclasses).
-
-Caching
--------
-A bounded LRU cache keyed by ``(query, stop)`` serves repeated-query
-traffic: completed results for the pure built-in conditions
-(``StopAfterIterations``, ``StopAtL1Error`` and ``any_of`` combinations
-thereof) are returned as defensive copies without touching the graph.
-Time-based or user-defined conditions are never cached.  Cache lookups
-are bypassed when an ``on_iteration`` callback is supplied, so callback
-invocation counts stay deterministic.  The cache is dropped whenever the
-index's matrix lowering is rebuilt (see
-:func:`repro.core.splice.invalidate_splice_cache`), so results never
-outlive the index state they were computed from.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,22 +63,10 @@ the query's position in the ``queries`` sequence, so duplicate query ids
 remain distinguishable.
 """
 
-DEFAULT_CACHE_SIZE = 256
-"""Default capacity of the completed-PPV LRU cache."""
-
 _CHUNK_ELEMENT_BUDGET = 1 << 22
 """Target elements (~32 MB of float64) per dense working matrix; the
 default chunk size is derived from this so large graphs are processed in
 memory-bounded slices rather than one ``batch x n`` allocation."""
-
-
-def _cacheable(stop: StoppingCondition) -> bool:
-    """Whether results under ``stop`` are deterministic and keyable."""
-    if isinstance(stop, (StopAfterIterations, StopAtL1Error, StopWhenCertified)):
-        return True
-    if isinstance(stop, _AnyOf):
-        return all(_cacheable(c) for c in stop.conditions)
-    return False
 
 
 def batch_safe(stop: StoppingCondition) -> bool:
@@ -105,12 +79,16 @@ def batch_safe(stop: StoppingCondition) -> bool:
     ``QueryState.elapsed_seconds`` — shared batch time here, a per-query
     budget in the scalar engine — and arbitrary user conditions may be
     stateful or time-reading in ways that cannot be introspected, so
-    ``FastPPV.query_many`` keeps all of those on the scalar per-query
+    the serving adapters keep all of those on the scalar per-query
     path.  Pass such conditions to :meth:`BatchFastPPV.query_many`
     directly to opt in to shared-clock, interleaved-evaluation batch
     semantics.
     """
-    return _cacheable(stop)
+    if isinstance(stop, (StopAfterIterations, StopAtL1Error, StopWhenCertified)):
+        return True
+    if isinstance(stop, _AnyOf):
+        return all(batch_safe(c) for c in stop.conditions)
+    return False
 
 
 class _Frontier:
@@ -130,8 +108,6 @@ class BatchFastPPV:
 
     Parameters
     ----------
-    cache_size:
-        Capacity of the completed-PPV LRU cache (0 disables it).
     chunk_size:
         Maximum queries processed per dense working set; bounds the
         ``chunk_size x num_nodes`` estimate/push matrices.  Defaults to
@@ -147,7 +123,6 @@ class BatchFastPPV:
         delta: float = DEFAULT_DELTA,
         max_iterations: int = 64,
         online_epsilon: float | None = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         chunk_size: int | None = None,
     ) -> None:
         if index.hub_mask.shape != (graph.num_nodes,):
@@ -168,10 +143,7 @@ class BatchFastPPV:
         self.online_epsilon = (
             online_epsilon if online_epsilon is not None else index.epsilon
         )
-        self.cache_size = cache_size
         self.chunk_size = chunk_size
-        self._cache: OrderedDict[tuple, QueryResult] = OrderedDict()
-        self._cache_lowering: SpliceMatrix | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -218,9 +190,7 @@ class BatchFastPPV:
         on_iteration:
             Optional :data:`BatchCallback` invoked as
             ``on_iteration(position, state)`` after every executed
-            iteration of every query (iteration 0 included).  Supplying a
-            callback bypasses the result cache so invocation counts stay
-            exact.
+            iteration of every query (iteration 0 included).
         """
         ids = [int(q) for q in queries]
         for q in ids:
@@ -229,37 +199,17 @@ class BatchFastPPV:
         if stop is None:
             stop = StopAfterIterations(2)
 
-        results: list[QueryResult | None] = [None] * len(ids)
-        # Completed results are only valid for the lowering they were
-        # computed against: an invalidate_splice_cache (after an in-place
-        # index mutation) rebuilds the SpliceMatrix, which drops the
-        # result cache here too.
-        lowering = self.splice
-        if lowering is not self._cache_lowering:
-            self._cache.clear()
-            self._cache_lowering = lowering
-        cache_key = None
-        if self.cache_size > 0 and _cacheable(stop):
-            cache_key = lambda q: (q, stop)
-        misses: list[int] = []
-        for position, q in enumerate(ids):
-            hit = None
-            if cache_key is not None and on_iteration is None:
-                hit = self._cache_get(cache_key(q))
-            if hit is not None:
-                results[position] = hit
-            else:
-                misses.append(position)
-
-        for start in range(0, len(misses), self.chunk_size):
-            chunk = misses[start : start + self.chunk_size]
-            for position, result in zip(
-                chunk, self._run_chunk(ids, chunk, stop, on_iteration)
-            ):
-                results[position] = result
-                if cache_key is not None:
-                    self._cache_put(cache_key(ids[position]), result)
-        return results  # type: ignore[return-value]
+        results: list[QueryResult] = []
+        for start in range(0, len(ids), self.chunk_size):
+            results.extend(
+                self._run_chunk(
+                    ids[start : start + self.chunk_size],
+                    start,
+                    stop,
+                    on_iteration,
+                )
+            )
+        return results
 
     def query_top_k_many(
         self,
@@ -288,9 +238,7 @@ class BatchFastPPV:
         Certificate soundness follows the scalar contract: build the
         engine with ``delta = 0`` for a formally sound certificate (a
         positive ``delta`` makes the Eq. 6 error slightly optimistic
-        about pruned mass).  Completed results are served from the LRU
-        cache keyed by ``(query, StopWhenCertified(k, max_iterations))``,
-        so repeats of a certified query cost no graph work.
+        about pruned mass).
 
         Parameters
         ----------
@@ -302,8 +250,7 @@ class BatchFastPPV:
             Per-query certificate budget; queries whose certificate never
             fires within it are returned with ``certified=False``.
         on_iteration:
-            Optional :data:`BatchCallback`, as in :meth:`query_many`
-            (supplying it bypasses the result cache).
+            Optional :data:`BatchCallback`, as in :meth:`query_many`.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -313,54 +260,26 @@ class BatchFastPPV:
 
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _copy_result(result: QueryResult) -> QueryResult:
-        """Deep-enough copy to decouple cache entries from callers."""
-        return QueryResult(
-            query=result.query,
-            scores=result.scores.copy(),
-            iterations=result.iterations,
-            error_history=list(result.error_history),
-            hubs_expanded=result.hubs_expanded,
-            seconds=result.seconds,
-            work_units=result.work_units,
-        )
-
-    def _cache_get(self, key: tuple) -> QueryResult | None:
-        cached = self._cache.get(key)
-        if cached is None:
-            return None
-        self._cache.move_to_end(key)
-        return self._copy_result(cached)
-
-    def _cache_put(self, key: tuple, result: QueryResult) -> None:
-        self._cache[key] = self._copy_result(result)
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
-    # ------------------------------------------------------------------ #
-
     def _run_chunk(
         self,
         ids: list[int],
-        positions: list[int],
+        first: int,
         stop: StoppingCondition,
         on_iteration: BatchCallback | None,
     ) -> list[QueryResult]:
-        """Run the batch rounds for the queries at ``positions``."""
+        """Run the batch rounds for one chunk, ``ids``, which starts at
+        position ``first`` of the caller's batch."""
         graph, index, splice = self.graph, self.index, self.splice
         n = graph.num_nodes
         alpha = index.alpha
         delta = self.delta
-        k = len(positions)
+        k = len(ids)
         started = time.perf_counter()
 
         # ---- iteration 0: one multi-source push for all non-hub queries.
         push_sources: list[int] = []
         push_row_of: dict[int, int] = {}
-        for i in positions:
-            q = ids[i]
+        for q in ids:
             if q not in index and q not in push_row_of:
                 push_row_of[q] = len(push_sources)
                 push_sources.append(q)
@@ -380,8 +299,7 @@ class BatchFastPPV:
         work_units = np.zeros(k, dtype=np.int64)
         seconds = np.zeros(k)
 
-        for local, i in enumerate(positions):
-            q = ids[i]
+        for local, q in enumerate(ids):
             if q in index:
                 entry = index.get(q)
                 estimate[local, entry.nodes] = entry.scores
@@ -407,8 +325,8 @@ class BatchFastPPV:
             )
 
         if on_iteration is not None:
-            for local, i in enumerate(positions):
-                on_iteration(i, state_of(local))
+            for local in range(k):
+                on_iteration(first + local, state_of(local))
 
         # ---- incremental rounds: splice whole frontiers at once.
         # Conditions exposing a vectorised ``should_stop_many`` (e.g. the
@@ -492,11 +410,11 @@ class BatchFastPPV:
                 )
                 error_history[local].append(1.0 - float(estimate[local].sum()))
                 if on_iteration is not None:
-                    on_iteration(positions[local], state_of(local))
+                    on_iteration(first + local, state_of(local))
 
         return [
             QueryResult(
-                query=ids[i],
+                query=q,
                 # Copy out of the shared chunk matrix so one retained
                 # result cannot pin the whole (chunk_size, n) buffer.
                 scores=estimate[local].copy(),
@@ -506,5 +424,5 @@ class BatchFastPPV:
                 seconds=float(seconds[local]),
                 work_units=int(work_units[local]),
             )
-            for local, i in enumerate(positions)
+            for local, q in enumerate(ids)
         ]

@@ -162,6 +162,79 @@ class QueryResult:
         return order[:k]
 
 
+def scalar_splice_rounds(
+    estimate: np.ndarray,
+    frontier: dict[int, float],
+    stop: StoppingCondition,
+    alpha: float,
+    delta: float,
+    max_iterations: int,
+    fetch: Callable[[int], PrimePPV],
+    started: float,
+    on_iteration: Callable[[QueryState], None] | None = None,
+) -> tuple[int, list[float], int, int]:
+    """Algorithm 2's incremental rounds for one query, hub by hub.
+
+    The scalar statement of the algorithm: ``estimate`` (iteration 0
+    already applied) is mutated in place, ``frontier`` maps border hubs
+    to arrival masses, and ``fetch`` resolves a hub to its prime PPV —
+    ``index.get`` for :class:`FastPPV`, a store's ``get`` when the disk
+    equivalence suite runs this loop as the bitwise oracle of
+    :func:`repro.core.splice.splice_rounds_exact`.  ``on_iteration`` is
+    invoked with the :class:`QueryState` once per executed iteration,
+    iteration 0 included.
+
+    Returns ``(iterations, error_history, hubs_expanded, work_units)``
+    where ``work_units`` counts the index entries the splices touched.
+    """
+    error_history = [1.0 - float(estimate.sum())]
+    hubs_expanded = 0
+    iteration = 0
+    work_units = 0
+
+    def current_state() -> QueryState:
+        return QueryState(
+            iteration=iteration,
+            l1_error=error_history[-1],
+            elapsed_seconds=time.perf_counter() - started,
+            frontier_size=len(frontier),
+            scores=estimate,
+        )
+
+    if on_iteration is not None:
+        on_iteration(current_state())
+
+    while (
+        frontier
+        and iteration < max_iterations
+        and not stop.should_stop(current_state())
+    ):
+        iteration += 1
+        next_frontier: dict[int, float] = {}
+        for hub, mass in frontier.items():
+            if alpha * mass <= delta:
+                continue
+            entry = fetch(hub)
+            estimate[entry.nodes] += mass * entry.scores
+            # Remove the zero-length "trivial tour" inside r^0_hub(hub):
+            # the tour that merely *arrives* at the hub was already
+            # scored by the previous increment (see module docstring).
+            estimate[hub] -= alpha * mass
+            hubs_expanded += 1
+            work_units += entry.nodes.size + entry.border_hubs.size
+            for border, border_mass in zip(
+                entry.border_hubs.tolist(), entry.border_masses.tolist()
+            ):
+                next_frontier[border] = (
+                    next_frontier.get(border, 0.0) + mass * border_mass
+                )
+        frontier = next_frontier
+        error_history.append(1.0 - float(estimate.sum()))
+        if on_iteration is not None:
+            on_iteration(current_state())
+    return iteration, error_history, hubs_expanded, work_units
+
+
 class FastPPV:
     """The FastPPV online engine (Algorithm 2).
 
@@ -205,7 +278,6 @@ class FastPPV:
         self.online_epsilon = (
             online_epsilon if online_epsilon is not None else index.epsilon
         )
-        self._batch_engine = None
 
     # ------------------------------------------------------------------ #
 
@@ -249,7 +321,6 @@ class FastPPV:
             raise ValueError(f"query node {query} out of range")
         if stop is None:
             stop = StopAfterIterations(2)
-        alpha = self.index.alpha
         started = time.perf_counter()
 
         base = self._prime_of_query(query)
@@ -257,51 +328,21 @@ class FastPPV:
         frontier: dict[int, float] = dict(
             zip(base.border_hubs.tolist(), base.border_masses.tolist())
         )
-        error_history = [1.0 - float(estimate.sum())]
-        hubs_expanded = 0
-        iteration = 0
-        work_units = base.edges_touched if query not in self.index else 0
-
-        def current_state() -> QueryState:
-            return QueryState(
-                iteration=iteration,
-                l1_error=error_history[-1],
-                elapsed_seconds=time.perf_counter() - started,
-                frontier_size=len(frontier),
-                scores=estimate,
+        iteration, error_history, hubs_expanded, work_units = (
+            scalar_splice_rounds(
+                estimate,
+                frontier,
+                stop,
+                self.index.alpha,
+                self.delta,
+                self.max_iterations,
+                self.index.get,
+                started,
+                on_iteration=on_iteration,
             )
-
-        if on_iteration is not None:
-            on_iteration(current_state())
-
-        while (
-            frontier
-            and iteration < self.max_iterations
-            and not stop.should_stop(current_state())
-        ):
-            iteration += 1
-            next_frontier: dict[int, float] = {}
-            for hub, mass in frontier.items():
-                if alpha * mass <= self.delta:
-                    continue
-                entry = self.index.get(hub)
-                estimate[entry.nodes] += mass * entry.scores
-                # Remove the zero-length "trivial tour" inside r^0_hub(hub):
-                # the tour that merely *arrives* at the hub was already
-                # scored by the previous increment (see module docstring).
-                estimate[hub] -= alpha * mass
-                hubs_expanded += 1
-                work_units += entry.nodes.size + entry.border_hubs.size
-                for border, border_mass in zip(
-                    entry.border_hubs.tolist(), entry.border_masses.tolist()
-                ):
-                    next_frontier[border] = (
-                        next_frontier.get(border, 0.0) + mass * border_mass
-                    )
-            frontier = next_frontier
-            error_history.append(1.0 - float(estimate.sum()))
-            if on_iteration is not None:
-                on_iteration(current_state())
+        )
+        if query not in self.index:
+            work_units += base.edges_touched
 
         return QueryResult(
             query=query,
@@ -312,23 +353,3 @@ class FastPPV:
             seconds=time.perf_counter() - started,
             work_units=work_units,
         )
-
-    @property
-    def batch_engine(self):
-        """The :class:`~repro.core.batch.BatchFastPPV` twin of this engine.
-
-        Built lazily with the same parameters, so workloads get the
-        sparse-matrix batch path (and its completed-PPV cache) through
-        one shared twin.
-        """
-        if self._batch_engine is None:
-            from repro.core.batch import BatchFastPPV
-
-            self._batch_engine = BatchFastPPV(
-                self.graph,
-                self.index,
-                delta=self.delta,
-                max_iterations=self.max_iterations,
-                online_epsilon=self.online_epsilon,
-            )
-        return self._batch_engine

@@ -38,7 +38,7 @@ cache can never go stale through the supported update path.  Call
 Exact (order-preserving) form
 -----------------------------
 The matmul form above reassociates floating-point sums, which is fine for
-the in-memory engine's ~1e-14 contract but not for the disk engines,
+the in-memory engine's ~1e-14 contract but not for the disk engine,
 whose batch path promises scores **bitwise equal** to the scalar
 per-query loop.  For those, the same lowering discipline is applied in an
 order-preserving shape: :class:`SpliceBlock` assembles *fetched* prime
@@ -204,7 +204,7 @@ def build_splice_matrix(index: PPVIndex) -> SpliceMatrix:
     for row, hub in enumerate(hub_ids.tolist()):
         entry = index.entries[hub]
         # Fold the trivial-tour correction of Algorithm 2 into the row
-        # (matmul form; the disk engines use the exact form instead).
+        # (matmul form; the disk engine uses the exact form instead).
         columns, values = lower_entry(entry, alpha, exact=False)
         score_cols.append(columns)
         score_vals.append(values)
@@ -261,7 +261,7 @@ def invalidate_splice_cache(index: PPVIndex) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Exact (order-preserving) lowering: the disk engines' splice kernel.
+# Exact (order-preserving) lowering: the disk engine's splice kernel.
 
 
 class _GrowableRows:
@@ -308,7 +308,7 @@ class _GrowableRows:
 class SpliceBlock:
     """Append-only CSR block of fetched prime PPVs (exact splice form).
 
-    The disk engines cannot lower the whole index up front — hub payloads
+    The disk engine cannot lower the whole index up front — hub payloads
     arrive from the :class:`~repro.storage.ppv_store.DiskPPVStore` wave
     by wave — so this block grows as hubs are fetched: :meth:`add`
     appends one hub's score row (:func:`lower_entry` ``exact=True``: the
@@ -409,8 +409,8 @@ def splice_rounds_exact(
 ) -> "list[tuple[int, list[float], int, int, float]]":
     """Algorithm 2's incremental rounds for a batch, bitwise-exact.
 
-    The vectorised twin of the disk engines' historical per-hub dict loop
-    (kept as ``repro.storage.disk_engine._splice_rounds_reference``):
+    The vectorised twin of the per-hub dict loop
+    (:func:`repro.core.query.scalar_splice_rounds`):
     each round stacks the delta-gated ``(query, hub)`` pairs of every
     in-flight query, gathers their block rows, and applies the two
     products as **sequential scatter-adds** (``np.add.at``) whose

@@ -4,8 +4,8 @@ Every driver returns a :class:`~repro.experiments.report.Table` whose rows
 mirror what the paper reports; the benchmark scripts under ``benchmarks/``
 print them and record timings.  Graph sizes are parameterised by a single
 ``scale`` knob so the full evaluation can run in minutes at default scale
-(see DESIGN.md, "Substitutions", for why our graphs are synthetic and
-smaller than the paper's).
+(see :mod:`repro.experiments.datasets` for why our graphs are synthetic
+and smaller than the paper's).
 """
 
 from repro.experiments.configs import CONFIGS, Config

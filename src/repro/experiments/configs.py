@@ -5,8 +5,8 @@ they reach *similar accuracy*, making online/offline cost comparable
 (Sect. 6.1).  Parameters here are re-calibrated for our scaled-down
 graphs: ``num_hubs`` is shared, and each method keeps its private knob
 (HubRankP's ``push`` residual threshold, MonteCarlo's samples-per-query
-``N``, FastPPV's iteration budget ``eta``).  EXPERIMENTS.md records the
-resulting accuracy table (our Fig. 6).
+``N``, FastPPV's iteration budget ``eta``); the resulting accuracy table
+(our Fig. 6) is what ``benchmarks/bench_fig06_07_baselines.py`` prints.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper's DBLP has 2.0M nodes / 8.8M edges and its LiveJournal sample
 1.2M / 4.8M.  At ``scale=1.0`` ours have ~9k and ~6k nodes — about 200x
 smaller, the size pure-Python kernels evaluate in minutes.  The structural
 knobs (tripartite communities, ring locality, Zipf skew, reciprocity) are
-chosen so the algorithmic behaviour matches; see DESIGN.md.
+chosen so the algorithmic behaviour matches; see :mod:`repro.graph.generators`.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def fig7_work_table(results: dict[str, list[MethodOutcome]]) -> Table:
 
     Wall-clock milliseconds at our 200x-reduced scale are dominated by
     per-call constants of vectorised kernels; work units are the
-    scale-independent comparison (see DESIGN.md).
+    scale-independent comparison.
     """
     table = Table(
         title="Fig. 7(d, suppl.) — online work units per query",

@@ -1,7 +1,7 @@
 """Structural graph statistics.
 
-Used by the CLI's ``info`` command, by DESIGN.md's generator-fidelity
-claims (degree skew, reciprocity, effective diameter), and by
+Used by the CLI's ``info`` command, by the generator-fidelity checks
+(degree skew, reciprocity, effective diameter), and by
 auto-configuration heuristics that the paper suggests correlating with
 "graph properties like density and diameter" (Sect. 7).
 """

@@ -23,7 +23,7 @@ mass concentrates near the query, so the first few hub-length partitions
 capture almost everything.  A scale-free graph of only ~10^4 nodes has
 diameter ~3 and every walk crosses a celebrity hub immediately, which is
 *not* representative of a 2M-node graph where a random query sits far from
-the core (see DESIGN.md, "Substitutions").
+the core.
 
 Both generators take an explicit seed and are deterministic for a given
 parameter set.  Small deterministic topologies (cycle, path, star,

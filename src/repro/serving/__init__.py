@@ -1,8 +1,9 @@
 """The serving layer: one façade over every FastPPV query engine.
 
-PRs 1-2 grew four engines (``FastPPV``, ``BatchFastPPV``,
-``DiskFastPPV``, ``BatchDiskFastPPV``), each with its own workload
-spelling.  This package puts them behind one backend-agnostic API:
+There is one engine per backend — in memory the scalar ``FastPPV`` loop
+with its matmul batch form ``BatchFastPPV``, on disk ``DiskFastPPV``
+(scalar is the batch of one) — each with its own workload spelling.
+This package puts them behind one backend-agnostic API:
 
 * :class:`PPVService` — the façade.  ``PPVService.open(index, graph=g)``
   or ``PPVService.open(ppv_store, graph_store=s)`` resolves a backend

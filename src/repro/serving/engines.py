@@ -1,12 +1,13 @@
 """The backend-agnostic ``Engine`` protocol, its adapters, and registry.
 
-PRs 1-2 grew four engine classes with their own scalar and batch query
-spellings.  The serving layer narrows all of them to one small protocol
-(:class:`Engine`): a batch call per result kind plus a scalar streaming
-call, with uniform stop-condition routing (time-based or user-defined
-conditions fall back to the per-query scalar loop on every backend) and
-a ``cache_token`` that tells the service when cached results went
-stale.
+There is one engine per backend — the in-memory ``FastPPV`` /
+``BatchFastPPV`` pair (scalar dict loop and its matmul batch form) and
+the disk ``DiskFastPPV`` (one class, scalar is the batch of one).  The
+serving layer narrows them to one small protocol (:class:`Engine`): a
+batch call per result kind plus a scalar streaming call, with uniform
+stop-condition routing (time-based or user-defined conditions fall back
+to the per-query scalar loop on every backend) and a ``cache_token``
+that tells the service when cached results went stale.
 
 Backends register under a name (``"memory"``, ``"disk"``) in a module
 registry; :meth:`~repro.serving.PPVService.open` resolves a name — or
@@ -28,15 +29,15 @@ from repro.core.query import (
     StoppingCondition,
 )
 from repro.core.splice import splice_matrix
-from repro.storage.disk_engine import BatchDiskFastPPV, DiskFastPPV
+from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.ppv_store import DiskPPVStore
 
 
 class Engine(Protocol):
     """What a serving backend must provide to sit behind ``PPVService``.
 
-    The protocol normalises the four per-engine query spellings into
-    three calls; implementations guarantee that batch results equal the
+    The protocol normalises the per-engine query spellings into three
+    calls; implementations guarantee that batch results equal the
     underlying engine's own batch call over the same node list (bitwise
     — the service adds no numerical steps of its own).
     """
@@ -87,60 +88,13 @@ class Engine(Protocol):
         ...
 
 
-class MemoryEngine:
-    """Adapter: the in-memory ``FastPPV`` / ``BatchFastPPV`` pair.
+class _StopRouting:
+    """The three query calls of :class:`Engine`, written once.
 
-    Builds a fresh scalar engine and a cache-less batch twin (the
-    service's popularity cache replaces the engine-level LRU, so results
-    are cached exactly once); non-batch-safe stopping conditions route
-    through the scalar per-query loop so their semantics survive.
+    Adapters set ``_scalar`` (serves one query through ``query``) and
+    ``_batch`` (serves ``query_many`` / ``query_top_k_many``); where one
+    engine does both, they are the same object.
     """
-
-    backend = "memory"
-
-    def __init__(
-        self,
-        graph,
-        index: PPVIndex,
-        delta: float = DEFAULT_DELTA,
-        max_iterations: int = 64,
-        online_epsilon: float | None = None,
-        chunk_size: int | None = None,
-    ) -> None:
-        self.graph = graph
-        self.index = index
-        self._delta = delta
-        self._max_iterations = max_iterations
-        self._online_epsilon = online_epsilon
-        self._chunk_size = chunk_size
-        self._build()
-
-    def _build(self) -> None:
-        self._scalar = FastPPV(
-            self.graph,
-            self.index,
-            delta=self._delta,
-            max_iterations=self._max_iterations,
-            online_epsilon=self._online_epsilon,
-        )
-        # The batch twin, with the engine-level LRU disabled: caching
-        # lives in the service's PopularityCache.  Pre-assigned as the
-        # scalar engine's lazy twin too, so both views share one splice
-        # lowering.
-        self._batch = BatchFastPPV(
-            self.graph,
-            self.index,
-            delta=self._delta,
-            max_iterations=self._max_iterations,
-            online_epsilon=self._online_epsilon,
-            cache_size=0,
-            chunk_size=self._chunk_size,
-        )
-        self._scalar._batch_engine = self._batch
-
-    @property
-    def num_nodes(self) -> int:
-        return self.graph.num_nodes
 
     def query_batch(self, nodes, stop):
         if not batch_safe(stop):
@@ -159,11 +113,48 @@ class MemoryEngine:
     def query_stream(self, node, stop, on_iteration):
         return self._scalar.query(node, stop=stop, on_iteration=on_iteration)
 
+
+class MemoryEngine(_StopRouting):
+    """Adapter: the in-memory ``FastPPV`` / ``BatchFastPPV`` pair.
+
+    Batches run the matmul form over the index's
+    :class:`~repro.core.splice.SpliceMatrix`; streams and non-batch-safe
+    stopping conditions run the scalar loop.
+    """
+
+    backend = "memory"
+
+    def __init__(
+        self,
+        graph,
+        index: PPVIndex,
+        delta: float = DEFAULT_DELTA,
+        max_iterations: int = 64,
+        online_epsilon: float | None = None,
+    ) -> None:
+        self.graph = graph
+        self.index = index
+        self._engine_kwargs = {
+            "delta": delta,
+            "max_iterations": max_iterations,
+            "online_epsilon": online_epsilon,
+        }
+        self._build()
+
+    def _build(self) -> None:
+        self._scalar = FastPPV(self.graph, self.index, **self._engine_kwargs)
+        self._batch = BatchFastPPV(
+            self.graph, self.index, **self._engine_kwargs
+        )
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
+
     def cache_token(self) -> object:
         # The index's matrix lowering is rebuilt whenever the index
         # content changes through a supported path, so its identity is
-        # exactly the lifetime of any result computed from it (the same
-        # rule BatchFastPPV's engine-level cache used).
+        # exactly the lifetime of any result computed from it.
         return splice_matrix(self.index)
 
     def replace_index(self, index: PPVIndex, graph=None) -> None:
@@ -183,15 +174,14 @@ class MemoryEngine:
         pass
 
 
-class DiskEngine:
-    """Adapter: the disk-resident ``DiskFastPPV`` / ``BatchDiskFastPPV``
-    pair (Sect. 5.3 deployment).
+class DiskEngine(_StopRouting):
+    """Adapter: the disk-resident ``DiskFastPPV`` (Sect. 5.3 deployment).
 
-    Batch calls go through the cluster-grouped scheduler of
-    :class:`~repro.storage.disk_engine.BatchDiskFastPPV`, so every
+    Batch calls go through its cluster-grouped push scheduler, so every
     coalesced service batch shares cluster residency across its queries
     — two concurrent callers fault each needed cluster once per wave
-    instead of once per caller.
+    instead of once per caller.  Streams and non-batch-safe stopping
+    conditions serve one query at a time through the same engine.
     """
 
     backend = "disk"
@@ -203,40 +193,22 @@ class DiskEngine:
         delta: float = DEFAULT_DELTA,
         fault_budget: int | None = None,
         max_iterations: int = 64,
-        kernel: str = "vectorised",
         owns_store: bool = False,
     ) -> None:
         self.graph_store = graph_store
         self.ppv_store = ppv_store
         self._owns_store = owns_store
-        self._scalar = DiskFastPPV(
+        self._scalar = self._batch = DiskFastPPV(
             graph_store,
             ppv_store,
             delta=delta,
             fault_budget=fault_budget,
             max_iterations=max_iterations,
-            kernel=kernel,
         )
-        self._batch = self._scalar.batch_engine
 
     @property
     def num_nodes(self) -> int:
         return self.graph_store.num_nodes
-
-    def query_batch(self, nodes, stop):
-        if not batch_safe(stop):
-            # Same routing rule as the in-memory facade: shared-clock /
-            # stateful conditions keep per-query scalar semantics.
-            return [self._scalar.query(int(n), stop=stop) for n in nodes]
-        return self._batch.query_many(list(nodes), stop=stop)
-
-    def query_top_k_batch(self, nodes, k, budget):
-        return self._batch.query_top_k_many(
-            list(nodes), k=k, max_iterations=budget
-        )
-
-    def query_stream(self, node, stop, on_iteration):
-        return self._scalar.query(node, stop=stop, on_iteration=on_iteration)
 
     def cache_token(self) -> object:
         # On-disk indexes are immutable for the life of the store.
@@ -289,7 +261,6 @@ def _disk_factory(source, *, graph=None, graph_store=None, **kwargs):
             max_iterations=kwargs.pop(
                 "max_iterations", engine.max_iterations
             ),
-            kernel=kwargs.pop("kernel", engine.kernel),
             **kwargs,
         )
     owns = False

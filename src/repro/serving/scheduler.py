@@ -8,7 +8,7 @@ pending, or someone kicks it) so that concurrent callers coalesce into
 one call per execution group.  On the disk backend that is what turns two
 independent clients from residency-thrashing neighbours into one
 cluster-grouped batch — each scheduling wave of
-:class:`~repro.storage.disk_engine.BatchDiskFastPPV` faults a cluster in
+:class:`~repro.storage.disk_engine.DiskFastPPV` faults a cluster in
 once and drains every coalesced query that needs it.
 
 All engine work — batch serving *and* streaming queries — runs on the

@@ -12,7 +12,7 @@ deployment:
   engine serving ``fetch_hubs`` / ``fetch_cluster`` / ``shard_info``
   and refusing queries (the ``"shard"`` backend).
 * :mod:`~repro.sharding.remote` — the router's fleet client and the
-  remote store twins the disk kernels run over.
+  remote store twins the disk engine runs over.
 * :mod:`~repro.sharding.router` — :class:`RouterEngine` (the
   ``"sharded"`` backend) and the :class:`ShardRouter` harness
   (``repro serve --shard-map``).

@@ -9,8 +9,8 @@ associative, the per-hub delta gate ``alpha * mass > delta`` is not
 linear in partial masses, and the per-round ``l1_error`` is a pairwise
 ``np.sum``.  So instead of moving the *computation* to the shards, the
 router moves the *data* from them: it runs the ordinary
-:class:`~repro.storage.disk_engine.DiskFastPPV` /
-``BatchDiskFastPPV`` kernels locally over two remote stores —
+:class:`~repro.storage.disk_engine.DiskFastPPV` engine locally over
+two remote stores —
 :class:`ShardedPPVStore` and :class:`ShardedGraphStore` — that fetch
 hub prime PPVs and cluster adjacency from the owning shard processes
 on demand.  JSON round-trips 64-bit floats exactly (the wire suites

@@ -3,9 +3,8 @@
 :class:`RouterEngine` subclasses the disk backend's
 :class:`~repro.serving.engines.DiskEngine` with the two stores swapped
 for their remote twins (:mod:`repro.sharding.remote`): the real
-``DiskFastPPV`` / ``BatchDiskFastPPV`` kernels run *at the router*,
-fetching hub prime PPVs and cluster adjacency from shard processes on
-demand.  Identical kernel + bit-identical data (JSON round-trips
+``DiskFastPPV`` engine runs *at the router*, fetching hub prime PPVs
+and cluster adjacency from shard processes on demand.  Identical kernel + bit-identical data (JSON round-trips
 float64 exactly) + identical operation order make every result —
 multi-node splices through ``combine_results``, certified top-k
 included — bitwise equal to an unsharded disk deployment of the same
@@ -82,8 +81,8 @@ class RouterEngine(DiskEngine):
     fault_plan:
         Tests only: fires the ``router.dispatch`` / ``router.connect``
         / ``shard.recv`` sites (see :mod:`repro.faults`).
-    delta / fault_budget / max_iterations / kernel:
-        Forwarded to the disk kernels, exactly as on ``DiskEngine``.
+    delta / fault_budget / max_iterations:
+        Forwarded to the disk engine, exactly as on ``DiskEngine``.
     """
 
     backend = "sharded"
@@ -353,7 +352,7 @@ class ShardRouter:
         Pass ``obs=False`` to run uninstrumented (shard workers
         included).
     engine_kwargs:
-        Forwarded to :class:`RouterEngine` (``timeout``, ``kernel``,
+        Forwarded to :class:`RouterEngine` (``timeout``,
         ``delta``, ``cache_hubs``, ...).
 
     Attributes

@@ -12,11 +12,12 @@ Three pieces:
 * :mod:`repro.storage.disk_engine` — online query processing against a
   disk-resident graph: one cluster in memory at a time, cluster faults
   counted and budgeted, prime subgraphs assembled cluster by cluster.
+  One engine, :class:`DiskFastPPV`, serves batches; a single query is
+  the batch of one.
 """
 
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.disk_engine import (
-    BatchDiskFastPPV,
     DiskFastPPV,
     DiskGraphStore,
     DiskQueryResult,
@@ -32,7 +33,6 @@ __all__ = [
     "cluster_graph",
     "DiskGraphStore",
     "DiskFastPPV",
-    "BatchDiskFastPPV",
     "DiskQueryResult",
     "DiskTopKResult",
 ]

@@ -12,10 +12,11 @@ little accuracy for much less I/O.
 Hub prime PPVs are fetched lazily from the on-disk
 :class:`~repro.storage.ppv_store.DiskPPVStore`, one random access each.
 
-Batched serving
----------------
-:class:`BatchDiskFastPPV` serves a whole batch against the same stores
-while amortising the I/O that dominates scalar disk queries:
+One engine, scalar is the batch of one
+--------------------------------------
+:class:`DiskFastPPV` serves a whole batch against the stores while
+amortising the I/O that dominates disk queries; :meth:`DiskFastPPV.query`
+is ``query_many([q])[0]``:
 
 * The prime-subgraph walks of all non-hub queries run as interleaved
   :class:`_PrimePushRun` steps grouped **by cluster**: each scheduling
@@ -24,7 +25,7 @@ while amortising the I/O that dominates scalar disk queries:
   is faulted in once per wave instead of once per query.  A run's
   per-query schedule (heaviest pool first, FIFO within a cluster) is
   fixed and residency-independent, so per-query scores are bitwise
-  identical to a solo :class:`DiskFastPPV` run.
+  identical to serving the query alone.
 * Hub prime PPVs are fetched through a per-batch cache seeded by
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
   reads): each hub payload is read from disk once per batch, not once
@@ -37,26 +38,19 @@ while amortising the I/O that dominates scalar disk queries:
   and each round is two sparse gather-multiply-scatter products over
   the stacked, delta-gated frontiers.  Unlike the in-memory matmul
   form, the products accumulate in the scalar loop's exact operation
-  order, so scores stay **bitwise equal** to scalar serving; the
-  historical per-hub dict loop survives as ``kernel="reference"`` (the
-  executable specification, pinned in ``tests/test_disk_batch.py`` and
-  the baseline of ``benchmarks/bench_disk_batch.py``).  The scalar
-  engine runs the same kernel as a batch of one, which also means a
-  hub re-gated in a later round is now served from the query's resident
-  block instead of a repeated physical read (``hub_reads`` still
-  reports the scalar-equivalent fetch count).
+  order, so scores are **bitwise equal** to the per-hub loop of
+  :func:`repro.core.query.scalar_splice_rounds` run over the same
+  store (``tests/oracles.py`` pins that, together with the historical
+  per-edge drain loop).
 
-Per-query :class:`DiskQueryResult` accounting under batching is
-*deterministic scalar-equivalent* I/O: ``cluster_faults`` counts the
-query's drain steps — the faults a dedicated **one-cluster-budget**
-store would incur (the paper's Fig. 16 setting, and the currency the
-fault budget is charged in) — and ``hub_reads`` counts the hub fetches
-the query requested.  A scalar engine over a store with
-``memory_budget > 1`` can report fewer physical faults for the same
-query (LRU hits are free there); the batch numbers are intentionally
-budget-independent so experiments stay comparable.  The physical,
-amortised batch I/O is the delta of the stores' ``faults`` / ``reads``
-counters around the call.
+Per-query :class:`DiskQueryResult` accounting is *deterministic* I/O:
+``cluster_faults`` counts the query's drain steps — the faults a
+dedicated **one-cluster-budget** store would incur (the paper's Fig. 16
+setting, and the currency the fault budget is charged in) — and
+``hub_reads`` counts the hub fetches the query requested.  Both are
+independent of batch composition and of the store's ``memory_budget``
+so experiments stay comparable; the *physical*, amortised I/O is the
+delta of the stores' ``faults`` / ``reads`` counters around the call.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.prime import PrimePPV
 from repro.core.query import (
     DEFAULT_DELTA,
     QueryResult,
@@ -331,7 +324,7 @@ class DiskGraphStore:
 class _PrimePushRun:
     """One query's cluster-draining prime push, advanced drain by drain.
 
-    The scalar engine's push, restructured so a scheduler can interleave
+    The cluster-draining push, structured so a scheduler can interleave
     many runs: :meth:`next_cluster` resolves which cluster the next drain
     step needs (I/O-free), :meth:`drain` performs that step through the
     graph store.  The per-query schedule — heaviest pool first, FIFO
@@ -342,7 +335,7 @@ class _PrimePushRun:
 
     The fault budget is charged per *drain step* — exactly the faults a
     dedicated one-cluster-budget store would incur — so truncation is
-    deterministic and identical between scalar and batched serving.
+    deterministic and independent of what else is in the batch.
     """
 
     __slots__ = (
@@ -351,7 +344,6 @@ class _PrimePushRun:
         "alpha",
         "epsilon",
         "fault_budget",
-        "reference",
         "hub_list",
         "scores",
         "border",
@@ -369,7 +361,6 @@ class _PrimePushRun:
         alpha: float,
         epsilon: float,
         fault_budget: int,
-        reference: bool = False,
         hub_list: "list[bool] | None" = None,
     ) -> None:
         self.graph_store = graph_store
@@ -377,9 +368,8 @@ class _PrimePushRun:
         self.alpha = alpha
         self.epsilon = epsilon
         self.fault_budget = fault_budget
-        self.reference = reference
         # List-backed hub lookup for the per-edge hot loop (see drain);
-        # the engines pass one shared conversion for the whole batch.
+        # the engine passes one shared conversion for the whole batch.
         self.hub_list: list[bool] = (
             hub_list if hub_list is not None else hub_mask.tolist()
         )
@@ -429,15 +419,6 @@ class _PrimePushRun:
             return cluster
         return None
 
-    def _deposit(self, node: int, mass: float) -> None:
-        self.scores[node] += self.alpha * mass
-        if self.hub_mask[node]:
-            self.border[node] = self.border.get(node, 0.0) + mass
-            return
-        cluster = self.graph_store.cluster_of(node)
-        pool = self.pools.setdefault(cluster, {})
-        pool[node] = pool.get(node, 0.0) + mass
-
     def drain(self) -> None:
         """Drain the staged cluster: propagate its resident residual to
         exhaustion — intra-cluster mass bounces without I/O, exported
@@ -449,45 +430,18 @@ class _PrimePushRun:
         is never *read* during a drain, and ``np.add.at`` applies its
         updates in element order, so the deferred flush performs the
         exact same additions in the exact same order as the historical
-        per-edge loop, which survives as ``reference=True`` (the pre-PR
-        baseline timed by ``benchmarks/bench_disk_batch.py``).  Both
-        variants produce bit-for-bit identical mass flow.
+        per-edge loop (``tests/oracles.py`` keeps that loop and pins the
+        two bit for bit).
         """
         cluster, local = self._pending  # type: ignore[misc]
         self._pending = None
         self.drains += 1
         alpha, epsilon = self.alpha, self.epsilon
-        hub_mask, graph_store = self.hub_mask, self.graph_store
-        scores = self.scores
+        graph_store = self.graph_store
         # FIFO order lets arriving shares aggregate before their node is
         # expanded (LIFO would expand each share almost alone,
         # multiplying the work by the cycle count).
         queue = deque(local)
-        if self.reference:
-            while queue:
-                node = queue.popleft()
-                mass = local.pop(node, 0.0)
-                if mass < epsilon:
-                    continue  # sub-threshold remainder: already scored
-                neighbors, probabilities = graph_store.out_edges(node)
-                for target, probability in zip(neighbors, probabilities):
-                    target = int(target)
-                    share = (1.0 - alpha) * mass * probability
-                    if (
-                        not hub_mask[target]
-                        and graph_store.cluster_of(target) == cluster
-                    ):
-                        # Keep intra-cluster mass local: score it now,
-                        # aggregate the pending expansion.
-                        scores[target] += alpha * share
-                        if target in local:
-                            local[target] += share
-                        else:
-                            local[target] = share
-                            queue.append(target)
-                    else:
-                        self._deposit(target, share)
-            return
         border, pools = self.border, self.pools
         hub_list = self.hub_list
         labels_list = graph_store.labels_list
@@ -528,87 +482,11 @@ class _PrimePushRun:
                     pool = pools.setdefault(labels_list[target], {})
                     pool[target] = pool.get(target, 0.0) + share
         if score_nodes:
-            np.add.at(scores, score_nodes, score_values)
+            np.add.at(self.scores, score_nodes, score_values)
 
 
-def _splice_rounds_reference(
-    estimate: np.ndarray,
-    frontier: dict[int, float],
-    stop: StoppingCondition,
-    alpha: float,
-    delta: float,
-    max_iterations: int,
-    fetch: Callable[[int], PrimePPV],
-    started: float,
-    on_iteration: Callable[[QueryState], None] | None = None,
-) -> tuple[int, list[float], int, int]:
-    """Algorithm 2's incremental rounds as the historical per-hub loop.
-
-    This is the disk engines' original dict-based splice kernel, kept as
-    the executable *specification* of the vectorised path: engines built
-    with ``kernel="reference"`` run it, the equivalence suite pins the
-    vectorised :func:`repro.core.splice.splice_rounds_exact` against it
-    bit for bit, and ``benchmarks/bench_disk_batch.py`` times it as the
-    speedup baseline.  ``fetch`` is either a direct
-    :meth:`DiskPPVStore.get` (one physical read per call) or a per-batch
-    cache over it.  ``on_iteration`` mirrors the in-memory engine's
-    contract — invoked with the :class:`QueryState` once per executed
-    iteration, iteration 0 included.  Returns ``(iterations,
-    error_history, hubs_expanded, requested_reads)`` where
-    ``requested_reads`` counts fetch calls — the scalar-equivalent read
-    cost.
-    """
-    error_history = [1.0 - float(estimate.sum())]
-    hubs_expanded = 0
-    iteration = 0
-    requested_reads = 0
-
-    def current_state() -> QueryState:
-        return QueryState(
-            iteration=iteration,
-            l1_error=error_history[-1],
-            elapsed_seconds=time.perf_counter() - started,
-            frontier_size=len(frontier),
-            scores=estimate,
-        )
-
-    if on_iteration is not None:
-        on_iteration(current_state())
-    while frontier and iteration < max_iterations:
-        if stop.should_stop(current_state()):
-            break
-        iteration += 1
-        next_frontier: dict[int, float] = {}
-        for hub, mass in frontier.items():
-            if alpha * mass <= delta:
-                continue
-            entry = fetch(hub)
-            requested_reads += 1
-            estimate[entry.nodes] += mass * entry.scores
-            estimate[hub] -= alpha * mass  # trivial-tour correction
-            hubs_expanded += 1
-            for border, border_mass in zip(
-                entry.border_hubs.tolist(), entry.border_masses.tolist()
-            ):
-                next_frontier[border] = (
-                    next_frontier.get(border, 0.0) + mass * border_mass
-                )
-        frontier = next_frontier
-        error_history.append(1.0 - float(estimate.sum()))
-        if on_iteration is not None:
-            on_iteration(current_state())
-    return iteration, error_history, hubs_expanded, requested_reads
-
-
-_KERNELS = ("vectorised", "reference")
-
-
-def _frontier_arrays(
-    frontier: "dict[int, float] | tuple[np.ndarray, np.ndarray]",
-) -> tuple[np.ndarray, np.ndarray]:
+def _frontier_arrays(frontier: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """A frontier as ``(hub ids, masses)`` arrays in dict-iteration order."""
-    if isinstance(frontier, tuple):
-        return frontier
     return (
         np.fromiter(frontier.keys(), dtype=np.int64, count=len(frontier)),
         np.fromiter(frontier.values(), dtype=np.float64, count=len(frontier)),
@@ -619,12 +497,12 @@ def _frontier_arrays(
 class DiskQueryResult:
     """A :class:`QueryResult` plus the I/O accounting of Fig. 16.
 
-    Under :class:`BatchDiskFastPPV`, ``cluster_faults`` and ``hub_reads``
-    report deterministic scalar-equivalent I/O: the faults a dedicated
-    *one-cluster-budget* store would have paid (= the push's drain
-    steps) and the hub fetches the query requested — independent of the
-    batch store's ``memory_budget``.  The physical amortised batch I/O
-    is the delta of the stores' counters around the batch call.
+    ``cluster_faults`` and ``hub_reads`` report deterministic per-query
+    I/O: the faults a dedicated *one-cluster-budget* store would have
+    paid (= the push's drain steps) and the hub fetches the query
+    requested — independent of the batch it was served in and of the
+    store's ``memory_budget``.  The physical amortised I/O is the delta
+    of the stores' counters around the call.
     """
 
     result: QueryResult
@@ -643,8 +521,24 @@ class DiskQueryResult:
         return self.result.seconds
 
 
+@dataclass
+class DiskTopKResult:
+    """A :class:`~repro.core.topk.TopKResult` plus disk I/O accounting."""
+
+    topk: TopKResult
+    cluster_faults: int
+    hub_reads: int
+    truncated: bool
+
+
 class DiskFastPPV:
     """FastPPV online processing against disk-resident graph and index.
+
+    Serves batches, amortising cluster faults (cluster-grouped prime
+    pushes) and hub payload reads (a per-batch fetch cache) across the
+    queries of one call — see the module docstring.  A single query is
+    the batch of one, so per-query results never depend on what else
+    was served alongside.
 
     Parameters
     ----------
@@ -656,19 +550,12 @@ class DiskFastPPV:
         Border-hub expansion threshold (as in the in-memory engine).
     fault_budget:
         Prime-subgraph search stops expanding new nodes once this many
-        cluster faults occurred within one query; defaults to the number
+        cluster drains occurred within one query; defaults to the number
         of clusters (the paper's robust choice).
     max_iterations:
         Hard safety cap on incremental iterations regardless of the
         stopping condition, matching the in-memory engine's contract
         (:class:`~repro.core.query.FastPPV`, default 64).
-    kernel:
-        ``"vectorised"`` (default) runs the splice rounds through the
-        order-preserving batch kernel of
-        :func:`repro.core.splice.splice_rounds_exact`;
-        ``"reference"`` runs the historical per-hub dict loop.  Both
-        produce bitwise-identical results — the reference kernel exists
-        as the executable specification and benchmark baseline.
     """
 
     def __init__(
@@ -678,12 +565,11 @@ class DiskFastPPV:
         delta: float = DEFAULT_DELTA,
         fault_budget: int | None = None,
         max_iterations: int = 64,
-        kernel: str = "vectorised",
     ) -> None:
         if graph_store.num_nodes != ppv_store.num_nodes:
             raise ValueError("graph store and PPV store disagree on node count")
-        if kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}")
+        if delta < 0.0:
+            raise ValueError("delta must be non-negative")
         self.graph_store = graph_store
         self.ppv_store = ppv_store
         self.delta = delta
@@ -691,195 +577,6 @@ class DiskFastPPV:
             fault_budget if fault_budget is not None else graph_store.num_clusters
         )
         self.max_iterations = max_iterations
-        self.kernel = kernel
-        self._batch_engine: "BatchDiskFastPPV | None" = None
-    # ------------------------------------------------------------------ #
-
-    def _prime_push_on_disk(
-        self, source: int
-    ) -> tuple[np.ndarray, dict[int, float], bool]:
-        """Cluster-draining prime push through the cluster store.
-
-        Push is order-independent (any schedule that expands every
-        super-threshold residual converges to the same vector), so instead
-        of the in-memory engine's level-synchronous order we *drain one
-        cluster at a time*: all resident residual is propagated to
-        exhaustion — intra-cluster mass bounces without I/O — and only the
-        mass exported to other clusters is deferred.  This mirrors the
-        paper's DFS-within-cluster search and keeps faults near the number
-        of distinct clusters the prime subgraph overlaps.  The kernel
-        lives in :class:`_PrimePushRun`, shared with the batched engine.
-
-        Returns ``(dense scores, border arrival masses, truncated)`` where
-        ``truncated`` reports whether the fault budget cut the search.
-        """
-        run = _PrimePushRun(
-            self.graph_store,
-            source,
-            self.ppv_store.hub_mask,
-            self.ppv_store.alpha,
-            self.ppv_store.epsilon,
-            self.fault_budget,
-            reference=self.kernel == "reference",
-            hub_list=self.ppv_store.hub_list,
-        )
-        while run.next_cluster() is not None:
-            run.drain()
-        return run.scores, run.border, run.truncated
-
-    def query(
-        self,
-        query: int,
-        stop: StoppingCondition | None = None,
-        on_iteration: Callable[[QueryState], None] | None = None,
-    ) -> DiskQueryResult:
-        """Estimate the PPV of ``query`` from disk-resident data.
-
-        ``on_iteration`` follows the in-memory engine's contract: invoked
-        with the :class:`~repro.core.query.QueryState` after every
-        executed splice iteration (iteration 0 included) — note the prime
-        push that *builds* iteration 0 is not observable step by step.
-        """
-        if not 0 <= query < self.graph_store.num_nodes:
-            raise ValueError(f"query node {query} out of range")
-        if stop is None:
-            stop = StopAfterIterations(2)
-        started = time.perf_counter()
-        faults_before = self.graph_store.faults
-
-        truncated = False
-        hub_reads = 0
-        if query in self.ppv_store:
-            entry = self.ppv_store.get(query)
-            hub_reads += 1
-            estimate = entry.to_dense(self.graph_store.num_nodes)
-            frontier = dict(
-                zip(entry.border_hubs.tolist(), entry.border_masses.tolist())
-            )
-        else:
-            estimate, frontier, truncated = self._prime_push_on_disk(query)
-
-        alpha = self.ppv_store.alpha
-        if self.kernel == "reference":
-            iteration, error_history, hubs_expanded, requested = (
-                _splice_rounds_reference(
-                    estimate,
-                    frontier,
-                    stop,
-                    alpha,
-                    self.delta,
-                    self.max_iterations,
-                    self.ppv_store.get,
-                    started,
-                    on_iteration=on_iteration,
-                )
-            )
-        else:
-            block = SpliceBlock(alpha, self.graph_store.num_nodes)
-
-            def ensure(hubs: np.ndarray) -> None:
-                # Offset-ordered sweep, one read per unique hub — the
-                # same reads count as the historical per-hub fetches
-                # (block row order never affects the output).
-                for entry in self.ppv_store.get_many(hubs.tolist()).values():
-                    block.add(entry)
-
-            callback = None
-            if on_iteration is not None:
-                callback = lambda _position, state: on_iteration(state)
-            [(iteration, error_history, hubs_expanded, requested, _)] = (
-                splice_rounds_exact(
-                    estimate.reshape(1, -1),
-                    [_frontier_arrays(frontier)],
-                    stop,
-                    alpha,
-                    self.delta,
-                    self.max_iterations,
-                    block,
-                    ensure,
-                    started,
-                    on_iteration=callback,
-                )
-            )
-
-        result = QueryResult(
-            query=query,
-            scores=estimate,
-            iterations=iteration,
-            error_history=error_history,
-            hubs_expanded=hubs_expanded,
-            seconds=time.perf_counter() - started,
-        )
-        return DiskQueryResult(
-            result=result,
-            cluster_faults=self.graph_store.faults - faults_before,
-            hub_reads=hub_reads + requested,
-            truncated=truncated,
-        )
-
-    @property
-    def batch_engine(self) -> "BatchDiskFastPPV":
-        """The :class:`BatchDiskFastPPV` twin of this engine (lazy)."""
-        if self._batch_engine is None:
-            self._batch_engine = BatchDiskFastPPV(
-                self.graph_store,
-                self.ppv_store,
-                delta=self.delta,
-                fault_budget=self.fault_budget,
-                max_iterations=self.max_iterations,
-                kernel=self.kernel,
-            )
-        return self._batch_engine
-
-
-@dataclass
-class DiskTopKResult:
-    """A :class:`~repro.core.topk.TopKResult` plus disk I/O accounting."""
-
-    topk: TopKResult
-    cluster_faults: int
-    hub_reads: int
-    truncated: bool
-
-
-class BatchDiskFastPPV:
-    """Batched FastPPV serving against disk-resident graph and index.
-
-    Amortises the two I/O costs of :class:`DiskFastPPV` across a batch
-    (see the module docstring): cluster faults via cluster-grouped prime
-    pushes, hub payload reads via a per-batch fetch cache.  The splice
-    rounds of the whole batch run in lock-step through the vectorised
-    exact kernel (:func:`repro.core.splice.splice_rounds_exact`): fetched
-    prime PPVs are assembled into a shared
-    :class:`~repro.core.splice.SpliceBlock` and each round becomes two
-    order-preserving sparse products over the stacked, delta-gated
-    frontiers.  Per-query results are bitwise identical to scalar
-    :meth:`DiskFastPPV.query` calls with the same parameters.
-
-    Parameters mirror :class:`DiskFastPPV`.
-    """
-
-    def __init__(
-        self,
-        graph_store: DiskGraphStore,
-        ppv_store: DiskPPVStore,
-        delta: float = DEFAULT_DELTA,
-        fault_budget: int | None = None,
-        max_iterations: int = 64,
-        kernel: str = "vectorised",
-    ) -> None:
-        if graph_store.num_nodes != ppv_store.num_nodes:
-            raise ValueError("graph store and PPV store disagree on node count")
-        if kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}")
-        self.graph_store = graph_store
-        self.ppv_store = ppv_store
-        self.delta = delta
-        self.fault_budget = (
-            fault_budget if fault_budget is not None else graph_store.num_clusters
-        )
-        self.max_iterations = max_iterations
-        self.kernel = kernel
 
     # ------------------------------------------------------------------ #
 
@@ -887,7 +584,16 @@ class BatchDiskFastPPV:
         """Run the prime pushes of all unique non-hub queries, grouped by
         cluster: every scheduling wave picks the cluster most runs need
         next and drains all of them while it is resident, so the batch
-        faults each cluster in once per wave instead of once per query."""
+        faults each cluster in once per wave instead of once per query.
+
+        Push is order-independent (any schedule that expands every
+        super-threshold residual converges to the same vector), so
+        instead of the in-memory engine's level-synchronous order each
+        run *drains one cluster at a time* — intra-cluster mass bounces
+        without I/O, only exported mass is deferred.  This mirrors the
+        paper's DFS-within-cluster search and keeps faults near the
+        number of distinct clusters the prime subgraph overlaps.
+        """
         runs: dict[int, _PrimePushRun] = {}
         hub_list = self.ppv_store.hub_list
         for q in ids:
@@ -899,7 +605,6 @@ class BatchDiskFastPPV:
                     self.ppv_store.alpha,
                     self.ppv_store.epsilon,
                     self.fault_budget,
-                    reference=self.kernel == "reference",
                     hub_list=hub_list,
                 )
         active = dict(runs)
@@ -919,6 +624,24 @@ class BatchDiskFastPPV:
                 active[q].drain()
         return runs
 
+    def query(
+        self,
+        query: int,
+        stop: StoppingCondition | None = None,
+        on_iteration: Callable[[QueryState], None] | None = None,
+    ) -> DiskQueryResult:
+        """Estimate the PPV of ``query``: the batch of one.
+
+        ``on_iteration`` follows the in-memory engine's contract: invoked
+        with the :class:`~repro.core.query.QueryState` after every
+        executed splice iteration (iteration 0 included) — note the prime
+        push that *builds* iteration 0 is not observable step by step.
+        """
+        callback = None
+        if on_iteration is not None:
+            callback = lambda _position, state: on_iteration(state)
+        return self.query_many([query], stop=stop, on_iteration=callback)[0]
+
     def query_many(
         self,
         queries: Sequence[int],
@@ -927,19 +650,15 @@ class BatchDiskFastPPV:
     ) -> list[DiskQueryResult]:
         """Estimate the PPVs of ``queries`` from disk, preserving order.
 
-        Scores, iteration counts and truncation flags are identical to
-        calling :meth:`DiskFastPPV.query` per element; only the physical
-        I/O schedule differs.  Per-query ``cluster_faults`` equals the
-        scalar engine's over a ``memory_budget=1`` store (see the module
-        docstring — a larger-budget scalar store can report fewer
-        physical faults for the same work).  Duplicated query ids share
-        one prime push.  ``stop`` is evaluated per query exactly as in
-        the scalar engine (it sees per-query state, including
-        ``scores``, so certificate conditions work here too).
-        ``on_iteration`` mirrors the in-memory batch engine's
-        :data:`~repro.core.batch.BatchCallback` contract: invoked as
-        ``on_iteration(position, state)`` once per executed iteration
-        per query, iteration 0 included.
+        Scores, iteration counts, I/O accounting and truncation flags of
+        each element are identical to serving it alone; only the
+        physical I/O schedule differs.  Duplicated query ids share one
+        prime push.  ``stop`` is evaluated per query (it sees per-query
+        state, including ``scores``, so certificate conditions work
+        here too) and must be stateless.  ``on_iteration`` mirrors the
+        in-memory batch engine's :data:`~repro.core.batch.BatchCallback`
+        contract: invoked as ``on_iteration(position, state)`` once per
+        executed iteration per query, iteration 0 included.
         """
         ids = [int(q) for q in queries]
         for q in ids:
@@ -955,29 +674,12 @@ class BatchDiskFastPPV:
 
         # Per-batch hub fetch cache: one physical (offset-ordered) read
         # per unique hub, however many queries splice it.
-        fetched: dict[int, PrimePPV] = {}
-
-        def fetch(hub: int) -> PrimePPV:
-            entry = fetched.get(hub)
-            if entry is None:
-                entry = self.ppv_store.get(hub)
-                fetched[hub] = entry
-            return entry
-
-        wanted: set[int] = set()
-        for q in set(ids):
-            if q in self.ppv_store:
-                wanted.add(q)
+        wanted = {q for q in ids if q in self.ppv_store}
         for run in runs.values():
             for hub, mass in run.border.items():
                 if alpha * mass > self.delta:
                     wanted.add(hub)
-        fetched.update(self.ppv_store.get_many(wanted))
-
-        if self.kernel == "reference":
-            return self._query_many_reference(
-                ids, stop, started, alpha, runs, fetch, on_iteration
-            )
+        fetched = self.ppv_store.get_many(wanted)
 
         # ---- iteration 0: stack every query's estimate and frontier.
         batch = len(ids)
@@ -988,7 +690,7 @@ class BatchDiskFastPPV:
         truncated = [False] * batch
         for position, q in enumerate(ids):
             if q in self.ppv_store:
-                entry = fetch(q)
+                entry = fetched[q]
                 hub_reads[position] = 1
                 estimates[position, entry.nodes] = entry.scores
                 frontiers.append(
@@ -1053,72 +755,6 @@ class BatchDiskFastPPV:
                 (iteration, error_history, hubs_expanded, requested, seconds),
             ) in enumerate(zip(ids, rounds))
         ]
-
-    def _query_many_reference(
-        self,
-        ids: list[int],
-        stop: StoppingCondition,
-        started: float,
-        alpha: float,
-        runs: "dict[int, _PrimePushRun]",
-        fetch: Callable[[int], PrimePPV],
-        on_iteration: "Callable[[int, QueryState], None] | None",
-    ) -> list[DiskQueryResult]:
-        """The historical per-query dict-loop rounds (benchmark baseline)."""
-        results: list[DiskQueryResult] = []
-        for position, q in enumerate(ids):
-            hub_reads = 0
-            if q in self.ppv_store:
-                entry = fetch(q)
-                hub_reads += 1
-                estimate = entry.to_dense(self.graph_store.num_nodes)
-                frontier = dict(
-                    zip(entry.border_hubs.tolist(), entry.border_masses.tolist())
-                )
-                cluster_faults = 0
-                truncated = False
-            else:
-                run = runs[q]
-                estimate = run.scores.copy()
-                frontier = dict(run.border)
-                cluster_faults = run.drains
-                truncated = run.truncated
-            callback = None
-            if on_iteration is not None:
-                callback = (
-                    lambda state, _position=position: on_iteration(
-                        _position, state
-                    )
-                )
-            iteration, error_history, hubs_expanded, requested = (
-                _splice_rounds_reference(
-                    estimate,
-                    frontier,
-                    stop,
-                    alpha,
-                    self.delta,
-                    self.max_iterations,
-                    fetch,
-                    started,
-                    on_iteration=callback,
-                )
-            )
-            results.append(
-                DiskQueryResult(
-                    result=QueryResult(
-                        query=q,
-                        scores=estimate,
-                        iterations=iteration,
-                        error_history=error_history,
-                        hubs_expanded=hubs_expanded,
-                        seconds=time.perf_counter() - started,
-                    ),
-                    cluster_faults=cluster_faults,
-                    hub_reads=hub_reads + requested,
-                    truncated=truncated,
-                )
-            )
-        return results
 
     def query_top_k_many(
         self,

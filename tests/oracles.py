@@ -1,0 +1,140 @@
+"""Executable specifications the disk engine is pinned against.
+
+``repro.storage.disk_engine.DiskFastPPV`` serves every query through two
+vectorised kernels: the cluster-draining push with deferred score
+flushes (``_PrimePushRun.drain``) and the order-preserving splice rounds
+of ``repro.core.splice.splice_rounds_exact``.  The loops they replaced
+live here, as oracles: the historical per-edge drain and the per-hub
+scalar splice loop (``repro.core.query.scalar_splice_rounds``, the same
+loop ``FastPPV.query`` runs) fed one ``ppv_store.get`` at a time.  The
+equivalence suite requires bitwise-equal results.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import deque
+
+from repro.core.query import (
+    DEFAULT_DELTA,
+    QueryResult,
+    StopAfterIterations,
+    scalar_splice_rounds,
+)
+from repro.storage.disk_engine import DiskQueryResult, _PrimePushRun
+
+
+class ReferencePrimePushRun(_PrimePushRun):
+    """The push with the historical drain: one ``scores[t] +=`` per edge,
+    residency resolved per expanded node through ``out_edges``."""
+
+    __slots__ = ()
+
+    def _deposit(self, node: int, mass: float) -> None:
+        self.scores[node] += self.alpha * mass
+        if self.hub_mask[node]:
+            self.border[node] = self.border.get(node, 0.0) + mass
+            return
+        cluster = self.graph_store.cluster_of(node)
+        pool = self.pools.setdefault(cluster, {})
+        pool[node] = pool.get(node, 0.0) + mass
+
+    def drain(self) -> None:
+        cluster, local = self._pending
+        self._pending = None
+        self.drains += 1
+        alpha, epsilon = self.alpha, self.epsilon
+        hub_mask, graph_store = self.hub_mask, self.graph_store
+        scores = self.scores
+        queue = deque(local)
+        while queue:
+            node = queue.popleft()
+            mass = local.pop(node, 0.0)
+            if mass < epsilon:
+                continue  # sub-threshold remainder: already scored
+            neighbors, probabilities = graph_store.out_edges(node)
+            for target, probability in zip(neighbors, probabilities):
+                target = int(target)
+                share = (1.0 - alpha) * mass * probability
+                if (
+                    not hub_mask[target]
+                    and graph_store.cluster_of(target) == cluster
+                ):
+                    # Keep intra-cluster mass local: score it now,
+                    # aggregate the pending expansion.
+                    scores[target] += alpha * share
+                    if target in local:
+                        local[target] += share
+                    else:
+                        local[target] = share
+                        queue.append(target)
+                else:
+                    self._deposit(target, share)
+
+
+def reference_disk_query(
+    graph_store,
+    ppv_store,
+    query: int,
+    stop=None,
+    delta: float = DEFAULT_DELTA,
+    fault_budget: int | None = None,
+    max_iterations: int = 64,
+) -> DiskQueryResult:
+    """One disk query, served by the oracle loops alone.
+
+    ``cluster_faults`` is the drain count and ``hub_reads`` the number
+    of ``ppv_store.get`` calls — the deterministic accounting
+    ``DiskFastPPV`` reports.
+    """
+    if stop is None:
+        stop = StopAfterIterations(2)
+    if fault_budget is None:
+        fault_budget = graph_store.num_clusters
+    started = time.perf_counter()
+    hub_reads = 0
+    drains = 0
+    truncated = False
+    if query in ppv_store:
+        entry = ppv_store.get(query)
+        hub_reads += 1
+        estimate = entry.to_dense(graph_store.num_nodes)
+        frontier = dict(
+            zip(entry.border_hubs.tolist(), entry.border_masses.tolist())
+        )
+    else:
+        run = ReferencePrimePushRun(
+            graph_store,
+            query,
+            ppv_store.hub_mask,
+            ppv_store.alpha,
+            ppv_store.epsilon,
+            fault_budget,
+        )
+        while run.next_cluster() is not None:
+            run.drain()
+        estimate, frontier = run.scores, run.border
+        drains, truncated = run.drains, run.truncated
+    iterations, error_history, hubs_expanded, _ = scalar_splice_rounds(
+        estimate,
+        frontier,
+        stop,
+        ppv_store.alpha,
+        delta,
+        max_iterations,
+        ppv_store.get,
+        started,
+    )
+    return DiskQueryResult(
+        result=QueryResult(
+            query=query,
+            scores=estimate,
+            iterations=iterations,
+            error_history=error_history,
+            hubs_expanded=hubs_expanded,
+            seconds=time.perf_counter() - started,
+        ),
+        cluster_faults=drains,
+        hub_reads=hub_reads + hubs_expanded,
+        truncated=truncated,
+    )

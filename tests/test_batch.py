@@ -1,4 +1,4 @@
-"""Batch engine: equivalence with the scalar engine, edge cases, caching,
+"""Batch engine: equivalence with the scalar engine, edge cases,
 parallel builds, and the per-query callback contract."""
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ class TestEquivalence:
                                                  small_social_index):
         engine = FastPPV(small_social, small_social_index, delta=1e-4)
         stop = StopAfterIterations(2)
-        batch = engine.batch_engine
-        assert batch.delta == engine.delta
+        batch = BatchFastPPV(small_social, small_social_index, delta=1e-4)
         results = batch.query_many([9, 4, 4, 17], stop=stop)
         assert [r.query for r in results] == [9, 4, 4, 17]
         for query, result in zip([9, 4, 4, 17], results):
@@ -164,7 +163,7 @@ class TestEdgeCases:
         assert result.work_units >= 0
 
     def test_duplicate_query_ids(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=0)
+        batch = BatchFastPPV(small_social, small_social_index)
         results = batch.query_many([6, 6, 6], stop=StopAfterIterations(1))
         assert [r.query for r in results] == [6, 6, 6]
         np.testing.assert_array_equal(results[0].scores, results[1].scores)
@@ -231,9 +230,9 @@ class TestEdgeCases:
 
     def test_chunked_batches(self, small_social, small_social_index):
         # A chunk size smaller than the batch must not change results.
-        full = BatchFastPPV(small_social, small_social_index, cache_size=0)
+        full = BatchFastPPV(small_social, small_social_index)
         chunked = BatchFastPPV(
-            small_social, small_social_index, cache_size=0, chunk_size=3
+            small_social, small_social_index, chunk_size=3
         )
         queries = list(range(10))
         for a, b in zip(full.query_many(queries), chunked.query_many(queries)):
@@ -289,55 +288,7 @@ class TestSpliceMatrix:
             matrix.rows_of(np.array([non_hub]))
 
 
-class TestCache:
-    def test_repeated_queries_hit_cache(self, small_social,
-                                        small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        stop = StopAfterIterations(2)
-        (first,) = batch.query_many([5], stop=stop)
-        (second,) = batch.query_many([5], stop=stop)
-        np.testing.assert_array_equal(first.scores, second.scores)
-        assert len(batch._cache) == 1
-
-    def test_cache_isolated_from_caller_mutation(self, small_social,
-                                                 small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        (first,) = batch.query_many([5])
-        first.scores[:] = -1.0
-        (second,) = batch.query_many([5])
-        assert second.scores[0] != -1.0
-
-    def test_cache_bounded(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=4)
-        batch.query_many(list(range(10)))
-        assert len(batch._cache) == 4
-
-    def test_distinct_stops_cached_separately(self, small_social,
-                                              small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        (eta0,) = batch.query_many([5], stop=StopAfterIterations(0))
-        (eta2,) = batch.query_many([5], stop=StopAfterIterations(2))
-        assert eta0.iterations == 0
-        assert eta2.iterations > 0
-        assert len(batch._cache) == 2
-
-    def test_cache_disabled(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=0)
-        batch.query_many([5, 5])
-        assert len(batch._cache) == 0
-
-    def test_cache_dropped_on_lowering_invalidation(self, small_social,
-                                                    small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        batch.query_many([5])
-        assert len(batch._cache) == 1
-        invalidate_splice_cache(small_social_index)
-        # The next batch sees a rebuilt lowering and must not serve
-        # results computed against the old one.
-        batch.query_many([6])
-        assert (5, StopAfterIterations(2)) not in batch._cache
-        assert (6, StopAfterIterations(2)) in batch._cache
-
+class TestRoutingAndChunking:
     def test_non_batch_safe_stops_use_scalar_path(self, small_social,
                                                   small_social_index):
         from repro import StopAfterTime
@@ -365,105 +316,28 @@ class TestCache:
         for query, result in zip([3, 8], results):
             assert_equivalent(engine._scalar.query(query, stop=stop), result)
 
+    def test_removed_options_are_type_errors(self, small_social,
+                                             small_social_index):
+        # Result caching lives in the service's PopularityCache only, and
+        # no caller ever set the adapter's chunk size.
+        from repro import PPVService
+        from repro.serving.engines import MemoryEngine
+
+        with pytest.raises(TypeError):
+            BatchFastPPV(small_social, small_social_index, cache_size=8)
+        with pytest.raises(TypeError):
+            MemoryEngine(small_social, small_social_index, chunk_size=4)
+        with pytest.raises(TypeError):
+            PPVService.open(
+                small_social_index, graph=small_social, chunk_size=4
+            )
+        assert not hasattr(FastPPV(small_social, small_social_index),
+                           "batch_engine")
+
     def test_default_chunk_size_is_graph_aware(self, small_social,
                                                small_social_index):
         batch = BatchFastPPV(small_social, small_social_index)
         assert 16 <= batch.chunk_size <= 512
-
-
-class TestCacheEdgeCases:
-    """LRU mechanics: eviction order, invalidation, and stop-keyed entries."""
-
-    def _keys(self, batch):
-        return [key[0] for key in batch._cache]
-
-    def test_eviction_is_least_recently_used(self, small_social,
-                                             small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=3)
-        stop = StopAfterIterations(1)
-        batch.query_many([1, 2, 3], stop=stop)
-        assert self._keys(batch) == [1, 2, 3]
-        # A cache *hit* must refresh recency, making 2 the eviction victim.
-        batch.query_many([1], stop=stop)
-        assert self._keys(batch) == [2, 3, 1]
-        batch.query_many([4], stop=stop)
-        assert self._keys(batch) == [3, 1, 4]
-        assert (2, stop) not in batch._cache
-
-    def test_put_of_existing_key_refreshes_recency(self, small_social,
-                                                   small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=2)
-        stop = StopAfterIterations(1)
-        batch.query_many([1, 2], stop=stop)
-        # Bypassing the lookup (callback) recomputes and re-puts key 1.
-        batch.query_many([1], stop=stop, on_iteration=lambda p, s: None)
-        batch.query_many([3], stop=stop)
-        assert self._keys(batch) == [1, 3]
-
-    def test_rebuild_invalidation_then_repopulation(self, small_social,
-                                                    small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=4)
-        stop = StopAfterIterations(2)
-        (stale,) = batch.query_many([5], stop=stop)
-        invalidate_splice_cache(small_social_index)
-        # First batch after the rebuild repopulates against the new
-        # lowering; the result is equivalent (the index content did not
-        # change) but must have been recomputed, not served stale.
-        (fresh,) = batch.query_many([5], stop=stop)
-        np.testing.assert_allclose(fresh.scores, stale.scores, atol=1e-12)
-        assert len(batch._cache) == 1
-        (hit,) = batch.query_many([5], stop=stop)
-        np.testing.assert_array_equal(hit.scores, fresh.scores)
-
-    def test_same_query_different_stops_distinct_entries(self, small_social,
-                                                         small_social_index):
-        from repro import StopWhenCertified
-
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8,
-                             delta=0.0)
-        stops = [
-            StopAfterIterations(1),
-            StopAfterIterations(2),
-            StopAtL1Error(0.05),
-            any_of(StopAfterIterations(3), StopAtL1Error(0.01)),
-            StopWhenCertified(k=3, max_iterations=20),
-            StopWhenCertified(k=3, max_iterations=30),
-            StopWhenCertified(k=4, max_iterations=30),
-        ]
-        for stop in stops:
-            batch.query_many([5], stop=stop)
-        assert len(batch._cache) == len(stops)
-        # Otherwise-identical queries with different stopping conditions
-        # must not cross-serve: eta=1 and eta=2 differ in iterations.
-        (eta1,) = batch.query_many([5], stop=StopAfterIterations(1))
-        (eta2,) = batch.query_many([5], stop=StopAfterIterations(2))
-        assert eta1.iterations == 1
-        assert eta2.iterations == 2
-
-    def test_equal_valued_stop_instances_share_entry(self, small_social,
-                                                     small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        batch.query_many([5], stop=StopAfterIterations(2))
-        batch.query_many([5], stop=StopAfterIterations(2))  # fresh instance
-        batch.query_many(
-            [5], stop=any_of(StopAfterIterations(3), StopAtL1Error(0.01))
-        )
-        batch.query_many(
-            [5], stop=any_of(StopAfterIterations(3), StopAtL1Error(0.01))
-        )
-        assert len(batch._cache) == 2
-
-    def test_hits_do_not_leak_shared_buffers(self, small_social,
-                                             small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=4)
-        stop = StopAfterIterations(1)
-        (first,) = batch.query_many([5], stop=stop)
-        (second,) = batch.query_many([5], stop=stop)
-        # Two hits must hand out independent arrays.
-        second.scores[0] = -5.0
-        (third,) = batch.query_many([5], stop=stop)
-        assert third.scores[0] == first.scores[0]
-        assert third.error_history is not first.error_history
 
 
 class TestCallbackContract:
@@ -497,7 +371,7 @@ class TestCallbackContract:
             7, stop=StopAfterIterations(2), on_iteration=scalar_calls.append
         )
         batch_calls: list[QueryState] = []
-        scalar.batch_engine.query_many(
+        BatchFastPPV(small_social, small_social_index, delta=1e-4).query_many(
             [7],
             stop=StopAfterIterations(2),
             on_iteration=lambda _position, state: batch_calls.append(state),
@@ -506,18 +380,6 @@ class TestCallbackContract:
         assert [s.iteration for s in batch_calls] == [
             s.iteration for s in scalar_calls
         ]
-
-    def test_callback_bypasses_cache(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, cache_size=8)
-        batch.query_many([5])  # populate the cache
-        count = 0
-
-        def tick(position, state):
-            nonlocal count
-            count += 1
-
-        (result,) = batch.query_many([5], on_iteration=tick)
-        assert count == result.iterations + 1
 
     def test_single_query_callback(self, small_social, small_social_index):
         batch = BatchFastPPV(small_social, small_social_index)

@@ -1,5 +1,6 @@
-"""Batched disk serving: per-query equality with the scalar engine and
-amortisation of cluster faults / hub reads across the batch."""
+"""Batched disk serving: a query served alone equals the same query
+inside a batch, the engine equals the oracle loops of ``oracles.py``,
+and cluster faults / hub reads amortise across the batch."""
 
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from repro import (
     query_top_k,
     select_hubs,
 )
+from oracles import reference_disk_query
+from repro.serving import DiskEngine, PPVService
 from repro.storage import (
-    BatchDiskFastPPV,
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
@@ -41,11 +43,11 @@ def disk_batch_setup(small_social, small_social_index, tmp_path_factory):
     return root, assignment, index_path, queries
 
 
-def _fresh_engine(small_social, setup, name, engine_cls, **kwargs):
+def _fresh_engine(small_social, setup, name, **kwargs):
     root, assignment, index_path, _ = setup
     store = DiskGraphStore(small_social, assignment, root / name)
     ppv_store = DiskPPVStore(index_path)
-    return store, ppv_store, engine_cls(store, ppv_store, **kwargs)
+    return store, ppv_store, DiskFastPPV(store, ppv_store, **kwargs)
 
 
 class TestEquality:
@@ -60,13 +62,13 @@ class TestEquality:
         scalar_results = []
         for i, q in enumerate(queries):
             store, ppv_store, engine = _fresh_engine(
-                small_social, disk_batch_setup, f"s_{stop}_{i}", DiskFastPPV,
+                small_social, disk_batch_setup, f"s_{stop}_{i}",
                 delta=0.0,
             )
             with ppv_store:
                 scalar_results.append(engine.query(q, stop=stop))
         store, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, f"b_{stop}", BatchDiskFastPPV,
+            small_social, disk_batch_setup, f"b_{stop}",
             delta=0.0,
         )
         with ppv_store:
@@ -87,7 +89,7 @@ class TestEquality:
         self, disk_batch_setup, small_social
     ):
         _, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "dup", BatchDiskFastPPV, delta=0.0
+            small_social, disk_batch_setup, "dup", delta=0.0
         )
         with ppv_store:
             results = batch.query_many([9, 9, 9], stop=StopAfterIterations(1))
@@ -99,11 +101,11 @@ class TestEquality:
         _, _, _, queries = disk_batch_setup
         non_hub = queries[1]
         _, scalar_ppv, scalar = _fresh_engine(
-            small_social, disk_batch_setup, "trunc_s", DiskFastPPV,
+            small_social, disk_batch_setup, "trunc_s",
             delta=0.0, fault_budget=1,
         )
         _, batch_ppv, batch = _fresh_engine(
-            small_social, disk_batch_setup, "trunc_b", BatchDiskFastPPV,
+            small_social, disk_batch_setup, "trunc_b",
             delta=0.0, fault_budget=1,
         )
         with scalar_ppv, batch_ppv:
@@ -114,31 +116,43 @@ class TestEquality:
 
     def test_out_of_range_rejected(self, disk_batch_setup, small_social):
         _, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "range", BatchDiskFastPPV
+            small_social, disk_batch_setup, "range"
         )
         with ppv_store:
             with pytest.raises(ValueError):
                 batch.query_many([10**6])
 
-    def test_disk_fastppv_batch_engine_matches_scalar(
-        self, disk_batch_setup, small_social
-    ):
+    def test_query_is_the_batch_of_one(self, disk_batch_setup, small_social):
         _, ppv_store, engine = _fresh_engine(
-            small_social, disk_batch_setup, "deleg", DiskFastPPV, delta=0.0
+            small_social, disk_batch_setup, "deleg", delta=0.0
         )
         with ppv_store:
-            assert isinstance(engine.batch_engine, BatchDiskFastPPV)
-            results = engine.batch_engine.query_many(
-                [4, 8], stop=StopAfterIterations(1)
-            )
+            results = engine.query_many([4, 8], stop=StopAfterIterations(1))
             reference = engine.query(4, stop=StopAfterIterations(1))
         assert [r.result.query for r in results] == [4, 8]
         np.testing.assert_array_equal(results[0].scores, reference.scores)
 
+    def test_negative_delta_rejected_at_every_entry(
+        self, disk_batch_setup, small_social
+    ):
+        # The in-memory engines always refused a negative delta; the
+        # disk engines used to accept it silently.
+        store, ppv_store, _ = _fresh_engine(
+            small_social, disk_batch_setup, "neg_delta"
+        )
+        with ppv_store:
+            with pytest.raises(ValueError, match="delta must be non-negative"):
+                DiskFastPPV(store, ppv_store, delta=-1.0)
+            with pytest.raises(ValueError, match="delta must be non-negative"):
+                DiskEngine(store, ppv_store, delta=-1.0)
+            with pytest.raises(ValueError, match="delta must be non-negative"):
+                PPVService.open(ppv_store, graph_store=store, delta=-1)
+
 
 class TestKernels:
-    """The vectorised splice path against the retained reference kernel
-    (the pre-PR per-hub loop): bit-for-bit equality everywhere."""
+    """The engine's vectorised push and splice kernels against the
+    oracle loops of ``oracles.py`` (the historical per-edge drain and the
+    per-hub scalar splice loop): bit-for-bit equality everywhere."""
 
     @pytest.mark.parametrize(
         "stop",
@@ -155,17 +169,21 @@ class TestKernels:
         _, _, _, queries = disk_batch_setup
         reference_results = []
         for i, q in enumerate(queries):
-            _, ppv_store, engine = _fresh_engine(
+            store, ppv_store, _ = _fresh_engine(
                 small_social, disk_batch_setup, f"kr_{stop}_{delta}_{i}",
-                DiskFastPPV, delta=delta, kernel="reference",
+                delta=delta,
             )
             with ppv_store:
-                reference_results.append(engine.query(q, stop=stop))
-        # Vectorised scalar engine.
+                reference_results.append(
+                    reference_disk_query(
+                        store, ppv_store, q, stop=stop, delta=delta
+                    )
+                )
+        # The engine, one query at a time.
         for i, q in enumerate(queries):
             _, ppv_store, engine = _fresh_engine(
                 small_social, disk_batch_setup, f"kv_{stop}_{delta}_{i}",
-                DiskFastPPV, delta=delta,
+                delta=delta,
             )
             with ppv_store:
                 vectorised = engine.query(q, stop=stop)
@@ -180,10 +198,11 @@ class TestKernels:
             assert reference.result.iterations == vectorised.result.iterations
             assert reference.hub_reads == vectorised.hub_reads
             assert reference.cluster_faults == vectorised.cluster_faults
-        # Vectorised batch engine.
+            assert reference.truncated == vectorised.truncated
+        # The engine, whole batch at once.
         _, ppv_store, batch = _fresh_engine(
             small_social, disk_batch_setup, f"kb_{stop}_{delta}",
-            BatchDiskFastPPV, delta=delta,
+            delta=delta,
         )
         with ppv_store:
             batched = batch.query_many(queries, stop=stop)
@@ -194,43 +213,56 @@ class TestKernels:
                 == result.result.error_history
             )
             assert reference.hub_reads == result.hub_reads
+            assert reference.cluster_faults == result.cluster_faults
 
-    def test_invalid_kernel_rejected(self, disk_batch_setup, small_social):
-        with pytest.raises(ValueError, match="kernel"):
-            _fresh_engine(
-                small_social, disk_batch_setup, "bad_kernel", DiskFastPPV,
-                kernel="gpu",
+    @pytest.mark.parametrize("fault_budget", [1, 2, 3])
+    def test_truncated_push_matches_reference_bitwise(
+        self, disk_batch_setup, small_social, fault_budget
+    ):
+        # A budget that cuts the push mid-way: the oracle drain and the
+        # fast drain must stop at the same step with the same mass.
+        _, _, _, queries = disk_batch_setup
+        truncated = 0
+        for i, q in enumerate(queries[1:5]):
+            store, ppv_store, engine = _fresh_engine(
+                small_social, disk_batch_setup, f"kt_{fault_budget}_{i}",
+                delta=0.0, fault_budget=fault_budget,
             )
-        with pytest.raises(ValueError, match="kernel"):
-            _fresh_engine(
-                small_social, disk_batch_setup, "bad_kernel_b",
-                BatchDiskFastPPV, kernel="gpu",
-            )
+            with ppv_store:
+                reference = reference_disk_query(
+                    store, ppv_store, q, delta=0.0, fault_budget=fault_budget
+                )
+                result = engine.query(q)
+            np.testing.assert_array_equal(reference.scores, result.scores)
+            assert reference.truncated == result.truncated
+            assert reference.cluster_faults == result.cluster_faults
+            truncated += result.truncated
+        assert truncated > 0
 
-    def test_batch_engine_inherits_kernel(self, disk_batch_setup,
-                                          small_social):
-        _, ppv_store, engine = _fresh_engine(
-            small_social, disk_batch_setup, "inherit", DiskFastPPV,
-            kernel="reference", max_iterations=7,
+    def test_kernel_option_is_gone(self, disk_batch_setup, small_social):
+        # One engine per backend: there is no kernel to choose.
+        store, ppv_store, _ = _fresh_engine(
+            small_social, disk_batch_setup, "no_kernel"
         )
         with ppv_store:
-            batch = engine.batch_engine
-        assert batch.kernel == "reference"
-        assert batch.max_iterations == 7
+            with pytest.raises(TypeError):
+                DiskFastPPV(store, ppv_store, kernel="reference")
+            with pytest.raises(TypeError):
+                DiskEngine(store, ppv_store, kernel="reference")
+            with pytest.raises(TypeError):
+                PPVService.open(
+                    ppv_store, graph_store=store, kernel="vectorised"
+                )
 
-    def test_serving_adapter_carries_kernel_and_cap(self, disk_batch_setup,
-                                                    small_social):
-        from repro.serving import PPVService
-
+    def test_serving_adapter_carries_cap(self, disk_batch_setup,
+                                         small_social):
         _, ppv_store, engine = _fresh_engine(
-            small_social, disk_batch_setup, "adapter", DiskFastPPV,
-            kernel="reference", max_iterations=7,
+            small_social, disk_batch_setup, "adapter", max_iterations=7,
         )
         with ppv_store:
             with PPVService.open(engine) as service:
-                assert service.engine._scalar.kernel == "reference"
                 assert service.engine._scalar.max_iterations == 7
-                assert service.engine._batch.kernel == "reference"
+                assert service.engine._batch.max_iterations == 7
 
     def test_batch_on_iteration_counts(self, disk_batch_setup,
                                        small_social):
@@ -240,7 +272,7 @@ class TestKernels:
         _, _, _, queries = disk_batch_setup
         workload = queries[:4]
         _, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "cb", BatchDiskFastPPV,
+            small_social, disk_batch_setup, "cb",
             delta=0.0,
         )
         seen: dict[int, list[int]] = {}
@@ -273,23 +305,25 @@ class TestMaxIterations:
         memory_result = memory.query(non_hub, stop=unreachable)
         assert memory_result.iterations == 3
         _, scalar_ppv, scalar = _fresh_engine(
-            small_social, disk_batch_setup, "cap_s", DiskFastPPV,
+            small_social, disk_batch_setup, "cap_s",
             delta=0.0, max_iterations=3,
         )
         _, batch_ppv, batch = _fresh_engine(
-            small_social, disk_batch_setup, "cap_b", BatchDiskFastPPV,
+            small_social, disk_batch_setup, "cap_b",
             delta=0.0, max_iterations=3,
         )
-        _, ref_ppv, reference = _fresh_engine(
-            small_social, disk_batch_setup, "cap_r", DiskFastPPV,
-            delta=0.0, max_iterations=3, kernel="reference",
+        ref_store, ref_ppv, _ = _fresh_engine(
+            small_social, disk_batch_setup, "cap_r",
         )
         with scalar_ppv, batch_ppv, ref_ppv:
             scalar_result = scalar.query(non_hub, stop=unreachable)
             (batch_result,) = batch.query_many(
                 [non_hub], stop=unreachable
             )
-            reference_result = reference.query(non_hub, stop=unreachable)
+            reference_result = reference_disk_query(
+                ref_store, ref_ppv, non_hub, stop=unreachable,
+                delta=0.0, max_iterations=3,
+            )
         assert scalar_result.result.iterations == 3
         assert batch_result.result.iterations == 3
         assert reference_result.result.iterations == 3
@@ -297,7 +331,7 @@ class TestMaxIterations:
     def test_default_cap_matches_memory_default(self, disk_batch_setup,
                                                 small_social):
         _, ppv_store, engine = _fresh_engine(
-            small_social, disk_batch_setup, "cap_default", DiskFastPPV
+            small_social, disk_batch_setup, "cap_default"
         )
         ppv_store.close()
         assert engine.max_iterations == 64  # repro.core.query default
@@ -312,14 +346,14 @@ class TestAmortisation:
         single_faults = []
         for i, q in enumerate(queries):
             store, ppv_store, engine = _fresh_engine(
-                small_social, disk_batch_setup, f"amort_s{i}", DiskFastPPV,
+                small_social, disk_batch_setup, f"amort_s{i}",
                 delta=0.0,
             )
             with ppv_store:
                 engine.query(q, stop=StopAfterIterations(2))
             single_faults.append(store.faults)
         store, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "amort_b", BatchDiskFastPPV,
+            small_social, disk_batch_setup, "amort_b",
             delta=0.0,
         )
         with ppv_store:
@@ -342,7 +376,7 @@ class TestAmortisation:
         root, assignment, index_path, queries = disk_batch_setup
         non_hub = queries[1]
         store1, ppv1, _ = _fresh_engine(
-            small_social, disk_batch_setup, "budget1", DiskFastPPV, delta=0.0
+            small_social, disk_batch_setup, "budget1", delta=0.0
         )
         scalar1 = DiskFastPPV(store1, ppv1, delta=0.0)
         store3 = DiskGraphStore(
@@ -350,7 +384,7 @@ class TestAmortisation:
         )
         with ppv1, DiskPPVStore(index_path) as ppv3:
             reference = scalar1.query(non_hub, stop=StopAfterIterations(1))
-            batch = BatchDiskFastPPV(store3, ppv3, delta=0.0)
+            batch = DiskFastPPV(store3, ppv3, delta=0.0)
             (batched,) = batch.query_many(
                 [non_hub], stop=StopAfterIterations(1)
             )
@@ -362,7 +396,7 @@ class TestAmortisation:
     def test_hub_reads_amortised(self, disk_batch_setup, small_social):
         _, _, _, queries = disk_batch_setup
         store, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "reads", BatchDiskFastPPV,
+            small_social, disk_batch_setup, "reads",
             delta=0.0,
         )
         with ppv_store:
@@ -389,7 +423,7 @@ class TestDiskTopK:
         memory = FastPPV(small_social, index, delta=0.0)
         queries = [3, 57, 200, int(index.hubs[0])]
         with DiskPPVStore(index_path) as ppv_store:
-            batch = BatchDiskFastPPV(
+            batch = DiskFastPPV(
                 store, ppv_store, delta=0.0, fault_budget=10**9
             )
             results = batch.query_top_k_many(queries, k=5, max_iterations=40)
@@ -404,9 +438,31 @@ class TestDiskTopK:
             assert disk_result.hub_reads > 0
         assert certified > 0
 
+    def test_top_k_alone_matches_top_k_in_a_batch(
+        self, disk_batch_setup, small_social
+    ):
+        _, _, _, queries = disk_batch_setup
+        _, ppv_store, engine = _fresh_engine(
+            small_social, disk_batch_setup, "topk_solo", delta=0.0
+        )
+        with ppv_store:
+            batched = engine.query_top_k_many(queries, k=5)
+            for q, in_batch in zip(queries[:6], batched):
+                (alone,) = engine.query_top_k_many([q], k=5)
+                np.testing.assert_array_equal(
+                    alone.topk.scores, in_batch.topk.scores
+                )
+                np.testing.assert_array_equal(
+                    alone.topk.nodes, in_batch.topk.nodes
+                )
+                assert alone.topk.iterations == in_batch.topk.iterations
+                assert alone.topk.certified == in_batch.topk.certified
+                assert alone.hub_reads == in_batch.hub_reads
+                assert alone.cluster_faults == in_batch.cluster_faults
+
     def test_invalid_k(self, disk_batch_setup, small_social):
         _, ppv_store, batch = _fresh_engine(
-            small_social, disk_batch_setup, "topk_k", BatchDiskFastPPV
+            small_social, disk_batch_setup, "topk_k"
         )
         with ppv_store:
             with pytest.raises(ValueError):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import FastPPV, StopAfterIterations, build_index, select_hubs
+from repro import (
+    FastPPV,
+    StopAfterIterations,
+    StopAtL1Error,
+    build_index,
+    select_hubs,
+)
 from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
@@ -68,6 +74,27 @@ class TestDiskFastPPV:
         a = disk_engine.query(hub, stop=StopAfterIterations(2))
         b = memory_engine.query(hub, stop=StopAfterIterations(2))
         np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "stop",
+        [StopAfterIterations(2), StopAfterIterations(6), StopAtL1Error(1e-5)],
+    )
+    @pytest.mark.parametrize("delta", [0.0, 0.005])
+    def test_hub_query_bitwise_equal_to_in_memory_engine(
+        self, disk_setup, small_social, small_social_index, stop, delta
+    ):
+        # A hub query does no prime push, so both backends run Algorithm
+        # 2's rounds over the same payloads: the disk engine's exact
+        # kernel reproduces FastPPV's scalar loop bit for bit.
+        graph_store, ppv_store = disk_setup
+        disk_engine = DiskFastPPV(graph_store, ppv_store, delta=delta)
+        memory_engine = FastPPV(small_social, small_social_index, delta=delta)
+        for hub in small_social_index.hubs[:8].tolist():
+            a = disk_engine.query(hub, stop=stop)
+            b = memory_engine.query(hub, stop=stop)
+            np.testing.assert_array_equal(a.scores, b.scores)
+            assert a.result.error_history == b.error_history
+            assert a.result.hubs_expanded == b.hubs_expanded
 
     def test_matches_in_memory_engine_for_non_hub_query(
         self, disk_setup, small_social, small_social_index
@@ -216,6 +243,46 @@ class TestMemoryBudget:
         assert store.faults == faults_before
         store.out_neighbors(anchors[1])  # miss (was evicted)
         assert store.faults == faults_before + 1
+
+    def test_result_faults_are_drains_store_faults_are_physical(
+        self, small_social, small_social_index, tmp_path
+    ):
+        # One meaning for DiskQueryResult.cluster_faults: the drain
+        # count, whatever is resident.  A warm repeat on a store that
+        # holds every cluster reports the same drains while the store
+        # itself pays no further physical fault.
+        index_path = tmp_path / "i.fppv"
+        save_index(small_social_index, index_path)
+        assignment = cluster_graph(small_social, 5, seed=3)
+        store = DiskGraphStore(
+            small_social, assignment, tmp_path / "c", memory_budget=5
+        )
+        query = next(
+            q for q in range(small_social.num_nodes)
+            if q not in small_social_index
+        )
+        with DiskPPVStore(index_path) as ppv_store:
+            engine = DiskFastPPV(store, ppv_store, delta=0.0)
+            cold = engine.query(query, stop=StopAfterIterations(1))
+            physical_cold = store.faults
+            warm = engine.query(query, stop=StopAfterIterations(1))
+        assert cold.cluster_faults == warm.cluster_faults > 0
+        assert physical_cold > 0
+        assert store.faults == physical_cold
+
+    def test_budget_sweep_reports_physical_faults(
+        self, small_social, small_social_index, tmp_path
+    ):
+        from repro.experiments.fig16_disk import run_budget_sweep
+
+        points = run_budget_sweep(
+            small_social, small_social_index, num_clusters=6,
+            budgets=(1, 6), queries=[3, 57, 200, 3, 57, 200],
+            workdir=str(tmp_path),
+        )
+        # Holding every cluster leaves compulsory misses only.
+        assert points[1].faults_per_query <= 6 / 6
+        assert points[0].faults_per_query > points[1].faults_per_query
 
     def test_budget_results_identical(self, small_social, small_social_index, tmp_path):
         from repro.storage import save_index

@@ -449,6 +449,37 @@ def shard_fleet(fig1_graph, tiny_index, tmp_path_factory):
         pool.stop()
 
 
+class TestRouterEngineIsTheDiskEngine:
+    """``RouterEngine`` builds the one disk engine over remote stores, so
+    it inherits that engine's validation and its solo == batch pin."""
+
+    def test_negative_delta_and_kernel_option_refused(self, shard_fleet):
+        from repro.sharding import RouterEngine
+
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            RouterEngine(shard_fleet, delta=-1.0)
+        with pytest.raises(TypeError):
+            RouterEngine(shard_fleet, kernel="reference")
+
+    def test_stream_ends_on_the_batch_result(self, shard_fleet):
+        from repro import StopAfterIterations
+        from repro.sharding import RouterEngine
+
+        stop = StopAfterIterations(2)
+        engine = RouterEngine(shard_fleet, delta=0.0)
+        try:
+            batch = engine.query_batch([3, 5], stop)
+            for node, expected in zip([3, 5], batch):
+                states = []
+                streamed = engine.query_stream(node, stop, states.append)
+                assert np.array_equal(streamed.scores, expected.scores)
+                assert len(states) == expected.result.iterations + 1
+                assert streamed.cluster_faults == expected.cluster_faults
+                assert streamed.hub_reads == expected.hub_reads
+        finally:
+            engine.close()
+
+
 class TestRouterFaultSites:
     """The three fan-out sites fire where documented, and the fleet's
     retry-then-declare-unavailable contract holds under injection."""

@@ -1,12 +1,14 @@
 """Unit and convergence tests for the online engine (Algorithm 2)."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import FastPPV, StopAfterIterations, StopAfterTime, StopAtL1Error, any_of
 from repro.core.exact import exact_ppv, exact_ppv_dense_solve
 from repro.core.index import build_index
-from repro.core.query import QueryState
+from repro.core.query import QueryState, scalar_splice_rounds
 from repro.core.reachability import brute_force_increment
 from tests.conftest import A, ALPHA, FIG3_HUBS
 
@@ -203,9 +205,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="different graph"):
             FastPPV(small_social, index)
 
-    def test_batch_engine_order(self, small_social, small_social_index):
-        engine = FastPPV(small_social, small_social_index)
-        results = engine.batch_engine.query_many(
-            [3, 1, 2], stop=StopAfterIterations(1)
+
+class TestScalarSpliceRounds:
+    """The one scalar Algorithm-2 loop, parameterised by ``fetch``."""
+
+    def test_fetches_exactly_the_gated_hubs(self, small_social,
+                                            small_social_index):
+        index = small_social_index
+        hub = int(index.hubs[0])
+        base = index.get(hub)
+        delta = 0.005
+        fetched = []
+
+        def fetch(h):
+            fetched.append(h)
+            return index.get(h)
+
+        estimate = base.to_dense(small_social.num_nodes)
+        frontier = dict(
+            zip(base.border_hubs.tolist(), base.border_masses.tolist())
         )
-        assert [r.query for r in results] == [3, 1, 2]
+        gated = [h for h, m in frontier.items() if index.alpha * m > delta]
+        iterations, errors, expanded, work = scalar_splice_rounds(
+            estimate, frontier, StopAfterIterations(1), index.alpha, delta,
+            64, fetch, time.perf_counter(),
+        )
+        assert iterations == 1 and len(errors) == 2
+        assert fetched == gated  # frontier order, one fetch per gated hub
+        assert expanded == len(gated)
+        assert work == sum(
+            index.get(h).nodes.size + index.get(h).border_hubs.size
+            for h in gated
+        )
+        # FastPPV.query is this loop over index.get.
+        reference = FastPPV(small_social, index, delta=delta).query(
+            hub, stop=StopAfterIterations(1)
+        )
+        np.testing.assert_array_equal(estimate, reference.scores)
+        assert errors == reference.error_history

@@ -139,7 +139,7 @@ class TestMemoryEquivalence:
                 [QuerySpec(n, stop=stop) for n in nodes]
             )
             direct = BatchFastPPV(
-                small_social, small_social_index, delta=1e-4, cache_size=0
+                small_social, small_social_index, delta=1e-4
             ).query_many(nodes, stop=stop)
             for a, b in zip(served, direct):
                 np.testing.assert_array_equal(a.scores, b.scores)
@@ -156,7 +156,7 @@ class TestMemoryEquivalence:
                 [QuerySpec(n, top_k=5, top_k_budget=30) for n in nodes]
             )
         direct = BatchFastPPV(
-            small_social, certifiable_index, delta=0.0, cache_size=0
+            small_social, certifiable_index, delta=0.0
         ).query_top_k_many(nodes, k=5, max_iterations=30)
         assert any(r.certified for r in served)
         for a, b in zip(served, direct):
@@ -219,13 +219,31 @@ class TestDiskEquivalence:
                 np.testing.assert_array_equal(
                     result.scores, reference.scores
                 )
-                # Facade faults are the batch engine's budget-independent
-                # drain count, an upper bound on the scalar engine's
-                # physical faults (consecutive drains of one resident
-                # cluster are free there) — see the disk_engine docstring.
-                assert result.cluster_faults >= reference.cluster_faults
+                # Both are the budget-independent drain count — see the
+                # disk_engine docstring.
+                assert result.cluster_faults == reference.cluster_faults
                 assert result.hub_reads == reference.hub_reads
                 assert result.truncated == reference.truncated
+
+    def test_non_batch_safe_stop_served_one_query_at_a_time(self, disk_setup):
+        # The stop routing is shared with the memory adapter: a
+        # time-reading condition is served per query, and — one engine —
+        # still lands on the batch result bit for bit.
+        root, graph, assignment, index_path = disk_setup
+        nodes = [9, 4, 120]
+        timed = any_of(StopAfterIterations(2), StopAfterTime(1e9))
+        store = DiskGraphStore(graph, assignment, root / "routing")
+        with DiskPPVStore(index_path) as ppv_store:
+            with PPVService.open(
+                ppv_store, graph_store=store, delta=0.0, cache_size=0
+            ) as service:
+                routed = service.engine.query_batch(nodes, timed)
+                batched = service.engine.query_batch(nodes, STOP)
+        for one, result in zip(routed, batched):
+            np.testing.assert_array_equal(one.scores, result.scores)
+            assert one.result.iterations == result.result.iterations
+            assert one.cluster_faults == result.cluster_faults
+            assert one.hub_reads == result.hub_reads
 
     def test_disk_top_k(self, disk_setup):
         root, graph, assignment, index_path = disk_setup
@@ -462,6 +480,26 @@ class TestStreaming:
                 snapshots = list(service.stream(QuerySpec(9, stop=STOP)))
         assert [s.iteration for s in snapshots] == list(range(len(snapshots)))
         assert snapshots[-1].l1_error <= snapshots[0].l1_error
+
+    def test_disk_stream_ends_on_the_batch_result(self, disk_setup):
+        # A stream is served one query at a time, a query_batch as a
+        # batch: same engine, so the final snapshot is the batch result.
+        root, graph, assignment, index_path = disk_setup
+        nodes = [4, 9, 120]
+        store = DiskGraphStore(graph, assignment, root / "stream_batch")
+        with DiskPPVStore(index_path) as ppv_store:
+            with PPVService.open(
+                ppv_store, graph_store=store, delta=0.0, cache_size=0
+            ) as service:
+                finals = [
+                    list(service.stream(QuerySpec(n, stop=STOP)))[-1]
+                    for n in nodes
+                ]
+                batch = service.engine.query_batch(nodes, STOP)
+        for final, result in zip(finals, batch):
+            np.testing.assert_array_equal(final.scores, result.scores)
+            assert final.iteration == result.result.iterations
+            assert final.l1_error == result.result.l1_error
 
     def test_disk_snapshots_match_scalar_on_iteration(self, disk_setup):
         # The streamed sequence is exactly the scalar disk engine's

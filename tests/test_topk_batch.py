@@ -39,7 +39,7 @@ def _setup(kind: str, graph_seed: int, delta: float):
     # clip=0 keeps full prime PPVs so tight certificates stay reachable.
     index = build_index(graph, hubs, clip=0.0)
     scalar = FastPPV(graph, index, delta=delta)
-    batch = BatchFastPPV(graph, index, delta=delta, cache_size=0)
+    batch = BatchFastPPV(graph, index, delta=delta)
     return graph, index, scalar, batch
 
 
@@ -180,17 +180,6 @@ class TestStopWhenCertified:
 
 
 class TestWiring:
-    def test_scalar_batch_engine_matches_batch(self):
-        graph, index, scalar, batch = _setup("social", 1, 0.0)
-        from_scalar = scalar.batch_engine.query_top_k_many(
-            [3, 9], k=4, max_iterations=30
-        )
-        from_batch = batch.query_top_k_many([3, 9], k=4, max_iterations=30)
-        for a, b in zip(from_scalar, from_batch):
-            assert a.certified == b.certified
-            assert a.iterations == b.iterations
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
-
     def test_batch_top_k_matches_scalar_reference(self):
         graph, index, scalar, batch = _setup("social", 1, 0.0)
         results = batch.query_top_k_many([3, 9, 9], k=4, max_iterations=32)
@@ -226,21 +215,3 @@ class TestWiring:
                 break
         else:
             pytest.skip("every query certifies at iteration 0")
-
-
-class TestTopKCache:
-    def test_repeat_batches_hit_cache(self):
-        graph, index, scalar, _ = _setup("social", 0, 1e-4)
-        batch = BatchFastPPV(graph, index, delta=1e-4, cache_size=8)
-        first = batch.query_top_k_many([7], k=5, max_iterations=30)
-        assert (7, StopWhenCertified(k=5, max_iterations=30)) in batch._cache
-        second = batch.query_top_k_many([7], k=5, max_iterations=30)
-        np.testing.assert_array_equal(first[0].scores, second[0].scores)
-        assert first[0].iterations == second[0].iterations
-
-    def test_different_k_cached_separately(self):
-        graph, index, scalar, _ = _setup("social", 0, 1e-4)
-        batch = BatchFastPPV(graph, index, delta=1e-4, cache_size=8)
-        batch.query_top_k_many([7], k=3)
-        batch.query_top_k_many([7], k=4)
-        assert len(batch._cache) == 2
