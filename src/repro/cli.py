@@ -65,6 +65,19 @@ from repro.serving.spec import DEFAULT_TOPK_BUDGET
 from repro.storage.ppv_store import load_index, save_index
 
 
+def _index_mismatch(covered: int, graph) -> bool:
+    """Report (on stderr) an index built for a different graph; every
+    subcommand that pairs GRAPH with INDEX exits 2 on ``True``."""
+    if covered == graph.num_nodes:
+        return False
+    print(
+        f"error: index covers {covered} nodes but the graph has "
+        f"{graph.num_nodes}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _add_generate(subparsers) -> None:
     parser = subparsers.add_parser(
         "generate", help="generate a synthetic graph and write an edge list"
@@ -245,12 +258,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     graph = read_edge_list(args.graph, undirected=args.undirected)
     index = load_index(args.index)
-    if index.hub_mask.size != graph.num_nodes:
-        print(
-            f"error: index covers {index.hub_mask.size} nodes but the graph "
-            f"has {graph.num_nodes}",
-            file=sys.stderr,
-        )
+    if _index_mismatch(index.hub_mask.size, graph):
         return 2
     service = PPVService.open(index, graph=graph, delta=args.delta)
 
@@ -406,12 +414,7 @@ def _cmd_disk_query(args: argparse.Namespace) -> int:
     )
     try:
         with DiskPPVStore(args.index) as ppv_store:
-            if ppv_store.num_nodes != graph.num_nodes:
-                print(
-                    f"error: index covers {ppv_store.num_nodes} nodes but "
-                    f"the graph has {graph.num_nodes}",
-                    file=sys.stderr,
-                )
+            if _index_mismatch(ppv_store.num_nodes, graph):
                 return 2
             assignment = cluster_graph(graph, args.clusters, seed=args.seed)
             graph_store = DiskGraphStore(
@@ -490,12 +493,7 @@ def _cmd_shard_index(args: argparse.Namespace) -> int:
         return 2
     graph = read_edge_list(args.graph, undirected=args.undirected)
     index = load_index(args.index)
-    if index.hub_mask.size != graph.num_nodes:
-        print(
-            f"error: index covers {index.hub_mask.size} nodes but the "
-            f"graph has {graph.num_nodes}",
-            file=sys.stderr,
-        )
+    if _index_mismatch(index.hub_mask.size, graph):
         return 2
     try:
         manifest = partition_index(
@@ -640,21 +638,13 @@ def _add_serve(subparsers) -> None:
         "--trace-log", default=None, metavar="PATH",
         help="append every finished trace span to this file as JSONL",
     )
-    parser.add_argument(
-        "--no-obs", action="store_true",
-        help="serve without the metrics registry and tracer (every "
-        "observability hook collapses to one 'is None' check)",
-    )
     parser.add_argument("--undirected", action="store_true")
     parser.set_defaults(func=_cmd_serve)
 
 
 def _make_obs(args: argparse.Namespace):
-    """The serve subcommand's Observability bundle (None with
-    --no-obs).  Called inside service factories so pre-forked workers
-    each build their own."""
-    if args.no_obs:
-        return None
+    """The serve subcommand's Observability bundle.  Called inside
+    service factories so pre-forked workers each build their own."""
     from repro.obs import Observability
 
     return Observability(
@@ -719,12 +709,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # file handle across forked workers would race on seeks).
             with DiskPPVStore(args.index) as probe:
                 num_covered = probe.num_nodes
-            if num_covered != graph.num_nodes:
-                print(
-                    f"error: index covers {num_covered} nodes but "
-                    f"the graph has {graph.num_nodes}",
-                    file=sys.stderr,
-                )
+            if _index_mismatch(num_covered, graph):
                 return 2
             workdir = args.workdir
             if workdir is None:
@@ -748,12 +733,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
         else:
             index = load_index(args.index)
-            if index.hub_mask.size != graph.num_nodes:
-                print(
-                    f"error: index covers {index.hub_mask.size} nodes but "
-                    f"the graph has {graph.num_nodes}",
-                    file=sys.stderr,
-                )
+            if _index_mismatch(index.hub_mask.size, graph):
                 return 2
 
             def make_service() -> PPVService:
@@ -838,12 +818,7 @@ def _serve_sharded(args: argparse.Namespace, tcp_address) -> int:
                 return 2
             graph = read_edge_list(args.graph, undirected=args.undirected)
             index = load_index(args.index)
-            if index.hub_mask.size != graph.num_nodes:
-                print(
-                    f"error: index covers {index.hub_mask.size} nodes "
-                    f"but the graph has {graph.num_nodes}",
-                    file=sys.stderr,
-                )
+            if _index_mismatch(index.hub_mask.size, graph):
                 return 2
             root = args.workdir
             if root is None:
@@ -866,7 +841,7 @@ def _serve_sharded(args: argparse.Namespace, tcp_address) -> int:
             "max_delay": args.max_delay,
             "delta": args.delta,
             "fault_budget": args.fault_budget,
-            "obs": False if args.no_obs else _make_obs(args),
+            "obs": _make_obs(args),
         }
         if args.cache_size is not None:
             router_kwargs["cache_size"] = args.cache_size
@@ -909,7 +884,7 @@ def _add_stats(subparsers) -> None:
     parser.add_argument(
         "--prometheus", action="store_true",
         help="render the metrics registry snapshot in Prometheus text "
-        "exposition format (needs an observability-enabled server)",
+        "exposition format",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -984,17 +959,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     if args.as_json:
                         print(json.dumps(payload, indent=2, sort_keys=True))
                     elif args.prometheus:
-                        metrics = payload.get("metrics")
-                        if metrics is None:
-                            print(
-                                "error: the server exports no metrics "
-                                "(started without observability)",
-                                file=sys.stderr,
-                            )
-                            return 1
                         from repro.obs import render_prometheus
 
-                        print(render_prometheus(metrics), end="")
+                        print(
+                            render_prometheus(payload["metrics"]), end=""
+                        )
                     else:
                         _print_stats(payload)
                     if args.watch is None:

@@ -10,13 +10,15 @@ One :class:`Observability` bundle ties the three pillars together:
   shard → kernel path,
 * an optional :class:`~repro.obs.slowlog.SlowQueryLog`.
 
-Pass a bundle to ``PPVService(..., obs=...)`` (or ``ShardRouter(...,
-obs=...)``) to instrument a serving stack; with ``obs=None`` (the
-default) every hook reduces to one ``is not None`` check and the hot
-path is untouched — the same zero-cost discipline as
-:mod:`repro.faults`.  Each bundle is self-contained by default (fresh
-registry and tracer per instance) so side-by-side services in one
-process never share series.
+Every ``PPVService`` (hence every server, router and shard worker) has
+one: pass your own to ``PPVService(..., obs=...)`` / ``ShardRouter(...,
+obs=...)`` to configure the slow-query log or the span log, or omit it
+and the service builds a private default.  The registry is the serving
+stack's only counter store — the ``stats`` verb and
+``PPVService.stats()`` are rendered from it.  Each bundle is
+self-contained (fresh registry and tracer per instance) so side-by-side
+services in one process never share series; services handed the *same*
+bundle count into the same series.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ class Observability:
                 capacity=slow_log_capacity,
                 path=slow_log_path,
             )
+
+    def close(self) -> None:
+        """Close the span log and the slow-query log files.  Both reopen
+        on their next record, so closing a bundle that another service
+        still uses is safe."""
+        self.tracer.close()
+        if self.slow_log is not None:
+            self.slow_log.close()
 
     def observe_engine(self, engine) -> None:
         """Expose an engine's existing cost counters as function-backed

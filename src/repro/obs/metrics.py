@@ -15,8 +15,9 @@ Two registration styles, chosen by cost profile:
   are updated by the hot path.  Counter/gauge increments are lock-free
   — a single attribute ``+=`` that the GIL keeps coherent (metric
   counts tolerate the theoretical torn update under free-threading);
-  histograms take one short lock per observation, exactly like the
-  ``LatencyHistogram`` they grew out of.
+  histograms take one short lock per observation.  Only the set of
+  child series is guarded, so a snapshot can walk it while the hot
+  path adds a first-seen label value.
 * **Function-backed metrics** (:meth:`~MetricsRegistry.counter_func` /
   :meth:`~MetricsRegistry.gauge_func` /
   :meth:`~MetricsRegistry.histogram_func`) read an existing counter
@@ -88,11 +89,19 @@ class Counter:
     def value(self) -> float:
         return self._value
 
+    def children(self) -> dict[tuple, float]:
+        """``{label values: value}`` of every child series, in
+        first-seen order (a copy: series may be added concurrently)."""
+        with self._child_lock:
+            return {
+                key: child._value for key, child in self._children.items()
+            }
+
     def samples(self) -> list[dict]:
         if self.labelnames:
             return [
-                {"labels": list(key), "value": child._value}
-                for key, child in sorted(self._children.items())
+                {"labels": list(key), "value": value}
+                for key, value in sorted(self.children().items())
             ]
         return [{"labels": [], "value": self._value}]
 
@@ -120,10 +129,6 @@ class Histogram:
     over the stats verb unchanged.  ``total_seconds`` is the running sum
     of observations in the metric's own unit (the name predates
     non-latency histograms and is kept for wire compatibility).
-
-    This is the class previously known as
-    ``repro.serving.service.LatencyHistogram``; that name remains a
-    back-compat alias.
     """
 
     kind = "histogram"

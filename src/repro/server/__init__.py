@@ -29,18 +29,12 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.pool import ServerPool, open_listen_socket, run_pool
-from repro.server.server import (
-    PPVServer,
-    ServerConfig,
-    ServerCounters,
-    serve_stdio,
-)
+from repro.server.server import PPVServer, ServerConfig, serve_stdio
 
 __all__ = [
     "PPVClient",
     "PPVServer",
     "ServerConfig",
-    "ServerCounters",
     "ServerError",
     "ServerPool",
     "ClientTimeout",

@@ -237,8 +237,8 @@ class PPVClient:
         params={"target": 7}``.
 
         ``trace=True`` opens a ``client.request`` root span and ships
-        its context in the request's ``trace`` field; the server (when
-        observability-enabled) continues the trace across every hop.
+        its context in the request's ``trace`` field; the server
+        continues the trace across every hop.
         The trace id lands in :attr:`last_trace_id` — fetch the
         assembled tree with :meth:`trace`.
         """

@@ -41,9 +41,9 @@ Requests
     ``ppv``/``top_k`` — only) but the response is a sequence of
     per-iteration frames followed by a ``done`` record.
   - ``stats`` — service + server counters, process identity
-    (``uptime_seconds``/``version``/``pid``) and — on an
-    observability-enabled server — the full metrics-registry snapshot
-    (``metrics``, aggregated across shards by a router) and the
+    (``uptime_seconds``/``version``/``pid``), the full metrics-registry
+    snapshot the counters are rendered from (``metrics``, aggregated
+    across shards by a router) and, when one is configured, the
     slow-query log (``slow_queries``).
   - ``trace`` — recent trace spans from the span ring (see the
     ``trace`` request field below).  Optional fields: ``trace_id``
@@ -68,11 +68,10 @@ Requests
 * ``trace`` — optional distributed-tracing context on ``query`` /
   ``stream`` (and the shard-internal fetch verbs):
   ``{"id": "<trace id>", "span": "<parent span id>", "schema": 1}``
-  (schema = :data:`TRACE_SCHEMA_VERSION`; ``span`` optional).  An
-  observability-enabled server continues the trace — child spans for
-  admission, coalescing, kernels and shard fetches all carry the same
-  trace id — and the finished spans come back via the ``trace`` verb.
-  Servers without observability ignore the field; tracing never
+  (schema = :data:`TRACE_SCHEMA_VERSION`; ``span`` optional).  The
+  server continues the trace — child spans for admission, coalescing,
+  kernels and shard fetches all carry the same trace id — and the
+  finished spans come back via the ``trace`` verb.  Tracing never
   changes what is served.
 
 Responses
@@ -93,7 +92,9 @@ fields, out-of-range nodes, unsupported operation),
 its backend lacks the capability to answer — shard routers refuse
 graph-resident families this way), ``unavailable`` (server shutting
 down), ``shard_unavailable`` (a shard router lost a shard process
-mid-query and could not reconnect), ``internal``.
+mid-query and could not reconnect), ``internal``.  Which exception
+becomes which code is decided in one place, :func:`error_code`, for
+every verb.
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ from __future__ import annotations
 import json
 
 from repro.obs.trace import SpanContext
-from repro.serving.families import available_families, resolve_family
+from repro.serving.families import (
+    UnsupportedFamilyError,
+    available_families,
+    resolve_family,
+)
 from repro.serving.spec import QuerySnapshot, QuerySpec
 
 PROTOCOL_VERSION = 1
@@ -177,6 +182,31 @@ class ProtocolError(ValueError):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+_ERROR_CODE_BY_TYPE = (
+    (ShardUnavailableError, E_SHARD_UNAVAILABLE),
+    (UnsupportedFamilyError, E_UNSUPPORTED_FAMILY),
+    (
+        (FileNotFoundError, NotImplementedError, ValueError, TypeError),
+        E_INVALID,
+    ),
+)
+
+
+def error_code(error: BaseException) -> str:
+    """The wire code of a failure raised while serving any verb.
+
+    First match wins, so subclasses come before their bases
+    (:class:`ProtocolError` and ``UnsupportedFamilyError`` are
+    ``ValueError`` s).  Anything unlisted is ``internal``.
+    """
+    if isinstance(error, ProtocolError):
+        return error.code
+    for types, code in _ERROR_CODE_BY_TYPE:
+        if isinstance(error, types):
+            return code
+    return E_INTERNAL
 
 
 def encode(obj: dict) -> bytes:

@@ -23,6 +23,12 @@ Structured errors (malformed JSON, oversized lines, unknown verbs, bad
 fields) are replied per request and never tear down the connection; see
 :mod:`repro.server.protocol` for the codes.
 
+Every line takes one path: :meth:`PPVServer._dispatch_line` looks the
+verb up in the handler table built in ``__init__``, successes leave
+through ``_reply_ok`` and failures through ``_reply_error`` (coded by
+:func:`protocol.error_code`), and both count into the service's
+:mod:`repro.obs` registry, from which ``stats`` is rendered.
+
 Hot swap and shutdown
 ---------------------
 ``swap_index`` closes the admission gate (arrivals are held, not
@@ -41,32 +47,21 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.server import protocol
 from repro.server.protocol import (
     DEFAULT_MAX_LINE_BYTES,
-    E_INTERNAL,
     E_INVALID,
-    E_MALFORMED,
     E_OVERSIZED,
-    E_SHARD_UNAVAILABLE,
     E_UNAVAILABLE,
-    E_UNSUPPORTED_FAMILY,
     ProtocolError,
     ShardUnavailableError,
 )
-from repro.serving.families import UnsupportedFamilyError, supported_families
+from repro.serving.families import supported_families
 
 DEFAULT_MAX_INFLIGHT = 256
 DEFAULT_MAX_INFLIGHT_PER_CONN = 32
-
-
-def _package_version() -> str:
-    # Imported lazily: repro/__init__ pulls in the whole serving stack.
-    from repro import __version__
-
-    return __version__
 
 
 @dataclass
@@ -90,35 +85,17 @@ class ServerConfig:
             raise ValueError("max_inflight_per_conn must be at least 1")
 
 
-@dataclass
-class ServerCounters:
-    """Server-level counters surfaced by the ``stats`` verb (alongside
-    the service's own :class:`~repro.serving.service.ServiceStats`)."""
+# How _dispatch_line runs a verb's handler (the table in __init__).
+_CONTROL = "control"  # answered inline with the handler's payload
+_TRACED = "traced"  # control, under a server-hop span when traced
+_ADMITTED = "admitted"  # a task holding both admission bounds
 
-    connections_total: int = 0
-    connections_open: int = 0
-    requests_total: int = 0
-    responses_total: int = 0
-    frames_total: int = 0
-    errors_total: int = 0
-    errors_by_code: dict = field(default_factory=dict)
-    swaps_total: int = 0
 
-    def count_error(self, code: str) -> None:
-        self.errors_total += 1
-        self.errors_by_code[code] = self.errors_by_code.get(code, 0) + 1
-
-    def as_dict(self) -> dict:
-        return {
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "requests_total": self.requests_total,
-            "responses_total": self.responses_total,
-            "frames_total": self.frames_total,
-            "errors_total": self.errors_total,
-            "errors_by_code": dict(self.errors_by_code),
-            "swaps_total": self.swaps_total,
-        }
+class _ClientGone(ConnectionError):
+    """Writing a reply failed: the peer is gone.  Raised by
+    :meth:`PPVServer._send` only, so a handler's own ``OSError`` (a
+    disk store's I/O error) is never taken for a disconnect and still
+    gets its error reply."""
 
 
 class _Connection:
@@ -167,15 +144,68 @@ class PPVServer:
         self.config = config or ServerConfig()
         self.worker_index = worker_index
         self.fault_plan = fault_plan
-        self.counters = ServerCounters()
-        # Observability rides on the service: a PPVService built with
-        # obs=... makes this front-end trace-aware and its counters
-        # visible in the registry snapshot; a bare service keeps every
-        # hook at one None check.
-        self.obs = getattr(service, "obs", None)
+        # The counters live in the service's registry (a PPVService
+        # always has one) and are incremented in place; the stats
+        # payload's "server" section is rendered from them.  They
+        # belong to the service: one live server per service, and a
+        # later server over the same service continues its series.
+        self.obs = service.obs
         self._started_monotonic = time.monotonic()
-        if self.obs is not None:
-            self._register_metrics()
+        registry = self.obs.registry
+        self._requests_total = registry.counter(
+            "repro_server_requests_total",
+            "Request lines parsed by the TCP front-end.",
+        )
+        self._requests_before = self._requests_total.value
+        self._responses_total = registry.counter(
+            "repro_server_responses_total",
+            "Responses written by the TCP front-end.",
+        )
+        self._errors_total = registry.counter(
+            "repro_server_errors_total",
+            "Structured errors returned, by code.",
+            labelnames=("code",),
+        )
+        registry.gauge_func(
+            "repro_server_connections_open",
+            "Client connections currently open.",
+            lambda: len(self._connections),
+        )
+        registry.gauge_func(
+            "repro_server_uptime_seconds",
+            "Seconds since this server object was created.",
+            lambda: time.monotonic() - self._started_monotonic,
+        )
+        self._connections_total = registry.counter(
+            "repro_server_connections_total",
+            "Client connections accepted.",
+        )
+        self._frames_total = registry.counter(
+            "repro_server_frames_total",
+            "Mid-stream frames written by the stream verb.",
+        )
+        self._swaps_total = registry.counter(
+            "repro_server_swaps_total",
+            "Index swaps completed through the swap_index verb.",
+        )
+        # verb -> (handler, kind), one entry per protocol.VERBS.  A
+        # control handler takes the request and returns the ok payload
+        # or raises: a coroutine function runs on the loop, a plain one
+        # on a worker thread (a router's stats/trace fan out over the
+        # network, a shard's fetches read its stores).  An admitted
+        # handler is a query runner.
+        self._verbs = {
+            "ping": (self._ping, _CONTROL),
+            "stats": (self._stats, _CONTROL),
+            "trace": (self._trace, _CONTROL),
+            "shutdown": (self._acknowledge, _CONTROL),
+            "swap_index": (self._swap_index, _CONTROL),
+            "fetch_hubs": (self._fetch_hubs, _TRACED),
+            "fetch_cluster": (self._fetch_cluster, _TRACED),
+            "shard_info": (self._shard_info, _TRACED),
+            "query": (self._serve_query, _ADMITTED),
+            "stream": (self._serve_stream, _ADMITTED),
+        }
         self.address: tuple | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -185,40 +215,6 @@ class PPVServer:
         self._swap_lock: asyncio.Lock | None = None
         self._connections: set[_Connection] = set()
         self._started = threading.Event()
-
-    def _register_metrics(self) -> None:
-        """Expose the transport counters as function-backed metrics."""
-        registry = self.obs.registry
-        counters = self.counters
-        registry.counter_func(
-            "repro_server_requests_total",
-            "Request lines parsed by the TCP front-end.",
-            lambda: counters.requests_total,
-        )
-        registry.counter_func(
-            "repro_server_responses_total",
-            "Responses written by the TCP front-end.",
-            lambda: counters.responses_total,
-        )
-        registry.counter_func(
-            "repro_server_errors_total",
-            "Structured errors returned, by code.",
-            lambda: {
-                (code,): count
-                for code, count in counters.errors_by_code.items()
-            },
-            labelnames=("code",),
-        )
-        registry.gauge_func(
-            "repro_server_connections_open",
-            "Client connections currently open.",
-            lambda: counters.connections_open,
-        )
-        registry.gauge_func(
-            "repro_server_uptime_seconds",
-            "Seconds since this server object was created.",
-            lambda: time.monotonic() - self._started_monotonic,
-        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -330,8 +326,7 @@ class PPVServer:
             reader, writer, self.config.max_inflight_per_conn
         )
         self._connections.add(connection)
-        self.counters.connections_total += 1
-        self.counters.connections_open += 1
+        self._connections_total.inc()
         try:
             await self._read_loop(connection)
             # EOF from the client: answer its outstanding requests
@@ -346,7 +341,6 @@ class PPVServer:
                 task.cancel()
             await self._close_connection(connection)
             self._connections.discard(connection)
-            self.counters.connections_open -= 1
 
     async def _read_loop(self, connection: _Connection) -> None:
         # The loop runs until the peer (or the shutdown drain, which
@@ -398,47 +392,70 @@ class PPVServer:
         await self._reply_oversized(connection)
 
     async def _reply_oversized(self, connection: _Connection) -> None:
-        self.counters.count_error(E_OVERSIZED)
-        await self._send(
+        await self._reply_error(
             connection,
-            protocol.error_response(
-                None,
+            None,
+            ProtocolError(
                 E_OVERSIZED,
                 f"request line exceeds {self.config.max_line_bytes} bytes",
             ),
         )
 
     async def _send(self, connection: _Connection, message: dict) -> None:
-        async with connection.write_lock:
-            payload = protocol.encode(message)
-            if self.fault_plan is not None:
-                action = self.fault_plan.fire("server.send")
-                if action is not None and action.torn:
-                    # Write a prefix of the frame, then drop the
-                    # connection: the client sees a line with no
-                    # terminator followed by EOF — a torn frame.
-                    connection.writer.write(payload[: max(1, len(payload) // 2)])
-                    try:
-                        await connection.writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-                    connection.writer.close()
-                    raise ConnectionResetError("injected torn frame")
-            connection.writer.write(payload)
-            await connection.writer.drain()
+        try:
+            async with connection.write_lock:
+                payload = protocol.encode(message)
+                if self.fault_plan is not None:
+                    action = self.fault_plan.fire("server.send")
+                    if action is not None and action.torn:
+                        # Write a prefix of the frame, then drop the
+                        # connection: the client sees a line with no
+                        # terminator followed by EOF — a torn frame.
+                        connection.writer.write(
+                            payload[: max(1, len(payload) // 2)]
+                        )
+                        try:
+                            await connection.writer.drain()
+                        finally:
+                            connection.writer.close()
+                        raise ConnectionResetError("injected torn frame")
+                connection.writer.write(payload)
+                await connection.writer.drain()
+        except (ConnectionError, OSError) as error:
+            raise _ClientGone(str(error)) from error
+
+    async def _reply_ok(
+        self, connection: _Connection, request_id, result=None, **extra
+    ) -> None:
+        """The one place a success record is sent and counted."""
+        await self._send(
+            connection, protocol.ok_response(request_id, result, **extra)
+        )
+        self._responses_total.inc()
+
+    async def _reply_error(
+        self, connection: _Connection, request_id, error: BaseException
+    ) -> None:
+        """The one place a failure is coded, counted and sent."""
+        code = protocol.error_code(error)
+        self._errors_total.labels(code).inc()
+        await self._send(
+            connection, protocol.error_response(request_id, code, str(error))
+        )
 
     async def _dispatch_line(self, connection: _Connection, line) -> None:
-        """Parse one request line and route it.
+        """Parse one request line and route it through the verb table.
 
         Control verbs are answered inline; query/stream verbs first
         acquire both admission bounds — stalling this coroutine (and
         with it the connection's read loop) is exactly the backpressure
         contract — then run as a task so the connection can pipeline.
         """
-        self.counters.requests_total += 1
+        self._requests_total.inc()
         if self.fault_plan is not None:
             self.fault_plan.fire(
-                "server.request", requests=self.counters.requests_total
+                "server.request",
+                requests=self._requests_total.value - self._requests_before,
             )
         request_id = None
         try:
@@ -446,105 +463,70 @@ class PPVServer:
             request_id = request.get("id")
             protocol.check_version(request)
             verb = protocol.request_verb(request)
-            if verb == "ping":
-                await self._send(
-                    connection,
-                    protocol.ok_response(request_id, {"pong": True}),
+            handler, kind = self._verbs[verb]
+            if kind is _ADMITTED:
+                await self._admit(
+                    handler, connection, request_id, request, verb
                 )
-                self.counters.responses_total += 1
                 return
-            if verb == "stats":
-                # Off the event loop: a shard router's stats fan out to
-                # every shard over the network.
-                payload = await asyncio.to_thread(self._stats_payload)
-                await self._send(
-                    connection, protocol.ok_response(request_id, payload)
-                )
-                self.counters.responses_total += 1
-                return
-            if verb == "trace":
-                # Off the event loop: a shard router's trace fan-out
-                # queries every shard over the network.
-                payload = await asyncio.to_thread(
-                    self._trace_payload, request
-                )
-                await self._send(
-                    connection, protocol.ok_response(request_id, payload)
-                )
-                self.counters.responses_total += 1
-                return
-            if verb in ("fetch_hubs", "fetch_cluster", "shard_info"):
-                # The shard-side half of a traced fetch: record how long
-                # this worker spent serving the remote store's request.
-                span = self._request_span(request, verb)
-                try:
-                    await self._serve_fetch(
-                        connection, request_id, verb, request
-                    )
-                finally:
-                    if span is not None:
-                        span.end()
-                return
-            if verb == "shutdown":
-                await self._send(connection, protocol.ok_response(request_id))
-                self.counters.responses_total += 1
-                self._shutdown.set()
-                return
-            if verb == "swap_index":
-                await self._swap_index(connection, request_id, request)
-                return
-            # query / stream: admit under both bounds.
-            spec = protocol.spec_from_request(request)
-            top = protocol.top_from_request(request, self.config.default_top)
-            if self._shutdown.is_set():
-                raise ProtocolError(
-                    E_UNAVAILABLE, "server is shutting down"
-                )
-            # A traced request gets a server-hop span covering admission
-            # wait through response; downstream spans parent under it so
-            # the tree reads client → server → service → kernel.
+            # The shard side of a traced fetch: record how long this
+            # worker spent serving the remote store's request, reply
+            # included.
             span = None
-            if spec.trace is not None and self.obs is not None:
-                span = self.obs.tracer.start_span(
-                    f"server.{verb}", spec.trace, worker=self.worker_index
+            if kind is _TRACED:
+                span = self._hop_span(
+                    verb, protocol.trace_from_request(request)
                 )
-                spec = spec.with_trace(span.context())
             try:
-                await self._gate.wait()
-                await self._slots.acquire()
-                await connection.slots.acquire()
-            except BaseException:
+                if asyncio.iscoroutinefunction(handler):
+                    payload = await handler(request)
+                else:
+                    payload = await asyncio.to_thread(handler, request)
+                await self._reply_ok(connection, request_id, payload)
+            finally:
                 if span is not None:
-                    span.end(error="admission")
-                raise
-            runner = (
-                self._serve_stream if verb == "stream" else self._serve_query
-            )
-            task = asyncio.ensure_future(
-                self._admitted(
-                    runner, connection, request_id, spec, top, span
-                )
-            )
-            connection.tasks.add(task)
-            task.add_done_callback(connection.tasks.discard)
-        except ProtocolError as error:
-            self.counters.count_error(error.code)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, error.code, error.message),
-            )
-        except (ConnectionError, OSError):
+                    span.end()
+            if verb == "shutdown":
+                # Only once the acknowledgement is out: the shutdown
+                # drain closes this connection.
+                self._shutdown.set()
+        except _ClientGone:
             raise
-        except Exception as error:  # pragma: no cover - defensive
-            self.counters.count_error(E_INTERNAL)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, E_INTERNAL, str(error)),
-            )
+        except Exception as error:
+            await self._reply_error(connection, request_id, error)
+
+    async def _admit(
+        self, runner, connection: _Connection, request_id, request: dict,
+        verb: str,
+    ) -> None:
+        """Hold a query/stream request until it owns both admission
+        bounds, then start ``runner`` for it as a task."""
+        spec = protocol.spec_from_request(request)
+        top = protocol.top_from_request(request, self.config.default_top)
+        if self._shutdown.is_set():
+            raise ProtocolError(E_UNAVAILABLE, "server is shutting down")
+        # A traced request gets a server-hop span covering admission
+        # wait through response; downstream spans parent under it so
+        # the tree reads client → server → service → kernel.
+        span = self._hop_span(verb, spec.trace)
+        if span is not None:
+            spec = spec.with_trace(span.context())
+        try:
+            await self._gate.wait()
+            await self._slots.acquire()
+            await connection.slots.acquire()
+        except BaseException:
+            if span is not None:
+                span.end(error="admission")
+            raise
+        task = asyncio.ensure_future(
+            self._admitted(runner, connection, request_id, spec, top, span)
+        )
+        connection.tasks.add(task)
+        task.add_done_callback(connection.tasks.discard)
 
     async def _admitted(
-        self, runner, connection: _Connection, request_id, spec, top,
-        span=None,
+        self, runner, connection: _Connection, request_id, spec, top, span
     ) -> None:
         """Run one admitted request, releasing its slots afterwards."""
         try:
@@ -557,18 +539,12 @@ class PPVServer:
             # interleave.
             await self._gate.wait()
             await runner(connection, request_id, spec, top)
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
+        except _ClientGone:
             pass  # client went away; the read loop notices on its own
-        except Exception as error:  # pragma: no cover - defensive
-            self.counters.count_error(E_INTERNAL)
+        except Exception as error:
             try:
-                await self._send(
-                    connection,
-                    protocol.error_response(request_id, E_INTERNAL, str(error)),
-                )
-            except (ConnectionError, OSError):
+                await self._reply_error(connection, request_id, error)
+            except _ClientGone:
                 pass
         finally:
             if span is not None:
@@ -576,19 +552,26 @@ class PPVServer:
             connection.slots.release()
             self._slots.release()
 
-    def _request_span(self, request: dict, verb: str):
-        """A server-hop span for a traced request, or ``None`` when the
-        request (or this server) is untraced."""
-        if self.obs is None:
-            return None
-        context = protocol.trace_from_request(request)
+    def _hop_span(self, verb: str, context):
+        """This server's span in a traced request's tree, or ``None``
+        when the request carries no trace context."""
         if context is None:
             return None
         return self.obs.tracer.start_span(
             f"server.{verb}", context, worker=self.worker_index
         )
 
-    def _trace_payload(self, request: dict) -> dict:
+    # ------------------------------------------------------------------ #
+    # Control verbs: take the request, return the ok payload or raise
+
+    async def _ping(self, request: dict) -> dict:
+        return {"pong": True}
+
+    async def _acknowledge(self, request: dict) -> None:
+        """``shutdown`` has nothing to compute: :meth:`_dispatch_line`
+        stops the server once this empty acknowledgement is sent."""
+
+    def _trace(self, request: dict) -> dict:
         """The ``trace`` verb: recent spans, locally recorded plus —
         behind a router engine — fanned out across every shard."""
         trace_id = request.get("trace_id")
@@ -602,9 +585,7 @@ class PPVServer:
             raise ProtocolError(
                 E_INVALID, '"limit" must be a positive integer'
             )
-        spans: list = []
-        if self.obs is not None:
-            spans.extend(self.obs.tracer.spans(trace_id=trace_id, limit=limit))
+        spans = self.obs.tracer.spans(trace_id=trace_id, limit=limit)
         fan_out = getattr(self.service.engine, "trace_spans", None)
         payload = {"schema": protocol.TRACE_SCHEMA_VERSION}
         if fan_out is not None:
@@ -617,21 +598,40 @@ class PPVServer:
         payload["count"] = len(spans)
         return payload
 
-    # ------------------------------------------------------------------ #
-    # Verb implementations
+    async def _swap_index(self, request: dict) -> dict:
+        path = request.get("path")
+        if not isinstance(path, str) or not path:
+            raise ProtocolError(E_INVALID, 'swap_index needs a "path"')
+        # Hold new admissions (they queue behind the gate — accepted,
+        # never dropped), drain what was admitted, swap, resume.  The
+        # lock serialises concurrent swap requests.
+        async with self._swap_lock:
+            self._gate.clear()
+            try:
+                # The service routes: engines with a
+                # ``replace_from_path`` hook (the shard router, which
+                # rolls the swap across every shard) reopen from the
+                # path; the rest load the .fppv and go through
+                # update_index as before.
+                await asyncio.to_thread(self.service.swap_path, path)
+            except FileNotFoundError:
+                raise ProtocolError(
+                    E_INVALID, f"no index at {path!r}"
+                ) from None
+            finally:
+                self._gate.set()
+        self._swaps_total.inc()
+        return {"swapped": True, "path": path}
 
-    async def _serve_fetch(
-        self, connection: _Connection, request_id, verb: str, request: dict
-    ) -> None:
-        """Shard-internal data verbs: raw hub entries, one cluster's
-        adjacency, or the shard's partition coordinates.
+    # Shard-internal data verbs: raw hub entries, one cluster's
+    # adjacency, or the shard's partition coordinates.  Served by
+    # engines that expose the matching method (the shard engine of
+    # :mod:`repro.sharding`); every other backend refuses with
+    # ``invalid``.  The payloads can dwarf ``max_line_bytes`` — the line
+    # bound applies to requests only, and the client reads responses
+    # unbounded.
 
-        Served by engines that expose the matching method (the shard
-        engine of :mod:`repro.sharding`); every other backend refuses
-        with ``invalid``.  The payloads can dwarf ``max_line_bytes`` —
-        the line bound applies to requests only, and the client reads
-        responses unbounded.
-        """
+    def _shard_method(self, verb: str):
         method = getattr(self.service.engine, verb, None)
         if method is None:
             backend = getattr(self.service.engine, "backend", None)
@@ -640,31 +640,77 @@ class PPVServer:
                 f"the {backend!r} backend does not serve {verb!r}; "
                 "only shard processes do",
             )
+        return method
+
+    def _fetch_hubs(self, request: dict) -> dict:
+        method = self._shard_method("fetch_hubs")
+        hubs = request.get("hubs")
+        if not isinstance(hubs, list):
+            raise ProtocolError(E_INVALID, 'fetch_hubs needs a "hubs" list')
         try:
-            if verb == "fetch_hubs":
-                hubs = request.get("hubs")
-                if not isinstance(hubs, list):
-                    raise ProtocolError(
-                        E_INVALID, 'fetch_hubs needs a "hubs" list'
-                    )
-                payload = await asyncio.to_thread(
-                    method, [int(hub) for hub in hubs]
-                )
-            elif verb == "fetch_cluster":
-                cluster = request.get("cluster")
-                if not isinstance(cluster, int) or isinstance(cluster, bool):
-                    raise ProtocolError(
-                        E_INVALID, 'fetch_cluster needs an integer "cluster"'
-                    )
-                payload = await asyncio.to_thread(method, cluster)
-            else:
-                payload = await asyncio.to_thread(method)
-        except ProtocolError:
-            raise
-        except (KeyError, ValueError, TypeError) as error:
+            return method([int(hub) for hub in hubs])
+        except KeyError as error:
+            # A hub this shard does not own; the message names it.
             raise ProtocolError(E_INVALID, str(error)) from None
-        await self._send(connection, protocol.ok_response(request_id, payload))
-        self.counters.responses_total += 1
+
+    def _fetch_cluster(self, request: dict) -> dict:
+        method = self._shard_method("fetch_cluster")
+        cluster = request.get("cluster")
+        if not isinstance(cluster, int) or isinstance(cluster, bool):
+            raise ProtocolError(
+                E_INVALID, 'fetch_cluster needs an integer "cluster"'
+            )
+        return method(cluster)
+
+    def _shard_info(self, request: dict) -> dict:
+        return self._shard_method("shard_info")()
+
+    def _stats(self, request: dict) -> dict:
+        # Imported lazily: repro/__init__ pulls in the whole serving stack.
+        from repro import __version__
+
+        errors = {
+            code: count
+            for (code,), count in self._errors_total.children().items()
+        }
+        payload = {
+            "server": {
+                "connections_total": self._connections_total.value,
+                "connections_open": len(self._connections),
+                "requests_total": self._requests_total.value,
+                "responses_total": self._responses_total.value,
+                "frames_total": self._frames_total.value,
+                "errors_total": sum(errors.values()),
+                "errors_by_code": errors,
+                "swaps_total": self._swaps_total.value,
+            },
+            "service": asdict(self.service.stats()),
+            "worker": {"index": self.worker_index, "pid": os.getpid()},
+            "backend": getattr(self.service.engine, "backend", None),
+            # Capability advertisement: the query families this
+            # worker's engine can answer.
+            "families": list(supported_families(self.service.engine)),
+            "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "version": __version__,
+            "pid": os.getpid(),
+            "metrics": self.obs.registry.snapshot(),
+        }
+        if self.obs.slow_log is not None:
+            payload["slow_queries"] = self.obs.slow_log.entries(
+                tracer=self.obs.tracer
+            )
+        # A shard router aggregates its shards' stats (merged latency,
+        # per-shard balance) into one extra section.
+        shard_stats = getattr(self.service.engine, "shard_stats", None)
+        if shard_stats is not None:
+            try:
+                payload["shards"] = shard_stats()
+            except ShardUnavailableError as error:
+                payload["shards"] = {"error": str(error)}
+        return payload
+
+    # ------------------------------------------------------------------ #
+    # Admitted verbs: run as tasks holding both admission bounds
 
     async def _await_handle(self, handle):
         """Await a service handle without blocking the event loop."""
@@ -682,57 +728,10 @@ class PPVServer:
     async def _serve_query(
         self, connection: _Connection, request_id, spec, top
     ) -> None:
-        try:
-            handle = self.service.submit(spec)
-        except UnsupportedFamilyError as error:
-            self.counters.count_error(E_UNSUPPORTED_FAMILY)
-            await self._send(
-                connection,
-                protocol.error_response(
-                    request_id, E_UNSUPPORTED_FAMILY, str(error)
-                ),
-            )
-            return
-        except ValueError as error:
-            self.counters.count_error(E_INVALID)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, E_INVALID, str(error)),
-            )
-            return
-        try:
-            result = await self._await_handle(handle)
-        except ShardUnavailableError as error:
-            self.counters.count_error(E_SHARD_UNAVAILABLE)
-            await self._send(
-                connection,
-                protocol.error_response(
-                    request_id, E_SHARD_UNAVAILABLE, str(error)
-                ),
-            )
-            return
-        except ValueError as error:
-            # e.g. a shard process refusing direct queries.
-            self.counters.count_error(E_INVALID)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, E_INVALID, str(error)),
-            )
-            return
-        except Exception as error:
-            self.counters.count_error(E_INTERNAL)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, E_INTERNAL, str(error)),
-            )
-            return
-        await self._send(
-            connection,
-            protocol.ok_response(
-                request_id, protocol.render_result(spec, result, top)
-            ),
+        result = await self._await_handle(self.service.submit(spec))
+        await self._reply_ok(
+            connection, request_id, protocol.render_result(spec, result, top)
         )
-        self.counters.responses_total += 1
 
     async def _serve_stream(
         self, connection: _Connection, request_id, spec, top
@@ -780,30 +779,14 @@ class PPVServer:
                         connection, protocol.frame_response(request_id, payload)
                     )
                     sent += 1
-                    self.counters.frames_total += 1
+                    self._frames_total.inc()
                 elif kind == "done":
-                    await self._send(
-                        connection,
-                        protocol.ok_response(
-                            request_id, done=True, frames=sent
-                        ),
+                    await self._reply_ok(
+                        connection, request_id, done=True, frames=sent
                     )
-                    self.counters.responses_total += 1
                     return
                 else:  # error
-                    if isinstance(payload, ShardUnavailableError):
-                        code = E_SHARD_UNAVAILABLE
-                    elif isinstance(payload, UnsupportedFamilyError):
-                        code = E_UNSUPPORTED_FAMILY
-                    elif isinstance(payload, (ValueError, TypeError)):
-                        code = E_INVALID
-                    else:
-                        code = E_INTERNAL
-                    self.counters.count_error(code)
-                    await self._send(
-                        connection,
-                        protocol.error_response(request_id, code, str(payload)),
-                    )
+                    await self._reply_error(connection, request_id, payload)
                     return
         finally:
             # Mid-stream disconnect (send raised) or task cancellation:
@@ -811,110 +794,6 @@ class PPVServer:
             # the next iteration boundary instead of streaming into the
             # void.
             abandon.set()
-
-    async def _swap_index(
-        self, connection: _Connection, request_id, request: dict
-    ) -> None:
-        path = request.get("path")
-        if not isinstance(path, str) or not path:
-            self.counters.count_error(E_INVALID)
-            await self._send(
-                connection,
-                protocol.error_response(
-                    request_id, E_INVALID, 'swap_index needs a "path"'
-                ),
-            )
-            return
-        # Hold new admissions (they queue behind the gate — accepted,
-        # never dropped), drain what was admitted, swap, resume.  The
-        # lock serialises concurrent swap requests.
-        async with self._swap_lock:
-            await self._swap_index_locked(connection, request_id, path)
-
-    async def _swap_index_locked(
-        self, connection: _Connection, request_id, path: str
-    ) -> None:
-        self._gate.clear()
-        try:
-            # The service routes: engines with a ``replace_from_path``
-            # hook (the shard router, which rolls the swap across every
-            # shard) reopen from the path; the rest load the .fppv and
-            # go through update_index as before.
-            await asyncio.to_thread(self.service.swap_path, path)
-        except FileNotFoundError:
-            self.counters.count_error(E_INVALID)
-            await self._send(
-                connection,
-                protocol.error_response(
-                    request_id, E_INVALID, f"no index at {path!r}"
-                ),
-            )
-            return
-        except ShardUnavailableError as error:
-            self.counters.count_error(E_SHARD_UNAVAILABLE)
-            await self._send(
-                connection,
-                protocol.error_response(
-                    request_id, E_SHARD_UNAVAILABLE, str(error)
-                ),
-            )
-            return
-        except (NotImplementedError, ValueError) as error:
-            self.counters.count_error(E_INVALID)
-            await self._send(
-                connection,
-                protocol.error_response(request_id, E_INVALID, str(error)),
-            )
-            return
-        finally:
-            self._gate.set()
-        self.counters.swaps_total += 1
-        await self._send(
-            connection,
-            protocol.ok_response(request_id, {"swapped": True, "path": path}),
-        )
-        self.counters.responses_total += 1
-
-    def _stats_payload(self) -> dict:
-        service_stats = self.service.stats()
-        payload = {
-            "server": self.counters.as_dict(),
-            "service": {
-                "submitted": service_stats.submitted,
-                "batches": service_stats.batches,
-                "largest_batch": service_stats.largest_batch,
-                "cache_hits": service_stats.cache_hits,
-                "cache_misses": service_stats.cache_misses,
-                "cache_entries": service_stats.cache_entries,
-                "queue_depth": service_stats.queue_depth,
-                "in_flight": service_stats.in_flight,
-                "latency": service_stats.latency,
-                "families": service_stats.families,
-            },
-            "worker": {"index": self.worker_index, "pid": os.getpid()},
-            "backend": getattr(self.service.engine, "backend", None),
-            # Capability advertisement: the query families this
-            # worker's engine can answer.
-            "families": list(supported_families(self.service.engine)),
-            "uptime_seconds": time.monotonic() - self._started_monotonic,
-            "version": _package_version(),
-            "pid": os.getpid(),
-        }
-        if self.obs is not None:
-            payload["metrics"] = self.obs.registry.snapshot()
-            if self.obs.slow_log is not None:
-                payload["slow_queries"] = self.obs.slow_log.entries(
-                    tracer=self.obs.tracer
-                )
-        # A shard router aggregates its shards' stats (merged latency,
-        # per-shard balance) into one extra section.
-        shard_stats = getattr(self.service.engine, "shard_stats", None)
-        if shard_stats is not None:
-            try:
-                payload["shards"] = shard_stats()
-            except ShardUnavailableError as error:
-                payload["shards"] = {"error": str(error)}
-        return payload
 
     # ------------------------------------------------------------------ #
     # Test/benchmark convenience

@@ -63,7 +63,7 @@ from repro.serving.engines import (
     resolve_backend,
 )
 from repro.serving.scheduler import CoalescingScheduler
-from repro.serving.service import LatencyHistogram, PPVService, ServiceStats
+from repro.serving.service import PPVService, ServiceStats
 from repro.serving.spec import QueryHandle, QuerySnapshot, QuerySpec
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "QuerySnapshot",
     "PopularityCache",
     "CoalescingScheduler",
-    "LatencyHistogram",
     "QueryFamily",
     "FamilyTask",
     "UnsupportedFamilyError",

@@ -26,6 +26,8 @@ import threading
 import time
 from collections import deque
 
+from repro.obs.metrics import MetricsRegistry
+
 DEFAULT_MAX_BATCH = 64
 """Requests admitted into one drain (engine batches are chunked again
 engine-side, so this mainly bounds how long one drain can run)."""
@@ -92,13 +94,13 @@ class CoalescingScheduler:
         each ``execute(batch)`` call — a raising rule exercises the
         executor-failure path, a delay rule simulates a slow drain.
         ``None`` (the default) keeps the drain loop hook-free.
-    obs:
-        A :class:`repro.obs.Observability` bundle.  When given, the
-        scheduler registers its admission state (queue depth, in-flight
-        jobs, drains served) as function-backed gauges/counters and
-        records per-drain batch size and coalescing hold time into push
-        histograms (two observations per *drain*, not per job).
-        ``None`` keeps the drain loop metric-free.
+    registry:
+        The :class:`repro.obs.MetricsRegistry` the scheduler reports
+        into (a private one when omitted): its admission state (queue
+        depth, in-flight jobs, drains served) as function-backed
+        gauges/counters, and per-drain batch size and coalescing hold
+        time as push histograms (two observations per *drain*, not per
+        job).
     """
 
     def __init__(
@@ -108,7 +110,7 @@ class CoalescingScheduler:
         max_delay: "float | str" = DEFAULT_MAX_DELAY,
         on_error=None,
         fault_plan=None,
-        obs=None,
+        registry: "MetricsRegistry | None" = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -146,40 +148,38 @@ class CoalescingScheduler:
         self.batches_served = 0
         self.largest_batch = 0
         self.jobs_submitted = 0
-        self._batch_size_hist = None
-        self._hold_hist = None
-        if obs is not None:
-            registry = obs.registry
-            self._batch_size_hist = registry.histogram(
-                "repro_batch_size",
-                "Jobs coalesced into one scheduler drain.",
-                bounds=(1, 2, 4, 8, 16, 32, 64, 128),
-            )
-            self._hold_hist = registry.histogram(
-                "repro_coalesce_delay_seconds",
-                "Seconds each drain held its batch open for stragglers.",
-                bounds=(0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1),
-            )
-            registry.gauge_func(
-                "repro_queue_depth",
-                "Jobs admitted but not yet popped into a drain.",
-                lambda: len(self._queue),
-            )
-            registry.gauge_func(
-                "repro_in_flight",
-                "Jobs inside a drain that has not finished executing.",
-                lambda: self._in_flight,
-            )
-            registry.counter_func(
-                "repro_batches_served_total",
-                "Scheduler drains executed.",
-                lambda: self.batches_served,
-            )
-            registry.gauge_func(
-                "repro_largest_batch",
-                "Largest drain so far.",
-                lambda: self.largest_batch,
-            )
+        if registry is None:
+            registry = MetricsRegistry()
+        self._batch_size_hist = registry.histogram(
+            "repro_batch_size",
+            "Jobs coalesced into one scheduler drain.",
+            bounds=(1, 2, 4, 8, 16, 32, 64, 128),
+        )
+        self._hold_hist = registry.histogram(
+            "repro_coalesce_delay_seconds",
+            "Seconds each drain held its batch open for stragglers.",
+            bounds=(0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1),
+        )
+        registry.gauge_func(
+            "repro_queue_depth",
+            "Jobs admitted but not yet popped into a drain.",
+            lambda: len(self._queue),
+        )
+        registry.gauge_func(
+            "repro_in_flight",
+            "Jobs inside a drain that has not finished executing.",
+            lambda: self._in_flight,
+        )
+        registry.counter_func(
+            "repro_batches_served_total",
+            "Scheduler drains executed.",
+            lambda: self.batches_served,
+        )
+        registry.gauge_func(
+            "repro_largest_batch",
+            "Largest drain so far.",
+            lambda: self.largest_batch,
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -350,11 +350,7 @@ class CoalescingScheduler:
                 # Coalescing window: hold the batch open for stragglers
                 # unless an unexpired kick covers queued jobs.
                 delay = self._effective_delay()
-                held_from = (
-                    time.monotonic()
-                    if self._hold_hist is not None
-                    else None
-                )
+                held_from = time.monotonic()
                 if (
                     delay > 0
                     and not self._kick_active()
@@ -377,9 +373,8 @@ class CoalescingScheduler:
                 # are popped; nothing to reset here.
                 self._jobs_popped += len(batch)
                 self._in_flight += len(batch)
-            if self._batch_size_hist is not None:
-                self._batch_size_hist.record(len(batch))
-                self._hold_hist.record(time.monotonic() - held_from)
+            self._batch_size_hist.record(len(batch))
+            self._hold_hist.record(time.monotonic() - held_from)
             try:
                 if self.fault_plan is not None:
                     self.fault_plan.fire("scheduler.execute", jobs=len(batch))

@@ -31,7 +31,6 @@ engine's usual ~1e-14 reassociation round-off.
 
 from __future__ import annotations
 
-import copy
 import queue
 import threading
 import time
@@ -40,15 +39,7 @@ from typing import Iterator, Sequence
 
 from repro.core.index import PPVIndex
 from repro.core.topk import _certificate_holds, top_k_result
-from repro.obs import cost_counters
-
-# The service's latency histogram grew into the general-purpose
-# repro.obs.Histogram (identical record/snapshot/merge contract); these
-# back-compat aliases keep every existing import and wire shape working.
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BOUNDS,
-    Histogram as LatencyHistogram,
-)
+from repro.obs import Observability, cost_counters
 from repro.obs.trace import activate as _activate_span
 from repro.serving.cache import DEFAULT_CACHE_SIZE, PopularityCache
 from repro.serving.engines import Engine, detect_backend, resolve_backend
@@ -76,15 +67,15 @@ class ServiceStats:
 
     ``queue_depth`` / ``in_flight`` snapshot the scheduler's admission
     state (how much backpressure the service is under right now);
-    ``latency`` is a :meth:`LatencyHistogram.snapshot` of submit→resolve
-    times over every resolved handle.
+    ``latency`` is a :meth:`repro.obs.Histogram.snapshot` of
+    submit→resolve times over every resolved handle.
 
     ``families`` breaks submissions and latency out per query family:
     ``{name: {"submitted": n, "latency": <histogram snapshot>}}`` for
     every family this service has been asked for.
 
-    Every nested structure here is a deep copy: callers may mutate a
-    snapshot freely without corrupting the live histograms.
+    Every nested structure here is freshly built per call: callers may
+    mutate a snapshot freely without corrupting the live histograms.
     """
 
     submitted: int
@@ -120,12 +111,12 @@ class _CancellableStop:
 class _BatchJob:
     __slots__ = ("spec", "handle", "span")
 
-    def __init__(self, spec: QuerySpec, handle: QueryHandle) -> None:
+    def __init__(self, spec: QuerySpec, handle: QueryHandle, span) -> None:
         self.spec = spec
         self.handle = handle
         # The queue-wait span of a traced request (admission → drain);
-        # None whenever the service or the request is untraced.
-        self.span = None
+        # None when the request is untraced.
+        self.span = span
 
 
 class _StreamJob:
@@ -137,12 +128,13 @@ class _StreamJob:
         handle: QueryHandle,
         out: "queue.Queue",
         cancel: threading.Event,
+        span,
     ) -> None:
         self.spec = spec
         self.handle = handle
         self.out = out
         self.cancel = cancel
-        self.span = None
+        self.span = span
 
 
 class PPVService:
@@ -168,12 +160,18 @@ class PPVService:
         scheduler (its ``scheduler.execute`` site).  ``None`` keeps the
         hot path hook-free.
     obs:
-        A :class:`repro.obs.Observability` bundle.  When given, the
-        service exposes its counters (and the scheduler's, cache's and
-        engine's) through the bundle's metrics registry, honours trace
-        contexts on incoming specs, and records threshold-crossing
-        queries into the bundle's slow-query log.  ``None`` (default)
-        keeps every hook at one ``is not None`` check.
+        The :class:`repro.obs.Observability` bundle this service counts
+        into (a fresh private one when omitted, so ``service.obs``
+        always exists).  Its registry is the store behind
+        :meth:`stats` — submissions and latency are registry series,
+        the scheduler's, cache's and engine's own counters are read
+        through it — its tracer continues the trace contexts on
+        incoming specs, and threshold-crossing queries land in its
+        slow-query log when one is configured.  Closed with the
+        service.  Services handed the same bundle count into the same
+        series (registration is idempotent), so their ``submitted`` and
+        latency read as one total; give each its own bundle to keep
+        them apart.
     """
 
     def __init__(
@@ -186,7 +184,8 @@ class PPVService:
         obs=None,
     ) -> None:
         self.engine = engine
-        self.obs = obs
+        self.obs = obs or Observability()
+        registry = self.obs.registry
         self.cache = PopularityCache(cache_size)
         self._cache_token = None
         self._scheduler = CoalescingScheduler(
@@ -198,46 +197,24 @@ class PPVService:
             # handles instead of silently dropping them.
             on_error=self._fail_jobs,
             fault_plan=fault_plan,
-            obs=obs,
+            registry=registry,
         )
-        self.latency = LatencyHistogram()
-        self._submitted = 0
-        # Per-family submission counts and latency histograms, keyed by
-        # family name; grown lazily under the lock as families arrive.
-        self._family_lock = threading.Lock()
-        self._family_submitted: dict[str, int] = {}
-        self._family_latency: dict[str, LatencyHistogram] = {}
-        self._closed = False
-        # Live streaming jobs, so close() can cancel them instead of
-        # letting an abandoned iterator run its query to completion on
-        # the drain thread.
-        self._streams_lock = threading.Lock()
-        self._active_streams: set[_StreamJob] = set()
-        if obs is not None:
-            self._install_metrics()
-
-    def _install_metrics(self) -> None:
-        """Publish the service's existing counters through the obs
-        registry as function-backed metrics (read at snapshot time, so
-        the serving hot path pays nothing)."""
-        registry = self.obs.registry
-        registry.counter_func(
+        self._submitted = registry.counter(
             "repro_queries_submitted_total",
             "Queries admitted, by family.",
-            self._family_submission_counts,
             labelnames=("family",),
         )
-        registry.histogram_func(
+        self._latency = registry.histogram(
             "repro_request_latency_seconds",
             "Submit-to-resolve latency over every resolved handle.",
-            self.latency.snapshot,
         )
-        registry.histogram_func(
+        self._family_latency = registry.histogram(
             "repro_family_latency_seconds",
             "Submit-to-resolve latency, by family.",
-            self._family_latency_snapshots,
             labelnames=("family",),
         )
+        # The cache and the engine keep counting for themselves; the
+        # registry reads them at snapshot time.
         registry.counter_func(
             "repro_cache_hits_total",
             "Result-cache hits.",
@@ -259,21 +236,12 @@ class PPVService:
             lambda: len(self.cache),
         )
         self.obs.observe_engine(self.engine)
-
-    def _family_submission_counts(self) -> dict:
-        with self._family_lock:
-            return {
-                (name,): count
-                for name, count in self._family_submitted.items()
-            }
-
-    def _family_latency_snapshots(self) -> dict:
-        with self._family_lock:
-            histograms = dict(self._family_latency)
-        return {
-            (name,): histogram.snapshot()
-            for name, histogram in histograms.items()
-        }
+        self._closed = False
+        # Live streaming jobs, so close() can cancel them instead of
+        # letting an abandoned iterator run its query to completion on
+        # the drain thread.
+        self._streams_lock = threading.Lock()
+        self._active_streams: set[_StreamJob] = set()
 
     # ------------------------------------------------------------------ #
     # Construction / lifecycle
@@ -353,6 +321,7 @@ class PPVService:
                 job.cancel.set()
         self._scheduler.close()
         self.engine.close()
+        self.obs.close()
 
     def warm(self) -> None:
         """Materialise one-off backend state (e.g. the matrix lowering)
@@ -371,16 +340,9 @@ class PPVService:
         """
         spec = self._as_spec(spec)
         self._validate(spec)
-        handle = QueryHandle(spec)
-        self._count_submission(spec)
-        self._track_latency(handle)
-        job = _BatchJob(spec, handle)
-        if self.obs is not None and spec.trace is not None:
-            job.span = self.obs.tracer.start_span(
-                "service.queue", spec.trace, family=spec.family
-            )
+        job = self._batch_job(spec)
         self._scheduler.submit(job)
-        return handle
+        return job.handle
 
     def query(self, spec: QuerySpec | int):
         """Serve one request synchronously (kicks the batch window)."""
@@ -399,26 +361,10 @@ class PPVService:
         resolved = [self._as_spec(spec) for spec in specs]
         for spec in resolved:
             self._validate(spec)
-        handles = [QueryHandle(spec) for spec in resolved]
-        for spec in resolved:
-            self._count_submission(spec)
-        for handle in handles:
-            self._track_latency(handle)
-        jobs = [
-            _BatchJob(spec, handle)
-            for spec, handle in zip(resolved, handles)
-        ]
-        if self.obs is not None:
-            tracer = self.obs.tracer
-            for job in jobs:
-                if job.spec.trace is not None:
-                    job.span = tracer.start_span(
-                        "service.queue", job.spec.trace,
-                        family=job.spec.family,
-                    )
+        jobs = [self._batch_job(spec) for spec in resolved]
         self._scheduler.submit_many(jobs)
         self._scheduler.kick()
-        return [handle.result() for handle in handles]
+        return [job.handle.result() for job in jobs]
 
     def stream(self, spec: QuerySpec | int) -> Iterator[QuerySnapshot]:
         """Serve one request as a stream of per-iteration snapshots.
@@ -447,13 +393,8 @@ class PPVService:
         handle = QueryHandle(spec)
         out: "queue.Queue" = queue.Queue()
         cancel = threading.Event()
-        self._count_submission(spec)
-        self._track_latency(handle)
-        job = _StreamJob(spec, handle, out, cancel)
-        if self.obs is not None and spec.trace is not None:
-            job.span = self.obs.tracer.start_span(
-                "service.queue", spec.trace, family=spec.family
-            )
+        self._track(handle)
+        job = _StreamJob(spec, handle, out, cancel, self._queue_span(spec))
         with self._streams_lock:
             # Checked under the same lock close() takes before
             # cancelling, so a stream can never slip in between close's
@@ -530,38 +471,35 @@ class PPVService:
 
         self.update_index(load_index(path))
 
-    def _count_submission(self, spec: QuerySpec) -> None:
-        self._submitted += 1
-        with self._family_lock:
-            self._family_submitted[spec.family] = (
-                self._family_submitted.get(spec.family, 0) + 1
-            )
+    def _batch_job(self, spec: QuerySpec) -> _BatchJob:
+        handle = QueryHandle(spec)
+        self._track(handle)
+        return _BatchJob(spec, handle, self._queue_span(spec))
 
-    def _family_histogram(self, family: str) -> LatencyHistogram:
-        with self._family_lock:
-            histogram = self._family_latency.get(family)
-            if histogram is None:
-                histogram = self._family_latency[family] = LatencyHistogram()
-        return histogram
+    def _queue_span(self, spec: QuerySpec):
+        """The admission → drain span of a traced request, else ``None``."""
+        if spec.trace is None:
+            return None
+        return self.obs.tracer.start_span(
+            "service.queue", spec.trace, family=spec.family
+        )
 
-    def _track_latency(self, handle: QueryHandle) -> None:
-        """Record the handle's submit→resolve latency when it resolves
-        (totals plus the per-family breakdown), and feed the slow-query
-        log when one is configured."""
+    def _track(self, handle: QueryHandle) -> None:
+        """Count the submission and, when the handle resolves, record
+        its submit→resolve latency (total plus the per-family
+        breakdown) and feed the slow-query log when one is configured."""
+        family = handle.spec.family
+        self._submitted.labels(family).inc()
         started = time.monotonic()
-        per_family = self._family_histogram(handle.spec.family)
-        obs = self.obs
+        per_family = self._family_latency.labels(family)
+        slow_log = self.obs.slow_log
 
         def record(_handle) -> None:
             elapsed = time.monotonic() - started
-            self.latency.record(elapsed)
+            self._latency.record(elapsed)
             per_family.record(elapsed)
-            if (
-                obs is not None
-                and obs.slow_log is not None
-                and elapsed >= obs.slow_log.threshold
-            ):
-                obs.slow_log.record(self._slow_entry(handle, elapsed))
+            if slow_log is not None and elapsed >= slow_log.threshold:
+                slow_log.record(self._slow_entry(handle, elapsed))
 
         handle.add_done_callback(record)
 
@@ -590,21 +528,18 @@ class PPVService:
         return supported_families(self.engine)
 
     def stats(self) -> ServiceStats:
-        """A snapshot of the service's serving counters."""
-        with self._family_lock:
-            family_stats = {
-                name: {
-                    "submitted": count,
-                    "latency": (
-                        self._family_latency[name].snapshot()
-                        if name in self._family_latency
-                        else LatencyHistogram().snapshot()
-                    ),
-                }
-                for name, count in self._family_submitted.items()
+        """A snapshot of the service's serving counters, rendered from
+        the registry: ``submitted`` is the sum of the per-family series,
+        so the total and its breakdown cannot disagree."""
+        families = {
+            name: {
+                "submitted": count,
+                "latency": self._family_latency.labels(name).snapshot(),
             }
+            for (name,), count in self._submitted.children().items()
+        }
         return ServiceStats(
-            submitted=self._submitted,
+            submitted=sum(entry["submitted"] for entry in families.values()),
             batches=self._scheduler.batches_served,
             largest_batch=self._scheduler.largest_batch,
             cache_hits=self.cache.hits,
@@ -612,12 +547,8 @@ class PPVService:
             cache_entries=len(self.cache),
             queue_depth=self._scheduler.queue_depth,
             in_flight=self._scheduler.in_flight,
-            latency=self.latency.snapshot(),
-            # snapshot() dicts are already freshly built, but deep-copy
-            # anyway so the immutability guarantee in the ServiceStats
-            # docstring is structural, not incidental — family entries
-            # may grow shared sub-structures in the future.
-            families=copy.deepcopy(family_stats),
+            latency=self._latency.snapshot(),
+            families=families,
         )
 
     # ------------------------------------------------------------------ #
@@ -692,14 +623,12 @@ class PPVService:
         # span is thread-activated around kernel execution so remote
         # stores and fault sites reach the trace via current_span().
         batch_span = None
-        if self.obs is not None:
-            for job in batch_jobs:
-                if job.spec.trace is not None:
-                    batch_span = self.obs.tracer.start_span(
-                        "service.batch", job.spec.trace,
-                        batch_size=len(jobs),
-                    )
-                    break
+        for job in batch_jobs:
+            if job.spec.trace is not None:
+                batch_span = self.obs.tracer.start_span(
+                    "service.batch", job.spec.trace, batch_size=len(jobs)
+                )
+                break
         try:
             if batch_span is not None:
                 with _activate_span(batch_span):
@@ -720,9 +649,7 @@ class PPVService:
         # name, so a coalesced drain only ever batches same-family specs
         # together; cache keys get the same prefix, so families can
         # never serve each other's cached results.
-        want_cost_info = (
-            self.obs is not None and self.obs.slow_log is not None
-        )
+        want_cost_info = self.obs.slow_log is not None
         plans: list[tuple[_BatchJob, QueryFamily, list[FamilyTask]]] = []
         groups: dict[
             tuple, tuple[QueryFamily, tuple,

@@ -33,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Histogram, MetricsRegistry, Observability
 from repro.serving.engines import DiskEngine, register_backend
-from repro.serving.service import DEFAULT_CACHE_SIZE, LatencyHistogram, PPVService
+from repro.serving.service import DEFAULT_CACHE_SIZE, PPVService
 from repro.server.client import ServerError
 from repro.server.protocol import ShardUnavailableError
 from repro.server.pool import ServerPool
@@ -228,7 +228,7 @@ class RouterEngine(DiskEngine):
 
         Returns per-shard serving counters plus the router's own fetch
         distribution, the shards' latency histograms merged through
-        :meth:`LatencyHistogram.merge`, ``fetch_balance`` — the
+        :meth:`repro.obs.Histogram.merge`, ``fetch_balance`` — the
         max/mean ratio of per-shard fetch counts (1.0 = perfectly
         balanced) — and ``families``, the per-query-family submission
         counts and merged latency aggregated across the fleet.
@@ -275,29 +275,27 @@ class RouterEngine(DiskEngine):
             ]
             families[name] = {
                 "submitted": sum(s["submitted"] for s in shards_with),
-                "latency": LatencyHistogram.merge(
+                "latency": Histogram.merge(
                     [s["latency"] for s in shards_with]
                 ),
             }
         stats = {
             "num_shards": self.fleet.num_shards,
             "per_shard": per_shard,
-            "latency": LatencyHistogram.merge(
+            "latency": Histogram.merge(
                 [entry["latency"] for entry in per_shard]
             ),
             "fetch_balance": (max(fetches) / mean) if mean else 1.0,
             "families": families,
         }
-        # Obs-enabled shards export full registry snapshots; sum them
-        # into one fleet-wide view.  A shard running without obs simply
-        # contributes nothing.
-        snapshots = [
-            replies[shard]["metrics"]
-            for shard in range(self.fleet.num_shards)
-            if "metrics" in replies[shard]
-        ]
-        if snapshots:
-            stats["metrics"] = MetricsRegistry.merge(snapshots)
+        # Every shard exports its full registry snapshot; sum them into
+        # one fleet-wide view.
+        stats["metrics"] = MetricsRegistry.merge(
+            [
+                replies[shard]["metrics"]
+                for shard in range(self.fleet.num_shards)
+            ]
+        )
         return stats
 
     def close(self) -> None:
@@ -347,10 +345,8 @@ class ShardRouter:
         The router service's popularity cache.
     obs:
         The router-side :class:`~repro.obs.Observability` bundle; a
-        fresh one by default, so every ``ShardRouter`` serves metrics,
-        traces and (when configured) a slow-query log out of the box.
-        Pass ``obs=False`` to run uninstrumented (shard workers
-        included).
+        fresh one by default.  Pass one to configure the slow-query
+        log or the span log.  Shard workers always build their own.
     engine_kwargs:
         Forwarded to :class:`RouterEngine` (``timeout``,
         ``delta``, ``cache_hubs``, ...).
@@ -384,10 +380,7 @@ class ShardRouter:
         self.workers_per_shard = workers_per_shard
         self.config = config or ServerConfig()
         self.shard_host = shard_host
-        if obs is False:
-            self.obs = None
-        else:
-            self.obs = obs if obs is not None else Observability()
+        self.obs = obs or Observability()
         self.service_kwargs: dict = {"cache_size": cache_size}
         if max_batch is not None:
             self.service_kwargs["max_batch"] = max_batch
@@ -408,9 +401,7 @@ class ShardRouter:
             raise RuntimeError("router already started")
         for entry in self.manifest["shards"]:
             pool = ServerPool(
-                shard_service_factory(
-                    self.root / entry["dir"], obs=self.obs is not None
-                ),
+                shard_service_factory(self.root / entry["dir"]),
                 workers=self.workers_per_shard,
                 config=ServerConfig(host=self.shard_host, port=0),
             )

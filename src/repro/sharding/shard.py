@@ -202,26 +202,27 @@ def shard_service_factory(shard_dir, *, fault_plan=None, obs=True):
     the shape :class:`~repro.server.pool.ServerPool` wants.
 
     The service carries no result cache (a shard never serves results)
-    and opens its stores inside the worker, after the fork.  With
-    ``obs`` (the default) each worker builds its own
-    :class:`~repro.obs.Observability` post-fork, so the shard exports
-    store counters in ``stats`` and continues router traces; pass
-    ``obs=False`` to strip instrumentation entirely.
+    and opens its stores inside the worker, after the fork; each worker
+    gets its own default :class:`~repro.obs.Observability`, so the
+    shard exports store counters in ``stats`` and continues router
+    traces.
+
+    ``obs`` is not a switch: it only tolerates the literal ``True`` the
+    frozen ``benchmarks/ledger/serve_traced.py`` passes, and goes away
+    at the next benchmark re-anchor.
     """
+    if obs is not True:
+        raise TypeError(
+            "shard_service_factory() takes no obs= option; shard "
+            "workers are always observable"
+        )
     shard_dir = Path(shard_dir)
 
     def factory():
         from repro.serving.service import PPVService
 
-        observability = None
-        if obs:
-            from repro.obs import Observability
-
-            observability = Observability()
         return PPVService(
-            ShardEngine(shard_dir, fault_plan=fault_plan),
-            cache_size=0,
-            obs=observability,
+            ShardEngine(shard_dir, fault_plan=fault_plan), cache_size=0
         )
 
     return factory

@@ -6,12 +6,13 @@ JSONL log), and the slow-query log.
 The histogram-merge edge cases here back the fleet aggregation paths:
 ``Histogram.merge`` is what the shard router folds per-shard latency
 with, so empty fleets, mismatched bucket edges and dead shards must
-behave exactly as the legacy ``LatencyHistogram.merge`` did.
+behave exactly as the service's pre-obs latency histogram did.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -31,7 +32,6 @@ from repro.obs import (
     render_prometheus,
     span_tree,
 )
-from repro.serving.service import LatencyHistogram
 
 
 # --------------------------------------------------------------------- #
@@ -61,6 +61,51 @@ def test_labelled_counter_children():
         counter.labels("a", "b")  # wrong label arity
 
 
+def test_new_label_values_race_snapshot_without_error():
+    # The stats verb snapshots the registry on a worker thread while
+    # the event loop may be inserting a first-seen label value (a new
+    # error code, a new family): the walk over the children must not
+    # see the dict change size, and every series must be there after.
+    registry = MetricsRegistry()
+    counter = registry.counter("errors_total", "", labelnames=("code",))
+    codes = [f"code{n}" for n in range(4000)]
+    failures: list[BaseException] = []
+    done = threading.Event()
+
+    def insert() -> None:
+        try:
+            for code in codes:
+                counter.labels(code).inc()
+        except BaseException as error:  # pragma: no cover - diagnostics
+            failures.append(error)
+        finally:
+            done.set()
+
+    def snapshot() -> None:
+        try:
+            while not done.is_set():
+                registry.snapshot()
+        except BaseException as error:
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=insert),
+            threading.Thread(target=snapshot),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert counter.children() == {(code,): 1 for code in codes}
+
+
 def test_gauge_set_and_dec():
     gauge = Gauge("g")
     gauge.set(10)
@@ -80,11 +125,8 @@ def test_histogram_record_and_snapshot():
     assert snap["total_seconds"] == pytest.approx(5.55)
 
 
-def test_histogram_is_the_legacy_latency_histogram():
-    # Back-compat alias: the serving module re-exports Histogram under
-    # its pre-obs name, with the positional-bounds __init__ intact.
-    assert LatencyHistogram is Histogram
-    assert LatencyHistogram().bounds == DEFAULT_LATENCY_BOUNDS
+def test_histogram_defaults_to_the_latency_bounds():
+    assert Histogram().bounds == DEFAULT_LATENCY_BOUNDS
 
 
 # --------------------------------------------------------------------- #
@@ -395,6 +437,22 @@ def test_cost_counters_duck_typing():
     }
     assert cost_counters(Wrapped()) == {"iterations": 2, "cluster_faults": 1}
     assert cost_counters(object()) == {}
+
+
+def test_observability_close_releases_both_logs_and_they_reopen(tmp_path):
+    obs = Observability(
+        slow_query_seconds=0.0,
+        trace_log_path=tmp_path / "spans.jsonl",
+        slow_log_path=tmp_path / "slow.jsonl",
+    )
+    for _ in range(2):  # closing is safe: the next record reopens
+        obs.tracer.start_span("unit").end()
+        obs.slow_log.record({"family": "ppv", "nodes": [1], "seconds": 0.1})
+        assert obs.tracer._log is not None and obs.slow_log._file is not None
+        obs.close()
+        assert obs.tracer._log is None and obs.slow_log._file is None
+    assert len((tmp_path / "spans.jsonl").read_text().splitlines()) == 2
+    assert len((tmp_path / "slow.jsonl").read_text().splitlines()) == 2
 
 
 def test_observability_bundle_defaults():

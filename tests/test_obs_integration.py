@@ -13,7 +13,11 @@ captures cost counters with span trees attached.
 
 from __future__ import annotations
 
+import os
+import re
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.obs.trace import default_tracer
 from repro.server import PPVClient, PPVServer, ServerConfig, ServerError
 from repro.serving import PPVService, QuerySpec
 from repro.sharding import ShardRouter, partition_index
+from repro.storage import DiskGraphStore, cluster_graph, save_index
 
 QUERY_NODE = 7
 OTHER_NODES = [3, 42, 99]
@@ -137,6 +142,103 @@ def test_slow_query_log_captures_cost_and_spans(
     assert entry["batch_size"] >= 1
     assert entry["trace"] == span.trace_id
     assert {s["name"] for s in entry["spans"]} >= {"service.batch"}
+
+
+def test_closing_a_service_releases_its_log_files(
+    small_social, small_social_index, tmp_path
+):
+    # 50 services, each over a bundle that logs spans and slow queries
+    # to disk.  The bundles stay referenced (as a shared bundle would),
+    # so only PPVService.close() -> Observability.close() can give the
+    # descriptors back.
+    def open_log_fds() -> int:
+        """Descriptors of this process that point into ``tmp_path``
+        (the whole-process count drifts with other tests' sockets)."""
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:  # closed between listdir and readlink
+                continue
+            count += target.startswith(str(tmp_path))
+        return count
+
+    bundles = []
+    for _ in range(50):
+        obs = Observability(
+            slow_query_seconds=0.0,
+            trace_log_path=tmp_path / "spans.jsonl",
+            slow_log_path=tmp_path / "slow.jsonl",
+        )
+        bundles.append(obs)
+        with PPVService.open(
+            small_social_index, graph=small_social, obs=obs
+        ) as svc:
+            span = obs.tracer.start_span("client.request")
+            svc.query(QuerySpec(QUERY_NODE).with_trace(span.context()))
+            span.end()
+            assert open_log_fds() >= 1  # the span log is open now
+    assert open_log_fds() == 0
+    assert len(bundles) == 50
+
+
+def test_submitted_total_equals_its_family_breakdown_under_threads(service):
+    # Both numbers come from one labelled counter, so they agree by
+    # construction; the lock-free ``+=`` is one step under the GIL, so
+    # no concurrent submission goes missing either.
+    per_thread = 25
+    barrier = threading.Barrier(8)
+
+    def submit(family_params) -> None:
+        barrier.wait(timeout=30)
+        for node in range(per_thread):
+            service.submit(QuerySpec(node, **family_params))
+
+    threads = [
+        threading.Thread(
+            target=submit, args=({"top_k": 3} if n % 2 else {},)
+        )
+        for n in range(8)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    service.flush()
+    stats = service.stats()
+    assert stats.submitted == 8 * per_thread
+    assert stats.submitted == sum(
+        family["submitted"] for family in stats.families.values()
+    )
+    assert {
+        name: family["submitted"] for name, family in stats.families.items()
+    } == {"ppv": 4 * per_thread, "top_k": 4 * per_thread}
+    assert stats.latency["count"] == stats.submitted
+
+
+def test_services_sharing_a_bundle_count_into_one_series(
+    small_social, small_social_index
+):
+    # The contract of handing two services the same bundle: metric
+    # registration is idempotent, so both count into the same series.
+    obs = Observability()
+    services = [
+        PPVService.open(
+            small_social_index, graph=small_social, cache_size=0, obs=obs
+        )
+        for _ in range(2)
+    ]
+    try:
+        for svc in services:
+            svc.query(QuerySpec(QUERY_NODE))
+        assert [svc.stats().submitted for svc in services] == [2, 2]
+        private = PPVService.open(small_social_index, graph=small_social)
+        with private:
+            assert private.stats().submitted == 0
+    finally:
+        for svc in services:
+            svc.close()
 
 
 # --------------------------------------------------------------------- #
@@ -315,3 +417,50 @@ def test_router_stats_aggregate_fleet_metrics(traced_router):
     reads = fleet["repro_hub_reads_total"]["samples"][0]["value"]
     assert reads >= 1
     assert fleet["repro_server_requests_total"]["samples"][0]["value"] >= 2
+
+
+# --------------------------------------------------------------------- #
+# The README metrics catalogue cannot drift from the registry
+
+
+def _readme_metric_names() -> set:
+    """Metric names in README's Observability table, with brace groups
+    like ``repro_cache_{hits,misses}_total`` expanded and ``{label}``
+    suffixes dropped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Observability", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for row in section.splitlines():
+        if not row.startswith("| `repro_"):
+            continue
+        for cell in re.findall(r"`(repro_[^`]+)`", row.split("|")[1]):
+            group = re.fullmatch(r"(\w*)\{([\w,]+)\}(\w+)(\{\w+\})?", cell)
+            if group:
+                prefix, options, suffix, _label = group.groups()
+                names.update(
+                    prefix + option + suffix for option in options.split(",")
+                )
+            else:
+                names.add(re.sub(r"\{\w+\}$", "", cell))
+    return names
+
+
+def test_readme_catalogue_equals_the_registered_metrics(
+    served, traced_router, small_social, small_social_index, tmp_path
+):
+    _client, memory_obs = served  # a memory service behind a server
+    router, _host, _port = traced_router  # a 2-shard router
+    index_path = tmp_path / "index.fppv"
+    save_index(small_social_index, index_path)
+    graph_store = DiskGraphStore(
+        small_social, cluster_graph(small_social, 4, seed=1), tmp_path / "g"
+    )
+    with PPVService.open(
+        str(index_path), backend="disk", graph_store=graph_store
+    ) as disk_service:
+        registered = (
+            set(memory_obs.registry.names())
+            | set(disk_service.obs.registry.names())
+            | set(router.obs.registry.names())
+        )
+    assert registered == _readme_metric_names()

@@ -26,7 +26,7 @@ from repro.server import (
     ServerError,
     protocol,
 )
-from repro.serving import PPVService, QuerySpec
+from repro.serving import PPVService, QuerySpec, UnsupportedFamilyError
 from repro.storage import (
     DiskGraphStore,
     DiskPPVStore,
@@ -66,6 +66,13 @@ def disk_setup(small_social, small_social_index, tmp_path_factory):
     save_index(small_social_index, index_path)
     assignment = cluster_graph(small_social, 5, seed=1)
     return root, small_social, assignment, index_path
+
+
+def _server_metric(server, suffix):
+    """One of the front-end's own ``repro_server_*`` series, read from
+    the registry (its only store)."""
+    snapshot = server.obs.registry.snapshot()
+    return snapshot[f"repro_server_{suffix}"]["samples"][0]["value"]
 
 
 def _reference_results(service, specs):
@@ -290,6 +297,160 @@ class TestWireErrors:
             assert client.ping()
 
 
+class _RaisingEngine:
+    """An engine whose every serving call raises the given error."""
+
+    backend = "stub"
+    num_nodes = 8
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
+
+    def _raise(self, *args, **kwargs):
+        raise self.error
+
+    query_batch = query_top_k_batch = query_stream = _raise
+    replace_from_path = _raise
+
+    def cache_token(self) -> object:
+        return self
+
+    def close(self) -> None:
+        pass
+
+
+class TestOneErrorTable:
+    """Every verb maps a failure to its wire code through the one
+    ``protocol.error_code`` table: the same exception from the service
+    is the same code whether it surfaced on ``query``, ``stream`` or
+    ``swap_index`` (``TypeError`` used to be ``internal`` on ``query``
+    and ``invalid`` elsewhere)."""
+
+    def test_server_table_covers_exactly_the_protocol_verbs(
+        self, memory_service
+    ):
+        assert set(PPVServer(memory_service)._verbs) == set(protocol.VERBS)
+
+    @pytest.mark.parametrize(
+        "request_body",
+        [
+            {"verb": "query", "node": 1},
+            {"verb": "stream", "node": 1},
+            {"verb": "swap_index", "path": "anywhere"},
+        ],
+        ids=lambda body: body["verb"],
+    )
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError("bad value"), protocol.E_INVALID),
+            (TypeError("bad type"), protocol.E_INVALID),
+            (
+                UnsupportedFamilyError("ppv", "stub"),
+                protocol.E_UNSUPPORTED_FAMILY,
+            ),
+            (
+                protocol.ShardUnavailableError(1, "gone"),
+                protocol.E_SHARD_UNAVAILABLE,
+            ),
+            (RuntimeError("boom"), protocol.E_INTERNAL),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(
+            value, BaseException
+        ) else value,
+    )
+    def test_same_failure_same_code_on_every_verb(
+        self, request_body, error, code
+    ):
+        with PPVService(_RaisingEngine(error), cache_size=0) as service:
+            with PPVServer(service).background() as address:
+                with PPVClient(*address) as client:
+                    with pytest.raises(ServerError) as caught:
+                        client.request(request_body)
+                    assert caught.value.code == code
+                    assert str(error) in str(caught.value)
+                    # Counted once, under the same code.
+                    server = client.stats()["server"]
+                    assert server["errors_by_code"] == {code: 1}
+
+    @pytest.mark.parametrize("verb", ["query", "stream", "swap_index"])
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (OSError(5, "I/O error"), protocol.E_INTERNAL),
+            (FileNotFoundError(2, "no such segment"), protocol.E_INVALID),
+        ],
+        ids=["OSError", "FileNotFoundError"],
+    )
+    def test_an_os_error_from_the_engine_is_answered_not_swallowed(
+        self, verb, error, code
+    ):
+        # Only a failed *write* means the client is gone; an engine's
+        # own OSError (a disk store's I/O error) must not be taken for
+        # a disconnect and left unanswered.
+        body = {"verb": verb, "node": 1, "path": "anywhere"}
+        with PPVService(_RaisingEngine(error), cache_size=0) as service:
+            with PPVServer(service).background() as address:
+                with PPVClient(*address, timeout=10.0) as client:
+                    with pytest.raises(ServerError) as caught:
+                        client.request(body)
+                    assert caught.value.code == code
+                    # The connection survived the failure.
+                    assert client.ping()
+                    server = client.stats()["server"]
+                    assert server["errors_by_code"] == {code: 1}
+
+    @pytest.mark.parametrize(
+        "verb", ["ping", "stats", "trace", "swap_index", "shutdown"]
+    )
+    def test_untraced_control_verbs_ignore_a_trace_field(
+        self, memory_server, verb
+    ):
+        # Only query/stream and the shard fetch verbs read "trace";
+        # every other verb serves the request whatever the field holds.
+        _server, address = memory_server
+        with PPVClient(*address) as client:
+            try:
+                client.request({"verb": verb, "trace": 5, "path": "nowhere"})
+            except ServerError as error:  # swap_index: no such index
+                assert verb == "swap_index"
+                assert "no index at 'nowhere'" in str(error)
+            assert not memory_server[0].obs.tracer.spans()
+
+    def test_a_malformed_trace_on_a_fetch_verb_is_invalid(
+        self, memory_server
+    ):
+        _server, address = memory_server
+        with PPVClient(*address) as client:
+            with pytest.raises(ServerError) as caught:
+                client.request({"verb": "shard_info", "trace": 5})
+            assert caught.value.code == protocol.E_INVALID
+            assert "trace" in str(caught.value)
+
+    def test_the_front_end_series_belong_to_the_service(
+        self, memory_service
+    ):
+        # One live server per service: the repro_server_* series live
+        # in the service's registry, so a later server over the same
+        # service continues them — but the fault plan's request count
+        # is this server's own.
+        from repro.faults import FaultPlan
+
+        for generation in (1, 2):
+            plan = FaultPlan()
+            plan.on("server.request", nth=2, delay=0.001)
+            server = PPVServer(memory_service, fault_plan=plan)
+            with server.background() as address:
+                with PPVClient(*address) as client:
+                    assert client.ping()
+                    stats = client.stats()["server"]
+            assert stats["connections_total"] == generation
+            assert stats["requests_total"] == 2 * generation
+            assert stats["responses_total"] == 2 * generation - 1
+            (fired,) = plan.fired_at("server.request")
+            assert fired.context == {"requests": 2}
+
+
 class TestStreaming:
     def test_stream_frames_match_service_stream(self, small_social,
                                                 certifiable_index):
@@ -320,10 +481,10 @@ class TestStreaming:
         client.close()
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            if server.counters.connections_open == 0:
+            if _server_metric(server, "connections_open") == 0:
                 break
             time.sleep(0.01)
-        assert server.counters.connections_open == 0
+        assert _server_metric(server, "connections_open") == 0
         # The server keeps serving new clients afterwards.
         with PPVClient(*address) as client2:
             result = client2.query(7, eta=2)
@@ -460,7 +621,7 @@ class TestHotSwap:
                     reference.close()
                 with PPVClient(*address) as client:
                     assert client.query(7, eta=2) == expected
-                stats_swapped = server.counters.swaps_total
+                stats_swapped = _server_metric(server, "swaps_total")
         assert stats_swapped == 1
 
     def test_swap_on_disk_backend_is_a_structured_error(self, disk_setup):
@@ -523,7 +684,7 @@ class TestLifecycle:
             with PPVClient(*address) as client:
                 assert client.ping()
         # __exit__ already invoked request_shutdown and joined.
-        assert server.counters.connections_open == 0
+        assert _server_metric(server, "connections_open") == 0
 
 
 class TestMultiWorkerCLI:

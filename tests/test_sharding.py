@@ -29,9 +29,9 @@ from repro.server import (
     ServerPool,
     protocol,
 )
+from repro.obs import Histogram
 from repro.serving import PPVService, QuerySpec
 from repro.serving.engines import available_backends
-from repro.serving.service import LatencyHistogram
 from repro.sharding import (
     ShardRouter,
     assign_clusters,
@@ -469,11 +469,11 @@ class TestRollingSwap:
 
 class TestStatsAggregation:
     def test_latency_histogram_merge(self):
-        first, second = LatencyHistogram(), LatencyHistogram()
+        first, second = Histogram(), Histogram()
         first.record(0.001)
         first.record(0.2)
         second.record(0.001)
-        merged = LatencyHistogram.merge(
+        merged = Histogram.merge(
             [first.snapshot(), second.snapshot()]
         )
         assert merged["count"] == 3
@@ -482,12 +482,12 @@ class TestStatsAggregation:
         assert merged["bounds"] == first.snapshot()["bounds"]
 
     def test_latency_histogram_merge_empty_and_mismatched(self):
-        empty = LatencyHistogram.merge([])
+        empty = Histogram.merge([])
         assert empty["count"] == 0
         assert sum(empty["counts"]) == 0
-        odd = LatencyHistogram(bounds=(0.5, 1.0)).snapshot()
+        odd = Histogram(bounds=(0.5, 1.0)).snapshot()
         with pytest.raises(ValueError, match="different"):
-            LatencyHistogram.merge([LatencyHistogram().snapshot(), odd])
+            Histogram.merge([Histogram().snapshot(), odd])
 
     def test_router_stats_aggregate_the_fleet(self, sharded_setup):
         with ShardRouter(
