@@ -51,6 +51,7 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.protocol import ShardUnavailableError
+from repro.storage.residency import ClusterResidency
 
 DEFAULT_HUB_CACHE = 256
 """Hub prime-PPV entries the router keeps resident (LRU)."""
@@ -356,15 +357,18 @@ class ShardedPPVStore:
         return self.get_many([hub])[int(hub)]
 
 
-class ShardedGraphStore:
+class ShardedGraphStore(ClusterResidency):
     """A :class:`~repro.storage.disk_engine.DiskGraphStore` look-alike
     that fetches cluster adjacency from the owning shards.
 
     Labels and ``num_clusters`` are global (so ``cluster_of`` answers
     for every node, exactly like a local store); only the adjacency
-    payloads are remote, cached under the same LRU residency model —
+    payloads are remote, held under the same
+    :class:`~repro.storage.residency.ClusterResidency` LRU —
     ``faults`` counts swap-ins, and the cluster-draining push's
-    schedule (hence every score) is residency-independent.
+    schedule (hence every score) is residency-independent.  A
+    ``fetch_cluster`` reply's JSON lists go to the shared lowering as
+    they are.
     """
 
     def __init__(
@@ -376,65 +380,29 @@ class ShardedGraphStore:
         memory_budget: int = DEFAULT_CLUSTER_BUDGET,
         lock: "threading.Lock | None" = None,
     ) -> None:
-        if memory_budget < 1:
-            raise ValueError("memory_budget must be at least one cluster")
-        self.fleet = fleet
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.num_nodes = int(self.labels.size)
         self.cluster_shards = [int(shard) for shard in cluster_shards]
-        self.num_clusters = len(self.cluster_shards)
-        self.memory_budget = memory_budget
-        self.faults = 0
+        super().__init__(
+            np.asarray(labels, dtype=np.int64),
+            len(self.cluster_shards),
+            memory_budget,
+        )
+        self.fleet = fleet
         self.shard_fetches = [0] * fleet.num_shards
-        self._labels_list: "list[int] | None" = None
-        self._cache: "dict[int, tuple[dict, dict]]" = {}
         self._lock = lock if lock is not None else threading.Lock()
-
-    def cluster_of(self, node: int) -> int:
-        return int(self.labels[node])
-
-    @property
-    def labels_list(self) -> list[int]:
-        if self._labels_list is None:
-            self._labels_list = self.labels.tolist()
-        return self._labels_list
 
     def close(self) -> None:
         self._cache.clear()
 
-    def _load_cluster(self, cluster: int) -> dict:
+    def _fetch_cluster(self, cluster: int):
         shard = self.cluster_shards[cluster]
         with self._lock:
             payload = self.fleet.request(
                 shard, {"verb": "fetch_cluster", "cluster": int(cluster)}
             )
             self.shard_fetches[shard] += 1
-        nodes = payload["nodes"]
-        offsets = payload["offsets"]
-        targets = np.asarray(payload["targets"], dtype=np.int64)
-        probs = np.asarray(payload["probs"], dtype=np.float64)
-        adjacency = {}
-        for position, node in enumerate(nodes):
-            start, end = offsets[position], offsets[position + 1]
-            adjacency[int(node)] = (targets[start:end], probs[start:end])
-        return adjacency
-
-    def resident_cluster(self, cluster: int) -> tuple[dict, dict]:
-        """Same LRU contract as the local store (swap in, bump
-        :attr:`faults`, most recent last)."""
-        entry = self._cache.get(cluster)
-        if entry is None:
-            self.faults += 1
-            entry = (self._load_cluster(cluster), {})
-            while len(self._cache) >= self.memory_budget:
-                del self._cache[next(iter(self._cache))]
-        else:
-            del self._cache[cluster]
-        self._cache[cluster] = entry
-        return entry
-
-    def out_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.resident_cluster(self.cluster_of(node))[0][node]
-
-    def out_neighbors(self, node: int) -> np.ndarray:
-        return self.out_edges(node)[0]
+        return (
+            payload["nodes"],
+            payload["offsets"],
+            payload["targets"],
+            payload["probs"],
+        )

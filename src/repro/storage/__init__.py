@@ -1,6 +1,6 @@
 """Disk substrate for large graphs (Sect. 5.3, Fig. 16).
 
-Three pieces:
+Four pieces:
 
 * :mod:`repro.storage.ppv_store` — a binary on-disk PPV index with an
   offset directory, so online processing can fetch one hub's prime PPV
@@ -9,11 +9,14 @@ Three pieces:
 * :mod:`repro.storage.clustering` — anchor-based graph clustering via
   personalized PageRank (after Sarkar & Moore [18]): random anchors, every
   node joins the anchor with the highest PPV value at it.
+* :mod:`repro.storage.residency` — the resident form of one cluster
+  (CSR rows lowered once per fault) and the bounded LRU holding it,
+  shared by the local and the sharded graph store.
 * :mod:`repro.storage.disk_engine` — online query processing against a
-  disk-resident graph: one cluster in memory at a time, cluster faults
-  counted and budgeted, prime subgraphs assembled cluster by cluster.
-  One engine, :class:`DiskFastPPV`, serves batches; a single query is
-  the batch of one.
+  disk-resident graph: packed per-cluster segment files, one cluster in
+  memory at a time, cluster faults counted and budgeted, prime subgraphs
+  assembled cluster by cluster.  One engine, :class:`DiskFastPPV`,
+  serves batches; a single query is the batch of one.
 """
 
 from repro.storage.clustering import ClusterAssignment, cluster_graph

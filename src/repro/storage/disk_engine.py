@@ -12,6 +12,23 @@ little accuracy for much less I/O.
 Hub prime PPVs are fetched lazily from the on-disk
 :class:`~repro.storage.ppv_store.DiskPPVStore`, one random access each.
 
+Cluster segment layout (format 2)
+---------------------------------
+One packed file per cluster, little-endian throughout — the CSR rows of
+its member nodes in the *global* id space, read with **one** ``read()``
+per fault and sliced with ``np.frombuffer``::
+
+    header   members u64 | edges u64
+    payload  nodes i64[members] | offsets i64[members + 1]
+             | probs f64[edges] | targets i32[edges]
+
+Row ``r`` (node ``nodes[r]``) owns edges ``offsets[r]:offsets[r + 1]``
+of ``targets`` / ``probs`` (per-edge step probabilities).  The
+directory's ``manifest.json`` carries ``"format": 2`` and every
+segment's byte length and CRC-32; each physical load is checked against
+both, so a missing, truncated or bit-flipped segment raises instead of
+serving wrong scores.  There is no reader for the retired ``.npz`` format.
+
 One engine, scalar is the batch of one
 --------------------------------------
 :class:`DiskFastPPV` serves a whole batch against the stores while
@@ -57,7 +74,9 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,9 +96,24 @@ from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
+from repro.storage.residency import ClusterResidency
 
 
-class DiskGraphStore:
+_SEGMENT_HEADER = struct.Struct("<2Q")
+_REBUILD = (
+    "rebuild the cluster directory with DiskGraphStore(graph, assignment, "
+    "directory) (shard directories: `repro shard-index`)"
+)
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[start, start + length)`` laid end to end."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+class DiskGraphStore(ClusterResidency):
     """A graph segmented into per-cluster files with a bounded cache.
 
     Parameters
@@ -110,11 +144,17 @@ class DiskGraphStore:
 
     Notes
     -----
-    Each cluster file holds the out-adjacency of its member nodes
-    (``nodes``, ``offsets``, ``targets`` and per-edge step probabilities
-    in the *global* id space) as an ``.npz``.  :meth:`out_edges`
-    transparently swaps the owning cluster in, bumping :attr:`faults`
-    when the needed cluster is not resident.
+    Directory layout (format 2; see the module docstring for the
+    segment bytes): ``cluster_NNNNN.seg`` per stored cluster,
+    ``labels.npy`` (global cluster id per node) and ``manifest.json``
+    holding ``format``, ``num_nodes``, ``num_clusters`` and, per stored
+    cluster, the segment's byte length and CRC-32.
+
+    A cluster fault is **one** ``read()`` of the whole segment, checked
+    against the manifest (length, header-implied size, CRC-32) before a
+    single edge is served.  :attr:`faults` counts LRU swap-ins — what a
+    query pays for residency; :attr:`bytes_read` counts segment bytes
+    physically read, swap-ins and :meth:`cluster_arrays` reads alike.
     """
 
     def __init__(
@@ -127,58 +167,44 @@ class DiskGraphStore:
         fault_plan=None,
         clusters: Sequence[int] | None = None,
     ) -> None:
-        if memory_budget < 1:
-            raise ValueError("memory_budget must be at least one cluster")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.num_nodes = graph.num_nodes
-        self.labels = assignment.labels.copy()
-        self._labels_list: list[int] | None = None
-        self.num_clusters = assignment.num_clusters
+        num_clusters = assignment.num_clusters
         if clusters is None:
-            self.clusters = list(range(assignment.num_clusters))
-        else:
-            self.clusters = sorted(int(cluster) for cluster in clusters)
-            if self.clusters and not (
-                0 <= self.clusters[0] and self.clusters[-1] < self.num_clusters
-            ):
-                raise ValueError("clusters out of range")
-        self.memory_budget = memory_budget
-        self.fault_plan = fault_plan
-        self.faults = 0
-        self.bytes_read = 0
-        # LRU cache: cluster id -> (adjacency dict, per-node list cache),
-        # most recent last.  The list cache holds plain-Python spellings
-        # of adjacency rows for the push's per-edge hot loop; it lives
-        # and dies with its cluster's residency.
-        self._cache: "dict[int, tuple[dict, dict]]" = {}
-        self._bytes_per_cluster: dict[int, int] = {}
-        edge_probabilities = graph.edge_probabilities
-        for cluster in self.clusters:
+            clusters = range(num_clusters)
+        clusters = sorted(int(cluster) for cluster in clusters)
+        if clusters and not (
+            0 <= clusters[0] and clusters[-1] < num_clusters
+        ):
+            raise ValueError("clusters out of range")
+        labels = assignment.labels.copy()
+        self._attach(
+            directory, labels, num_clusters, {}, memory_budget, fault_plan
+        )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        for stale in self.directory.glob("cluster_*.npz"):
+            stale.unlink()  # a format-1 build this one replaces
+        for cluster in clusters:
             nodes = assignment.members(cluster)
-            probs = [
-                edge_probabilities[graph.indptr[int(u)] : graph.indptr[int(u) + 1]]
-                for u in nodes
-            ]
-            adjacency = {
-                "nodes": nodes,
-                "offsets": np.concatenate(
-                    ([0], np.cumsum(graph.out_degrees[nodes]))
-                ),
-                "targets": np.concatenate(
-                    [graph.out_neighbors(int(u)) for u in nodes]
-                    or [np.empty(0, dtype=np.int32)]
-                ),
-                "probs": np.concatenate(probs or [np.empty(0)]),
-            }
-            path = self._cluster_path(cluster)
-            np.savez(path, **adjacency)
-            self._bytes_per_cluster[cluster] = path.stat().st_size
-        np.save(self.directory / "labels.npy", self.labels)
+            lengths = graph.out_degrees[nodes]
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            edges = _concat_ranges(graph.indptr[nodes], lengths)
+            data = b"".join(
+                (
+                    _SEGMENT_HEADER.pack(nodes.size, edges.size),
+                    nodes.astype("<i8").tobytes(),
+                    offsets.astype("<i8").tobytes(),
+                    graph.edge_probabilities[edges].astype("<f8").tobytes(),
+                    graph.indices[edges].astype("<i4").tobytes(),
+                )
+            )
+            self._segment_path(cluster).write_bytes(data)
+            self._segments[cluster] = (len(data), zlib.crc32(data))
+        np.save(self.directory / "labels.npy", labels)
         manifest = {
+            "format": 2,
             "num_nodes": self.num_nodes,
-            "num_clusters": self.num_clusters,
-            "clusters": self.clusters,
+            "num_clusters": num_clusters,
+            "clusters": clusters,
+            "segments": [self._segments[cluster] for cluster in clusters],
         }
         (self.directory / "manifest.json").write_text(json.dumps(manifest))
 
@@ -196,64 +222,108 @@ class DiskGraphStore:
         segments, labels, manifest), so a fresh reader over the same
         directory — another process, or one store per test example — is
         just metadata loads, no re-segmentation.
+
+        Raises :class:`ValueError` for a directory that is not format 2
+        (no ``"format": 2`` in the manifest, ``clusters`` and
+        ``segments`` not of one length, or ``cluster_*.npz`` files of
+        the retired format present).
         """
-        if memory_budget < 1:
-            raise ValueError("memory_budget must be at least one cluster")
-        self = cls.__new__(cls)
-        self.directory = Path(directory)
-        manifest = json.loads((self.directory / "manifest.json").read_text())
-        self.num_nodes = int(manifest["num_nodes"])
-        self.num_clusters = int(manifest["num_clusters"])
-        labels_path = self.directory / "labels.npy"
-        if not labels_path.exists():
-            raise FileNotFoundError(
-                f"{labels_path} missing: this store predates reopenable "
-                "builds; rebuild it from the source graph"
+        directory = Path(directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        clusters, segments = manifest.get("clusters"), manifest.get("segments")
+        if (
+            manifest.get("format") != 2
+            or None in (clusters, segments)
+            or len(clusters) != len(segments)
+            or any(directory.glob("cluster_*.npz"))
+        ):
+            raise ValueError(
+                f"{manifest_path}: not a format-2 cluster directory (one "
+                f"[length, CRC-32] per stored cluster; an older build "
+                f"stored .npz segments); {_REBUILD}"
             )
-        self.labels = np.load(labels_path)
-        self._labels_list = None
-        self.memory_budget = memory_budget
-        self.fault_plan = fault_plan
-        self.faults = 0
-        self.bytes_read = 0
-        self._cache = {}
-        # Manifests predating partial stores have no "clusters" entry:
-        # they stored every cluster.
-        self.clusters = [
-            int(cluster)
-            for cluster in manifest.get("clusters", range(self.num_clusters))
-        ]
-        self._bytes_per_cluster = {
-            cluster: self._cluster_path(cluster).stat().st_size
-            for cluster in self.clusters
-        }
+        self = cls.__new__(cls)
+        self._attach(
+            directory,
+            np.load(directory / "labels.npy"),
+            int(manifest["num_clusters"]),
+            {
+                int(cluster): (int(size), int(crc))
+                for cluster, (size, crc) in zip(clusters, segments)
+            },
+            memory_budget,
+            fault_plan,
+        )
         return self
 
-    def _cluster_path(self, cluster: int) -> Path:
-        return self.directory / f"cluster_{cluster:05d}.npz"
+    def _attach(
+        self, directory, labels, num_clusters, segments, memory_budget,
+        fault_plan,
+    ) -> None:
+        """Reader state shared by a fresh build and :meth:`open`."""
+        ClusterResidency.__init__(self, labels, num_clusters, memory_budget)
+        self.directory = Path(directory)
+        self.fault_plan = fault_plan
+        self.bytes_read = 0
+        # cluster id -> (byte length, CRC-32) of its stored segment.
+        self._segments: dict[int, tuple[int, int]] = segments
+
+    def _segment_path(self, cluster: int) -> Path:
+        return self.directory / f"cluster_{cluster:05d}.seg"
+
+    @property
+    def clusters(self) -> list[int]:
+        """Ids of the clusters stored here (all of them unless partial)."""
+        return list(self._segments)
 
     @property
     def largest_cluster_bytes(self) -> int:
         """On-disk size of the biggest stored cluster — the minimum
-        working set."""
-        return max(self._bytes_per_cluster.values())
+        working set (0 for a partial store that owns no cluster)."""
+        return max((size for size, _ in self._segments.values()), default=0)
 
     @property
     def total_bytes(self) -> int:
         """Total on-disk size of all stored clusters."""
-        return sum(self._bytes_per_cluster.values())
+        return sum(size for size, _ in self._segments.values())
 
-    def cluster_of(self, node: int) -> int:
-        """Cluster id owning ``node``."""
-        return int(self.labels[node])
-
-    @property
-    def labels_list(self) -> list[int]:
-        """``labels`` as a plain list — O(1) lookups without numpy
-        scalar overhead on the push's per-edge hot path."""
-        if self._labels_list is None:
-            self._labels_list = self.labels.tolist()
-        return self._labels_list
+    def _fetch_cluster(self, cluster: int):
+        """One physical, verified read of ``cluster``'s segment."""
+        if cluster not in self._segments:
+            raise ValueError(
+                f"cluster {cluster} is not stored here (partial store "
+                f"holding {len(self._segments)} of "
+                f"{self.num_clusters} clusters)"
+            )
+        if self.fault_plan is not None:
+            self.fault_plan.fire("graph_store.load", cluster=int(cluster))
+        path = self._segment_path(cluster)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            data = b""  # shorter than any segment: refused below
+        self.bytes_read += len(data)
+        size, crc = self._segments[cluster]
+        intact = len(data) == size and zlib.crc32(data) == crc
+        if intact:
+            members, edges = _SEGMENT_HEADER.unpack_from(data)
+            nodes_at = _SEGMENT_HEADER.size
+            offsets_at = nodes_at + 8 * members
+            probs_at = offsets_at + 8 * (members + 1)
+            targets_at = probs_at + 8 * edges
+            intact = size == targets_at + 4 * edges
+        if not intact:
+            raise ValueError(
+                f"{path}: missing or corrupt cluster segment (length, header "
+                f"or CRC-32 disagrees with manifest.json); {_REBUILD}"
+            )
+        return (
+            np.frombuffer(data, "<i8", members, nodes_at),
+            np.frombuffer(data, "<i8", members + 1, offsets_at),
+            np.frombuffer(data, "<i4", edges, targets_at),
+            np.frombuffer(data, "<f8", edges, probs_at),
+        )
 
     def cluster_arrays(self, cluster: int) -> dict:
         """One stored cluster's raw arrays (``nodes`` / ``offsets`` /
@@ -265,60 +335,8 @@ class DiskGraphStore:
         shard fetch path of :mod:`repro.sharding` serves clusters to
         routers through this.
         """
-        if cluster not in self._bytes_per_cluster:
-            raise ValueError(
-                f"cluster {cluster} is not stored here (partial store "
-                f"holding {len(self._bytes_per_cluster)} of "
-                f"{self.num_clusters} clusters)"
-            )
-        if self.fault_plan is not None:
-            self.fault_plan.fire("graph_store.load", cluster=int(cluster))
-        self.bytes_read += self._bytes_per_cluster[cluster]
-        with np.load(self._cluster_path(cluster)) as data:
-            return {key: data[key] for key in data.files}
-
-    def _load_cluster(self, cluster: int) -> dict:
-        data = self.cluster_arrays(cluster)
-        nodes = data["nodes"]
-        offsets = data["offsets"]
-        targets = data["targets"]
-        probs = data["probs"]
-        adjacency = {}
-        for position, node in enumerate(nodes):
-            start, end = offsets[position], offsets[position + 1]
-            adjacency[int(node)] = (targets[start:end], probs[start:end])
-        return adjacency
-
-    def resident_cluster(self, cluster: int) -> tuple[dict, dict]:
-        """``(adjacency, list cache)`` of ``cluster``, swapping it in
-        (with LRU eviction, bumping :attr:`faults`) if needed.
-
-        The cluster-draining push resolves residency once per drain
-        through this instead of once per expanded node — same fault
-        count (a drain's cluster can only fault on first touch) and the
-        same final LRU state (re-inserting the resident cluster per node
-        was a no-op).
-        """
-        entry = self._cache.get(cluster)
-        if entry is None:
-            self.faults += 1
-            entry = (self._load_cluster(cluster), {})
-            while len(self._cache) >= self.memory_budget:
-                oldest = next(iter(self._cache))
-                del self._cache[oldest]
-        else:
-            del self._cache[cluster]  # re-insert as most recent
-        self._cache[cluster] = entry
-        return entry
-
-    def out_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, step probabilities)`` of ``node``, swapping its
-        cluster in (with LRU eviction) if needed."""
-        return self.resident_cluster(self.cluster_of(node))[0][node]
-
-    def out_neighbors(self, node: int) -> np.ndarray:
-        """Out-neighbours of ``node``, swapping its cluster in if needed."""
-        return self.out_edges(node)[0]
+        names = ("nodes", "offsets", "targets", "probs")
+        return dict(zip(names, self._fetch_cluster(cluster)))
 
 
 class _PrimePushRun:
@@ -424,14 +442,18 @@ class _PrimePushRun:
         exhaustion — intra-cluster mass bounces without I/O, exported
         mass is deferred to other pools.
 
-        The hot loop runs on plain Python scalars (pre-listed adjacency,
-        list-backed hub/label lookups) and defers every ``scores[t] +=``
-        into one sequential :func:`numpy.add.at` per drain — ``scores``
-        is never *read* during a drain, and ``np.add.at`` applies its
-        updates in element order, so the deferred flush performs the
-        exact same additions in the exact same order as the historical
-        per-edge loop (``tests/oracles.py`` keeps that loop and pins the
-        two bit for bit).
+        The hot loop runs on plain Python scalars (list slices of the
+        :class:`~repro.storage.residency.ResidentCluster` rows,
+        list-backed hub/label lookups) and only *routes* mass.  Scoring
+        is deferred: each expanded row records ``(start, length, base)``
+        and one vectorised pass computes ``alpha * (base * probs)`` over
+        every expanded edge, flushed through one sequential
+        :func:`numpy.add.at` — ``scores`` is never *read* during a
+        drain, the products are the per-edge loop's IEEE operations, and
+        ``np.add.at`` applies its updates in element order, so the flush
+        performs the exact same additions in the exact same order as
+        the historical per-edge loop (``tests/oracles.py`` keeps that
+        loop and pins the two bit for bit).
         """
         cluster, local = self._pending  # type: ignore[misc]
         self._pending = None
@@ -447,29 +469,31 @@ class _PrimePushRun:
         labels_list = graph_store.labels_list
         # One residency resolution per drain: every expanded node lives
         # in the staged cluster, which stays resident throughout.
-        adjacency, adjacency_lists = graph_store.resident_cluster(cluster)
-        score_nodes: list[int] = []
-        score_values: list[float] = []
+        resident = graph_store.resident_cluster(cluster)
+        rows, offsets = resident.rows, resident.offsets
+        targets, probabilities = resident.targets, resident.probs
+        starts: list[int] = []
+        lengths: list[int] = []
+        bases: list[float] = []
         while queue:
             node = queue.popleft()
             mass = local.pop(node, 0.0)
             if mass < epsilon:
                 continue  # sub-threshold remainder: already scored
-            row = adjacency_lists.get(node)
-            if row is None:
-                targets_array, probabilities_array = adjacency[node]
-                row = (targets_array.tolist(), probabilities_array.tolist())
-                adjacency_lists[node] = row
-            targets, probabilities = row
+            row = rows[node]
+            start, end = offsets[row], offsets[row + 1]
             # ((1 - alpha) * mass) * p per edge: the historical loop's
             # left-associated product, bit-identical share by share.
             base = (1.0 - alpha) * mass
-            for target, probability in zip(targets, probabilities):
+            # Every target of the row is scored alpha * share whichever
+            # way it routes; recorded per row, deposited below.
+            starts.append(start)
+            lengths.append(end - start)
+            bases.append(base)
+            for target, probability in zip(
+                targets[start:end], probabilities[start:end]
+            ):
                 share = base * probability
-                # Every target is scored alpha * share whichever way it
-                # routes; the adds are flushed in this exact order below.
-                score_nodes.append(target)
-                score_values.append(alpha * share)
                 if hub_list[target]:
                     border[target] = border.get(target, 0.0) + share
                 elif labels_list[target] == cluster:
@@ -481,8 +505,14 @@ class _PrimePushRun:
                 else:
                     pool = pools.setdefault(labels_list[target], {})
                     pool[target] = pool.get(target, 0.0) + share
-        if score_nodes:
-            np.add.at(self.scores, score_nodes, score_values)
+        if starts:  # else nothing expanded, nothing to deposit
+            counts = np.asarray(lengths)
+            edges = _concat_ranges(np.asarray(starts), counts)
+            np.add.at(
+                self.scores,
+                resident.targets_array[edges],
+                alpha * (np.repeat(bases, counts) * resident.probs_array[edges]),
+            )
 
 
 def _frontier_arrays(frontier: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,10 @@ live here, as oracles: the historical per-edge drain and the per-hub
 scalar splice loop (``repro.core.query.scalar_splice_rounds``, the same
 loop ``FastPPV.query`` runs) fed one ``ppv_store.get`` at a time.  The
 equivalence suite requires bitwise-equal results.
+
+``sharded_over`` puts the router's ``ShardedGraphStore`` over a local
+store through a one-shard in-process fleet, so the same suites drive the
+sharded backend's residency without sockets.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.core.query import (
     StopAfterIterations,
     scalar_splice_rounds,
 )
+from repro.sharding.remote import ShardedGraphStore
 from repro.storage.disk_engine import DiskQueryResult, _PrimePushRun
 
 
@@ -137,4 +142,29 @@ def reference_disk_query(
         cluster_faults=drains,
         hub_reads=hub_reads + hubs_expanded,
         truncated=truncated,
+    )
+
+
+class LocalFleet:
+    """A one-shard ``ShardFleet`` stand-in: answers ``fetch_cluster``
+    from a local store with the shard's wire payload (JSON lists)."""
+
+    num_shards = 1
+
+    def __init__(self, store):
+        self.store = store
+
+    def request(self, shard, body):
+        assert body["verb"] == "fetch_cluster"
+        arrays = self.store.cluster_arrays(body["cluster"])
+        return {name: array.tolist() for name, array in arrays.items()}
+
+
+def sharded_over(store, memory_budget: int = 1) -> ShardedGraphStore:
+    """``store``'s clusters behind a ``ShardedGraphStore``."""
+    return ShardedGraphStore(
+        LocalFleet(store),
+        labels=store.labels,
+        cluster_shards=[0] * store.num_clusters,
+        memory_budget=memory_budget,
     )

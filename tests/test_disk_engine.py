@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import sharded_over
 from repro import (
     FastPPV,
     StopAfterIterations,
@@ -225,11 +226,15 @@ class TestMemoryBudget:
         assert triple.faults < single.faults
         assert triple.faults == 3  # compulsory misses only
 
-    def test_lru_eviction_order(self, small_social, tmp_path):
+    @pytest.mark.parametrize("kind", ["disk", "sharded"])
+    def test_lru_eviction_order(self, small_social, tmp_path, kind):
+        # One LRU (repro.storage.residency) behind both stores.
         assignment = cluster_graph(small_social, 4, seed=2)
         store = DiskGraphStore(
             small_social, assignment, tmp_path / "c", memory_budget=2
         )
+        if kind == "sharded":
+            store = sharded_over(store, memory_budget=2)
         anchors = [
             int(np.nonzero(assignment.labels == c)[0][0]) for c in range(3)
         ]
@@ -243,6 +248,10 @@ class TestMemoryBudget:
         assert store.faults == faults_before
         store.out_neighbors(anchors[1])  # miss (was evicted)
         assert store.faults == faults_before + 1
+        np.testing.assert_array_equal(
+            store.out_neighbors(anchors[1]),
+            small_social.out_neighbors(anchors[1]),
+        )
 
     def test_result_faults_are_drains_store_faults_are_physical(
         self, small_social, small_social_index, tmp_path
