@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.metrics.ranking import top_k_nodes
+
 
 @dataclass
 class BaselineResult:
@@ -29,5 +31,4 @@ class BaselineResult:
         if exclude_query:
             scores = scores.copy()
             scores[self.query] = -np.inf
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return order[:k]
+        return top_k_nodes(scores, k)

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV, prime_ppv
+from repro.metrics.ranking import top_k_nodes
 
 DEFAULT_DELTA = 0.005
 """Border-hub expansion threshold of Algorithm 2, line 9 (Sect. 5.2)."""
@@ -158,8 +159,7 @@ class QueryResult:
         if exclude_query:
             scores = scores.copy()
             scores[self.query] = -np.inf
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return order[:k]
+        return top_k_nodes(scores, k)
 
 
 def scalar_splice_rounds(

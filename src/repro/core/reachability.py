@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA
+from repro.metrics.ranking import top_k_nodes
 
 Tour = tuple[int, ...]
 
@@ -124,14 +125,11 @@ class ReachabilityResult:
     def top_k(self, k: int) -> list[tuple[int, float]]:
         """Top ``k`` (node, score) pairs, score-descending, ties by node.
 
-        Same deterministic order as every other served ranking:
-        ``lexsort`` on (-score, node index).
+        Same deterministic order as every other served ranking
+        (:func:`~repro.metrics.ranking.top_k_nodes`).
         """
-        size = min(int(k), self.scores.shape[0])
-        order = np.lexsort((np.arange(self.scores.shape[0]), -self.scores))
-        return [
-            (int(node), float(self.scores[node])) for node in order[:size]
-        ]
+        order = top_k_nodes(self.scores, int(k))
+        return list(zip(order.tolist(), self.scores[order].tolist()))
 
 
 def reachability_query(

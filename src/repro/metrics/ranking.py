@@ -17,11 +17,26 @@ def top_k_nodes(scores: np.ndarray, k: int = 10) -> np.ndarray:
     The deterministic tie-break matters: approximate vectors contain many
     exactly-equal (often zero) entries, and an unstable order would make
     the metrics noisy.
+
+    Exactly ``np.lexsort((np.arange(n), -scores))[:k]`` — the one ranking
+    every served reply and every metric uses — computed by selection:
+    the k-th best value comes from ``np.partition`` (O(n)), and only the
+    nodes scoring at least that much are sorted.
     """
     scores = np.asarray(scores)
-    k = min(k, scores.size)
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return order[:k]
+    n = scores.size
+    k = max(0, n + k) if k < 0 else min(k, n)  # what ``[:k]`` keeps
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    keys = -scores
+    candidates = np.arange(n)
+    if k < n:
+        kth = np.partition(keys, k - 1)[k - 1]
+        if kth == kth:  # NaN keys rank last and compare false: keep all
+            candidates = np.flatnonzero(keys <= kth)
+    # Candidates ascend by id, so a stable sort on the key alone breaks
+    # ties by node id.
+    return candidates[np.argsort(keys[candidates], kind="stable")[:k]]
 
 
 def kendall_tau(

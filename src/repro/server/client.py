@@ -410,14 +410,17 @@ class PPVClient:
         return self.request({"verb": "swap_index", "path": str(path)})
 
     def fetch_hubs(self, hubs: Sequence[int]) -> dict:
-        """Shard-internal: raw prime-PPV entries of ``hubs`` (see
-        :mod:`repro.sharding`).  Plain servers refuse with ``invalid``."""
+        """Shard-internal: the stored prime-PPV records of ``hubs`` —
+        ``{"<hub>": {"entries", "borders", "payload": base64}}`` (see
+        :mod:`repro.sharding.shard`).  Plain servers refuse with
+        ``invalid``."""
         return self.request(
             {"verb": "fetch_hubs", "hubs": [int(hub) for hub in hubs]}
         )
 
     def fetch_cluster(self, cluster: int) -> dict:
-        """Shard-internal: one graph cluster's adjacency arrays."""
+        """Shard-internal: one graph cluster's stored segment,
+        ``{"segment": base64}``."""
         return self.request({"verb": "fetch_cluster", "cluster": int(cluster)})
 
     def shard_info(self) -> dict:

@@ -58,12 +58,34 @@ Requests
     shard before admissions resume.
   - ``shutdown`` — graceful server shutdown: stop accepting, drain
     in-flight requests, close connections.
-  - ``fetch_hubs`` — shard-internal: return the raw prime-PPV entries
-    of ``hubs`` owned by this shard (:mod:`repro.sharding`).
-  - ``fetch_cluster`` — shard-internal: return one graph cluster's
-    adjacency arrays.
+  - ``fetch_hubs`` — shard-internal: the stored prime-PPV records of
+    ``hubs`` owned by this shard (:mod:`repro.sharding`).
+  - ``fetch_cluster`` — shard-internal: one graph ``cluster``'s stored
+    segment.
   - ``shard_info`` — shard-internal: the shard's partition coordinates
-    (shard id, owned hubs/clusters, index parameters).
+    (shard id, owned hubs/clusters, index parameters, global labels).
+
+  The two data verbs carry each record **as it lies in the shard's
+  store** — little-endian bytes, base64 text inside the ordinary JSON
+  reply — and the router decodes it with the decoder a local read uses:
+
+    =================  ==========================================
+    verb               ``result``
+    =================  ==========================================
+    ``fetch_hubs``     ``{"<hub>": {"entries": n, "borders": m,
+                       "payload": "<base64>"}}`` — ``payload`` is
+                       ``nodes i64[n] | scores f64[n] | border_hubs
+                       i64[m] | border_masses f64[m]``
+                       (:func:`repro.storage.ppv_store.decode_record`)
+    ``fetch_cluster``  ``{"segment": "<base64>"}`` — the cluster's
+                       whole format-2 segment, header included
+                       (:func:`repro.storage.disk_engine.decode_segment`)
+    =================  ==========================================
+
+  The shard verifies a segment against its manifest (length, CRC-32,
+  header) on every read; the router verifies key presence, base64 and
+  the header- / count-implied byte length, and refuses anything else as
+  ``shard_unavailable``.
 
 * ``trace`` — optional distributed-tracing context on ``query`` /
   ``stream`` (and the shard-internal fetch verbs):
@@ -105,6 +127,7 @@ from repro.obs.trace import SpanContext
 from repro.serving.families import (
     UnsupportedFamilyError,
     available_families,
+    ranked_scores,
     resolve_family,
 )
 from repro.serving.spec import QuerySnapshot, QuerySpec
@@ -391,10 +414,7 @@ def render_snapshot(snapshot: QuerySnapshot, top: int) -> dict:
         "iteration": int(snapshot.iteration),
         "l1_error": float(snapshot.l1_error),
         "frontier_size": int(snapshot.frontier_size),
-        "top": [
-            [int(node), float(snapshot.scores[node])]
-            for node in snapshot.top_k(top)
-        ],
+        "top": ranked_scores(snapshot.scores, snapshot.top_k(top)),
     }
     if snapshot.certified is not None:
         frame["certified"] = bool(snapshot.certified)

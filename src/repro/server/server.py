@@ -623,8 +623,8 @@ class PPVServer:
         self._swaps_total.inc()
         return {"swapped": True, "path": path}
 
-    # Shard-internal data verbs: raw hub entries, one cluster's
-    # adjacency, or the shard's partition coordinates.  Served by
+    # Shard-internal data verbs: stored hub records, one cluster's
+    # stored segment, or the shard's partition coordinates.  Served by
     # engines that expose the matching method (the shard engine of
     # :mod:`repro.sharding`); every other backend refuses with
     # ``invalid``.  The payloads can dwarf ``max_line_bytes`` — the line

@@ -171,12 +171,11 @@ class PopularityCache:
                 value=copy_served(value), hits=0, last_used=self._clock
             )
             while len(self._entries) > self.capacity:
-                victim = min(
-                    self._entries,
-                    key=lambda k: (
-                        self._entries[k].hits,
-                        self._entries[k].last_used,
-                    ),
+                # Over .items(): no per-candidate lookup re-hashing a key
+                # tuple.  ``last_used`` is unique, so the minimum is too.
+                victim, _ = min(
+                    self._entries.items(),
+                    key=lambda item: (item[1].hits, item[1].last_used),
                 )
                 del self._entries[victim]
                 self.evictions += 1

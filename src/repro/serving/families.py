@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.batch import batch_safe
 from repro.core.hitting import DEFAULT_BETA, scheduled_hitting
 from repro.core.linearity import combine_results
@@ -107,6 +109,17 @@ def _nodes_from_request(request: dict):
     return nodes
 
 
+def ranked_scores(scores: np.ndarray, nodes: np.ndarray) -> list:
+    """The wire's ranked list ``[[node, score], ...]`` for ``nodes`` in
+    the order given: one gather and one ``tolist`` each, no per-node
+    numpy scalar."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    return [
+        [node, score]
+        for node, score in zip(nodes.tolist(), scores[nodes].tolist())
+    ]
+
+
 def _encode_scored(spec: QuerySpec, result, top: int) -> dict:
     """The PPV-shaped response payload (plain and certified top-k).
 
@@ -125,14 +138,9 @@ def _encode_scored(spec: QuerySpec, result, top: int) -> dict:
     payload["l1_error"] = float(inner.l1_error)
     if hasattr(inner, "certified"):  # certified top-k
         payload["certified"] = bool(inner.certified)
-        payload["top"] = [
-            [int(node), float(inner.scores[node])] for node in inner.nodes
-        ]
+        payload["top"] = ranked_scores(inner.scores, inner.nodes)
     else:
-        payload["top"] = [
-            [int(node), float(inner.scores[node])]
-            for node in inner.top_k(top)
-        ]
+        payload["top"] = ranked_scores(inner.scores, inner.top_k(top))
     return payload
 
 
@@ -524,10 +532,7 @@ class ReachabilityFamily(QueryFamily):
             "max_length": int(result.max_length),
             "alpha": float(result.alpha),
             "truncation_bound": float(result.truncation_bound),
-            "top": [
-                [int(node), float(score)]
-                for node, score in result.top_k(top)
-            ],
+            "top": [list(pair) for pair in result.top_k(top)],
         }
 
 

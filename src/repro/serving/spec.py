@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.linearity import normalise_weights
 from repro.core.query import StoppingCondition, StopAfterIterations
 from repro.core.topk import StopWhenCertified
+from repro.metrics.ranking import top_k_nodes
 
 DEFAULT_ETA = 2
 """Default incremental iterations when a spec names no stopping rule."""
@@ -326,5 +327,4 @@ class QuerySnapshot:
 
     def top_k(self, k: int = 10) -> np.ndarray:
         """Node ids of the ``k`` highest partial scores, best first."""
-        order = np.lexsort((np.arange(self.scores.size), -self.scores))
-        return order[:k]
+        return top_k_nodes(self.scores, k)

@@ -13,13 +13,26 @@ router moves the *data* from them: it runs the ordinary
 two remote stores —
 :class:`ShardedPPVStore` and :class:`ShardedGraphStore` — that fetch
 hub prime PPVs and cluster adjacency from the owning shard processes
-on demand.  JSON round-trips 64-bit floats exactly (the wire suites
-already rely on this), so a fetched payload is bit-identical to a
-local disk read; identical kernel + identical data + identical
-operation order = bitwise-identical results, certified top-k included.
-The shards hold the index — the O(hubs x reachable-nodes) structure
-that dominates memory — while the router holds only bounded caches,
-so capacity scales with the shard count.
+on demand.  A fetch carries the **stored record's own bytes** (base64
+text inside the JSONL reply; see :mod:`repro.sharding.shard` for the
+fields) and the router decodes them with the decoder a local read
+uses — :func:`~repro.storage.ppv_store.decode_record`,
+:func:`~repro.storage.disk_engine.decode_segment` — so a fetched
+payload is a local disk read by construction, dtypes included;
+identical kernel + identical data + identical operation order =
+bitwise-identical results, certified top-k included.  The shards hold
+the index — the O(hubs x reachable-nodes) structure that dominates
+memory — while the router holds only bounded caches, so capacity
+scales with the shard count.
+
+What is verified where: the shard checks every segment it reads
+against its manifest (length, CRC-32, header); the router checks that
+a reply has the expected keys, that the base64 is valid and that the
+byte length is the one the segment header / the hub's two counts
+imply.  There is one payload format and no negotiation — router and
+shards are started together from one tree — so a reply that fails any
+of these is refused as :class:`ShardUnavailableError` naming the shard
+and the verb, the same verdict as a dead shard.
 
 Each shard's hub fan-out per ``get_many`` is **pipelined across
 shards**: one ``fetch_hubs`` request per owning shard goes out on that
@@ -36,6 +49,7 @@ reconnect attempt), which the TCP front-end maps to the structured
 
 from __future__ import annotations
 
+import base64
 import threading
 from typing import Sequence
 
@@ -51,6 +65,8 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.protocol import ShardUnavailableError
+from repro.storage.disk_engine import decode_segment
+from repro.storage.ppv_store import decode_record
 from repro.storage.residency import ClusterResidency
 
 DEFAULT_HUB_CACHE = 256
@@ -232,19 +248,29 @@ class ShardFleet:
         )
 
 
-def _entry_from_payload(hub: int, payload: dict) -> PrimePPV:
-    """Decode one wire hub entry back into a :class:`PrimePPV`.
+# What decoding a reply of the wrong shape raises: a missing key, a
+# value of the wrong JSON type, invalid base64 (``binascii.Error`` is a
+# ``ValueError``) or a byte length the record's counts / header refuse.
+_REPLY_ERRORS = (KeyError, TypeError, ValueError)
 
-    JSON serialises int64/float64 exactly (Python floats print
-    shortest-round-trip), so the arrays rebuilt here are bit-identical
-    to the shard's local disk read.
-    """
-    return PrimePPV(
-        source=int(hub),
-        nodes=np.asarray(payload["nodes"], dtype=np.int64),
-        scores=np.asarray(payload["scores"], dtype=np.float64),
-        border_hubs=np.asarray(payload["border_hubs"], dtype=np.int64),
-        border_masses=np.asarray(payload["border_masses"], dtype=np.float64),
+
+def _undecodable(shard: int, verb: str, error: Exception) -> ShardUnavailableError:
+    return ShardUnavailableError(
+        shard,
+        f"undecodable {verb} reply ({type(error).__name__}: {error}); "
+        "the router expects the stored record's bytes as base64 — router "
+        "and shards must be started from the same tree",
+    )
+
+
+def _entry_from_payload(hub: int, payload: dict) -> PrimePPV:
+    """Decode one ``fetch_hubs`` reply value — the hub's stored record —
+    with the local store's own decoder."""
+    return decode_record(
+        hub,
+        int(payload["entries"]),
+        int(payload["borders"]),
+        base64.b64decode(payload["payload"], validate=True),
     )
 
 
@@ -344,10 +370,14 @@ class ShardedPPVStore:
                     payloads = replies[shard]
                     self.shard_fetches[shard] += len(shard_hubs)
                     self.reads += len(shard_hubs)
-                    for hub in shard_hubs:
-                        entry = _entry_from_payload(
-                            hub, payloads[str(hub)]
-                        )
+                    try:
+                        entries = [
+                            _entry_from_payload(hub, payloads[str(hub)])
+                            for hub in shard_hubs
+                        ]
+                    except _REPLY_ERRORS as error:
+                        raise _undecodable(shard, "fetch_hubs", error) from None
+                    for hub, entry in zip(shard_hubs, entries):
                         self._remember(hub, entry)
                         out[hub] = entry
             return out
@@ -367,8 +397,10 @@ class ShardedGraphStore(ClusterResidency):
     :class:`~repro.storage.residency.ClusterResidency` LRU —
     ``faults`` counts swap-ins, and the cluster-draining push's
     schedule (hence every score) is residency-independent.  A
-    ``fetch_cluster`` reply's JSON lists go to the shared lowering as
-    they are.
+    ``fetch_cluster`` reply is the stored segment's bytes, decoded by
+    :func:`~repro.storage.disk_engine.decode_segment` exactly as
+    :class:`~repro.storage.disk_engine.DiskGraphStore` decodes its own
+    reads, so the shared lowering sees the same four arrays either way.
     """
 
     def __init__(
@@ -400,9 +432,9 @@ class ShardedGraphStore(ClusterResidency):
                 shard, {"verb": "fetch_cluster", "cluster": int(cluster)}
             )
             self.shard_fetches[shard] += 1
-        return (
-            payload["nodes"],
-            payload["offsets"],
-            payload["targets"],
-            payload["probs"],
-        )
+        try:
+            return decode_segment(
+                base64.b64decode(payload["segment"], validate=True)
+            )
+        except _REPLY_ERRORS as error:
+            raise _undecodable(shard, "fetch_cluster", error) from None

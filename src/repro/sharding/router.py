@@ -4,13 +4,14 @@
 :class:`~repro.serving.engines.DiskEngine` with the two stores swapped
 for their remote twins (:mod:`repro.sharding.remote`): the real
 ``DiskFastPPV`` engine runs *at the router*, fetching hub prime PPVs
-and cluster adjacency from shard processes on demand.  Identical kernel + bit-identical data (JSON round-trips
-float64 exactly) + identical operation order make every result —
-multi-node splices through ``combine_results``, certified top-k
-included — bitwise equal to an unsharded disk deployment of the same
-index.  The router bootstraps purely from a ``shard_info`` fan-out, so
-it needs network reachability to the shards, not the partition root's
-filesystem.
+and cluster adjacency from shard processes on demand.  Identical
+kernel + bit-identical data (a fetch ships the stored record's bytes
+and the router decodes them with the local stores' decoders) +
+identical operation order make every result — multi-node splices
+through ``combine_results``, certified top-k included — bitwise equal
+to an unsharded disk deployment of the same index.  The router
+bootstraps purely from a ``shard_info`` fan-out, so it needs network
+reachability to the shards, not the partition root's filesystem.
 
 Put a :class:`~repro.server.PPVServer` in front of a ``PPVService``
 over this engine and you have a shard router speaking the ordinary

@@ -5,15 +5,28 @@ A shard process is an ordinary :class:`~repro.server.PPVServer` worker
 is a :class:`ShardEngine` over one shard directory produced by
 :func:`repro.sharding.partition.partition_index`.  It serves no queries
 of its own — all scoring runs at the router, so every byte a shard
-ships is a verbatim read of its stores — just the three data verbs:
+ships is a verbatim read of its stores — just the three data verbs.
+The two that move data answer with the **stored record as it lies on
+disk**, base64 text inside the ordinary JSONL reply: no array is
+rebuilt, no number is printed, and the router decodes the bytes with
+the decoder a local read uses
+(:func:`repro.storage.ppv_store.decode_record`,
+:func:`repro.storage.disk_engine.decode_segment`).
 
 ``fetch_hubs``
-    Raw prime-PPV entries (``nodes`` / ``scores`` / ``border_hubs`` /
-    ``border_masses``) of the requested owned hubs.
+    ``{"<hub>": {"entries": n, "borders": m, "payload": "<base64>"}}``
+    per requested owned hub: the hub's two directory counts and its
+    ``16 * (n + m)`` payload bytes (``nodes i64[n] | scores f64[n] |
+    border_hubs i64[m] | border_masses f64[m]``, little-endian — the
+    layout of :mod:`repro.storage.ppv_store`).
 ``fetch_cluster``
-    One owned cluster's stored adjacency arrays (``nodes`` /
-    ``offsets`` / ``targets`` / ``probs``), bypassing the LRU — a
-    fetch is a read of the stored bytes, not a swap-in.
+    ``{"segment": "<base64>"}``: one owned cluster's whole format-2
+    segment, header included (``members u64 | edges u64 | nodes
+    i64[members] | offsets i64[members + 1] | probs f64[edges] |
+    targets i32[edges]`` — the layout of
+    :mod:`repro.storage.disk_engine`), length- and CRC-32-checked
+    against the shard's manifest on every read and bypassing the LRU —
+    a fetch is a read of the stored bytes, not a swap-in.
 ``shard_info``
     The shard's partition coordinates (from ``shard.json``) plus the
     global cluster labels, from which the router bootstraps without
@@ -27,6 +40,7 @@ seekable file handles that must not interleave.
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 from pathlib import Path
@@ -38,18 +52,20 @@ from repro.storage.ppv_store import DiskPPVStore
 from repro.sharding.partition import SHARD_META_NAME
 
 
-def _encode_entry(entry) -> dict:
-    """One :class:`~repro.core.prime.PrimePPV` as JSON-able arrays.
-
-    ``tolist`` yields Python ints/floats and JSON prints floats
-    shortest-round-trip, so the router's decode is bit-exact.
-    """
+def encode_record(entries: int, borders: int, payload: bytes) -> dict:
+    """One hub's stored record (:meth:`DiskPPVStore.read_record`) as a
+    ``fetch_hubs`` reply value."""
     return {
-        "nodes": entry.nodes.tolist(),
-        "scores": entry.scores.tolist(),
-        "border_hubs": entry.border_hubs.tolist(),
-        "border_masses": entry.border_masses.tolist(),
+        "entries": entries,
+        "borders": borders,
+        "payload": base64.b64encode(payload).decode("ascii"),
     }
+
+
+def encode_segment(segment: bytes) -> dict:
+    """One stored cluster segment (:meth:`DiskGraphStore.read_segment`)
+    as the ``fetch_cluster`` reply."""
+    return {"segment": base64.b64encode(segment).decode("ascii")}
 
 
 class ShardEngine:
@@ -121,29 +137,25 @@ class ShardEngine:
     # Data verbs
 
     def fetch_hubs(self, hubs) -> dict:
-        """Raw prime-PPV entries of ``hubs``, keyed by hub id (as JSON
-        string keys on the wire).
+        """Stored records of ``hubs``, keyed by hub id (as JSON string
+        keys on the wire).
 
         Raises :class:`KeyError` for a hub this shard does not own —
         the front-end renders that as a structured ``invalid`` error.
         """
         with self._lock:
-            entries = self.ppv_store.get_many(hubs)
-        return {str(hub): _encode_entry(entry) for hub, entry in entries.items()}
+            records = self.ppv_store.read_records(hubs)
+        return {str(hub): encode_record(*record) for hub, record in records.items()}
 
     def fetch_cluster(self, cluster: int) -> dict:
-        """One owned cluster's stored adjacency arrays.
+        """One owned cluster's stored segment.
 
-        Raises :class:`ValueError` for a cluster stored elsewhere.
+        Raises :class:`ValueError` for a cluster stored elsewhere, or a
+        segment that fails its length / CRC-32 check.
         """
         with self._lock:
-            arrays = self.graph_store.cluster_arrays(int(cluster))
-        return {
-            "nodes": arrays["nodes"].tolist(),
-            "offsets": arrays["offsets"].tolist(),
-            "targets": arrays["targets"].tolist(),
-            "probs": arrays["probs"].tolist(),
-        }
+            segment = self.graph_store.read_segment(int(cluster))
+        return encode_segment(segment)
 
     def shard_info(self) -> dict:
         """Partition coordinates + global labels for router bootstrap."""

@@ -113,6 +113,43 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
+def _header_implied_size(data: bytes) -> int:
+    """Byte length a segment's own header says it has (-1 when ``data``
+    is too short to hold a header)."""
+    if len(data) < _SEGMENT_HEADER.size:
+        return -1
+    members, edges = _SEGMENT_HEADER.unpack_from(data)
+    return _SEGMENT_HEADER.size + 8 * members + 8 * (members + 1) + 12 * edges
+
+
+def decode_segment(data: bytes):
+    """One format-2 segment → ``(nodes i64, offsets i64, targets i32,
+    probs f64)`` views over ``data``: the only decoder of the segment
+    layout, whether the bytes come from a local read or out of a
+    shard's ``fetch_cluster`` reply.
+
+    Raises :class:`ValueError` when ``data`` is not the length its
+    header implies, so no view can run past the buffer.  An edge-less
+    cluster decodes to empty ``targets`` / ``probs`` of those dtypes.
+    """
+    if len(data) != _header_implied_size(data):
+        raise ValueError(
+            f"a cluster segment of {len(data)} bytes disagrees with the "
+            "length its header implies"
+        )
+    members, edges = _SEGMENT_HEADER.unpack_from(data)
+    nodes_at = _SEGMENT_HEADER.size
+    offsets_at = nodes_at + 8 * members
+    probs_at = offsets_at + 8 * (members + 1)
+    targets_at = probs_at + 8 * edges
+    return (
+        np.frombuffer(data, "<i8", members, nodes_at),
+        np.frombuffer(data, "<i8", members + 1, offsets_at),
+        np.frombuffer(data, "<i4", edges, targets_at),
+        np.frombuffer(data, "<f8", edges, probs_at),
+    )
+
+
 class DiskGraphStore(ClusterResidency):
     """A graph segmented into per-cluster files with a bounded cache.
 
@@ -288,8 +325,11 @@ class DiskGraphStore(ClusterResidency):
         """Total on-disk size of all stored clusters."""
         return sum(size for size, _ in self._segments.values())
 
-    def _fetch_cluster(self, cluster: int):
-        """One physical, verified read of ``cluster``'s segment."""
+    def read_segment(self, cluster: int) -> bytes:
+        """One physical, verified read of ``cluster``'s segment: the
+        stored bytes, checked against the manifest (length, CRC-32) and
+        their own header.  :func:`decode_segment` turns them into
+        arrays; a shard ships them as they are."""
         if cluster not in self._segments:
             raise ValueError(
                 f"cluster {cluster} is not stored here (partial store "
@@ -305,25 +345,19 @@ class DiskGraphStore(ClusterResidency):
             data = b""  # shorter than any segment: refused below
         self.bytes_read += len(data)
         size, crc = self._segments[cluster]
-        intact = len(data) == size and zlib.crc32(data) == crc
-        if intact:
-            members, edges = _SEGMENT_HEADER.unpack_from(data)
-            nodes_at = _SEGMENT_HEADER.size
-            offsets_at = nodes_at + 8 * members
-            probs_at = offsets_at + 8 * (members + 1)
-            targets_at = probs_at + 8 * edges
-            intact = size == targets_at + 4 * edges
-        if not intact:
+        if not (
+            len(data) == size
+            and zlib.crc32(data) == crc
+            and size == _header_implied_size(data)
+        ):
             raise ValueError(
                 f"{path}: missing or corrupt cluster segment (length, header "
                 f"or CRC-32 disagrees with manifest.json); {_REBUILD}"
             )
-        return (
-            np.frombuffer(data, "<i8", members, nodes_at),
-            np.frombuffer(data, "<i8", members + 1, offsets_at),
-            np.frombuffer(data, "<i4", edges, targets_at),
-            np.frombuffer(data, "<f8", edges, probs_at),
-        )
+        return data
+
+    def _fetch_cluster(self, cluster: int):
+        return decode_segment(self.read_segment(cluster))
 
     def cluster_arrays(self, cluster: int) -> dict:
         """One stored cluster's raw arrays (``nodes`` / ``offsets`` /

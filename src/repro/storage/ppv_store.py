@@ -13,6 +13,14 @@ Layout (little-endian throughout)::
 The fixed-width directory is read once and kept in memory (it is tiny:
 32 bytes per hub); each :meth:`DiskPPVStore.get` then costs exactly one
 seek + read — the "one random access to the disk" of Sect. 6.3.1.
+
+A hub's *record* is its two directory counts plus its payload bytes.
+Reading one (:meth:`DiskPPVStore.read_record` — the seek + read, the
+``ppv_store.read`` fault site, the ``reads`` / ``bytes_read``
+accounting) and decoding one (:func:`decode_record`, bytes → arrays)
+are separate so a shard process can ship the stored bytes verbatim and
+the router decodes them with the same function a local read uses
+(:mod:`repro.sharding`).
 """
 
 from __future__ import annotations
@@ -79,6 +87,41 @@ def _read_header(handle) -> tuple[float, float, float, int, int]:
     return alpha, epsilon, clip, num_nodes, num_hubs
 
 
+def decode_record(
+    hub: int, entries: int, borders: int, payload: bytes
+) -> PrimePPV:
+    """One hub's stored record → :class:`PrimePPV`: the only decoder of
+    the payload layout, whether the bytes come from a local read or out
+    of a shard's ``fetch_hubs`` reply.
+
+    Raises :class:`ValueError` when ``payload`` is not the
+    ``16 * (entries + borders)`` bytes the counts imply (a truncated
+    file, a damaged reply).  Zero counts decode to empty arrays of the
+    stated dtypes.
+    """
+    if entries < 0 or borders < 0 or len(payload) != 16 * (entries + borders):
+        raise ValueError(
+            f"hub {hub}: a record of {entries} entries and {borders} "
+            f"borders is {16 * (entries + borders)} payload bytes, "
+            f"not {len(payload)}"
+        )
+    nodes = np.frombuffer(payload, dtype="<i8", count=entries, offset=0)
+    scores = np.frombuffer(payload, dtype="<f8", count=entries, offset=8 * entries)
+    border_hubs = np.frombuffer(
+        payload, dtype="<i8", count=borders, offset=16 * entries
+    )
+    border_masses = np.frombuffer(
+        payload, dtype="<f8", count=borders, offset=16 * entries + 8 * borders
+    )
+    return PrimePPV(
+        source=int(hub),
+        nodes=nodes.astype(np.int64),
+        scores=scores.astype(np.float64),
+        border_hubs=border_hubs.astype(np.int64),
+        border_masses=border_masses.astype(np.float64),
+    )
+
+
 class DiskPPVStore:
     """Lazy reader over a saved index: one disk access per hub fetch.
 
@@ -139,33 +182,21 @@ class DiskPPVStore:
             self._hub_list = self.hub_mask.tolist()
         return self._hub_list
 
-    def get(self, hub: int) -> PrimePPV:
-        """Fetch one hub's prime PPV from disk (one seek + read)."""
+    def read_record(self, hub: int) -> tuple[int, int, bytes]:
+        """One hub's stored record — ``(entries, borders, payload)`` —
+        with one seek + read; :func:`decode_record` turns it into
+        arrays.  Raises :class:`KeyError` for a hub not stored here."""
         if self.fault_plan is not None:
             self.fault_plan.fire("ppv_store.read", hub=int(hub))
         offset, entries, borders = self._directory[int(hub)]
         self._handle.seek(offset)
         payload = self._handle.read(16 * entries + 16 * borders)
         self.bytes_read += len(payload)
-        nodes = np.frombuffer(payload, dtype="<i8", count=entries, offset=0)
-        scores = np.frombuffer(payload, dtype="<f8", count=entries, offset=8 * entries)
-        border_hubs = np.frombuffer(
-            payload, dtype="<i8", count=borders, offset=16 * entries
-        )
-        border_masses = np.frombuffer(
-            payload, dtype="<f8", count=borders, offset=16 * entries + 8 * borders
-        )
         self.reads += 1
-        return PrimePPV(
-            source=int(hub),
-            nodes=nodes.astype(np.int64),
-            scores=scores.astype(np.float64),
-            border_hubs=border_hubs.astype(np.int64),
-            border_masses=border_masses.astype(np.float64),
-        )
+        return entries, borders, payload
 
-    def get_many(self, hubs) -> "dict[int, PrimePPV]":
-        """Fetch several hubs' prime PPVs, one read per *unique* hub.
+    def read_records(self, hubs) -> "dict[int, tuple[int, int, bytes]]":
+        """Stored records of several hubs, one read per *unique* hub.
 
         Reads are issued in file-offset order, so a batch prefetch
         degrades into one forward sweep over the payload region instead
@@ -175,7 +206,19 @@ class DiskPPVStore:
         unique = sorted(
             {int(hub) for hub in hubs}, key=lambda hub: self._directory[hub][0]
         )
-        return {hub: self.get(hub) for hub in unique}
+        return {hub: self.read_record(hub) for hub in unique}
+
+    def get(self, hub: int) -> PrimePPV:
+        """Fetch one hub's prime PPV from disk (one seek + read)."""
+        return decode_record(hub, *self.read_record(hub))
+
+    def get_many(self, hubs) -> "dict[int, PrimePPV]":
+        """Fetch several hubs' prime PPVs: :meth:`read_records`
+        (offset-ordered, one read per unique hub), decoded."""
+        return {
+            hub: decode_record(hub, *record)
+            for hub, record in self.read_records(hubs).items()
+        }
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:

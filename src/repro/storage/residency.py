@@ -4,8 +4,10 @@ the bounded LRU that holds it (Sect. 5.3's "one cluster in memory").
 Written once for every cluster-segmented graph store: the local
 :class:`~repro.storage.disk_engine.DiskGraphStore` reads segments from
 disk, :class:`~repro.sharding.remote.ShardedGraphStore` fetches them
-from shard processes; both only supply the four CSR sequences of a
-cluster and inherit lowering, LRU and adjacency lookups from here.
+from shard processes; both decode the same stored bytes with
+:func:`~repro.storage.disk_engine.decode_segment`, supply the four CSR
+arrays of a cluster and inherit lowering, LRU and adjacency lookups
+from here.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ class ResidentCluster:
     )
 
     def __init__(self, nodes, offsets, targets, probs) -> None:
-        # Every dtype is stated here, whatever the source hands over
-        # (segment views, a wire reply's lists): an edge-less cluster's
-        # empty list has none of its own, and the drain indexes with
-        # ``targets_array``.
+        # The resident dtypes are stated here: segments store targets
+        # as int32, the drain indexes with an int64 ``targets_array``.
         self.targets_array = np.asarray(targets, dtype=np.int64)
         self.probs_array = np.asarray(probs, dtype=np.float64)
         self.offsets = np.asarray(offsets, dtype=np.int64).tolist()
@@ -54,8 +54,8 @@ class ClusterResidency:
     graph store is apart from where its segments come from.
 
     Subclasses supply :meth:`_fetch_cluster`: the ``(nodes, offsets,
-    targets, probs)`` sequences (arrays or lists) of one cluster;
-    :class:`ResidentCluster` fixes their dtypes.
+    targets, probs)`` arrays of one cluster, as
+    :func:`~repro.storage.disk_engine.decode_segment` returns them.
     ``faults`` counts swap-ins; at most ``memory_budget`` clusters are
     resident, least recently used evicted first.
     """

@@ -10,12 +10,15 @@ loop ``FastPPV.query`` runs) fed one ``ppv_store.get`` at a time.  The
 equivalence suite requires bitwise-equal results.
 
 ``sharded_over`` puts the router's ``ShardedGraphStore`` over a local
-store through a one-shard in-process fleet, so the same suites drive the
-sharded backend's residency without sockets.
+store through a one-shard in-process fleet that answers with
+``ShardEngine``'s own replies, so the same suites drive the sharded
+backend's residency — and its wire decode — without sockets.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 import time
 from collections import deque
 
@@ -25,7 +28,9 @@ from repro.core.query import (
     StopAfterIterations,
     scalar_splice_rounds,
 )
+from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
+from repro.sharding.shard import ShardEngine
 from repro.storage.disk_engine import DiskQueryResult, _PrimePushRun
 
 
@@ -145,25 +150,44 @@ def reference_disk_query(
     )
 
 
+class StoreShard(ShardEngine):
+    """``ShardEngine``'s two data verbs over already-open stores (a
+    shard directory is not needed to run its encoders)."""
+
+    def __init__(self, graph_store=None, ppv_store=None):
+        self._lock = threading.Lock()
+        self.graph_store = graph_store
+        self.ppv_store = ppv_store
+
+
 class LocalFleet:
-    """A one-shard ``ShardFleet`` stand-in: answers ``fetch_cluster``
-    from a local store with the shard's wire payload (JSON lists)."""
+    """An in-process ``ShardFleet`` stand-in: shard ``s`` is
+    ``engines[s]`` (``ShardEngine`` objects), and every reply is what
+    that engine's own ``fetch_hubs`` / ``fetch_cluster`` answers, put
+    through the wire's JSON codec — so the remote stores decode here
+    exactly what they decode off a socket."""
 
-    num_shards = 1
-
-    def __init__(self, store):
-        self.store = store
+    def __init__(self, engines):
+        self.engines = list(engines)
+        self.num_shards = len(self.engines)
 
     def request(self, shard, body):
-        assert body["verb"] == "fetch_cluster"
-        arrays = self.store.cluster_arrays(body["cluster"])
-        return {name: array.tolist() for name, array in arrays.items()}
+        engine = self.engines[shard]
+        if body["verb"] == "fetch_cluster":
+            reply = engine.fetch_cluster(body["cluster"])
+        else:
+            assert body["verb"] == "fetch_hubs"
+            reply = engine.fetch_hubs(body["hubs"])
+        return json.loads(protocol.encode(reply))
+
+    def request_many(self, bodies):
+        return {shard: self.request(shard, body) for shard, body in bodies.items()}
 
 
 def sharded_over(store, memory_budget: int = 1) -> ShardedGraphStore:
     """``store``'s clusters behind a ``ShardedGraphStore``."""
     return ShardedGraphStore(
-        LocalFleet(store),
+        LocalFleet([StoreShard(graph_store=store)]),
         labels=store.labels,
         cluster_shards=[0] * store.num_clusters,
         memory_budget=memory_budget,

@@ -7,6 +7,7 @@ command, locally and through a shard's ``fetch_cluster``."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.server import protocol
 from repro.sharding import partition_index, shard_dir_name
 from repro.sharding.shard import ShardEngine
 from repro.storage import ClusterAssignment, DiskGraphStore
+from repro.storage.disk_engine import decode_segment
 
 # Node 5 has no out-edges; cluster 2 has no members.
 EDGES = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 5), (6, 0)]
@@ -158,7 +160,8 @@ def _read_through_shard(directory) -> int:
     (``directory`` is ``SHARD/graph``; the engine opens ``SHARD``)."""
     engine = ShardEngine(directory.parent)
     try:
-        return len(engine.fetch_cluster(0)["nodes"])
+        segment = base64.b64decode(engine.fetch_cluster(0)["segment"])
+        return len(decode_segment(segment)[0])
     finally:
         engine.close()
 

@@ -9,8 +9,8 @@ against the per-edge oracle of ``oracles.py``, byte for byte, together
 with the dict orders downstream code iterates (``border``) and the
 deterministic accounting.  Every case runs on both residencies: the
 local ``DiskGraphStore`` (segment views) and the router's
-``ShardedGraphStore`` (a wire reply's JSON lists — an edge-less
-cluster arrives as ``[]``).
+``ShardedGraphStore`` (the same segment decoded out of a
+``ShardEngine.fetch_cluster`` reply — ``oracles.LocalFleet``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.result import BaselineResult
+from repro.core.query import QueryResult
+from repro.core.reachability import ReachabilityResult
 from repro.metrics import (
     AccuracyReport,
     evaluate_accuracy,
@@ -13,6 +18,7 @@ from repro.metrics import (
     rag,
     top_k_nodes,
 )
+from repro.serving.spec import QuerySnapshot
 
 
 class TestTopK:
@@ -26,6 +32,79 @@ class TestTopK:
 
     def test_k_larger_than_n(self):
         assert top_k_nodes(np.array([1.0, 2.0]), 10).size == 2
+
+
+def _full_sort_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The ranking's definition: a full sort, then the first ``k``."""
+    return np.lexsort((np.arange(scores.size), -scores))[:k]
+
+
+# Few distinct values (signed zeros and infinities among them), so
+# almost every vector is mostly ties — the k-th value is usually shared.
+_TIED_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, -np.inf]),
+    max_size=24,
+).map(lambda values: np.array(values, dtype=np.float64))
+_ANY_SCORES = st.lists(
+    st.floats(allow_nan=False, width=64), max_size=24
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+class TestTopKSelectionIsTheFullSort:
+    """``top_k_nodes`` selects instead of sorting everything; the order
+    it returns — ties by node id included — must be the full sort's."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(scores=st.one_of(_TIED_SCORES, _ANY_SCORES), data=st.data())
+    def test_equals_the_lexsort_oracle(self, scores, data):
+        n = scores.size
+        edge_ks = [0, 1, n - 1, n, n + 5]
+        k = data.draw(st.one_of(st.sampled_from(edge_ks), st.integers(-3, n + 5)))
+        got = top_k_nodes(scores, k)
+        expected = _full_sort_top_k(scores, k)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_all_equal_vectors_rank_by_node_id(self, n):
+        for k in (0, 1, n - 1, n, n + 5):
+            got = top_k_nodes(np.full(n, 0.5), k)
+            assert got.tolist() == _full_sort_top_k(np.full(n, 0.5), k).tolist()
+            if k >= 0:
+                assert got.tolist() == list(range(min(k, n)))
+
+    def test_nan_scores_rank_last_like_the_full_sort(self):
+        scores = np.array([np.nan, 0.5, np.nan, 0.5, 0.1])
+        for k in range(7):
+            assert (
+                top_k_nodes(scores, k).tolist()
+                == _full_sort_top_k(scores, k).tolist()
+            )
+
+    def test_every_result_ranking_delegates_to_it(self):
+        scores = np.array([0.5, 0.0, 0.5, 0.25, 0.0, 0.25, 0.5])
+        k, query = 5, 0
+        expected = _full_sort_top_k(scores, k).tolist()
+        without_query = scores.copy()
+        without_query[query] = -np.inf
+        expected_excluding = _full_sort_top_k(without_query, k).tolist()
+        served = QueryResult(query=query, scores=scores, iterations=0)
+        baseline = BaselineResult(query=query, scores=scores, seconds=0.0)
+        for result in (served, baseline):
+            assert result.top_k(k).tolist() == expected
+            assert result.top_k(k, exclude_query=True).tolist() == expected_excluding
+        snapshot = QuerySnapshot(
+            iteration=0, l1_error=0.0, frontier_size=0, scores=scores
+        )
+        assert snapshot.top_k(k).tolist() == expected
+        reach = ReachabilityResult(
+            query=query, max_length=3, alpha=0.15, scores=scores
+        )
+        assert reach.top_k(k) == [(node, float(scores[node])) for node in expected]
+        assert all(
+            type(node) is int and type(score) is float
+            for node, score in reach.top_k(k)
+        )
 
 
 class TestKendall:

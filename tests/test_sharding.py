@@ -12,6 +12,7 @@ the router's stats aggregation.
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 import time
@@ -322,8 +323,11 @@ class TestRoleSeparation:
                 assert "shard router" in str(excinfo.value)
                 hub = entry["hubs"][0]
                 payload = client.fetch_hubs([hub])
-                assert str(hub) in payload
-                assert payload[str(hub)]["nodes"]
+                record = payload[str(hub)]
+                assert record["entries"] > 0
+                assert len(base64.b64decode(record["payload"])) == 16 * (
+                    record["entries"] + record["borders"]
+                )
                 # Hubs and clusters owned elsewhere are refused, not 404'd
                 # into a hang.
                 foreign_hub = manifest["shards"][1]["hubs"][0]

@@ -15,19 +15,31 @@ left the wire unchanged; the only additions since are the three
 ``metrics``.  ``unavailable``, ``shard_unavailable`` and ``internal``
 need a race or a dying process and are covered in ``test_server.py`` /
 ``test_sharding.py`` instead.
+
+The three shard-internal data verbs are *refused* by that memory
+server; their success replies are pinned by a second transcript against
+a shard process's engine over a tiny hand-built shard directory, whose
+stored records are spelled out next to the base64 the wire carries.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
+import struct
 
+import numpy as np
 import pytest
 
+from repro import from_edges
+from repro.core.index import PPVIndex
+from repro.core.prime import PrimePPV
 from repro.obs import Observability
 from repro.server import PPVServer, ServerConfig, protocol
 from repro.serving import PPVService
-from repro.storage import save_index
+from repro.sharding import ShardEngine, partition_index, shard_dir_name
+from repro.storage import ClusterAssignment, save_index
 
 MAX_LINE_BYTES = 256
 
@@ -481,3 +493,101 @@ def test_every_verb_and_error_code_byte_for_byte(wire):
     sock.sendall(b'{"id":29,"verb":"shutdown"}\n')
     assert reader.readline() == b'{"v":1,"id":29,"ok":true}\n'
     assert reader.readline() == b""  # drained and closed, nothing extra
+
+
+# --------------------------------------------------------------------- #
+# The shard data verbs, served
+
+# Stored records of the hand-built shard below, as they lie on disk
+# (little-endian) — and so as ``fetch_hubs`` / ``fetch_cluster`` ship them.
+HUB_1_RECORD = struct.pack(
+    "<3q3dqd", 0, 1, 2, 0.5, 0.25, 0.125, 2, 0.375
+)  # nodes | scores | border_hubs | border_masses
+HUB_2_RECORD = struct.pack("<qd", 2, 0.15)  # one entry, no border
+CLUSTER_0_SEGMENT = struct.pack(
+    "<2Q2q3q3d3i", 2, 3, 0, 1, 0, 2, 3, 0.5, 0.5, 1.0, 1, 2, 0
+)  # members, edges | nodes | offsets | probs | targets
+CLUSTER_1_SEGMENT = struct.pack("<2Qq2q", 1, 0, 2, 0, 0)  # node 2: no edge
+
+SHARD_TRANSCRIPT = [
+    (
+        b'{"id":1,"verb":"shard_info"}',
+        _ok(
+            1,
+            b'{"shard":0,"num_shards":1,"num_nodes":3,"num_clusters":2,'
+            b'"alpha":0.15,"epsilon":1e-08,"clip":0.0,"cluster_shards":[0,0],'
+            b'"clusters":[0,1],"hubs":[1,2],"labels":[0,0,1]}',
+        ),
+    ),
+    (
+        b'{"id":2,"verb":"fetch_hubs","hubs":[2,1]}',
+        _ok(
+            2,
+            b'{"1":{"entries":3,"borders":1,"payload":"AAAAAAAAAAABAAAAAAAAAAI'
+            b"AAAAAAAAAAAAAAAAA4D8AAAAAAADQPwAAAAAAAMA/AgAAAAAAAAAAAAAAAADYPw"
+            b'=="},"2":{"entries":1,"borders":0,'
+            b'"payload":"AgAAAAAAAAAzMzMzMzPDPw=="}}',
+        ),
+    ),
+    (
+        b'{"id":3,"verb":"fetch_cluster","cluster":0}',
+        _ok(
+            3,
+            b'{"segment":"AgAAAAAAAAADAAAAAAAAAAAAAAAAAAAAAQAAAAAAAAAAAAAAAAAA'
+            b"AAIAAAAAAAAAAwAAAAAAAAAAAAAAAADgPwAAAAAAAOA/AAAAAAAA8D8BAAAAAgAA"
+            b'AAAAAAA="}',
+        ),
+    ),
+    (
+        b'{"id":4,"verb":"fetch_cluster","cluster":1}',
+        _ok(
+            4,
+            b'{"segment":"AQAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+            b'AA=="}',
+        ),
+    ),
+]
+
+
+def ints(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def reals(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+def test_shard_data_verbs_byte_for_byte(tmp_path):
+    graph = from_edges([(0, 1), (0, 2), (1, 0)], num_nodes=3)
+    # Hub entries with dyadic values, not computed ones: the reply bytes
+    # depend on nothing but the store formats and the wire.
+    index = PPVIndex(
+        alpha=0.15, epsilon=1e-8, clip=0.0,
+        hub_mask=np.array([False, True, True]),
+        entries={
+            1: PrimePPV(1, ints(0, 1, 2), reals(0.5, 0.25, 0.125),
+                        ints(2), reals(0.375)),
+            2: PrimePPV(2, ints(2), reals(0.15), ints(), reals()),
+        },
+    )
+    assignment = ClusterAssignment(
+        anchors=np.array([0, 2]), labels=np.array([0, 0, 1])
+    )
+    partition_index(graph, index, 1, tmp_path, assignment=assignment)
+    engine = ShardEngine(tmp_path / shard_dir_name(0))
+    with PPVService(engine, cache_size=0) as service:
+        with PPVServer(service).background() as address:
+            with socket.create_connection(address, timeout=30) as sock:
+                with sock.makefile("rb") as reader:
+                    replies = []
+                    for request, expected in SHARD_TRANSCRIPT:
+                        sock.sendall(request + b"\n")
+                        replies.append(reader.readline())
+                        assert replies[-1] == expected, request
+    # The base64 in those literals is the stored record, verbatim.
+    hubs = json.loads(replies[1])["result"]
+    assert base64.b64decode(hubs["1"]["payload"]) == HUB_1_RECORD
+    assert base64.b64decode(hubs["2"]["payload"]) == HUB_2_RECORD
+    for reply, segment in ((replies[2], CLUSTER_0_SEGMENT),
+                           (replies[3], CLUSTER_1_SEGMENT)):
+        assert base64.b64decode(json.loads(reply)["result"]["segment"]) == segment
