@@ -8,7 +8,7 @@ The subcommands cover the offline/online lifecycle end to end::
     repro query graph.txt graph.fppv 42 --top 10 --eta 2
     repro query graph.txt graph.fppv 42 7 19
     repro query graph.txt graph.fppv 42 7 19 --top-k 10
-    repro disk-query graph.txt graph.fppv 42 7 19 --clusters 12
+    repro query graph.txt graph.fppv 42 7 19 --backend disk --clusters 12
     repro serve graph.txt graph.fppv --requests requests.jsonl
     repro serve graph.txt graph.fppv --tcp 127.0.0.1:7474 --workers 4
     repro shard-index graph.txt graph.fppv --shards 3 --out parts/
@@ -19,20 +19,22 @@ The subcommands cover the offline/online lifecycle end to end::
     repro trace 127.0.0.1:7474 0123456789abcdef
     repro autotune graph.txt
 
-All online subcommands run through the :class:`~repro.serving.PPVService`
-façade: ``query`` and ``disk-query`` submit their nodes as one burst (so
-multi-node invocations coalesce into the batched sparse-matrix / cluster
--grouped disk engine automatically), and ``serve`` keeps a service open
-over a JSONL request loop — on stdin/stdout by default (each input line
-is a request, responses are emitted in request order at every blank
+``query`` and ``serve`` are the online subcommands and share one
+bootstrap (:func:`_deployment`): GRAPH, INDEX, ``--backend`` and the
+disk options become a :class:`~repro.serving.PPVService` factory.
+``--backend disk`` replays the Sect. 5.3 reduced-memory deployment
+(cluster-segmented graph, on-disk PPV index) and every result then
+reports the cluster faults and hub reads it paid.  ``query`` submits its
+nodes as one burst, so multi-node invocations coalesce into engine
+batches; ``--top-k K`` switches to certified top-k serving: each query
+runs until its top set is provably exact.  ``serve`` keeps a service
+open over a JSONL request loop — on stdin/stdout by default (each input
+line is a request, responses are emitted in request order at every blank
 line or at end of input), or over the network with ``--tcp HOST:PORT``
-(the :mod:`repro.server` asyncio front-end; add ``--workers N`` to
-pre-fork N serving processes sharing the port).  Concurrent batches
-share the scheduler's coalescing and popularity cache either way.  ``query
---top-k K`` switches to certified top-k serving: each query runs until
-its top set is provably exact.  ``disk-query`` replays the Sect. 5.3
-reduced-memory deployment (cluster-segmented graph, on-disk PPV index)
-and reports the cluster faults and hub reads every query paid.
+(the :mod:`repro.server` asyncio front-end; ``--workers N`` pre-forks N
+serving processes sharing the port, ``--shards`` / ``--shard-map`` front
+a shard fleet).  A missing file or an unusable value ends any subcommand
+with ``error: ...`` on stderr and exit status 2 (:func:`main`).
 
 Graphs travel as whitespace edge lists (the SNAP convention), indexes as
 the binary ``.fppv`` format of :mod:`repro.storage.ppv_store`.
@@ -46,36 +48,120 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager, nullcontext
 from typing import Sequence
 
 from repro.core.autotune import autotune_hub_count
 from repro.core.hubs import HubPolicy, select_hubs
 from repro.core.index import build_index
-from repro.core.query import (
-    StopAfterIterations,
-    StopAfterTime,
-    StopAtL1Error,
-    any_of,
-)
 from repro.graph.analysis import graph_stats
 from repro.graph.generators import bibliographic_graph, erdos_renyi_graph, social_graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.serving import PPVService, QuerySpec
 from repro.serving.spec import DEFAULT_TOPK_BUDGET
-from repro.storage.ppv_store import load_index, save_index
+from repro.storage.ppv_store import DiskPPVStore, load_index, save_index
+
+DEFAULT_CLUSTERS = 8
+"""``--backend disk``'s cluster count when ``--clusters`` is not given."""
 
 
-def _index_mismatch(covered: int, graph) -> bool:
-    """Report (on stderr) an index built for a different graph; every
-    subcommand that pairs GRAPH with INDEX exits 2 on ``True``."""
-    if covered == graph.num_nodes:
-        return False
-    print(
-        f"error: index covers {covered} nodes but the graph has "
-        f"{graph.num_nodes}",
-        file=sys.stderr,
+def _read_graph(args: argparse.Namespace):
+    """GRAPH, once INDEX is known to cover it.
+
+    The one place a subcommand that pairs the two reads the edge list
+    and checks the pair — against the ``.fppv`` header alone, so a
+    mismatch is a ``ValueError`` before the index is loaded or any
+    clustering or partitioning is paid for.
+    """
+    with DiskPPVStore(args.index) as header:
+        covered = header.num_nodes
+    graph = read_edge_list(args.graph, undirected=args.undirected)
+    if covered != graph.num_nodes:
+        raise ValueError(
+            f"index covers {covered} nodes but the graph has "
+            f"{graph.num_nodes}"
+        )
+    return graph
+
+
+@contextmanager
+def _deployment(args: argparse.Namespace):
+    """GRAPH, INDEX, ``--backend`` and the disk options as a service
+    factory: yields ``open_service(**service_kwargs) -> PPVService``.
+
+    ``query`` and ``serve`` both start here.  For the disk backend this
+    clusters the graph and writes the segment directory once; a
+    directory the user did not name with ``--workdir`` is a temp dir
+    that lives exactly as long as the ``with`` block.
+    """
+    graph = _read_graph(args)
+    if args.backend == "memory":
+        index = load_index(args.index)
+        yield lambda **service_kwargs: PPVService.open(
+            index, graph=graph, delta=args.delta, **service_kwargs
+        )
+        return
+    from repro.storage import DiskGraphStore, cluster_graph
+
+    num_clusters = DEFAULT_CLUSTERS if args.clusters is None else args.clusters
+    assignment = cluster_graph(graph, num_clusters, seed=args.seed)
+    workdir = args.workdir
+    if workdir is None:
+        workdir = tempfile.mkdtemp(prefix="fastppv_disk_")
+    try:
+        graph_store = DiskGraphStore(
+            graph, assignment, workdir, memory_budget=args.memory_budget
+        )
+        # From here on the stores are the deployment: this frame lives
+        # as long as the service, and must not pin the graph in memory.
+        del graph, assignment
+        # Opened from the path, so every call gets its *own*
+        # DiskPPVStore (closed with the service): one file handle
+        # shared across forked workers would race on seeks.
+        yield lambda **service_kwargs: PPVService.open(
+            args.index,
+            backend="disk",
+            graph_store=graph_store,
+            delta=args.delta,
+            fault_budget=args.fault_budget,
+            **service_kwargs,
+        )
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _add_backend_options(parser: argparse.ArgumentParser) -> None:
+    """``--backend`` and the disk deployment's options, identical on
+    ``query`` and ``serve`` (what :func:`_deployment` reads)."""
+    parser.add_argument(
+        "--backend", choices=["memory", "disk"], default="memory",
+        help="serving backend (disk replays the Sect. 5.3 deployment and "
+        "reports every result's cluster faults and hub reads)",
     )
-    return True
+    parser.add_argument(
+        "--clusters", type=int, default=None,
+        help="disk backend: number of PPR clusters the graph is segmented "
+        f"into (default {DEFAULT_CLUSTERS}; serve --shards N: "
+        "max(8, 2N))",
+    )
+    parser.add_argument(
+        "--memory-budget", type=int, default=1,
+        help="disk backend: clusters resident in memory at once (the "
+        "paper keeps 1)",
+    )
+    parser.add_argument(
+        "--fault-budget", type=int, default=None,
+        help="disk backend: per-query cluster-fault budget (default: "
+        "number of clusters)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="clustering seed")
+    parser.add_argument(
+        "--workdir", default=None,
+        help="disk backend: directory for the cluster files (serve "
+        "--shards: the partition root), kept afterwards (default: a temp "
+        "dir, removed)",
+    )
 
 
 def _add_generate(subparsers) -> None:
@@ -172,12 +258,7 @@ def _add_query(subparsers) -> None:
     parser.add_argument("graph", help="edge-list path")
     parser.add_argument("index", help=".fppv index path")
     parser.add_argument("node", type=int, nargs="+")
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="legacy no-op: the serving facade coalesces all given nodes "
-        "into engine batches automatically (with --time-limit, queries "
-        "still run one at a time so each keeps its own time budget)",
-    )
+    _add_backend_options(parser)
     parser.add_argument("--top", type=int, default=10)
     parser.add_argument(
         "--top-k", type=int, default=None, metavar="K",
@@ -231,232 +312,116 @@ def _add_query(subparsers) -> None:
     parser.set_defaults(func=_cmd_query)
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+_REQUEST_FLAGS = (
+    "family", "top_k", "eta", "target_error", "time_limit",
+    "target", "beta", "max_levels", "max_length", "alpha",
+)
+"""``query`` flags that are wire request fields of the same name."""
+
+
+def _query_specs(args: argparse.Namespace) -> list[QuerySpec]:
+    """One spec per NODE, decoded from ``query``'s flags exactly as the
+    wire decodes a request's fields — one set of range and combination
+    checks for both — before any file is read."""
+    from repro.server import protocol
+
     if args.top_k is not None and (
         args.target_error is not None or args.time_limit is not None
     ):
+        raise ValueError(
+            "--top-k runs until its certificate fires and cannot be "
+            "combined with --target-error / --time-limit"
+        )
+    request = {
+        flag: getattr(args, flag)
+        for flag in _REQUEST_FLAGS
+        if getattr(args, flag) is not None
+    }
+    if args.top_k is not None and args.eta is not None:
+        request["budget"] = request.pop("eta")  # the certificate budget
+    protocol.top_from_request({}, args.top)
+    return [
+        protocol.spec_from_request({**request, "node": node})
+        for node in args.node
+    ]
+
+
+def _print_result(spec: QuerySpec, result, top: int) -> None:
+    """One served result, whatever its family and backend: a header
+    line — with the I/O columns when the result carries them — and the
+    ranked scores of the score-ranked families."""
+    query = spec.nodes[0]
+    if spec.family == "hitting":
         print(
-            "error: --top-k runs until its certificate fires and cannot "
-            "be combined with --target-error / --time-limit",
+            f"query {query} -> target {spec.param('target')}: discounted "
+            f"hitting probability in [{result.value:.6f}, "
+            f"{result.value + result.remaining_mass:.6f}] after "
+            f"{result.iterations} levels"
+        )
+        return
+    if spec.family == "reachability":
+        print(
+            f"query {query}: tour-enumerated PPV up to length "
+            f"{result.max_length} (truncation bound "
+            f"{result.truncation_bound:.2e})"
+        )
+        ranked = result.top_k(top)
+    else:
+        inner, io_columns = result, ""
+        if hasattr(result, "cluster_faults"):  # disk result wrappers
+            inner = result.topk if hasattr(result, "topk") else result.result
+            io_columns = (
+                f", {result.cluster_faults} faults, "
+                f"{result.hub_reads} hub reads"
+                + (", truncated" if result.truncated else "")
+            )
+        if spec.top_k is not None:
+            status = "certified" if inner.certified else "UNCERTIFIED"
+            header = (
+                f"top-{spec.top_k} {status} after {inner.iterations} "
+                f"iterations, L1 error {inner.l1_error:.4f}"
+            )
+            nodes = inner.nodes
+        else:
+            header = (
+                f"{inner.iterations} iterations, L1 error "
+                f"{inner.l1_error:.4f}, {inner.seconds * 1000:.1f} ms"
+            )
+            nodes = inner.top_k(top)
+        print(f"query {query}: {header}{io_columns}")
+        ranked = [(int(node), inner.scores[node]) for node in nodes]
+    for rank, (node, score) in enumerate(ranked, start=1):
+        print(f"{rank:4d}. node {node:8d}  score {score:.6f}")
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    specs = _query_specs(args)
+    with _deployment(args) as open_service:
+        with open_service() as service:
+            results = service.query_many(specs)
+    for spec, result in zip(specs, results):
+        _print_result(spec, result, args.top)
+    engine = service.engine
+    if args.backend == "disk":
+        # Both stores were opened for this run, so their counters are
+        # its physical I/O (the results carry the deterministic counts).
+        store = engine.graph_store
+        print(
+            f"physical I/O for {len(results)} queries: {store.faults} "
+            f"cluster faults, {engine.ppv_store.reads} hub reads "
+            f"({store.num_clusters} clusters, memory budget "
+            f"{store.memory_budget})"
+        )
+    clip = (engine.ppv_store if args.backend == "disk" else engine.index).clip
+    if specs[0].top_k is not None and clip > 0 and not any(
+        getattr(result, "topk", result).certified for result in results
+    ):
+        print(
+            f"hint: no certificate fired — the index clips stored "
+            f"entries at {clip:g}, which floors the reachable L1 "
+            "error; rebuild with `index --clip 0` for tight certificates",
             file=sys.stderr,
         )
-        return 2
-    if args.family == "top_k" and args.top_k is None:
-        print("error: --family top_k needs --top-k K", file=sys.stderr)
-        return 2
-    if args.family == "ppv" and args.top_k is not None:
-        print(
-            "error: --family ppv does not take --top-k (use --family "
-            "top_k)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.family == "hitting" and args.target is None:
-        print(
-            "error: --family hitting needs --target NODE", file=sys.stderr
-        )
-        return 2
-    graph = read_edge_list(args.graph, undirected=args.undirected)
-    index = load_index(args.index)
-    if _index_mismatch(index.hub_mask.size, graph):
-        return 2
-    service = PPVService.open(index, graph=graph, delta=args.delta)
-
-    if args.family == "hitting":
-        params: dict = {"target": args.target}
-        if args.beta is not None:
-            params["beta"] = args.beta
-        if args.max_levels is not None:
-            params["max_levels"] = args.max_levels
-        with service:
-            results = service.query_many(
-                [
-                    QuerySpec(node, family="hitting", params=params)
-                    for node in args.node
-                ]
-            )
-        for query, result in zip(args.node, results):
-            upper = result.value + result.remaining_mass
-            print(
-                f"query {query} -> target {args.target}: discounted "
-                f"hitting probability in [{result.value:.6f}, "
-                f"{upper:.6f}] after {result.iterations} levels"
-            )
-        return 0
-
-    if args.family == "reachability":
-        params = {}
-        if args.max_length is not None:
-            params["max_length"] = args.max_length
-        if args.alpha is not None:
-            params["alpha"] = args.alpha
-        with service:
-            results = service.query_many(
-                [
-                    QuerySpec(node, family="reachability", params=params)
-                    for node in args.node
-                ]
-            )
-        for query, result in zip(args.node, results):
-            print(
-                f"query {query}: tour-enumerated PPV up to length "
-                f"{result.max_length} (truncation bound "
-                f"{result.truncation_bound:.2e})"
-            )
-            for rank, (node, score) in enumerate(
-                result.top_k(args.top), start=1
-            ):
-                print(f"{rank:4d}. node {node:8d}  score {score:.6f}")
-        return 0
-
-    if args.top_k is not None:
-        budget = args.eta if args.eta is not None else DEFAULT_TOPK_BUDGET
-        with service:
-            results = service.query_many(
-                [
-                    QuerySpec(node, top_k=args.top_k, top_k_budget=budget)
-                    for node in args.node
-                ]
-            )
-        for query, result in zip(args.node, results):
-            status = "certified" if result.certified else "UNCERTIFIED"
-            print(
-                f"query {query}: top-{args.top_k} {status} after "
-                f"{result.iterations} iterations, "
-                f"L1 error {result.l1_error:.4f}"
-            )
-            for rank, node in enumerate(result.nodes, start=1):
-                print(
-                    f"{rank:4d}. node {int(node):8d}  "
-                    f"score {result.scores[node]:.6f}"
-                )
-        if not any(result.certified for result in results) and index.clip > 0:
-            print(
-                f"hint: no certificate fired — the index clips stored "
-                f"entries at {index.clip:g}, which floors the reachable L1 "
-                "error; rebuild with `index --clip 0` for tight certificates",
-                file=sys.stderr,
-            )
-        return 0
-
-    eta = args.eta if args.eta is not None else 2
-    conditions = [StopAfterIterations(eta)]
-    if args.target_error is not None:
-        conditions.append(StopAtL1Error(args.target_error))
-    if args.time_limit is not None:
-        conditions.append(StopAfterTime(args.time_limit))
-    stop = any_of(*conditions)
-    with service:
-        results = service.query_many(
-            [QuerySpec(node, stop=stop) for node in args.node]
-        )
-    for result in results:
-        print(
-            f"query {result.query}: {result.iterations} iterations, "
-            f"L1 error {result.l1_error:.4f}, {result.seconds * 1000:.1f} ms"
-        )
-        for rank, node in enumerate(result.top_k(args.top), start=1):
-            print(
-                f"{rank:4d}. node {int(node):8d}  score {result.scores[node]:.6f}"
-            )
-    return 0
-
-
-def _add_disk_query(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "disk-query",
-        help="run queries against a disk-resident deployment (Sect. 5.3)",
-    )
-    parser.add_argument("graph", help="edge-list path")
-    parser.add_argument("index", help=".fppv index path")
-    parser.add_argument("node", type=int, nargs="+")
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="legacy no-op: the serving facade coalesces all given nodes "
-        "into one cluster-grouped batch, amortising cluster faults and "
-        "hub reads",
-    )
-    parser.add_argument(
-        "--clusters", type=int, default=8,
-        help="number of PPR clusters the graph is segmented into",
-    )
-    parser.add_argument(
-        "--memory-budget", type=int, default=1,
-        help="clusters resident in memory at once (the paper keeps 1)",
-    )
-    parser.add_argument(
-        "--fault-budget", type=int, default=None,
-        help="per-query cluster-fault budget (default: number of clusters)",
-    )
-    parser.add_argument("--top", type=int, default=10)
-    parser.add_argument("--eta", type=int, default=2, help="iteration budget")
-    parser.add_argument("--delta", type=float, default=0.005)
-    parser.add_argument("--seed", type=int, default=0, help="clustering seed")
-    parser.add_argument(
-        "--workdir", default=None,
-        help="directory for the cluster files (default: a temp dir)",
-    )
-    parser.add_argument("--undirected", action="store_true")
-    parser.set_defaults(func=_cmd_disk_query)
-
-
-def _cmd_disk_query(args: argparse.Namespace) -> int:
-    from repro.storage import DiskGraphStore, DiskPPVStore, cluster_graph
-
-    graph = read_edge_list(args.graph, undirected=args.undirected)
-    # Validate the graph/index pair before paying for clustering and the
-    # cluster files; only then segment the graph.
-    cleanup_workdir = args.workdir is None
-    workdir = (
-        args.workdir
-        if args.workdir is not None
-        else tempfile.mkdtemp(prefix="fastppv_disk_")
-    )
-    try:
-        with DiskPPVStore(args.index) as ppv_store:
-            if _index_mismatch(ppv_store.num_nodes, graph):
-                return 2
-            assignment = cluster_graph(graph, args.clusters, seed=args.seed)
-            graph_store = DiskGraphStore(
-                graph, assignment, workdir, memory_budget=args.memory_budget
-            )
-            stop = StopAfterIterations(args.eta)
-            faults_before = graph_store.faults
-            reads_before = ppv_store.reads
-            with PPVService.open(
-                ppv_store,
-                backend="disk",
-                graph_store=graph_store,
-                delta=args.delta,
-                fault_budget=args.fault_budget,
-            ) as service:
-                results = service.query_many(
-                    [QuerySpec(node, stop=stop) for node in args.node]
-                )
-            physical_faults = graph_store.faults - faults_before
-            physical_reads = ppv_store.reads - reads_before
-    finally:
-        if cleanup_workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
-    for result in results:
-        inner = result.result
-        truncated = ", truncated" if result.truncated else ""
-        print(
-            f"query {inner.query}: {inner.iterations} iterations, "
-            f"L1 error {inner.l1_error:.4f}, "
-            f"{result.cluster_faults} faults, {result.hub_reads} hub reads"
-            f"{truncated}"
-        )
-        for rank, node in enumerate(inner.top_k(args.top), start=1):
-            print(
-                f"{rank:4d}. node {int(node):8d}  score {inner.scores[node]:.6f}"
-            )
-    print(
-        f"physical I/O for {len(results)} queries: {physical_faults} cluster "
-        f"faults, {physical_reads} hub reads "
-        f"({assignment.num_clusters} clusters, memory budget "
-        f"{args.memory_budget})"
-    )
     return 0
 
 
@@ -489,20 +454,12 @@ def _cmd_shard_index(args: argparse.Namespace) -> int:
     from repro.sharding import partition_index
 
     if args.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
-        return 2
-    graph = read_edge_list(args.graph, undirected=args.undirected)
-    index = load_index(args.index)
-    if _index_mismatch(index.hub_mask.size, graph):
-        return 2
-    try:
-        manifest = partition_index(
-            graph, index, args.shards, args.out,
-            num_clusters=args.clusters, seed=args.seed,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ValueError("--shards must be at least 1")
+    graph = _read_graph(args)
+    manifest = partition_index(
+        graph, load_index(args.index), args.shards, args.out,
+        num_clusters=args.clusters, seed=args.seed,
+    )
     for entry in manifest["shards"]:
         total_mb = (entry["index_bytes"] + entry["graph_bytes"]) / 1e6
         print(
@@ -590,10 +547,7 @@ def _add_serve(subparsers) -> None:
         "--requests", default="-",
         help="stdio only: JSONL request file, '-' for stdin (the default)",
     )
-    parser.add_argument(
-        "--backend", choices=["memory", "disk"], default="memory",
-        help="serving backend (disk replays the Sect. 5.3 deployment)",
-    )
+    _add_backend_options(parser)
     parser.add_argument("--top", type=int, default=10,
                         help='ranked scores per response (a request\'s own '
                         '"top" field overrides this)')
@@ -611,23 +565,6 @@ def _add_serve(subparsers) -> None:
         "--cache-size", type=int, default=None,
         help="capacity of the popularity result cache "
         "(0 disables caching; default: the service default)",
-    )
-    parser.add_argument(
-        "--clusters", type=int, default=8,
-        help="disk backend: number of PPR clusters",
-    )
-    parser.add_argument(
-        "--memory-budget", type=int, default=1,
-        help="disk backend: clusters resident in memory at once",
-    )
-    parser.add_argument(
-        "--fault-budget", type=int, default=None,
-        help="disk backend: per-query cluster-fault budget",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="clustering seed")
-    parser.add_argument(
-        "--workdir", default=None,
-        help="disk backend: directory for cluster files (default: temp)",
     )
     parser.add_argument(
         "--slow-query", type=float, default=None, metavar="SECONDS",
@@ -654,219 +591,140 @@ def _make_obs(args: argparse.Namespace):
 
 
 def _parse_tcp_address(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
+    host, _sep, port = value.rpartition(":")
+    if not host or not port.isdigit():
         raise ValueError(
             f"--tcp expects HOST:PORT (e.g. 127.0.0.1:7474), got {value!r}"
         )
     return host, int(port)
 
 
+def _plural(count: int, noun: str) -> str:
+    return f"{count} {noun}{'s' if count != 1 else ''}"
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    from contextlib import ExitStack
 
-    from repro.server import PPVServer, ServerConfig, run_pool, serve_stdio
-    from repro.storage import DiskGraphStore, DiskPPVStore, cluster_graph
+    from repro.server import (
+        PPVServer,
+        ServerConfig,
+        protocol,
+        run_pool,
+        serve_stdio,
+    )
 
     if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--workers must be at least 1")
     if args.max_inflight < 1:
-        print("error: --max-inflight must be at least 1", file=sys.stderr)
-        return 2
-    tcp_address = None
-    if args.tcp is not None:
-        try:
-            tcp_address = _parse_tcp_address(args.tcp)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.workers != 1:
-        print("error: --workers needs --tcp", file=sys.stderr)
-        return 2
-
-    if args.shards is not None or args.shard_map is not None:
-        return _serve_sharded(args, tcp_address)
-    if args.graph is None or args.index is None:
-        print(
-            "error: serve needs GRAPH and INDEX (or --shard-map ROOT)",
-            file=sys.stderr,
+        raise ValueError("--max-inflight must be at least 1")
+    protocol.top_from_request({}, args.top)  # the default, checked as a request's
+    sharded = args.shards is not None or args.shard_map is not None
+    if args.tcp is None:
+        if args.workers != 1:
+            raise ValueError("--workers needs --tcp")
+        if sharded:
+            raise ValueError(
+                "sharded serving needs --tcp (the router fans out over "
+                "the network)"
+            )
+        config = None
+    else:
+        host, port = _parse_tcp_address(args.tcp)
+        config = ServerConfig(
+            host=host,
+            port=port,
+            max_inflight=args.max_inflight,
+            default_top=args.top,
         )
-        return 2
-
-    graph = read_edge_list(args.graph, undirected=args.undirected)
     service_kwargs: dict = {
         "max_batch": args.max_batch,
         "max_delay": args.max_delay,
     }
     if args.cache_size is not None:
         service_kwargs["cache_size"] = args.cache_size
-    with ExitStack() as stack:
-        if args.backend == "disk":
-            # Validate the pair, then build the cluster files once; each
-            # serving process opens its *own* DiskPPVStore (one shared
-            # file handle across forked workers would race on seeks).
-            with DiskPPVStore(args.index) as probe:
-                num_covered = probe.num_nodes
-            if _index_mismatch(num_covered, graph):
-                return 2
-            workdir = args.workdir
-            if workdir is None:
-                workdir = tempfile.mkdtemp(prefix="fastppv_serve_")
-                stack.callback(shutil.rmtree, workdir, ignore_errors=True)
-            assignment = cluster_graph(graph, args.clusters, seed=args.seed)
-            graph_store = DiskGraphStore(
-                graph, assignment, workdir, memory_budget=args.memory_budget
+    if sharded:
+        return _serve_sharded(args, config, service_kwargs)
+    if args.graph is None or args.index is None:
+        raise ValueError("serve needs GRAPH and INDEX (or --shard-map ROOT)")
+
+    with _deployment(args) as open_service:
+
+        def make_service() -> PPVService:
+            return open_service(obs=_make_obs(args), **service_kwargs)
+
+        if config is None:
+            requests = (
+                nullcontext(sys.stdin)
+                if args.requests == "-"
+                else open(args.requests, encoding="utf-8")
             )
-            index_path = args.index
-
-            def make_service() -> PPVService:
-                return PPVService.open(
-                    index_path,
-                    backend="disk",
-                    graph_store=graph_store,
-                    delta=args.delta,
-                    fault_budget=args.fault_budget,
-                    obs=_make_obs(args),
-                    **service_kwargs,
+            with requests as source, make_service() as service:
+                serve_stdio(
+                    service, source, sys.stdout,
+                    default_top=args.top, stats_sink=sys.stderr,
                 )
-        else:
-            index = load_index(args.index)
-            if _index_mismatch(index.hub_mask.size, graph):
-                return 2
-
-            def make_service() -> PPVService:
-                return PPVService.open(
-                    index,
-                    graph=graph,
-                    delta=args.delta,
-                    obs=_make_obs(args),
-                    **service_kwargs,
-                )
-
-        if tcp_address is None:
-            service = stack.enter_context(make_service())
-            if args.requests == "-":
-                source = sys.stdin
-            else:
-                source = stack.enter_context(
-                    open(args.requests, encoding="utf-8")
-                )
-            serve_stdio(
-                service, source, sys.stdout,
-                default_top=args.top, stats_sink=sys.stderr,
-            )
             return 0
-
-        host, port = tcp_address
-        config = ServerConfig(
-            host=host,
-            port=port,
-            max_inflight=args.max_inflight,
-            default_top=args.top,
-        )
 
         def announce(address) -> None:
             print(
                 f"serving {args.backend} backend on "
                 f"{address[0]}:{address[1]} "
-                f"({args.workers} worker{'s' if args.workers != 1 else ''})",
+                f"({_plural(args.workers, 'worker')})",
                 file=sys.stderr,
                 flush=True,
             )
 
         if args.workers == 1:
-            service = stack.enter_context(make_service())
-            server = PPVServer(service, config)
-            asyncio.run(server.serve(on_ready=announce))
+            with make_service() as service:
+                asyncio.run(PPVServer(service, config).serve(on_ready=announce))
             return 0
         return run_pool(
             make_service, args.workers, config, announce=announce
         )
 
 
-def _serve_sharded(args: argparse.Namespace, tcp_address) -> int:
-    """``serve --shards N`` / ``serve --shard-map ROOT``: shard pools
-    plus a router front-end on the TCP address."""
-    from contextlib import ExitStack
+def _serve_sharded(args: argparse.Namespace, config, service_kwargs) -> int:
+    """``serve --shard-map ROOT`` / ``serve --shards N``: a
+    :class:`~repro.sharding.ShardRouter` (shard pools plus the router
+    front-end) on the TCP address."""
+    from repro.sharding import ShardRouter
 
-    from repro.server import ServerConfig
-    from repro.sharding import ShardRouter, partition_index
+    router_kwargs = dict(
+        service_kwargs,
+        workers_per_shard=args.workers,
+        config=config,
+        delta=args.delta,
+        fault_budget=args.fault_budget,
+        obs=_make_obs(args),
+    )
+    if args.shard_map is not None:
+        router = ShardRouter(args.shard_map, **router_kwargs)
+    else:
+        if args.shards < 1:
+            raise ValueError("--shards must be at least 1")
+        if args.graph is None or args.index is None:
+            raise ValueError(
+                "--shards partitions on the fly and needs GRAPH and "
+                "INDEX (serve a prebuilt partition with --shard-map)"
+            )
+        graph = _read_graph(args)
+        router = ShardRouter.partitioning(
+            graph, load_index(args.index), args.shards,
+            root=args.workdir, num_clusters=args.clusters, seed=args.seed,
+            **router_kwargs,
+        )
 
-    if tcp_address is None:
+    def announce(address) -> None:
         print(
-            "error: sharded serving needs --tcp (the router fans out "
-            "over the network)",
+            f"shard router on {address[0]}:{address[1]} "
+            f"({router.manifest['num_shards']} shards, "
+            f"{_plural(args.workers, 'worker')} each)",
             file=sys.stderr,
+            flush=True,
         )
-        return 2
-    with ExitStack() as stack:
-        if args.shard_map is not None:
-            root = args.shard_map
-        else:
-            if args.shards < 1:
-                print("error: --shards must be at least 1", file=sys.stderr)
-                return 2
-            if args.graph is None or args.index is None:
-                print(
-                    "error: --shards partitions on the fly and needs "
-                    "GRAPH and INDEX (serve a prebuilt partition with "
-                    "--shard-map)",
-                    file=sys.stderr,
-                )
-                return 2
-            graph = read_edge_list(args.graph, undirected=args.undirected)
-            index = load_index(args.index)
-            if _index_mismatch(index.hub_mask.size, graph):
-                return 2
-            root = args.workdir
-            if root is None:
-                root = tempfile.mkdtemp(prefix="fastppv_shards_")
-                stack.callback(shutil.rmtree, root, ignore_errors=True)
-            partition_index(
-                graph, index, args.shards, root,
-                num_clusters=args.clusters if args.clusters != 8 else None,
-                seed=args.seed,
-            )
-        host, port = tcp_address
-        config = ServerConfig(
-            host=host,
-            port=port,
-            max_inflight=args.max_inflight,
-            default_top=args.top,
-        )
-        router_kwargs: dict = {
-            "max_batch": args.max_batch,
-            "max_delay": args.max_delay,
-            "delta": args.delta,
-            "fault_budget": args.fault_budget,
-            "obs": _make_obs(args),
-        }
-        if args.cache_size is not None:
-            router_kwargs["cache_size"] = args.cache_size
-        try:
-            router = ShardRouter(
-                root,
-                workers_per_shard=args.workers,
-                config=config,
-                **router_kwargs,
-            )
-        except (FileNotFoundError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
 
-        def announce(address) -> None:
-            print(
-                f"shard router on {address[0]}:{address[1]} "
-                f"({router.manifest['num_shards']} shards, "
-                f"{args.workers} worker"
-                f"{'s' if args.workers != 1 else ''} each)",
-                file=sys.stderr,
-                flush=True,
-            )
-
-        return router.serve_forever(announce)
+    return router.serve_forever(announce)
 
 
 def _add_stats(subparsers) -> None:
@@ -946,11 +804,7 @@ def _print_stats(payload: dict) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.server.client import PPVClient
 
-    try:
-        host, port = _parse_tcp_address(args.address)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    host, port = _parse_tcp_address(args.address)
     try:
         with PPVClient(host, port) as client:
             while True:
@@ -1029,11 +883,7 @@ def _print_span_tree(spans: list) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.server.client import PPVClient
 
-    try:
-        host, port = _parse_tcp_address(args.address)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    host, port = _parse_tcp_address(args.address)
     try:
         with PPVClient(host, port) as client:
             payload = client.trace(args.trace_id, limit=args.limit)
@@ -1135,7 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_info(subparsers)
     _add_index(subparsers)
     _add_query(subparsers)
-    _add_disk_query(subparsers)
     _add_shard_index(subparsers)
     _add_serve(subparsers)
     _add_stats(subparsers)
@@ -1146,9 +995,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary: a missing file or an unusable value, raised
+    anywhere below as ``FileNotFoundError`` / ``ValueError`` (the two
+    the wire calls ``invalid``), is reported as ``error: ...`` on
+    stderr with exit status 2 instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

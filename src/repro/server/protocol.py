@@ -387,15 +387,20 @@ def top_from_request(request: dict, default: int) -> int:
     Raises
     ------
     ProtocolError
-        ``invalid`` when the field is not usable as an integer.
+        ``invalid`` when the field is not usable as an integer, or is
+        negative (``top_k_nodes(scores, -2)`` would rank every node but
+        two: a reply the size of the graph for a 30-byte request).
     """
     value = request.get("top", default)
     try:
-        return int(value)
+        top = int(value)
     except (TypeError, ValueError):
         raise ProtocolError(
             E_INVALID, f'"top" must be an integer, not {value!r}'
         ) from None
+    if top < 0:
+        raise ProtocolError(E_INVALID, f'"top" must not be negative, got {top}')
+    return top
 
 
 def render_result(spec: QuerySpec, result, top: int) -> dict:

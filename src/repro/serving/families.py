@@ -293,7 +293,10 @@ class PPVFamily(QueryFamily):
             raise ValueError(
                 'family "ppv" does not take top_k; use family "top_k"'
             )
-        conditions = [StopAfterIterations(int(request.get("eta", 2)))]
+        eta = int(request.get("eta", 2))
+        if eta < 0:
+            raise ValueError(f'"eta" must not be negative, got {eta}')
+        conditions = [StopAfterIterations(eta)]
         if request.get("target_error") is not None:
             conditions.append(StopAtL1Error(float(request["target_error"])))
         if request.get("time_limit") is not None:

@@ -28,6 +28,8 @@ answered from the old partition, queries after from the new one.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import threading
 from pathlib import Path
 from typing import Sequence
@@ -42,7 +44,11 @@ from repro.server.protocol import ShardUnavailableError
 from repro.server.pool import ServerPool
 from repro.server.server import PPVServer, ServerConfig
 
-from repro.sharding.partition import load_shard_map, shard_dir_name
+from repro.sharding.partition import (
+    load_shard_map,
+    partition_index,
+    shard_dir_name,
+)
 from repro.sharding.remote import (
     DEFAULT_CLUSTER_BUDGET,
     DEFAULT_HUB_CACHE,
@@ -329,6 +335,9 @@ class ShardRouter:
             with PPVClient(host, port) as client:
                 client.query(42, top_k=10)
 
+    :meth:`partitioning` builds the partition root first, from a graph
+    and a built index.
+
     Parameters
     ----------
     root:
@@ -395,6 +404,44 @@ class ShardRouter:
         self.service: PPVService | None = None
         self.server: PPVServer | None = None
         self._background = None
+        self._owns_root = False
+
+    @classmethod
+    def partitioning(
+        cls,
+        graph,
+        index,
+        num_shards: int,
+        *,
+        root=None,
+        num_clusters: int | None = None,
+        seed: int = 0,
+        **router_kwargs,
+    ) -> "ShardRouter":
+        """Partition ``index`` into ``num_shards`` shards on the fly and
+        front the result (``repro serve --shards N``).
+
+        ``root`` / ``num_clusters`` / ``seed`` are
+        :func:`~repro.sharding.partition.partition_index`'s; everything
+        else is the constructor's.  With no ``root`` the partition goes
+        to a temp directory this router owns: :meth:`stop` removes it,
+        so such a router serves once.
+        """
+        owns_root = root is None
+        if owns_root:
+            root = tempfile.mkdtemp(prefix="fastppv_shards_")
+        try:
+            partition_index(
+                graph, index, num_shards, root,
+                num_clusters=num_clusters, seed=seed,
+            )
+            router = cls(root, **router_kwargs)
+        except BaseException:
+            if owns_root:
+                shutil.rmtree(root, ignore_errors=True)
+            raise
+        router._owns_root = owns_root
+        return router
 
     def _spawn(self) -> None:
         """Start the shard pools and build the router service."""
@@ -447,7 +494,8 @@ class ShardRouter:
             self.stop()
 
     def stop(self) -> None:
-        """Stop the router, close the fleet, tear the pools down."""
+        """Stop the router, close the fleet, tear the pools down (and
+        remove a partition root :meth:`partitioning` made up)."""
         if self._background is not None:
             background, self._background = self._background, None
             background.__exit__(None, None, None)
@@ -459,6 +507,8 @@ class ShardRouter:
             pool.stop()
         self.pools = []
         self.addresses = []
+        if self._owns_root:
+            shutil.rmtree(self.root, ignore_errors=True)
 
     def __enter__(self) -> tuple:
         return self.start()

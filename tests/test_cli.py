@@ -93,6 +93,8 @@ class TestQuery:
         assert len(ranked) == 5
         # The query node itself tops its own PPV.
         assert "node        7" in ranked[0]
+        # The I/O columns and summary belong to the disk backend alone.
+        assert "faults" not in out and "physical I/O" not in out
 
     def test_accuracy_target_flag(self, graph_file, index_file, capsys):
         code = main(
@@ -166,22 +168,29 @@ class TestTopKQuery:
 
 
 class TestDiskQuery:
+    """``query --backend disk`` — what ``disk-query`` was, plus every
+    stop rule and family ``query`` has."""
+
     def test_single_query(self, graph_file, index_file, tmp_path, capsys):
         code = main(
-            ["disk-query", str(graph_file), str(index_file), "7",
-             "--clusters", "4", "--workdir", str(tmp_path / "c1")]
+            ["query", str(graph_file), str(index_file), "7",
+             "--backend", "disk", "--clusters", "4",
+             "--workdir", str(tmp_path / "c1")]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "query 7" in out
         assert "faults" in out
         assert "physical I/O for 1 queries" in out
+        # --workdir names the segment directory, and it is kept.
+        assert (tmp_path / "c1" / "manifest.json").exists()
 
     def test_batched_queries_report_physical_io(self, graph_file, index_file,
                                                 tmp_path, capsys):
         code = main(
-            ["disk-query", str(graph_file), str(index_file), "7", "9", "11",
-             "--clusters", "4", "--workdir", str(tmp_path / "c2")]
+            ["query", str(graph_file), str(index_file), "7", "9", "11",
+             "--backend", "disk", "--clusters", "4",
+             "--workdir", str(tmp_path / "c2")]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -192,11 +201,57 @@ class TestDiskQuery:
         other = tmp_path / "other.txt"
         main(["generate", "social", "--nodes", "100", "--out", str(other)])
         code = main(
-            ["disk-query", str(other), str(index_file), "3",
-             "--workdir", str(tmp_path / "c3")]
+            ["query", str(other), str(index_file), "3",
+             "--backend", "disk", "--workdir", str(tmp_path / "c3")]
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+        # Refused before any clustering: no segment was written.
+        assert not (tmp_path / "c3").exists()
+
+    def test_certified_top_k_prints_io_columns(self, graph_file, index_file,
+                                               capsys):
+        code = main(
+            ["query", str(graph_file), str(index_file), "7", "9",
+             "--backend", "disk", "--top-k", "4", "--delta", "0"]
+        )
+        assert code == 0
+        headers = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("query ")
+        ]
+        assert len(headers) == 2
+        assert all(
+            "top-4" in line and "faults" in line and "hub reads" in line
+            for line in headers
+        )
+
+    def test_accuracy_target_prints_io_columns(self, graph_file, index_file,
+                                               capsys):
+        code = main(
+            ["query", str(graph_file), str(index_file), "7",
+             "--backend", "disk", "--target-error", "0.9", "--eta", "6"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        # The accuracy stop fires long before the iteration budget.
+        assert "query 7: 0 iterations" in out
+        assert "faults" in out and "hub reads" in out
+
+    def test_memory_only_family_is_refused(self, graph_file, index_file,
+                                           capsys):
+        code = main(
+            ["query", str(graph_file), str(index_file), "7",
+             "--backend", "disk", "--family", "hitting", "--target", "3"]
+        )
+        assert code == 2
+        assert "does not support query family" in capsys.readouterr().err
+
+    def test_disk_query_is_gone(self, graph_file, index_file):
+        # Deleted, not aliased: argparse refuses the name.
+        with pytest.raises(SystemExit) as refused:
+            main(["disk-query", str(graph_file), str(index_file), "7"])
+        assert refused.value.code == 2
 
 
 class TestServe:
@@ -357,6 +412,100 @@ class TestAutotune:
         assert "<== best" in out
 
 
+class TestShardedServe:
+    def test_explicit_clusters_and_banner(self, graph_file, index_file,
+                                          tmp_path, capsys, monkeypatch):
+        # `--clusters 8` used to double as "not given" and was silently
+        # replaced by max(8, 2 * shards) = 10.
+        import json
+
+        from repro.sharding import ShardRouter
+
+        def serve_forever(router, announce=None):
+            announce(("127.0.0.1", 7474))
+            router.stop()
+            return 0
+
+        monkeypatch.setattr(ShardRouter, "serve_forever", serve_forever)
+        root = tmp_path / "parts"
+        argv = ["serve", str(graph_file), str(index_file),
+                "--tcp", "127.0.0.1:0", "--shards", "5"]
+        assert main(argv + ["--clusters", "8", "--workdir", str(root)]) == 0
+        assert capsys.readouterr().err == (
+            "shard router on 127.0.0.1:7474 (5 shards, 1 worker each)\n"
+        )
+        assert json.loads((root / "shard_map.json").read_text())[
+            "num_clusters"
+        ] == 8
+
+    def test_needs_tcp(self, graph_file, index_file, capsys):
+        code = main(
+            ["serve", str(graph_file), str(index_file), "--shards", "2"]
+        )
+        assert code == 2
+        assert "needs --tcp" in capsys.readouterr().err
+
+
+class TestErrorBoundary:
+    """A bad path or value is ``error: ...`` and exit 2 — decided once,
+    in ``main`` — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["query", "missing.txt", "INDEX", "3"], "missing.txt"),
+            (["query", "GRAPH", "missing.fppv", "3"], "missing.fppv"),
+            (["query", "GRAPH", "INDEX", "4000"], "out of range"),
+            (["query", "GRAPH", "INDEX", "4000", "--backend", "disk"],
+             "out of range"),
+            (["query", "GRAPH", "INDEX", "3", "--backend", "disk",
+              "--clusters", "0"], "at least one cluster"),
+            (["query", "OTHER", "INDEX", "3"], "index covers 300 nodes"),
+            (["serve", "OTHER", "INDEX", "--backend", "disk"],
+             "index covers 300 nodes"),
+            (["shard-index", "OTHER", "INDEX", "--shards", "2",
+              "--out", "parts"], "index covers 300 nodes"),
+            (["query", "GRAPH", "INDEX", "3", "--top", "-2"], '"top"'),
+            (["query", "GRAPH", "INDEX", "3", "--eta", "-1"], '"eta"'),
+            (["serve", "GRAPH", "INDEX", "--top", "-2"], '"top"'),
+            (["serve", "--shard-map", "missing", "--tcp", "127.0.0.1:0"],
+             "shard_map.json"),
+            (["stats", "7474"], "HOST:PORT"),
+        ],
+    )
+    def test_exit_2_with_message(self, argv, message, graph_file,
+                                 index_file, tmp_path, capsys, monkeypatch):
+        other = tmp_path / "other.txt"
+        if "OTHER" in argv:
+            main(["generate", "social", "--nodes", "100", "--out", str(other)])
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        names = {"GRAPH": graph_file, "INDEX": index_file, "OTHER": other}
+        code = main([str(names.get(arg, arg)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_no_traceback_from_the_real_process(self, index_file, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query",
+             str(tmp_path / "missing.txt"), str(index_file), "3"],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -365,6 +514,78 @@ class TestParser:
     def test_prog_name(self):
         # Matches the console-script entry point in pyproject.toml.
         assert build_parser().prog == "repro"
+
+
+SURFACE = {
+    "generate": ["--nodes", "--out", "--seed"],
+    "info": ["--undirected"],
+    "index": ["--alpha", "--clip", "--epsilon", "--hubs", "--out",
+              "--policy", "--undirected", "--workers"],
+    "query": ["--alpha", "--backend", "--beta", "--clusters", "--delta",
+              "--eta", "--family", "--fault-budget", "--max-length",
+              "--max-levels", "--memory-budget", "--seed", "--target",
+              "--target-error", "--time-limit", "--top", "--top-k",
+              "--undirected", "--workdir"],
+    "shard-index": ["--clusters", "--out", "--seed", "--shards",
+                    "--undirected"],
+    "serve": ["--backend", "--cache-size", "--clusters", "--delta",
+              "--fault-budget", "--max-batch", "--max-delay",
+              "--max-inflight", "--memory-budget", "--requests", "--seed",
+              "--shard-map", "--shards", "--slow-query", "--stdio", "--tcp",
+              "--top", "--trace-log", "--undirected", "--workdir",
+              "--workers"],
+    "stats": ["--json", "--prometheus", "--watch"],
+    "trace": ["--json", "--limit"],
+    "autotune": ["--queries", "--space-budget-mb", "--undirected"],
+    "validate": ["--sample", "--undirected"],
+}
+"""Every subcommand's flags.  Changing the CLI surface means editing
+this literal, so it shows up in review as what it is."""
+
+LEDGER_SERVE_FLAGS = ["--tcp", "127.0.0.1:0", "--max-delay", "auto",
+                      "--cache-size", "0", "--delta", "0.0001",
+                      "--top", "10"]
+"""FROZEN: what ``benchmarks/ledger/servers.py::launch_cli`` appends to
+``serve GRAPH INDEX --workers 1`` and to ``serve --shard-map ROOT``.
+These flags, and the defaults the ledger leaves unset, are the
+benchmark's launch contract."""
+
+
+class TestSurface:
+    def test_subcommands_and_flags(self):
+        import argparse
+
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: sorted(
+                option
+                for action in sub._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            )
+            for name, sub in commands.choices.items()
+        }
+        assert surface == SURFACE
+
+    @pytest.mark.parametrize(
+        "target",
+        [["graph.txt", "index.fppv", "--workers", "1"],
+         ["--shard-map", "parts"]],
+    )
+    def test_ledger_launch_line_and_defaults(self, target):
+        args = build_parser().parse_args(
+            ["serve"] + target + LEDGER_SERVE_FLAGS
+        )
+        assert (args.tcp, args.max_delay) == ("127.0.0.1:0", "auto")
+        assert (args.cache_size, args.delta, args.top) == (0, 1e-4, 10)
+        # Left unset by the ledger, so part of what it measures.
+        assert (args.backend, args.workers) == ("memory", 1)
+        assert (args.max_batch, args.max_inflight) == (64, 256)
+        assert (args.slow_query, args.trace_log) == (None, None)
 
 
 class TestValidate:

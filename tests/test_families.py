@@ -200,6 +200,46 @@ class TestServedEquivalence:
             assert result.remaining_mass == direct.remaining_mass
             assert result.history == direct.history
 
+    def test_coalesced_hitting_group_pushes_each_hub_once(
+        self, small_social, small_social_index, monkeypatch
+    ):
+        """What coalescing buys the family, as a count: a same-target
+        group computes each distinct hub-rooted prime hitting push once,
+        where one-at-a-time serving recomputes it per query."""
+        from repro.core import hitting
+
+        pushed: list[int] = []
+        prime_hitting_push = hitting._prime_hitting_push
+
+        def counting(graph, node, *args):
+            pushed.append(node)
+            return prime_hitting_push(graph, node, *args)
+
+        monkeypatch.setattr(hitting, "_prime_hitting_push", counting)
+        specs = [
+            QuerySpec(
+                node, family="hitting",
+                params={"target": 7, "epsilon": 1e-3},  # cheap pushes
+            )
+            for node in (3, 17, 42, 99)
+        ]
+        with PPVService.open(
+            small_social_index, graph=small_social, cache_size=0
+        ) as service:
+            service.query_many(specs)
+            coalesced = len(pushed)
+            # Alone, a query pushes from its own node, then once per hub
+            # its frontier reaches.
+            hub_pushes = []
+            for spec in specs:
+                pushed.clear()
+                service.query(spec)
+                assert pushed[0] == spec.nodes[0]
+                hub_pushes.append(pushed[1:])
+        distinct = set().union(*hub_pushes)
+        assert coalesced == len(specs) + len(distinct)
+        assert len(distinct) < sum(map(len, hub_pushes))
+
     def test_hitting_parameter_overrides_are_honoured(self, small_social,
                                                       small_social_index,
                                                       memory_service):

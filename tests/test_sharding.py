@@ -3,7 +3,7 @@
 The acceptance bar mirrors the server suite's: results served through a
 :class:`ShardRouter` must be **bitwise equal** to the unsharded disk
 backend — plain multi-eta queries, certified top-k, weighted multi-node
-splices — under eight concurrent clients, at two and three shards.
+splices — under eight concurrent clients, at one, two and three shards.
 Plus the partitioner's own contracts, failure semantics (SIGKILL one
 shard: structured ``shard_unavailable``, never a hang; survivors and
 the front-end keep serving), rolling hot swap across the fleet, and
@@ -62,7 +62,7 @@ def certifiable_index(small_social):
 @pytest.fixture(scope="module")
 def sharded_setup(small_social, small_social_index, certifiable_index,
                   tmp_path_factory):
-    """Partition roots at 2 and 3 shards, plus the matching unsharded
+    """Partition roots at 1, 2 and 3 shards, plus the matching unsharded
     disk deployment (same cluster assignment, so the kernels see the
     same segmentation either way)."""
     root = tmp_path_factory.mktemp("sharding")
@@ -74,7 +74,7 @@ def sharded_setup(small_social, small_social_index, certifiable_index,
     store_dir = root / "clusters"
     DiskGraphStore(small_social, assignment, store_dir)
     parts = {}
-    for num_shards in (2, 3):
+    for num_shards in (1, 2, 3):
         part_root = root / f"part{num_shards}"
         partition_index(
             small_social, certifiable_index, num_shards, part_root,
@@ -228,6 +228,43 @@ class TestPartitioner:
 # Bitwise equivalence under concurrency (the tentpole's acceptance bar)
 
 
+class TestOnTheFlyPartition:
+    """``ShardRouter.partitioning`` — what ``serve --shards N`` runs."""
+
+    def test_temp_root_lives_until_stop(self, small_social,
+                                        small_social_index):
+        router = ShardRouter.partitioning(
+            small_social, small_social_index, 2, seed=1, delta=0.0,
+        )
+        root = router.root
+        assert load_shard_map(root)["num_clusters"] == 8  # max(8, 2 * 2)
+        with router as address:
+            with PPVClient(*address, timeout=60) as client:
+                assert client.query(7, eta=2)["iterations"] == 2
+        assert not root.exists()
+
+    def test_named_root_is_kept(self, small_social, small_social_index,
+                                tmp_path):
+        router = ShardRouter.partitioning(
+            small_social, small_social_index, 2,
+            root=tmp_path / "parts", num_clusters=5,
+        )
+        router.stop()
+        assert load_shard_map(tmp_path / "parts")["num_clusters"] == 5
+
+    def test_failed_partition_leaves_no_temp_root(self, small_social,
+                                                  small_social_index,
+                                                  monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match="cannot split"):
+            ShardRouter.partitioning(
+                small_social, small_social_index, 9, num_clusters=4
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestShardedEquivalence:
     def _hammer(self, address, per_client_specs, top):
         """One thread per client; returns {client: [result payloads]}."""
@@ -275,7 +312,7 @@ class TestShardedEquivalence:
         assert not errors, errors
         return results
 
-    @pytest.mark.parametrize("num_shards", [2, 3])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
     def test_eight_clients_bitwise_equal_to_unsharded(self, sharded_setup,
                                                       num_shards):
         expected = _reference_payloads(

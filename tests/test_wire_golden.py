@@ -16,6 +16,10 @@ left the wire unchanged; the only additions since are the three
 need a race or a dying process and are covered in ``test_server.py`` /
 ``test_sharding.py`` instead.
 
+A third, short transcript on a connection of its own pins the range
+refusals at the protocol boundary (negative ``top`` / ``eta``), so the
+first one's literals and counters stay as recorded.
+
 The three shard-internal data verbs are *refused* by that memory
 server; their success replies are pinned by a second transcript against
 a shard process's engine over a tiny hand-built shard directory, whose
@@ -493,6 +497,46 @@ def test_every_verb_and_error_code_byte_for_byte(wire):
     sock.sendall(b'{"id":29,"verb":"shutdown"}\n')
     assert reader.readline() == b'{"v":1,"id":29,"ok":true}\n'
     assert reader.readline() == b""  # drained and closed, nothing extra
+
+
+# Range refusals at the protocol boundary, on a connection of their own
+# so the transcript (and the counters) above stay as recorded.  A
+# negative "top" used to be served as ``top_k_nodes(scores, -2)`` — every
+# node but two: 398 ranked pairs here for a 30-byte request — and a
+# negative "eta" as ``StopAfterIterations(-1)``.
+RANGE_TRANSCRIPT = [
+    (
+        b'{"id":1,"node":3,"top":-2}',
+        [_error(1, b"invalid", rb"\"top\" must not be negative, got -2")],
+    ),
+    (
+        b'{"id":2,"node":3,"eta":-1}',
+        [_error(2, b"invalid", rb"\"eta\" must not be negative, got -1")],
+    ),
+    (
+        b'{"id":3,"verb":"stream","node":3,"top":-1}',
+        [_error(3, b"invalid", rb"\"top\" must not be negative, got -1")],
+    ),
+    # Zero is a value, not a refusal: no ranked scores, same header.
+    (
+        b'{"id":4,"node":7,"eta":0,"top":0}',
+        [
+            _ok(
+                4,
+                b'{"nodes":[7],"iterations":0,'
+                b'"l1_error":0.2169760855128059,"top":[]}',
+            )
+        ],
+    ),
+]
+
+
+def test_negative_top_and_eta_are_refused_byte_for_byte(wire):
+    _service, sock, reader = wire
+    for request, expected in RANGE_TRANSCRIPT:
+        sock.sendall(request + b"\n")
+        replies = [reader.readline() for _ in expected]
+        assert replies == expected, request
 
 
 # --------------------------------------------------------------------- #
