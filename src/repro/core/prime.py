@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA
 
@@ -124,6 +125,8 @@ def prime_ppv(
     hub_mask: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = DEFAULT_EPSILON,
+    *,
+    _numpy_rounds: bool = False,
 ) -> PrimePPV:
     """Compute the prime PPV of ``source`` by level-synchronous push.
 
@@ -169,6 +172,7 @@ def prime_ppv(
         hub_mask,
         alpha=alpha,
         epsilon=epsilon,
+        _numpy_rounds=_numpy_rounds,
     )
     row = scores[0]
     border_row = border[0]
@@ -192,18 +196,30 @@ def prime_push_many(
     hub_mask: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = DEFAULT_EPSILON,
+    *,
+    _numpy_rounds: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level-synchronous prime push for a *batch* of sources at once.
 
     Semantically identical to calling :func:`prime_ppv` per source, but
-    the per-round numpy dispatch cost is amortised across the batch: the
-    residual frontier carries ``(source row, node, mass)`` triples keyed
-    by ``row * n + node`` and every round expands all sources together.
+    the per-round cost is amortised across the batch: the residual
+    frontier carries ``(source row, node, mass)`` triples keyed by
+    ``row * n + node`` and every round expands all sources together.
     Large rounds aggregate arrival masses with a dense scatter-add
     (sequential summation) where the single-source push reduces pairwise,
     so the returned scores match ``prime_ppv(graph, s, ...).to_dense(n)``
     to floating-point round-off (~1e-16 relative) rather than bitwise —
     well inside the batch engine's 1e-12 equivalence contract.
+
+    The rounds run in the compiled kernel of :mod:`repro.native` when one
+    is loaded, in numpy (:func:`_push_rounds_numpy`) otherwise.  The two
+    are one schedule — same rounds, same aggregation rule chosen by the
+    same predicate, same order inside every sum — and return identical
+    bytes for identical arguments (``tests/test_native_kernels.py``); the
+    round-off note above is about batch composition, not about which of
+    the two ran.  ``_numpy_rounds`` is not a switch (the one switch is
+    ``REPRO_NATIVE``): it exists for the offline build alone — see
+    :func:`repro.core.index._build_chunk` for why.
 
     Returns
     -------
@@ -220,16 +236,49 @@ def prime_push_many(
         raise ValueError("source node out of range")
     if hub_mask.shape != (n,):
         raise ValueError("hub_mask must have one entry per node")
-    indptr, indices = graph.indptr, graph.indices
-    out_degrees = graph.out_degrees
-    edge_probabilities = graph.edge_probabilities
-
     num_sources = sources.size
     scores = np.zeros((num_sources, n))
     border = np.zeros((num_sources, n))
     edges_touched = np.zeros(num_sources, dtype=np.int64)
     if num_sources == 0:
         return scores, border, edges_touched
+    max_rounds = _max_rounds(alpha, epsilon)
+    lib = None if _numpy_rounds else native.load()
+    if lib is None:
+        _push_rounds_numpy(
+            graph, sources, hub_mask, alpha, epsilon, max_rounds,
+            scores, border, edges_touched,
+        )
+    elif lib.repro_prime_push_many(
+        n, graph.indptr, graph.indices, graph.edge_probabilities,
+        num_sources, np.ascontiguousarray(sources),
+        np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
+        alpha, epsilon, max_rounds, _DENSE_AGGREGATION_LIMIT,
+        scores, border, edges_touched,
+    ):
+        raise MemoryError("prime_push_many: the push kernel ran out of memory")
+    return scores, border, edges_touched
+
+
+def _push_rounds_numpy(
+    graph: DiGraph,
+    sources: np.ndarray,
+    hub_mask: np.ndarray,
+    alpha: float,
+    epsilon: float,
+    max_rounds: int,
+    scores: np.ndarray,
+    border: np.ndarray,
+    edges_touched: np.ndarray,
+) -> None:
+    """:func:`prime_push_many`'s rounds in numpy, into the zeroed
+    outputs: the fallback without a compiler, and the oracle
+    ``kernels.c``'s ``repro_prime_push_many`` is pinned against."""
+    n = graph.num_nodes
+    num_sources = sources.size
+    indptr, indices = graph.indptr, graph.indices
+    out_degrees = graph.out_degrees
+    edge_probabilities = graph.edge_probabilities
 
     active_row = np.arange(num_sources, dtype=np.int64)
     active_node = sources.copy()
@@ -238,7 +287,7 @@ def prime_push_many(
 
     scores_flat = scores.reshape(-1)
     border_flat = border.reshape(-1)
-    for _ in range(_max_rounds(alpha, epsilon)):
+    for _ in range(max_rounds):
         flat = active_row * n + active_node
         scores_flat[flat] += alpha * masses
 
@@ -293,8 +342,6 @@ def prime_push_many(
             masses = np.add.reduceat(sorted_shares, group_starts)
         active_row = group_keys // n
         active_node = group_keys % n
-
-    return scores, border, edges_touched
 
 
 def prime_subgraph_nodes(

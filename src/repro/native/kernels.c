@@ -1,0 +1,393 @@
+/* The two prime-push schedules of repro, ported operation for operation.
+ *
+ * Both ports are pinned bit for bit against the Python / numpy code they
+ * take off the hot path (tests/test_native_kernels.py), so *the schedule
+ * is the contract*: the visiting order, the association of every product
+ * and the order of every sum below are the Python code's own.  Build with
+ * `-O2 -fPIC -shared -ffp-contract=off` and nothing that licenses
+ * reassociation or fusion (no -ffast-math, no -march=native).
+ *
+ * No Python.h, no globals; the cluster drain never allocates (its state
+ * is numpy arrays owned by the caller), the level-synchronous push grows
+ * one work block with malloc and reports failure as -1.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* ------------------------------------------------------------------ */
+/* 1. The cluster-draining push: storage/disk_engine.py _PrimePushRun  */
+
+typedef struct {
+    int64_t num_nodes, num_clusters, fault_budget;
+    double alpha, epsilon;
+    const int64_t *labels;   /* [num_nodes] cluster of every node */
+    const uint8_t *hubs;     /* [num_nodes] 1 at hub nodes */
+    double *scores;          /* [num_nodes] */
+    double *mass;            /* [num_nodes] pending expansion mass */
+    int32_t *next;           /* [num_nodes] FIFO links: pool lists, drain queue */
+    int32_t *row;            /* [num_nodes] 1 + row in the node's own segment */
+    int32_t *slot;           /* [num_nodes] 1 + position in border_hubs */
+    uint8_t *queued;         /* [num_nodes] node holds a pool / queue entry */
+    int64_t *head, *tail;    /* [num_clusters] pool lists; head -1 = no pool */
+    int64_t *order;          /* [num_clusters] clusters holding a pool, oldest first */
+    int64_t *border_hubs;    /* [num_nodes] first-touch order */
+    double *border_mass;     /* [num_nodes] aligned with border_hubs */
+    int64_t order_count, border_count, drains, truncated;
+    int64_t pending, pending_head, pending_tail;  /* staged cluster, -1 = none */
+} push_run;
+
+int64_t repro_run_size(void) { return (int64_t)sizeof(push_run); }
+
+/* pools[c][node] = pools[c].get(node, 0.0) + share */
+static void pool_add(push_run *r, int64_t c, int32_t node, double share)
+{
+    if (r->queued[node]) {
+        r->mass[node] += share;
+        return;
+    }
+    r->mass[node] = 0.0 + share;
+    r->queued[node] = 1;
+    if (r->head[c] < 0) {
+        r->head[c] = node;
+        r->order[r->order_count++] = c;
+    } else {
+        r->next[r->tail[c]] = node;
+    }
+    r->tail[c] = node;
+}
+
+/* The initial unit at the source always expands, hub or not. */
+void repro_run_start(push_run *r, int64_t source)
+{
+    r->pending = -1;
+    r->scores[source] += r->alpha;
+    pool_add(r, r->labels[source], (int32_t)source, 1.0);
+}
+
+/* Cluster the next drain needs, -1 when done: the heaviest pool (sums
+ * left to right, the first pool wins a tie), pools with nothing at or
+ * above epsilon dropped without a fault, the budget charged per drain. */
+int64_t repro_next_cluster(push_run *r)
+{
+    if (r->pending >= 0)
+        return r->pending;
+    while (r->order_count > 0) {
+        int64_t best = 0;
+        double best_sum = 0.0;
+        for (int64_t i = 0; i < r->order_count; i++) {
+            const int64_t c = r->order[i];
+            double sum = 0.0;
+            for (int64_t v = r->head[c];; v = r->next[v]) {
+                sum += r->mass[v];
+                if (v == r->tail[c])
+                    break;
+            }
+            if (i == 0 || sum > best_sum) {
+                best = i;
+                best_sum = sum;
+            }
+        }
+        const int64_t cluster = r->order[best];
+        r->order_count--;
+        memmove(r->order + best, r->order + best + 1,
+                (size_t)(r->order_count - best) * sizeof(int64_t));
+        /* local = what still expands, in insertion order */
+        int64_t head = -1, tail = -1;
+        for (int64_t v = r->head[cluster], last = 0; !last;) {
+            const int64_t following = r->next[v];
+            last = v == r->tail[cluster];
+            if (r->mass[v] >= r->epsilon) {
+                if (head < 0)
+                    head = v;
+                else
+                    r->next[tail] = (int32_t)v;
+                tail = v;
+            } else {
+                r->queued[v] = 0;
+            }
+            v = following;
+        }
+        r->head[cluster] = -1;
+        if (head < 0)
+            continue;
+        if (r->drains >= r->fault_budget) {
+            r->truncated = 1;
+            for (int64_t i = 0; i < r->order_count; i++)
+                r->head[r->order[i]] = -1;
+            r->order_count = 0;
+            return -1;
+        }
+        r->pending = cluster;
+        r->pending_head = head;
+        r->pending_tail = tail;
+        return cluster;
+    }
+    return -1;
+}
+
+/* Drain the staged cluster over its resident CSR rows: FIFO over the
+ * members, share = ((1 - alpha) * mass) * p, every target scored
+ * alpha * share in edge order, then routed hub / same cluster / other
+ * pool.  Returns 0, or -(node + 1) for a node labelled with a cluster
+ * whose segment does not hold it, or a label outside the clusters. */
+int64_t repro_drain(push_run *r, int64_t members, const int64_t *nodes,
+                    const int64_t *offsets, const int64_t *targets,
+                    const double *probs)
+{
+    const int64_t cluster = r->pending;
+    const double alpha = r->alpha, epsilon = r->epsilon;
+    int64_t head = r->pending_head, tail = r->pending_tail;
+    if (cluster < 0)
+        return 0;
+    r->pending = -1;
+    r->drains++;
+    for (int64_t i = 0; i < members; i++)
+        r->row[nodes[i]] = (int32_t)(i + 1);
+    while (head >= 0) {
+        const int64_t node = head;
+        head = node == tail ? -1 : r->next[node];
+        r->queued[node] = 0;
+        const double mass = r->mass[node];
+        if (mass < epsilon)
+            continue;  /* sub-threshold remainder: already scored */
+        const uint64_t row = (uint64_t)r->row[node] - 1;
+        if (row >= (uint64_t)members)
+            return -(node + 1);
+        const double base = (1.0 - alpha) * mass;
+        for (int64_t e = offsets[row]; e < offsets[row + 1]; e++) {
+            const int64_t t = targets[e];
+            const double share = base * probs[e];
+            r->scores[t] += alpha * share;
+            if (r->hubs[t]) {
+                if (r->slot[t]) {
+                    r->border_mass[r->slot[t] - 1] += share;
+                } else {
+                    r->border_hubs[r->border_count] = t;
+                    r->border_mass[r->border_count] = 0.0 + share;
+                    r->slot[t] = (int32_t)++r->border_count;
+                }
+            } else if (r->labels[t] == cluster) {
+                if (r->queued[t]) {
+                    r->mass[t] += share;
+                } else {
+                    r->mass[t] = share;
+                    r->queued[t] = 1;
+                    if (head < 0)
+                        head = t;
+                    else
+                        r->next[tail] = (int32_t)t;
+                    tail = t;
+                }
+            } else {
+                if ((uint64_t)r->labels[t] >= (uint64_t)r->num_clusters)
+                    return -(t + 1);
+                pool_add(r, r->labels[t], (int32_t)t, share);
+            }
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* 2. The level-synchronous batched push: core/prime.py prime_push_many */
+
+/* numpy's pairwise summation (what np.add.reduceat runs over the tail
+ * of each group): a plain loop below 8 elements, 8 accumulators up to
+ * 128, halves split at a multiple of 8 above that. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* Three (key, value) lanes of one capacity in one block: the frontier,
+ * the round's edges, and the sort's scratch. */
+typedef struct {
+    char *block;
+    int64_t capacity;
+    int64_t *fkey, *ekey, *skey;
+    double *fval, *eval, *sval;
+} lanes;
+
+/* Room for `need` entries per lane, keeping the first `live` frontier
+ * entries.  Returns -1 when the allocation fails. */
+static int lanes_grow(lanes *w, int64_t need, int64_t live)
+{
+    if (need <= w->capacity)
+        return 0;
+    const int64_t capacity = need > 2 * w->capacity ? need : 2 * w->capacity;
+    if ((uint64_t)capacity > SIZE_MAX / 48)
+        return -1;
+    char *block = malloc((size_t)capacity * 48);
+    if (block == NULL)
+        return -1;
+    int64_t *keys = (int64_t *)block;
+    double *vals = (double *)(block + 24 * (size_t)capacity);
+    if (live > 0) {
+        memcpy(keys, w->fkey, (size_t)live * 8);
+        memcpy(vals, w->fval, (size_t)live * 8);
+    }
+    free(w->block);
+    w->block = block;
+    w->capacity = capacity;
+    w->fkey = keys, w->ekey = keys + capacity, w->skey = keys + 2 * capacity;
+    w->fval = vals, w->eval = vals + capacity, w->sval = vals + 2 * capacity;
+    return 0;
+}
+
+/* Stable LSD byte radix sort of the edge lane by key (any stable sort
+ * yields np.argsort(kind="stable")'s permutation); the sorted lane ends
+ * up in ekey / eval. */
+static void sort_edges(lanes *w, int64_t count, int64_t max_key)
+{
+    for (int shift = 0; shift < 63 && (max_key >> shift) > 0; shift += 8) {
+        int64_t starts[256] = {0};
+        for (int64_t i = 0; i < count; i++)
+            starts[(w->ekey[i] >> shift) & 255]++;
+        for (int64_t b = 0, at = 0; b < 256; b++) {
+            const int64_t size = starts[b];
+            starts[b] = at;
+            at += size;
+        }
+        for (int64_t i = 0; i < count; i++) {
+            const int64_t at = starts[(w->ekey[i] >> shift) & 255]++;
+            w->skey[at] = w->ekey[i];
+            w->sval[at] = w->eval[i];
+        }
+        int64_t *keys = w->ekey;
+        double *vals = w->eval;
+        w->ekey = w->skey, w->eval = w->sval;
+        w->skey = keys, w->sval = vals;
+    }
+}
+
+/* scores / border: zeroed [num_sources * n]; edges_touched: zeroed
+ * [num_sources].  Returns 0, or -1 when memory runs out. */
+int64_t repro_prime_push_many(
+    int64_t n, const int64_t *indptr, const int32_t *indices,
+    const double *probs, int64_t num_sources, const int64_t *sources,
+    const uint8_t *hubs, double alpha, double epsilon, int64_t max_rounds,
+    int64_t dense_limit, double *scores, double *border,
+    int64_t *edges_touched)
+{
+    const int64_t buffer_size = num_sources * n, words = buffer_size / 64 + 1;
+    lanes w = {0};
+    double *bins = NULL;   /* the dense rule's buffer, all zero between rounds */
+    uint64_t *touched = NULL;  /* one bit per slot of bins, behind it */
+    int64_t status = 0, live = num_sources;
+    if (lanes_grow(&w, num_sources, 0))
+        return -1;
+    for (int64_t i = 0; i < live; i++) {
+        w.fkey[i] = i * n + sources[i];
+        w.fval[i] = 1.0;
+    }
+    for (int64_t round = 0; round < max_rounds; round++) {
+        /* Score every arrival, absorb at hubs (never in the first round:
+         * the initial unit at each source always expands), keep what
+         * expands — in frontier order — and size the round.  Frontier
+         * keys ascend, so `base` (the first key of the entry's source
+         * row) only ever steps forward: no division per entry. */
+        int64_t expanding = 0, total = 0;
+        for (int64_t i = 0, base = 0; i < live; i++) {
+            const int64_t key = w.fkey[i];
+            const double mass = w.fval[i];
+            while (key - base >= n)
+                base += n;
+            const int64_t node = key - base;
+            scores[key] += alpha * mass;
+            if (hubs[node] && round > 0) {
+                border[key] += mass;
+            } else if (mass >= epsilon && indptr[node + 1] > indptr[node]) {
+                w.fkey[expanding] = key;
+                w.fval[expanding++] = mass;
+                total += indptr[node + 1] - indptr[node];
+            }
+        }
+        if (expanding == 0)
+            break;
+        if (lanes_grow(&w, total, expanding)) {
+            status = -1;
+            break;
+        }
+        for (int64_t i = 0, at = 0, base = 0, row = 0; i < expanding; i++) {
+            const int64_t key = w.fkey[i];
+            while (key - base >= n)
+                base += n, row++;
+            const int64_t node = key - base;
+            const double share_base = (1.0 - alpha) * w.fval[i];
+            edges_touched[row] += indptr[node + 1] - indptr[node];
+            for (int64_t e = indptr[node]; e < indptr[node + 1]; e++, at++) {
+                w.ekey[at] = base + indices[e];
+                w.eval[at] = share_base * probs[e];
+            }
+        }
+        /* Aggregate per (source row, target), by prime_push_many's own
+         * predicate: np.bincount's element-order += when the dense
+         * buffer fits and the round is dense enough to amortise scanning
+         * it, else stable grouping and np.add.reduceat's
+         * first + pairwise(rest). */
+        live = 0;
+        if (buffer_size <= dense_limit && total * 16 >= buffer_size) {
+            if (bins == NULL) {
+                bins = calloc((size_t)(buffer_size + words), sizeof(double));
+                if (bins == NULL) {
+                    status = -1;
+                    break;
+                }
+                touched = (uint64_t *)(bins + buffer_size);
+            }
+            for (int64_t i = 0; i < total; i++) {
+                bins[w.ekey[i]] += w.eval[i];
+                touched[w.ekey[i] >> 6] |= (uint64_t)1 << (w.ekey[i] & 63);
+            }
+            /* np.nonzero(bins) in ascending key order, visiting only
+             * the slots this round wrote; bins is left all zero. */
+            for (int64_t word = 0; word < words; word++) {
+                for (uint64_t bits = touched[word]; bits; bits &= bits - 1) {
+                    const int64_t key = word * 64 + __builtin_ctzll(bits);
+                    if (bins[key] != 0.0) {
+                        w.fkey[live] = key;
+                        w.fval[live++] = bins[key];
+                        bins[key] = 0.0;
+                    }
+                }
+                touched[word] = 0;
+            }
+        } else {
+            sort_edges(&w, total, buffer_size - 1);
+            for (int64_t start = 0, end; start < total; start = end) {
+                for (end = start + 1; end < total && w.ekey[end] == w.ekey[start];)
+                    end++;
+                w.fkey[live] = w.ekey[start];
+                w.fval[live++] = end - start == 1
+                    ? w.eval[start]
+                    : w.eval[start]
+                        + pairwise_sum(w.eval + start + 1, end - start - 1);
+            }
+        }
+    }
+    free(w.block);
+    free(bins);
+    return status;
+}

@@ -33,6 +33,7 @@ import multiprocessing
 import signal
 import socket
 
+from repro import native
 from repro.server.server import PPVServer, ServerConfig
 
 
@@ -169,6 +170,9 @@ class ServerPool:
         """
         if self._sock is not None:
             raise RuntimeError("pool already started")
+        # Build / map the compiled kernels before the fork: workers
+        # inherit the library (or the fallback verdict) and never build.
+        native.load()
         self._sock = open_listen_socket(self.config.host, self.config.port)
         try:
             self.address = self._sock.getsockname()[:2]

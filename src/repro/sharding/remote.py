@@ -67,7 +67,7 @@ from repro.server.client import (
 from repro.server.protocol import ShardUnavailableError
 from repro.storage.disk_engine import decode_segment
 from repro.storage.ppv_store import decode_record
-from repro.storage.residency import ClusterResidency
+from repro.storage.residency import ClusterResidency, check_segment
 
 DEFAULT_HUB_CACHE = 256
 """Hub prime-PPV entries the router keeps resident (LRU)."""
@@ -433,8 +433,13 @@ class ShardedGraphStore(ClusterResidency):
             )
             self.shard_fetches[shard] += 1
         try:
-            return decode_segment(
+            arrays = decode_segment(
                 base64.b64decode(payload["segment"], validate=True)
             )
+            check_segment(
+                f"cluster {cluster} from shard {shard}", cluster,
+                self.labels, *arrays,
+            )
+            return arrays
         except _REPLY_ERRORS as error:
             raise _undecodable(shard, "fetch_cluster", error) from None

@@ -42,7 +42,12 @@ is ``query_many([q])[0]``:
   is faulted in once per wave instead of once per query.  A run's
   per-query schedule (heaviest pool first, FIFO within a cluster) is
   fixed and residency-independent, so per-query scores are bitwise
-  identical to serving the query alone.
+  identical to serving the query alone.  A run is a
+  :class:`_NativePrimePushRun` — the schedule compiled
+  (:mod:`repro.native`, one C call per drain over the resident
+  cluster's arrays) — when the compiled kernels are loaded, and the
+  Python :class:`_PrimePushRun` it is pinned against bit for bit
+  otherwise; which one ran is not observable in any result.
 * Hub prime PPVs are fetched through a per-batch cache seeded by
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
   reads): each hub payload is read from disk once per batch, not once
@@ -72,6 +77,7 @@ delta of the stores' ``faults`` / ``reads`` counters around the call.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import struct
@@ -79,11 +85,13 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.query import (
     DEFAULT_DELTA,
     QueryResult,
@@ -96,7 +104,7 @@ from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
-from repro.storage.residency import ClusterResidency
+from repro.storage.residency import ClusterResidency, check_segment
 
 
 _SEGMENT_HEADER = struct.Struct("<2Q")
@@ -357,7 +365,9 @@ class DiskGraphStore(ClusterResidency):
         return data
 
     def _fetch_cluster(self, cluster: int):
-        return decode_segment(self.read_segment(cluster))
+        arrays = decode_segment(self.read_segment(cluster))
+        check_segment(self._segment_path(cluster), cluster, self.labels, *arrays)
+        return arrays
 
     def cluster_arrays(self, cluster: int) -> dict:
         """One stored cluster's raw arrays (``nodes`` / ``offsets`` /
@@ -388,6 +398,10 @@ class _PrimePushRun:
     The fault budget is charged per *drain step* — exactly the faults a
     dedicated one-cluster-budget store would incur — so truncation is
     deterministic and independent of what else is in the batch.
+
+    This class is the schedule's Python spelling: what serves when no
+    compiled kernel is loaded, and the oracle
+    :class:`_NativePrimePushRun` must equal byte for byte.
     """
 
     __slots__ = (
@@ -420,8 +434,8 @@ class _PrimePushRun:
         self.alpha = alpha
         self.epsilon = epsilon
         self.fault_budget = fault_budget
-        # List-backed hub lookup for the per-edge hot loop (see drain);
-        # the engine passes one shared conversion for the whole batch.
+        # List-backed hub lookup for the per-edge Python loop (see
+        # drain); the engine passes one conversion for the whole batch.
         self.hub_list: list[bool] = (
             hub_list if hub_list is not None else hub_mask.tolist()
         )
@@ -454,7 +468,7 @@ class _PrimePushRun:
             # (A resident-cluster preference would be vacuous: the only
             # selection it could influence is the first, where the sole
             # pool is the source's cluster.)
-            cluster = max(self.pools, key=lambda c: sum(self.pools[c].values()))
+            cluster = max(self.pools, key=self._pool_weight)
             pending = self.pools.pop(cluster)
             local = {
                 node: mass
@@ -471,13 +485,35 @@ class _PrimePushRun:
             return cluster
         return None
 
+    def _pool_weight(self, cluster: int) -> float:
+        """A pool's pending mass, summed left to right in insertion
+        order.  Spelled out because builtin ``sum`` over floats became a
+        compensated sum in CPython 3.12: on a near-tie the heaviest-pool
+        choice — hence the drain order and the served bits — would
+        depend on the interpreter (and differ from ``kernels.c``)."""
+        weight = 0.0
+        for mass in self.pools[cluster].values():
+            weight += mass
+        return weight
+
+    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """The border as fresh ``(hub ids, arrival masses)`` arrays, in
+        first-arrival order."""
+        border = self.border
+        return (
+            np.fromiter(border.keys(), dtype=np.int64, count=len(border)),
+            np.fromiter(border.values(), dtype=np.float64, count=len(border)),
+        )
+
     def drain(self) -> None:
         """Drain the staged cluster: propagate its resident residual to
         exhaustion — intra-cluster mass bounces without I/O, exported
         mass is deferred to other pools.
 
+        This is the Python spelling of ``kernels.c``'s ``repro_drain``
+        (:class:`_NativePrimePushRun`): the fallback, and its oracle.
         The hot loop runs on plain Python scalars (list slices of the
-        :class:`~repro.storage.residency.ResidentCluster` rows,
+        :class:`~repro.storage.residency.ResidentCluster` list lowering,
         list-backed hub/label lookups) and only *routes* mass.  Scoring
         is deferred: each expanded row records ``(start, length, base)``
         and one vectorised pass computes ``alpha * (base * probs)`` over
@@ -549,12 +585,105 @@ class _PrimePushRun:
             )
 
 
-def _frontier_arrays(frontier: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """A frontier as ``(hub ids, masses)`` arrays in dict-iteration order."""
-    return (
-        np.fromiter(frontier.keys(), dtype=np.int64, count=len(frontier)),
-        np.fromiter(frontier.values(), dtype=np.float64, count=len(frontier)),
-    )
+class _NativePrimePushRun:
+    """:class:`_PrimePushRun` on the compiled kernels of
+    :mod:`repro.native`: the same per-query schedule — heaviest pool
+    first with left-to-right pool sums and first-inserted ties, FIFO
+    within a cluster, ``((1 - alpha) * mass) * p`` shares, scores
+    deposited in edge order, the fault budget charged per drain — with
+    the whole per-query state held as arrays (pending mass by node,
+    insertion-ordered linked lists per pool, the pool insertion order,
+    the insertion-ordered border) instead of dicts.  Same constructor,
+    same ``next_cluster`` / ``drain`` / ``frontier`` surface, bitwise
+    the same ``scores``, ``border``, ``drains`` and ``truncated``
+    (``tests/test_native_kernels.py``).  ``drain`` is one
+    ``resident_cluster`` call and one C call that releases the GIL.
+
+    Every array the kernels see is created here with its dtype and
+    length (or by :class:`~repro.storage.residency.ResidentCluster`,
+    after :func:`~repro.storage.residency.check_segment`) and is held
+    by this object for as long as the C struct points at it.
+    """
+
+    def __init__(
+        self, graph_store, source, hub_mask, alpha, epsilon, fault_budget
+    ) -> None:
+        lib = native.load()
+        num_nodes, num_clusters = graph_store.num_nodes, graph_store.num_clusters
+        labels = np.require(graph_store.labels, np.int64, "CA")
+        hubs = np.require(hub_mask, np.bool_, "CA")
+        if labels.shape != (num_nodes,) or hubs.shape != (num_nodes,):
+            raise ValueError("labels and hub_mask need one entry per node")
+        if not 0 <= labels[source] < num_clusters:
+            raise ValueError(f"node {source} is labelled outside the clusters")
+        self.graph_store = graph_store
+        self.scores = np.zeros(num_nodes)
+        self._arrays = dict(
+            labels=labels,
+            hubs=hubs,
+            scores=self.scores,
+            mass=np.zeros(num_nodes),
+            next=np.zeros(num_nodes, np.int32),
+            row=np.zeros(num_nodes, np.int32),
+            slot=np.zeros(num_nodes, np.int32),
+            queued=np.zeros(num_nodes, np.uint8),
+            head=np.full(num_clusters, -1, np.int64),
+            tail=np.zeros(num_clusters, np.int64),
+            order=np.zeros(num_clusters, np.int64),
+            border_hubs=np.zeros(num_nodes, np.int64),
+            border_mass=np.zeros(num_nodes),
+        )
+        self._state = native.PushRun(
+            num_nodes=num_nodes, num_clusters=num_clusters,
+            fault_budget=fault_budget, alpha=alpha, epsilon=epsilon,
+            **{name: array.ctypes.data for name, array in self._arrays.items()},
+        )
+        self._ref = ctypes.byref(self._state)
+        self._next_cluster, self._drain = lib.repro_next_cluster, lib.repro_drain
+        lib.repro_run_start(self._ref, source)
+
+    @property
+    def drains(self) -> int:
+        return self._state.drains
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self._state.truncated)
+
+    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        count = self._state.border_count
+        return (
+            self._arrays["border_hubs"][:count].copy(),
+            self._arrays["border_mass"][:count].copy(),
+        )
+
+    @property
+    def border(self) -> dict[int, float]:
+        hubs, masses = self.frontier()
+        return dict(zip(hubs.tolist(), masses.tolist()))
+
+    def next_cluster(self) -> int | None:
+        cluster = self._next_cluster(self._ref)
+        return cluster if cluster >= 0 else None
+
+    def drain(self) -> None:
+        cluster = self._state.pending
+        # One residency resolution per drain, as in the Python run; the
+        # resident record holds the four arrays for the call's duration.
+        resident = self.graph_store.resident_cluster(cluster)
+        status = self._drain(
+            self._ref,
+            resident.nodes_array.size,
+            resident.nodes_array.ctypes.data,
+            resident.offsets_array.ctypes.data,
+            resident.targets_array.ctypes.data,
+            resident.probs_array.ctypes.data,
+        )
+        if status:
+            raise ValueError(
+                f"node {-status - 1} reached while draining cluster {cluster} "
+                "is labelled with a cluster that does not hold it"
+            )
 
 
 @dataclass
@@ -658,18 +787,20 @@ class DiskFastPPV:
         paper's DFS-within-cluster search and keeps faults near the
         number of distinct clusters the prime subgraph overlaps.
         """
-        runs: dict[int, _PrimePushRun] = {}
-        hub_list = self.ppv_store.hub_list
+        runs: dict[int, _PrimePushRun | _NativePrimePushRun] = {}
+        if native.load() is not None:
+            new_run = _NativePrimePushRun
+        else:  # one list conversion of the hub mask for the whole batch
+            new_run = partial(_PrimePushRun, hub_list=self.ppv_store.hub_list)
         for q in ids:
             if q not in self.ppv_store and q not in runs:
-                runs[q] = _PrimePushRun(
+                runs[q] = new_run(
                     self.graph_store,
                     q,
                     self.ppv_store.hub_mask,
                     self.ppv_store.alpha,
                     self.ppv_store.epsilon,
                     self.fault_budget,
-                    hub_list=hub_list,
                 )
         active = dict(runs)
         while active:
@@ -740,9 +871,8 @@ class DiskFastPPV:
         # per unique hub, however many queries splice it.
         wanted = {q for q in ids if q in self.ppv_store}
         for run in runs.values():
-            for hub, mass in run.border.items():
-                if alpha * mass > self.delta:
-                    wanted.add(hub)
+            hubs, masses = run.frontier()
+            wanted.update(hubs[alpha * masses > self.delta].tolist())
         fetched = self.ppv_store.get_many(wanted)
 
         # ---- iteration 0: stack every query's estimate and frontier.
@@ -768,7 +898,7 @@ class DiskFastPPV:
                 # Copy into the row: duplicates share the run, and the
                 # splice rounds mutate the estimate in place.
                 estimates[position] = run.scores
-                frontiers.append(_frontier_arrays(run.border))
+                frontiers.append(run.frontier())
                 cluster_faults[position] = run.drains
                 truncated[position] = run.truncated
 

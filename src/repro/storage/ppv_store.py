@@ -176,8 +176,9 @@ class DiskPPVStore:
     @property
     def hub_list(self) -> list[bool]:
         """``hub_mask`` as a plain list — O(1) lookups without numpy
-        scalar overhead on the disk push's per-edge hot path (the twin
-        of :attr:`DiskGraphStore.labels_list`)."""
+        scalar overhead in the Python disk push's per-edge loop (the
+        twin of :attr:`DiskGraphStore.labels_list`; never built when the
+        compiled drain is selected)."""
         if self._hub_list is None:
             self._hub_list = self.hub_mask.tolist()
         return self._hub_list

@@ -14,32 +14,85 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
+
+
+def check_segment(name, cluster, labels, nodes, offsets, targets, probs) -> None:
+    """Refuse a decoded segment whose *structure* is wrong.
+
+    Length, header and CRC-32 say the bytes are the ones that were
+    written, not that they describe rows of this graph: a buggy or
+    foreign writer (or a rebuilt manifest) can be CRC-consistent with a
+    target past the last node, which would index the push's per-node
+    state out of bounds — silently, for a negative target, in Python;
+    fatally in C.  Checked once per fault, before any kernel sees the
+    arrays: offsets start at 0, never decrease and end at the edge
+    count; member nodes and targets lie in ``[0, num_nodes)``; every
+    member is labelled with ``cluster``.  Raises :class:`ValueError`
+    naming the segment as ``name`` (a path, a shard's reply).
+    """
+    num_nodes, edges = labels.size, targets.size
+    if offsets.size != nodes.size + 1 or probs.size != edges:
+        problem = "array lengths disagree"
+    elif offsets[0] != 0 or offsets[-1] != edges or (
+        offsets[1:] < offsets[:-1]
+    ).any():
+        problem = f"offsets are not a non-decreasing 0..{edges} sequence"
+    elif edges and not 0 <= targets.min() <= targets.max() < num_nodes:
+        problem = f"an edge target lies outside [0, {num_nodes})"
+    elif nodes.size and not 0 <= nodes.min() <= nodes.max() < num_nodes:
+        problem = f"a member node lies outside [0, {num_nodes})"
+    elif (labels[nodes] != cluster).any():
+        problem = "a member node is labelled with another cluster"
+    else:
+        return
+    raise ValueError(f"{name}: malformed cluster segment ({problem})")
+
 
 class ResidentCluster:
-    """One memory-resident cluster: its CSR rows lowered once per fault.
+    """One memory-resident cluster: its CSR rows, checked once per fault.
 
-    ``rows`` maps a member node to its row; the row's edges are
-    ``targets[offsets[row]:offsets[row + 1]]`` with matching ``probs``.
-    The three plain lists feed the push's per-edge Python loop (no numpy
-    scalar overhead); ``targets_array`` / ``probs_array`` are the same
-    edges as arrays, for the drain's vectorised score deposit and for
-    :meth:`out_edges`.
+    ``nodes_array`` / ``offsets_array`` / ``targets_array`` /
+    ``probs_array`` are the segment's four arrays in the dtypes the
+    kernels read (int64, int64, int64, float64; C-contiguous, aligned) —
+    the compiled drain of :mod:`repro.native` runs on them as they are,
+    and so do :meth:`out_edges` and the Python drain's vectorised score
+    deposit.  The Python drain's per-edge loop wants plain lists (no
+    numpy scalar overhead): ``rows`` (member node → row), ``offsets``,
+    ``targets`` and ``probs`` are that lowering, built on first touch —
+    at the fault when the process runs the fallback, never when the
+    compiled drain is selected.
     """
 
     __slots__ = (
-        "rows", "offsets", "targets", "probs", "targets_array", "probs_array",
+        "nodes_array", "offsets_array", "targets_array", "probs_array",
+        "rows", "offsets", "targets", "probs",
     )
 
     def __init__(self, nodes, offsets, targets, probs) -> None:
-        # The resident dtypes are stated here: segments store targets
-        # as int32, the drain indexes with an int64 ``targets_array``.
-        self.targets_array = np.asarray(targets, dtype=np.int64)
-        self.probs_array = np.asarray(probs, dtype=np.float64)
-        self.offsets = np.asarray(offsets, dtype=np.int64).tolist()
+        # The resident dtypes are stated here, where the arrays are
+        # created: segments store targets as int32, the kernels index
+        # with int64.
+        self.nodes_array = np.require(nodes, np.int64, "CA")
+        self.offsets_array = np.require(offsets, np.int64, "CA")
+        self.targets_array = np.require(targets, np.int64, "CA")
+        self.probs_array = np.require(probs, np.float64, "CA")
+        if native.load() is None:
+            self._lower()
+
+    def _lower(self) -> None:
+        members = self.nodes_array.tolist()
+        self.rows = dict(zip(members, range(len(members))))
+        self.offsets = self.offsets_array.tolist()
         self.targets = self.targets_array.tolist()
         self.probs = self.probs_array.tolist()
-        members = np.asarray(nodes, dtype=np.int64).tolist()
-        self.rows = dict(zip(members, range(len(members))))
+
+    def __getattr__(self, name):
+        # Reached only for a slot not yet filled: the list lowering.
+        if name in ("rows", "offsets", "targets", "probs"):
+            self._lower()
+            return getattr(self, name)
+        raise AttributeError(name)
 
     def out_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """``(targets, step probabilities)`` of member ``node``."""
@@ -55,7 +108,9 @@ class ClusterResidency:
 
     Subclasses supply :meth:`_fetch_cluster`: the ``(nodes, offsets,
     targets, probs)`` arrays of one cluster, as
-    :func:`~repro.storage.disk_engine.decode_segment` returns them.
+    :func:`~repro.storage.disk_engine.decode_segment` returns them and
+    :func:`check_segment` accepts them (each subclass runs the check
+    where it can name the segment's origin in the refusal).
     ``faults`` counts swap-ins; at most ``memory_budget`` clusters are
     resident, least recently used evicted first.
     """
@@ -83,7 +138,8 @@ class ClusterResidency:
     @property
     def labels_list(self) -> list[int]:
         """``labels`` as a plain list — O(1) lookups without numpy
-        scalar overhead on the push's per-edge hot path."""
+        scalar overhead in the Python drain's per-edge loop (built on
+        first use; the compiled drain reads ``labels`` itself)."""
         if self._labels_list is None:
             self._labels_list = self.labels.tolist()
         return self._labels_list

@@ -1,0 +1,890 @@
+"""The compiled kernels, pinned bit for bit against the code they replace.
+
+``repro.native`` ports two schedules to C: the cluster drain
+(``_NativePrimePushRun`` vs ``_PrimePushRun`` vs the per-edge
+``oracles.ReferencePrimePushRun``) and the level-synchronous
+``prime_push_many`` (vs its numpy rounds).  Everything here compares
+*bytes* — ``scores.tobytes()``, the border's ``(hub, mass)`` order,
+``drains`` / ``truncated``, SHA-256 over served score vectors — never a
+tolerance.  The drain cases are the ones of ``test_disk_drain.py`` (its
+fixtures and strategies are imported, not copied), run three ways.
+
+Also here: how a process selects its kernels (no compiler, an unusable
+cache directory, two processes racing the first build, a truncated or
+foreign cached library), the two small fixes that ride along (the
+interpreter-independent pool sum; structural validation of cluster
+segments before any kernel sees them) and allocation failure inside the
+push kernel.
+
+Under ``REPRO_NATIVE=0`` (CI runs the suite both ways) the comparisons
+against the compiled kernels skip; the selection and fix tests still run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+import zlib
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ReferencePrimePushRun, sharded_over
+from test_disk_drain import (
+    BACKENDS,
+    NODES,
+    TRICKY_EDGES,
+    TRICKY_LABELS,
+    _assert_runs_identical,
+    _csr,
+    _deploy,
+    _open,
+    _run,
+    deployments,
+)
+
+import repro
+from repro import StopAfterIterations, build_index, native, select_hubs, social_graph
+from repro.core import prime
+from repro.core.index import clip_prime_ppv
+from repro.graph.digraph import DiGraph
+from repro.server.protocol import ShardUnavailableError
+from repro.serving import PPVService, QuerySpec
+from repro.storage import (
+    ClusterAssignment,
+    DiskFastPPV,
+    DiskGraphStore,
+    DiskPPVStore,
+    cluster_graph,
+    save_index,
+)
+from repro.storage import disk_engine
+from repro.storage.disk_engine import _NativePrimePushRun, _PrimePushRun
+from repro.storage.residency import ResidentCluster
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+needs_native = pytest.mark.skipif(
+    native.load() is None, reason=f"no compiled kernels ({native.reason})"
+)
+
+RUN_KINDS = [
+    pytest.param(_PrimePushRun, id="python"),
+    pytest.param(_NativePrimePushRun, id="native", marks=needs_native),
+]
+
+
+@pytest.fixture(scope="module")
+def tricky(tmp_path_factory):
+    root = tmp_path_factory.mktemp("native_drain")
+    _deploy(root, _csr(NODES, TRICKY_EDGES), [2], TRICKY_LABELS, epsilon=1e-9)
+    return root
+
+
+# --------------------------------------------------------------------- #
+# (a) The drain, three ways
+
+
+@needs_native
+class TestDrainThreeWays:
+    @BACKENDS
+    @pytest.mark.parametrize("fault_budget", [1, 2, 3, 10**9])
+    @pytest.mark.parametrize("source", range(NODES))
+    def test_every_source(self, tricky, source, fault_budget, backend):
+        # Parallel edges, self-loops, the hub as source, a dangling
+        # source, edge-less rows and clusters, budget truncation.
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            native_run, python_run = (
+                _run(kind, tricky, ppv_store, source, fault_budget, backend)
+                for kind in (_NativePrimePushRun, _PrimePushRun)
+            )
+            oracle = _run(
+                ReferencePrimePushRun, tricky, ppv_store, source, fault_budget
+            )
+        _assert_runs_identical(native_run, python_run)
+        _assert_runs_identical(native_run, oracle)
+        hubs, masses = native_run.frontier()
+        assert (hubs.dtype, masses.dtype) == (np.int64, np.float64)
+        assert hubs.tolist() == list(oracle.border)
+
+    def test_truncation_actually_happens(self, tricky):
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            runs = [
+                _run(_NativePrimePushRun, tricky, ppv_store, 0, budget)
+                for budget in (1, 2, 3, 10**9)
+            ]
+        assert runs[0].truncated and not runs[-1].truncated
+        assert runs[0].next_cluster() is None  # and stays finished
+
+    @BACKENDS
+    def test_a_drain_that_expands_no_row_deposits_nothing(self, tricky, backend):
+        # Unreachable through next_cluster; staged by hand in each
+        # run's own state (dicts there, arrays here).
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            native_run, python_run = (
+                kind(
+                    _open(backend, tricky / "c"), 0, ppv_store.hub_mask,
+                    ppv_store.alpha, ppv_store.epsilon, 10,
+                )
+                for kind in (_NativePrimePushRun, _PrimePushRun)
+            )
+        mass = python_run.epsilon / 2
+        python_run.pools.clear()
+        python_run._pending = (0, {1: mass})
+        state, arrays = native_run._state, native_run._arrays
+        arrays["head"][:] = -1
+        arrays["queued"][0] = 0
+        arrays["mass"][1], arrays["queued"][1] = mass, 1
+        state.order_count = 0
+        state.pending, state.pending_head, state.pending_tail = 0, 1, 1
+        for run in (native_run, python_run):
+            run.drain()
+            assert run.next_cluster() is None
+        _assert_runs_identical(native_run, python_run)
+        assert native_run.drains == 1
+        assert native_run.scores.tolist() == [native_run._state.alpha] + [0.0] * (
+            NODES - 1
+        )
+
+    def test_next_cluster_is_idempotent_until_drained(self, tricky):
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            run = _NativePrimePushRun(
+                _open("disk", tricky / "c"), 0, ppv_store.hub_mask,
+                ppv_store.alpha, ppv_store.epsilon, 10,
+            )
+        first = run.next_cluster()
+        assert first == TRICKY_LABELS[0] == run.next_cluster()
+        assert run.drains == 0
+        run.drain()
+        assert run.drains == 1
+
+    def test_one_resident_cluster_call_per_drain(self, tricky):
+        # The ledger's ``store.cluster_load`` span is exactly this call.
+        store = _open("disk", tricky / "c")
+        calls = []
+        resident_cluster = store.resident_cluster
+        store.resident_cluster = lambda c: calls.append(c) or resident_cluster(c)
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            run = _NativePrimePushRun(
+                store, 0, ppv_store.hub_mask, ppv_store.alpha,
+                ppv_store.epsilon, 10,
+            )
+        while run.next_cluster() is not None:
+            run.drain()
+        assert len(calls) == run.drains > 1
+
+    def test_the_list_lowering_is_never_built(self, tricky):
+        store = _open("disk", tricky / "c", 4)
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            DiskFastPPV(store, ppv_store, delta=0.0).query_many([0, 3, 6])
+            assert ppv_store._hub_list is None
+        assert store._labels_list is None
+        for resident in store._cache.values():
+            for name in ("rows", "offsets", "targets", "probs"):
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(resident, name)
+        # ... and is still there for whoever asks (out_edges, the oracle).
+        targets, _ = store.out_edges(0)
+        assert targets.tolist() == [1, 1, 0, 3]
+
+
+@needs_native
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(deployments())
+def test_hypothesis_deployments_three_ways(deployment):
+    (
+        num_nodes, edges, labels, hubs, batch, memory_budget, fault_budget,
+        backend,
+    ) = deployment
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        _deploy(root, _csr(num_nodes, edges), hubs, labels, epsilon=1e-6)
+        budget = fault_budget if fault_budget is not None else max(labels) + 1
+        with DiskPPVStore(root / "i.fppv") as ppv_store:
+
+            def serve():
+                engine = DiskFastPPV(
+                    _open(backend, root / "c", memory_budget), ppv_store,
+                    delta=0.0, fault_budget=fault_budget,
+                )
+                return engine.query_many(batch), engine._grouped_pushes(batch)
+
+            served, runs = serve()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(native, "_loaded", [None])
+                served_python, runs_python = serve()
+            for got, want in zip(served, served_python):
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert got.result.error_history == want.result.error_history
+                assert (got.cluster_faults, got.hub_reads, got.truncated) == (
+                    want.cluster_faults, want.hub_reads, want.truncated
+                )
+            for query, run in runs.items():
+                assert type(run) is _NativePrimePushRun
+                assert type(runs_python[query]) is _PrimePushRun
+                _assert_runs_identical(run, runs_python[query])
+                _assert_runs_identical(
+                    run,
+                    _run(ReferencePrimePushRun, root, ppv_store, query, budget),
+                )
+
+
+# --------------------------------------------------------------------- #
+# (b) prime_push_many, native vs numpy
+
+
+class _SpyNumpy:
+    """``numpy`` for ``repro.core.prime``, recording which aggregation
+    rule each round of the numpy push takes."""
+
+    def __init__(self) -> None:
+        self.rules: set[str] = set()
+        self.add = SimpleNamespace(at=np.add.at, reduceat=self._reduceat)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.rules.add("dense")
+        return np.bincount(*args, **kwargs)
+
+    def _reduceat(self, *args, **kwargs):
+        self.rules.add("sort")
+        return np.add.reduceat(*args, **kwargs)
+
+
+def _push_both_ways(graph, sources, hub_mask, alpha=0.15, epsilon=1e-8):
+    """``prime_push_many`` through the compiled kernel and through the
+    numpy rounds — byte-equal — plus the aggregation rules the rounds
+    took."""
+    sources = np.asarray(sources, dtype=np.int64)
+    got = prime.prime_push_many(graph, sources, hub_mask, alpha, epsilon)
+    spy = _SpyNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prime, "np", spy)
+        want = prime.prime_push_many(
+            graph, sources, hub_mask, alpha, epsilon, _numpy_rounds=True
+        )
+    for name, native_array, numpy_array in zip(
+        ("scores", "border", "edges_touched"), got, want
+    ):
+        assert native_array.dtype == numpy_array.dtype, name
+        assert native_array.shape == numpy_array.shape, name
+        assert native_array.tobytes() == numpy_array.tobytes(), name
+    return got, spy.rules
+
+
+def _weighted_csr(num_nodes, edges, weights) -> DiGraph:
+    """A weighted graph that keeps parallel edges and self-loops."""
+    order = sorted(range(len(edges)), key=lambda i: edges[i][0])
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount([s for s, _ in edges], minlength=num_nodes)))
+    )
+    return DiGraph(
+        indptr,
+        np.array([edges[i][1] for i in order], dtype=np.int32),
+        weights=np.array([weights[i] for i in order]),
+    )
+
+
+def _fans(sizes, seed=0):
+    """One fan per size ``m``: a source with weighted edges to ``m``
+    middle nodes that all point (weighted) at one sink — so the second
+    round delivers one group of exactly ``m`` distinct shares."""
+    rng = np.random.default_rng(seed)
+    edges, weights, sources, node = [], [], [], 0
+    for m in sizes:
+        source, sink = node, node + 1
+        middles = range(node + 2, node + 2 + m)
+        edges += [(source, mid) for mid in middles]
+        # A second out-edge per middle node keeps the shares distinct.
+        edges += [e for mid in middles for e in ((mid, sink), (mid, source))]
+        weights += rng.uniform(0.1, 1.0, size=3 * m).tolist()
+        sources.append(source)
+        node += m + 2
+    return _weighted_csr(node, edges, weights), sources
+
+
+@needs_native
+class TestPrimePushMany:
+    # Group sizes that walk every branch of numpy's pairwise sum behind
+    # reduceat (first + pairwise(rest)): rest < 8, the 8-accumulator
+    # block with and without a remainder, exactly 128, and the recursive
+    # split above it (uneven halves included).
+    SIZES = [1, 2, 3, 8, 9, 10, 12, 16, 17, 24, 31, 64, 128, 129, 130, 137,
+             200, 257, 300, 513, 1000]
+
+    @pytest.mark.parametrize("limit", [prime._DENSE_AGGREGATION_LIMIT, 0])
+    def test_fans_of_every_pairwise_branch(self, monkeypatch, limit):
+        # limit 0 forces the sort rule onto every round; the default
+        # lets the predicate choose (these rounds are dense).
+        monkeypatch.setattr(prime, "_DENSE_AGGREGATION_LIMIT", limit)
+        graph, sources = _fans(self.SIZES)
+        hub_mask = np.zeros(graph.num_nodes, dtype=bool)
+        (scores, _, _), rules = _push_both_ways(graph, sources, hub_mask)
+        assert rules == ({"sort"} if limit == 0 else {"dense", "sort"})
+        assert np.count_nonzero(scores) > sum(self.SIZES)
+
+    def test_a_star_with_in_degree_above_128_as_a_hub(self):
+        graph, sources = _fans([200, 13])
+        hub_mask = np.zeros(graph.num_nodes, dtype=bool)
+        hub_mask[[1, sources[1]]] = True  # the big sink, and a hub *source*
+        (_, border, _), _ = _push_both_ways(graph, sources, hub_mask)
+        assert border[0, 1] > 0.0  # the sink absorbed the fan
+        # The hub source expanded its initial unit and absorbed the
+        # mass that cycled back.
+        assert border[1, sources[1]] > 0.0
+
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    def test_social_graph_takes_both_rules(self, small_social, batch):
+        hubs = select_hubs(small_social, num_hubs=40)
+        hub_mask = np.zeros(small_social.num_nodes, dtype=bool)
+        hub_mask[hubs] = True
+        rng = np.random.default_rng(batch)
+        sources = rng.choice(small_social.num_nodes, batch, replace=False)
+        sources[0] = hubs[0]  # a hub source rides in every batch
+        for epsilon in (1e-4, 1e-8):
+            (scores, border, edges), rules = _push_both_ways(
+                small_social, sources, hub_mask, epsilon=epsilon
+            )
+            assert rules == {"dense", "sort"}
+            assert (edges > 0).all() and not border[:, ~hub_mask].any()
+
+    def test_dangling_nodes_and_duplicate_sources(self):
+        graph = _csr(NODES, TRICKY_EDGES)
+        hub_mask = np.zeros(NODES, dtype=bool)
+        hub_mask[2] = True
+        (scores, _, edges), _ = _push_both_ways(
+            graph, [5, 7, 0, 0, 2, 5], hub_mask, epsilon=1e-9
+        )
+        assert edges[:2].tolist() == [0, 0]  # dangling sources touch nothing
+        assert scores[2].tobytes() == scores[3].tobytes()
+
+    def test_empty_batch_and_bad_arguments(self, small_social):
+        hub_mask = np.zeros(small_social.num_nodes, dtype=bool)
+        scores, border, edges = prime.prime_push_many(
+            small_social, np.empty(0, np.int64), hub_mask
+        )
+        assert scores.shape == border.shape == (0, small_social.num_nodes)
+        with pytest.raises(ValueError):
+            prime.prime_push_many(small_social, [small_social.num_nodes], hub_mask)
+        with pytest.raises(ValueError):
+            prime.prime_push_many(small_social, [0], hub_mask[:-1])
+
+    def test_non_contiguous_and_integer_inputs_are_normalised(self, small_social):
+        n = small_social.num_nodes
+        hub_mask = np.zeros(2 * n, dtype=bool)[::2]
+        hub_mask[::9] = True
+        sources = np.arange(0, 40, dtype=np.int32)[::2]
+        _push_both_ways(small_social, sources, hub_mask)
+
+
+@st.composite
+def push_cases(draw):
+    num_nodes = draw(st.integers(2, 40))
+    node = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node), min_size=1, max_size=160))
+    weights = draw(
+        st.lists(
+            st.floats(0.05, 1.0, allow_nan=False),
+            min_size=len(edges), max_size=len(edges),
+        )
+    )
+    hubs = draw(st.sets(node, max_size=4))
+    sources = draw(st.lists(node, min_size=1, max_size=12))
+    epsilon = draw(st.sampled_from([1e-3, 1e-6, 1e-10]))
+    limit = draw(st.sampled_from([0, prime._DENSE_AGGREGATION_LIMIT]))
+    return num_nodes, edges, weights, sorted(hubs), sources, epsilon, limit
+
+
+@needs_native
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(push_cases())
+def test_hypothesis_pushes_native_equals_numpy(case):
+    num_nodes, edges, weights, hubs, sources, epsilon, limit = case
+    graph = _weighted_csr(num_nodes, edges, weights)
+    hub_mask = np.zeros(num_nodes, dtype=bool)
+    hub_mask[hubs] = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prime, "_DENSE_AGGREGATION_LIMIT", limit)
+        _, rules = _push_both_ways(graph, sources, hub_mask, epsilon=epsilon)
+    assert limit or "dense" not in rules
+
+
+# --------------------------------------------------------------------- #
+# (c) Served bits on the ledger's dataset, under both selections
+
+SOCIAL4K = dict(num_nodes=4000, graph_seed=11, num_hubs=400, epsilon=1e-6,
+                num_clusters=10, cluster_seed=1, delta=1e-4, eta=2)
+L1_NODES = [125 * k + 5 for k in range(32)]  # benchmarks/ledger/dataset.py
+
+
+@pytest.fixture(scope="module")
+def social4k(tmp_path_factory):
+    """``social4k`` as ``benchmarks/ledger/dataset.py`` builds it."""
+    workdir = tmp_path_factory.mktemp("social4k")
+    graph = social_graph(
+        num_nodes=SOCIAL4K["num_nodes"], seed=SOCIAL4K["graph_seed"]
+    )
+    hubs = select_hubs(graph, num_hubs=SOCIAL4K["num_hubs"])
+    index = build_index(graph, hubs, epsilon=SOCIAL4K["epsilon"])
+    save_index(index, workdir / "index.fppv")
+    assignment = cluster_graph(
+        graph, SOCIAL4K["num_clusters"], seed=SOCIAL4K["cluster_seed"]
+    )
+    DiskGraphStore(graph, assignment, workdir / "clusters")
+    return SimpleNamespace(graph=graph, index=index, workdir=workdir)
+
+
+def _served_digests(dataset) -> dict:
+    """SHA-256 over the served score vectors (PR 14's method) of the
+    ledger's 32 accuracy-sample nodes, from memory and from disk."""
+    specs = [
+        QuerySpec(node, stop=StopAfterIterations(SOCIAL4K["eta"]))
+        for node in L1_NODES
+    ]
+    services = {
+        "memory": lambda: PPVService.open(
+            dataset.index, graph=dataset.graph, delta=SOCIAL4K["delta"],
+            cache_size=0,
+        ),
+        "disk": lambda: PPVService.open(
+            str(dataset.workdir / "index.fppv"), backend="disk",
+            graph_store=DiskGraphStore.open(dataset.workdir / "clusters"),
+            delta=SOCIAL4K["delta"], cache_size=0,
+        ),
+    }
+    digests = {}
+    for backend, open_service in services.items():
+        with open_service() as service:
+            sha = hashlib.sha256()
+            for result in service.query_many(specs):
+                sha.update(result.scores.tobytes())
+            digests[backend] = sha.hexdigest()
+    return digests
+
+
+@needs_native
+def test_social4k_served_scores_sha256_equal_under_both_selections(social4k):
+    compiled = _served_digests(social4k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_loaded", [None])
+        interpreted = _served_digests(social4k)
+    assert compiled == interpreted
+    assert compiled["memory"] != compiled["disk"]  # the fault budget bites
+
+
+@needs_native
+def test_social4k_index_entries_are_the_compiled_rounds_bytes(social4k):
+    # build_index runs the numpy rounds (see _build_chunk for why); the
+    # day it flips to the compiled ones, every stored byte stays.
+    index = social4k.index
+    for hub in index.hubs.tolist():
+        stored = index.get(hub)
+        compiled = clip_prime_ppv(
+            prime.prime_ppv(
+                social4k.graph, hub, index.hub_mask, index.alpha, index.epsilon
+            ),
+            index.clip,
+        )
+        for name in ("nodes", "scores", "border_hubs", "border_masses"):
+            assert getattr(stored, name).tobytes() == getattr(compiled, name).tobytes()
+        assert stored.edges_touched == compiled.edges_touched
+
+
+# --------------------------------------------------------------------- #
+# (d) Selection: how a process ends up with its kernels
+
+PROBE = """
+import hashlib, sys, warnings
+import numpy as np
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro import native, social_graph, select_hubs
+    from repro.core.prime import prime_push_many
+    graph = social_graph(num_nodes=300, edges_per_node=3, seed=5)
+    hub_mask = np.zeros(300, dtype=bool)
+    hub_mask[select_hubs(graph, num_hubs=30)] = True
+    sha = hashlib.sha256()
+    for _ in range(2):  # the second call must not warn again
+        for array in prime_push_many(graph, np.arange(0, 300, 7), hub_mask):
+            sha.update(array.tobytes())
+print(native.path, len([w for w in caught if "repro.native" in str(w.message)]),
+      sha.hexdigest())
+"""
+
+
+def _environment(tmp_path, **env) -> dict:
+    """A child's whole environment: its cache (and home) under
+    ``tmp_path``, nothing inherited but ``PATH``."""
+    return {
+        "PATH": os.environ["PATH"], "PYTHONPATH": SRC,
+        "XDG_CACHE_HOME": str(tmp_path / "cache"), "HOME": str(tmp_path),
+        **env,
+    }
+
+
+def _probe(tmp_path, **env):
+    """Run PROBE in a fresh interpreter: (library path, warnings, sha)."""
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=_environment(tmp_path, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    path, warned, sha = done.stdout.split()
+    return path, int(warned), sha
+
+
+def _status(tmp_path, **env):
+    """``python -m repro.native`` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.native"],
+        env=_environment(tmp_path, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestSelection:
+    def test_the_switch_forces_the_fallback_with_identical_results(self, tmp_path):
+        forced = _probe(tmp_path, REPRO_NATIVE="0")
+        assert forced[:2] == ("None", 0)  # chosen, so nothing to warn about
+        assert not (tmp_path / "cache").exists()  # and nothing was built
+        if native.load() is not None:
+            built = _probe(tmp_path)
+            assert built[0].startswith(str(tmp_path / "cache" / "repro-fastppv"))
+            assert built[1:] == (0, forced[2])
+        status = _status(tmp_path, REPRO_NATIVE="0")
+        assert status.returncode == 0 and "fallback (REPRO_NATIVE=0)" in status.stdout
+
+    def test_no_compiler_on_path_is_one_warning_and_the_fallback(self, tmp_path):
+        (tmp_path / "bin").mkdir()
+        path, warned, sha = _probe(tmp_path, PATH=str(tmp_path / "bin"))
+        assert (path, warned) == ("None", 1)
+        assert sha == _probe(tmp_path, REPRO_NATIVE="0")[2]
+        status = _status(tmp_path, PATH=str(tmp_path / "bin"))
+        assert status.returncode == 1 and "no C compiler" in status.stdout
+        assert "Traceback" not in status.stderr
+
+    def test_an_unusable_cache_directory_is_the_fallback(self, tmp_path):
+        # A regular file where the cache root should be: unusable even
+        # for root, who ignores permission bits.
+        (tmp_path / "cache").write_text("not a directory")
+        path, warned, sha = _probe(tmp_path)
+        if shutil.which("gcc") or shutil.which("cc"):
+            assert (path, warned) == ("None", 1)
+        assert sha == _probe(tmp_path, REPRO_NATIVE="0")[2]
+
+    @needs_native
+    def test_two_processes_racing_the_first_build_load_whole_libraries(
+        self, tmp_path
+    ):
+        racers = [
+            subprocess.Popen(
+                [sys.executable, "-c", PROBE], env=_environment(tmp_path),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        outputs = [racer.communicate(timeout=120) for racer in racers]
+        assert [racer.returncode for racer in racers] == [0, 0], outputs
+        paths, warned, shas = zip(*(out.split() for out, _ in outputs))
+        assert warned == ("0", "0") and shas[0] == shas[1]
+        cached = sorted((tmp_path / "cache" / "repro-fastppv").iterdir())
+        assert not [p for p in cached if p.suffix == ".tmp"]
+        for path in paths:
+            assert Path(path) in cached
+            assert native._digest(Path(path).read_bytes()) == Path(
+                path
+            ).stem.rsplit("-", 1)[1]
+
+    @needs_native
+    def test_a_truncated_or_foreign_cached_library_is_rebuilt_not_loaded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cc = native.compiler()
+        # Built, not loaded: this process must not have it mapped when
+        # the bytes under that name change.
+        path = native._build(cc, native.cache_dir(), native._build_tag(cc))
+        whole = path.read_bytes()
+        assert path.parent == tmp_path / "repro-fastppv"
+        # Truncated in place (a full disk, a copy cut short).
+        path.write_bytes(whole[: len(whole) // 2])
+        # A foreign file under a name this build would look for.
+        foreign = path.with_name(
+            path.name.replace(path.stem.rsplit("-", 1)[1], "0" * 16)
+        )
+        foreign.write_bytes(b"\x7fELF not really")
+        lib, rebuilt = native._library()
+        assert rebuilt == path and path.read_bytes() == whole
+        assert not foreign.exists()
+        native._declare(lib)
+        assert lib.repro_run_size() > 0
+
+    def test_the_source_ships_with_the_package(self):
+        assert native.SOURCE.is_file()
+        text = (Path(SRC).parent / "pyproject.toml").read_text()
+        assert '"*.c"' in text and "repro.native" in text
+        # The flags are the contract: nothing that reassociates or fuses.
+        assert native.FLAGS == ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+    @needs_native
+    def test_a_pool_parent_loads_before_it_forks(self, monkeypatch):
+        from repro.server import pool
+
+        loads = []
+        monkeypatch.setattr(pool.native, "load", lambda: loads.append(1))
+        monkeypatch.setattr(
+            pool, "open_listen_socket",
+            lambda *a: (_ for _ in ()).throw(OSError("stop before the fork")),
+        )
+        with pytest.raises(OSError):
+            pool.ServerPool(lambda: None, workers=1).start()
+        assert loads == [1]
+
+
+# --------------------------------------------------------------------- #
+# (e) The two small fixes
+
+
+def _near_tie_store(root: Path) -> DiskGraphStore:
+    """Node 0 (cluster 0) exports into two pools: cluster 1 gets
+    ``0.125`` and four shares of ``1.25e-17`` (each below half an ulp of
+    the running sum, so a left-to-right sum never sees them), cluster 2
+    gets one share of ``nextafter(0.125)``."""
+    big, tiny = 0.25, 0.25e-16
+    probs = np.array([big, tiny, tiny, tiny, tiny, np.nextafter(big, 1.0)])
+    graph = SimpleNamespace(
+        indptr=np.array([0, 6, 6, 6, 6, 6, 6, 6]),
+        indices=np.arange(1, 7, dtype=np.int32),
+        out_degrees=np.array([6, 0, 0, 0, 0, 0, 0]),
+        edge_probabilities=probs,
+    )
+    labels = np.array([0, 1, 1, 1, 1, 1, 2])
+    return DiskGraphStore(
+        graph, ClusterAssignment(anchors=np.arange(3), labels=labels), root
+    )
+
+
+@pytest.mark.parametrize(
+    "kind",
+    RUN_KINDS + [pytest.param(ReferencePrimePushRun, id="reference")],
+)
+def test_heaviest_pool_is_a_left_to_right_sum(tmp_path, monkeypatch, kind):
+    store = _near_tie_store(tmp_path)
+    # What CPython >= 3.12's builtin sum() computes; were next_cluster to
+    # call sum(), this makes 3.11 behave like 3.12 here.
+    monkeypatch.setattr(disk_engine, "sum", math.fsum, raising=False)
+    run = kind(store, 0, np.zeros(7, dtype=bool), 0.5, 1e-30, 10)
+    assert run.next_cluster() == 0
+    run.drain()
+    pool_one = [0.125] + [1.25e-17] * 4
+    pool_two = float(np.nextafter(0.125, 1.0))
+    plain = 0.0
+    for mass in pool_one:
+        plain += mass
+    assert plain < pool_two < math.fsum(pool_one)  # the near-tie is real
+    assert run.next_cluster() == 2  # the compensated sum would say 1
+    run.drain()
+    assert run.next_cluster() == 1
+
+
+_HEADER = struct.Struct("<2Q")
+
+
+def _rewrite_segment(directory: Path, cluster: int, edit) -> None:
+    """Apply ``edit(arrays)`` to a stored segment and make the manifest
+    agree (length, CRC-32): structurally wrong, checksum-consistent."""
+    arrays = {
+        name: array.copy()
+        for name, array in DiskGraphStore.open(directory).cluster_arrays(cluster).items()
+    }
+    edit(arrays)
+    data = b"".join(
+        (
+            _HEADER.pack(arrays["nodes"].size, arrays["targets"].size),
+            arrays["nodes"].astype("<i8").tobytes(),
+            arrays["offsets"].astype("<i8").tobytes(),
+            arrays["probs"].astype("<f8").tobytes(),
+            arrays["targets"].astype("<i4").tobytes(),
+        )
+    )
+    (directory / f"cluster_{cluster:05d}.seg").write_bytes(data)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["segments"][manifest["clusters"].index(cluster)] = [
+        len(data), zlib.crc32(data),
+    ]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _set(name, position, value):
+    def edit(arrays):
+        arrays[name][position] = value
+    return edit
+
+
+MALFORMED = {
+    "target_past_the_last_node": _set("targets", 0, NODES),
+    "negative_target": _set("targets", -1, -1),
+    "offsets_do_not_start_at_zero": _set("offsets", 0, 1),
+    "offsets_decrease": _set("offsets", 1, 99),
+    "offsets_end_short_of_the_edges": _set("offsets", -1, 1),
+    "member_out_of_range": _set("nodes", 0, NODES + 3),
+    "member_of_another_cluster": _set("nodes", 0, 3),
+}
+
+
+class TestSegmentStructure:
+    @pytest.fixture
+    def broken(self, tricky, tmp_path, request):
+        shutil.copytree(tricky / "c", tmp_path / "c")
+        shutil.copy(tricky / "i.fppv", tmp_path / "i.fppv")
+        _rewrite_segment(tmp_path / "c", 0, MALFORMED[request.param])
+        return tmp_path
+
+    @pytest.mark.parametrize("broken", MALFORMED, indirect=True)
+    def test_refused_locally_naming_the_segment(self, broken):
+        store = DiskGraphStore.open(broken / "c")
+        with pytest.raises(ValueError, match=r"cluster_00000\.seg: malformed"):
+            store.resident_cluster(0)
+        with pytest.raises(ValueError, match="malformed"):
+            store.out_edges(0)
+        assert store.resident_cluster(1).nodes_array.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("broken", MALFORMED, indirect=True)
+    def test_refused_as_shard_unavailable_from_a_shard(self, broken):
+        remote = sharded_over(DiskGraphStore.open(broken / "c"))
+        with pytest.raises(ShardUnavailableError, match="malformed cluster segment"):
+            remote.resident_cluster(0)
+
+    @pytest.mark.parametrize("selection", ["native", "python"])
+    @pytest.mark.parametrize(
+        "broken", ["target_past_the_last_node", "negative_target"], indirect=True
+    )
+    def test_no_kernel_sees_it(self, broken, selection, monkeypatch):
+        # Before the check: IndexError on the drain thread, or a silent
+        # wrap to hub_list[-1].
+        if selection == "python":
+            monkeypatch.setattr(native, "_loaded", [None])
+        with DiskPPVStore(broken / "i.fppv") as ppv_store:
+            engine = DiskFastPPV(DiskGraphStore.open(broken / "c"), ppv_store)
+            with pytest.raises(ValueError, match="malformed"):
+                engine.query(0)
+            engine.query(7)  # a query that never touches the segment
+
+    def test_resident_arrays_are_typed_where_they_are_created(self):
+        resident = ResidentCluster(
+            np.array([4, 9], dtype=np.int32),
+            [0, 1, 3],
+            np.array([9, 4, 9], dtype=np.int32)[::1],
+            np.array([1.0, 0.5, 0.5], dtype=np.float32),
+        )
+        for name, dtype in (
+            ("nodes_array", np.int64), ("offsets_array", np.int64),
+            ("targets_array", np.int64), ("probs_array", np.float64),
+        ):
+            array = getattr(resident, name)
+            assert array.dtype == dtype
+            assert array.flags.c_contiguous and array.flags.aligned
+        assert resident.rows == {4: 0, 9: 1}
+        assert resident.out_edges(9)[0].tolist() == [4, 9]
+
+    @needs_native
+    def test_a_node_its_segment_does_not_hold_is_an_error_not_a_crash(
+        self, tricky, tmp_path
+    ):
+        # Node 1 is labelled with cluster 0 but dropped from its
+        # segment: every check of the *segment* passes, so the drain
+        # itself must refuse the row lookup.
+        shutil.copytree(tricky / "c", tmp_path / "c")
+
+        def drop_node_one(arrays):
+            keep = arrays["offsets"][2] - arrays["offsets"][1]
+            arrays["targets"] = np.delete(
+                arrays["targets"], np.s_[arrays["offsets"][1]:arrays["offsets"][2]]
+            )
+            arrays["probs"] = np.delete(
+                arrays["probs"], np.s_[arrays["offsets"][1]:arrays["offsets"][2]]
+            )
+            arrays["nodes"] = np.delete(arrays["nodes"], 1)
+            offsets = np.delete(arrays["offsets"], 2)
+            offsets[2:] -= keep
+            arrays["offsets"] = offsets
+
+        _rewrite_segment(tmp_path / "c", 0, drop_node_one)
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            run = _NativePrimePushRun(
+                DiskGraphStore.open(tmp_path / "c"), 0, ppv_store.hub_mask,
+                ppv_store.alpha, ppv_store.epsilon, 10,
+            )
+        assert run.next_cluster() == 0
+        with pytest.raises(ValueError, match="node 1 "):
+            run.drain()
+
+
+# --------------------------------------------------------------------- #
+# (f) Allocation failure inside the push kernel
+
+STARVE = """
+import resource
+import numpy as np
+from repro import native
+from repro.core import prime
+from repro.core.index import clip_prime_ppv
+from repro.graph.digraph import DiGraph
+
+n, degree, batch = 2000, 50, 8
+rng = np.random.default_rng(3)
+graph = DiGraph(
+    np.arange(0, n * degree + 1, degree),
+    rng.integers(0, n, size=n * degree).astype(np.int32),
+)
+graph.edge_probabilities
+hub_mask = np.zeros(n, dtype=bool)
+sources = np.arange(batch, dtype=np.int64)
+assert native.load() is not None
+
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+# Room for the outputs (3 * batch * n * 8 bytes is generous) and some
+# slack, but not for the ~38 MB of lanes a saturated round needs.
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (10 << 20), hard))
+try:
+    prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
+except MemoryError as error:
+    print("MemoryError:", error)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+got = prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
+native._loaded[:] = [None]
+want = prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
+print("recovered:", all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS + /proc")
+def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", STARVE],
+        env=_environment(
+            tmp_path, XDG_CACHE_HOME=str(native.path.parent.parent)
+        ),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "MemoryError: prime_push_many: the push kernel ran out of memory" in done.stdout
+    assert "recovered: True" in done.stdout
