@@ -3,7 +3,7 @@
 Simulates a multi-user serving scenario: the offline index is built with
 parallel workers, then a single :class:`~repro.serving.PPVService` fronts
 all traffic — concurrent clients ``submit()`` requests that the
-coalescing scheduler drains as sparse-matrix engine batches, repeated
+coalescing scheduler drains as engine batches, repeated
 queries hit the popularity-aware result cache, and the scores stay
 bitwise-equal to calling the batch engine directly.
 
@@ -46,11 +46,11 @@ def main() -> None:
     with PPVService.open(
         index, graph=graph, delta=1e-4, online_epsilon=1e-5
     ) as service:
-        service.warm()  # build the matrix lowering outside timed regions
+        service.warm()  # build the resident splice block outside timed regions
 
         # 2. One burst through the facade: the scheduler drains it as
         #    engine batches (iteration 0 = one multi-source push, every
-        #    further iteration = two sparse matrix products).
+        #    further iteration = the round's two compiled products).
         started = time.perf_counter()
         results = service.query_many(specs)
         batch_seconds = time.perf_counter() - started

@@ -24,14 +24,13 @@ from repro.storage import (
 )
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     graph = social_graph(num_nodes=2500, seed=4)
     # A dense hub set keeps prime subgraphs small, so a query's working
     # set spans only a few clusters — the regime Sect. 5.3 targets.
     hubs = select_hubs(graph, 400)
     index = build_index(graph, hubs, epsilon=1e-6)
 
-    workdir = Path(tempfile.mkdtemp(prefix="fastppv_disk_"))
     index_path = workdir / "index.fppv"
     bytes_written = save_index(index, index_path)
     print(f"index on disk: {bytes_written / 1e6:.2f} MB at {index_path}")
@@ -75,6 +74,12 @@ def main() -> None:
             f"{per_pass[0]:.1f} faults/query cold, "
             f"{per_pass[1]:.1f} warm"
         )
+
+
+def main() -> None:
+    # The deployment's files live for the run and are removed after it.
+    with tempfile.TemporaryDirectory(prefix="fastppv_disk_") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from repro import (
 from repro.storage import DiskGraphStore, DiskPPVStore, cluster_graph, save_index
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     graph = social_graph(num_nodes=1500, seed=12)
     hubs = select_hubs(graph, num_hubs=150)
     # clip=0 + delta=0: sound certificates (see repro.core.topk).
@@ -55,7 +55,6 @@ def main() -> None:
     )
 
     # ---- the same workload from a disk-resident deployment ----
-    workdir = Path(tempfile.mkdtemp(prefix="fastppv_topk_"))
     save_index(index, workdir / "index.fppv")
     assignment = cluster_graph(graph, num_clusters=10, seed=1)
 
@@ -115,6 +114,12 @@ def main() -> None:
         if r.topk.certified
     )
     print(f"certified disk answers matching the memory backend: {certified_match}")
+
+
+def main() -> None:
+    # The deployment's files live for the run and are removed after it.
+    with tempfile.TemporaryDirectory(prefix="fastppv_topk_") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ Public surface:
   query engine (Algorithm 2), with stopping conditions from
   :mod:`repro.core.query`.
 * :class:`~repro.core.batch.BatchFastPPV` — the batch form of the same
-  engine: whole workloads as sparse-matrix rounds over the
-  :class:`~repro.core.splice.SpliceMatrix` lowering of the index
-  (result caching lives in :mod:`repro.serving.cache`, not here).
+  engine: whole workloads through the one round loop of
+  :mod:`repro.core.splice` over the index's resident
+  :class:`~repro.core.splice.SpliceBlock` (result caching lives in
+  :mod:`repro.serving.cache`, not here).
 * :mod:`repro.core.errors` — the Theorem 2 error bound and query-time L1
   error.
 * :mod:`repro.core.linearity` — multi-node queries via the Linearity
@@ -42,12 +43,7 @@ from repro.core.prime import (
     prime_push_many,
     prime_subgraph_nodes,
 )
-from repro.core.splice import (
-    SpliceMatrix,
-    build_splice_matrix,
-    invalidate_splice_cache,
-    splice_matrix,
-)
+from repro.core.splice import invalidate_splice_cache
 from repro.core.query import (
     FastPPV,
     QueryResult,
@@ -78,9 +74,6 @@ __all__ = [
     "build_index",
     "FastPPV",
     "BatchFastPPV",
-    "SpliceMatrix",
-    "build_splice_matrix",
-    "splice_matrix",
     "invalidate_splice_cache",
     "prime_push_many",
     "QueryResult",

@@ -6,27 +6,28 @@
 * **Iteration 0** runs one multi-source prime push
   (:func:`repro.core.prime.prime_push_many`) for all non-hub queries in
   the batch — same mass flow as the per-query push (reassociated sums
-  only), with the per-round numpy dispatch cost paid once per batch
-  instead of once per query.  Duplicate query ids share a single push.
-* **Each incremental iteration** stacks the surviving frontiers into one
-  CSR matrix and replaces the per-hub splice loop with two sparse matrix
-  products against the cached :class:`~repro.core.splice.SpliceMatrix`
-  (hub scores with the trivial-tour correction folded in, and hub border
-  masses).  The per-(query, hub) ``delta`` gate of Algorithm 2 line 9 is
-  applied entry-wise on the stacked frontier before the products.
+  only), with the per-round dispatch cost paid once per batch instead of
+  once per query.  Duplicate query ids share a single push.
+* **The incremental iterations** are
+  :func:`repro.core.splice.splice_rounds_exact` — the one round loop both
+  backends run — over :func:`~repro.core.splice.resident_block`, the
+  :class:`~repro.core.splice.SpliceBlock` holding every hub of the index:
+  the disk engine's rounds with everything resident.
 
 Equivalence contract
 --------------------
-For any stopping condition that does not consult wall-clock time, results
-are equivalent to running ``FastPPV.query`` per query: identical
-``iterations``, ``hubs_expanded``, ``work_units`` and ``error_history``
-length, with ``scores`` and error values matching to floating-point
-round-off (~1e-14; the matrix products merely reassociate the same sums).
-``seconds`` is per-query wall-clock *within the batch* (time from batch
-start until the query finalised) and ``elapsed_seconds`` in
-:class:`~repro.core.query.QueryState` is shared batch time — so
-time-based stopping conditions remain usable but are inherently
-non-deterministic, exactly as in the scalar engine.
+The rounds are bitwise the scalar loop's, so a batch of one is
+``np.array_equal`` to ``FastPPV.query`` in ``scores`` and
+``error_history``, with identical ``iterations``, ``hubs_expanded`` and
+``work_units``.  In a larger batch the only difference is iteration 0:
+``prime_push_many`` aggregates a round's arrivals by a rule that depends
+on the batch's size, so scores and error values match the scalar engine
+to floating-point round-off (~1e-14) for any stopping condition that
+does not consult wall-clock time.  ``seconds`` is per-query wall-clock
+*within the batch* (time from batch start until the query finalised) and
+``elapsed_seconds`` in :class:`~repro.core.query.QueryState` is shared
+batch time — so time-based stopping conditions remain usable but are
+inherently non-deterministic, exactly as in the scalar engine.
 
 Stopping conditions are shared across the batch and must therefore be
 stateless (all built-in conditions are frozen dataclasses).
@@ -38,7 +39,6 @@ import time
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.index import PPVIndex
 from repro.core.query import (
@@ -51,7 +51,7 @@ from repro.core.query import (
     _AnyOf,
 )
 from repro.core.prime import prime_push_many
-from repro.core.splice import SpliceMatrix, splice_matrix
+from repro.core.splice import resident_block, splice_rounds_exact
 from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
 
 BatchCallback = Callable[[int, QueryState], None]
@@ -89,16 +89,6 @@ def batch_safe(stop: StoppingCondition) -> bool:
     if isinstance(stop, _AnyOf):
         return all(batch_safe(c) for c in stop.conditions)
     return False
-
-
-class _Frontier:
-    """One query's frontier: hub *rows* with arrival masses."""
-
-    __slots__ = ("rows", "masses")
-
-    def __init__(self, rows: np.ndarray, masses: np.ndarray) -> None:
-        self.rows = rows
-        self.masses = masses
 
 
 class BatchFastPPV:
@@ -146,17 +136,6 @@ class BatchFastPPV:
         self.chunk_size = chunk_size
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def splice(self) -> SpliceMatrix:
-        """The matrix lowering of the index.
-
-        Resolved through :func:`repro.core.splice.splice_matrix` on every
-        access (a cheap attribute lookup once built) so that
-        :func:`repro.core.splice.invalidate_splice_cache` takes effect for
-        engines that already exist.
-        """
-        return splice_matrix(self.index)
 
     def query(
         self,
@@ -233,7 +212,7 @@ class BatchFastPPV:
         performs exactly as many incremental iterations as the scalar
         :func:`~repro.core.topk.query_top_k` would (same certified sets,
         same per-query iteration counts), with the per-round work batched
-        into the two sparse matrix products of the chunk engine.
+        into the two products of the shared round loop.
 
         Certificate soundness follows the scalar contract: build the
         engine with ``delta = 0`` for a formally sound certificate (a
@@ -269,11 +248,8 @@ class BatchFastPPV:
     ) -> list[QueryResult]:
         """Run the batch rounds for one chunk, ``ids``, which starts at
         position ``first`` of the caller's batch."""
-        graph, index, splice = self.graph, self.index, self.splice
-        n = graph.num_nodes
-        alpha = index.alpha
-        delta = self.delta
-        k = len(ids)
+        graph, index = self.graph, self.index
+        block = resident_block(index)
         started = time.perf_counter()
 
         # ---- iteration 0: one multi-source push for all non-hub queries.
@@ -287,142 +263,64 @@ class BatchFastPPV:
             graph,
             np.asarray(push_sources, dtype=np.int64),
             index.hub_mask,
-            alpha=alpha,
+            alpha=index.alpha,
             epsilon=self.online_epsilon,
         )
 
-        estimate = np.zeros((k, n))
-        frontiers: list[_Frontier] = []
-        error_history: list[list[float]] = []
-        iterations = np.zeros(k, dtype=np.int64)
-        hubs_expanded = np.zeros(k, dtype=np.int64)
-        work_units = np.zeros(k, dtype=np.int64)
-        seconds = np.zeros(k)
-
+        # Estimates and frontiers as FastPPV.query starts from them: the
+        # frontier in PrimePPV's sorted border order, the order its dict
+        # is built in.
+        estimates = np.zeros((len(ids), graph.num_nodes))
+        frontiers: list[tuple[np.ndarray, np.ndarray]] = []
+        push_work = [0] * len(ids)
         for local, q in enumerate(ids):
             if q in index:
                 entry = index.get(q)
-                estimate[local, entry.nodes] = entry.scores
-                rows = splice.rows_of(entry.border_hubs)
-                masses = entry.border_masses.astype(np.float64, copy=True)
+                estimates[local, entry.nodes] = entry.scores
+                frontiers.append(
+                    (
+                        entry.border_hubs.astype(np.int64, copy=False),
+                        entry.border_masses.astype(np.float64, copy=False),
+                    )
+                )
             else:
                 row = push_row_of[q]
-                estimate[local] = push_scores[row]
-                border_nodes = np.nonzero(push_border[row])[0]
-                rows = splice.rows_of(border_nodes)
-                masses = push_border[row, border_nodes]
-                work_units[local] = push_edges[row]
-            frontiers.append(_Frontier(rows, masses))
-            error_history.append([1.0 - float(estimate[local].sum())])
+                estimates[local] = push_scores[row]
+                border_hubs = np.nonzero(push_border[row])[0]
+                frontiers.append((border_hubs, push_border[row, border_hubs]))
+                push_work[local] = int(push_edges[row])
 
-        def state_of(local: int) -> QueryState:
-            return QueryState(
-                iteration=int(iterations[local]),
-                l1_error=error_history[local][-1],
-                elapsed_seconds=time.perf_counter() - started,
-                frontier_size=frontiers[local].rows.size,
-                scores=estimate[local],
-            )
-
+        callback = None
         if on_iteration is not None:
-            for local in range(k):
-                on_iteration(first + local, state_of(local))
-
-        # ---- incremental rounds: splice whole frontiers at once.
-        # Conditions exposing a vectorised ``should_stop_many`` (e.g. the
-        # certified top-k rule) are evaluated for every in-flight query of
-        # the round in one pass instead of per-query Python calls; the
-        # decisions are identical by that method's contract.
-        stop_many = getattr(stop, "should_stop_many", None)
-        active = list(range(k))
-        while active:
-            if stop_many is not None:
-                rows = np.asarray(active, dtype=np.int64)
-                stop_mask = np.asarray(
-                    stop_many(
-                        iterations[rows],
-                        np.array([error_history[local][-1] for local in active]),
-                        estimate[rows],
-                    ),
-                    dtype=bool,
-                )
-            runnable: list[int] = []
-            for offset, local in enumerate(active):
-                frontier = frontiers[local]
-                if (
-                    frontier.rows.size == 0
-                    or iterations[local] >= self.max_iterations
-                    or (
-                        stop_mask[offset]
-                        if stop_many is not None
-                        else stop.should_stop(state_of(local))
-                    )
-                ):
-                    seconds[local] = time.perf_counter() - started
-                else:
-                    runnable.append(local)
-            if not runnable:
-                break
-            active = runnable
-
-            lens = np.array(
-                [frontiers[local].rows.size for local in runnable], dtype=np.int64
-            )
-            cols = np.concatenate([frontiers[local].rows for local in runnable])
-            data = np.concatenate([frontiers[local].masses for local in runnable])
-            row_ids = np.repeat(np.arange(len(runnable)), lens)
-
-            # Per-entry delta gate (Algorithm 2, line 9): a frontier hub is
-            # expanded only if its increment score alpha * mass exceeds
-            # delta; gated entries also drop out of the next frontier.
-            keep = alpha * data > delta
-            kept_rows = row_ids[keep]
-            kept_cols = cols[keep]
-            counts = np.bincount(kept_rows, minlength=len(runnable))
-            indptr = np.zeros(len(runnable) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            gated = sparse.csr_matrix(
-                (data[keep], kept_cols, indptr),
-                shape=(len(runnable), splice.num_hubs),
-            )
-
-            increment = (gated @ splice.scores).toarray()
-            next_frontier = (gated @ splice.borders).tocsr()
-            work_inc = np.bincount(
-                kept_rows,
-                weights=splice.work[kept_cols].astype(np.float64),
-                minlength=len(runnable),
-            ).astype(np.int64)
-
-            locals_idx = np.asarray(runnable, dtype=np.int64)
-            estimate[locals_idx] += increment
-            hubs_expanded[locals_idx] += counts
-            work_units[locals_idx] += work_inc
-            iterations[locals_idx] += 1
-            for j, local in enumerate(runnable):
-                frontiers[local] = _Frontier(
-                    next_frontier.indices[
-                        next_frontier.indptr[j] : next_frontier.indptr[j + 1]
-                    ].astype(np.int64),
-                    next_frontier.data[
-                        next_frontier.indptr[j] : next_frontier.indptr[j + 1]
-                    ],
-                )
-                error_history[local].append(1.0 - float(estimate[local].sum()))
-                if on_iteration is not None:
-                    on_iteration(first + local, state_of(local))
-
+            callback = lambda local, state: on_iteration(first + local, state)
+        rounds = splice_rounds_exact(
+            estimates,
+            frontiers,
+            stop,
+            index.alpha,
+            self.delta,
+            self.max_iterations,
+            block,
+            # Every hub is resident, so nothing is ever fetched: a
+            # frontier hub without a row is refused by the lookup itself.
+            block.rows_of,
+            started,
+            on_iteration=callback,
+        )
         return [
             QueryResult(
                 query=q,
                 # Copy out of the shared chunk matrix so one retained
                 # result cannot pin the whole (chunk_size, n) buffer.
-                scores=estimate[local].copy(),
-                iterations=int(iterations[local]),
-                error_history=error_history[local],
-                hubs_expanded=int(hubs_expanded[local]),
-                seconds=float(seconds[local]),
-                work_units=int(work_units[local]),
+                scores=estimates[local].copy(),
+                iterations=iterations,
+                error_history=error_history,
+                hubs_expanded=hubs_expanded,
+                seconds=seconds,
+                work_units=push_work[local] + work_units,
             )
-            for local, q in enumerate(ids)
+            for local, (
+                q,
+                (iterations, error_history, hubs_expanded, work_units, seconds),
+            ) in enumerate(zip(ids, rounds))
         ]

@@ -1,284 +1,90 @@
-"""Sparse-matrix lowering of the PPV index (the batch splice kernel).
+"""CSR lowering of prime PPVs and the one incremental-round loop.
 
-The online engine's inner loop (Algorithm 2, lines 8-12) splices the prime
-PPV of every frontier hub into the running estimate.  Done one hub at a
-time this is a Python loop over dict entries; done for a *batch* of
-queries it is two sparse matrix products.  This module lowers a
-:class:`~repro.core.index.PPVIndex` into that matrix form, built once and
-cached on the index:
+The online engine's inner loop (Algorithm 2, lines 8-12; Theorem 4)
+splices the prime PPV of every frontier hub into the running estimate.
+Done one hub at a time it is :func:`repro.core.query.scalar_splice_rounds`
+— the paper's statement and the oracle; done for a *batch* of queries it
+is :func:`splice_rounds_exact`, the only batch round loop in ``src/``,
+run by both backends over one representation of the hub payloads:
 
-* ``scores`` — CSR ``(H, n)``: row ``r`` is the (clipped) prime PPV of hub
-  ``hub_ids[r]`` **with the trivial-tour correction folded in**: the hub's
-  own entry is stored as ``r^0_h(h) - alpha`` so that splicing a frontier
-  arrival mass ``m`` via ``m @ scores`` reproduces the scalar engine's
-  ``estimate += m * entry.scores; estimate[h] -= alpha * m`` in a single
-  product (see :mod:`repro.core.query` for why the zero-length tour is
-  removed).
-* ``borders`` — CSR ``(H, H)``: row ``r`` holds the border arrival masses
-  of hub ``hub_ids[r]``, with columns in *hub-row* space, so one frontier
-  iteration of Theorem 4 for a whole batch is ``frontier @ borders``.
-* ``work`` — per-hub splice cost (``nodes.size + border_hubs.size``), the
-  scale-independent work units the scalar engine accounts per expansion.
+* :class:`SpliceBlock` holds prime PPVs as two append-only CSR matrices —
+  score rows (:func:`lower_entry`: the trivial-tour correction is a
+  trailing ``(hub, -alpha)`` element) and border rows (columns are hub
+  *node ids*).  The disk engine grows one per batch as payloads are
+  fetched; the in-memory engine uses :func:`resident_block`, the block
+  holding every hub of a :class:`~repro.core.index.PPVIndex`, built once
+  and cached on the index — memory is "disk with everything resident".
+* Each round is two products over the stacked, delta-gated
+  ``(query, hub)`` pairs — :meth:`SpliceBlock.score_product` and
+  :meth:`SpliceBlock.border_product` — whose per-element accumulation
+  order is exactly the scalar loop's, so scores, error histories and
+  frontiers are **bitwise equal** to it on every backend.  Both run in the
+  compiled kernels of :mod:`repro.native` when those are loaded and in
+  numpy otherwise: one schedule, identical bytes
+  (``tests/test_native_kernels.py``).
 
-With the two matrices, one FastPPV iteration over a batch of ``B`` queries
-whose frontiers are stacked into a CSR matrix ``F`` of shape ``(B, H)`` is::
-
-    estimate += (F_gated @ scores).toarray()   # splice + trivial-tour fix
-    frontier  =  F_gated @ borders             # next arrival masses
-
-where ``F_gated`` keeps only the entries passing the per-query ``delta``
-gate of Algorithm 2, line 9.
-
-The lowering is cached on the ``PPVIndex`` instance (attribute
-``_splice_matrix``); indexes are treated as immutable once queried —
+Indexes are treated as immutable once queried —
 :func:`repro.core.dynamic.update_index` returns a *new* index, so the
-cache can never go stale through the supported update path.  Call
+cached block can never go stale through the supported update path.  Call
 :func:`invalidate_splice_cache` after mutating ``index.entries`` in place.
-
-Exact (order-preserving) form
------------------------------
-The matmul form above reassociates floating-point sums, which is fine for
-the in-memory engine's ~1e-14 contract but not for the disk engine,
-whose batch path promises scores **bitwise equal** to the scalar
-per-query loop.  For those, the same lowering discipline is applied in an
-order-preserving shape: :class:`SpliceBlock` assembles *fetched* prime
-PPVs (a scheduling wave's working set) into append-only CSR blocks, and
-:func:`splice_rounds_exact` executes each incremental round over a batch
-as two sparse gather-multiply-scatter products whose per-element
-accumulation order is exactly the scalar loop's — see
-:func:`lower_entry` for why the trivial-tour correction is appended as a
-trailing row element there instead of merged into the hub's own score.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
+from repro import native
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
 from repro.core.query import QueryState, StoppingCondition
 
-_CACHE_ATTR = "_splice_matrix"
+_CACHE_ATTR = "_splice_block"
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class SpliceMatrix:
-    """Matrix form of a PPV index (see module docstring).
-
-    Attributes
-    ----------
-    hub_ids:
-        Sorted hub node ids; position in this array is the hub's *row*
-        in both matrices (and its column in ``borders``).
-    scores:
-        CSR ``(H, n)`` of clipped prime-PPV scores, trivial-tour
-        corrected (the hub's own column holds ``score - alpha``).
-    borders:
-        CSR ``(H, H)`` of border arrival masses in hub-row space.
-    work:
-        ``int64 (H,)``: per-hub work units of one splice
-        (``nodes.size + border_hubs.size``).
-    """
-
-    hub_ids: np.ndarray
-    scores: sparse.csr_matrix
-    borders: sparse.csr_matrix
-    work: np.ndarray
-
-    @property
-    def num_hubs(self) -> int:
-        """Number of hub rows."""
-        return self.hub_ids.size
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of graph nodes (columns of ``scores``)."""
-        return self.scores.shape[1]
-
-    def rows_of(self, hubs: np.ndarray) -> np.ndarray:
-        """Map hub node ids to matrix rows.
-
-        Raises
-        ------
-        KeyError
-            If any of ``hubs`` is not an indexed hub.
-        """
-        hubs = np.asarray(hubs, dtype=np.int64)
-        if hubs.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self.hub_ids.size == 0:
-            raise KeyError(f"nodes {hubs.tolist()} are not indexed hubs")
-        rows = np.searchsorted(self.hub_ids, hubs)
-        clipped = np.minimum(rows, self.hub_ids.size - 1)
-        valid = self.hub_ids[clipped] == hubs
-        if not valid.all():
-            missing = hubs[~valid]
-            raise KeyError(f"nodes {missing.tolist()} are not indexed hubs")
-        return rows
-
-
-def lower_entry(
-    entry: PrimePPV, alpha: float, exact: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def lower_entry(entry: PrimePPV, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower one prime PPV into a score row ``(columns, values)``.
 
     The scalar engine splices an arrival mass ``m`` as two operations:
     ``estimate[entry.nodes] += m * entry.scores`` followed by the
-    trivial-tour correction ``estimate[hub] -= alpha * m``.  Both lowered
-    forms fold the correction into the row so a splice is one product;
-    they differ in *where*:
-
-    ``exact=False`` (matmul form)
-        The hub's own value is stored as ``score - alpha``.  One fused
-        multiply reassociates the scalar engine's two operations —
-        within its usual ~1e-14 round-off, not bitwise.
-
-    ``exact=True`` (order-preserving form)
-        A trailing ``(hub, -alpha)`` element is appended instead, so a
-        *sequential* scatter-add over the row reproduces the scalar
-        loop's operations in their original order: ``m * (-alpha)`` is
-        bitwise ``-(alpha * m)`` and IEEE addition of a negated value is
-        bitwise subtraction, hence bit-for-bit equality.
-
-    Raises
-    ------
-    ValueError
-        In matmul form, if the entry lacks its own score (clipped above
-        ``alpha``) — the merge would silently lose the correction.
+    trivial-tour correction ``estimate[hub] -= alpha * m``.  The row
+    carries the correction as a trailing ``(hub, -alpha)`` element, so a
+    *sequential* scatter-add over it reproduces the scalar loop's
+    operations in their original order: ``m * (-alpha)`` is bitwise
+    ``-(alpha * m)`` and IEEE addition of a negated value is bitwise
+    subtraction, hence bit-for-bit equality.
     """
-    if exact:
-        columns = np.empty(entry.nodes.size + 1, dtype=np.int64)
-        columns[:-1] = entry.nodes
-        columns[-1] = entry.source
-        values = np.empty(entry.scores.size + 1, dtype=np.float64)
-        values[:-1] = entry.scores
-        values[-1] = -alpha
-        return columns, values
-    values = entry.scores.astype(np.float64, copy=True)
-    own = np.searchsorted(entry.nodes, entry.source)
-    if own >= entry.nodes.size or entry.nodes[own] != entry.source:
-        raise ValueError(
-            f"hub {entry.source} entry lacks its own score; was it "
-            "clipped above alpha?"
-        )
-    values[own] -= alpha
-    return entry.nodes, values
-
-
-def build_splice_matrix(index: PPVIndex) -> SpliceMatrix:
-    """Lower ``index`` into :class:`SpliceMatrix` form (no caching).
-
-    Raises
-    ------
-    ValueError
-        If the index has a hub in its mask with no stored entry, or an
-        entry whose border hubs are not themselves indexed — either would
-        make a batch splice silently diverge from the scalar engine.
-    """
-    hub_ids = np.asarray(sorted(index.entries), dtype=np.int64)
-    mask_hubs = np.nonzero(index.hub_mask)[0]
-    if not np.array_equal(hub_ids, mask_hubs):
-        raise ValueError(
-            "index entries do not cover the hub mask; the batch engine "
-            "needs a prime PPV stored for every hub"
-        )
-    n = index.hub_mask.size
-    alpha = index.alpha
-
-    score_cols: list[np.ndarray] = []
-    score_vals: list[np.ndarray] = []
-    score_lens = np.zeros(hub_ids.size, dtype=np.int64)
-    border_cols: list[np.ndarray] = []
-    border_vals: list[np.ndarray] = []
-    border_lens = np.zeros(hub_ids.size, dtype=np.int64)
-    work = np.zeros(hub_ids.size, dtype=np.int64)
-
-    for row, hub in enumerate(hub_ids.tolist()):
-        entry = index.entries[hub]
-        # Fold the trivial-tour correction of Algorithm 2 into the row
-        # (matmul form; the disk engine uses the exact form instead).
-        columns, values = lower_entry(entry, alpha, exact=False)
-        score_cols.append(columns)
-        score_vals.append(values)
-        score_lens[row] = entry.nodes.size
-
-        border_rows = np.searchsorted(hub_ids, entry.border_hubs)
-        if entry.border_hubs.size and not np.array_equal(
-            hub_ids[border_rows], entry.border_hubs
-        ):
-            raise ValueError(f"hub {hub} has border hubs outside the index")
-        border_cols.append(border_rows)
-        border_vals.append(entry.border_masses)
-        border_lens[row] = entry.border_hubs.size
-        work[row] = entry.nodes.size + entry.border_hubs.size
-
-    def assemble(cols, vals, lens, width) -> sparse.csr_matrix:
-        indptr = np.zeros(hub_ids.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        data = (
-            np.concatenate(vals) if vals else np.zeros(0)
-        )
-        indices = (
-            np.concatenate(cols).astype(np.int64)
-            if cols
-            else np.zeros(0, dtype=np.int64)
-        )
-        matrix = sparse.csr_matrix(
-            (data, indices, indptr), shape=(hub_ids.size, width)
-        )
-        matrix.eliminate_zeros()
-        return matrix
-
-    return SpliceMatrix(
-        hub_ids=hub_ids,
-        scores=assemble(score_cols, score_vals, score_lens, n),
-        borders=assemble(border_cols, border_vals, border_lens, hub_ids.size),
-        work=work,
-    )
-
-
-def splice_matrix(index: PPVIndex) -> SpliceMatrix:
-    """The cached :class:`SpliceMatrix` of ``index`` (built on first use)."""
-    cached = getattr(index, _CACHE_ATTR, None)
-    if cached is None:
-        cached = build_splice_matrix(index)
-        setattr(index, _CACHE_ATTR, cached)
-    return cached
-
-
-def invalidate_splice_cache(index: PPVIndex) -> None:
-    """Drop the cached lowering (call after mutating ``index.entries``)."""
-    if hasattr(index, _CACHE_ATTR):
-        delattr(index, _CACHE_ATTR)
-
-
-# --------------------------------------------------------------------- #
-# Exact (order-preserving) lowering: the disk engine's splice kernel.
+    columns = np.empty(entry.nodes.size + 1, dtype=np.int64)
+    columns[:-1] = entry.nodes
+    columns[-1] = entry.source
+    values = np.empty(entry.scores.size + 1, dtype=np.float64)
+    values[:-1] = entry.scores
+    values[-1] = -alpha
+    return columns, values
 
 
 class _GrowableRows:
     """Append-only CSR row storage over amortised-doubling buffers.
 
-    A :class:`SpliceBlock` grows every scheduling wave; rebuilding the
-    concatenation from per-row arrays would copy the whole block per
-    round (worst-case quadratic in total fetched payload).  Doubling
-    buffers make each :meth:`add` amortised O(row nnz), and :meth:`csr`
-    returns zero-copy views.
+    A per-batch :class:`SpliceBlock` grows every scheduling wave;
+    rebuilding the concatenation from per-row arrays would copy the whole
+    block per round (worst-case quadratic in total fetched payload).
+    Doubling buffers make each :meth:`add` amortised O(row nnz), and
+    :meth:`csr` returns zero-copy views.  ``capacity`` is the element
+    count the buffers start with: a block whose rows are known up front
+    asks for exactly their total and never doubles.
     """
 
     __slots__ = ("_indices", "_data", "_nnz", "_ends", "_indptr")
 
-    def __init__(self) -> None:
-        self._indices = np.empty(1024, dtype=np.int64)
-        self._data = np.empty(1024, dtype=np.float64)
+    def __init__(self, capacity: int) -> None:
+        self._indices = np.empty(capacity, dtype=np.int64)
+        self._data = np.empty(capacity, dtype=np.float64)
         self._nnz = 0
         self._ends: list[int] = [0]
         self._indptr: np.ndarray | None = None
@@ -306,47 +112,50 @@ class _GrowableRows:
 
 
 class SpliceBlock:
-    """Append-only CSR block of fetched prime PPVs (exact splice form).
+    """Append-only CSR block of prime PPVs: what the splice rounds read.
 
-    The disk engine cannot lower the whole index up front — hub payloads
-    arrive from the :class:`~repro.storage.ppv_store.DiskPPVStore` wave
-    by wave — so this block grows as hubs are fetched: :meth:`add`
-    appends one hub's score row (:func:`lower_entry` ``exact=True``: the
-    trivial-tour correction is a trailing ``(hub, -alpha)`` element) and
-    its border row (columns are raw hub *node ids*; unlike
-    :class:`SpliceMatrix` the border targets need not be resident yet).
+    :meth:`add` appends one hub's score row (:func:`lower_entry`) and its
+    border row (columns are hub *node ids*; the border targets need not
+    be in the block yet).  The disk engine cannot lower the whole index
+    up front — hub payloads arrive from the
+    :class:`~repro.storage.ppv_store.DiskPPVStore` wave by wave — so its
+    per-batch block starts empty and grows; a block given its ``entries``
+    at construction (:func:`resident_block`) is sized for exactly those
+    and carries no growth slack.
 
-    :meth:`gather` slices any row sequence back out as one concatenated
-    ``(columns, values, lengths)`` triple per matrix — the input of the
-    two scatter-add products in :func:`splice_rounds_exact` — without a
-    per-row Python loop.
+    :meth:`score_product` and :meth:`border_product` are the two products
+    of one incremental round over any sequence of block rows, read
+    straight from the CSR.
     """
 
-    def __init__(self, alpha: float, num_nodes: int) -> None:
+    def __init__(self, alpha: float, num_nodes: int, entries=()) -> None:
         self.alpha = alpha
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
         self._num_rows = 0
-        self._scores = _GrowableRows()
-        self._borders = _GrowableRows()
+        entries = list(entries)
+        self._scores = _GrowableRows(
+            sum(entry.nodes.size + 1 for entry in entries) or 1024
+        )
+        self._borders = _GrowableRows(
+            sum(entry.border_hubs.size for entry in entries) or 1024
+        )
+        for entry in entries:
+            self.add(entry)
 
     @property
     def num_rows(self) -> int:
         """Number of hub rows appended so far."""
         return self._num_rows
 
-    def __contains__(self, hub: int) -> bool:
-        return self._row_lookup[hub] >= 0
-
     def add(self, entry: PrimePPV) -> None:
-        """Append one fetched prime PPV as a new row (idempotent)."""
+        """Append one prime PPV as a new row (idempotent)."""
         hub = int(entry.source)
         if self._row_lookup[hub] >= 0:
             return
         self._row_lookup[hub] = self._num_rows
         self._num_rows += 1
-        columns, values = lower_entry(entry, self.alpha, exact=True)
-        self._scores.add(columns, values)
+        self._scores.add(*lower_entry(entry, self.alpha))
         self._borders.add(
             entry.border_hubs.astype(np.int64, copy=False),
             entry.border_masses.astype(np.float64, copy=False),
@@ -370,9 +179,18 @@ class SpliceBlock:
             )
         return rows
 
-    @staticmethod
-    def _take(indptr, indices, data, rows) -> tuple:
-        """Concatenate CSR rows in the given (possibly repeated) order."""
+    def _refuse(self, row: int) -> None:
+        hub = int(np.nonzero(self._row_lookup == row)[0][0])
+        raise ValueError(
+            f"the prime PPV of hub {hub} names a node outside "
+            f"[0, {self.num_nodes})"
+        )
+
+    def _take(self, matrix: _GrowableRows, rows: np.ndarray) -> tuple:
+        """``(columns, values, lengths)`` of ``rows`` of ``matrix``,
+        concatenated in the given (possibly repeated) order: the numpy
+        products' operand, refused where the compiled ones refuse it."""
+        indptr, indices, data = matrix.csr()
         lens = indptr[rows + 1] - indptr[rows]
         total = int(lens.sum())
         if total == 0:
@@ -380,19 +198,132 @@ class SpliceBlock:
         before = np.zeros(lens.size, dtype=np.int64)
         np.cumsum(lens[:-1], out=before[1:])
         take = np.repeat(indptr[rows] - before, lens) + np.arange(total)
-        return indices[take], data[take], lens
+        columns = indices[take]
+        if columns.min() < 0 or columns.max() >= self.num_nodes:
+            bad = np.nonzero((columns < 0) | (columns >= self.num_nodes))[0][0]
+            self._refuse(rows[np.searchsorted(before, bad, side="right") - 1])
+        return columns, data[take], lens
 
-    def gather(self, rows: np.ndarray) -> tuple:
-        """Concatenated score and border rows for ``rows``, in order.
-
-        Returns ``(score_cols, score_vals, score_lens, border_cols,
-        border_vals, border_lens)`` where the ``lens`` arrays give each
-        row's element count within the concatenation.
-        """
+    def work_of(self, rows: np.ndarray) -> np.ndarray:
+        """Per row, the work units of one splice: the prime PPV's
+        ``nodes.size + border_hubs.size`` (the score row's trailing
+        correction element is not an index entry)."""
+        scores, borders = self._scores.csr()[0], self._borders.csr()[0]
         return (
-            *self._take(*self._scores.csr(), rows),
-            *self._take(*self._borders.csr(), rows),
+            scores[rows + 1] - scores[rows] - 1
+            + borders[rows + 1] - borders[rows]
         )
+
+    def score_product(
+        self,
+        rows: np.ndarray,
+        masses: np.ndarray,
+        offsets: np.ndarray,
+        dest: np.ndarray,
+    ) -> None:
+        """``dest[offsets[p] + column] += masses[p] * value`` over score
+        row ``rows[p]``, in (pair, row element) order — the scalar loop's
+        ``estimate[nodes] += m * scores; estimate[hub] -= alpha * m`` per
+        pair.  Raises :class:`ValueError`, writing nothing past it, on a
+        column outside ``[0, num_nodes)``."""
+        lib = native.load()
+        if lib is None:
+            columns, values, lens = self._take(self._scores, rows)
+            np.add.at(
+                dest,
+                np.repeat(offsets, lens) + columns,
+                np.repeat(masses, lens) * values,
+            )
+            return
+        bad = lib.repro_splice_scores(
+            self.num_nodes, rows.size, rows, masses, offsets,
+            *self._scores.csr(), dest,
+        )
+        if bad >= 0:
+            self._refuse(bad)
+
+    def border_product(
+        self, rows: np.ndarray, masses: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next frontiers of ``counts.size`` queries whose pairs
+        ``(rows[p], masses[p])`` are stacked query by query, ``counts[q]``
+        each: per query ``next[hub] = next.get(hub, 0.0) + masses[p] *
+        value`` over border row ``rows[p]`` in (pair, row element) order,
+        hubs in *first-touch* order — the scalar loop's dict, insertion
+        order included.  Returns ``(hubs, arrival masses, per-query entry
+        counts)``, the first two stacked query by query."""
+        lib = native.load()
+        if lib is None:
+            columns, values, lens = self._take(self._borders, rows)
+            # Dense (query, hub) slots: each sum starts at 0.0 and takes
+            # its shares in element order; the lowest element index
+            # touching a slot orders it.
+            n, size = self.num_nodes, counts.size * self.num_nodes
+            keys = np.repeat(np.repeat(np.arange(0, size, n), counts), lens)
+            keys += columns
+            sums = np.zeros(size)
+            np.add.at(sums, keys, np.repeat(masses, lens) * values)
+            first = np.full(size, keys.size)
+            np.minimum.at(first, keys, np.arange(keys.size))
+            touched = np.nonzero(first < keys.size)[0]
+            # A query's slots are one contiguous range of keys, so
+            # first-touch order is also query order.
+            touched = touched[np.argsort(first[touched])]
+            return (
+                touched % n,
+                sums[touched],
+                np.bincount(touched // n, minlength=counts.size),
+            )
+        indptr, indices, data = self._borders.csr()
+        room = int((indptr[rows + 1] - indptr[rows]).sum())
+        next_hubs = np.empty(room, dtype=np.int64)
+        next_masses = np.empty(room, dtype=np.float64)
+        next_counts = np.empty(counts.size, dtype=np.int64)
+        written = lib.repro_splice_borders(
+            self.num_nodes, counts.size, counts, rows, masses,
+            indptr, indices, data,
+            np.zeros(self.num_nodes, dtype=np.int64),
+            next_hubs, next_masses, next_counts,
+        )
+        if written < 0:
+            self._refuse(-written - 1)
+        return next_hubs[:written], next_masses[:written], next_counts
+
+
+def resident_block(index: PPVIndex) -> SpliceBlock:
+    """The :class:`SpliceBlock` holding every hub of ``index``, built on
+    first use and cached on the index (see the module docstring).
+
+    Raises
+    ------
+    ValueError
+        If the index has a hub in its mask with no stored entry, or an
+        entry whose border hubs are not themselves indexed — either would
+        make a batch splice silently diverge from the scalar engine.
+    """
+    block = getattr(index, _CACHE_ATTR, None)
+    if block is not None:
+        return block
+    hubs = sorted(index.entries)
+    if not np.array_equal(hubs, np.nonzero(index.hub_mask)[0]):
+        raise ValueError(
+            "index entries do not cover the hub mask; the batch engine "
+            "needs a prime PPV stored for every hub"
+        )
+    for hub in hubs:
+        if not index.hub_mask[index.entries[hub].border_hubs].all():
+            raise ValueError(f"hub {hub} has border hubs outside the index")
+    block = SpliceBlock(
+        index.alpha, index.hub_mask.size, (index.entries[hub] for hub in hubs)
+    )
+    setattr(index, _CACHE_ATTR, block)
+    return block
+
+
+def invalidate_splice_cache(index: PPVIndex) -> None:
+    """Drop the cached block (call after mutating ``index.entries``)."""
+    if hasattr(index, _CACHE_ATTR):
+        delattr(index, _CACHE_ATTR)
 
 
 def splice_rounds_exact(
@@ -409,17 +340,15 @@ def splice_rounds_exact(
 ) -> "list[tuple[int, list[float], int, int, float]]":
     """Algorithm 2's incremental rounds for a batch, bitwise-exact.
 
-    The vectorised twin of the per-hub dict loop
-    (:func:`repro.core.query.scalar_splice_rounds`):
-    each round stacks the delta-gated ``(query, hub)`` pairs of every
-    in-flight query, gathers their block rows, and applies the two
-    products as **sequential scatter-adds** (``np.add.at``) whose
-    element order is (query, frontier position, row element) — the exact
-    operation order of the scalar loop, so scores, error histories and
-    next frontiers are bit-for-bit identical to running it per query
-    (queries never share accumulation targets; see :func:`lower_entry`
-    for the trivial-tour element).  The next frontier keeps the dict
-    loop's *first-touch* hub order via ``np.unique(..., return_index=True)``.
+    The batch twin of the per-hub dict loop
+    (:func:`repro.core.query.scalar_splice_rounds`): each round stacks
+    the delta-gated ``(query, hub)`` pairs of every in-flight query and
+    applies :meth:`SpliceBlock.score_product` and
+    :meth:`SpliceBlock.border_product` to them, whose element order is
+    (query, frontier position, row element) — the exact operation order
+    of the scalar loop, so scores, error histories and next frontiers
+    are bit-for-bit identical to running it per query (queries never
+    share accumulation targets).
 
     Parameters
     ----------
@@ -428,34 +357,37 @@ def splice_rounds_exact(
         query ``i``'s running estimate (iteration 0 already applied).
     frontiers:
         Per query, ``(hub ids int64, arrival masses float64)`` in the
-        scalar dict's iteration order; consumed and replaced.
+        scalar dict's iteration order; consumed and replaced (the arrays
+        themselves are never written).
     stop / alpha / delta / max_iterations:
         As in the scalar engines; ``stop`` is evaluated per query per
         round and must be stateless to mean the same thing it does
-        scalar-side.
+        scalar-side.  A condition exposing a vectorised
+        ``should_stop_many`` (the certified top-k rule) is evaluated for
+        every in-flight query of the round in one pass; the decisions
+        are identical by that method's contract.
     block / ensure:
         The resident-row block and a callable that must make every hub
         id array passed to it resident (``ensure(missing)`` — fetch and
-        :meth:`SpliceBlock.add`).
+        :meth:`SpliceBlock.add`); it is reached only when a round needs a
+        hub the block lacks.
     on_iteration:
         Optional ``(query position, QueryState)`` callback, invoked once
         per executed iteration per query, iteration 0 included.
 
     Returns
     -------
-    Per query: ``(iterations, error_history, hubs_expanded,
-    requested_reads, seconds)`` where ``requested_reads`` counts the
-    gated expansions — one scalar ``fetch`` call each — and ``seconds``
-    is the time from ``started`` until the query retired.
+    Per query: ``(iterations, error_history, hubs_expanded, work_units,
+    seconds)`` where ``hubs_expanded`` counts the gated expansions — one
+    scalar ``fetch`` call each — ``work_units`` the index entries they
+    touched, and ``seconds`` is the time from ``started`` until the
+    query retired.
     """
     batch, num_nodes = estimates.shape
     flat_estimates = estimates.reshape(-1)
-    # Border accumulator in (query, node id) space; zeroed lazily after
-    # each readout so one allocation serves every round.
-    accumulator = np.zeros(batch * num_nodes)
-    iterations = [0] * batch
+    iterations = np.zeros(batch, dtype=np.int64)
     hubs_expanded = [0] * batch
-    requested = [0] * batch
+    work_units = [0] * batch
     seconds = [0.0] * batch
     error_history = [
         [1.0 - float(estimates[i].sum())] for i in range(batch)
@@ -463,7 +395,7 @@ def splice_rounds_exact(
 
     def state_of(i: int) -> QueryState:
         return QueryState(
-            iteration=iterations[i],
+            iteration=int(iterations[i]),
             l1_error=error_history[i][-1],
             elapsed_seconds=time.perf_counter() - started,
             frontier_size=frontiers[i][0].size,
@@ -474,14 +406,25 @@ def splice_rounds_exact(
         for i in range(batch):
             on_iteration(i, state_of(i))
 
+    stop_many = getattr(stop, "should_stop_many", None)
     active = list(range(batch))
     while active:
+        if stop_many is not None:
+            stopping = stop_many(
+                iterations[active],
+                np.array([error_history[i][-1] for i in active]),
+                estimates[active],
+            )
         runnable = []
-        for i in active:
+        for position, i in enumerate(active):
             if (
                 frontiers[i][0].size == 0
                 or iterations[i] >= max_iterations
-                or stop.should_stop(state_of(i))
+                or (
+                    stopping[position]
+                    if stop_many is not None
+                    else stop.should_stop(state_of(i))
+                )
             ):
                 seconds[i] = time.perf_counter() - started
             else:
@@ -490,78 +433,52 @@ def splice_rounds_exact(
         if not runnable:
             break
 
-        # Per-(query, hub) delta gate (Algorithm 2, line 9), then one
-        # stacked fetch for every hub the round needs.
-        kept: list[tuple[np.ndarray, np.ndarray]] = []
+        # Per-(query, hub) delta gate (Algorithm 2, line 9): a frontier
+        # hub is expanded only if its increment score alpha * mass
+        # exceeds delta; gated entries also drop out of the next
+        # frontier.  The survivors of the whole round are stacked.
+        kept = []
         for i in runnable:
             hubs, masses = frontiers[i]
             keep = alpha * masses > delta
             kept.append((hubs[keep], masses[keep]))
-        needed = np.concatenate([hubs for hubs, _ in kept])
-        if needed.size:
+        counts = np.array([hubs.size for hubs, _ in kept], dtype=np.int64)
+        ends = np.cumsum(counts)
+        next_hubs, next_masses = _EMPTY_I64, _EMPTY_F64
+        next_counts, work = np.zeros_like(counts), np.zeros(1, dtype=np.int64)
+        if ends[-1]:
+            needed = np.concatenate([hubs for hubs, _ in kept])
+            masses = np.concatenate([masses for _, masses in kept])
             absent = block.missing(needed)
             if absent.size:
-                ensure(absent)
-
-        # Stack the surviving (query, hub) pairs of the whole round and
-        # apply the two products as order-preserving scatter-adds.
-        counts = np.array([hubs.size for hubs, _ in kept], dtype=np.int64)
-        if needed.size:
-            all_rows = block.rows_of(needed)
-            all_masses = np.concatenate([masses for _, masses in kept])
-            (
-                score_cols, score_vals, score_lens,
-                border_cols, border_vals, border_lens,
-            ) = block.gather(all_rows)
-            offsets = np.repeat(
-                np.asarray(runnable, dtype=np.int64) * num_nodes, counts
-            )
-            np.add.at(
+                ensure(absent)  # one stacked fetch for the round
+            rows = block.rows_of(needed)
+            block.score_product(
+                rows,
+                masses,
+                np.repeat(np.asarray(runnable, dtype=np.int64) * num_nodes, counts),
                 flat_estimates,
-                np.repeat(offsets, score_lens) + score_cols,
-                np.repeat(all_masses, score_lens) * score_vals,
             )
-            np.add.at(
-                accumulator,
-                np.repeat(offsets, border_lens) + border_cols,
-                np.repeat(all_masses, border_lens) * border_vals,
+            next_hubs, next_masses, next_counts = block.border_product(
+                rows, masses, counts
             )
-            # Per-query border segments of the stacked arrays.
-            per_query_border = np.zeros(len(runnable), dtype=np.int64)
-            np.add.at(
-                per_query_border,
-                np.repeat(np.arange(len(runnable)), counts),
-                border_lens,
-            )
-            segment_ends = np.cumsum(per_query_border)
-        for position, i in enumerate(runnable):
+            work = np.concatenate(([0], np.cumsum(block.work_of(rows))))
+        cuts = np.cumsum(next_counts)[:-1]
+        for i, end, expanded, hubs, masses in zip(
+            runnable,
+            ends.tolist(),
+            counts.tolist(),
+            np.split(next_hubs, cuts),
+            np.split(next_masses, cuts),
+        ):
             iterations[i] += 1
-            expanded = int(counts[position])
             hubs_expanded[i] += expanded
-            requested[i] += expanded
-            next_hubs, next_masses = _EMPTY_I64, _EMPTY_F64
-            if expanded:
-                end = int(segment_ends[position])
-                segment = border_cols[end - int(per_query_border[position]):end]
-                if segment.size:
-                    # First-touch order = the scalar dict's insertion order.
-                    _, first = np.unique(segment, return_index=True)
-                    next_hubs = segment[np.sort(first)]
-                    base = i * num_nodes
-                    next_masses = accumulator[base + next_hubs]
-                    accumulator[base + next_hubs] = 0.0
-            frontiers[i] = (next_hubs, next_masses)
+            work_units[i] += int(work[end] - work[end - expanded])
+            frontiers[i] = (hubs, masses)
             error_history[i].append(1.0 - float(estimates[i].sum()))
             if on_iteration is not None:
                 on_iteration(i, state_of(i))
 
-    return [
-        (
-            iterations[i],
-            error_history[i],
-            hubs_expanded[i],
-            requested[i],
-            seconds[i],
-        )
-        for i in range(batch)
-    ]
+    return list(
+        zip(iterations.tolist(), error_history, hubs_expanded, work_units, seconds)
+    )

@@ -101,7 +101,7 @@ def run_fastppv(
     stats are reported instead) — used by the sweeps that vary only online
     parameters.  The online phase runs through the serving façade
     (:class:`~repro.serving.PPVService` over the memory backend, which
-    drains the workload as one coalesced batch through the sparse-matrix
+    drains the workload as one coalesced batch through the batch
     engine); ``workers`` parallelises the offline build.
     """
     if index is None:
@@ -112,7 +112,7 @@ def run_fastppv(
     engine = FastPPV(graph, index, delta=delta, online_epsilon=online_epsilon)
     stop = StopAfterIterations(eta)
     with PPVService.open(engine) as service:
-        # Materialise the index's matrix lowering outside the timed
+        # Materialise the index's resident splice block outside the timed
         # online region: it is a one-off offline-type cost (and is
         # cached on the index), not per-query work.
         service.warm()

@@ -1,9 +1,11 @@
-"""Compiled kernels for the two prime pushes, and the one switch.
+"""Compiled kernels for the two prime pushes and the splice round, and
+the one switch.
 
 ``kernels.c`` holds operation-for-operation ports of the cluster drain
-(:class:`repro.storage.disk_engine._PrimePushRun`) and of the
-level-synchronous :func:`repro.core.prime.prime_push_many`.  The Python /
-numpy code they take off the hot path stays — as the fallback when no
+(:class:`repro.storage.disk_engine._PrimePushRun`), of the
+level-synchronous :func:`repro.core.prime.prime_push_many` and of the two
+products of a splice round (:class:`repro.core.splice.SpliceBlock`).  The
+Python / numpy code they take off the hot path stays — as the fallback when no
 compiler is present, and as the oracle the ports are pinned against bit
 for bit (``tests/test_native_kernels.py``).
 
@@ -106,6 +108,16 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_int64, _array(np.int64), _array(np.uint8),
         ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         _array(np.float64, 2), _array(np.float64, 2), _array(np.int64),
+    )
+    i64, f64 = _array(np.int64), _array(np.float64)
+    lib.repro_splice_scores.restype = ctypes.c_int64
+    lib.repro_splice_scores.argtypes = (
+        ctypes.c_int64, ctypes.c_int64, i64, f64, i64, i64, i64, f64, f64,
+    )
+    lib.repro_splice_borders.restype = ctypes.c_int64
+    lib.repro_splice_borders.argtypes = (
+        ctypes.c_int64, ctypes.c_int64, i64, i64, f64, i64, i64, f64,
+        i64, i64, f64, i64,
     )
     if lib.repro_run_size() != ctypes.sizeof(PushRun):
         raise Unavailable("kernels.c and repro.native disagree on push_run")

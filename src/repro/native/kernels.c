@@ -1,6 +1,7 @@
-/* The two prime-push schedules of repro, ported operation for operation.
+/* The two prime-push schedules of repro and the two products of a splice
+ * round, ported operation for operation.
  *
- * Both ports are pinned bit for bit against the Python / numpy code they
+ * The ports are pinned bit for bit against the Python / numpy code they
  * take off the hot path (tests/test_native_kernels.py), so *the schedule
  * is the contract*: the visiting order, the association of every product
  * and the order of every sum below are the Python code's own.  Build with
@@ -390,4 +391,64 @@ int64_t repro_prime_push_many(
     free(w.block);
     free(bins);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* 3. The two products of a splice round: core/splice.py SpliceBlock   */
+
+/* dest[offsets[p] + column] += masses[p] * value over CSR row rows[p],
+ * in (pair, row element) order: np.add.at's.  Returns -1, or the row
+ * holding a column outside [0, n) — refused before it is written. */
+int64_t repro_splice_scores(
+    int64_t n, int64_t pairs, const int64_t *rows, const double *masses,
+    const int64_t *offsets, const int64_t *indptr, const int64_t *indices,
+    const double *data, double *dest)
+{
+    for (int64_t p = 0; p < pairs; p++) {
+        double *estimate = dest + offsets[p];
+        const double mass = masses[p];
+        for (int64_t e = indptr[rows[p]]; e < indptr[rows[p] + 1]; e++) {
+            if ((uint64_t)indices[e] >= (uint64_t)n)
+                return rows[p];
+            estimate[indices[e]] += mass * data[e];
+        }
+    }
+    return -1;
+}
+
+/* Per query q (its counts[q] pairs are consecutive):
+ * next[hub] = next.get(hub, 0.0) + masses[p] * value over CSR row
+ * rows[p], hubs in first-touch order — a dict's insertion order — into
+ * next_hubs / next_masses, next_counts[q] of them.  slot: [n], all zero
+ * on entry and on a successful exit.  Returns the entries written, or
+ * -(row + 1) for the row holding a column outside [0, n). */
+int64_t repro_splice_borders(
+    int64_t n, int64_t queries, const int64_t *counts, const int64_t *rows,
+    const double *masses, const int64_t *indptr, const int64_t *indices,
+    const double *data, int64_t *slot, int64_t *next_hubs,
+    double *next_masses, int64_t *next_counts)
+{
+    int64_t written = 0;
+    for (int64_t q = 0, p = 0; q < queries; q++) {
+        const int64_t first = written;
+        for (const int64_t end = p + counts[q]; p < end; p++) {
+            for (int64_t e = indptr[rows[p]]; e < indptr[rows[p] + 1]; e++) {
+                const int64_t hub = indices[e];
+                const double share = masses[p] * data[e];
+                if ((uint64_t)hub >= (uint64_t)n)
+                    return -(rows[p] + 1);
+                if (slot[hub]) {
+                    next_masses[slot[hub] - 1] += share;
+                } else {
+                    next_hubs[written] = hub;
+                    next_masses[written] = 0.0 + share;
+                    slot[hub] = ++written;
+                }
+            }
+        }
+        for (int64_t i = first; i < written; i++)
+            slot[next_hubs[i]] = 0;
+        next_counts[q] = written - first;
+    }
+    return written;
 }

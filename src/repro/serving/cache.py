@@ -12,7 +12,8 @@ first to go unless they prove themselves.
 The cache stores defensive copies in both directions (entries are copied
 on ``put`` and on every ``get``), so callers can mutate results freely,
 and it is invalidated wholesale whenever the service's engine reports a
-new cache token (index swap via
+new cache token — for the memory backend the index's resident
+:class:`~repro.core.splice.SpliceBlock` (index swap via
 :meth:`~repro.serving.PPVService.update_index`, or an in-place index
 mutation followed by
 :func:`~repro.core.splice.invalidate_splice_cache`).

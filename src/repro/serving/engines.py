@@ -1,13 +1,14 @@
 """The backend-agnostic ``Engine`` protocol, its adapters, and registry.
 
-There is one engine per backend — the in-memory ``FastPPV`` /
-``BatchFastPPV`` pair (scalar dict loop and its matmul batch form) and
-the disk ``DiskFastPPV`` (one class, scalar is the batch of one).  The
-serving layer narrows them to one small protocol (:class:`Engine`): a
-batch call per result kind plus a scalar streaming call, with uniform
-stop-condition routing (time-based or user-defined conditions fall back
-to the per-query scalar loop on every backend) and a ``cache_token``
-that tells the service when cached results went stale.
+There is one engine per backend — the in-memory ``BatchFastPPV`` and the
+disk ``DiskFastPPV``; on both, scalar is the batch of one and the
+incremental rounds are the same loop
+(:func:`repro.core.splice.splice_rounds_exact`).  The serving layer
+narrows them to one small protocol (:class:`Engine`): a batch call per
+result kind plus a scalar streaming call, with uniform stop-condition
+routing (time-based or user-defined conditions are served one query at a
+time on every backend) and a ``cache_token`` that tells the service when
+cached results went stale.
 
 Backends register under a name (``"memory"``, ``"disk"``) in a module
 registry; :meth:`~repro.serving.PPVService.open` resolves a name — or
@@ -28,7 +29,7 @@ from repro.core.query import (
     QueryState,
     StoppingCondition,
 )
-from repro.core.splice import splice_matrix
+from repro.core.splice import resident_block
 from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.ppv_store import DiskPPVStore
 
@@ -53,9 +54,9 @@ class Engine(Protocol):
     ) -> list:
         """Serve ``nodes`` as one batch under a shared stopping rule.
 
-        Must route non-batch-safe conditions (time-based or
-        user-defined; see :func:`repro.core.batch.batch_safe`) through
-        the scalar per-query loop so their semantics are preserved.
+        Must serve non-batch-safe conditions (time-based or
+        user-defined; see :func:`repro.core.batch.batch_safe`) one query
+        at a time so their semantics are preserved.
         """
         ...
 
@@ -115,11 +116,12 @@ class _StopRouting:
 
 
 class MemoryEngine(_StopRouting):
-    """Adapter: the in-memory ``FastPPV`` / ``BatchFastPPV`` pair.
+    """Adapter: the in-memory ``BatchFastPPV``.
 
-    Batches run the matmul form over the index's
-    :class:`~repro.core.splice.SpliceMatrix`; streams and non-batch-safe
-    stopping conditions run the scalar loop.
+    Batches run the shared round loop over the index's resident
+    :class:`~repro.core.splice.SpliceBlock`; streams and non-batch-safe
+    stopping conditions serve one query at a time through the same
+    engine — the batch of one, bitwise ``FastPPV.query``.
     """
 
     backend = "memory"
@@ -142,8 +144,7 @@ class MemoryEngine(_StopRouting):
         self._build()
 
     def _build(self) -> None:
-        self._scalar = FastPPV(self.graph, self.index, **self._engine_kwargs)
-        self._batch = BatchFastPPV(
+        self._scalar = self._batch = BatchFastPPV(
             self.graph, self.index, **self._engine_kwargs
         )
 
@@ -152,10 +153,10 @@ class MemoryEngine(_StopRouting):
         return self.graph.num_nodes
 
     def cache_token(self) -> object:
-        # The index's matrix lowering is rebuilt whenever the index
+        # The index's resident block is rebuilt whenever the index
         # content changes through a supported path, so its identity is
         # exactly the lifetime of any result computed from it.
-        return splice_matrix(self.index)
+        return resident_block(self.index)
 
     def replace_index(self, index: PPVIndex, graph=None) -> None:
         """Swap in a new index (e.g. from ``update_index``) in place.

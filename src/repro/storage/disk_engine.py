@@ -53,17 +53,16 @@ is ``query_many([q])[0]``:
   reads): each hub payload is read from disk once per batch, not once
   per query that splices it.
 * The incremental splice rounds of the whole batch run in lock-step
-  through the order-preserving vectorised kernel of
-  :func:`repro.core.splice.splice_rounds_exact` — fetched payloads are
-  assembled into a shared :class:`~repro.core.splice.SpliceBlock` (the
-  same two-matrix lowering the in-memory batch engine builds offline)
-  and each round is two sparse gather-multiply-scatter products over
-  the stacked, delta-gated frontiers.  Unlike the in-memory matmul
-  form, the products accumulate in the scalar loop's exact operation
-  order, so scores are **bitwise equal** to the per-hub loop of
-  :func:`repro.core.query.scalar_splice_rounds` run over the same
-  store (``tests/oracles.py`` pins that, together with the historical
-  per-edge drain loop).
+  through :func:`repro.core.splice.splice_rounds_exact`, the one round
+  loop both backends run — fetched payloads are assembled into a shared
+  :class:`~repro.core.splice.SpliceBlock` (the lowering the in-memory
+  engine holds for its whole index) and each round is two products over
+  the stacked, delta-gated frontiers, compiled like the pushes
+  (:mod:`repro.native`).  The products accumulate in the scalar loop's
+  exact operation order, so scores are **bitwise equal** to the per-hub
+  loop of :func:`repro.core.query.scalar_splice_rounds` run over the
+  same store (``tests/oracles.py`` pins that, together with the
+  historical per-edge drain loop).
 
 Per-query :class:`DiskQueryResult` accounting is *deterministic* I/O:
 ``cluster_faults`` counts the query's drain steps — the faults a
@@ -941,12 +940,12 @@ class DiskFastPPV:
                     seconds=seconds,
                 ),
                 cluster_faults=cluster_faults[position],
-                hub_reads=hub_reads[position] + requested,
+                hub_reads=hub_reads[position] + hubs_expanded,
                 truncated=truncated[position],
             )
             for position, (
                 q,
-                (iteration, error_history, hubs_expanded, requested, seconds),
+                (iteration, error_history, hubs_expanded, _work_units, seconds),
             ) in enumerate(zip(ids, rounds))
         ]
 

@@ -18,11 +18,7 @@ from repro import (
 )
 from repro.core.prime import prime_ppv, prime_push_many
 from repro.core.query import DEFAULT_DELTA, QueryState
-from repro.core.splice import (
-    build_splice_matrix,
-    invalidate_splice_cache,
-    splice_matrix,
-)
+from repro.core.splice import invalidate_splice_cache, resident_block
 from repro.graph.build import GraphBuilder
 from repro.graph.generators import erdos_renyi_graph
 
@@ -82,11 +78,20 @@ def _engines(graph, num_hubs=25, delta=1e-4, **kwargs):
     return index, scalar, batch
 
 
-def assert_equivalent(scalar_result, batch_result):
+def assert_equivalent(scalar_result, batch_result, bitwise=True):
+    """Same query outcome.  The rounds are the scalar loop's bit for bit,
+    so a batch of one is the scalar result exactly; ``bitwise=False`` is
+    for results out of a larger batch, where ``prime_push_many``
+    aggregates iteration 0 by a rule that depends on the batch's size
+    (reassociated sums: 1e-12)."""
     assert batch_result.query == scalar_result.query
     assert batch_result.iterations == scalar_result.iterations
     assert batch_result.hubs_expanded == scalar_result.hubs_expanded
     assert batch_result.work_units == scalar_result.work_units
+    if bitwise:
+        assert batch_result.scores.tobytes() == scalar_result.scores.tobytes()
+        assert batch_result.error_history == scalar_result.error_history
+        return
     assert len(batch_result.error_history) == len(scalar_result.error_history)
     np.testing.assert_allclose(
         batch_result.scores, scalar_result.scores, atol=ATOL
@@ -108,7 +113,9 @@ class TestEquivalence:
         for stop in STOPS:
             batch_results = batch.query_many(queries, stop=stop)
             for query, batch_result in zip(queries, batch_results):
-                assert_equivalent(scalar.query(query, stop=stop), batch_result)
+                reference = scalar.query(query, stop=stop)
+                assert_equivalent(reference, batch_result, bitwise=False)
+                assert_equivalent(reference, batch.query(query, stop=stop))
 
     def test_fastppv_batch_engine_matches_scalar(self, small_social,
                                                  small_social_index):
@@ -118,7 +125,8 @@ class TestEquivalence:
         results = batch.query_many([9, 4, 4, 17], stop=stop)
         assert [r.query for r in results] == [9, 4, 4, 17]
         for query, result in zip([9, 4, 4, 17], results):
-            assert_equivalent(engine.query(query, stop=stop), result)
+            assert_equivalent(engine.query(query, stop=stop), result,
+                              bitwise=False)
 
     def test_default_delta_and_default_stop(self, small_social,
                                             small_social_index):
@@ -126,7 +134,7 @@ class TestEquivalence:
         batch = BatchFastPPV(small_social, small_social_index)
         assert batch.delta == DEFAULT_DELTA
         for query, result in zip([2, 8], batch.query_many([2, 8])):
-            assert_equivalent(scalar.query(query), result)
+            assert_equivalent(scalar.query(query), result, bitwise=False)
 
     def test_push_many_matches_prime_ppv(self):
         graph = _with_dangling(erdos_renyi_graph(150, 0.03, seed=2))
@@ -247,45 +255,86 @@ class TestEdgeCases:
 
 
 class TestSpliceMatrix:
+    """The index's cached CSR lowering — ``resident_block``: the
+    ``SpliceBlock`` holding every hub, which the batch rounds read."""
+
     def test_cached_on_index(self, small_social_index):
-        first = splice_matrix(small_social_index)
-        assert splice_matrix(small_social_index) is first
+        first = resident_block(small_social_index)
+        assert resident_block(small_social_index) is first
+        assert first.num_rows == small_social_index.num_hubs
         invalidate_splice_cache(small_social_index)
-        rebuilt = splice_matrix(small_social_index)
+        rebuilt = resident_block(small_social_index)
         assert rebuilt is not first
-        np.testing.assert_array_equal(rebuilt.hub_ids, first.hub_ids)
+        hubs = small_social_index.hubs
+        np.testing.assert_array_equal(rebuilt.rows_of(hubs), first.rows_of(hubs))
 
-    def test_shapes_and_correction(self, small_social, small_social_index):
-        matrix = build_splice_matrix(small_social_index)
-        num_hubs = small_social_index.num_hubs
-        assert matrix.scores.shape == (num_hubs, small_social.num_nodes)
-        assert matrix.borders.shape == (num_hubs, num_hubs)
-        # Each hub's own column carries score - alpha (trivial tour removed).
-        for row in [0, num_hubs // 2, num_hubs - 1]:
-            hub = int(matrix.hub_ids[row])
-            entry = small_social_index.get(hub)
-            expected = entry.score_of(hub) - small_social_index.alpha
-            assert matrix.scores[row, hub] == pytest.approx(expected)
+    def test_shapes_and_correction(self, small_social_index):
+        block = resident_block(small_social_index)
+        alpha = small_social_index.alpha
+        entries = small_social_index.entries
+        score_indptr, score_columns, score_values = block._scores.csr()
+        border_indptr, border_columns, _ = block._borders.csr()
+        for hub, entry in entries.items():
+            # A score row is the entry plus the trivial-tour correction
+            # as its last element; a border row names hub node ids.
+            row = int(block.rows_of(np.array([hub]))[0])
+            columns = score_columns[score_indptr[row]:score_indptr[row + 1]]
+            assert columns.tolist() == entry.nodes.tolist() + [hub]
+            assert score_values[score_indptr[row + 1] - 1] == -alpha
+            borders = border_columns[border_indptr[row]:border_indptr[row + 1]]
+            assert borders.tolist() == entry.border_hubs.tolist()
+        # rss_mb: the block lives as long as the index, so its buffers
+        # hold exactly the index's entries, not a doubling's worth.
+        assert score_columns.base.size == score_indptr[-1] == sum(
+            entry.nodes.size + 1 for entry in entries.values()
+        )
+        assert border_columns.base.size == border_indptr[-1] == sum(
+            entry.border_hubs.size for entry in entries.values()
+        )
 
-    def test_engine_follows_invalidation(self, small_social,
-                                         small_social_index):
+    def test_engine_follows_invalidation(self, small_social):
         # An existing engine must pick up a rebuilt lowering after
         # invalidate_splice_cache, not keep serving a private stale copy.
-        engine = BatchFastPPV(small_social, small_social_index)
-        before = engine.splice
-        assert engine.splice is before
-        invalidate_splice_cache(small_social_index)
-        assert engine.splice is not before
+        from repro.serving.engines import MemoryEngine
+
+        index = build_index(small_social, select_hubs(small_social, 12))
+        engine = MemoryEngine(small_social, index, delta=0.0)
+        before = engine.cache_token()
+        assert engine.cache_token() is before is resident_block(index)
+        query, stop = 3, StopAfterIterations(1)
+        (served,) = engine.query_batch([query], stop)
+        for entry in index.entries.values():
+            entry.scores[:] *= 0.5  # an in-place edit of the index
+        (stale,) = engine.query_batch([query], stop)
+        invalidate_splice_cache(index)
+        assert engine.cache_token() is not before
+        (fresh,) = engine.query_batch([query], stop)
+        assert stale.scores.tobytes() == served.scores.tobytes()
+        assert fresh.scores.tobytes() != served.scores.tobytes()
+        assert_equivalent(
+            FastPPV(small_social, index, delta=0.0).query(query, stop=stop), fresh
+        )
 
     def test_rows_of_empty_input(self, small_social_index):
-        matrix = splice_matrix(small_social_index)
-        assert matrix.rows_of(np.zeros(0, dtype=np.int64)).size == 0
+        block = resident_block(small_social_index)
+        assert block.rows_of(np.zeros(0, dtype=np.int64)).size == 0
 
-    def test_rows_of_rejects_non_hub(self, small_social_index):
-        matrix = splice_matrix(small_social_index)
+    def test_rows_of_rejects_non_hub(self, small_social, small_social_index):
+        block = resident_block(small_social_index)
         non_hub = int(np.nonzero(~small_social_index.hub_mask)[0][0])
         with pytest.raises(KeyError):
-            matrix.rows_of(np.array([non_hub]))
+            block.rows_of(np.array([non_hub]))
+
+    def test_an_index_the_rounds_cannot_serve_is_refused(self, small_social):
+        index = build_index(small_social, select_hubs(small_social, 12))
+        entries = dict(index.entries)
+        reached = int(next(iter(entries.values())).border_hubs[0])
+        del index.entries[reached]
+        with pytest.raises(ValueError, match="do not cover the hub mask"):
+            resident_block(index)
+        index.hub_mask[reached] = False
+        with pytest.raises(ValueError, match="border hubs outside"):
+            resident_block(index)
 
 
 class TestRoutingAndChunking:
@@ -312,9 +361,12 @@ class TestRoutingAndChunking:
         assert custom_results[0].iterations == 1
         stop = any_of(StopAfterIterations(2), StopAfterTime(1e9))
         results = engine.query_batch([3, 8], stop=stop)
-        # Per-query scalar semantics: results match scalar queries.
+        # Per-query scalar semantics: each is the batch of one, which
+        # is the scalar loop bit for bit.
+        assert engine._scalar is engine._batch
+        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
         for query, result in zip([3, 8], results):
-            assert_equivalent(engine._scalar.query(query, stop=stop), result)
+            assert_equivalent(scalar.query(query, stop=stop), result)
 
     def test_removed_options_are_type_errors(self, small_social,
                                              small_social_index):

@@ -3,7 +3,9 @@
 ``repro.native`` ports two schedules to C: the cluster drain
 (``_NativePrimePushRun`` vs ``_PrimePushRun`` vs the per-edge
 ``oracles.ReferencePrimePushRun``) and the level-synchronous
-``prime_push_many`` (vs its numpy rounds).  Everything here compares
+``prime_push_many`` (vs its numpy rounds) — and the two products of a
+splice round (``SpliceBlock.score_product`` / ``border_product`` vs
+their numpy spelling vs ``scalar_splice_rounds``).  Everything here compares
 *bytes* — ``scores.tobytes()``, the border's ``(hub, mass)`` order,
 ``drains`` / ``truncated``, SHA-256 over served score vectors — never a
 tolerance.  The drain cases are the ones of ``test_disk_drain.py`` (its
@@ -13,8 +15,8 @@ Also here: how a process selects its kernels (no compiler, an unusable
 cache directory, two processes racing the first build, a truncated or
 foreign cached library), the two small fixes that ride along (the
 interpreter-independent pool sum; structural validation of cluster
-segments before any kernel sees them) and allocation failure inside the
-push kernel.
+segments before any kernel sees them), allocation failure inside the
+push kernel, and a block row that names a node outside the graph.
 
 Under ``REPRO_NATIVE=0`` (CI runs the suite both ways) the comparisons
 against the compiled kernels skip; the selection and fix tests still run.
@@ -31,6 +33,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferencePrimePushRun, sharded_over
+from oracles import ReferencePrimePushRun, reference_disk_query, sharded_over
 from test_disk_drain import (
     BACKENDS,
     NODES,
@@ -55,9 +58,22 @@ from test_disk_drain import (
 )
 
 import repro
-from repro import StopAfterIterations, build_index, native, select_hubs, social_graph
+from repro import (
+    BatchFastPPV,
+    FastPPV,
+    StopAfterIterations,
+    StopAtL1Error,
+    build_index,
+    native,
+    select_hubs,
+    social_graph,
+)
 from repro.core import prime
 from repro.core.index import clip_prime_ppv
+from repro.core.prime import PrimePPV
+from repro.core.query import scalar_splice_rounds
+from repro.core.splice import SpliceBlock, splice_rounds_exact
+from repro.core.topk import StopWhenCertified
 from repro.graph.digraph import DiGraph
 from repro.server.protocol import ShardUnavailableError
 from repro.serving import PPVService, QuerySpec
@@ -67,6 +83,7 @@ from repro.storage import (
     DiskGraphStore,
     DiskPPVStore,
     cluster_graph,
+    load_index,
     save_index,
 )
 from repro.storage import disk_engine
@@ -888,3 +905,352 @@ def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "MemoryError: prime_push_many: the push kernel ran out of memory" in done.stdout
     assert "recovered: True" in done.stdout
+
+
+# --------------------------------------------------------------------- #
+# (g) The splice round's two products: native vs numpy vs the scalar loop
+
+SELECTIONS = [
+    pytest.param(True, id="native", marks=needs_native),
+    pytest.param(False, id="numpy"),
+]
+
+
+def _entry(hub, nodes, scores, border_hubs=(), border_masses=()) -> PrimePPV:
+    return PrimePPV(
+        source=hub,
+        nodes=np.array(nodes, dtype=np.int64),
+        scores=np.array(scores, dtype=np.float64),
+        border_hubs=np.array(border_hubs, dtype=np.int64),
+        border_masses=np.array(border_masses, dtype=np.float64),
+    )
+
+
+ALPHA, SPLICE_NODES = 0.15, 8
+# Hubs 1, 2, 5, 6.  Hub 5's border is empty; 6 borders itself; 1 and 6
+# both feed 2, so a frontier [6, 1] touches [1, 2, 6, 5] — not sorted.
+ENTRIES = {
+    1: _entry(1, [0, 1, 3], [0.031, 0.19, 0.0123], [2, 5], [0.27, 0.1]),
+    2: _entry(2, [2, 4], [0.1501, 0.07], [1, 5, 6], [0.2, 0.3, 0.11]),
+    5: _entry(5, [5], [0.15]),
+    6: _entry(6, [3, 6, 7], [0.02, 0.171, 0.3], [1, 2, 6], [0.05, 0.21, 0.13]),
+}
+
+
+def _start(hubs, masses, seed=0):
+    """A query after iteration 0: a sparse estimate and its frontier."""
+    estimate = np.zeros(SPLICE_NODES)
+    touched = np.random.default_rng(seed).choice(SPLICE_NODES, 3, replace=False)
+    estimate[touched] = [0.15, 0.04, 0.0021]
+    return estimate, list(hubs), list(masses)
+
+
+def _hub_start(hub):
+    entry = ENTRIES[hub]
+    return (
+        entry.to_dense(SPLICE_NODES),
+        entry.border_hubs.tolist(),
+        entry.border_masses.tolist(),
+    )
+
+
+def _batch_rounds(entries, num_nodes, alpha, starts, stop, delta, cap, resident):
+    """``splice_rounds_exact`` over ``starts`` on a block holding every
+    entry up front (memory) or growing through ``ensure`` (disk)."""
+    estimates = np.array([estimate for estimate, _, _ in starts]).reshape(
+        len(starts), num_nodes
+    )
+    frontiers = [
+        (np.array(hubs, dtype=np.int64), np.array(masses, dtype=np.float64))
+        for _, hubs, masses in starts
+    ]
+    if resident:
+        block = SpliceBlock(alpha, num_nodes, entries.values())
+        ensure = block.rows_of
+    else:
+        block = SpliceBlock(alpha, num_nodes)
+
+        def ensure(hubs):
+            for hub in hubs.tolist():
+                block.add(entries[hub])
+
+    trace = [[] for _ in starts]
+    rounds = splice_rounds_exact(
+        estimates, frontiers, stop, alpha, delta, cap, block, ensure,
+        time.perf_counter(),
+        on_iteration=lambda i, state: trace[i].append(
+            (state.iteration, state.l1_error, state.frontier_size)
+        ),
+    )
+    return (
+        estimates.tobytes(),
+        [outcome[:4] for outcome in rounds],
+        trace,
+        [(hubs.tolist(), masses.tolist()) for hubs, masses in frontiers],
+    )
+
+
+def _scalar_rounds(entries, alpha, starts, stop, delta, cap):
+    """The same through ``scalar_splice_rounds``, one query at a time."""
+    estimates, outcomes, trace = [], [], [[] for _ in starts]
+    for i, (estimate, hubs, masses) in enumerate(starts):
+        estimate = estimate.copy()
+        outcomes.append(
+            scalar_splice_rounds(
+                estimate, dict(zip(hubs, masses)), stop, alpha, delta, cap,
+                entries.__getitem__, time.perf_counter(),
+                on_iteration=lambda state: trace[i].append(
+                    (state.iteration, state.l1_error, state.frontier_size)
+                ),
+            )
+        )
+        estimates.append(estimate)
+    return np.array(estimates).tobytes(), outcomes, trace
+
+
+def _assert_rounds_three_ways(
+    entries, num_nodes, alpha, starts, stop, delta=0.0, cap=64
+):
+    want = _scalar_rounds(entries, alpha, starts, stop, delta, cap)
+    frontiers = set()
+    for compiled in (True, False):
+        if compiled and native.load() is None:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            if not compiled:
+                patch.setattr(native, "_loaded", [None])
+            for resident in (True, False):
+                *got, final = _batch_rounds(
+                    entries, num_nodes, alpha, starts, stop, delta, cap, resident
+                )
+                assert tuple(got) == want, (compiled, resident)
+                frontiers.add(repr(final))
+    assert len(frontiers) == 1  # order and bits of what a next round would read
+    return want[1]
+
+
+class TestSpliceRoundsThreeWays:
+    def test_a_hub_query_among_pushed_ones(self):
+        starts = [_hub_start(1), _start([6, 1], [0.3, 0.2]), _hub_start(6)]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(3)
+        )
+        assert [iterations for iterations, *_ in outcomes] == [3, 3, 3]
+
+    @pytest.mark.parametrize("compiled", SELECTIONS)
+    def test_first_touch_order_is_not_sorted_order(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(native, "_loaded", [None])
+        *_, (frontier,) = _batch_rounds(
+            ENTRIES, SPLICE_NODES, ALPHA, [_start([6, 1], [0.3, 0.2])],
+            StopAfterIterations(1), 0.0, 64, True,
+        )
+        assert frontier[0] == [1, 2, 6, 5]
+        assert frontier[1][1] == 0.0 + 0.3 * 0.21 + 0.2 * 0.27
+
+    def test_duplicate_ids_do_not_share_an_accumulator(self):
+        starts = [_start([2, 1], [0.4, 0.1]), _start([2, 1], [0.4, 0.1]),
+                  _start([1], [0.5], seed=3), _start([2, 1], [0.4, 0.1])]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(4)
+        )
+        assert outcomes[0] == outcomes[1] == outcomes[3] != outcomes[2]
+
+    def test_an_empty_frontier_retires_at_once(self):
+        starts = [_start([], []), _start([6], [0.3]), _start([], [], seed=2)]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(2)
+        )
+        assert [o[0] for o in outcomes] == [0, 2, 0]
+        assert [o[2:] for o in outcomes] == [(0, 0), outcomes[1][2:], (0, 0)]
+
+    def test_delta_gating_every_pair_still_counts_the_round(self):
+        starts = [_start([1, 2], [0.3, 0.2]), _hub_start(2)]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(5), delta=1.0
+        )
+        for iterations, error_history, hubs_expanded, work_units in outcomes:
+            assert (iterations, hubs_expanded, work_units) == (1, 0, 0)
+            assert error_history[0] == error_history[1]
+
+    def test_delta_gating_some_pairs(self):
+        starts = [_start([1, 2, 6], [0.3, 0.01, 0.2]), _start([5, 2], [0.01, 0.6])]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(3), delta=0.01
+        )
+        assert outcomes[0][2] > 2
+
+    def test_a_hub_with_an_empty_border_ends_the_query(self):
+        starts = [_start([5], [0.3]), _start([5, 1], [0.3, 0.2])]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(4)
+        )
+        assert outcomes[0][:1] + outcomes[0][2:] == (1, 1, 1)
+        assert outcomes[1][0] == 4
+
+    def test_max_iterations_zero_runs_no_round(self):
+        starts = [_start([1], [0.5]), _hub_start(1)]
+        outcomes = _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(3), cap=0
+        )
+        assert [o[0] for o in outcomes] == [0, 0]
+
+    def test_top_k_certificates_retire_queries_mid_batch(self, small_social):
+        # The round loop evaluates should_stop_many; the scalar loop
+        # should_stop.  Same decisions, so same bits, on both block
+        # shapes.  A real index (clip 0): certificates need real mass.
+        n = small_social.num_nodes
+        index = build_index(
+            small_social, select_hubs(small_social, num_hubs=40),
+            clip=0.0, epsilon=1e-6,
+        )
+        starts = []
+        for query in [3, int(index.hubs[0]), 8, 120, 301, int(index.hubs[7])]:
+            base = index.entries.get(query) or prime.prime_ppv(
+                small_social, query, index.hub_mask, index.alpha, 1e-6
+            )
+            starts.append(
+                (base.to_dense(n), base.border_hubs.tolist(),
+                 base.border_masses.tolist())
+            )
+        outcomes = _assert_rounds_three_ways(
+            index.entries, n, index.alpha, starts,
+            StopWhenCertified(k=3, max_iterations=30),
+        )
+        retired_at = {iterations for iterations, *_ in outcomes}
+        assert len(retired_at) > 2 and max(retired_at) < 30
+
+
+@st.composite
+def splice_cases(draw):
+    num_nodes = draw(st.integers(3, 14))
+    node = st.integers(0, num_nodes - 1)
+    hubs = sorted(draw(st.sets(node, min_size=1, max_size=5)))
+    value = st.floats(1e-4, 0.3, allow_nan=False)
+
+    def sparse(ids, max_size):
+        chosen = sorted(draw(st.sets(ids, max_size=max_size)))
+        return chosen, [draw(value) for _ in chosen]
+
+    entries = {}
+    for hub in hubs:
+        nodes, scores = sparse(node, 6)
+        border = sparse(st.sampled_from(hubs), len(hubs))
+        entries[hub] = _entry(hub, nodes, scores, *border)
+    starts = []
+    for _ in range(draw(st.integers(1, 5))):
+        estimate = np.zeros(num_nodes)
+        nodes, scores = sparse(node, 4)
+        estimate[nodes] = scores
+        frontier = draw(st.lists(st.sampled_from(hubs), unique=True, max_size=5))
+        starts.append((estimate, frontier, [draw(value) for _ in frontier]))
+    delta = draw(st.sampled_from([0.0, 1e-3, 0.02]))
+    stop = draw(
+        st.sampled_from(
+            [StopAfterIterations(0), StopAfterIterations(3), StopAtL1Error(0.5),
+             StopWhenCertified(k=2, max_iterations=5)]
+        )
+    )
+    return entries, num_nodes, starts, stop, delta, draw(st.sampled_from([0, 2, 64]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(splice_cases())
+def test_hypothesis_rounds_three_ways(case):
+    entries, num_nodes, starts, stop, delta, cap = case
+    _assert_rounds_three_ways(entries, num_nodes, 0.2, starts, stop, delta, cap)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(deployments())
+def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
+    # Both backends, both selections: memory against FastPPV.query, disk
+    # against the oracle loops of oracles.py.
+    num_nodes, edges, labels, hubs, batch, memory_budget, fault_budget, backend = (
+        deployment
+    )
+    graph = _csr(num_nodes, edges)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        _deploy(root, graph, hubs, labels, epsilon=1e-6)
+        index = load_index(root / "i.fppv")
+        stop = StopAfterIterations(3)
+        with DiskPPVStore(root / "i.fppv") as ppv_store:
+            for compiled in (True, False):
+                if compiled and native.load() is None:
+                    continue
+                with pytest.MonkeyPatch.context() as patch:
+                    if not compiled:
+                        patch.setattr(native, "_loaded", [None])
+                    memory = BatchFastPPV(graph, index, delta=0.0)
+                    disk = DiskFastPPV(
+                        _open(backend, root / "c", memory_budget), ppv_store,
+                        delta=0.0, fault_budget=fault_budget,
+                    )
+                    for query in batch:
+                        got = memory.query(query, stop=stop)
+                        want = FastPPV(graph, index, delta=0.0).query(query, stop=stop)
+                        assert got.scores.tobytes() == want.scores.tobytes()
+                        assert got.error_history == want.error_history
+                        assert (got.iterations, got.hubs_expanded, got.work_units) == (
+                            want.iterations, want.hubs_expanded, want.work_units
+                        )
+                        got = disk.query(query, stop=stop)
+                        want = reference_disk_query(
+                            DiskGraphStore.open(root / "c"), ppv_store, query,
+                            stop=stop, delta=0.0, fault_budget=fault_budget,
+                        )
+                        assert got.scores.tobytes() == want.scores.tobytes()
+                        assert got.result.error_history == want.result.error_history
+                        assert got.hub_reads == want.hub_reads
+
+
+class TestAColumnOutsideTheGraph:
+    """A block row naming a node ``>= num_nodes`` or ``< 0`` (a corrupt
+    payload that still parses) is refused by both products under both
+    selections — never written through, into a neighbour's row or off
+    the buffer."""
+
+    @pytest.mark.parametrize("compiled", SELECTIONS)
+    @pytest.mark.parametrize("bad", [SPLICE_NODES, SPLICE_NODES + 40, -1, -(2**40)])
+    def test_score_row(self, compiled, bad, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(native, "_loaded", [None])
+        entries = dict(ENTRIES)
+        entries[2] = _entry(2, [2, bad], [0.15, 0.07], [1], [0.2])
+        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        dest = np.full(3 * SPLICE_NODES, 7.0)
+        with pytest.raises(ValueError, match="hub 2 names a node outside"):
+            block.score_product(
+                block.rows_of(np.array([1, 2])), np.array([0.5, 0.25]),
+                np.array([SPLICE_NODES, SPLICE_NODES]), dest,
+            )
+        # Only the middle query's row may have been touched.
+        assert (dest[:SPLICE_NODES] == 7.0).all()
+        assert (dest[2 * SPLICE_NODES:] == 7.0).all()
+
+    @pytest.mark.parametrize("compiled", SELECTIONS)
+    @pytest.mark.parametrize("bad", [SPLICE_NODES, -1])
+    def test_border_row(self, compiled, bad, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(native, "_loaded", [None])
+        entries = dict(ENTRIES)
+        entries[6] = _entry(6, [6], [0.15], [1, bad], [0.2, 0.1])
+        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        with pytest.raises(ValueError, match="hub 6 names a node outside"):
+            block.border_product(
+                block.rows_of(np.array([1, 6])), np.array([0.5, 0.25]),
+                np.array([1, 1]),
+            )
+
+    @pytest.mark.parametrize("compiled", SELECTIONS)
+    def test_through_the_round_loop(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(native, "_loaded", [None])
+        entries = dict(ENTRIES)
+        entries[1] = _entry(1, [0, SPLICE_NODES], [0.1, 0.2], [2], [0.3])
+        with pytest.raises(ValueError, match="hub 1 names a node outside"):
+            _batch_rounds(
+                entries, SPLICE_NODES, ALPHA, [_start([6, 1], [0.3, 0.2])],
+                StopAfterIterations(2), 0.0, 64, False,
+            )

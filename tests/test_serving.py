@@ -74,7 +74,8 @@ class TestOpenAndRegistry:
         with PPVService.open(engine) as service:
             assert service.engine.backend == "memory"
             # Engine parameters carry over into the adapter.
-            assert service.engine._scalar.delta == 1e-3
+            assert service.engine._scalar is service.engine._batch
+            assert service.engine._batch.delta == 1e-3
 
     def test_auto_detects_disk(self, disk_setup):
         root, graph, assignment, index_path = disk_setup

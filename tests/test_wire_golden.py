@@ -12,7 +12,10 @@ The literals were recorded before the front-end was rewritten around a
 verb table and one counter store, so this file pins that the rewrite
 left the wire unchanged; the only additions since are the three
 ``repro_server_{connections,frames,swaps}_total`` series at the end of
-``metrics``.  ``unavailable``, ``shard_unavailable`` and ``internal``
+``metrics``, and the last digit of seven served floats, re-recorded
+when the memory backend began serving the scalar loop's bits instead of
+a reassociated matrix product's (each moved by at most one ulp).
+``unavailable``, ``shard_unavailable`` and ``internal``
 need a race or a dying process and are covered in ``test_server.py`` /
 ``test_sharding.py`` instead.
 
@@ -49,7 +52,7 @@ MAX_LINE_BYTES = 256
 
 PPV_7 = (
     b'{"nodes":[7],"iterations":2,"l1_error":0.07073900127735877,'
-    b'"top":[[7,0.20112166241906324],[9,0.0858081036991959],'
+    b'"top":[[7,0.20112166241906326],[9,0.08580810369919589],'
     b"[10,0.07723669932411598]]}"
 )
 
@@ -77,8 +80,8 @@ TRANSCRIPT = [
             _ok(
                 4,
                 b'{"nodes":[3,9],"iterations":2,'
-                b'"l1_error":0.07931411730993654,'
-                b'"top":[[3,0.15228367253834005],[9,0.08773256595748885],'
+                b'"l1_error":0.0793141173099365,'
+                b'"top":[[3,0.15228367253834],[9,0.08773256595748888],'
                 b"[7,0.053751729857711775]]}",
             )
         ],
@@ -90,8 +93,8 @@ TRANSCRIPT = [
                 5,
                 b'{"nodes":[7],"iterations":4,'
                 b'"l1_error":0.03192908669465744,"certified":false,'
-                b'"top":[[7,0.20126645031476853],[9,0.08630887057283353],'
-                b"[10,0.07752095683872558]]}",
+                b'"top":[[7,0.20126645031476856],[9,0.08630887057283353],'
+                b"[10,0.0775209568387256]]}",
             )
         ],
     ),
