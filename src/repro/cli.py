@@ -295,11 +295,11 @@ def _add_query(subparsers) -> None:
     )
     parser.add_argument(
         "--beta", type=float, default=None,
-        help="hitting family: per-step discount (default 0.85)",
+        help="hitting family: per-step discount (default 0.85; max 256 push rounds)",
     )
     parser.add_argument(
         "--max-levels", type=int, default=None,
-        help="hitting family: hub-length levels to splice (default 16)",
+        help="hitting family: hub-length levels to splice (default 16, max 64)",
     )
     parser.add_argument(
         "--max-length", type=int, default=None,

@@ -23,6 +23,25 @@ target-specific and cannot come from the global PPV index; the engine
 caches them per query instead.  The point of the module is the
 *principle transfer* — incremental anytime refinement with a computable
 remaining-mass gauge — not index reuse.
+
+One push kernel.  Such a segment *is* the prime push of
+:mod:`repro.core.prime` with ``alpha = 1 - beta`` over the barrier set
+``hub_mask | {target}``: it forwards ``beta`` of every expanded unit,
+expands its source even when that is a hub, and records what reaches a
+barrier node as border arrival mass — at the target column the absorbed
+mass, elsewhere the hub border.  So a segment is one batch-of-one
+:func:`~repro.core.prime.prime_push_many` call, compiled or numpy by the
+selection that function already makes (identical bytes).
+
+The push does not report what it cuts off (arrivals below ``epsilon``,
+dangling nodes), but mass is conserved: every arrival is border ``B``,
+dropped ``D`` or expanded ``E`` and scores ``alpha`` of itself, and what
+arrives is the source's unit plus what expansions forward —
+``scores.sum() / alpha = B + D + E = 1 + beta * E``, hence
+``D = (1 - scores.sum()) / beta - B``.  Mass abandoned unscored at the
+round bound enters that divided by ``beta`` (over-counted) and negative
+round-off is clamped, so ``D`` is the dropped mass to 1e-15 absolute and,
+to that slack, ``value <= f_p(q) <= value + remaining_mass`` stays sound.
 """
 
 from __future__ import annotations
@@ -31,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.prime import prime_push_many
 from repro.graph.digraph import DiGraph
 
 DEFAULT_BETA = 0.85
@@ -104,62 +124,26 @@ def exact_hitting(
     return float(values[query])
 
 
-def _prime_hitting_push(
+def _prime_segment(
     graph: DiGraph,
     source: int,
     target: int,
-    hub_mask: np.ndarray,
+    barrier: np.ndarray,
     beta: float,
     epsilon: float,
-) -> tuple[float, dict[int, float], float]:
-    """Hub-interior-free, target-avoiding discounted push from ``source``.
-
-    Returns ``(absorbed_at_target, border_masses, dropped_mass)`` where
-    ``border_masses`` maps hub -> discounted arrival mass (for splicing)
-    and ``dropped_mass`` is what the epsilon cut-off discarded (needed
-    for the upper bound).
-    """
-    indptr, indices = graph.indptr, graph.indices
-    out_degrees = graph.out_degrees
-    edge_probabilities = graph.edge_probabilities
-    absorbed = 0.0
-    dropped = 0.0
-    border: dict[int, float] = {}
-    residual: dict[int, float] = {source: 1.0}
-    first = True
-    # beta^k bounds total residual after k levels, so the loop terminates.
-    max_rounds = int(np.ceil(np.log(epsilon) / np.log(beta))) + 4
-    for _ in range(max_rounds):
-        if not residual:
-            break
-        next_residual: dict[int, float] = {}
-        for node, mass in residual.items():
-            if node == target:
-                absorbed += mass
-                continue
-            if hub_mask[node] and not (first and node == source):
-                border[node] = border.get(node, 0.0) + mass
-                continue
-            if mass < epsilon:
-                dropped += mass
-                continue
-            degree = int(out_degrees[node])
-            if degree == 0:
-                dropped += mass  # walk dies; never hits the target
-                continue
-            start, end = indptr[node], indptr[node + 1]
-            for neighbor, probability in zip(
-                indices[start:end], edge_probabilities[start:end]
-            ):
-                key = int(neighbor)
-                next_residual[key] = (
-                    next_residual.get(key, 0.0) + beta * mass * probability
-                )
-        residual = next_residual
-        first = False
-    for mass in residual.values():
-        dropped += mass
-    return absorbed, border, dropped
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Hub-interior-free, target-avoiding discounted push from ``source``:
+    ``(absorbed_at_target, dropped_mass, border_hubs, border_masses)``,
+    hubs ascending, the dropped mass by conservation (module docstring).
+    A batch of one, so no push's bits depend on what else a caller pushed."""
+    scores, border, _ = prime_push_many(
+        graph, np.array([source]), barrier, alpha=1.0 - beta, epsilon=epsilon
+    )
+    arrivals = border[0]
+    dropped = (1.0 - float(scores[0].sum())) / beta - float(arrivals.sum())
+    hubs = np.flatnonzero(arrivals)
+    hubs = hubs[hubs != target]
+    return float(arrivals[target]), max(0.0, dropped), hubs, arrivals[hubs]
 
 
 def scheduled_hitting(
@@ -171,60 +155,62 @@ def scheduled_hitting(
     max_levels: int = 16,
     epsilon: float = 1e-9,
     delta: float = 0.0,
-    push_cache: dict[int, tuple[float, dict[int, float], float]] | None = None,
+    push_cache: dict[int, tuple] | None = None,
 ) -> HittingEstimate:
     """Discounted hitting probability by hub-length-scheduled splicing.
 
     Level 0 covers first-passage tours with no interior hubs; level ``i``
-    splices hub-rooted prime hitting pushes (cached per call) onto the
-    level ``i-1`` frontier.  Stops when the frontier dies, ``max_levels``
-    is reached, or every frontier mass falls below ``delta``.
+    splices hub-rooted prime segments (cached per call) onto the level
+    ``i-1`` frontier.  Stops when the frontier dies, ``max_levels`` is
+    reached, or every frontier mass falls below ``delta``.
 
-    ``push_cache`` shares prime hitting pushes across calls that agree on
+    ``push_cache`` shares hub-rooted segments across calls that agree on
     ``(target, beta, epsilon)`` and the graph/hub_mask — entries are pure
     functions of those, so sharing is result-preserving (serving batches
     same-target queries through one cache).
     """
-    if hub_mask.shape != (graph.num_nodes,):
+    n = graph.num_nodes
+    if hub_mask.shape != (n,):
         raise ValueError("hub_mask must have one entry per node")
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    if not (0 <= query < n and 0 <= target < n):
+        raise ValueError("query/target out of range")
+    if query == target:
+        return HittingEstimate(1.0, 0.0, 0, [1.0])
     cache = push_cache if push_cache is not None else {}
+    barrier = hub_mask.astype(bool)
+    barrier[target] = True
 
-    def prime_of(node: int) -> tuple[float, dict[int, float], float]:
-        if node not in cache:
-            cache[node] = _prime_hitting_push(
-                graph, node, target, hub_mask, beta, epsilon
-            )
-        return cache[node]
+    def segment_of(hub: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+        if hub not in cache:
+            cache[hub] = _prime_segment(graph, hub, target, barrier, beta, epsilon)
+        return cache[hub]
 
-    absorbed, frontier, dropped = _prime_hitting_push(
-        graph, query, target, hub_mask, beta, epsilon
+    value, dropped, hubs, masses = _prime_segment(
+        graph, query, target, barrier, beta, epsilon
     )
-    value = absorbed
     history = [value]
     level = 0
-    while frontier and level < max_levels:
+    while hubs.size and level < max_levels:
         level += 1
-        next_frontier: dict[int, float] = {}
-        for hub, mass in frontier.items():
-            if mass <= delta:
-                dropped += mass
-                continue
-            hub_absorbed, hub_border, hub_dropped = prime_of(hub)
-            value += mass * hub_absorbed
-            dropped += mass * hub_dropped
-            for border_hub, border_mass in hub_border.items():
-                next_frontier[border_hub] = (
-                    next_frontier.get(border_hub, 0.0) + mass * border_mass
-                )
-        frontier = next_frontier
+        live = masses > delta
+        dropped += float(masses[~live].sum())
+        hubs, masses = hubs[live], masses[live]
+        if hubs.size:
+            absorbed, lost, reached, arrived = zip(*map(segment_of, hubs.tolist()))
+            value += float((masses * np.array(absorbed)).sum())
+            dropped += float((masses * np.array(lost)).sum())
+            sizes = [border.size for border in reached]
+            arrivals = np.bincount(
+                np.concatenate(reached),
+                weights=np.repeat(masses, sizes) * np.concatenate(arrived),
+                minlength=n,
+            )
+            hubs = np.flatnonzero(arrivals)
+            masses = arrivals[hubs]
         history.append(value)
-    remaining = sum(frontier.values()) + dropped
-    return HittingEstimate(
-        value=value,
-        remaining_mass=remaining,
-        iterations=level,
-        history=history,
-    )
+    return HittingEstimate(value, float(masses.sum()) + dropped, level, history)
 
 
 def scheduled_commute(

@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.batch import batch_safe
 from repro.core.hitting import DEFAULT_BETA, scheduled_hitting
 from repro.core.linearity import combine_results
+from repro.core.prime import _max_rounds
 from repro.core.query import (
     QueryResult,
     StopAfterIterations,
@@ -69,6 +70,12 @@ from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
 MAX_SERVED_TOUR_LENGTH = 12
 """Hard ceiling on served ``reachability`` tour length: enumeration is
 exponential, so longer requests are refused at validation."""
+
+MAX_SERVED_HITTING_ROUNDS = 256
+MAX_SERVED_HITTING_LEVELS = 64
+"""Ceilings on a served ``hitting`` request's push depth
+(``_max_rounds(1 - beta, epsilon)``; the defaults need 132) and levels: a
+group runs up to ``num_hubs`` such pushes on the one drain thread."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -381,9 +388,10 @@ class HittingFamily(QueryFamily):
 
     Served by :func:`repro.core.hitting.scheduled_hitting`, which needs
     the graph and the hub mask in memory — so only the memory backend
-    supports it.  Same-``(target, beta, epsilon)`` queries in one
-    coalesced group share a prime-push cache, the family's analogue of
-    the PPV batch kernels' shared work.
+    supports it.  Its pushes are batch-of-one ``prime_push_many`` calls,
+    the PPV families' kernel; same-``(target, beta, epsilon)`` queries in
+    one coalesced group share the hub-rooted ones through a cache that
+    lives for that group, so a group pushes from each hub at most once.
     """
 
     name = "hitting"
@@ -412,10 +420,18 @@ class HittingFamily(QueryFamily):
         delta = float(params.get("delta", 0.0))
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if max_levels < 0:
-            raise ValueError("max_levels must be >= 0")
+        if not 0 <= max_levels <= MAX_SERVED_HITTING_LEVELS:
+            raise ValueError(
+                f"max_levels must lie in [0, {MAX_SERVED_HITTING_LEVELS}]"
+            )
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        rounds = _max_rounds(1.0 - beta, epsilon)
+        if rounds > MAX_SERVED_HITTING_ROUNDS:
+            raise ValueError(
+                f"beta={beta:g} with epsilon={epsilon:g} needs a {rounds}-round "
+                f"push; at most {MAX_SERVED_HITTING_ROUNDS} are served"
+            )
         if delta < 0.0:
             raise ValueError("delta must be >= 0")
         if engine is not None and not 0 <= target < engine.num_nodes:
@@ -437,10 +453,8 @@ class HittingFamily(QueryFamily):
 
     def run_group(self, engine, family_key, members) -> list:
         target, beta, max_levels, epsilon, delta = family_key
-        # Prime hitting pushes are pure functions of (node, target, beta,
-        # epsilon) on this graph/hub_mask, so the whole group shares one
-        # push cache: results stay bitwise-equal to isolated calls while
-        # coalesced same-target queries split the push work.
+        # Segments are pure in (hub, target, beta, epsilon): sharing them
+        # across the group changes no bit of any member's answer.
         push_cache: dict = {}
         return [
             scheduled_hitting(

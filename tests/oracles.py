@@ -13,6 +13,12 @@ equivalence suite requires bitwise-equal results.
 store through a one-shard in-process fleet that answers with
 ``ShardEngine``'s own replies, so the same suites drive the sharded
 backend's residency — and its wire decode — without sockets.
+
+``reference_prime_hitting_push`` / ``reference_scheduled_hitting`` are
+``repro.core.hitting`` as it stood before the hitting family moved onto
+``prime_push_many``: the per-edge dict push and the per-border-entry
+dict level loop, verbatim.  ``tests/test_hitting.py`` pins the array
+code against them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ import threading
 import time
 from collections import deque
 
+import numpy as np
+
+from repro.core.hitting import DEFAULT_BETA, HittingEstimate
 from repro.core.query import (
     DEFAULT_DELTA,
     QueryResult,
@@ -147,6 +156,129 @@ def reference_disk_query(
         cluster_faults=drains,
         hub_reads=hub_reads + hubs_expanded,
         truncated=truncated,
+    )
+
+
+def reference_prime_hitting_push(
+    graph,
+    source: int,
+    target: int,
+    hub_mask: np.ndarray,
+    beta: float,
+    epsilon: float,
+) -> tuple[float, dict[int, float], float]:
+    """Hub-interior-free, target-avoiding discounted push from ``source``.
+
+    Returns ``(absorbed_at_target, border_masses, dropped_mass)`` where
+    ``border_masses`` maps hub -> discounted arrival mass (for splicing)
+    and ``dropped_mass`` is what the epsilon cut-off discarded (needed
+    for the upper bound).
+    """
+    indptr, indices = graph.indptr, graph.indices
+    out_degrees = graph.out_degrees
+    edge_probabilities = graph.edge_probabilities
+    absorbed = 0.0
+    dropped = 0.0
+    border: dict[int, float] = {}
+    residual: dict[int, float] = {source: 1.0}
+    first = True
+    # beta^k bounds total residual after k levels, so the loop terminates.
+    max_rounds = int(np.ceil(np.log(epsilon) / np.log(beta))) + 4
+    for _ in range(max_rounds):
+        if not residual:
+            break
+        next_residual: dict[int, float] = {}
+        for node, mass in residual.items():
+            if node == target:
+                absorbed += mass
+                continue
+            if hub_mask[node] and not (first and node == source):
+                border[node] = border.get(node, 0.0) + mass
+                continue
+            if mass < epsilon:
+                dropped += mass
+                continue
+            degree = int(out_degrees[node])
+            if degree == 0:
+                dropped += mass  # walk dies; never hits the target
+                continue
+            start, end = indptr[node], indptr[node + 1]
+            for neighbor, probability in zip(
+                indices[start:end], edge_probabilities[start:end]
+            ):
+                key = int(neighbor)
+                next_residual[key] = (
+                    next_residual.get(key, 0.0) + beta * mass * probability
+                )
+        residual = next_residual
+        first = False
+    for mass in residual.values():
+        dropped += mass
+    return absorbed, border, dropped
+
+
+def reference_scheduled_hitting(
+    graph,
+    query: int,
+    target: int,
+    hub_mask: np.ndarray,
+    beta: float = DEFAULT_BETA,
+    max_levels: int = 16,
+    epsilon: float = 1e-9,
+    delta: float = 0.0,
+    push_cache: dict[int, tuple[float, dict[int, float], float]] | None = None,
+) -> HittingEstimate:
+    """Discounted hitting probability by hub-length-scheduled splicing.
+
+    Level 0 covers first-passage tours with no interior hubs; level ``i``
+    splices hub-rooted prime hitting pushes (cached per call) onto the
+    level ``i-1`` frontier.  Stops when the frontier dies, ``max_levels``
+    is reached, or every frontier mass falls below ``delta``.
+
+    ``push_cache`` shares prime hitting pushes across calls that agree on
+    ``(target, beta, epsilon)`` and the graph/hub_mask — entries are pure
+    functions of those, so sharing is result-preserving (serving batches
+    same-target queries through one cache).
+    """
+    if hub_mask.shape != (graph.num_nodes,):
+        raise ValueError("hub_mask must have one entry per node")
+    cache = push_cache if push_cache is not None else {}
+
+    def prime_of(node: int) -> tuple[float, dict[int, float], float]:
+        if node not in cache:
+            cache[node] = reference_prime_hitting_push(
+                graph, node, target, hub_mask, beta, epsilon
+            )
+        return cache[node]
+
+    absorbed, frontier, dropped = reference_prime_hitting_push(
+        graph, query, target, hub_mask, beta, epsilon
+    )
+    value = absorbed
+    history = [value]
+    level = 0
+    while frontier and level < max_levels:
+        level += 1
+        next_frontier: dict[int, float] = {}
+        for hub, mass in frontier.items():
+            if mass <= delta:
+                dropped += mass
+                continue
+            hub_absorbed, hub_border, hub_dropped = prime_of(hub)
+            value += mass * hub_absorbed
+            dropped += mass * hub_dropped
+            for border_hub, border_mass in hub_border.items():
+                next_frontier[border_hub] = (
+                    next_frontier.get(border_hub, 0.0) + mass * border_mass
+                )
+        frontier = next_frontier
+        history.append(value)
+    remaining = sum(frontier.values()) + dropped
+    return HittingEstimate(
+        value=value,
+        remaining_mass=remaining,
+        iterations=level,
+        history=history,
     )
 
 

@@ -6,12 +6,14 @@ and the per-family stats break-out."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import StopAfterIterations
+from repro import StopAfterIterations, build_index, select_hubs, social_graph
 from repro.core.hitting import DEFAULT_BETA, HittingEstimate, scheduled_hitting
 from repro.core.query import QueryResult
 from repro.core.reachability import ReachabilityResult, reachability_query
@@ -25,7 +27,12 @@ from repro.serving import (
     resolve_family,
     supported_families,
 )
-from repro.serving.families import _FAMILIES, MAX_SERVED_TOUR_LENGTH
+from repro.serving.families import (
+    _FAMILIES,
+    MAX_SERVED_HITTING_LEVELS,
+    MAX_SERVED_HITTING_ROUNDS,
+    MAX_SERVED_TOUR_LENGTH,
+)
 from repro.server import PPVClient, PPVServer, ServerError, protocol
 from repro.sharding import ShardRouter, partition_index
 from repro.storage import DiskGraphStore, cluster_graph, save_index
@@ -70,6 +77,22 @@ def shard_root(small_social, small_social_index, tmp_path_factory):
         assignment=assignment,
     )
     return part_root
+
+
+def _count_pushed_sources(monkeypatch) -> list[int]:
+    """Every source node the hitting family hands to the push kernel
+    from here on, in order (the PPV families import their own name)."""
+    from repro.core import hitting
+
+    pushed: list[int] = []
+    prime_push_many = hitting.prime_push_many
+
+    def counting(graph, sources, *args, **kwargs):
+        pushed.extend(int(source) for source in sources)
+        return prime_push_many(graph, sources, *args, **kwargs)
+
+    monkeypatch.setattr(hitting, "prime_push_many", counting)
+    return pushed
 
 
 def _direct_hitting(small_social, small_social_index, node, target,
@@ -204,18 +227,9 @@ class TestServedEquivalence:
         self, small_social, small_social_index, monkeypatch
     ):
         """What coalescing buys the family, as a count: a same-target
-        group computes each distinct hub-rooted prime hitting push once,
-        where one-at-a-time serving recomputes it per query."""
-        from repro.core import hitting
-
-        pushed: list[int] = []
-        prime_hitting_push = hitting._prime_hitting_push
-
-        def counting(graph, node, *args):
-            pushed.append(node)
-            return prime_hitting_push(graph, node, *args)
-
-        monkeypatch.setattr(hitting, "_prime_hitting_push", counting)
+        group hands each distinct hub to ``prime_push_many`` once, where
+        one-at-a-time serving pushes from it again per query."""
+        pushed = _count_pushed_sources(monkeypatch)
         specs = [
             QuerySpec(
                 node, family="hitting",
@@ -240,6 +254,27 @@ class TestServedEquivalence:
         assert coalesced == len(specs) + len(distinct)
         assert len(distinct) < sum(map(len, hub_pushes))
 
+    def test_coalesced_group_of_four_equals_isolated_queries(
+        self, small_social, small_social_index
+    ):
+        """Bitwise, through the service both times: fails if a push's
+        batch composition (so its summation order) ever depends on which
+        other pushes the group needed."""
+        specs = [
+            QuerySpec(node, family="hitting", params={"target": 7})
+            for node in (3, 17, 42, 99)
+        ]
+        with PPVService.open(
+            small_social_index, graph=small_social, cache_size=0
+        ) as service:
+            coalesced = service.query_many(specs)
+            isolated = [service.query(spec) for spec in specs]
+        for together, alone in zip(coalesced, isolated):
+            assert together.value == alone.value
+            assert together.remaining_mass == alone.remaining_mass
+            assert together.iterations == alone.iterations
+            assert together.history == alone.history
+
     def test_hitting_parameter_overrides_are_honoured(self, small_social,
                                                       small_social_index,
                                                       memory_service):
@@ -252,6 +287,37 @@ class TestServedEquivalence:
         )
         assert served.value == direct.value
         assert served.iterations == direct.iterations
+
+
+class TestDrainThread:
+    """A slow family cannot sit on the service's one drain thread: before
+    ``hitting`` rode ``prime_push_many`` this cold request held it for
+    65 s (ISSUE 23), with every request behind it waiting."""
+
+    def test_cold_hitting_with_eight_ppv_requests_behind_it(self, monkeypatch):
+        graph = social_graph(num_nodes=4000, seed=11)  # the ledger's shape
+        index = build_index(graph, select_hubs(graph, 400))
+        pushed = _count_pushed_sources(monkeypatch)
+        with PPVService.open(index, graph=graph, cache_size=0) as service:
+            started = time.perf_counter()
+            hitting = service.submit(
+                QuerySpec(5, family="hitting", params={"target": 17})
+            )
+            behind = [service.submit(QuerySpec(node)) for node in range(100, 108)]
+            estimate = hitting.result(timeout=120)
+            cold_seconds = time.perf_counter() - started
+            results = [handle.result(timeout=120) for handle in behind]
+        assert estimate.iterations == 16
+        assert 0.0 < estimate.value < estimate.value + estimate.remaining_mass < 1.0
+        assert [result.query for result in results] == list(range(100, 108))
+        # The work bound is a count: the query's own push, then each hub
+        # at most once, whatever the sixteen levels reach.
+        assert pushed[0] == 5 and len(pushed) <= 400 + 1
+        assert len(set(pushed[1:])) == len(pushed) - 1
+        assert index.hub_mask[pushed[1:]].all()
+        # The one clock: generous for the numpy rounds (3.5 s measured,
+        # 0.7 s compiled), far under what the dict push needed.
+        assert cold_seconds < 15.0
 
 
 class TestValidation:
@@ -270,6 +336,47 @@ class TestValidation:
             memory_service.query(
                 QuerySpec(3, family="hitting", params={"target": 10**6})
             )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {},  # defaults: a 132-round push
+            {"epsilon": 1e-12},  # 175
+            {"beta": 0.9, "epsilon": 1e-11},  # 245
+            {"max_levels": MAX_SERVED_HITTING_LEVELS},
+        ],
+    )
+    def test_hitting_within_the_served_bounds(self, memory_service, params):
+        memory_service.query(
+            QuerySpec(3, family="hitting", params={"target": 5, **params})
+        )
+
+    @pytest.mark.parametrize(
+        "params, rounds",
+        [({"beta": 0.95}, 409), ({"beta": 0.9999}, 207227),
+         ({"epsilon": 1e-18}, 260)],
+    )
+    def test_hitting_push_depth_is_capped(self, memory_service, params, rounds):
+        assert rounds > MAX_SERVED_HITTING_ROUNDS
+        with pytest.raises(ValueError, match=f"needs a {rounds}-round push"):
+            memory_service.query(
+                QuerySpec(3, family="hitting", params={"target": 5, **params})
+            )
+
+    def test_hitting_levels_are_capped(self, memory_service):
+        too_many = MAX_SERVED_HITTING_LEVELS + 1
+        with pytest.raises(ValueError, match=r"max_levels must lie in \[0, 64\]"):
+            memory_service.query(
+                QuerySpec(3, family="hitting",
+                          params={"target": 5, "max_levels": too_many})
+            )
+
+    def test_direct_calls_are_not_capped(self, small_social, small_social_index):
+        estimate = _direct_hitting(
+            small_social, small_social_index, 3, 5,
+            beta=0.95, max_levels=MAX_SERVED_HITTING_LEVELS + 1,
+        )
+        assert 0.0 < estimate.value < 1.0
 
     def test_reachability_length_is_capped(self, memory_service):
         too_long = MAX_SERVED_TOUR_LENGTH + 1

@@ -14,13 +14,18 @@ left the wire unchanged; the only additions since are the three
 ``repro_server_{connections,frames,swaps}_total`` series at the end of
 ``metrics``, and the last digit of seven served floats, re-recorded
 when the memory backend began serving the scalar loop's bits instead of
-a reassociated matrix product's (each moved by at most one ulp).
+a reassociated matrix product's (each moved by at most one ulp), and
+``remaining_mass`` / ``upper_bound`` of the ``hitting`` reply,
+re-recorded when the family's pushes moved onto ``prime_push_many`` and
+the dropped mass became a conservation remainder (each moved by 2e-16;
+``value`` and ``history`` kept their bits).
 ``unavailable``, ``shard_unavailable`` and ``internal``
 need a race or a dying process and are covered in ``test_server.py`` /
 ``test_sharding.py`` instead.
 
 A third, short transcript on a connection of its own pins the range
-refusals at the protocol boundary (negative ``top`` / ``eta``), so the
+refusals at the protocol boundary (negative ``top`` / ``eta``) and at
+admission (a ``hitting`` push deeper than the served bound), so the
 first one's literals and counters stay as recorded.
 
 The three shard-internal data verbs are *refused* by that memory
@@ -105,8 +110,8 @@ TRANSCRIPT = [
                 6,
                 b'{"family":"hitting","nodes":[7],"target":3,'
                 b'"value":0.2756171883512654,'
-                b'"remaining_mass":0.06034787525585193,'
-                b'"upper_bound":0.33596506360711736,"iterations":2,'
+                b'"remaining_mass":0.060347875255851745,'
+                b'"upper_bound":0.33596506360711714,"iterations":2,'
                 b'"history":[0.27354165110907025,0.2752185920697923,'
                 b"0.2756171883512654]}",
             )
@@ -528,6 +533,19 @@ RANGE_TRANSCRIPT = [
                 4,
                 b'{"nodes":[7],"iterations":0,'
                 b'"l1_error":0.2169760855128059,"top":[]}',
+            )
+        ],
+    ),
+    # Refused at admission, before any push: beta = 0.95 at the default
+    # epsilon is a 409-round push from each of up to num_hubs + 1 sources.
+    (
+        b'{"id":5,"node":3,"family":"hitting","target":7,"beta":0.95}',
+        [
+            _error(
+                5,
+                b"invalid",
+                b"beta=0.95 with epsilon=1e-09 needs a 409-round push; at "
+                b"most 256 are served",
             )
         ],
     ),
