@@ -28,12 +28,13 @@ reports the cluster faults and hub reads it paid.  ``query`` submits its
 nodes as one burst, so multi-node invocations coalesce into engine
 batches; ``--top-k K`` switches to certified top-k serving: each query
 runs until its top set is provably exact.  ``serve`` keeps a service
-open over a JSONL request loop — on stdin/stdout by default (each input
-line is a request, responses are emitted in request order at every blank
-line or at end of input), or over the network with ``--tcp HOST:PORT``
-(the :mod:`repro.server` asyncio front-end; ``--workers N`` pre-forks N
-serving processes sharing the port, ``--shards`` / ``--shard-map`` front
-a shard fleet).  A missing file or an unusable value ends any subcommand
+open behind the :mod:`repro.server` asyncio front-end — as one
+connection on stdin/stdout by default (each input line is a request,
+replies come in completion order, correlated by ``id``), or over the
+network with ``--tcp HOST:PORT`` (``--workers N`` pre-forks N serving
+processes sharing the port, ``--shards`` / ``--shard-map`` front a shard
+fleet); both speak every verb of :mod:`repro.server.protocol`.  A
+missing file or an unusable value ends any subcommand
 with ``error: ...`` on stderr and exit status 2 (:func:`main`).
 
 Graphs travel as whitespace edge lists (the SNAP convention), indexes as
@@ -48,7 +49,7 @@ import shutil
 import sys
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Sequence
 
 from repro.core.autotune import autotune_hub_count
@@ -496,12 +497,13 @@ def _add_serve(subparsers) -> None:
         "repro.server.protocol).  A request names a node "
         '({"id": 1, "node": 7}) or a weighted node set ({"nodes": [3, 9], '
         '"weights": [2, 1]}) plus optional "eta", "target_error", '
-        '"time_limit", "top_k", "budget" and "top".  The default '
-        "transport is the single-process stdio loop (responses in "
-        "request order, emitted at every blank line and at end of "
-        "input); --tcp HOST:PORT starts the asyncio network server "
-        "instead, and --workers N pre-forks N serving processes on the "
-        "same port.",
+        '"time_limit", "top_k", "budget" and "top"; "verb" selects '
+        "stream, stats, trace, ping, swap_index or shutdown.  By default "
+        "the server answers one connection — stdin (or --requests) in, "
+        "stdout out, until end of input; --tcp HOST:PORT listens on the "
+        "network instead, and --workers N pre-forks N serving processes "
+        "on the same port.  Same protocol either way: enveloped replies "
+        'in completion order, correlated by "id".',
     )
     parser.add_argument(
         "graph", nargs="?", default=None,
@@ -514,7 +516,7 @@ def _add_serve(subparsers) -> None:
     transport = parser.add_mutually_exclusive_group()
     transport.add_argument(
         "--stdio", action="store_true",
-        help="serve the JSONL loop on stdin/stdout (the default)",
+        help="serve one connection on stdin/stdout (the default)",
     )
     transport.add_argument(
         "--tcp", metavar="HOST:PORT", default=None,
@@ -540,12 +542,13 @@ def _add_serve(subparsers) -> None:
     )
     parser.add_argument(
         "--max-inflight", type=int, default=256,
-        help="TCP only: server-wide bound on admitted-but-unanswered "
-        "requests (backpressure)",
+        help="server-wide bound on admitted-but-unanswered requests "
+        "(backpressure)",
     )
     parser.add_argument(
         "--requests", default="-",
-        help="stdio only: JSONL request file, '-' for stdin (the default)",
+        help="stdio only: JSONL request file served to its end, '-' for "
+        "stdin (the default)",
     )
     _add_backend_options(parser)
     parser.add_argument("--top", type=int, default=10,
@@ -606,13 +609,7 @@ def _plural(count: int, noun: str) -> str:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.server import (
-        PPVServer,
-        ServerConfig,
-        protocol,
-        run_pool,
-        serve_stdio,
-    )
+    from repro.server import PPVServer, ServerConfig, protocol, run_pool
 
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
@@ -628,15 +625,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "sharded serving needs --tcp (the router fans out over "
                 "the network)"
             )
-        config = None
+        # One connection owns the whole server, so its share of the
+        # admission bound is all of it.
+        transport = {"max_inflight_per_conn": args.max_inflight}
     else:
         host, port = _parse_tcp_address(args.tcp)
-        config = ServerConfig(
-            host=host,
-            port=port,
-            max_inflight=args.max_inflight,
-            default_top=args.top,
-        )
+        transport = {"host": host, "port": port}
+    config = ServerConfig(
+        max_inflight=args.max_inflight, default_top=args.top, **transport
+    )
     service_kwargs: dict = {
         "max_batch": args.max_batch,
         "max_delay": args.max_delay,
@@ -653,17 +650,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         def make_service() -> PPVService:
             return open_service(obs=_make_obs(args), **service_kwargs)
 
-        if config is None:
-            requests = (
-                nullcontext(sys.stdin)
-                if args.requests == "-"
-                else open(args.requests, encoding="utf-8")
+        if args.tcp is None:
+            # Unbuffered: the thread that copies it may still be parked
+            # in a read of stdin when the process exits, and a buffered
+            # reader's lock held there aborts interpreter shutdown.
+            requests = open(
+                sys.stdin.fileno() if args.requests == "-" else args.requests,
+                "rb", buffering=0, closefd=args.requests != "-",
             )
             with requests as source, make_service() as service:
-                serve_stdio(
-                    service, source, sys.stdout,
-                    default_top=args.top, stats_sink=sys.stderr,
-                )
+                server = PPVServer(service, config)
+                asyncio.run(server.serve_connection(source, sys.stdout.buffer))
+                stats = service.stats()
+            print(
+                f"served {stats.submitted} requests in {stats.batches} "
+                f"batches (largest {stats.largest_batch}); cache "
+                f"{stats.cache_hits} hits / {stats.cache_misses} misses",
+                file=sys.stderr,
+            )
             return 0
 
         def announce(address) -> None:
@@ -801,37 +805,47 @@ def _print_stats(payload: dict) -> None:
             )
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _ask_server(address: str, ask):
+    """``stats`` / ``trace``: what ``ask(client)`` returns over a
+    connection to HOST:PORT.  A server that cannot be reached, or is
+    lost mid-call, is ``error: cannot reach ...`` on stderr and
+    ``None`` — exit status 1 in both callers."""
     from repro.server.client import PPVClient
 
-    host, port = _parse_tcp_address(args.address)
+    host, port = _parse_tcp_address(address)
     try:
         with PPVClient(host, port) as client:
-            while True:
-                payload = client.stats()
-                try:
-                    if args.as_json:
-                        print(json.dumps(payload, indent=2, sort_keys=True))
-                    elif args.prometheus:
-                        from repro.obs import render_prometheus
-
-                        print(
-                            render_prometheus(payload["metrics"]), end=""
-                        )
-                    else:
-                        _print_stats(payload)
-                    if args.watch is None:
-                        return 0
-                    sys.stdout.flush()
-                    time.sleep(args.watch)
-                    print("---")
-                except BrokenPipeError:
-                    return 0  # stdout consumer went away (e.g. | head)
-    except KeyboardInterrupt:
-        return 0
+            return ask(client)
     except (ConnectionError, OSError) as error:
         print(f"error: cannot reach {host}:{port}: {error}", file=sys.stderr)
-        return 1
+        return None
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    def watch(client) -> int:
+        while True:
+            payload = client.stats()
+            try:
+                if args.as_json:
+                    print(json.dumps(payload, indent=2, sort_keys=True))
+                elif args.prometheus:
+                    from repro.obs import render_prometheus
+
+                    print(render_prometheus(payload["metrics"]), end="")
+                else:
+                    _print_stats(payload)
+                if args.watch is None:
+                    return 0
+                sys.stdout.flush()
+                time.sleep(args.watch)
+                print("---")
+            except BrokenPipeError:
+                return 0  # stdout consumer went away (e.g. | head)
+
+    try:
+        return 1 if _ask_server(args.address, watch) is None else 0
+    except KeyboardInterrupt:
+        return 0
 
 
 def _add_trace(subparsers) -> None:
@@ -881,14 +895,11 @@ def _print_span_tree(spans: list) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.server.client import PPVClient
-
-    host, port = _parse_tcp_address(args.address)
-    try:
-        with PPVClient(host, port) as client:
-            payload = client.trace(args.trace_id, limit=args.limit)
-    except (ConnectionError, OSError) as error:
-        print(f"error: cannot reach {host}:{port}: {error}", file=sys.stderr)
+    payload = _ask_server(
+        args.address,
+        lambda client: client.trace(args.trace_id, limit=args.limit),
+    )
+    if payload is None:
         return 1
     spans = payload.get("spans", [])
     if args.as_json:

@@ -256,9 +256,14 @@ def current_span() -> Optional[Span]:
 
 
 @contextmanager
-def activate(span: Span):
+def activate(span: "Span | None"):
     """Make ``span`` this thread's :func:`current_span` for the block
-    (restoring whatever was active before on exit)."""
+    (restoring whatever was active before on exit).  ``None`` — an
+    untraced request — activates nothing, so a caller writes its block
+    once."""
+    if span is None:
+        yield None
+        return
     previous = getattr(_ACTIVE, "span", None)
     _ACTIVE.span = span
     try:

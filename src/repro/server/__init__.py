@@ -5,12 +5,14 @@ the layer that puts the serving façade on the network:
 
 * :mod:`repro.server.protocol` — the versioned JSONL request/response
   protocol (queries, certified top-k, streaming frames, stats, hot
-  index swap, graceful shutdown) shared by the TCP server, the stdio
-  loop and the client.
-* :class:`PPVServer` (:mod:`repro.server.server`) — the asyncio TCP
+  index swap, graceful shutdown) spoken by the server on every
+  transport and by the client.
+* :class:`PPVServer` (:mod:`repro.server.server`) — the asyncio
   front-end: many concurrent connections multiplexed onto one service
   with bounded in-flight admission (server-wide and per-connection
-  backpressure) and structured error replies.
+  backpressure) and structured error replies.  ``serve()`` accepts
+  them from a TCP listener; ``serve_connection(source, sink)`` serves
+  one pair of files through the same connection handler.
 * :func:`run_pool` (:mod:`repro.server.pool`) — pre-fork multi-worker
   mode: N processes accepting from one shared listen socket, each with
   its own service over the copy-on-write index, so throughput scales
@@ -18,8 +20,8 @@ the layer that puts the serving façade on the network:
 * :class:`PPVClient` (:mod:`repro.server.client`) — the small blocking
   client used by tests, benchmarks and examples.
 
-The CLI front door is ``repro serve --tcp HOST:PORT [--workers N]``
-(and ``repro serve --stdio`` for the single-process pipe loop).
+The CLI front door is ``repro serve --tcp HOST:PORT [--workers N]``;
+without ``--tcp`` the same server answers stdin on stdout.
 """
 
 from repro.server.client import (
@@ -29,7 +31,7 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.pool import ServerPool, open_listen_socket, run_pool
-from repro.server.server import PPVServer, ServerConfig, serve_stdio
+from repro.server.server import PPVServer, ServerConfig
 
 __all__ = [
     "PPVClient",
@@ -41,5 +43,4 @@ __all__ = [
     "ProtocolViolation",
     "open_listen_socket",
     "run_pool",
-    "serve_stdio",
 ]

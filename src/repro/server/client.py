@@ -175,24 +175,28 @@ class PPVClient:
             raise ProtocolViolation("reply is not a JSON object")
         return message
 
-    def request(self, body: dict) -> dict:
-        """Send one request object and return its success ``result``.
-
-        Fills in ``v`` and ``id`` when absent.  Raises
-        :class:`ServerError` on a structured failure reply.
-        """
-        body, request_id = self._prepare(body)
-        self.send_raw(protocol.encode(body))
-        message = self._read_reply(request_id)
-        return self._unwrap(message)
-
-    def _prepare(self, body: dict) -> tuple[dict, object]:
+    def send(self, body: dict):
+        """Ship one request object and return its ``id`` (``v`` and
+        ``id`` are filled in when absent).  Sending several before the
+        first :meth:`receive` pipelines them."""
         body = dict(body)
         body.setdefault("v", protocol.PROTOCOL_VERSION)
         if "id" not in body:
             self._next_id += 1
             body["id"] = self._next_id
-        return body, body["id"]
+        self.send_raw(protocol.encode(body))
+        return body["id"]
+
+    def receive(self, request_id) -> dict:
+        """Read the next record, which must answer ``request_id``
+        (:class:`ProtocolViolation` otherwise), and return its success
+        ``result``.  Raises :class:`ServerError` on a structured failure
+        reply."""
+        return self._unwrap(self._read_reply(request_id))
+
+    def request(self, body: dict) -> dict:
+        """One round-trip: :meth:`send`, then :meth:`receive`."""
+        return self.receive(self.send(body))
 
     def _read_reply(self, request_id) -> dict:
         message = self.read_message()
@@ -304,9 +308,7 @@ class PPVClient:
         done = 0
         while done < len(bodies):
             while sent < len(bodies) and len(pending) < window:
-                body, request_id = self._prepare(bodies[sent])
-                pending[request_id] = sent
-                self.send_raw(protocol.encode(body))
+                pending[self.send(bodies[sent])] = sent
                 sent += 1
             message = self.read_message()
             try:
@@ -343,8 +345,7 @@ class PPVClient:
             "stream", node, None, eta, target_error, time_limit,
             top_k, budget, top,
         )
-        body, request_id = self._prepare(body)
-        self.send_raw(protocol.encode(body))
+        request_id = self.send(body)
         finished = False
         try:
             while True:

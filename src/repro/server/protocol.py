@@ -1,12 +1,9 @@
-"""Version 1 of the FastPPV wire protocol (JSONL over TCP).
+"""Version 1 of the FastPPV wire protocol (JSONL).
 
 One request per line, one JSON object per request; responses are JSONL
-too, correlated by the client-chosen ``id`` (any JSON value).  The same
-request objects drive the CLI's stdio loop (``repro serve --stdio``) and
-the TCP server (``repro serve --tcp``), so a file of ``query`` requests
-replays on either transport; the control and streaming verbs need the
-bidirectional TCP transport and are refused with a structured error
-over stdio.
+too, correlated by the client-chosen ``id`` (any JSON value).  Both of
+``repro serve``'s transports — stdin/stdout and ``--tcp`` — speak this
+protocol through one server, so a request file replays on either.
 
 Requests
 --------
@@ -197,8 +194,9 @@ class ShardUnavailableError(RuntimeError):
 class ProtocolError(ValueError):
     """A structured request failure, carried as ``(code, message)``.
 
-    Subclasses ``ValueError`` so transports that predate the error codes
-    (the stdio loop) can keep reporting plain messages.
+    Subclasses ``ValueError`` so a caller without error codes — the
+    CLI, which decodes ``query``'s flags through this module — reports
+    it at its ordinary ``ValueError`` boundary.
     """
 
     def __init__(self, code: str, message: str) -> None:

@@ -1,7 +1,10 @@
-"""The asyncio TCP front-end over one :class:`~repro.serving.PPVService`.
+"""The asyncio front-end over one :class:`~repro.serving.PPVService`.
 
 One :class:`PPVServer` owns one service and multiplexes any number of
-client connections onto it.  The event loop only parses, admits and
+client connections onto it — accepted from a TCP listener
+(:meth:`PPVServer.serve`), or the one a pair of files makes
+(:meth:`PPVServer.serve_connection`: ``repro serve`` on stdin/stdout)
+through the same handler.  The event loop only parses, admits and
 replies; every query still executes on the service's scheduler drain
 thread, so concurrent connections coalesce into shared engine batches
 exactly like concurrent ``submit()`` callers in one process — the
@@ -42,7 +45,6 @@ stops accepting connections, answers everything in flight, then closes.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import socket
 import threading
@@ -112,7 +114,8 @@ class _Connection:
 
 
 class PPVServer:
-    """Serve one :class:`~repro.serving.PPVService` over TCP (JSONL).
+    """Serve one :class:`~repro.serving.PPVService` over JSONL
+    connections (TCP, or one pair of files).
 
     Parameters
     ----------
@@ -219,6 +222,21 @@ class PPVServer:
     # ------------------------------------------------------------------ #
     # Lifecycle
 
+    def _open(self) -> int:
+        """Create the per-run state :meth:`_on_connection` needs on the
+        running loop; returns the stream readers' ``limit``."""
+        self._loop = asyncio.get_running_loop()
+        self._shutdown = asyncio.Event()
+        self._gate = asyncio.Event()
+        self._gate.set()
+        self._slots = asyncio.Semaphore(self.config.max_inflight)
+        self._swap_lock = asyncio.Lock()
+        self._install_signal_handlers(self._loop)
+        # readuntil() needs headroom above the payload bound so the
+        # oversized error path triggers deterministically at our limit,
+        # not the transport's.
+        return self.config.max_line_bytes + 2
+
     async def serve(self, sock=None, on_ready=None) -> None:
         """Accept and serve connections until shutdown is requested.
 
@@ -228,30 +246,14 @@ class PPVServer:
         ``on_ready`` (if given) is called with the bound ``(host,
         port)`` once the server is listening.
         """
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._shutdown = asyncio.Event()
-        self._gate = asyncio.Event()
-        self._gate.set()
-        self._slots = asyncio.Semaphore(self.config.max_inflight)
-        self._swap_lock = asyncio.Lock()
-        # readuntil() needs headroom above the payload bound so the
-        # oversized error path triggers deterministically at our limit,
-        # not the transport's.
-        limit = self.config.max_line_bytes + 2
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=sock, limit=limit
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection,
-                self.config.host,
-                self.config.port,
-                limit=limit,
-            )
+        limit = self._open()
+        where = {"sock": sock}
+        if sock is None:
+            where = {"host": self.config.host, "port": self.config.port}
+        self._server = await asyncio.start_server(
+            self._on_connection, limit=limit, **where
+        )
         self.address = self._server.sockets[0].getsockname()[:2]
-        self._install_signal_handlers(loop)
         self._started.set()
         if on_ready is not None:
             on_ready(self.address)
@@ -271,6 +273,48 @@ class PPVServer:
             # path above already closed; close() is idempotent).
             self._server.close()
             self._started.clear()
+
+    async def serve_connection(self, source, sink) -> None:
+        """Serve one connection and no listener (``repro serve`` without
+        ``--tcp``): request bytes are read from the binary file
+        ``source`` to its end, reply lines are written to ``sink``.
+
+        The files are copied to and from the far end of a socket pair
+        whose near end goes through :meth:`_on_connection` like any
+        accepted connection.  Returns when that handler does (``source``
+        ended and its last reply is out) or a shutdown has drained it.
+        ``source.read(n)`` must return as soon as *some* bytes are there
+        (an unbuffered file), or a peer that waits for a reply before
+        writing its next request waits forever.
+        """
+        limit = self._open()
+        near, far = socket.socketpair()
+        reader, writer = await asyncio.open_connection(sock=near, limit=limit)
+
+        def feed() -> None:
+            try:
+                while chunk := source.read(1 << 16):
+                    far.sendall(chunk)
+                far.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the server shut down first and the pair is closed
+
+        def drain() -> None:
+            with far, far.makefile("rb") as replies:
+                for line in replies:
+                    sink.write(line)
+                    sink.flush()
+
+        # A daemon, not an executor thread the loop would join on exit:
+        # after a shutdown it may sit in a read of stdin forever.
+        threading.Thread(target=feed, name="ppv-feed", daemon=True).start()
+        drained = asyncio.ensure_future(asyncio.to_thread(drain))
+        handler = asyncio.ensure_future(self._on_connection(reader, writer))
+        handler.add_done_callback(lambda _handler: self._shutdown.set())
+        await self._shutdown.wait()
+        await self._drain_connections()
+        await handler
+        await drained
 
     def _install_signal_handlers(self, loop) -> None:
         try:
@@ -294,9 +338,7 @@ class PPVServer:
 
     async def _drain_connections(self) -> None:
         for connection in list(self._connections):
-            pending = [t for t in connection.tasks if not t.done()]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await asyncio.gather(*connection.tasks, return_exceptions=True)
             await self._close_connection(connection)
 
     async def _close_connection(self, connection: _Connection) -> None:
@@ -331,9 +373,7 @@ class PPVServer:
             await self._read_loop(connection)
             # EOF from the client: answer its outstanding requests
             # before closing our side.
-            pending = [t for t in connection.tasks if not t.done()]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await asyncio.gather(*connection.tasks, return_exceptions=True)
         except (ConnectionError, OSError):
             pass
         finally:
@@ -845,83 +885,3 @@ class _BackgroundServer:
         if self._failure is not None:
             raise self._failure
 
-
-def serve_stdio(service, source, sink, default_top: int = 10, stats_sink=None):
-    """The single-process JSONL request loop (``repro serve --stdio``).
-
-    Reads requests from the ``source`` file object, admits them as they
-    are read (coalescing through the service's scheduler), and writes
-    JSONL responses **in request order** to ``sink`` at every blank line
-    and at end of input.  The response shape is the flat pre-TCP one
-    (``{"id": ..., "nodes": ..., ...}`` / ``{"id": ..., "error": ...}``)
-    so existing request files and consumers keep working.
-
-    Returns the number of requests served.
-    """
-    pending: list[tuple] = []
-
-    def emit_pending() -> None:
-        if not pending:
-            return
-        service.flush()
-        for request_id, spec, handle, top in pending:
-            if spec is None:  # parse/validation failure
-                print(
-                    json.dumps({"id": request_id, "error": handle}), file=sink
-                )
-                continue
-            try:
-                result = handle.result()
-            except Exception as error:
-                print(
-                    json.dumps({"id": request_id, "error": str(error)}),
-                    file=sink,
-                )
-                continue
-            print(
-                json.dumps(
-                    {
-                        "id": request_id,
-                        **protocol.render_result(spec, result, top),
-                    }
-                ),
-                file=sink,
-            )
-        pending.clear()
-
-    served = 0
-    for line in source:
-        line = line.strip()
-        if not line:
-            emit_pending()
-            continue
-        served += 1
-        request_id = None
-        try:
-            request = protocol.parse_request(line)
-            request_id = request.get("id")
-            protocol.check_version(request)
-            verb = protocol.request_verb(request)
-            if verb != "query":
-                # Control/streaming verbs need the bidirectional TCP
-                # transport; say so instead of failing on a missing
-                # "node" field.
-                raise protocol.ProtocolError(
-                    protocol.E_INVALID,
-                    f"verb {verb!r} is only available over --tcp",
-                )
-            spec = protocol.spec_from_request(request)
-            top = protocol.top_from_request(request, default_top)
-            pending.append((request_id, spec, service.submit(spec), top))
-        except Exception as error:
-            pending.append((request_id, None, str(error), None))
-    emit_pending()
-    if stats_sink is not None:
-        stats = service.stats()
-        print(
-            f"served {stats.submitted} requests in {stats.batches} "
-            f"batches (largest {stats.largest_batch}); cache "
-            f"{stats.cache_hits} hits / {stats.cache_misses} misses",
-            file=stats_sink,
-        )
-    return served

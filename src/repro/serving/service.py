@@ -630,11 +630,8 @@ class PPVService:
                 )
                 break
         try:
-            if batch_span is not None:
-                with _activate_span(batch_span):
-                    self._serve_batch_jobs(batch_jobs, len(jobs), batch_span)
-            else:
-                self._serve_batch_jobs(batch_jobs, len(jobs), None)
+            with _activate_span(batch_span):
+                self._serve_batch_jobs(batch_jobs, len(jobs), batch_span)
         finally:
             if batch_span is not None:
                 batch_span.end()
@@ -698,12 +695,7 @@ class PPVService:
                     queries=len(members),
                 )
             try:
-                if kernel_span is not None:
-                    with _activate_span(kernel_span):
-                        results = family.run_group(
-                            self.engine, family_key, members
-                        )
-                else:
+                with _activate_span(kernel_span):
                     results = family.run_group(
                         self.engine, family_key, members
                     )
@@ -749,18 +741,18 @@ class PPVService:
         request was traced (the queue span ends here; a service.stream
         span is activated around the engine call so remote stores and
         fault sites attach to it)."""
+        span = None
         if job.span is not None:
             job.span.end()
             span = job.span.tracer.start_span(
                 "service.stream", job.spec.trace, family=job.spec.family
             )
-            try:
-                with _activate_span(span):
-                    self._run_stream_inner(job)
-            finally:
+        try:
+            with _activate_span(span):
+                self._run_stream_inner(job)
+        finally:
+            if span is not None:
                 span.end()
-            return
-        self._run_stream_inner(job)
 
     def _run_stream_inner(self, job: _StreamJob) -> None:
         spec = job.spec

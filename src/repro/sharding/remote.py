@@ -157,11 +157,10 @@ class ShardFleet:
                 shard, f"cannot reconnect: {error}"
             ) from None
         try:
-            prepared, request_id = client._prepare(dict(body))
-            client.send_raw(protocol.encode(prepared))
+            request_id = client.send(body)
             if self.fault_plan is not None:
                 self.fault_plan.fire("shard.recv", shard=shard)
-            return client._unwrap(client._read_reply(request_id))
+            return client.receive(request_id)
         except _TRANSPORT_ERRORS as error:
             self._drop(shard)
             raise ShardUnavailableError(
@@ -211,20 +210,14 @@ class ShardFleet:
                         verb=body.get("verb", "query"),
                     )
                 try:
-                    client = self._client(shard)
-                    prepared, request_id = client._prepare(dict(body))
-                    client.send_raw(protocol.encode(prepared))
-                    pending.append((shard, request_id))
+                    pending.append((shard, self._client(shard).send(body)))
                 except _TRANSPORT_ERRORS:
                     failed.append(shard)
             for shard, request_id in pending:
-                client = self._clients[shard]
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.fire("shard.recv", shard=shard)
-                    results[shard] = client._unwrap(
-                        client._read_reply(request_id)
-                    )
+                    results[shard] = self._clients[shard].receive(request_id)
                 except _TRANSPORT_ERRORS:
                     failed.append(shard)
             for shard in failed:

@@ -256,14 +256,19 @@ class TestDiskQuery:
 
 class TestServe:
     def _responses(self, capsys):
+        """Reply records keyed by request id (they arrive in completion
+        order), and stderr."""
         import json
 
         captured = capsys.readouterr()
-        lines = captured.out.strip().splitlines()
-        return [json.loads(line) for line in lines], captured.err
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert all(record["v"] == 1 for record in records)
+        return {record["id"]: record for record in records}, captured.err
 
     def test_jsonl_loop_in_request_order(self, graph_file, index_file,
                                          tmp_path, capsys):
+        """The name is historical: replies now come in completion order
+        and are matched by ``id``."""
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
             '{"id": 1, "node": 7}\n'
@@ -278,13 +283,14 @@ class TestServe:
         )
         assert code == 0
         responses, err = self._responses(capsys)
-        assert [r["id"] for r in responses] == [1, 2, 3, 4]
-        assert responses[0]["nodes"] == [7]
-        assert len(responses[0]["top"]) == 3
-        assert responses[1]["nodes"] == [3, 9]
-        assert responses[2]["certified"] in (True, False)
-        assert len(responses[2]["top"]) == 4
-        assert responses[3]["l1_error"] <= 0.5
+        assert sorted(responses) == [1, 2, 3, 4]  # the blank line is skipped
+        results = {i: responses[i]["result"] for i in responses}
+        assert results[1]["nodes"] == [7]
+        assert len(results[1]["top"]) == 3
+        assert results[2]["nodes"] == [3, 9]
+        assert results[3]["certified"] in (True, False)
+        assert len(results[3]["top"]) == 4
+        assert results[4]["l1_error"] <= 0.5
         # The summary goes to stderr, keeping stdout pure JSONL.
         assert "served 4 requests" in err
 
@@ -303,10 +309,11 @@ class TestServe:
         )
         assert code == 0
         responses, _err = self._responses(capsys)
-        assert "out of range" in responses[0]["error"]
-        assert "node" in responses[1]["error"]
-        assert "error" in responses[2]
-        assert responses[3]["iterations"] == 2
+        assert responses["bad-node"]["error"]["code"] == "invalid"
+        assert "out of range" in responses["bad-node"]["error"]["message"]
+        assert "node" in responses["no-node"]["error"]["message"]
+        assert responses[None]["error"]["code"] == "malformed"
+        assert responses["ok"]["result"]["iterations"] == 2
 
     def test_disk_backend_reports_io(self, graph_file, index_file,
                                      tmp_path, capsys):
@@ -319,8 +326,9 @@ class TestServe:
         )
         assert code == 0
         responses, _err = self._responses(capsys)
-        assert all("cluster_faults" in r and "hub_reads" in r
-                   for r in responses)
+        assert sorted(responses) == [1, 2]
+        assert all("cluster_faults" in r["result"] and "hub_reads" in r["result"]
+                   for r in responses.values())
 
     def test_mismatched_index_fails(self, index_file, tmp_path, capsys):
         other = tmp_path / "other.txt"
@@ -336,6 +344,9 @@ class TestServe:
 
     def test_stdio_refuses_tcp_only_verbs(self, graph_file, index_file,
                                           tmp_path, capsys):
+        """The name is historical: stdio used to refuse every verb but
+        ``query`` as "only available over --tcp".  It is now a
+        connection into the same server, so ``stats`` is answered."""
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
             '{"id": 1, "verb": "stats"}\n{"id": 2, "node": 3}\n'
@@ -346,8 +357,9 @@ class TestServe:
         )
         assert code == 0
         responses, _err = self._responses(capsys)
-        assert "only available over --tcp" in responses[0]["error"]
-        assert responses[1]["iterations"] == 2
+        assert responses[1]["ok"] is True
+        assert responses[1]["result"]["backend"] == "memory"
+        assert responses[2]["result"]["iterations"] == 2
 
     def test_explicit_stdio_flag_and_auto_delay(self, graph_file,
                                                 index_file, tmp_path,
@@ -361,7 +373,7 @@ class TestServe:
         )
         assert code == 0
         responses, _err = self._responses(capsys)
-        assert responses[0]["iterations"] == 2
+        assert responses[1]["result"]["iterations"] == 2
 
     def test_workers_require_tcp(self, graph_file, index_file, capsys):
         code = main(
@@ -401,6 +413,39 @@ class TestServe:
                 ["serve", str(graph_file), str(index_file), "--stdio",
                  "--tcp", "127.0.0.1:0"]
             )
+
+
+class TestStatsAndTrace:
+    """``stats`` and ``trace`` share one connect-and-report frame."""
+
+    @pytest.mark.parametrize("command", ["stats", "trace"])
+    def test_unreachable_server_is_exit_1(self, command, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main([command, f"127.0.0.1:{port}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot reach 127.0.0.1:{port}: ")
+        assert captured.out == ""
+
+    def test_reports_from_a_live_server(self, small_social,
+                                        small_social_index, capsys):
+        from repro.server import PPVClient, PPVServer
+        from repro.serving import PPVService
+
+        with PPVService.open(small_social_index, graph=small_social) as service:
+            with PPVServer(service).background() as (host, port):
+                with PPVClient(host, port) as client:
+                    client.query(7, trace=True)
+                    trace_id = client.last_trace_id
+                assert main(["stats", f"{host}:{port}"]) == 0
+                stats = capsys.readouterr().out
+                assert main(["trace", f"{host}:{port}", trace_id]) == 0
+                trace = capsys.readouterr().out
+        assert "server: " in stats and "repro_server_requests_total" in stats
+        assert trace.startswith(f"trace {trace_id}:") and "server.query" in trace
 
 
 class TestAutotune:

@@ -48,8 +48,8 @@ class TestParseRequest:
         assert excinfo.value.code == protocol.E_UNSUPPORTED_VERSION
 
     def test_protocol_error_is_a_value_error(self):
-        # The stdio loop reports plain messages; the subclassing keeps
-        # its generic except clauses working.
+        # `repro query` decodes its flags through the protocol; the
+        # subclassing lets cli.main's ValueError boundary report them.
         assert issubclass(ProtocolError, ValueError)
 
 
@@ -66,6 +66,53 @@ class TestRequestVerb:
         with pytest.raises(ProtocolError) as excinfo:
             protocol.request_verb({"verb": verb})
         assert excinfo.value.code == protocol.E_UNKNOWN_VERB
+
+
+class TestOneVerbList:
+    """The verb list is written in five places; adding a verb to one and
+    not the others fails here."""
+
+    # What each verb's PPVClient method is called with (default: nothing).
+    ARGS = {"query": (7,), "stream": (7,), "swap_index": ("new.fppv",),
+            "fetch_hubs": ([1],), "fetch_cluster": (0,)}
+
+    def test_server_table_docstring_and_readme(self):
+        import re
+        from pathlib import Path
+        from types import SimpleNamespace
+
+        from repro.obs import Observability
+        from repro.server import PPVServer
+
+        server = PPVServer(SimpleNamespace(obs=Observability()))
+        assert sorted(server._verbs) == sorted(protocol.VERBS)
+        bulleted = re.findall(r"^  - ``(\w+)`` — ", protocol.__doc__, re.M)
+        assert tuple(bulleted) == protocol.VERBS
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listed = re.findall(r"^- `(\w+)` — ", readme, re.M)
+        assert tuple(listed) == protocol.VERBS
+
+    @pytest.mark.parametrize("verb", list(protocol.VERBS))
+    def test_client_method_sends_exactly_that_verb(self, verb):
+        from repro.server import PPVClient
+
+        sent = []
+
+        class Recorder(PPVClient):
+            def __init__(self):  # no socket: record instead of sending
+                self._next_id = 0
+
+            def send_raw(self, payload):
+                sent.append(json.loads(payload))
+
+            def read_message(self):
+                return {"id": sent[-1]["id"], "ok": True, "result": {}}
+
+        name = {"shutdown": "shutdown_server"}.get(verb, verb)
+        outcome = getattr(Recorder(), name)(*self.ARGS.get(verb, ()))
+        if verb == "stream":
+            assert list(outcome) == []
+        assert [body["verb"] for body in sent] == [verb]
 
 
 class TestSpecFromRequest:
