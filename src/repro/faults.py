@@ -19,7 +19,7 @@ site                   fired …
 ``ppv_store.read``     per :meth:`DiskPPVStore.get` /
                        per unique read of ``get_many``
 ``graph_store.load``   per cluster segment actually loaded from disk
-                       (LRU swap-ins and shard ``cluster_arrays`` reads)
+                       (LRU swap-ins and shard ``read_segment`` reads)
 ``scheduler.execute``  per drain, just before the executor runs
 ``server.request``     per parsed request line, before dispatch
 ``server.send``        per response frame, before the write

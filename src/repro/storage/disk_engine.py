@@ -37,12 +37,17 @@ is ``query_many([q])[0]``:
 
 * The prime-subgraph walks of all non-hub queries run as interleaved
   :class:`_PrimePushRun` steps grouped **by cluster**: each scheduling
-  wave picks the cluster most queries need next and drains every such
-  query's pending mass while that one cluster is resident, so a cluster
-  is faulted in once per wave instead of once per query.  A run's
-  per-query schedule (heaviest pool first, FIFO within a cluster) is
-  fixed and residency-independent, so per-query scores are bitwise
-  identical to serving the query alone.  A run is a
+  wave drains every run that needs one cluster next while that cluster
+  is resident, so a cluster is faulted in once per wave instead of once
+  per query.  Waves are **residency-first**: among the clusters needed
+  next, one the store already holds is drained before any other (most
+  demanded first, ties to the smallest id); a new cluster is faulted in
+  only when no resident one is needed, and then the most demanded.  A
+  run's per-query schedule (heaviest pool first, FIFO within a cluster)
+  is fixed and residency-independent — the wave order only decides
+  *when* a run takes its next step, never which step — so per-query
+  scores, drain counts and truncation are bitwise identical to serving
+  the query alone; only the physical fault schedule moves.  A run is a
   :class:`_NativePrimePushRun` — the schedule compiled
   (:mod:`repro.native`, one C call per drain over the resident
   cluster's arrays) — when the compiled kernels are loaded, and the
@@ -374,9 +379,9 @@ class DiskGraphStore(ClusterResidency):
 
         This is a read of the stored bytes, not a swap-in: no eviction
         and no :attr:`faults` charge (the ``graph_store.load`` fault
-        site still fires — it counts disk loads, and this is one).  The
-        shard fetch path of :mod:`repro.sharding` serves clusters to
-        routers through this.
+        site still fires — it counts disk loads, and this is one).  A
+        shard serves ``fetch_cluster`` from :meth:`read_segment` (the
+        stored bytes, undecoded); this is the decoded view.
         """
         names = ("nodes", "offsets", "targets", "probs")
         return dict(zip(names, self._fetch_cluster(cluster)))
@@ -774,9 +779,10 @@ class DiskFastPPV:
 
     def _grouped_pushes(self, ids: list[int]) -> dict[int, _PrimePushRun]:
         """Run the prime pushes of all unique non-hub queries, grouped by
-        cluster: every scheduling wave picks the cluster most runs need
-        next and drains all of them while it is resident, so the batch
-        faults each cluster in once per wave instead of once per query.
+        cluster: every scheduling wave picks one cluster runs need next
+        (:meth:`_wave_cluster`) and drains all of them while it is
+        resident, so the batch faults each cluster in once per wave
+        instead of once per query.
 
         Push is order-independent (any schedule that expands every
         super-threshold residual converges to the same vector), so
@@ -812,11 +818,23 @@ class DiskFastPPV:
                     needs.setdefault(cluster, []).append(q)
             if not needs:
                 break
-            # Most-demanded cluster first (ties: smallest cluster id).
-            chosen = max(needs, key=lambda c: (len(needs[c]), -c))
-            for q in needs[chosen]:
+            for q in needs[self._wave_cluster(needs)]:
                 active[q].drain()
         return runs
+
+    def _wave_cluster(self, needs: dict[int, list[int]]) -> int:
+        """The cluster the next wave drains, residency first: the most
+        demanded (ties: smallest id) of the needed clusters the store
+        holds; only when it holds none, the most demanded of all.
+
+        Under an LRU of more than one cluster a demand-only choice
+        evicts clusters the batch still needs and faults them back in;
+        draining what is held first does not.  The choice cannot change
+        a score: each run's next step is fixed by the run alone, and a
+        wave only decides when it is taken.
+        """
+        held = [c for c in needs if self.graph_store.is_resident(c)]
+        return max(held or needs, key=lambda c: (len(needs[c]), -c))
 
     def query(
         self,

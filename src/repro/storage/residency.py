@@ -111,8 +111,12 @@ class ClusterResidency:
     :func:`~repro.storage.disk_engine.decode_segment` returns them and
     :func:`check_segment` accepts them (each subclass runs the check
     where it can name the segment's origin in the refusal).
-    ``faults`` counts swap-ins; at most ``memory_budget`` clusters are
-    resident, least recently used evicted first.
+    ``faults`` counts swap-ins — successful fetches only: a refused
+    segment or an unreachable shard swaps nothing in and is not
+    counted; at most ``memory_budget`` clusters are resident, least
+    recently used evicted first.  :meth:`is_resident` answers whether a
+    cluster is held without touching the LRU order — what the batch
+    scheduler asks before it picks the cluster a wave drains.
     """
 
     def __init__(
@@ -144,17 +148,23 @@ class ClusterResidency:
             self._labels_list = self.labels.tolist()
         return self._labels_list
 
+    def is_resident(self, cluster: int) -> bool:
+        """Whether ``cluster`` is held now: no I/O, no LRU refresh."""
+        return cluster in self._cache
+
     def resident_cluster(self, cluster: int) -> ResidentCluster:
         """``cluster`` in resident form, swapping it in (with LRU
         eviction, bumping :attr:`faults`) if needed.
 
         The cluster-draining push resolves residency once per drain
         through this: a drain's cluster can only fault on first touch.
+        A fetch that raises leaves :attr:`faults` and the resident set
+        as they were.
         """
         resident = self._cache.pop(cluster, None)  # re-insert as most recent
         if resident is None:
-            self.faults += 1
             resident = ResidentCluster(*self._fetch_cluster(cluster))
+            self.faults += 1
             while len(self._cache) >= self.memory_budget:
                 del self._cache[next(iter(self._cache))]
         self._cache[cluster] = resident

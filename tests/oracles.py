@@ -9,6 +9,12 @@ scalar splice loop (``repro.core.query.scalar_splice_rounds``, the same
 loop ``FastPPV.query`` runs) fed one ``ppv_store.get`` at a time.  The
 equivalence suite requires bitwise-equal results.
 
+``DemandOnlyDiskFastPPV`` is the engine with the batch wave rule it had
+before waves became residency-first: the most demanded cluster, never
+asking what the store holds.  Its results must equal the engine's bit
+for bit, and on ``tests/test_disk_batch.py``'s seeded stream it must
+pay at least as many physical faults.
+
 ``sharded_over`` puts the router's ``ShardedGraphStore`` over a local
 store through a one-shard in-process fleet that answers with
 ``ShardEngine``'s own replies, so the same suites drive the sharded
@@ -40,7 +46,15 @@ from repro.core.query import (
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
-from repro.storage.disk_engine import DiskQueryResult, _PrimePushRun
+from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult, _PrimePushRun
+
+
+class DemandOnlyDiskFastPPV(DiskFastPPV):
+    """Each wave drains the cluster the most runs need next (ties:
+    smallest id), whatever is resident."""
+
+    def _wave_cluster(self, needs):
+        return max(needs, key=lambda c: (len(needs[c]), -c))
 
 
 class ReferencePrimePushRun(_PrimePushRun):

@@ -13,7 +13,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import sharded_over
 from repro import build_index, from_edges
+from repro.faults import FaultPlan
 from repro.server import protocol
 from repro.sharding import partition_index, shard_dir_name
 from repro.sharding.shard import ShardEngine
@@ -91,6 +93,35 @@ class TestRoundTrip:
         store.resident_cluster(2)  # the empty cluster still costs its read
         assert (store.faults, store.bytes_read) == (2, sum(size.values()) - size[3])
         assert store.resident_cluster(2).rows == {}
+
+    @pytest.mark.parametrize("kind", ["disk", "sharded"])
+    @pytest.mark.parametrize("refusal", ["injected load error", "flipped byte"])
+    def test_a_refused_fetch_is_not_a_fault(
+        self, graph, tmp_path, refusal, kind
+    ):
+        # `faults` counts swap-ins: a fetch that raises swaps nothing in.
+        plan = FaultPlan()
+        store = DiskGraphStore(
+            graph, ASSIGNMENT, tmp_path / "c", memory_budget=2,
+            fault_plan=plan,
+        )
+        if kind == "sharded":  # the refusal comes back from the shard
+            store = sharded_over(store, memory_budget=2)
+        segment = tmp_path / "c" / "cluster_00001.seg"
+        intact = segment.read_bytes()
+        store.resident_cluster(0)
+        if refusal == "flipped byte":
+            segment.write_bytes(intact[:-1] + bytes([intact[-1] ^ 0x01]))
+        else:
+            plan.on("graph_store.load", error=ValueError("injected"), times=1)
+        with pytest.raises(ValueError):
+            store.resident_cluster(1)
+        resident = [store.is_resident(c) for c in range(4)]
+        assert (store.faults, resident) == (1, [True, False, False, False])
+        segment.write_bytes(intact)
+        store.resident_cluster(1)
+        resident = [store.is_resident(c) for c in range(4)]
+        assert (store.faults, resident) == (2, [True, True, False, False])
 
     def test_rebuild_in_place_replaces_an_old_format_directory(
         self, graph, tmp_path

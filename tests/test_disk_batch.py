@@ -12,10 +12,11 @@ from repro import (
     StopAfterIterations,
     StopAtL1Error,
     build_index,
+    native,
     query_top_k,
     select_hubs,
 )
-from oracles import reference_disk_query
+from oracles import DemandOnlyDiskFastPPV, reference_disk_query
 from repro.serving import DiskEngine, PPVService
 from repro.storage import (
     DiskFastPPV,
@@ -406,6 +407,103 @@ class TestAmortisation:
         assert physical < requested
         # One physical read per unique hub at most.
         assert physical <= ppv_store.hubs.size
+
+
+class _TouchLog(DiskGraphStore):
+    """A store that also records every cluster a drain resolves."""
+
+    def _attach(self, *args) -> None:
+        super()._attach(*args)
+        self.touched: set[int] = set()
+
+    def resident_cluster(self, cluster):
+        self.touched.add(cluster)
+        return super().resident_cluster(cluster)
+
+
+# 1, 2, 4, num_clusters - 1 and num_clusters of the fixture's 6 clusters.
+WAVE_BUDGETS = (1, 2, 4, 5, 6)
+
+
+@pytest.fixture(scope="module")
+def wave_setup(disk_batch_setup, small_social):
+    """One cluster directory and a seeded stream of five 12-query
+    batches (distinct nodes, hubs among them)."""
+    root, assignment, index_path, _ = disk_batch_setup
+    assert assignment.num_clusters == 6
+    DiskGraphStore(small_social, assignment, root / "waves")
+    nodes = np.random.default_rng(11).permutation(small_social.num_nodes)
+    stream = [nodes[i:i + 12].tolist() for i in range(0, 60, 12)]
+    return root / "waves", index_path, stream
+
+
+@pytest.fixture(params=["native", "python"])
+def selection(request, monkeypatch):
+    if request.param == "python":
+        monkeypatch.setattr(native, "_loaded", [None])
+    return request.param
+
+
+def _fields(result) -> tuple:
+    """Every field of a disk result except its wall-clock time."""
+    inner = result.result
+    return (
+        inner.query, inner.scores.tobytes(), inner.iterations,
+        inner.error_history, inner.hubs_expanded,
+        result.cluster_faults, result.hub_reads, result.truncated,
+    )
+
+
+def _serve_stream(engine_class, wave_setup, budget, stream=None):
+    """Serve the stream batch by batch through one store of ``budget``
+    clusters; return the store and every result's fields."""
+    directory, index_path, default_stream = wave_setup
+    store = _TouchLog.open(directory, memory_budget=budget)
+    with DiskPPVStore(index_path) as ppv_store:
+        engine = engine_class(store, ppv_store, delta=0.0)
+        fields = [
+            _fields(result)
+            for batch in stream or default_stream
+            for result in engine.query_many(batch, stop=StopAfterIterations(2))
+        ]
+    return store, fields
+
+
+class TestResidencyFirstWaves:
+    """The wave order is free — every result is the one the demand-only
+    rule (``oracles.DemandOnlyDiskFastPPV``) and a solo query give — and
+    it pays: never more physical faults than demand-only waves."""
+
+    @pytest.mark.parametrize("budget", WAVE_BUDGETS)
+    def test_same_results_never_more_faults(
+        self, wave_setup, selection, budget
+    ):
+        store, served = _serve_stream(DiskFastPPV, wave_setup, budget)
+        oracle_store, oracle = _serve_stream(
+            DemandOnlyDiskFastPPV, wave_setup, budget
+        )
+        solo = [[q] for batch in wave_setup[2] for q in batch]
+        _, alone = _serve_stream(DiskFastPPV, wave_setup, budget, solo)
+        assert served == oracle == alone
+        assert store.faults <= oracle_store.faults
+
+    def test_fewer_faults_when_more_than_one_cluster_fits(
+        self, wave_setup, selection
+    ):
+        saved = [
+            _serve_stream(DemandOnlyDiskFastPPV, wave_setup, budget)[0].faults
+            - _serve_stream(DiskFastPPV, wave_setup, budget)[0].faults
+            for budget in range(2, 6)
+        ]
+        assert max(saved) > 0, saved
+
+    @pytest.mark.parametrize("budget", [6, 7])
+    def test_a_budget_holding_every_cluster_faults_each_once(
+        self, wave_setup, selection, budget
+    ):
+        store, _ = _serve_stream(DiskFastPPV, wave_setup, budget)
+        assert len(store.touched) > 1
+        assert store.faults == len(store.touched)
 
 
 class TestDiskTopK:

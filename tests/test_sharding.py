@@ -42,6 +42,7 @@ from repro.sharding import (
     shard_service_factory,
 )
 from repro.storage import (
+    DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
     cluster_graph,
@@ -335,6 +336,37 @@ class TestShardedEquivalence:
         certified = [p for p in expected if "certified" in p]
         assert len(certified) == len(TOPK_NODES)
         assert any(p["certified"] for p in certified)
+
+
+class TestRemoteResidency:
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_router_fetches_what_a_local_store_faults(self, sharded_setup,
+                                                      budget):
+        """One wave rule for both stores: the same batch stream through
+        a router and through a local disk engine, each holding
+        ``budget`` clusters, fetches exactly what the local store
+        faults, and serves the same bits."""
+        stop = StopAfterIterations(2)
+        nodes = np.random.default_rng(5).permutation(400)[:48].tolist()
+        stream = [nodes[i:i + 12] for i in range(0, 48, 12)]
+        local_store = DiskGraphStore.open(
+            sharded_setup["store_dir"], memory_budget=budget
+        )
+        with DiskPPVStore(sharded_setup["index_path"]) as ppv_store:
+            local = DiskFastPPV(local_store, ppv_store, delta=0.0)
+            expected = [local.query_many(batch, stop=stop) for batch in stream]
+        router = ShardRouter(
+            sharded_setup["parts"][2], delta=0.0, cache_size=0,
+            memory_budget=budget,
+        )
+        with router:
+            engine = router.service.engine
+            served = [engine.query_batch(batch, stop) for batch in stream]
+            fetches = sum(engine.graph_store.shard_fetches)
+        assert fetches == local_store.faults > 0
+        for ours, theirs in zip(sum(served, []), sum(expected, [])):
+            np.testing.assert_array_equal(ours.scores, theirs.scores)
+            assert ours.cluster_faults == theirs.cluster_faults
 
 
 # --------------------------------------------------------------------- #
