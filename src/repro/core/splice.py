@@ -8,12 +8,17 @@ is :func:`splice_rounds_exact`, the only batch round loop in ``src/``,
 run by both backends over one representation of the hub payloads:
 
 * :class:`SpliceBlock` holds prime PPVs as two append-only CSR matrices —
-  score rows (:func:`lower_entry`: the trivial-tour correction is a
-  trailing ``(hub, -alpha)`` element) and border rows (columns are hub
-  *node ids*).  The disk engine grows one per batch as payloads are
-  fetched; the in-memory engine uses :func:`resident_block`, the block
-  holding every hub of a :class:`~repro.core.index.PPVIndex`, built once
-  and cached on the index — memory is "disk with everything resident".
+  score rows (the trivial-tour correction is a trailing ``(hub, -alpha)``
+  element, see :meth:`SpliceBlock.add_rows`) and border rows (columns
+  are hub *node ids*).  Rows arrive as a :class:`HubRows` batch — the
+  stored records' own concatenated arrays, decoded once by
+  :func:`repro.storage.ppv_store.decode_records` — and are lowered in one
+  vectorised step per batch (:meth:`SpliceBlock.add_rows`, the one path
+  into a block).  The disk engine grows one block per query batch as
+  hub records are fetched; the in-memory engine uses
+  :func:`resident_block`, the block holding every hub of a
+  :class:`~repro.core.index.PPVIndex`, packed once and cached on the
+  index — memory is "disk with everything resident".
 * Each round is two products over the stacked, delta-gated
   ``(query, hub)`` pairs — :meth:`SpliceBlock.score_product` and
   :meth:`SpliceBlock.border_product` — whose per-element accumulation
@@ -32,7 +37,8 @@ cached block can never go stale through the supported update path.  Call
 from __future__ import annotations
 
 import time
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,25 +53,74 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
 
-def lower_entry(entry: PrimePPV, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower one prime PPV into a score row ``(columns, values)``.
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[start, start + length)`` laid end to end."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
-    The scalar engine splices an arrival mass ``m`` as two operations:
-    ``estimate[entry.nodes] += m * entry.scores`` followed by the
-    trivial-tour correction ``estimate[hub] -= alpha * m``.  The row
-    carries the correction as a trailing ``(hub, -alpha)`` element, so a
-    *sequential* scatter-add over it reproduces the scalar loop's
-    operations in their original order: ``m * (-alpha)`` is bitwise
-    ``-(alpha * m)`` and IEEE addition of a negated value is bitwise
-    subtraction, hence bit-for-bit equality.
+
+@dataclass(frozen=True)
+class HubRows:
+    """A batch of hub prime PPVs as CSR rows: what a :class:`SpliceBlock`
+    appends.
+
+    Row ``i`` is hub ``hubs[i]`` with ``entries[i]`` score entries and
+    ``borders[i]`` border entries; each of the four value arrays holds
+    every row's elements laid end to end in row order.  A batch of stored
+    records decodes straight into this shape
+    (:func:`repro.storage.ppv_store.decode_records`); :meth:`pack` builds
+    one from :class:`~repro.core.prime.PrimePPV` objects.
     """
-    columns = np.empty(entry.nodes.size + 1, dtype=np.int64)
-    columns[:-1] = entry.nodes
-    columns[-1] = entry.source
-    values = np.empty(entry.scores.size + 1, dtype=np.float64)
-    values[:-1] = entry.scores
-    values[-1] = -alpha
-    return columns, values
+
+    hubs: np.ndarray
+    entries: np.ndarray
+    borders: np.ndarray
+    nodes: np.ndarray
+    scores: np.ndarray
+    border_hubs: np.ndarray
+    border_masses: np.ndarray
+
+    @classmethod
+    def pack(cls, entries: Iterable[PrimePPV]) -> "HubRows":
+        """The rows of ``entries``, in the given order."""
+        entries = list(entries)
+
+        def joined(name: str, empty: np.ndarray) -> np.ndarray:
+            arrays = [getattr(entry, name) for entry in entries]
+            return np.concatenate([empty, *arrays]).astype(empty.dtype, copy=False)
+
+        return cls(
+            hubs=np.array([entry.source for entry in entries], dtype=np.int64),
+            entries=np.array([entry.nodes.size for entry in entries], dtype=np.int64),
+            borders=np.array(
+                [entry.border_hubs.size for entry in entries], dtype=np.int64
+            ),
+            nodes=joined("nodes", _EMPTY_I64),
+            scores=joined("scores", _EMPTY_F64),
+            border_hubs=joined("border_hubs", _EMPTY_I64),
+            border_masses=joined("border_masses", _EMPTY_F64),
+        )
+
+    def __len__(self) -> int:
+        return self.hubs.size
+
+    def primes(self) -> list[PrimePPV]:
+        """One :class:`~repro.core.prime.PrimePPV` per row — views into
+        this batch's arrays.  For callers that want the per-hub object
+        (``get``, ``load_index``); the query path appends the batch to a
+        block instead."""
+        cuts, border_cuts = np.cumsum(self.entries)[:-1], np.cumsum(self.borders)[:-1]
+        return [
+            PrimePPV(hub, nodes, scores, border_hubs, border_masses)
+            for hub, nodes, scores, border_hubs, border_masses in zip(
+                self.hubs.tolist(),
+                np.split(self.nodes, cuts),
+                np.split(self.scores, cuts),
+                np.split(self.border_hubs, border_cuts),
+                np.split(self.border_masses, border_cuts),
+            )
+        ]
 
 
 class _GrowableRows:
@@ -74,10 +129,10 @@ class _GrowableRows:
     A per-batch :class:`SpliceBlock` grows every scheduling wave;
     rebuilding the concatenation from per-row arrays would copy the whole
     block per round (worst-case quadratic in total fetched payload).
-    Doubling buffers make each :meth:`add` amortised O(row nnz), and
-    :meth:`csr` returns zero-copy views.  ``capacity`` is the element
-    count the buffers start with: a block whose rows are known up front
-    asks for exactly their total and never doubles.
+    Doubling buffers make each :meth:`extend` amortised O(appended
+    elements), and :meth:`csr` returns zero-copy views.  ``capacity`` is
+    the element count the buffers start with: a block whose rows are
+    known up front asks for exactly their total and never doubles.
     """
 
     __slots__ = ("_indices", "_data", "_nnz", "_ends", "_indptr")
@@ -89,20 +144,23 @@ class _GrowableRows:
         self._ends: list[int] = [0]
         self._indptr: np.ndarray | None = None
 
-    def add(self, columns: np.ndarray, values: np.ndarray) -> None:
-        end = self._nnz + columns.size
+    def extend(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append rows of ``lengths`` elements; returns writable views of
+        their ``(columns, values)``, end to end, for the caller to fill."""
+        start = self._nnz
+        ends = start + np.cumsum(lengths)
+        end = int(ends[-1]) if ends.size else start
         if end > self._indices.size:
             capacity = max(end, 2 * self._indices.size)
             indices = np.empty(capacity, dtype=np.int64)
-            indices[: self._nnz] = self._indices[: self._nnz]
+            indices[:start] = self._indices[:start]
             data = np.empty(capacity, dtype=np.float64)
-            data[: self._nnz] = self._data[: self._nnz]
+            data[:start] = self._data[:start]
             self._indices, self._data = indices, data
-        self._indices[self._nnz : end] = columns
-        self._data[self._nnz : end] = values
         self._nnz = end
-        self._ends.append(end)
+        self._ends.extend(ends.tolist())
         self._indptr = None
+        return self._indices[start:end], self._data[start:end]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)`` views of the rows added so far."""
@@ -114,51 +172,101 @@ class _GrowableRows:
 class SpliceBlock:
     """Append-only CSR block of prime PPVs: what the splice rounds read.
 
-    :meth:`add` appends one hub's score row (:func:`lower_entry`) and its
-    border row (columns are hub *node ids*; the border targets need not
-    be in the block yet).  The disk engine cannot lower the whole index
-    up front — hub payloads arrive from the
+    :meth:`add_rows` appends a :class:`HubRows` batch: per hub a score
+    row and a border row (columns are hub *node ids*; the border targets
+    need not be in the block yet).  The disk engine cannot lower the
+    whole index up front — hub records arrive from the
     :class:`~repro.storage.ppv_store.DiskPPVStore` wave by wave — so its
-    per-batch block starts empty and grows; a block given its ``entries``
-    at construction (:func:`resident_block`) is sized for exactly those
-    and carries no growth slack.
+    per-batch block starts empty and grows one batch at a time; a block
+    given its ``entries`` at construction (:func:`resident_block`) packs
+    them into one batch, is sized for exactly those and carries no
+    growth slack.
 
     :meth:`score_product` and :meth:`border_product` are the two products
     of one incremental round over any sequence of block rows, read
     straight from the CSR.
     """
 
-    def __init__(self, alpha: float, num_nodes: int, entries=()) -> None:
+    def __init__(
+        self, alpha: float, num_nodes: int, entries: Iterable[PrimePPV] = ()
+    ) -> None:
         self.alpha = alpha
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
         self._num_rows = 0
-        entries = list(entries)
-        self._scores = _GrowableRows(
-            sum(entry.nodes.size + 1 for entry in entries) or 1024
-        )
-        self._borders = _GrowableRows(
-            sum(entry.border_hubs.size for entry in entries) or 1024
-        )
-        for entry in entries:
-            self.add(entry)
+        rows = HubRows.pack(entries)
+        self._scores = _GrowableRows(rows.nodes.size + len(rows) or 1024)
+        self._borders = _GrowableRows(rows.border_hubs.size or 1024)
+        self.add_rows(rows)
 
     @property
     def num_rows(self) -> int:
         """Number of hub rows appended so far."""
         return self._num_rows
 
-    def add(self, entry: PrimePPV) -> None:
-        """Append one prime PPV as a new row (idempotent)."""
-        hub = int(entry.source)
-        if self._row_lookup[hub] >= 0:
+    def add_rows(self, rows: HubRows) -> None:
+        """Append a batch of hubs as new rows, in batch order, with one
+        extend per matrix.  A hub the block already holds is skipped, and
+        so is a repeat within the batch (the first occurrence wins).
+
+        A score row is the hub's ``(nodes, scores)`` followed by the
+        trivial-tour correction ``(hub, -alpha)``.  The scalar engine
+        splices an arrival mass ``m`` as two operations:
+        ``estimate[entry.nodes] += m * entry.scores`` followed by
+        ``estimate[hub] -= alpha * m``; a *sequential* scatter-add over the
+        row reproduces them in their original order: ``m * (-alpha)`` is
+        bitwise ``-(alpha * m)`` and IEEE addition of a negated value is
+        bitwise subtraction, hence bit-for-bit equality.
+        """
+        if not len(rows):
             return
-        self._row_lookup[hub] = self._num_rows
-        self._num_rows += 1
-        self._scores.add(*lower_entry(entry, self.alpha))
-        self._borders.add(
-            entry.border_hubs.astype(np.int64, copy=False),
-            entry.border_masses.astype(np.float64, copy=False),
+        hubs = rows.hubs
+        fresh = self._row_lookup[hubs] < 0
+        _, first = np.unique(hubs, return_index=True)
+        if first.size < hubs.size:
+            once = np.zeros(hubs.size, dtype=bool)
+            once[first] = True
+            fresh &= once
+        if not fresh.all():
+            kept = np.repeat(fresh, rows.entries)
+            border_kept = np.repeat(fresh, rows.borders)
+            rows = HubRows(
+                hubs[fresh], rows.entries[fresh], rows.borders[fresh],
+                rows.nodes[kept], rows.scores[kept],
+                rows.border_hubs[border_kept], rows.border_masses[border_kept],
+            )
+            hubs = rows.hubs
+        count = hubs.size
+        if count == 0:
+            return
+        self._row_lookup[hubs] = np.arange(self._num_rows, self._num_rows + count)
+        self._num_rows += count
+        columns, values = self._scores.extend(rows.entries + 1)
+        # Row i's elements sit after i earlier corrections.
+        body = np.arange(rows.nodes.size) + np.repeat(np.arange(count), rows.entries)
+        tails = np.cumsum(rows.entries + 1) - 1
+        columns[body] = rows.nodes
+        columns[tails] = hubs
+        values[body] = rows.scores
+        values[tails] = -self.alpha
+        columns, values = self._borders.extend(rows.borders)
+        columns[:] = rows.border_hubs
+        values[:] = rows.border_masses
+
+    def prime_of(self, hub: int) -> tuple[np.ndarray, ...]:
+        """A held hub's prime PPV read back from its rows: ``(nodes,
+        scores, border hubs, border masses)`` views — the score row
+        without its trailing correction, and the border row."""
+        row = int(self.rows_of(np.array([hub], dtype=np.int64))[0])
+        indptr, indices, data = self._scores.csr()
+        start, end = indptr[row], indptr[row + 1] - 1
+        border_indptr, border_indices, border_data = self._borders.csr()
+        border_start, border_end = border_indptr[row], border_indptr[row + 1]
+        return (
+            indices[start:end],
+            data[start:end],
+            border_indices[border_start:border_end],
+            border_data[border_start:border_end],
         )
 
     def missing(self, hubs: np.ndarray) -> np.ndarray:
@@ -192,16 +300,13 @@ class SpliceBlock:
         products' operand, refused where the compiled ones refuse it."""
         indptr, indices, data = matrix.csr()
         lens = indptr[rows + 1] - indptr[rows]
-        total = int(lens.sum())
-        if total == 0:
+        take = concat_ranges(indptr[rows], lens)
+        if take.size == 0:
             return _EMPTY_I64, _EMPTY_F64, lens
-        before = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=before[1:])
-        take = np.repeat(indptr[rows] - before, lens) + np.arange(total)
         columns = indices[take]
         if columns.min() < 0 or columns.max() >= self.num_nodes:
             bad = np.nonzero((columns < 0) | (columns >= self.num_nodes))[0][0]
-            self._refuse(rows[np.searchsorted(before, bad, side="right") - 1])
+            self._refuse(rows[np.searchsorted(np.cumsum(lens), bad, side="right")])
         return columns, data[take], lens
 
     def work_of(self, rows: np.ndarray) -> np.ndarray:
@@ -369,8 +474,8 @@ def splice_rounds_exact(
     block / ensure:
         The resident-row block and a callable that must make every hub
         id array passed to it resident (``ensure(missing)`` — fetch and
-        :meth:`SpliceBlock.add`); it is reached only when a round needs a
-        hub the block lacks.
+        :meth:`SpliceBlock.add_rows`); it is reached only when a round
+        needs a hub the block lacks.
     on_iteration:
         Optional ``(query position, QueryState)`` callback, invoked once
         per executed iteration per query, iteration 0 included.

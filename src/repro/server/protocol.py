@@ -73,7 +73,7 @@ Requests
                        "payload": "<base64>"}}`` — ``payload`` is
                        ``nodes i64[n] | scores f64[n] | border_hubs
                        i64[m] | border_masses f64[m]``
-                       (:func:`repro.storage.ppv_store.decode_record`)
+                       (:func:`repro.storage.ppv_store.decode_records`)
     ``fetch_cluster``  ``{"segment": "<base64>"}`` — the cluster's
                        whole format-2 segment, header included
                        (:func:`repro.storage.disk_engine.decode_segment`)

@@ -16,14 +16,18 @@ hub prime PPVs and cluster adjacency from the owning shard processes
 on demand.  A fetch carries the **stored record's own bytes** (base64
 text inside the JSONL reply; see :mod:`repro.sharding.shard` for the
 fields) and the router decodes them with the decoder a local read
-uses — :func:`~repro.storage.ppv_store.decode_record`,
+uses — :func:`~repro.storage.ppv_store.decode_records`,
 :func:`~repro.storage.disk_engine.decode_segment` — so a fetched
 payload is a local disk read by construction, dtypes included;
 identical kernel + identical data + identical operation order =
 bitwise-identical results, certified top-k included.  The shards hold
 the index — the O(hubs x reachable-nodes) structure that dominates
 memory — while the router holds only bounded caches, so capacity
-scales with the shard count.
+scales with the shard count.  The hub LRU holds the stored records
+themselves (counts plus payload bytes), not decoded objects: a
+``get_many`` decodes its hits and its fetches together, in one
+:func:`~repro.storage.ppv_store.decode_records` pass, into the row batch
+the engine appends to its splice block.
 
 What is verified where: the shard checks every segment it reads
 against its manifest (length, CRC-32, header); the router checks that
@@ -56,6 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.prime import PrimePPV
+from repro.core.splice import HubRows
 from repro.obs.trace import current_span
 from repro.server import protocol
 from repro.server.client import (
@@ -66,11 +71,11 @@ from repro.server.client import (
 )
 from repro.server.protocol import ShardUnavailableError
 from repro.storage.disk_engine import decode_segment
-from repro.storage.ppv_store import decode_record
+from repro.storage.ppv_store import check_records, decode_records
 from repro.storage.residency import ClusterResidency, check_segment
 
 DEFAULT_HUB_CACHE = 256
-"""Hub prime-PPV entries the router keeps resident (LRU)."""
+"""Stored hub records the router keeps resident (LRU)."""
 
 DEFAULT_CLUSTER_BUDGET = 8
 """Cluster adjacency segments the router keeps resident (LRU).  Scores
@@ -256,11 +261,10 @@ def _undecodable(shard: int, verb: str, error: Exception) -> ShardUnavailableErr
     )
 
 
-def _entry_from_payload(hub: int, payload: dict) -> PrimePPV:
-    """Decode one ``fetch_hubs`` reply value — the hub's stored record —
-    with the local store's own decoder."""
-    return decode_record(
-        hub,
+def _record_from_payload(payload: dict) -> tuple[int, int, bytes]:
+    """One ``fetch_hubs`` reply value as the hub's stored record,
+    ``(entries, borders, payload bytes)``."""
+    return (
         int(payload["entries"]),
         int(payload["borders"]),
         base64.b64decode(payload["payload"], validate=True),
@@ -272,8 +276,10 @@ class ShardedPPVStore:
     fetches hub entries from their owning shards.
 
     ``get_many`` groups wanted hubs by shard and issues one pipelined
-    ``fetch_hubs`` per shard; a bounded LRU keeps hot entries resident
-    so popular hubs are not refetched per batch.  The ``reads`` counter
+    ``fetch_hubs`` per shard; a bounded LRU keeps hot hubs' stored
+    records resident so popular hubs are not refetched per batch.  A
+    fetched record is checked (base64, length against its counts) when
+    it arrives, before it is cached.  The ``reads`` counter
     counts hubs actually fetched over the wire (cache hits are free) —
     per-query ``hub_reads`` accounting is computed upstream from
     *requested* fetches and is cache-independent, exactly as with the
@@ -302,7 +308,9 @@ class ShardedPPVStore:
         self.cache_hubs = max(0, int(cache_hubs))
         self.reads = 0
         self.shard_fetches = [0] * fleet.num_shards
-        self._cache: "dict[int, PrimePPV]" = {}  # LRU: most recent last
+        # hub -> stored record (entries, borders, payload); LRU, most
+        # recent last.
+        self._cache: "dict[int, tuple[int, int, bytes]]" = {}
         self._lock = lock if lock is not None else threading.Lock()
         hub_mask = np.zeros(num_nodes, dtype=bool)
         hub_mask[list(self.hub_shards)] = True
@@ -327,29 +335,29 @@ class ShardedPPVStore:
         """Drop the cache (the fleet is owned by the engine)."""
         self._cache.clear()
 
-    def _remember(self, hub: int, entry: PrimePPV) -> None:
+    def _remember(self, hub: int, record: tuple[int, int, bytes]) -> None:
         if self.cache_hubs == 0:
             return
         self._cache.pop(hub, None)
         while len(self._cache) >= self.cache_hubs:
             del self._cache[next(iter(self._cache))]
-        self._cache[hub] = entry
+        self._cache[hub] = record
 
-    def get_many(self, hubs) -> "dict[int, PrimePPV]":
-        """Fetch several hubs, one pipelined request per owning shard."""
+    def get_many(self, hubs) -> HubRows:
+        """Fetch several hubs as one row batch (sorted hub order), one
+        pipelined request per owning shard for the ones not cached."""
         unique = sorted({int(hub) for hub in hubs})
         for hub in unique:
             if hub not in self.hub_shards:
                 raise KeyError(hub)
         with self._lock:
-            out: dict[int, PrimePPV] = {}
+            records: dict[int, tuple[int, int, bytes]] = {}
             wanted: dict[int, list[int]] = {}
             for hub in unique:
-                entry = self._cache.get(hub)
-                if entry is not None:
-                    del self._cache[hub]  # re-insert as most recent
-                    self._cache[hub] = entry
-                    out[hub] = entry
+                record = self._cache.pop(hub, None)
+                if record is not None:
+                    self._cache[hub] = record  # re-insert as most recent
+                    records[hub] = record
                 else:
                     wanted.setdefault(self.hub_shards[hub], []).append(hub)
             if wanted:
@@ -364,20 +372,21 @@ class ShardedPPVStore:
                     self.shard_fetches[shard] += len(shard_hubs)
                     self.reads += len(shard_hubs)
                     try:
-                        entries = [
-                            _entry_from_payload(hub, payloads[str(hub)])
+                        fetched = [
+                            _record_from_payload(payloads[str(hub)])
                             for hub in shard_hubs
                         ]
+                        check_records(shard_hubs, fetched)
                     except _REPLY_ERRORS as error:
                         raise _undecodable(shard, "fetch_hubs", error) from None
-                    for hub, entry in zip(shard_hubs, entries):
-                        self._remember(hub, entry)
-                        out[hub] = entry
-            return out
+                    for hub, record in zip(shard_hubs, fetched):
+                        self._remember(hub, record)
+                        records[hub] = record
+        return decode_records(unique, [records[hub] for hub in unique])
 
     def get(self, hub: int) -> PrimePPV:
         """Fetch one hub's prime PPV (through the cache)."""
-        return self.get_many([hub])[int(hub)]
+        return self.get_many([hub]).primes()[0]
 
 
 class ShardedGraphStore(ClusterResidency):

@@ -10,7 +10,7 @@ The two that move data answer with the **stored record as it lies on
 disk**, base64 text inside the ordinary JSONL reply: no array is
 rebuilt, no number is printed, and the router decodes the bytes with
 the decoder a local read uses
-(:func:`repro.storage.ppv_store.decode_record`,
+(:func:`repro.storage.ppv_store.decode_records`,
 :func:`repro.storage.disk_engine.decode_segment`).
 
 ``fetch_hubs``

@@ -53,15 +53,19 @@ is ``query_many([q])[0]``:
   cluster's arrays) — when the compiled kernels are loaded, and the
   Python :class:`_PrimePushRun` it is pinned against bit for bit
   otherwise; which one ran is not observable in any result.
-* Hub prime PPVs are fetched through a per-batch cache seeded by
+* Hub prime PPVs go straight into the batch's
+  :class:`~repro.core.splice.SpliceBlock`: one
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
-  reads): each hub payload is read from disk once per batch, not once
-  per query that splices it.
+  reads, decoded as one :class:`~repro.core.splice.HubRows` batch) and
+  one :meth:`~repro.core.splice.SpliceBlock.add_rows` for the first
+  round, and the same pair whenever a later round needs hubs the block
+  lacks.  Each hub record is read from disk once per batch, not once per
+  query that splices it, and no per-hub object is built on the way; a
+  hub query's iteration 0 reads its own row back from the block.
 * The incremental splice rounds of the whole batch run in lock-step
   through :func:`repro.core.splice.splice_rounds_exact`, the one round
-  loop both backends run — fetched payloads are assembled into a shared
-  :class:`~repro.core.splice.SpliceBlock` (the lowering the in-memory
-  engine holds for its whole index) and each round is two products over
+  loop both backends run — over that shared block (the lowering the
+  in-memory engine holds for its whole index); each round is two products over
   the stacked, delta-gated frontiers, compiled like the pushes
   (:mod:`repro.native`).  The products accumulate in the scalar loop's
   exact operation order, so scores are **bitwise equal** to the per-hub
@@ -103,7 +107,7 @@ from repro.core.query import (
     StopAfterIterations,
     StoppingCondition,
 )
-from repro.core.splice import SpliceBlock, splice_rounds_exact
+from repro.core.splice import SpliceBlock, concat_ranges, splice_rounds_exact
 from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
@@ -116,13 +120,6 @@ _REBUILD = (
     "rebuild the cluster directory with DiskGraphStore(graph, assignment, "
     "directory) (shard directories: `repro shard-index`)"
 )
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices of the ranges ``[start, start + length)`` laid end to end."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
 def _header_implied_size(data: bytes) -> int:
@@ -235,7 +232,7 @@ class DiskGraphStore(ClusterResidency):
             nodes = assignment.members(cluster)
             lengths = graph.out_degrees[nodes]
             offsets = np.concatenate(([0], np.cumsum(lengths)))
-            edges = _concat_ranges(graph.indptr[nodes], lengths)
+            edges = concat_ranges(graph.indptr[nodes], lengths)
             data = b"".join(
                 (
                     _SEGMENT_HEADER.pack(nodes.size, edges.size),
@@ -245,7 +242,8 @@ class DiskGraphStore(ClusterResidency):
                     graph.indices[edges].astype("<i4").tobytes(),
                 )
             )
-            self._segment_path(cluster).write_bytes(data)
+            with open(self._segment_path(cluster), "wb") as handle:
+                handle.write(data)
             self._segments[cluster] = (len(data), zlib.crc32(data))
         np.save(self.directory / "labels.npy", labels)
         manifest = {
@@ -318,8 +316,8 @@ class DiskGraphStore(ClusterResidency):
         # cluster id -> (byte length, CRC-32) of its stored segment.
         self._segments: dict[int, tuple[int, int]] = segments
 
-    def _segment_path(self, cluster: int) -> Path:
-        return self.directory / f"cluster_{cluster:05d}.seg"
+    def _segment_path(self, cluster: int) -> str:
+        return os.path.join(self.directory, f"cluster_{cluster:05d}.seg")
 
     @property
     def clusters(self) -> list[int]:
@@ -342,6 +340,9 @@ class DiskGraphStore(ClusterResidency):
         stored bytes, checked against the manifest (length, CRC-32) and
         their own header.  :func:`decode_segment` turns them into
         arrays; a shard ships them as they are."""
+        return self._read_segment(cluster, self._segment_path(cluster))
+
+    def _read_segment(self, cluster: int, path: str) -> bytes:
         if cluster not in self._segments:
             raise ValueError(
                 f"cluster {cluster} is not stored here (partial store "
@@ -350,13 +351,17 @@ class DiskGraphStore(ClusterResidency):
             )
         if self.fault_plan is not None:
             self.fault_plan.fire("graph_store.load", cluster=int(cluster))
-        path = self._segment_path(cluster)
+        size, crc = self._segments[cluster]
         try:
-            data = path.read_bytes()
+            descriptor = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             data = b""  # shorter than any segment: refused below
+        else:
+            try:
+                data = os.read(descriptor, os.fstat(descriptor).st_size)
+            finally:
+                os.close(descriptor)
         self.bytes_read += len(data)
-        size, crc = self._segments[cluster]
         if not (
             len(data) == size
             and zlib.crc32(data) == crc
@@ -369,8 +374,9 @@ class DiskGraphStore(ClusterResidency):
         return data
 
     def _fetch_cluster(self, cluster: int):
-        arrays = decode_segment(self.read_segment(cluster))
-        check_segment(self._segment_path(cluster), cluster, self.labels, *arrays)
+        path = self._segment_path(cluster)
+        arrays = decode_segment(self._read_segment(cluster, path))
+        check_segment(path, cluster, self.labels, *arrays)
         return arrays
 
     def cluster_arrays(self, cluster: int) -> dict:
@@ -581,7 +587,7 @@ class _PrimePushRun:
                     pool[target] = pool.get(target, 0.0) + share
         if starts:  # else nothing expanded, nothing to deposit
             counts = np.asarray(lengths)
-            edges = _concat_ranges(np.asarray(starts), counts)
+            edges = concat_ranges(np.asarray(starts), counts)
             np.add.at(
                 self.scores,
                 resident.targets_array[edges],
@@ -884,13 +890,16 @@ class DiskFastPPV:
 
         runs = self._grouped_pushes(ids)
 
-        # Per-batch hub fetch cache: one physical (offset-ordered) read
-        # per unique hub, however many queries splice it.
+        # The batch's splice block, seeded with one physical
+        # (offset-ordered) read per unique hub the first round can need:
+        # the hub queries' own rows and the gated push frontiers.  A hub
+        # record is read once per batch, however many queries splice it.
         wanted = {q for q in ids if q in self.ppv_store}
         for run in runs.values():
             hubs, masses = run.frontier()
             wanted.update(hubs[alpha * masses > self.delta].tolist())
-        fetched = self.ppv_store.get_many(wanted)
+        block = SpliceBlock(alpha, num_nodes)
+        block.add_rows(self.ppv_store.get_many(wanted))
 
         # ---- iteration 0: stack every query's estimate and frontier.
         batch = len(ids)
@@ -901,15 +910,10 @@ class DiskFastPPV:
         truncated = [False] * batch
         for position, q in enumerate(ids):
             if q in self.ppv_store:
-                entry = fetched[q]
+                nodes, scores, border_hubs, border_masses = block.prime_of(q)
                 hub_reads[position] = 1
-                estimates[position, entry.nodes] = entry.scores
-                frontiers.append(
-                    (
-                        entry.border_hubs.astype(np.int64, copy=True),
-                        entry.border_masses.astype(np.float64, copy=True),
-                    )
-                )
+                estimates[position, nodes] = scores
+                frontiers.append((border_hubs.copy(), border_masses.copy()))
             else:
                 run = runs[q]
                 # Copy into the row: duplicates share the run, and the
@@ -919,18 +923,10 @@ class DiskFastPPV:
                 cluster_faults[position] = run.drains
                 truncated[position] = run.truncated
 
-        # ---- incremental rounds: the shared exact kernel, with the
-        # per-batch fetch cache feeding a shared SpliceBlock.
-        block = SpliceBlock(alpha, num_nodes)
-
+        # ---- incremental rounds: the shared exact kernel; a round that
+        # needs hubs the block lacks reads them in and appends them.
         def ensure(hubs: np.ndarray) -> None:
-            absent = [
-                int(hub) for hub in hubs.tolist() if hub not in fetched
-            ]
-            if absent:
-                fetched.update(self.ppv_store.get_many(absent))
-            for hub in hubs.tolist():
-                block.add(fetched[hub])
+            block.add_rows(self.ppv_store.get_many(hubs))
 
         rounds = splice_rounds_exact(
             estimates,

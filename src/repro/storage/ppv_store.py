@@ -11,16 +11,22 @@ Layout (little-endian throughout)::
              | border_hubs i64[num_borders] | border_masses f64[num_borders]
 
 The fixed-width directory is read once and kept in memory (it is tiny:
-32 bytes per hub); each :meth:`DiskPPVStore.get` then costs exactly one
-seek + read — the "one random access to the disk" of Sect. 6.3.1.
+32 bytes per hub); each hub fetch then costs exactly one seek + read —
+the "one random access to the disk" of Sect. 6.3.1.  A file shorter
+than its header or its directory is refused with a ``ValueError``
+naming the path and the byte counts.
 
 A hub's *record* is its two directory counts plus its payload bytes.
 Reading one (:meth:`DiskPPVStore.read_record` — the seek + read, the
 ``ppv_store.read`` fault site, the ``reads`` / ``bytes_read``
-accounting) and decoding one (:func:`decode_record`, bytes → arrays)
-are separate so a shard process can ship the stored bytes verbatim and
-the router decodes them with the same function a local read uses
-(:mod:`repro.sharding`).
+accounting) and decoding records (:func:`decode_records`, bytes →
+arrays) are separate so a shard process can ship the stored bytes
+verbatim and the router decodes them with the same function a local
+read uses (:mod:`repro.sharding`).  :func:`decode_records` is the only
+decoder of the payload layout: it turns a whole batch of records into
+one :class:`~repro.core.splice.HubRows` — one join of the payloads, two
+typed views over it, four gathers — which the disk engine appends to
+its splice block as it is, with no per-hub object in between.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 
 from repro.core.index import IndexStats, PPVIndex
 from repro.core.prime import PrimePPV
+from repro.core.splice import HubRows, concat_ranges
 
 _MAGIC = b"FPPV"
 _VERSION = 1
@@ -77,8 +84,22 @@ def save_index(index: PPVIndex, path: str | os.PathLike[str]) -> int:
     return end
 
 
-def _read_header(handle) -> tuple[float, float, float, int, int]:
-    raw = handle.read(_HEADER.size)
+def _read_exactly(handle, size: int, path: str, what: str) -> bytes:
+    """``size`` bytes from ``handle``, never asking for more than the file
+    holds (a damaged count can be huge), or a ``ValueError`` naming the
+    path and both byte counts."""
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    raw = handle.read(max(0, min(size, left)))
+    if len(raw) != size:
+        raise ValueError(
+            f"{path}: truncated FastPPV index: the {what} is {size} bytes, "
+            f"the file holds {len(raw)}"
+        )
+    return raw
+
+
+def _read_header(handle, path: str) -> tuple[float, float, float, int, int]:
+    raw = _read_exactly(handle, _HEADER.size, path, "header")
     magic, version, alpha, epsilon, clip, num_nodes, num_hubs = _HEADER.unpack(raw)
     if magic != _MAGIC:
         raise ValueError("not a FastPPV index file")
@@ -87,38 +108,55 @@ def _read_header(handle) -> tuple[float, float, float, int, int]:
     return alpha, epsilon, clip, num_nodes, num_hubs
 
 
-def decode_record(
-    hub: int, entries: int, borders: int, payload: bytes
-) -> PrimePPV:
-    """One hub's stored record → :class:`PrimePPV`: the only decoder of
-    the payload layout, whether the bytes come from a local read or out
-    of a shard's ``fetch_hubs`` reply.
+def check_records(hubs, records) -> None:
+    """Refuse a stored record whose payload is not the ``16 * (entries +
+    borders)`` bytes its counts imply (a truncated file, a damaged
+    reply): :class:`ValueError` naming the hub."""
+    for hub, (entries, borders, payload) in zip(hubs, records):
+        if entries < 0 or borders < 0 or len(payload) != 16 * (entries + borders):
+            raise ValueError(
+                f"hub {hub}: a record of {entries} entries and {borders} "
+                f"borders is {16 * (entries + borders)} payload bytes, "
+                f"not {len(payload)}"
+            )
 
-    Raises :class:`ValueError` when ``payload`` is not the
-    ``16 * (entries + borders)`` bytes the counts imply (a truncated
-    file, a damaged reply).  Zero counts decode to empty arrays of the
-    stated dtypes.
+
+def decode_records(hubs, records) -> HubRows:
+    """Stored records → one :class:`~repro.core.splice.HubRows` batch:
+    the only decoder of the payload layout, whether the bytes come from
+    local reads or out of shards' ``fetch_hubs`` replies.
+
+    ``records`` are ``(entries, borders, payload)`` triples
+    (:meth:`DiskPPVStore.read_record`), aligned with ``hubs``.  Each is
+    checked first (:func:`check_records`).  The payloads are joined once
+    and read through one ``i64`` and one ``f64`` view; each of the four
+    arrays is one gather over those views.  Zero counts decode to empty
+    rows of the stated dtypes.
     """
-    if entries < 0 or borders < 0 or len(payload) != 16 * (entries + borders):
-        raise ValueError(
-            f"hub {hub}: a record of {entries} entries and {borders} "
-            f"borders is {16 * (entries + borders)} payload bytes, "
-            f"not {len(payload)}"
-        )
-    nodes = np.frombuffer(payload, dtype="<i8", count=entries, offset=0)
-    scores = np.frombuffer(payload, dtype="<f8", count=entries, offset=8 * entries)
-    border_hubs = np.frombuffer(
-        payload, dtype="<i8", count=borders, offset=16 * entries
-    )
-    border_masses = np.frombuffer(
-        payload, dtype="<f8", count=borders, offset=16 * entries + 8 * borders
-    )
-    return PrimePPV(
-        source=int(hub),
-        nodes=nodes.astype(np.int64),
-        scores=scores.astype(np.float64),
-        border_hubs=border_hubs.astype(np.int64),
-        border_masses=border_masses.astype(np.float64),
+    hubs = list(hubs)
+    records = list(records)
+    check_records(hubs, records)
+    entries, borders, payloads = zip(*records) if records else ((), (), ())
+    entries = np.array(entries, dtype=np.int64)
+    borders = np.array(borders, dtype=np.int64)
+    data = b"".join(payloads)
+    ints, reals = np.frombuffer(data, dtype="<i8"), np.frombuffer(data, dtype="<f8")
+    # Record i starts at word 2 * (its predecessors' entries + borders):
+    # nodes i64[entries] | scores f64[entries] | border hubs i64[borders]
+    # | border masses f64[borders]; each value sits its row's count of
+    # words after its id.
+    words = 2 * (entries + borders)
+    nodes_at = np.cumsum(words) - words
+    nodes = concat_ranges(nodes_at, entries)
+    border_hubs = concat_ranges(nodes_at + 2 * entries, borders)
+    return HubRows(
+        hubs=np.array(hubs, dtype=np.int64),
+        entries=entries,
+        borders=borders,
+        nodes=ints[nodes],
+        scores=reals[nodes + entries.repeat(entries)],
+        border_hubs=ints[border_hubs],
+        border_masses=reals[border_hubs + borders.repeat(borders)],
     )
 
 
@@ -138,21 +176,30 @@ class DiskPPVStore:
     ) -> None:
         self.fault_plan = fault_plan
         self._handle = open(path, "rb")
-        self.alpha, self.epsilon, self.clip, self.num_nodes, num_hubs = _read_header(
-            self._handle
-        )
-        self._directory: dict[int, tuple[int, int, int]] = {}
-        for _ in range(num_hubs):
-            hub, offset, entries, borders = _DIR_ENTRY.unpack(
-                self._handle.read(_DIR_ENTRY.size)
-            )
-            self._directory[hub] = (offset, entries, borders)
+        try:
+            self._read_directory(os.fspath(path))
+        except BaseException:
+            self._handle.close()
+            raise
         self.reads = 0
         self.bytes_read = 0
         hub_mask = np.zeros(self.num_nodes, dtype=bool)
         hub_mask[list(self._directory)] = True
         self.hub_mask = hub_mask
         self._hub_list: "list[bool] | None" = None
+
+    def _read_directory(self, path: str) -> None:
+        self.alpha, self.epsilon, self.clip, self.num_nodes, num_hubs = _read_header(
+            self._handle, path
+        )
+        raw = _read_exactly(
+            self._handle, num_hubs * _DIR_ENTRY.size, path,
+            f"directory of {num_hubs} hubs",
+        )
+        self._directory: dict[int, tuple[int, int, int]] = {
+            hub: (offset, entries, borders)
+            for hub, offset, entries, borders in _DIR_ENTRY.iter_unpack(raw)
+        }
 
     def __enter__(self) -> "DiskPPVStore":
         return self
@@ -185,7 +232,7 @@ class DiskPPVStore:
 
     def read_record(self, hub: int) -> tuple[int, int, bytes]:
         """One hub's stored record — ``(entries, borders, payload)`` —
-        with one seek + read; :func:`decode_record` turns it into
+        with one seek + read; :func:`decode_records` turns records into
         arrays.  Raises :class:`KeyError` for a hub not stored here."""
         if self.fault_plan is not None:
             self.fault_plan.fire("ppv_store.read", hub=int(hub))
@@ -211,15 +258,14 @@ class DiskPPVStore:
 
     def get(self, hub: int) -> PrimePPV:
         """Fetch one hub's prime PPV from disk (one seek + read)."""
-        return decode_record(hub, *self.read_record(hub))
+        return decode_records([hub], [self.read_record(hub)]).primes()[0]
 
-    def get_many(self, hubs) -> "dict[int, PrimePPV]":
-        """Fetch several hubs' prime PPVs: :meth:`read_records`
-        (offset-ordered, one read per unique hub), decoded."""
-        return {
-            hub: decode_record(hub, *record)
-            for hub, record in self.read_records(hubs).items()
-        }
+    def get_many(self, hubs) -> HubRows:
+        """Fetch several hubs' prime PPVs as one row batch:
+        :meth:`read_records` (offset-ordered, one read per unique hub),
+        decoded by :func:`decode_records`, rows in read order."""
+        records = self.read_records(hubs)
+        return decode_records(records, records.values())
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:
@@ -232,9 +278,10 @@ def load_index(path: str | os.PathLike[str]) -> PPVIndex:
             hub_mask=store.hub_mask.copy(),
         )
         stats = IndexStats(num_hubs=len(store.hubs))
-        for hub in store.hubs:
-            entry = store.get(int(hub))
-            index.entries[int(hub)] = entry
+        entries = {entry.source: entry for entry in store.get_many(store.hubs).primes()}
+        for hub in store.hubs.tolist():
+            entry = entries[hub]
+            index.entries[hub] = entry
             stats.stored_entries += entry.nodes.size
             stats.border_entries += entry.border_hubs.size
             stats.stored_bytes += entry.nbytes

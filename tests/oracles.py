@@ -20,6 +20,16 @@ store through a one-shard in-process fleet that answers with
 ``ShardEngine``'s own replies, so the same suites drive the sharded
 backend's residency — and its wire decode — without sockets.
 
+``reference_decode_record`` is the per-record payload decoder that
+``repro.storage.ppv_store.decode_records`` replaced: four typed views
+over one record's bytes.
+
+``lower_entry`` / ``reference_block_csr`` are ``SpliceBlock``'s per-hub
+append as it stood before rows arrived in batches: one prime PPV lowered
+to a score row with its trailing ``(hub, -alpha)`` correction, appended
+row by row.  ``SpliceBlock.add_rows`` must produce their arrays byte for
+byte.
+
 ``reference_prime_hitting_push`` / ``reference_scheduled_hitting`` are
 ``repro.core.hitting`` as it stood before the hitting family moved onto
 ``prime_push_many``: the per-edge dict push and the per-border-entry
@@ -171,6 +181,64 @@ def reference_disk_query(
         hub_reads=hub_reads + hubs_expanded,
         truncated=truncated,
     )
+
+
+def reference_decode_record(entries: int, borders: int, payload: bytes):
+    """One stored record → ``(nodes, scores, border hubs, border
+    masses)``, each a native-dtype copy."""
+    assert len(payload) == 16 * (entries + borders)
+    views = (
+        np.frombuffer(payload, "<i8", entries, 0),
+        np.frombuffer(payload, "<f8", entries, 8 * entries),
+        np.frombuffer(payload, "<i8", borders, 16 * entries),
+        np.frombuffer(payload, "<f8", borders, 16 * entries + 8 * borders),
+    )
+    return tuple(
+        view.astype(dtype) for view, dtype in zip(views, (np.int64, np.float64) * 2)
+    )
+
+
+def lower_entry(entry, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower one prime PPV into a score row ``(columns, values)``: its
+    entries, then the trivial-tour correction ``(hub, -alpha)``."""
+    columns = np.empty(entry.nodes.size + 1, dtype=np.int64)
+    columns[:-1] = entry.nodes
+    columns[-1] = entry.source
+    values = np.empty(entry.scores.size + 1, dtype=np.float64)
+    values[:-1] = entry.scores
+    values[-1] = -alpha
+    return columns, values
+
+
+def reference_block_csr(entries, alpha: float):
+    """The ``(indptr, indices, data)`` of the score and of the border
+    matrix after appending ``entries`` one hub at a time, skipping a hub
+    already appended."""
+    seen = set()
+    score_rows, border_rows = [], []
+    for entry in entries:
+        if int(entry.source) in seen:
+            continue
+        seen.add(int(entry.source))
+        score_rows.append(lower_entry(entry, alpha))
+        border_rows.append(
+            (
+                entry.border_hubs.astype(np.int64, copy=False),
+                entry.border_masses.astype(np.float64, copy=False),
+            )
+        )
+
+    def csr(rows):
+        ends = [0]
+        for columns, _ in rows:
+            ends.append(ends[-1] + columns.size)
+        return (
+            np.asarray(ends, dtype=np.int64),
+            np.concatenate([np.zeros(0, np.int64)] + [c for c, _ in rows]),
+            np.concatenate([np.zeros(0)] + [v for _, v in rows]),
+        )
+
+    return csr(score_rows), csr(border_rows)
 
 
 def reference_prime_hitting_push(

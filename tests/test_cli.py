@@ -534,6 +534,32 @@ class TestErrorBoundary:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    # A cut payload is read eagerly only by the memory backend (the disk
+    # backend reads a record when a query needs it).
+    @pytest.mark.parametrize(
+        "keep, message, backend",
+        [(30, "the header is 48 bytes", "memory"),
+         (30, "the header is 48 bytes", "disk"),
+         (60, "the directory of 25 hubs", "memory"),
+         (60, "the directory of 25 hubs", "disk"),
+         (-8, "payload bytes", "memory")],
+        ids=["header", "header-disk", "directory", "directory-disk",
+             "payload"],
+    )
+    def test_a_truncated_index_is_exit_2(self, keep, message, backend,
+                                         graph_file, index_file, tmp_path,
+                                         capsys):
+        cut = tmp_path / "truncated.fppv"
+        cut.write_bytes(index_file.read_bytes()[:keep])
+        capsys.readouterr()
+        code = main(["query", str(graph_file), str(cut), "5",
+                     "--backend", backend])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_no_traceback_from_the_real_process(self, index_file, tmp_path):
         import subprocess
         import sys

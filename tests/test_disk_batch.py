@@ -17,6 +17,7 @@ from repro import (
     select_hubs,
 )
 from oracles import DemandOnlyDiskFastPPV, reference_disk_query
+from repro.core.topk import StopWhenCertified, top_k_result
 from repro.serving import DiskEngine, PPVService
 from repro.storage import (
     DiskFastPPV,
@@ -565,3 +566,97 @@ class TestDiskTopK:
         with ppv_store:
             with pytest.raises(ValueError):
                 batch.query_top_k_many([3], k=0)
+
+
+class _RecordingStore:
+    """A PPV store that records every hub ``get`` asks for."""
+
+    def __init__(self, store):
+        self.store = store
+        self.hubs: set[int] = set()
+
+    def get(self, hub):
+        self.hubs.add(int(hub))
+        return self.store.get(hub)
+
+    def __contains__(self, hub) -> bool:
+        return hub in self.store
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+
+class TestHubRecordsAsRowBatches:
+    """Hub records reach the batch's splice block as decoded row batches
+    — a hub query reads iteration 0 back from its own row.  Mixed
+    batches (hub queries, duplicates, pushed queries) equal the oracle
+    loops in every field, and the batch reads each hub the oracle
+    fetches exactly once: ``reads`` and ``bytes_read`` are those of the
+    distinct hubs."""
+
+    @staticmethod
+    def _batch(disk_batch_setup):
+        root, _, index_path, queries = disk_batch_setup
+        with DiskPPVStore(index_path) as store:
+            hubs = store.hubs.tolist()
+        return [hubs[0], queries[1], hubs[0], hubs[1], queries[1],
+                queries[2], hubs[2], queries[3], hubs[1]]
+
+    def _oracle(self, small_social, disk_batch_setup, batch, stop, delta, name):
+        store, ppv_store, _ = _fresh_engine(small_social, disk_batch_setup, name)
+        with ppv_store:
+            recording = _RecordingStore(ppv_store)
+            results = [
+                reference_disk_query(store, recording, q, stop=stop, delta=delta)
+                for q in batch
+            ]
+            size = sum(
+                len(ppv_store.read_record(hub)[2]) for hub in recording.hubs
+            )
+        return results, len(recording.hubs), size
+
+    @pytest.mark.parametrize("delta", [0.0, 0.005])
+    def test_query_many_equals_the_oracle(
+        self, disk_batch_setup, small_social, selection, delta
+    ):
+        batch = self._batch(disk_batch_setup)
+        stop = StopAfterIterations(3)
+        want, reads, size = self._oracle(
+            small_social, disk_batch_setup, batch, stop, delta,
+            f"rows_o_{selection}_{delta}",
+        )
+        _, ppv_store, engine = _fresh_engine(
+            small_social, disk_batch_setup, f"rows_e_{selection}_{delta}",
+            delta=delta,
+        )
+        with ppv_store:
+            got = engine.query_many(batch, stop=stop)
+            assert (ppv_store.reads, ppv_store.bytes_read) == (reads, size)
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+    def test_query_top_k_many_equals_the_oracle(
+        self, disk_batch_setup, small_social, selection
+    ):
+        batch = self._batch(disk_batch_setup)
+        k, cap = 5, 8
+        want, reads, size = self._oracle(
+            small_social, disk_batch_setup, batch,
+            StopWhenCertified(k=k, max_iterations=cap), 0.0,
+            f"rows_ko_{selection}",
+        )
+        _, ppv_store, engine = _fresh_engine(
+            small_social, disk_batch_setup, f"rows_ke_{selection}", delta=0.0
+        )
+        with ppv_store:
+            got = engine.query_top_k_many(batch, k=k, max_iterations=cap)
+            assert (ppv_store.reads, ppv_store.bytes_read) == (reads, size)
+        for result, reference in zip(got, want):
+            expected = top_k_result(reference.result, k)
+            assert result.topk.nodes.tolist() == expected.nodes.tolist()
+            assert result.topk.scores.tobytes() == expected.scores.tobytes()
+            assert (result.topk.certified, result.topk.iterations,
+                    result.topk.l1_error) == (
+                expected.certified, expected.iterations, expected.l1_error)
+            assert (result.cluster_faults, result.hub_reads, result.truncated) == (
+                reference.cluster_faults, reference.hub_reads,
+                reference.truncated)

@@ -151,6 +151,28 @@ class TestServerSwapIndex:
                 assert stats["server"]["swaps_total"] == 1
         service.close()
 
+    def test_swap_onto_a_truncated_index_is_invalid(self, worlds, tmp_path):
+        old_graph, old_index, _new_graph, new_index = worlds
+        whole = tmp_path / "whole.fppv"
+        save_index(new_index, whole)
+        cut = tmp_path / "cut.fppv"
+        cut.write_bytes(whole.read_bytes()[:60])  # inside the directory
+        service = PPVService.open(old_index, graph=old_graph)
+        server = PPVServer(service)
+        with server.background() as (host, port):
+            with PPVClient(host, port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.swap_index(str(cut))
+                assert excinfo.value.code == "invalid"
+                assert "truncated FastPPV index" in str(excinfo.value)
+                # The refused swap left the old index serving.
+                payload = client.query(4, eta=ETA, top=8)
+                oracle = _oracle(old_graph, old_index, 4)
+                for node, score in payload["top"]:
+                    assert abs(oracle[int(node)] - float(score)) <= 1e-9
+                assert client.stats()["server"]["swaps_total"] == 0
+        service.close()
+
     def test_swap_missing_path_is_structured_error(self, worlds, tmp_path):
         old_graph, old_index, _new_graph, _new_index = worlds
         service = PPVService.open(old_index, graph=old_graph)

@@ -43,7 +43,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferencePrimePushRun, reference_disk_query, sharded_over
+from oracles import (
+    ReferencePrimePushRun,
+    reference_block_csr,
+    reference_disk_query,
+    sharded_over,
+)
 from test_disk_drain import (
     BACKENDS,
     NODES,
@@ -72,7 +77,7 @@ from repro.core import prime
 from repro.core.index import clip_prime_ppv
 from repro.core.prime import PrimePPV
 from repro.core.query import scalar_splice_rounds
-from repro.core.splice import SpliceBlock, splice_rounds_exact
+from repro.core.splice import HubRows, SpliceBlock, resident_block, splice_rounds_exact
 from repro.core.topk import StopWhenCertified
 from repro.graph.digraph import DiGraph
 from repro.server.protocol import ShardUnavailableError
@@ -500,6 +505,19 @@ def test_social4k_served_scores_sha256_equal_under_both_selections(social4k):
         interpreted = _served_digests(social4k)
     assert compiled == interpreted
     assert compiled["memory"] != compiled["disk"]  # the fault budget bites
+
+
+def test_social4k_resident_block_is_the_per_hub_lowering(social4k):
+    """The memory backend's block, packed in one batch, holds bytewise
+    the CSR arrays the per-hub append built — for the built index and
+    for the same index read back from disk."""
+    index = social4k.index
+    want = _reference_csr(
+        [index.entries[hub] for hub in sorted(index.entries)], index.alpha
+    )
+    assert _block_csr(resident_block(index)) == want
+    loaded = load_index(social4k.workdir / "index.fppv")
+    assert _block_csr(resident_block(loaded)) == want
 
 
 @needs_native
@@ -971,8 +989,7 @@ def _batch_rounds(entries, num_nodes, alpha, starts, stop, delta, cap, resident)
         block = SpliceBlock(alpha, num_nodes)
 
         def ensure(hubs):
-            for hub in hubs.tolist():
-                block.add(entries[hub])
+            block.add_rows(HubRows.pack(entries[hub] for hub in hubs.tolist()))
 
     trace = [[] for _ in starts]
     rounds = splice_rounds_exact(
@@ -1159,6 +1176,82 @@ def splice_cases(draw):
 def test_hypothesis_rounds_three_ways(case):
     entries, num_nodes, starts, stop, delta, cap = case
     _assert_rounds_three_ways(entries, num_nodes, 0.2, starts, stop, delta, cap)
+
+
+def _block_csr(block: SpliceBlock) -> tuple:
+    return tuple(
+        array.tobytes() for matrix in (block._scores, block._borders)
+        for array in matrix.csr()
+    )
+
+
+def _reference_csr(entries, alpha) -> tuple:
+    return tuple(
+        array.tobytes() for matrix in reference_block_csr(entries, alpha)
+        for array in matrix
+    )
+
+
+@st.composite
+def row_batches(draw):
+    """Prime PPVs (empty score and border rows included) split into
+    append batches that repeat hubs within a batch and across batches."""
+    num_nodes = draw(st.integers(1, 12))
+    node = st.integers(0, num_nodes - 1)
+    value = st.floats(-1.0, 1.0, allow_nan=False)
+    pool = {}
+    for hub in draw(st.sets(node, min_size=1, max_size=6)):
+        nodes = sorted(draw(st.sets(node, max_size=5)))
+        borders = sorted(draw(st.sets(node, max_size=4)))
+        pool[hub] = _entry(
+            hub, nodes, [draw(value) for _ in nodes],
+            borders, [draw(value) for _ in borders],
+        )
+    hubs = st.sampled_from(sorted(pool))
+    batches = draw(st.lists(st.lists(hubs, max_size=6), max_size=5))
+    return num_nodes, [[pool[hub] for hub in batch] for batch in batches]
+
+
+@pytest.mark.parametrize("compiled", SELECTIONS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=row_batches())
+def test_hypothesis_add_rows_is_the_per_hub_lowering(case, compiled):
+    """``add_rows`` appends bytewise what lowering one prime PPV at a
+    time (``oracles.lower_entry``) appended: first occurrence kept,
+    held hubs skipped, batch order preserved — and the block splices the
+    same bits whichever way it was built."""
+    num_nodes, batches = case
+    with pytest.MonkeyPatch.context() as patch:
+        if not compiled:
+            patch.setattr(native, "_loaded", [None])
+        block = SpliceBlock(ALPHA, num_nodes)
+        for batch in batches:
+            block.add_rows(HubRows.pack(batch))
+        appended = [entry for batch in batches for entry in batch]
+        assert _block_csr(block) == _reference_csr(appended, ALPHA)
+        held = sorted({entry.source for entry in appended})
+        assert block.num_rows == len(held)
+        for entry in appended:
+            nodes, scores, border_hubs, border_masses = block.prime_of(entry.source)
+            first = next(e for e in appended if e.source == entry.source)
+            assert nodes.tobytes() == first.nodes.tobytes()
+            assert scores.tobytes() == first.scores.tobytes()
+            assert border_hubs.tobytes() == first.border_hubs.tobytes()
+            assert border_masses.tobytes() == first.border_masses.tobytes()
+        if held:
+            rows = block.rows_of(np.array(held))
+            dest = np.zeros(len(held) * num_nodes)
+            block.score_product(
+                rows, np.full(len(held), 0.5),
+                np.arange(len(held)) * num_nodes, dest,
+            )
+            want = np.zeros_like(dest)
+            for position, hub in enumerate(held):
+                entry = next(e for e in appended if e.source == hub)
+                part = want[position * num_nodes:(position + 1) * num_nodes]
+                np.add.at(part, entry.nodes, 0.5 * entry.scores)
+                part[hub] -= ALPHA * 0.5
+            assert dest.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

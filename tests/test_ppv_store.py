@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_decode_record
 from repro.core.index import build_index
-from repro.storage import DiskPPVStore, load_index, save_index
+from repro.storage import DiskPPVStore, load_index, ppv_store, save_index
+from repro.storage.ppv_store import decode_records
 from tests.conftest import ALPHA, FIG3_HUBS
 
 
@@ -95,3 +99,153 @@ class TestDiskStore:
         store = DiskPPVStore(path)
         store.close()
         store.close()
+
+
+class TestTruncatedFile:
+    """A file cut short inside its header or its directory is a
+    ``ValueError`` naming the path and the byte counts — never a
+    ``struct.error`` — and the refused store leaves no handle open."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(ppv_store, "open", recording_open, raising=False)
+        return handles
+
+    # (bytes kept, the part cut short, the bytes of it the file holds);
+    # the header is 48 bytes and the fixture's directory 3 x 32.
+    @pytest.mark.parametrize(
+        "keep, what, holds",
+        [(0, "header", 0), (20, "header", 20), (48, "directory", 0),
+         (48 + 40, "directory", 40)],
+    )
+    def test_refused_with_path_and_sizes(self, saved_index, tmp_path, opened,
+                                         keep, what, holds):
+        _, path = saved_index
+        cut = tmp_path / "cut.fppv"
+        cut.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError) as excinfo:
+            DiskPPVStore(cut)
+        message = str(excinfo.value)
+        assert str(cut) in message and what in message
+        assert f"the file holds {holds}" in message
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_a_cut_payload_is_refused_at_the_read(self, saved_index, tmp_path):
+        _, path = saved_index
+        cut = tmp_path / "cut.fppv"
+        cut.write_bytes(path.read_bytes()[:-8])
+        with DiskPPVStore(cut) as store:
+            last = max(store.hubs.tolist(), key=lambda hub: store._directory[hub][0])
+            with pytest.raises(ValueError, match=f"hub {last}: "):
+                store.get_many(store.hubs)
+
+
+def _record(values, entries: int, borders: int):
+    """``(entries, borders, payload)`` of one stored record."""
+    nodes, scores, border_hubs, border_masses = values
+    payload = b"".join(
+        (
+            np.asarray(nodes, dtype="<i8").tobytes(),
+            np.asarray(scores, dtype="<f8").tobytes(),
+            np.asarray(border_hubs, dtype="<i8").tobytes(),
+            np.asarray(border_masses, dtype="<f8").tobytes(),
+        )
+    )
+    return entries, borders, payload
+
+
+@st.composite
+def stored_records(draw):
+    """Hub ids (repeats allowed, any order) and their stored records,
+    zero-entry and zero-border ones included."""
+    count = draw(st.integers(0, 8))
+    hubs, records = [], []
+    for _ in range(count):
+        entries, borders = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+        ids = st.integers(-(2**62), 2**62)
+        reals = st.floats(allow_nan=False, width=64)
+        values = (
+            draw(st.lists(ids, min_size=entries, max_size=entries)),
+            draw(st.lists(reals, min_size=entries, max_size=entries)),
+            draw(st.lists(ids, min_size=borders, max_size=borders)),
+            draw(st.lists(reals, min_size=borders, max_size=borders)),
+        )
+        hubs.append(draw(st.integers(0, 5)))
+        records.append(_record(values, entries, borders))
+    return hubs, records
+
+
+FIELDS = ("nodes", "scores", "border_hubs", "border_masses")
+
+
+class TestDecodeRecords:
+    """``decode_records`` — the one payload decoder — against the
+    per-record decoding it replaced, array for array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stored_records())
+    def test_equals_per_record_decoding(self, case):
+        hubs, records = case
+        rows = decode_records(hubs, records)
+        assert rows.hubs.tolist() == hubs
+        assert rows.entries.tolist() == [entries for entries, _, _ in records]
+        assert rows.borders.tolist() == [borders for _, borders, _ in records]
+        primes = rows.primes()
+        assert len(primes) == len(records)
+        for hub, prime, record in zip(hubs, primes, records):
+            assert prime.source == hub
+            for name, want in zip(FIELDS, reference_decode_record(*record)):
+                got = getattr(prime, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for name, dtype in zip(FIELDS, (np.int64, np.float64) * 2):
+            assert getattr(rows, name).dtype == dtype
+
+    @settings(max_examples=40, deadline=None)
+    @given(stored_records(), st.data())
+    def test_a_wrong_length_is_refused_naming_the_hub(self, case, data):
+        hubs, records = case
+        if not records:
+            return
+        bad = data.draw(st.integers(0, len(records) - 1))
+        entries, borders, payload = records[bad]
+        change = data.draw(st.sampled_from([-1, 1, 8, -8, -16]))
+        if len(payload) + change < 0:
+            change = 1
+        damaged = payload[:change] if change < 0 else payload + bytes(change)
+        records = records[:bad] + [(entries, borders, damaged)] + records[bad + 1:]
+        with pytest.raises(ValueError, match=f"^hub {hubs[bad]}: "):
+            decode_records(hubs, records)
+
+    def test_negative_counts_are_refused(self):
+        with pytest.raises(ValueError, match="^hub 3: "):
+            decode_records([3], [(-1, 1, b"")])
+
+
+@pytest.fixture(scope="module")
+def fig1_file(fig1_graph, tmp_path_factory):
+    index = build_index(fig1_graph, FIG3_HUBS, alpha=ALPHA, epsilon=1e-10, clip=0.0)
+    path = tmp_path_factory.mktemp("fig1") / "index.fppv"
+    save_index(index, path)
+    return path
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(FIG3_HUBS), max_size=12))
+def test_get_many_is_one_read_per_unique_hub(fig1_file, wanted):
+    """Any request order, repeats included: one row per unique hub, read
+    once, each row the hub's own ``get``."""
+    with DiskPPVStore(fig1_file) as store, DiskPPVStore(fig1_file) as single:
+        rows = store.get_many(wanted)
+        assert sorted(rows.hubs.tolist()) == sorted(set(wanted))
+        assert store.reads == len(set(wanted))
+        for prime in rows.primes():
+            alone = single.get(prime.source)
+            for name in FIELDS:
+                assert getattr(prime, name).tobytes() == getattr(alone, name).tobytes()
+        assert store.bytes_read == single.bytes_read

@@ -160,6 +160,39 @@ class TestRemoteDecodeIsTheLocalRead:
             assert got.result.error_history == expected.result.error_history
 
 
+def _rows_bytes(rows) -> tuple:
+    return tuple(
+        (name, getattr(rows, name).dtype.str, getattr(rows, name).tobytes())
+        for name in ("hubs", "entries", "borders") + PPV_FIELDS
+    )
+
+
+def test_a_cache_hit_serves_the_bytes_of_a_fetch(deployment):
+    """The router's LRU holds stored records: a batch served from it —
+    wholly or in part — decodes to the bytes a fetch decodes to, and to
+    the local store's rows."""
+    cached = ShardedPPVStore(
+        deployment.fleet,
+        alpha=deployment.remote_ppv.alpha,
+        epsilon=deployment.remote_ppv.epsilon,
+        clip=deployment.remote_ppv.clip,
+        num_nodes=LABELS.size,
+        hub_shards=deployment.hub_shards,
+        cache_hubs=2,
+    )
+    fetched = cached.get_many(HUBS)
+    assert cached.reads == len(HUBS)
+    assert _rows_bytes(fetched) == _rows_bytes(deployment.remote_ppv.get_many(HUBS))
+    assert _rows_bytes(fetched) == _rows_bytes(deployment.local_ppv.get_many(HUBS))
+    assert list(cached._cache) == HUBS[-2:]
+    hit = cached.get_many(HUBS[::-1][:2])  # both cached
+    assert cached.reads == len(HUBS)
+    assert _rows_bytes(hit) == _rows_bytes(deployment.remote_ppv.get_many(HUBS[-2:]))
+    mixed = cached.get_many(HUBS)  # one refetched, two hits
+    assert cached.reads == len(HUBS) + 1
+    assert _rows_bytes(mixed) == _rows_bytes(fetched)
+
+
 # --------------------------------------------------------------------- #
 # Undecodable replies
 
