@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from repro import (
-    BatchFastPPV,
     FastPPV,
     PPVService,
     QuerySpec,
@@ -60,32 +59,30 @@ def main() -> None:
             f"mean L1 error {np.mean([r.l1_error for r in results]):.4f}"
         )
 
-        # 3. The same traffic, one query at a time (the scalar engine).
-        scalar = FastPPV(graph, index, delta=1e-4, online_epsilon=1e-5)
+        # 3. The same traffic, one query at a time (batches of one).
+        engine = FastPPV(graph, index, delta=1e-4, online_epsilon=1e-5)
         started = time.perf_counter()
-        scalar_results = [scalar.query(q, stop=stop) for q in batch]
-        scalar_seconds = time.perf_counter() - started
+        single_results = [engine.query(q, stop=stop) for q in batch]
+        single_seconds = time.perf_counter() - started
         print(
-            f"scalar loop: {scalar_seconds * 1000:.0f} ms "
-            f"({len(batch) / scalar_seconds:.0f} queries/s) "
-            f"-> facade speedup {scalar_seconds / batch_seconds:.1f}x"
+            f"one at a time: {single_seconds * 1000:.0f} ms "
+            f"({len(batch) / single_seconds:.0f} queries/s) "
+            f"-> facade speedup {single_seconds / batch_seconds:.1f}x"
         )
         worst = max(
             float(np.abs(b.scores - s.scores).max())
-            for b, s in zip(results, scalar_results)
+            for b, s in zip(results, single_results)
         )
-        print(f"largest score deviation from the scalar engine: {worst:.2e}")
+        print(f"largest score deviation from single queries: {worst:.2e}")
 
         # ... and the facade adds no numerics of its own: a direct call
-        # into the batch engine gives bitwise-identical scores.
-        direct = BatchFastPPV(
-            graph, index, delta=1e-4, online_epsilon=1e-5
-        ).query_many(batch, stop=stop)
+        # into the engine's batch path gives bitwise-identical scores.
+        direct = engine.query_many(batch, stop=stop)
         bitwise = all(
             np.array_equal(a.scores, b.scores)
             for a, b in zip(results, direct)
         )
-        print(f"bitwise-equal to BatchFastPPV.query_many: {bitwise}")
+        print(f"bitwise-equal to FastPPV.query_many: {bitwise}")
 
         # 4. Two concurrent clients asking for *fresh* nodes (nothing
         #    cached yet): their submissions coalesce into shared

@@ -21,7 +21,6 @@ See ``README.md`` for the architecture overview.
 """
 
 from repro.core import (
-    BatchFastPPV,
     FastPPV,
     HubPolicy,
     PPVIndex,
@@ -83,7 +82,6 @@ __all__ = [
     "social_graph",
     # core
     "FastPPV",
-    "BatchFastPPV",
     "PPVIndex",
     "QueryResult",
     "HubPolicy",

@@ -7,14 +7,12 @@ Public surface:
   alternative policies, Sect. 4 / Sect. 6.2).
 * :class:`~repro.core.index.PPVIndex` / :func:`~repro.core.index.build_index`
   — offline precomputation of prime PPVs (Algorithm 1).
-* :class:`~repro.core.query.FastPPV` — incremental, accuracy-aware online
-  query engine (Algorithm 2), with stopping conditions from
-  :mod:`repro.core.query`.
-* :class:`~repro.core.batch.BatchFastPPV` — the batch form of the same
-  engine: whole workloads through the one round loop of
-  :mod:`repro.core.splice` over the index's resident
-  :class:`~repro.core.splice.SpliceBlock` (result caching lives in
-  :mod:`repro.serving.cache`, not here).
+* :class:`~repro.core.batch.FastPPV` — the incremental, accuracy-aware
+  online engine (Algorithm 2): a batch of queries — a single query is the
+  batch of one — through the one round loop of :mod:`repro.core.splice`
+  over the index's resident :class:`~repro.core.splice.SpliceBlock`, with
+  stopping conditions from :mod:`repro.core.query` (result caching lives
+  in :mod:`repro.serving.cache`, not here).
 * :mod:`repro.core.errors` — the Theorem 2 error bound and query-time L1
   error.
 * :mod:`repro.core.linearity` — multi-node queries via the Linearity
@@ -25,7 +23,7 @@ Public surface:
 """
 
 from repro.core.autotune import AutotuneResult, autotune_hub_count
-from repro.core.batch import BatchFastPPV
+from repro.core.batch import FastPPV
 from repro.core.dynamic import add_edges, remove_edges, update_index
 from repro.core.errors import l1_error_bound, query_time_l1_error
 from repro.core.exact import exact_ppv, exact_ppv_matrix
@@ -45,7 +43,6 @@ from repro.core.prime import (
 )
 from repro.core.splice import invalidate_splice_cache
 from repro.core.query import (
-    FastPPV,
     QueryResult,
     StopAfterIterations,
     StopAfterTime,
@@ -73,7 +70,6 @@ __all__ = [
     "PPVIndex",
     "build_index",
     "FastPPV",
-    "BatchFastPPV",
     "invalidate_splice_cache",
     "prime_push_many",
     "QueryResult",

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batch import FastPPV
 from repro.core.hubs import HubPolicy, select_hubs
 from repro.core.index import build_index
-from repro.core.query import FastPPV, StopAfterIterations
+from repro.core.query import StopAfterIterations
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA, global_pagerank
 

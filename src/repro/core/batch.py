@@ -1,13 +1,14 @@
-"""Batched online query engine: Algorithm 2 over many queries at once.
+"""The online engine: Algorithm 2 over a batch of queries at once.
 
-:class:`BatchFastPPV` executes the scalar engine of
-:mod:`repro.core.query` for a whole batch of queries in lock-step rounds:
+:class:`FastPPV` answers a whole batch of queries in lock-step rounds;
+a single query is the batch of one (``query(q)`` is
+``query_many([q])[0]``):
 
 * **Iteration 0** runs one multi-source prime push
   (:func:`repro.core.prime.prime_push_many`) for all non-hub queries in
-  the batch — same mass flow as the per-query push (reassociated sums
-  only), with the per-round dispatch cost paid once per batch instead of
-  once per query.  Duplicate query ids share a single push.
+  the batch, with the per-round dispatch cost paid once per batch
+  instead of once per query; a hub query loads its prime PPV from the
+  index.  Duplicate query ids share a single push.
 * **The incremental iterations** are
   :func:`repro.core.splice.splice_rounds_exact` — the one round loop both
   backends run — over :func:`~repro.core.splice.resident_block`, the
@@ -16,21 +17,22 @@
 
 Equivalence contract
 --------------------
-The rounds are bitwise the scalar loop's, so a batch of one is
-``np.array_equal`` to ``FastPPV.query`` in ``scores`` and
-``error_history``, with identical ``iterations``, ``hubs_expanded`` and
-``work_units``.  In a larger batch the only difference is iteration 0:
-``prime_push_many`` aggregates a round's arrivals by a rule that depends
-on the batch's size, so scores and error values match the scalar engine
-to floating-point round-off (~1e-14) for any stopping condition that
-does not consult wall-clock time.  ``seconds`` is per-query wall-clock
-*within the batch* (time from batch start until the query finalised) and
-``elapsed_seconds`` in :class:`~repro.core.query.QueryState` is shared
-batch time — so time-based stopping conditions remain usable but are
-inherently non-deterministic, exactly as in the scalar engine.
+The rounds accumulate in the order of the paper's per-hub statement of
+Algorithm 2 (``tests/oracles.py::reference_query``), so a batch of one
+is bitwise that statement: ``scores``, ``error_history``,
+``iterations``, ``hubs_expanded``, ``work_units`` and the states passed
+to ``on_iteration``.  In a larger batch the only difference is
+iteration 0: ``prime_push_many`` aggregates a round's arrivals by a rule
+that depends on the batch's size, so scores and error values match to
+floating-point round-off (~1e-14) for any stopping condition that does
+not consult wall-clock time.  ``seconds`` is per-query wall-clock
+*within the batch* (time from batch start until the query finalised)
+and ``elapsed_seconds`` in :class:`~repro.core.query.QueryState` is
+shared batch time — for a batch of one, the query's own clock.
 
-Stopping conditions are shared across the batch and must therefore be
-stateless (all built-in conditions are frozen dataclasses).
+Stopping conditions are shared across a batch, so in a batch of more
+than one they must be stateless (all built-in conditions are frozen
+dataclasses; see :func:`batch_safe`).
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ import numpy as np
 from repro.core.index import PPVIndex
 from repro.core.query import (
     DEFAULT_DELTA,
+    BatchOfOne,
     QueryResult,
     QueryState,
     StopAfterIterations,
     StopAtL1Error,
     StoppingCondition,
     _AnyOf,
+    query_ids,
 )
 from repro.core.prime import prime_push_many
 from repro.core.splice import resident_block, splice_rounds_exact
@@ -58,9 +62,9 @@ BatchCallback = Callable[[int, QueryState], None]
 """Per-query iteration callback: ``(position_in_batch, state)``.
 
 Invoked once per executed iteration per query (iteration 0 included),
-mirroring the scalar engine's ``on_iteration`` — the first argument is
-the query's position in the ``queries`` sequence, so duplicate query ids
-remain distinguishable.
+mirroring :meth:`FastPPV.query`'s ``on_iteration`` — the first argument
+is the query's position in the ``queries`` sequence, so duplicate query
+ids remain distinguishable.
 """
 
 _CHUNK_ELEMENT_BUDGET = 1 << 22
@@ -76,13 +80,12 @@ def batch_safe(stop: StoppingCondition) -> bool:
     (:class:`StopAfterIterations`, :class:`StopAtL1Error`,
     :class:`~repro.core.topk.StopWhenCertified` and ``any_of``
     combinations of them).  :class:`StopAfterTime` reads
-    ``QueryState.elapsed_seconds`` — shared batch time here, a per-query
-    budget in the scalar engine — and arbitrary user conditions may be
-    stateful or time-reading in ways that cannot be introspected, so
-    the serving adapters keep all of those on the scalar per-query
-    path.  Pass such conditions to :meth:`BatchFastPPV.query_many`
-    directly to opt in to shared-clock, interleaved-evaluation batch
-    semantics.
+    ``QueryState.elapsed_seconds`` — shared batch time in a batch, a
+    per-query budget in a batch of one — and arbitrary user conditions
+    may be stateful or time-reading in ways that cannot be introspected,
+    so the serving adapters serve all of those one query at a time.
+    Pass such conditions to :meth:`FastPPV.query_many` directly to opt in
+    to shared-clock, interleaved-evaluation batch semantics.
     """
     if isinstance(stop, (StopAfterIterations, StopAtL1Error, StopWhenCertified)):
         return True
@@ -91,13 +94,28 @@ def batch_safe(stop: StoppingCondition) -> bool:
     return False
 
 
-class BatchFastPPV:
-    """Batch FastPPV engine (see module docstring).
-
-    Parameters mirror :class:`~repro.core.query.FastPPV`; in addition:
+class FastPPV(BatchOfOne):
+    """The FastPPV online engine (Algorithm 2; see module docstring).
 
     Parameters
     ----------
+    graph:
+        The graph queries run against.
+    index:
+        Offline-precomputed hub prime PPVs
+        (:func:`repro.core.index.build_index`).
+    delta:
+        Border-hub expansion threshold: a frontier hub is expanded only if
+        its current increment score ``alpha * arrival_mass`` exceeds
+        ``delta`` (Algorithm 2, line 9).
+    max_iterations:
+        Hard safety cap on incremental iterations regardless of the
+        stopping condition.
+    online_epsilon:
+        Reachability cut-off for the *query-time* prime push (iteration 0
+        of a non-hub query).  Defaults to the index's offline epsilon; a
+        coarser value trades a little iteration-0 mass (visible through
+        the query-time error) for lower latency.
     chunk_size:
         Maximum queries processed per dense working set; bounds the
         ``chunk_size x num_nodes`` estimate/push matrices.  Defaults to
@@ -137,18 +155,6 @@ class BatchFastPPV:
 
     # ------------------------------------------------------------------ #
 
-    def query(
-        self,
-        query: int,
-        stop: StoppingCondition | None = None,
-        on_iteration: Callable[[QueryState], None] | None = None,
-    ) -> QueryResult:
-        """Single query through the batch path (batch of one)."""
-        callback: BatchCallback | None = None
-        if on_iteration is not None:
-            callback = lambda _position, state: on_iteration(state)
-        return self.query_many([query], stop=stop, on_iteration=callback)[0]
-
     def query_many(
         self,
         queries: Sequence[int],
@@ -171,10 +177,7 @@ class BatchFastPPV:
             ``on_iteration(position, state)`` after every executed
             iteration of every query (iteration 0 included).
         """
-        ids = [int(q) for q in queries]
-        for q in ids:
-            if not 0 <= q < self.graph.num_nodes:
-                raise ValueError(f"query node {q} out of range")
+        ids = query_ids(queries, self.graph.num_nodes)
         if stop is None:
             stop = StopAfterIterations(2)
 
@@ -209,15 +212,16 @@ class BatchFastPPV:
         and a query **retires from the batch the moment its certificate
         fires** — it stops consuming rounds while uncertified neighbours
         keep iterating towards ``max_iterations``.  Each query therefore
-        performs exactly as many incremental iterations as the scalar
-        :func:`~repro.core.topk.query_top_k` would (same certified sets,
-        same per-query iteration counts), with the per-round work batched
-        into the two products of the shared round loop.
+        performs exactly as many incremental iterations as
+        :func:`~repro.core.topk.query_top_k` alone would (same certified
+        sets, same per-query iteration counts), with the per-round work
+        batched into the two products of the shared round loop.
 
-        Certificate soundness follows the scalar contract: build the
-        engine with ``delta = 0`` for a formally sound certificate (a
-        positive ``delta`` makes the Eq. 6 error slightly optimistic
-        about pruned mass).
+        Certificate soundness follows
+        :func:`~repro.core.topk.query_top_k`: build the engine with
+        ``delta = 0`` for a formally sound certificate (a positive
+        ``delta`` makes the Eq. 6 error slightly optimistic about pruned
+        mass).
 
         Parameters
         ----------
@@ -267,9 +271,8 @@ class BatchFastPPV:
             epsilon=self.online_epsilon,
         )
 
-        # Estimates and frontiers as FastPPV.query starts from them: the
-        # frontier in PrimePPV's sorted border order, the order its dict
-        # is built in.
+        # Estimates and frontiers as Algorithm 2 starts from them: the
+        # frontier in PrimePPV's sorted border order.
         estimates = np.zeros((len(ids), graph.num_nodes))
         frontiers: list[tuple[np.ndarray, np.ndarray]] = []
         push_work = [0] * len(ids)

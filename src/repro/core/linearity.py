@@ -11,7 +11,7 @@ into two reusable pieces:
 * :func:`combine_results` — fold already-computed single-node
   :class:`~repro.core.query.QueryResult`\\ s into the weighted mixture.
 
-:func:`multi_node_ppv` composes them over a scalar engine; the
+:func:`multi_node_ppv` composes them over single queries; the
 :class:`~repro.serving.PPVService` façade uses the same two pieces so a
 multi-node :class:`~repro.serving.QuerySpec` is served through whichever
 backend (and batch schedule) the service runs on while producing the
@@ -20,11 +20,14 @@ identical weighted assembly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.query import FastPPV, QueryResult, StoppingCondition
+from repro.core.query import QueryResult, StoppingCondition
+
+if TYPE_CHECKING:
+    from repro.core.batch import FastPPV
 
 
 def normalise_weights(
@@ -95,7 +98,7 @@ def multi_node_ppv(
     Parameters
     ----------
     engine:
-        A :class:`~repro.core.query.FastPPV` engine.
+        A :class:`~repro.core.batch.FastPPV` engine.
     queries:
         Query node ids (the teleport set).
     weights:

@@ -155,7 +155,7 @@ def prime_ppv(
     cut-off).
 
     This is a thin wrapper over :func:`prime_push_many` with a batch of
-    one, so the scalar and batched engines share one kernel and their
+    one, so a single push and a batch share one kernel and their
     summation-order lockstep is structural rather than documented.  The
     output is bit-for-bit identical to a *batch-of-one*
     ``prime_push_many`` call (pinned by ``tests/test_prime.py``); rows

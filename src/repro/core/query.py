@@ -1,12 +1,12 @@
-"""Online incremental query processing (Algorithm 2, Theorem 4).
+"""The vocabulary of online query processing (Algorithm 2, Theorem 4).
 
-The engine estimates a PPV partition by partition: iteration 0 is the
-query's own prime PPV (``T^0``); iteration ``i`` splices the prime PPVs of
-the hubs on the current frontier into the estimate, covering exactly the
-tours of hub length ``i``.  Because every increment only *adds*
-probability mass, the running L1 error is ``1 - ||estimate||_1`` (Eq. 6)
-and can gate a user-chosen stopping condition at query time — the paper's
-"accuracy-aware" property.
+The engine (:class:`repro.core.batch.FastPPV`) estimates a PPV partition
+by partition: iteration 0 is the query's own prime PPV (``T^0``);
+iteration ``i`` splices the prime PPVs of the hubs on the current
+frontier into the estimate, covering exactly the tours of hub length
+``i``.  Because every increment only *adds* probability mass, the running
+L1 error is ``1 - ||estimate||_1`` (Eq. 6) and can gate a user-chosen
+stopping condition at query time — the paper's "accuracy-aware" property.
 
 Splice bookkeeping (the Theorem 4 recursion) works on **arrival masses**:
 ``frontier[h]`` holds the probability of reaching ``h`` through tours of
@@ -20,14 +20,12 @@ would double-count (see the module docstring of :mod:`repro.core.prime`).
 
 from __future__ import annotations
 
-import time
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.index import PPVIndex
-from repro.core.prime import PrimePPV, prime_ppv
 from repro.metrics.ranking import top_k_nodes
 
 DEFAULT_DELTA = 0.005
@@ -162,194 +160,31 @@ class QueryResult:
         return top_k_nodes(scores, k)
 
 
-def scalar_splice_rounds(
-    estimate: np.ndarray,
-    frontier: dict[int, float],
-    stop: StoppingCondition,
-    alpha: float,
-    delta: float,
-    max_iterations: int,
-    fetch: Callable[[int], PrimePPV],
-    started: float,
-    on_iteration: Callable[[QueryState], None] | None = None,
-) -> tuple[int, list[float], int, int]:
-    """Algorithm 2's incremental rounds for one query, hub by hub.
-
-    The scalar statement of the algorithm: ``estimate`` (iteration 0
-    already applied) is mutated in place, ``frontier`` maps border hubs
-    to arrival masses, and ``fetch`` resolves a hub to its prime PPV —
-    ``index.get`` for :class:`FastPPV`, a store's ``get`` when the disk
-    equivalence suite runs this loop as the bitwise oracle of
-    :func:`repro.core.splice.splice_rounds_exact`.  ``on_iteration`` is
-    invoked with the :class:`QueryState` once per executed iteration,
-    iteration 0 included.
-
-    Returns ``(iterations, error_history, hubs_expanded, work_units)``
-    where ``work_units`` counts the index entries the splices touched.
-    """
-    error_history = [1.0 - float(estimate.sum())]
-    hubs_expanded = 0
-    iteration = 0
-    work_units = 0
-
-    def current_state() -> QueryState:
-        return QueryState(
-            iteration=iteration,
-            l1_error=error_history[-1],
-            elapsed_seconds=time.perf_counter() - started,
-            frontier_size=len(frontier),
-            scores=estimate,
-        )
-
-    if on_iteration is not None:
-        on_iteration(current_state())
-
-    while (
-        frontier
-        and iteration < max_iterations
-        and not stop.should_stop(current_state())
-    ):
-        iteration += 1
-        next_frontier: dict[int, float] = {}
-        for hub, mass in frontier.items():
-            if alpha * mass <= delta:
-                continue
-            entry = fetch(hub)
-            estimate[entry.nodes] += mass * entry.scores
-            # Remove the zero-length "trivial tour" inside r^0_hub(hub):
-            # the tour that merely *arrives* at the hub was already
-            # scored by the previous increment (see module docstring).
-            estimate[hub] -= alpha * mass
-            hubs_expanded += 1
-            work_units += entry.nodes.size + entry.border_hubs.size
-            for border, border_mass in zip(
-                entry.border_hubs.tolist(), entry.border_masses.tolist()
-            ):
-                next_frontier[border] = (
-                    next_frontier.get(border, 0.0) + mass * border_mass
-                )
-        frontier = next_frontier
-        error_history.append(1.0 - float(estimate.sum()))
-        if on_iteration is not None:
-            on_iteration(current_state())
-    return iteration, error_history, hubs_expanded, work_units
+def query_ids(queries: Sequence[int], num_nodes: int) -> list[int]:
+    """``queries`` as ``int`` node ids: ``TypeError`` for a non-integer
+    (``operator.index``: ``3.7`` is refused, not truncated), ``ValueError``
+    for an id outside ``[0, num_nodes)``."""
+    ids = [operator.index(q) for q in queries]
+    for q in ids:
+        if not 0 <= q < num_nodes:
+            raise ValueError(f"query node {q} out of range")
+    return ids
 
 
-class FastPPV:
-    """The FastPPV online engine (Algorithm 2).
-
-    Parameters
-    ----------
-    graph:
-        The graph queries run against.
-    index:
-        Offline-precomputed hub prime PPVs
-        (:func:`repro.core.index.build_index`).
-    delta:
-        Border-hub expansion threshold: a frontier hub is expanded only if
-        its current increment score ``alpha * arrival_mass`` exceeds
-        ``delta`` (Algorithm 2, line 9).
-    max_iterations:
-        Hard safety cap on incremental iterations regardless of the
-        stopping condition.
-    online_epsilon:
-        Reachability cut-off for the *query-time* prime push (iteration 0
-        of a non-hub query).  Defaults to the index's offline epsilon; a
-        coarser value trades a little iteration-0 mass (visible through
-        the query-time error) for lower latency.
-    """
-
-    def __init__(
-        self,
-        graph,
-        index: PPVIndex,
-        delta: float = DEFAULT_DELTA,
-        max_iterations: int = 64,
-        online_epsilon: float | None = None,
-    ) -> None:
-        if index.hub_mask.shape != (graph.num_nodes,):
-            raise ValueError("index was built for a different graph size")
-        if delta < 0.0:
-            raise ValueError("delta must be non-negative")
-        self.graph = graph
-        self.index = index
-        self.delta = delta
-        self.max_iterations = max_iterations
-        self.online_epsilon = (
-            online_epsilon if online_epsilon is not None else index.epsilon
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _prime_of_query(self, query: int) -> PrimePPV:
-        """Iteration 0: load the query's prime PPV or push it on the fly."""
-        if query in self.index:
-            return self.index.get(query)
-        return prime_ppv(
-            self.graph,
-            query,
-            self.index.hub_mask,
-            alpha=self.index.alpha,
-            epsilon=self.online_epsilon,
-        )
+class BatchOfOne:
+    """``query`` for an engine whose ``query_many(queries, stop,
+    on_iteration)`` reports ``on_iteration(position, state)``."""
 
     def query(
         self,
         query: int,
         stop: StoppingCondition | None = None,
         on_iteration: Callable[[QueryState], None] | None = None,
-    ) -> QueryResult:
-        """Estimate the PPV of ``query`` incrementally.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        stop:
-            Stopping condition; defaults to the paper's
-            ``StopAfterIterations(2)``.
-        on_iteration:
-            Optional callback invoked with the :class:`QueryState` after
-            every iteration (iteration 0 included) — handy for tracing the
-            anytime behaviour.
-
-        Returns
-        -------
-        QueryResult
-        """
-        if not 0 <= query < self.graph.num_nodes:
-            raise ValueError(f"query node {query} out of range")
-        if stop is None:
-            stop = StopAfterIterations(2)
-        started = time.perf_counter()
-
-        base = self._prime_of_query(query)
-        estimate = base.to_dense(self.graph.num_nodes)
-        frontier: dict[int, float] = dict(
-            zip(base.border_hubs.tolist(), base.border_masses.tolist())
-        )
-        iteration, error_history, hubs_expanded, work_units = (
-            scalar_splice_rounds(
-                estimate,
-                frontier,
-                stop,
-                self.index.alpha,
-                self.delta,
-                self.max_iterations,
-                self.index.get,
-                started,
-                on_iteration=on_iteration,
-            )
-        )
-        if query not in self.index:
-            work_units += base.edges_touched
-
-        return QueryResult(
-            query=query,
-            scores=estimate,
-            iterations=iteration,
-            error_history=error_history,
-            hubs_expanded=hubs_expanded,
-            seconds=time.perf_counter() - started,
-            work_units=work_units,
-        )
+    ):
+        """Estimate the PPV of ``query``: ``query_many([query])[0]``, with
+        ``on_iteration`` (if given) called with each iteration's
+        :class:`QueryState` alone, iteration 0 included."""
+        callback = None
+        if on_iteration is not None:
+            callback = lambda _position, state: on_iteration(state)
+        return self.query_many([query], stop=stop, on_iteration=callback)[0]

@@ -32,7 +32,7 @@ class LengthScheduledPPV:
     """Anytime PPV by path-length partitions (power iteration).
 
     Shares the incremental/accuracy-aware interface of
-    :class:`~repro.core.query.FastPPV` so the two schedules can be
+    :class:`~repro.core.batch.FastPPV` so the two schedules can be
     compared head-to-head; there is no offline phase.
     """
 

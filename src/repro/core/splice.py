@@ -2,10 +2,11 @@
 
 The online engine's inner loop (Algorithm 2, lines 8-12; Theorem 4)
 splices the prime PPV of every frontier hub into the running estimate.
-Done one hub at a time it is :func:`repro.core.query.scalar_splice_rounds`
-— the paper's statement and the oracle; done for a *batch* of queries it
-is :func:`splice_rounds_exact`, the only batch round loop in ``src/``,
-run by both backends over one representation of the hub payloads:
+Done one hub at a time it is the paper's statement — the *scalar loop*,
+kept as the oracle in ``tests/oracles.py``; done for a *batch* of
+queries it is :func:`splice_rounds_exact`, the only round loop in
+``src/``, run by both backends over one representation of the hub
+payloads:
 
 * :class:`SpliceBlock` holds prime PPVs as two append-only CSR matrices —
   score rows (the trivial-tour correction is a trailing ``(hub, -alpha)``
@@ -210,7 +211,7 @@ class SpliceBlock:
         so is a repeat within the batch (the first occurrence wins).
 
         A score row is the hub's ``(nodes, scores)`` followed by the
-        trivial-tour correction ``(hub, -alpha)``.  The scalar engine
+        trivial-tour correction ``(hub, -alpha)``.  The scalar loop
         splices an arrival mass ``m`` as two operations:
         ``estimate[entry.nodes] += m * entry.scores`` followed by
         ``estimate[hub] -= alpha * m``; a *sequential* scatter-add over the
@@ -404,7 +405,7 @@ def resident_block(index: PPVIndex) -> SpliceBlock:
     ValueError
         If the index has a hub in its mask with no stored entry, or an
         entry whose border hubs are not themselves indexed — either would
-        make a batch splice silently diverge from the scalar engine.
+        make a batch splice silently diverge from the scalar loop.
     """
     block = getattr(index, _CACHE_ATTR, None)
     if block is not None:
@@ -445,8 +446,8 @@ def splice_rounds_exact(
 ) -> "list[tuple[int, list[float], int, int, float]]":
     """Algorithm 2's incremental rounds for a batch, bitwise-exact.
 
-    The batch twin of the per-hub dict loop
-    (:func:`repro.core.query.scalar_splice_rounds`): each round stacks
+    The batch twin of the per-hub dict loop (the scalar loop of the
+    module docstring): each round stacks
     the delta-gated ``(query, hub)`` pairs of every in-flight query and
     applies :meth:`SpliceBlock.score_product` and
     :meth:`SpliceBlock.border_product` to them, whose element order is
@@ -465,9 +466,9 @@ def splice_rounds_exact(
         scalar dict's iteration order; consumed and replaced (the arrays
         themselves are never written).
     stop / alpha / delta / max_iterations:
-        As in the scalar engines; ``stop`` is evaluated per query per
-        round and must be stateless to mean the same thing it does
-        scalar-side.  A condition exposing a vectorised
+        As in :class:`repro.core.batch.FastPPV`; ``stop`` is evaluated
+        per query per round and must be stateless to mean the same thing
+        it does for a query served alone.  A condition exposing a vectorised
         ``should_stop_many`` (the certified top-k rule) is evaluated for
         every in-flight query of the round in one pass; the decisions
         are identical by that method's contract.

@@ -19,11 +19,15 @@ out), typically far earlier than a fixed accuracy target would require.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.query import FastPPV, QueryResult
+from repro.core.query import QueryResult
 from repro.metrics.ranking import top_k_nodes
+
+if TYPE_CHECKING:
+    from repro.core.batch import FastPPV
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,10 @@ class StopWhenCertified:
 
     Pure and stateless (a frozen dataclass), so one instance may gate a
     whole batch and completed results may be cached keyed by it.  The
-    scalar engine consults :meth:`should_stop` per iteration; the batch
-    engine of :mod:`repro.core.batch` detects :meth:`should_stop_many`
+    round loop of :mod:`repro.core.splice` detects :meth:`should_stop_many`
     and evaluates every in-flight query's certificate for the round in
-    one vectorised pass.
+    one vectorised pass; :meth:`should_stop` is the same rule for one
+    state.
     """
 
     k: int
@@ -149,7 +153,7 @@ def query_top_k(
     Parameters
     ----------
     engine:
-        A :class:`~repro.core.query.FastPPV` engine.  Use ``delta = 0``
+        A :class:`~repro.core.batch.FastPPV` engine.  Use ``delta = 0``
         for a sound certificate: frontier pruning makes the Eq. 6 error
         slightly optimistic about prunable mass, which is fine in
         practice but weakens the formal guarantee.

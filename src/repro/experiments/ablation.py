@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batch import FastPPV
 from repro.core.errors import l1_error_bound
 from repro.core.hubs import select_hubs
 from repro.core.index import PPVIndex, build_index
-from repro.core.query import FastPPV, StopAfterIterations
+from repro.core.query import StopAfterIterations
 from repro.experiments.report import Table
 from repro.experiments.runner import run_fastppv
 from repro.experiments.workloads import Workload

@@ -16,7 +16,7 @@ from repro.baselines.hubrank import HubRankP
 from repro.baselines.montecarlo import MonteCarlo
 from repro.core.hubs import HubPolicy, select_hubs
 from repro.core.index import PPVIndex, build_index
-from repro.core.query import DEFAULT_DELTA, FastPPV, StopAfterIterations
+from repro.core.query import DEFAULT_DELTA, StopAfterIterations
 from repro.experiments.workloads import Workload
 from repro.serving import PPVService, QuerySpec
 from repro.graph.digraph import DiGraph
@@ -51,22 +51,18 @@ class MethodOutcome:
 
 
 def _score_workload(
-    workload: Workload, run_query, run_workload=None
+    workload: Workload, run_workload
 ) -> tuple[AccuracyReport, float, float]:
     """Run the workload and score it; return (accuracy, ms/query,
     work/query).
 
-    ``run_workload`` (a callable taking the whole query array and
-    returning per-query results) takes precedence over the per-query
-    ``run_query`` — FastPPV passes its batched ``query_many`` here so
-    workload timings reflect the batch execution path.
+    ``run_workload`` takes the whole query array and returns per-query
+    results, so each method times its own execution path (FastPPV's is
+    one coalesced batch through the serving façade).
     """
     reports = []
     started = time.perf_counter()
-    if run_workload is not None:
-        results = run_workload(workload.queries)
-    else:
-        results = [run_query(int(query)) for query in workload.queries]
+    results = run_workload(workload.queries)
     elapsed = time.perf_counter() - started
     for exact, result in zip(workload.exact, results):
         reports.append(evaluate_accuracy(exact, result.scores))
@@ -109,17 +105,17 @@ def run_fastppv(
             graph, num_hubs, policy=policy, alpha=workload.alpha, pagerank=pagerank
         )
         index = build_index(graph, hubs, alpha=workload.alpha, workers=workers)
-    engine = FastPPV(graph, index, delta=delta, online_epsilon=online_epsilon)
     stop = StopAfterIterations(eta)
-    with PPVService.open(engine) as service:
+    with PPVService.open(
+        index, graph=graph, delta=delta, online_epsilon=online_epsilon
+    ) as service:
         # Materialise the index's resident splice block outside the timed
         # online region: it is a one-off offline-type cost (and is
         # cached on the index), not per-query work.
         service.warm()
         accuracy, online_ms, work = _score_workload(
             workload,
-            lambda q: engine.query(q, stop=stop),
-            run_workload=lambda qs: service.query_many(
+            lambda qs: service.query_many(
                 [QuerySpec(int(q), stop=stop) for q in qs]
             ),
         )
@@ -148,7 +144,9 @@ def run_hubrank(
         alpha=workload.alpha,
         pagerank=pagerank,
     )
-    accuracy, online_ms, work = _score_workload(workload, engine.query)
+    accuracy, online_ms, work = _score_workload(
+        workload, lambda qs: [engine.query(int(q)) for q in qs]
+    )
     return MethodOutcome(
         method="HubRankP",
         accuracy=accuracy,
@@ -176,7 +174,9 @@ def run_montecarlo(
         seed=seed,
         pagerank=pagerank,
     )
-    accuracy, online_ms, work = _score_workload(workload, engine.query)
+    accuracy, online_ms, work = _score_workload(
+        workload, lambda qs: [engine.query(int(q)) for q in qs]
+    )
     return MethodOutcome(
         method="MonteCarlo",
         accuracy=accuracy,

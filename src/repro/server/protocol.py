@@ -127,7 +127,7 @@ from repro.serving.families import (
     ranked_scores,
     resolve_family,
 )
-from repro.serving.spec import QuerySnapshot, QuerySpec
+from repro.serving.spec import QuerySnapshot, QuerySpec, integer_field
 
 PROTOCOL_VERSION = 1
 
@@ -389,13 +389,10 @@ def top_from_request(request: dict, default: int) -> int:
         negative (``top_k_nodes(scores, -2)`` would rank every node but
         two: a reply the size of the graph for a 30-byte request).
     """
-    value = request.get("top", default)
     try:
-        top = int(value)
-    except (TypeError, ValueError):
-        raise ProtocolError(
-            E_INVALID, f'"top" must be an integer, not {value!r}'
-        ) from None
+        top = integer_field("top", request.get("top", default))
+    except TypeError as error:
+        raise ProtocolError(E_INVALID, str(error)) from None
     if top < 0:
         raise ProtocolError(E_INVALID, f'"top" must not be negative, got {top}')
     return top

@@ -1,8 +1,9 @@
 """The serving layer: one façade over every FastPPV query engine.
 
-There is one engine per backend — in memory ``BatchFastPPV``, on disk
-``DiskFastPPV``; scalar is the batch of one on both, and both run the
-same incremental-round loop — each with its own workload spelling.
+There is one engine per backend — in memory ``FastPPV``, on disk
+``DiskFastPPV``; a single query is the batch of one on both, and both
+run the same incremental-round loop — each with its own workload
+spelling.
 This package puts them behind one backend-agnostic API:
 
 * :class:`PPVService` — the façade.  ``PPVService.open(index, graph=g)``

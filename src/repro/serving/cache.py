@@ -1,9 +1,6 @@
 """Popularity-aware result cache shared by every serving backend.
 
-Promotes the plain LRU that lived inside
-:class:`~repro.core.batch.BatchFastPPV` up into the service layer (the
-ROADMAP's "cache eviction informed by query popularity" follow-up): each
-entry carries a **hit counter**, and eviction removes the entry with the
+Each entry carries a **hit counter**, and eviction removes the entry with the
 fewest hits first, breaking ties by least-recent use.  A burst of one-off
 queries therefore cannot flush the popular working set the way it would
 under pure recency eviction — new entries start at zero hits and are the

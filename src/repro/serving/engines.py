@@ -1,7 +1,7 @@
 """The backend-agnostic ``Engine`` protocol, its adapters, and registry.
 
-There is one engine per backend — the in-memory ``BatchFastPPV`` and the
-disk ``DiskFastPPV``; on both, scalar is the batch of one and the
+There is one engine per backend — the in-memory ``FastPPV`` and the
+disk ``DiskFastPPV``; on both, a single query is the batch of one and the
 incremental rounds are the same loop
 (:func:`repro.core.splice.splice_rounds_exact`).  The serving layer
 narrows them to one small protocol (:class:`Engine`): a batch call per
@@ -21,14 +21,9 @@ from __future__ import annotations
 import os
 from typing import Callable, Protocol, Sequence
 
-from repro.core.batch import BatchFastPPV, batch_safe
+from repro.core.batch import FastPPV, batch_safe
 from repro.core.index import PPVIndex
-from repro.core.query import (
-    DEFAULT_DELTA,
-    FastPPV,
-    QueryState,
-    StoppingCondition,
-)
+from repro.core.query import DEFAULT_DELTA, QueryState, StoppingCondition
 from repro.core.splice import resident_block
 from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.ppv_store import DiskPPVStore
@@ -90,38 +85,35 @@ class Engine(Protocol):
 
 
 class _StopRouting:
-    """The three query calls of :class:`Engine`, written once.
-
-    Adapters set ``_scalar`` (serves one query through ``query``) and
-    ``_batch`` (serves ``query_many`` / ``query_top_k_many``); where one
-    engine does both, they are the same object.
-    """
+    """The three query calls of :class:`Engine`, written once over the
+    adapter's ``_engine`` (``query`` / ``query_many`` /
+    ``query_top_k_many``)."""
 
     def query_batch(self, nodes, stop):
         if not batch_safe(stop):
-            # Time-based / user-defined conditions keep per-query scalar
-            # semantics: in a batch, elapsed time is shared and
+            # Time-based / user-defined conditions are served one query
+            # at a time: in a batch, elapsed time is shared and
             # evaluation interleaves, which would silently change what
             # such conditions mean.
-            return [self._scalar.query(int(n), stop=stop) for n in nodes]
-        return self._batch.query_many(list(nodes), stop=stop)
+            return [self._engine.query(n, stop=stop) for n in nodes]
+        return self._engine.query_many(list(nodes), stop=stop)
 
     def query_top_k_batch(self, nodes, k, budget):
-        return self._batch.query_top_k_many(
+        return self._engine.query_top_k_many(
             list(nodes), k=k, max_iterations=budget
         )
 
     def query_stream(self, node, stop, on_iteration):
-        return self._scalar.query(node, stop=stop, on_iteration=on_iteration)
+        return self._engine.query(node, stop=stop, on_iteration=on_iteration)
 
 
 class MemoryEngine(_StopRouting):
-    """Adapter: the in-memory ``BatchFastPPV``.
+    """Adapter: the in-memory ``FastPPV``.
 
     Batches run the shared round loop over the index's resident
     :class:`~repro.core.splice.SpliceBlock`; streams and non-batch-safe
     stopping conditions serve one query at a time through the same
-    engine — the batch of one, bitwise ``FastPPV.query``.
+    engine — the batch of one.
     """
 
     backend = "memory"
@@ -134,19 +126,12 @@ class MemoryEngine(_StopRouting):
         max_iterations: int = 64,
         online_epsilon: float | None = None,
     ) -> None:
-        self.graph = graph
-        self.index = index
         self._engine_kwargs = {
             "delta": delta,
             "max_iterations": max_iterations,
             "online_epsilon": online_epsilon,
         }
-        self._build()
-
-    def _build(self) -> None:
-        self._scalar = self._batch = BatchFastPPV(
-            self.graph, self.index, **self._engine_kwargs
-        )
+        self.replace_index(index, graph)
 
     @property
     def num_nodes(self) -> int:
@@ -164,12 +149,10 @@ class MemoryEngine(_StopRouting):
         Pass ``graph`` too when the update changed the graph itself (the
         usual :func:`repro.core.dynamic.update_index` flow).
         """
-        if graph is not None:
-            self.graph = graph
-        if index.hub_mask.shape != (self.graph.num_nodes,):
-            raise ValueError("index was built for a different graph size")
-        self.index = index
-        self._build()
+        self._engine = FastPPV(
+            self.graph if graph is None else graph, index, **self._engine_kwargs
+        )
+        self.graph, self.index = self._engine.graph, index
 
     def close(self) -> None:  # nothing owned
         pass
@@ -199,7 +182,7 @@ class DiskEngine(_StopRouting):
         self.graph_store = graph_store
         self.ppv_store = ppv_store
         self._owns_store = owns_store
-        self._scalar = self._batch = DiskFastPPV(
+        self._engine = DiskFastPPV(
             graph_store,
             ppv_store,
             delta=delta,

@@ -64,7 +64,7 @@ from repro.core.reachability import (
 )
 from repro.core.topk import top_k_result
 from repro.graph.pagerank import DEFAULT_ALPHA
-from repro.serving.spec import DEFAULT_TOPK_BUDGET, QuerySpec
+from repro.serving.spec import DEFAULT_TOPK_BUDGET, QuerySpec, integer_field
 from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
 
 MAX_SERVED_TOUR_LENGTH = 12
@@ -300,7 +300,7 @@ class PPVFamily(QueryFamily):
             raise ValueError(
                 'family "ppv" does not take top_k; use family "top_k"'
             )
-        eta = int(request.get("eta", 2))
+        eta = integer_field("eta", request.get("eta", 2))
         if eta < 0:
             raise ValueError(f'"eta" must not be negative, got {eta}')
         conditions = [StopAfterIterations(eta)]
@@ -375,8 +375,10 @@ class TopKFamily(QueryFamily):
         return QuerySpec(
             _nodes_from_request(request),
             weights=request.get("weights"),
-            top_k=int(request["top_k"]),
-            top_k_budget=int(request.get("budget", DEFAULT_TOPK_BUDGET)),
+            top_k=integer_field("top_k", request["top_k"]),
+            top_k_budget=integer_field(
+                "budget", request.get("budget", DEFAULT_TOPK_BUDGET)
+            ),
         )
 
     def encode_result(self, spec: QuerySpec, result, top: int) -> dict:
@@ -413,9 +415,11 @@ class HittingFamily(QueryFamily):
             )
         if "target" not in params:
             raise ValueError('family "hitting" needs a "target" node')
-        target = int(params["target"])
+        target = integer_field("target", params["target"])
         beta = float(params.get("beta", DEFAULT_BETA))
-        max_levels = int(params.get("max_levels", 16))
+        max_levels = integer_field(
+            "max_levels", params.get("max_levels", 16)
+        )
         epsilon = float(params.get("epsilon", 1e-9))
         delta = float(params.get("delta", 0.0))
         if not 0.0 < beta < 1.0:
@@ -508,7 +512,9 @@ class ReachabilityFamily(QueryFamily):
                 f"unknown reachability parameter(s) {sorted(unknown)}; "
                 f"known: {list(self.PARAM_NAMES)}"
             )
-        max_length = int(params.get("max_length", DEFAULT_MAX_TOUR_LENGTH))
+        max_length = integer_field(
+            "max_length", params.get("max_length", DEFAULT_MAX_TOUR_LENGTH)
+        )
         alpha = float(params.get("alpha", DEFAULT_ALPHA))
         if not 0 <= max_length <= MAX_SERVED_TOUR_LENGTH:
             raise ValueError(

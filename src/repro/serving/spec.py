@@ -45,6 +45,15 @@ _BUILTIN_PPV_FAMILIES = ("ppv", "top_k")
 ``top_k``, and the only ones with no free-form ``params``."""
 
 
+def integer_field(name: str, value) -> int:
+    """``value`` of the request field ``name`` as an ``int``: only an
+    ``int`` (not a ``bool``) or a numpy integer is one; ``true``, ``5.0``
+    and ``"7"`` are a ``TypeError`` naming the field, never coerced."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f'"{name}" must be an integer, not {value!r}')
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """One serving request, independent of the backend that runs it.
@@ -106,10 +115,10 @@ class QuerySpec:
         params: dict | Sequence[tuple[str, object]] | None = None,
         trace: object | None = None,
     ) -> None:
-        if isinstance(nodes, (int, np.integer)):
-            node_tuple: tuple[int, ...] = (int(nodes),)
+        if isinstance(nodes, (str, bytes)) or not hasattr(nodes, "__iter__"):
+            node_tuple: tuple[int, ...] = (integer_field("node", nodes),)
         else:
-            node_tuple = tuple(int(n) for n in nodes)
+            node_tuple = tuple(integer_field("nodes", n) for n in nodes)
         if not node_tuple:
             raise ValueError("a QuerySpec needs at least one node")
         resolved_family = family or (

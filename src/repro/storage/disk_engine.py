@@ -67,11 +67,10 @@ is ``query_many([q])[0]``:
   loop both backends run — over that shared block (the lowering the
   in-memory engine holds for its whole index); each round is two products over
   the stacked, delta-gated frontiers, compiled like the pushes
-  (:mod:`repro.native`).  The products accumulate in the scalar loop's
-  exact operation order, so scores are **bitwise equal** to the per-hub
-  loop of :func:`repro.core.query.scalar_splice_rounds` run over the
-  same store (``tests/oracles.py`` pins that, together with the
-  historical per-edge drain loop).
+  (:mod:`repro.native`).  The products accumulate in the exact operation
+  order of the paper's per-hub loop, so scores are **bitwise equal** to
+  that loop run over the same store (``tests/oracles.py`` keeps it and
+  pins the equality, together with the historical per-edge drain loop).
 
 Per-query :class:`DiskQueryResult` accounting is *deterministic* I/O:
 ``cluster_faults`` counts the query's drain steps — the faults a
@@ -102,10 +101,12 @@ import numpy as np
 from repro import native
 from repro.core.query import (
     DEFAULT_DELTA,
+    BatchOfOne,
     QueryResult,
     QueryState,
     StopAfterIterations,
     StoppingCondition,
+    query_ids,
 )
 from repro.core.splice import SpliceBlock, concat_ranges, splice_rounds_exact
 from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
@@ -734,7 +735,7 @@ class DiskTopKResult:
     truncated: bool
 
 
-class DiskFastPPV:
+class DiskFastPPV(BatchOfOne):
     """FastPPV online processing against disk-resident graph and index.
 
     Serves batches, amortising cluster faults (cluster-grouped prime
@@ -758,7 +759,7 @@ class DiskFastPPV:
     max_iterations:
         Hard safety cap on incremental iterations regardless of the
         stopping condition, matching the in-memory engine's contract
-        (:class:`~repro.core.query.FastPPV`, default 64).
+        (:class:`~repro.core.batch.FastPPV`, default 64).
     """
 
     def __init__(
@@ -842,24 +843,6 @@ class DiskFastPPV:
         held = [c for c in needs if self.graph_store.is_resident(c)]
         return max(held or needs, key=lambda c: (len(needs[c]), -c))
 
-    def query(
-        self,
-        query: int,
-        stop: StoppingCondition | None = None,
-        on_iteration: Callable[[QueryState], None] | None = None,
-    ) -> DiskQueryResult:
-        """Estimate the PPV of ``query``: the batch of one.
-
-        ``on_iteration`` follows the in-memory engine's contract: invoked
-        with the :class:`~repro.core.query.QueryState` after every
-        executed splice iteration (iteration 0 included) — note the prime
-        push that *builds* iteration 0 is not observable step by step.
-        """
-        callback = None
-        if on_iteration is not None:
-            callback = lambda _position, state: on_iteration(state)
-        return self.query_many([query], stop=stop, on_iteration=callback)[0]
-
     def query_many(
         self,
         queries: Sequence[int],
@@ -876,12 +859,10 @@ class DiskFastPPV:
         here too) and must be stateless.  ``on_iteration`` mirrors the
         in-memory batch engine's :data:`~repro.core.batch.BatchCallback`
         contract: invoked as ``on_iteration(position, state)`` once per
-        executed iteration per query, iteration 0 included.
+        executed iteration per query, iteration 0 included (the prime
+        push that *builds* iteration 0 is not observable step by step).
         """
-        ids = [int(q) for q in queries]
-        for q in ids:
-            if not 0 <= q < self.graph_store.num_nodes:
-                raise ValueError(f"query node {q} out of range")
+        ids = query_ids(queries, self.graph_store.num_nodes)
         if stop is None:
             stop = StopAfterIterations(2)
         started = time.perf_counter()

@@ -1,12 +1,21 @@
-"""Executable specifications the disk engine is pinned against.
+"""Executable specifications the engines are pinned against.
+
+``scalar_splice_rounds`` is Algorithm 2's incremental rounds as the
+paper states them: one dict frontier per query, one hub at a time.
+``reference_query`` is ``FastPPV.query`` as it stood when it ran that
+loop over ``index.get`` after a per-query ``prime_ppv`` push, and
+``ReferenceFastPPV`` is a ``FastPPV`` whose ``query`` is that function
+(so ``query_top_k`` and ``multi_node_ppv`` run on it too).
+``repro.core.batch.FastPPV`` answers a query as a batch of one through
+``repro.core.splice.splice_rounds_exact``; it must equal
+``reference_query`` in every field, bit for bit.
 
 ``repro.storage.disk_engine.DiskFastPPV`` serves every query through two
 vectorised kernels: the cluster-draining push with deferred score
 flushes (``_PrimePushRun.drain``) and the order-preserving splice rounds
 of ``repro.core.splice.splice_rounds_exact``.  The loops they replaced
-live here, as oracles: the historical per-edge drain and the per-hub
-scalar splice loop (``repro.core.query.scalar_splice_rounds``, the same
-loop ``FastPPV.query`` runs) fed one ``ppv_store.get`` at a time.  The
+live here, as oracles: the historical per-edge drain and
+``scalar_splice_rounds`` fed one ``ppv_store.get`` at a time.  The
 equivalence suite requires bitwise-equal results.
 
 ``DemandOnlyDiskFastPPV`` is the engine with the batch wave rule it had
@@ -46,17 +55,146 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.batch import FastPPV
 from repro.core.hitting import DEFAULT_BETA, HittingEstimate
+from repro.core.prime import prime_ppv
 from repro.core.query import (
     DEFAULT_DELTA,
     QueryResult,
+    QueryState,
     StopAfterIterations,
-    scalar_splice_rounds,
 )
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
 from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult, _PrimePushRun
+
+
+def scalar_splice_rounds(
+    estimate,
+    frontier,
+    stop,
+    alpha,
+    delta,
+    max_iterations,
+    fetch,
+    started,
+    on_iteration=None,
+):
+    """Algorithm 2's incremental rounds for one query, hub by hub.
+
+    ``estimate`` (iteration 0 already applied) is mutated in place,
+    ``frontier`` maps border hubs to arrival masses, and ``fetch``
+    resolves a hub to its prime PPV — ``index.get`` for
+    :func:`reference_query`, a store's ``get`` for
+    :func:`reference_disk_query`.  ``on_iteration`` is invoked with the
+    ``QueryState`` once per executed iteration, iteration 0 included.
+
+    Returns ``(iterations, error_history, hubs_expanded, work_units)``
+    where ``work_units`` counts the index entries the splices touched.
+    """
+    error_history = [1.0 - float(estimate.sum())]
+    hubs_expanded = 0
+    iteration = 0
+    work_units = 0
+
+    def current_state():
+        return QueryState(
+            iteration=iteration,
+            l1_error=error_history[-1],
+            elapsed_seconds=time.perf_counter() - started,
+            frontier_size=len(frontier),
+            scores=estimate,
+        )
+
+    if on_iteration is not None:
+        on_iteration(current_state())
+
+    while (
+        frontier
+        and iteration < max_iterations
+        and not stop.should_stop(current_state())
+    ):
+        iteration += 1
+        next_frontier = {}
+        for hub, mass in frontier.items():
+            if alpha * mass <= delta:
+                continue
+            entry = fetch(hub)
+            estimate[entry.nodes] += mass * entry.scores
+            # Remove the zero-length "trivial tour" inside r^0_hub(hub):
+            # the tour that merely *arrives* at the hub was already
+            # scored by the previous increment (repro.core.query).
+            estimate[hub] -= alpha * mass
+            hubs_expanded += 1
+            work_units += entry.nodes.size + entry.border_hubs.size
+            for border, border_mass in zip(
+                entry.border_hubs.tolist(), entry.border_masses.tolist()
+            ):
+                next_frontier[border] = (
+                    next_frontier.get(border, 0.0) + mass * border_mass
+                )
+        frontier = next_frontier
+        error_history.append(1.0 - float(estimate.sum()))
+        if on_iteration is not None:
+            on_iteration(current_state())
+    return iteration, error_history, hubs_expanded, work_units
+
+
+def reference_query(engine, query, stop=None, on_iteration=None):
+    """One in-memory query by the scalar statement of Algorithm 2.
+
+    Reads only ``engine``'s configuration (``graph``, ``index``,
+    ``delta``, ``max_iterations``, ``online_epsilon``): iteration 0 is
+    the hub's stored prime PPV or a ``prime_ppv`` push, the rounds are
+    :func:`scalar_splice_rounds` over ``index.get``.
+    """
+    graph, index = engine.graph, engine.index
+    if not 0 <= query < graph.num_nodes:
+        raise ValueError(f"query node {query} out of range")
+    if stop is None:
+        stop = StopAfterIterations(2)
+    started = time.perf_counter()
+    if query in index:
+        base = index.get(query)
+    else:
+        base = prime_ppv(
+            graph,
+            query,
+            index.hub_mask,
+            alpha=index.alpha,
+            epsilon=engine.online_epsilon,
+        )
+    estimate = base.to_dense(graph.num_nodes)
+    frontier = dict(zip(base.border_hubs.tolist(), base.border_masses.tolist()))
+    iterations, error_history, hubs_expanded, work_units = scalar_splice_rounds(
+        estimate,
+        frontier,
+        stop,
+        index.alpha,
+        engine.delta,
+        engine.max_iterations,
+        index.get,
+        started,
+        on_iteration=on_iteration,
+    )
+    if query not in index:
+        work_units += base.edges_touched
+    return QueryResult(
+        query=query,
+        scores=estimate,
+        iterations=iterations,
+        error_history=error_history,
+        hubs_expanded=hubs_expanded,
+        seconds=time.perf_counter() - started,
+        work_units=work_units,
+    )
+
+
+class ReferenceFastPPV(FastPPV):
+    """A ``FastPPV`` whose ``query`` is :func:`reference_query`."""
+
+    query = reference_query
 
 
 class DemandOnlyDiskFastPPV(DiskFastPPV):

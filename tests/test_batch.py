@@ -1,13 +1,14 @@
-"""Batch engine: equivalence with the scalar engine, edge cases,
-parallel builds, and the per-query callback contract."""
+"""Batch engine: equivalence with the scalar statement of Algorithm 2
+(``oracles.reference_query``), edge cases, parallel builds, and the
+per-query callback contract."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import ReferenceFastPPV
 
 from repro import (
-    BatchFastPPV,
     FastPPV,
     StopAfterIterations,
     StopAtL1Error,
@@ -73,8 +74,8 @@ def _graph_zoo():
 def _engines(graph, num_hubs=25, delta=1e-4, **kwargs):
     hubs = select_hubs(graph, num_hubs=num_hubs)
     index = build_index(graph, hubs)
-    scalar = FastPPV(graph, index, delta=delta, **kwargs)
-    batch = BatchFastPPV(graph, index, delta=delta, **kwargs)
+    scalar = ReferenceFastPPV(graph, index, delta=delta, **kwargs)
+    batch = FastPPV(graph, index, delta=delta, **kwargs)
     return index, scalar, batch
 
 
@@ -119,9 +120,9 @@ class TestEquivalence:
 
     def test_fastppv_batch_engine_matches_scalar(self, small_social,
                                                  small_social_index):
-        engine = FastPPV(small_social, small_social_index, delta=1e-4)
+        engine = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         stop = StopAfterIterations(2)
-        batch = BatchFastPPV(small_social, small_social_index, delta=1e-4)
+        batch = FastPPV(small_social, small_social_index, delta=1e-4)
         results = batch.query_many([9, 4, 4, 17], stop=stop)
         assert [r.query for r in results] == [9, 4, 4, 17]
         for query, result in zip([9, 4, 4, 17], results):
@@ -130,8 +131,8 @@ class TestEquivalence:
 
     def test_default_delta_and_default_stop(self, small_social,
                                             small_social_index):
-        scalar = FastPPV(small_social, small_social_index)
-        batch = BatchFastPPV(small_social, small_social_index)
+        scalar = ReferenceFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         assert batch.delta == DEFAULT_DELTA
         for query, result in zip([2, 8], batch.query_many([2, 8])):
             assert_equivalent(scalar.query(query), result, bitwise=False)
@@ -158,20 +159,20 @@ class TestEquivalence:
 
 class TestEdgeCases:
     def test_empty_batch(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         assert batch.query_many([]) == []
 
     def test_hub_query_in_batch(self, small_social, small_social_index):
         hub = int(small_social_index.hubs[0])
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
-        batch = BatchFastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
+        batch = FastPPV(small_social, small_social_index, delta=1e-4)
         (result,) = batch.query_many([hub], stop=StopAfterIterations(2))
         assert_equivalent(scalar.query(hub, stop=StopAfterIterations(2)), result)
         # A hub's iteration 0 loads from the index: no push work.
         assert result.work_units >= 0
 
     def test_duplicate_query_ids(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         results = batch.query_many([6, 6, 6], stop=StopAfterIterations(1))
         assert [r.query for r in results] == [6, 6, 6]
         np.testing.assert_array_equal(results[0].scores, results[1].scores)
@@ -188,8 +189,8 @@ class TestEdgeCases:
             graph.add_edge(src, dst)
         graph = graph.build()
         index = build_index(graph, [0, 2])
-        scalar = FastPPV(graph, index)
-        batch = BatchFastPPV(graph, index)
+        scalar = ReferenceFastPPV(graph, index)
+        batch = FastPPV(graph, index)
         (result,) = batch.query_many([4], stop=StopAfterIterations(5))
         assert_equivalent(scalar.query(4, stop=StopAfterIterations(5)), result)
         assert result.iterations == 0
@@ -200,8 +201,8 @@ class TestEdgeCases:
         # A delta above alpha gates every frontier entry: iteration 1
         # still runs (and is recorded) but expands nothing, emptying the
         # frontier and ending the query.
-        scalar = FastPPV(small_social, small_social_index, delta=1.0)
-        batch = BatchFastPPV(small_social, small_social_index, delta=1.0)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1.0)
+        batch = FastPPV(small_social, small_social_index, delta=1.0)
         stop = StopAfterIterations(4)
         (result,) = batch.query_many([3], stop=stop)
         assert_equivalent(scalar.query(3, stop=stop), result)
@@ -238,8 +239,8 @@ class TestEdgeCases:
 
     def test_chunked_batches(self, small_social, small_social_index):
         # A chunk size smaller than the batch must not change results.
-        full = BatchFastPPV(small_social, small_social_index)
-        chunked = BatchFastPPV(
+        full = FastPPV(small_social, small_social_index)
+        chunked = FastPPV(
             small_social, small_social_index, chunk_size=3
         )
         queries = list(range(10))
@@ -249,9 +250,22 @@ class TestEdgeCases:
 
     def test_out_of_range_query_rejected(self, small_social,
                                          small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         with pytest.raises(ValueError):
             batch.query_many([small_social.num_nodes])
+
+    def test_non_integer_query_rejected(self, small_social,
+                                        small_social_index):
+        # A non-integer id is refused, not truncated; numpy integers pass.
+        engine = FastPPV(small_social, small_social_index)
+        with pytest.raises(TypeError):
+            engine.query_many([3.7])
+        with pytest.raises(TypeError):
+            engine.query(3.7)
+        with pytest.raises(TypeError):
+            engine.query_many(["3"])
+        (result,) = engine.query_many([np.int64(3)])
+        assert result.query == 3 and type(result.query) is int
 
 
 class TestSpliceMatrix:
@@ -312,7 +326,10 @@ class TestSpliceMatrix:
         assert stale.scores.tobytes() == served.scores.tobytes()
         assert fresh.scores.tobytes() != served.scores.tobytes()
         assert_equivalent(
-            FastPPV(small_social, index, delta=0.0).query(query, stop=stop), fresh
+            ReferenceFastPPV(small_social, index, delta=0.0).query(
+                query, stop=stop
+            ),
+            fresh,
         )
 
     def test_rows_of_empty_input(self, small_social_index):
@@ -363,8 +380,7 @@ class TestRoutingAndChunking:
         results = engine.query_batch([3, 8], stop=stop)
         # Per-query scalar semantics: each is the batch of one, which
         # is the scalar loop bit for bit.
-        assert engine._scalar is engine._batch
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         for query, result in zip([3, 8], results):
             assert_equivalent(scalar.query(query, stop=stop), result)
 
@@ -376,7 +392,7 @@ class TestRoutingAndChunking:
         from repro.serving.engines import MemoryEngine
 
         with pytest.raises(TypeError):
-            BatchFastPPV(small_social, small_social_index, cache_size=8)
+            FastPPV(small_social, small_social_index, cache_size=8)
         with pytest.raises(TypeError):
             MemoryEngine(small_social, small_social_index, chunk_size=4)
         with pytest.raises(TypeError):
@@ -388,13 +404,13 @@ class TestRoutingAndChunking:
 
     def test_default_chunk_size_is_graph_aware(self, small_social,
                                                small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         assert 16 <= batch.chunk_size <= 512
 
 
 class TestCallbackContract:
     def test_invocation_counts(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index, delta=1e-4)
+        batch = FastPPV(small_social, small_social_index, delta=1e-4)
         calls: dict[int, list[QueryState]] = {}
         queries = [4, 9, 9]
         results = batch.query_many(
@@ -417,13 +433,13 @@ class TestCallbackContract:
 
     def test_callback_counts_match_scalar_engine(self, small_social,
                                                  small_social_index):
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         scalar_calls: list[QueryState] = []
         scalar.query(
             7, stop=StopAfterIterations(2), on_iteration=scalar_calls.append
         )
         batch_calls: list[QueryState] = []
-        BatchFastPPV(small_social, small_social_index, delta=1e-4).query_many(
+        FastPPV(small_social, small_social_index, delta=1e-4).query_many(
             [7],
             stop=StopAfterIterations(2),
             on_iteration=lambda _position, state: batch_calls.append(state),
@@ -434,7 +450,7 @@ class TestCallbackContract:
         ]
 
     def test_single_query_callback(self, small_social, small_social_index):
-        batch = BatchFastPPV(small_social, small_social_index)
+        batch = FastPPV(small_social, small_social_index)
         states: list[QueryState] = []
         result = batch.query(11, stop=StopAfterIterations(1),
                              on_iteration=states.append)

@@ -124,6 +124,14 @@ class TestEquality:
             with pytest.raises(ValueError):
                 batch.query_many([10**6])
 
+    def test_non_integer_rejected(self, disk_batch_setup, small_social):
+        _, ppv_store, batch = _fresh_engine(
+            small_social, disk_batch_setup, "integer"
+        )
+        with ppv_store:
+            with pytest.raises(TypeError):
+                batch.query_many([3.7])
+
     def test_query_is_the_batch_of_one(self, disk_batch_setup, small_social):
         _, ppv_store, engine = _fresh_engine(
             small_social, disk_batch_setup, "deleg", delta=0.0
@@ -263,8 +271,7 @@ class TestKernels:
         )
         with ppv_store:
             with PPVService.open(engine) as service:
-                assert service.engine._scalar.max_iterations == 7
-                assert service.engine._batch.max_iterations == 7
+                assert service.engine._engine.max_iterations == 7
 
     def test_batch_on_iteration_counts(self, disk_batch_setup,
                                        small_social):

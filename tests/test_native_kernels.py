@@ -47,6 +47,8 @@ from oracles import (
     ReferencePrimePushRun,
     reference_block_csr,
     reference_disk_query,
+    reference_query,
+    scalar_splice_rounds,
     sharded_over,
 )
 from test_disk_drain import (
@@ -64,7 +66,6 @@ from test_disk_drain import (
 
 import repro
 from repro import (
-    BatchFastPPV,
     FastPPV,
     StopAfterIterations,
     StopAtL1Error,
@@ -76,7 +77,6 @@ from repro import (
 from repro.core import prime
 from repro.core.index import clip_prime_ppv
 from repro.core.prime import PrimePPV
-from repro.core.query import scalar_splice_rounds
 from repro.core.splice import HubRows, SpliceBlock, resident_block, splice_rounds_exact
 from repro.core.topk import StopWhenCertified
 from repro.graph.digraph import DiGraph
@@ -1257,7 +1257,7 @@ def test_hypothesis_add_rows_is_the_per_hub_lowering(case, compiled):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(deployments())
 def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
-    # Both backends, both selections: memory against FastPPV.query, disk
+    # Both backends, both selections: memory against reference_query, disk
     # against the oracle loops of oracles.py.
     num_nodes, edges, labels, hubs, batch, memory_budget, fault_budget, backend = (
         deployment
@@ -1275,14 +1275,14 @@ def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
                 with pytest.MonkeyPatch.context() as patch:
                     if not compiled:
                         patch.setattr(native, "_loaded", [None])
-                    memory = BatchFastPPV(graph, index, delta=0.0)
+                    memory = FastPPV(graph, index, delta=0.0)
                     disk = DiskFastPPV(
                         _open(backend, root / "c", memory_budget), ppv_store,
                         delta=0.0, fault_budget=fault_budget,
                     )
                     for query in batch:
                         got = memory.query(query, stop=stop)
-                        want = FastPPV(graph, index, delta=0.0).query(query, stop=stop)
+                        want = reference_query(memory, query, stop=stop)
                         assert got.scores.tobytes() == want.scores.tobytes()
                         assert got.error_history == want.error_history
                         assert (got.iterations, got.hubs_expanded, got.work_units) == (

@@ -4,11 +4,23 @@ import time
 
 import numpy as np
 import pytest
+from oracles import reference_query, scalar_splice_rounds
 
-from repro import FastPPV, StopAfterIterations, StopAfterTime, StopAtL1Error, any_of
+from repro import (
+    FastPPV,
+    StopAfterIterations,
+    StopAfterTime,
+    StopAtL1Error,
+    any_of,
+    native,
+    select_hubs,
+    social_graph,
+)
 from repro.core.exact import exact_ppv, exact_ppv_dense_solve
 from repro.core.index import build_index
-from repro.core.query import QueryState, scalar_splice_rounds
+from repro.graph.build import GraphBuilder
+from repro.graph.generators import erdos_renyi_graph
+from repro.core.query import QueryState
 from repro.core.reachability import brute_force_increment
 from tests.conftest import A, ALPHA, FIG3_HUBS
 
@@ -237,9 +249,145 @@ class TestScalarSpliceRounds:
             index.get(h).nodes.size + index.get(h).border_hubs.size
             for h in gated
         )
-        # FastPPV.query is this loop over index.get.
+        # FastPPV.query equals this loop over index.get, bit for bit.
         reference = FastPPV(small_social, index, delta=delta).query(
             hub, stop=StopAfterIterations(1)
         )
         np.testing.assert_array_equal(estimate, reference.scores)
         assert errors == reference.error_history
+
+
+def _with_sinks(graph, extra: int = 3):
+    """``graph`` plus ``extra`` zero-out-degree nodes fed by node 0."""
+    builder = GraphBuilder(num_nodes=graph.num_nodes + extra)
+    for src in range(graph.num_nodes):
+        for dst in graph.out_neighbors(src).tolist():
+            builder.add_edge(src, dst)
+    for sink in range(graph.num_nodes, graph.num_nodes + extra):
+        builder.add_edge(0, sink)
+    return builder.build()
+
+
+def _setup(kind: str):
+    """A graph with zero-out-degree nodes, its index, and seeded queries:
+    hubs, pushed non-hubs and every sink."""
+    if kind == "social":
+        graph = _with_sinks(social_graph(num_nodes=160, edges_per_node=3, seed=4))
+    else:
+        graph = _with_sinks(erdos_renyi_graph(150, 2.0 / 150, seed=8))
+    index = build_index(graph, select_hubs(graph, num_hubs=18))
+    sinks = np.nonzero(np.diff(graph.indptr) == 0)[0]
+    non_hubs = np.nonzero(~index.hub_mask)[0]
+    rng = np.random.default_rng(11)
+    queries = (
+        index.hubs[:3].tolist()
+        + rng.choice(non_hubs, size=5, replace=False).tolist()
+        + sinks.tolist()
+    )
+    return graph, index, queries
+
+
+class _CountingStop:
+    """A stateful user condition: stops on its ``limit``-th consultation,
+    logging every state it is shown."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.seen: list = []
+
+    def should_stop(self, state) -> bool:
+        self.seen.append(_observed(state))
+        return len(self.seen) >= self.limit
+
+
+def _observed(state):
+    """Everything of a ``QueryState`` but the clock, as comparable values."""
+    return (
+        state.iteration,
+        state.l1_error,
+        state.frontier_size,
+        state.scores.tobytes(),
+    )
+
+
+STOP_FACTORIES = [
+    lambda: StopAfterIterations(0),
+    lambda: StopAfterIterations(2),
+    lambda: StopAfterIterations(6),
+    lambda: StopAtL1Error(0.02),
+    lambda: any_of(StopAfterIterations(3), StopAtL1Error(0.05)),
+    lambda: StopAfterTime(1e9),
+    lambda: _CountingStop(3),
+]
+
+SELECTIONS = [
+    pytest.param(
+        True,
+        id="native",
+        marks=pytest.mark.skipif(
+            native.load() is None, reason="compiled kernels unavailable"
+        ),
+    ),
+    pytest.param(False, id="numpy"),
+]
+
+
+def _outcome(run, query, stop):
+    """A query's every field, the states ``on_iteration`` saw and, for a
+    stateful condition, the states it was consulted with."""
+    states = []
+    result = run(
+        query, stop=stop, on_iteration=lambda s: states.append(_observed(s))
+    )
+    return (
+        result.query,
+        result.scores.tobytes(),
+        result.iterations,
+        result.error_history,
+        result.hubs_expanded,
+        result.work_units,
+        states,
+        getattr(stop, "seen", None),
+    )
+
+
+class TestBatchOfOneIsTheReference:
+    """``FastPPV.query`` — the batch of one — is the scalar statement of
+    Algorithm 2 (``oracles.reference_query``) in every field, bit for
+    bit, under either kernel selection."""
+
+    @pytest.mark.parametrize("compiled", SELECTIONS)
+    @pytest.mark.parametrize("kind", ["social", "er"])
+    def test_every_field_matches(self, compiled, kind, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(native, "_loaded", [None])
+        graph, index, queries = _setup(kind)
+        checked = 0
+        for delta in (0.0, 1e-4, 5e-3):
+            for max_iterations in (64, 4):
+                engine = FastPPV(
+                    graph, index, delta=delta, max_iterations=max_iterations
+                )
+                for make_stop in STOP_FACTORIES:
+                    for query in queries:
+                        got = _outcome(engine.query, query, make_stop())
+                        want = _outcome(
+                            lambda *a, **k: reference_query(engine, *a, **k),
+                            query,
+                            make_stop(),
+                        )
+                        assert got == want, (delta, max_iterations, query)
+                        checked += 1
+        assert checked == 6 * len(STOP_FACTORIES) * len(queries)
+
+    def test_caps_and_stateful_stops_take_effect(self):
+        # The cases above are not vacuous: the cap binds, the stateful
+        # condition ends a query early, and sinks never iterate.
+        graph, index, queries = _setup("social")
+        engine = FastPPV(graph, index, delta=0.0, max_iterations=4)
+        capped = engine.query(queries[3], stop=StopAfterTime(1e9))
+        assert capped.iterations == 4
+        counted = engine.query(queries[3], stop=_CountingStop(3))
+        assert counted.iterations == 2
+        sink = engine.query(queries[-1], stop=StopAfterIterations(5))
+        assert sink.iterations == 0 and sink.work_units == 0

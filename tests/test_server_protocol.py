@@ -15,6 +15,7 @@ from repro.core.query import (
 )
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
+from repro.serving.families import resolve_family
 from repro.serving.spec import DEFAULT_TOPK_BUDGET, QuerySpec
 
 
@@ -158,12 +159,64 @@ class TestSpecFromRequest:
             {"node": 1, "top_k": 0},
             {"node": 1, "top_k": 5, "budget": -1},
             {"nodes": [1, 2], "weights": [1, -2]},
+            # Integers only: no bool, string, or float stands in for one.
+            {"node": True},
+            {"node": "7"},
+            {"nodes": [5.5, 6]},
+            {"node": 5.9},
+            {"node": 5.0},
+            {"node": 1, "eta": 2.5},
+            {"node": 1, "top": True},
         ],
     )
     def test_invalid_requests(self, request_body):
         with pytest.raises(ProtocolError) as excinfo:
             protocol.spec_from_request(request_body)
+            protocol.top_from_request(request_body, 10)
         assert excinfo.value.code == protocol.E_INVALID
+
+    @pytest.mark.parametrize(
+        "request_body,field,value",
+        [
+            ({"node": True}, "node", True),
+            ({"node": "7"}, "node", "7"),
+            ({"node": 5.0}, "node", 5.0),
+            ({"nodes": [6, 5.5]}, "nodes", 5.5),
+            ({"node": 1, "eta": 2.5}, "eta", 2.5),
+            ({"node": 1, "top_k": True}, "top_k", True),
+            ({"node": 1, "top_k": 3, "budget": "4"}, "budget", "4"),
+            ({"node": 1, "top": 3.0}, "top", 3.0),
+            ({"node": 1, "family": "hitting", "target": True}, "target", True),
+            (
+                {"node": 1, "family": "hitting", "target": 2,
+                 "max_levels": 4.5},
+                "max_levels",
+                4.5,
+            ),
+            (
+                {"node": 1, "family": "reachability", "max_length": "3"},
+                "max_length",
+                "3",
+            ),
+        ],
+    )
+    def test_integer_fields_name_the_field(self, request_body, field, value):
+        # Each is refused where it is decoded: at parse time, or (the
+        # hitting / reachability parameters) when the family validates
+        # the spec; a TypeError there is "invalid" on the wire too.
+        with pytest.raises((ProtocolError, TypeError)) as excinfo:
+            spec = protocol.spec_from_request(request_body)
+            protocol.top_from_request(request_body, 10)
+            resolve_family(spec.family).validate(spec, None)
+        assert protocol.error_code(excinfo.value) == protocol.E_INVALID
+        assert str(excinfo.value) == (
+            f'"{field}" must be an integer, not {value!r}'
+        )
+
+    def test_numpy_integers_are_integers(self):
+        spec = QuerySpec(np.int64(3))
+        assert spec.nodes == (3,) and type(spec.nodes[0]) is int
+        assert QuerySpec(np.array([4, 5])).nodes == (4, 5)
 
 
 class TestRendering:

@@ -8,9 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from oracles import ReferenceFastPPV
 
 from repro import (
-    BatchFastPPV,
     FastPPV,
     PPVService,
     QuerySpec,
@@ -74,8 +74,7 @@ class TestOpenAndRegistry:
         with PPVService.open(engine) as service:
             assert service.engine.backend == "memory"
             # Engine parameters carry over into the adapter.
-            assert service.engine._scalar is service.engine._batch
-            assert service.engine._batch.delta == 1e-3
+            assert service.engine._engine.delta == 1e-3
 
     def test_auto_detects_disk(self, disk_setup):
         root, graph, assignment, index_path = disk_setup
@@ -139,7 +138,7 @@ class TestMemoryEquivalence:
             served = memory_service.query_many(
                 [QuerySpec(n, stop=stop) for n in nodes]
             )
-            direct = BatchFastPPV(
+            direct = FastPPV(
                 small_social, small_social_index, delta=1e-4
             ).query_many(nodes, stop=stop)
             for a, b in zip(served, direct):
@@ -156,7 +155,7 @@ class TestMemoryEquivalence:
             served = service.query_many(
                 [QuerySpec(n, top_k=5, top_k_budget=30) for n in nodes]
             )
-        direct = BatchFastPPV(
+        direct = FastPPV(
             small_social, certifiable_index, delta=0.0
         ).query_top_k_many(nodes, k=5, max_iterations=30)
         assert any(r.certified for r in served)
@@ -170,7 +169,7 @@ class TestMemoryEquivalence:
             self, small_social, small_social_index, memory_service):
         stop = any_of(StopAfterIterations(2), StopAfterTime(1e9))
         served = memory_service.query(QuerySpec(7, stop=stop))
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         reference = scalar.query(7, stop=stop)
         np.testing.assert_array_equal(served.scores, reference.scores)
         assert served.iterations == reference.iterations
@@ -303,7 +302,7 @@ class TestCoalescing:
         # Both clients' bursts shared scheduler drains...
         assert stats.largest_batch > 8
         # ... and every result still matches a dedicated scalar query.
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         for name, nodes in (("a", range(8)), ("b", range(20, 28))):
             for node, result in zip(nodes, outcome[name]):
                 reference = scalar.query(node, stop=STOP)
@@ -419,7 +418,7 @@ class TestStreaming:
                                                   small_social_index,
                                                   memory_service):
         snapshots = list(memory_service.stream(QuerySpec(7, stop=STOP)))
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         reference = scalar.query(7, stop=STOP)
         assert len(snapshots) == reference.iterations + 1
         assert [s.iteration for s in snapshots] == list(
@@ -586,7 +585,7 @@ class TestMultiNodeSpecs:
         served = memory_service.query(
             QuerySpec(nodes, weights=weights, stop=STOP)
         )
-        scalar = FastPPV(small_social, small_social_index, delta=1e-4)
+        scalar = ReferenceFastPPV(small_social, small_social_index, delta=1e-4)
         reference = multi_node_ppv(
             scalar, list(nodes), weights=list(weights), stop=STOP
         )

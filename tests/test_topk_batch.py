@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import ReferenceFastPPV
 
 from repro import (
-    BatchFastPPV,
     FastPPV,
     StopAfterIterations,
     StopWhenCertified,
@@ -38,8 +38,8 @@ def _setup(kind: str, graph_seed: int, delta: float):
     hubs = select_hubs(graph, num_hubs=20)
     # clip=0 keeps full prime PPVs so tight certificates stay reachable.
     index = build_index(graph, hubs, clip=0.0)
-    scalar = FastPPV(graph, index, delta=delta)
-    batch = BatchFastPPV(graph, index, delta=delta)
+    scalar = ReferenceFastPPV(graph, index, delta=delta)
+    batch = FastPPV(graph, index, delta=delta)
     return graph, index, scalar, batch
 
 
