@@ -34,8 +34,9 @@ replies come in completion order, correlated by ``id``), or over the
 network with ``--tcp HOST:PORT`` (``--workers N`` pre-forks N serving
 processes sharing the port, ``--shards`` / ``--shard-map`` front a shard
 fleet); both speak every verb of :mod:`repro.server.protocol`.  A
-missing file or an unusable value ends any subcommand
-with ``error: ...`` on stderr and exit status 2 (:func:`main`).
+missing file, an unusable value or compiled kernels that cannot be
+built (:mod:`repro.native`) end any subcommand with ``error: ...`` on
+stderr and exit status 2 (:func:`main`).
 
 Graphs travel as whitespace edge lists (the SNAP convention), indexes as
 the binary ``.fppv`` format of :mod:`repro.storage.ppv_store`.
@@ -52,6 +53,7 @@ import time
 from contextlib import contextmanager
 from typing import Sequence
 
+from repro import native
 from repro.core.autotune import autotune_hub_count
 from repro.core.hubs import HubPolicy, select_hubs
 from repro.core.index import build_index
@@ -1010,13 +1012,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     The one error boundary: a missing file or an unusable value, raised
     anywhere below as ``FileNotFoundError`` / ``ValueError`` (the two
-    the wire calls ``invalid``), is reported as ``error: ...`` on
-    stderr with exit status 2 instead of a traceback.
+    the wire calls ``invalid``), and compiled kernels that cannot be
+    built (:class:`repro.native.Unavailable`, raised when an engine is
+    constructed, before anything is served) are reported as
+    ``error: ...`` on stderr with exit status 2 instead of a traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as error:
+    except (FileNotFoundError, ValueError, native.Unavailable) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.index import PPVIndex
 from repro.core.query import (
     DEFAULT_DELTA,
@@ -144,6 +145,7 @@ class FastPPV(BatchOfOne):
             )
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        native.load()  # refuse here, before serving, when the kernels cannot load
         self.graph = graph
         self.index = index
         self.delta = delta

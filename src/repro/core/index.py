@@ -148,7 +148,7 @@ def _build_chunk(
         # and with a compiled build the whole `disk_inproc_burst` set-up
         # is 0.22-0.26 s; 2 of 25 such runs died without a result.
         # Flip this flag when the ledger's window rule is fixed
-        # (ROADMAP item 2).
+        # (ROADMAP item 1(a)).
         entry = clip_prime_ppv(
             prime_ppv(
                 graph, int(hub), hub_mask, alpha=alpha, epsilon=epsilon,

@@ -211,15 +211,15 @@ def prime_push_many(
     to floating-point round-off (~1e-16 relative) rather than bitwise —
     well inside the batch engine's 1e-12 equivalence contract.
 
-    The rounds run in the compiled kernel of :mod:`repro.native` when one
-    is loaded, in numpy (:func:`_push_rounds_numpy`) otherwise.  The two
-    are one schedule — same rounds, same aggregation rule chosen by the
-    same predicate, same order inside every sum — and return identical
-    bytes for identical arguments (``tests/test_native_kernels.py``); the
-    round-off note above is about batch composition, not about which of
-    the two ran.  ``_numpy_rounds`` is not a switch (the one switch is
-    ``REPRO_NATIVE``): it exists for the offline build alone — see
-    :func:`repro.core.index._build_chunk` for why.
+    The rounds run in the compiled kernel of :mod:`repro.native`.
+    ``_numpy_rounds`` runs them in numpy instead
+    (:func:`_push_rounds_numpy`): one schedule — same rounds, same
+    aggregation rule chosen by the same predicate, same order inside
+    every sum — and identical bytes for identical arguments
+    (``tests/test_native_kernels.py``); the round-off note above is
+    about batch composition, not about which of the two ran.  It is the
+    caller's choice, not a selection: only the offline build makes it,
+    see :func:`repro.core.index._build_chunk` for why.
 
     Returns
     -------
@@ -243,13 +243,12 @@ def prime_push_many(
     if num_sources == 0:
         return scores, border, edges_touched
     max_rounds = _max_rounds(alpha, epsilon)
-    lib = None if _numpy_rounds else native.load()
-    if lib is None:
+    if _numpy_rounds:
         _push_rounds_numpy(
             graph, sources, hub_mask, alpha, epsilon, max_rounds,
             scores, border, edges_touched,
         )
-    elif lib.repro_prime_push_many(
+    elif native.load().repro_prime_push_many(
         n, graph.indptr, graph.indices, graph.edge_probabilities,
         num_sources, np.ascontiguousarray(sources),
         np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
@@ -272,7 +271,7 @@ def _push_rounds_numpy(
     edges_touched: np.ndarray,
 ) -> None:
     """:func:`prime_push_many`'s rounds in numpy, into the zeroed
-    outputs: the fallback without a compiler, and the oracle
+    outputs: the offline build's ``_numpy_rounds``, and the oracle
     ``kernels.c``'s ``repro_prime_push_many`` is pinned against."""
     n = graph.num_nodes
     num_sources = sources.size

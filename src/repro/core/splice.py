@@ -25,8 +25,7 @@ payloads:
   :meth:`SpliceBlock.border_product` — whose per-element accumulation
   order is exactly the scalar loop's, so scores, error histories and
   frontiers are **bitwise equal** to it on every backend.  Both run in the
-  compiled kernels of :mod:`repro.native` when those are loaded and in
-  numpy otherwise: one schedule, identical bytes
+  compiled kernels of :mod:`repro.native`
   (``tests/test_native_kernels.py``).
 
 Indexes are treated as immutable once queried —
@@ -295,21 +294,6 @@ class SpliceBlock:
             f"[0, {self.num_nodes})"
         )
 
-    def _take(self, matrix: _GrowableRows, rows: np.ndarray) -> tuple:
-        """``(columns, values, lengths)`` of ``rows`` of ``matrix``,
-        concatenated in the given (possibly repeated) order: the numpy
-        products' operand, refused where the compiled ones refuse it."""
-        indptr, indices, data = matrix.csr()
-        lens = indptr[rows + 1] - indptr[rows]
-        take = concat_ranges(indptr[rows], lens)
-        if take.size == 0:
-            return _EMPTY_I64, _EMPTY_F64, lens
-        columns = indices[take]
-        if columns.min() < 0 or columns.max() >= self.num_nodes:
-            bad = np.nonzero((columns < 0) | (columns >= self.num_nodes))[0][0]
-            self._refuse(rows[np.searchsorted(np.cumsum(lens), bad, side="right")])
-        return columns, data[take], lens
-
     def work_of(self, rows: np.ndarray) -> np.ndarray:
         """Per row, the work units of one splice: the prime PPV's
         ``nodes.size + border_hubs.size`` (the score row's trailing
@@ -332,16 +316,7 @@ class SpliceBlock:
         ``estimate[nodes] += m * scores; estimate[hub] -= alpha * m`` per
         pair.  Raises :class:`ValueError`, writing nothing past it, on a
         column outside ``[0, num_nodes)``."""
-        lib = native.load()
-        if lib is None:
-            columns, values, lens = self._take(self._scores, rows)
-            np.add.at(
-                dest,
-                np.repeat(offsets, lens) + columns,
-                np.repeat(masses, lens) * values,
-            )
-            return
-        bad = lib.repro_splice_scores(
+        bad = native.load().repro_splice_scores(
             self.num_nodes, rows.size, rows, masses, offsets,
             *self._scores.csr(), dest,
         )
@@ -358,34 +333,12 @@ class SpliceBlock:
         hubs in *first-touch* order — the scalar loop's dict, insertion
         order included.  Returns ``(hubs, arrival masses, per-query entry
         counts)``, the first two stacked query by query."""
-        lib = native.load()
-        if lib is None:
-            columns, values, lens = self._take(self._borders, rows)
-            # Dense (query, hub) slots: each sum starts at 0.0 and takes
-            # its shares in element order; the lowest element index
-            # touching a slot orders it.
-            n, size = self.num_nodes, counts.size * self.num_nodes
-            keys = np.repeat(np.repeat(np.arange(0, size, n), counts), lens)
-            keys += columns
-            sums = np.zeros(size)
-            np.add.at(sums, keys, np.repeat(masses, lens) * values)
-            first = np.full(size, keys.size)
-            np.minimum.at(first, keys, np.arange(keys.size))
-            touched = np.nonzero(first < keys.size)[0]
-            # A query's slots are one contiguous range of keys, so
-            # first-touch order is also query order.
-            touched = touched[np.argsort(first[touched])]
-            return (
-                touched % n,
-                sums[touched],
-                np.bincount(touched // n, minlength=counts.size),
-            )
         indptr, indices, data = self._borders.csr()
         room = int((indptr[rows + 1] - indptr[rows]).sum())
         next_hubs = np.empty(room, dtype=np.int64)
         next_masses = np.empty(room, dtype=np.float64)
         next_counts = np.empty(counts.size, dtype=np.int64)
-        written = lib.repro_splice_borders(
+        written = native.load().repro_splice_borders(
             self.num_nodes, counts.size, counts, rows, masses,
             indptr, indices, data,
             np.zeros(self.num_nodes, dtype=np.int64),

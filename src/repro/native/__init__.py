@@ -1,13 +1,20 @@
-"""Compiled kernels for the two prime pushes and the splice round, and
-the one switch.
+"""Compiled kernels for the two prime pushes and the splice round.
 
-``kernels.c`` holds operation-for-operation ports of the cluster drain
-(:class:`repro.storage.disk_engine._PrimePushRun`), of the
-level-synchronous :func:`repro.core.prime.prime_push_many` and of the two
-products of a splice round (:class:`repro.core.splice.SpliceBlock`).  The
-Python / numpy code they take off the hot path stays — as the fallback when no
-compiler is present, and as the oracle the ports are pinned against bit
-for bit (``tests/test_native_kernels.py``).
+``kernels.c`` holds the cluster drain
+(:class:`repro.storage.disk_engine._PrimePushRun`), the
+level-synchronous :func:`repro.core.prime.prime_push_many` and the two
+products of a splice round (:class:`repro.core.splice.SpliceBlock`).
+They are the only spelling ``src/`` serves with: each is pinned bit for
+bit against a reference in ``tests/oracles.py`` (the per-edge drain,
+``scalar_splice_rounds``) or, for the level-synchronous push, against
+its numpy rounds (``tests/test_native_kernels.py``).
+
+A C compiler and a writable cache directory are requirements at the
+first query.  A Python / numpy fallback used to serve when either was
+missing; it served the disk backend at about a quarter of the compiled
+``qps``, took 3.5-3.7 s for a cold ``hitting`` request against
+0.65-0.80 s compiled, doubled the CI tier-1 matrix (257 s) and ran
+nowhere else, so it is gone.
 
 Build story
 -----------
@@ -20,14 +27,14 @@ tree builds fine.  The build writes to a temporary name and
 ``os.replace``\\ s it, so processes racing the first build each load a
 whole library; the file name carries the hash of its own bytes, so a
 truncated or foreign file is deleted and rebuilt, never loaded.  No
-compiler, an unwritable cache directory or a failed build mean **one**
-``RuntimeWarning`` and the fallback — same bits, the Python speed.  A
-pre-forking parent calls :func:`load` before ``fork`` (``ServerPool``
-does), so workers inherit the mapped library and never build.
-
-One switch, read once: ``REPRO_NATIVE=0`` in the environment at import
-forces the fallback for the whole process.  ``python -m repro.native``
-prints what a process would use.
+compiler, an unusable cache directory or a failed build raise
+:class:`Unavailable` (a :class:`RuntimeError`) naming the cause and the
+fix; the first failure is kept, so a process never retries the build.
+The engines load the kernels when they are constructed, so a process
+that cannot build them refuses before it serves.  A pre-forking parent
+calls :func:`load` before ``fork`` (``ServerPool`` does), so workers
+inherit the mapped library and never build.  ``python -m repro.native``
+prints what a process would load.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +60,11 @@ target has one (aarch64; x86-64 with ``-march=native``), which rounds
 once instead of twice; no ``-ffast-math`` (licenses reassociation) and no
 ``-march=native`` (licenses FMA and makes the cache host-specific)."""
 
-DISABLED = os.environ.get("REPRO_NATIVE", "") == "0"
-"""The one switch, read once at import."""
+_FIX = "set $CC to a C compiler and $XDG_CACHE_HOME to a writable directory"
 
 
-class Unavailable(Exception):
-    """Why this process runs the fallback."""
+class Unavailable(RuntimeError):
+    """Why this process cannot load the compiled kernels."""
 
 
 class PushRun(ctypes.Structure):
@@ -166,7 +171,8 @@ def _build(cc: str, directory: Path, tag: str) -> Path:
             capture_output=True, text=True,
         )
         if done.returncode != 0:
-            raise Unavailable(f"{cc} failed: {done.stderr.strip()[-400:]}")
+            message = " ".join(done.stderr.split())  # one line
+            raise Unavailable(f"{cc} failed: {message[-400:]}")
         path = directory / f"kernels-{tag}-{_digest(Path(scratch).read_bytes())}.so"
         os.replace(scratch, path)
         return path
@@ -194,35 +200,27 @@ def _library() -> tuple[ctypes.CDLL, Path]:
 
 
 _lock = threading.Lock()
-_loaded: "list[ctypes.CDLL | None]" = []  # empty until the first load()
+_loaded: "list[ctypes.CDLL | str]" = []  # the library or why not; empty until load()
 path: "Path | None" = None
 """The loaded library's file, once :func:`load` has loaded one."""
-reason = "REPRO_NATIVE=0" if DISABLED else ""
-"""Why :func:`load` returned ``None`` (empty while it has not)."""
 
 
-def load() -> "ctypes.CDLL | None":
+def load() -> ctypes.CDLL:
     """The compiled kernels (functions carry argtypes), built and loaded
-    on first call; ``None`` when this process runs the Python / numpy
-    fallback — ``REPRO_NATIVE=0``, or, after one ``RuntimeWarning``, no
-    way to build."""
-    global path, reason
-    if _loaded:
-        return _loaded[0]
-    with _lock:
-        if not _loaded:
-            lib = None
-            if not DISABLED:
+    on first call.  Raises :class:`Unavailable` naming the cause and the
+    fix when they cannot be; every later call raises it again without
+    retrying the build."""
+    global path
+    if not _loaded:
+        with _lock:
+            if not _loaded:
                 try:
-                    lib, path = _library()
+                    lib, built = _library()
                     _declare(lib)
+                    _loaded.append(lib)
+                    path = built
                 except (Unavailable, OSError) as error:
-                    lib, path, reason = None, None, str(error)
-                    warnings.warn(
-                        f"repro.native: {reason}; serving with the Python / "
-                        "numpy kernels (same results, slower)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            _loaded.append(lib)
+                    _loaded.append(f"compiled kernels unavailable: {error}; {_FIX}")
+    if isinstance(_loaded[0], str):
+        raise Unavailable(_loaded[0])
     return _loaded[0]

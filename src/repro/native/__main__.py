@@ -1,35 +1,27 @@
-"""``python -m repro.native``: which kernels would this process use?
+"""``python -m repro.native``: can this process load the compiled kernels?
 
-Exit status 0 when the selection is the one asked for — the compiled
-library loaded, or ``REPRO_NATIVE=0`` chose the fallback; 1 when the
-process wanted the compiled kernels and fell back.
+Exit status 0 when the library loaded; 1, with the one-line reason,
+when it did not.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 
 from repro import native
 
 
 def main() -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # said below
-        lib = native.load()
-    if lib is not None:
-        print(f"kernels: native (compiled library {native.path})")
-    else:
-        print(f"kernels: python/numpy fallback ({native.reason})")
-    print(f"switch:  REPRO_NATIVE=0 forces the fallback (now: "
-          f"{'forced' if native.DISABLED else 'not set'})")
     try:
-        print(f"build:   {native.compiler()} {' '.join(native.FLAGS)} "
-              f"-o <cache>/kernels-<hash>.so {native.SOURCE}")
-        print(f"cache:   {native.cache_dir()}")
+        native.load()
     except native.Unavailable as error:
-        print(f"build:   unavailable ({error})")
-    return 0 if lib is not None or native.DISABLED else 1
+        print(f"error: {error}")
+        return 1
+    print(f"kernels: compiled library {native.path}")
+    print(f"build:   {native.compiler()} {' '.join(native.FLAGS)} "
+          f"-o <cache>/kernels-<hash>.so {native.SOURCE}")
+    print(f"cache:   {native.cache_dir()}")
+    return 0
 
 
 if __name__ == "__main__":

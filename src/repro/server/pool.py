@@ -170,8 +170,9 @@ class ServerPool:
         """
         if self._sock is not None:
             raise RuntimeError("pool already started")
-        # Build / map the compiled kernels before the fork: workers
-        # inherit the library (or the fallback verdict) and never build.
+        # Build / map the compiled kernels before the fork and before
+        # binding: workers inherit the library and never build, and a
+        # machine that cannot build them refuses here (Unavailable).
         native.load()
         self._sock = open_listen_socket(self.config.host, self.config.port)
         try:

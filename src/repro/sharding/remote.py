@@ -315,7 +315,6 @@ class ShardedPPVStore:
         hub_mask = np.zeros(num_nodes, dtype=bool)
         hub_mask[list(self.hub_shards)] = True
         self.hub_mask = hub_mask
-        self._hub_list: "list[bool] | None" = None
 
     def __contains__(self, hub: int) -> bool:
         return int(hub) in self.hub_shards
@@ -324,12 +323,6 @@ class ShardedPPVStore:
     def hubs(self) -> np.ndarray:
         """Sorted hub ids across every shard."""
         return np.asarray(sorted(self.hub_shards), dtype=np.int64)
-
-    @property
-    def hub_list(self) -> list[bool]:
-        if self._hub_list is None:
-            self._hub_list = self.hub_mask.tolist()
-        return self._hub_list
 
     def close(self) -> None:
         """Drop the cache (the fleet is owned by the engine)."""

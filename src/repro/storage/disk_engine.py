@@ -47,12 +47,10 @@ is ``query_many([q])[0]``:
   is fixed and residency-independent — the wave order only decides
   *when* a run takes its next step, never which step — so per-query
   scores, drain counts and truncation are bitwise identical to serving
-  the query alone; only the physical fault schedule moves.  A run is a
-  :class:`_NativePrimePushRun` — the schedule compiled
-  (:mod:`repro.native`, one C call per drain over the resident
-  cluster's arrays) — when the compiled kernels are loaded, and the
-  Python :class:`_PrimePushRun` it is pinned against bit for bit
-  otherwise; which one ran is not observable in any result.
+  the query alone; only the physical fault schedule moves.  A run's
+  drain is compiled (:mod:`repro.native`, one C call per drain over the
+  resident cluster's arrays) and pinned bit for bit against the
+  per-edge drain of ``tests/oracles.py``.
 * Hub prime PPVs go straight into the batch's
   :class:`~repro.core.splice.SpliceBlock`: one
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
@@ -90,9 +88,7 @@ import os
 import struct
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -397,218 +393,28 @@ class DiskGraphStore(ClusterResidency):
 class _PrimePushRun:
     """One query's cluster-draining prime push, advanced drain by drain.
 
-    The cluster-draining push, structured so a scheduler can interleave
-    many runs: :meth:`next_cluster` resolves which cluster the next drain
-    step needs (I/O-free), :meth:`drain` performs that step through the
-    graph store.  The per-query schedule — heaviest pool first, FIFO
-    within a cluster — is fixed and independent of which cluster happens
-    to be memory-resident, so interleaving runs to share residency never
+    Structured so a scheduler can interleave many runs:
+    :meth:`next_cluster` resolves which cluster the next drain step
+    needs (I/O-free), :meth:`drain` performs that step through the graph
+    store.  The per-query schedule — heaviest pool first with
+    left-to-right pool sums and first-inserted ties, FIFO within a
+    cluster, ``((1 - alpha) * mass) * p`` shares, scores deposited in
+    edge order — is fixed and independent of which cluster happens to be
+    memory-resident, so interleaving runs to share residency never
     changes a query's mass flow: scores are bitwise identical to running
-    the query alone.
+    the query alone.  The fault budget is charged per *drain step* —
+    exactly the faults a dedicated one-cluster-budget store would incur —
+    so truncation is deterministic and independent of what else is in
+    the batch.
 
-    The fault budget is charged per *drain step* — exactly the faults a
-    dedicated one-cluster-budget store would incur — so truncation is
-    deterministic and independent of what else is in the batch.
-
-    This class is the schedule's Python spelling: what serves when no
-    compiled kernel is loaded, and the oracle
-    :class:`_NativePrimePushRun` must equal byte for byte.
-    """
-
-    __slots__ = (
-        "graph_store",
-        "hub_mask",
-        "alpha",
-        "epsilon",
-        "fault_budget",
-        "hub_list",
-        "scores",
-        "border",
-        "pools",
-        "drains",
-        "truncated",
-        "_pending",
-    )
-
-    def __init__(
-        self,
-        graph_store: DiskGraphStore,
-        source: int,
-        hub_mask: np.ndarray,
-        alpha: float,
-        epsilon: float,
-        fault_budget: int,
-        hub_list: "list[bool] | None" = None,
-    ) -> None:
-        self.graph_store = graph_store
-        self.hub_mask = hub_mask
-        self.alpha = alpha
-        self.epsilon = epsilon
-        self.fault_budget = fault_budget
-        # List-backed hub lookup for the per-edge Python loop (see
-        # drain); the engine passes one conversion for the whole batch.
-        self.hub_list: list[bool] = (
-            hub_list if hub_list is not None else hub_mask.tolist()
-        )
-        self.scores = np.zeros(graph_store.num_nodes)
-        self.border: dict[int, float] = {}
-        # Pending *expansion* mass per cluster.  Scoring and border
-        # bookkeeping happen at insertion time and need no I/O — only the
-        # expansion of a node requires its cluster's adjacency, so pools
-        # whose every node sits below epsilon are dropped fault-free.
-        self.pools: dict[int, dict[int, float]] = {}
-        self.drains = 0
-        self.truncated = False
-        self._pending: tuple[int, dict[int, float]] | None = None
-        # The initial unit at the source always expands (a tour's start
-        # never counts towards hub length), even when the source is a hub.
-        self.scores[source] += alpha
-        self.pools[graph_store.cluster_of(source)] = {source: 1.0}
-
-    def next_cluster(self) -> int | None:
-        """Cluster the next drain step needs, or ``None`` when done.
-
-        Resolving is idempotent and performs no I/O: sub-threshold pools
-        are dropped (their mass is already scored), and the heaviest
-        remaining pool is staged until :meth:`drain` consumes it.
-        """
-        if self._pending is not None:
-            return self._pending[0]
-        while self.pools:
-            # Heaviest pool first: its export pattern settles fastest.
-            # (A resident-cluster preference would be vacuous: the only
-            # selection it could influence is the first, where the sole
-            # pool is the source's cluster.)
-            cluster = max(self.pools, key=self._pool_weight)
-            pending = self.pools.pop(cluster)
-            local = {
-                node: mass
-                for node, mass in pending.items()
-                if mass >= self.epsilon
-            }
-            if not local:
-                continue  # everything sub-threshold: already scored, no I/O
-            if self.drains >= self.fault_budget:
-                self.truncated = True
-                self.pools.clear()
-                return None
-            self._pending = (cluster, local)
-            return cluster
-        return None
-
-    def _pool_weight(self, cluster: int) -> float:
-        """A pool's pending mass, summed left to right in insertion
-        order.  Spelled out because builtin ``sum`` over floats became a
-        compensated sum in CPython 3.12: on a near-tie the heaviest-pool
-        choice — hence the drain order and the served bits — would
-        depend on the interpreter (and differ from ``kernels.c``)."""
-        weight = 0.0
-        for mass in self.pools[cluster].values():
-            weight += mass
-        return weight
-
-    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
-        """The border as fresh ``(hub ids, arrival masses)`` arrays, in
-        first-arrival order."""
-        border = self.border
-        return (
-            np.fromiter(border.keys(), dtype=np.int64, count=len(border)),
-            np.fromiter(border.values(), dtype=np.float64, count=len(border)),
-        )
-
-    def drain(self) -> None:
-        """Drain the staged cluster: propagate its resident residual to
-        exhaustion — intra-cluster mass bounces without I/O, exported
-        mass is deferred to other pools.
-
-        This is the Python spelling of ``kernels.c``'s ``repro_drain``
-        (:class:`_NativePrimePushRun`): the fallback, and its oracle.
-        The hot loop runs on plain Python scalars (list slices of the
-        :class:`~repro.storage.residency.ResidentCluster` list lowering,
-        list-backed hub/label lookups) and only *routes* mass.  Scoring
-        is deferred: each expanded row records ``(start, length, base)``
-        and one vectorised pass computes ``alpha * (base * probs)`` over
-        every expanded edge, flushed through one sequential
-        :func:`numpy.add.at` — ``scores`` is never *read* during a
-        drain, the products are the per-edge loop's IEEE operations, and
-        ``np.add.at`` applies its updates in element order, so the flush
-        performs the exact same additions in the exact same order as
-        the historical per-edge loop (``tests/oracles.py`` keeps that
-        loop and pins the two bit for bit).
-        """
-        cluster, local = self._pending  # type: ignore[misc]
-        self._pending = None
-        self.drains += 1
-        alpha, epsilon = self.alpha, self.epsilon
-        graph_store = self.graph_store
-        # FIFO order lets arriving shares aggregate before their node is
-        # expanded (LIFO would expand each share almost alone,
-        # multiplying the work by the cycle count).
-        queue = deque(local)
-        border, pools = self.border, self.pools
-        hub_list = self.hub_list
-        labels_list = graph_store.labels_list
-        # One residency resolution per drain: every expanded node lives
-        # in the staged cluster, which stays resident throughout.
-        resident = graph_store.resident_cluster(cluster)
-        rows, offsets = resident.rows, resident.offsets
-        targets, probabilities = resident.targets, resident.probs
-        starts: list[int] = []
-        lengths: list[int] = []
-        bases: list[float] = []
-        while queue:
-            node = queue.popleft()
-            mass = local.pop(node, 0.0)
-            if mass < epsilon:
-                continue  # sub-threshold remainder: already scored
-            row = rows[node]
-            start, end = offsets[row], offsets[row + 1]
-            # ((1 - alpha) * mass) * p per edge: the historical loop's
-            # left-associated product, bit-identical share by share.
-            base = (1.0 - alpha) * mass
-            # Every target of the row is scored alpha * share whichever
-            # way it routes; recorded per row, deposited below.
-            starts.append(start)
-            lengths.append(end - start)
-            bases.append(base)
-            for target, probability in zip(
-                targets[start:end], probabilities[start:end]
-            ):
-                share = base * probability
-                if hub_list[target]:
-                    border[target] = border.get(target, 0.0) + share
-                elif labels_list[target] == cluster:
-                    if target in local:
-                        local[target] += share
-                    else:
-                        local[target] = share
-                        queue.append(target)
-                else:
-                    pool = pools.setdefault(labels_list[target], {})
-                    pool[target] = pool.get(target, 0.0) + share
-        if starts:  # else nothing expanded, nothing to deposit
-            counts = np.asarray(lengths)
-            edges = concat_ranges(np.asarray(starts), counts)
-            np.add.at(
-                self.scores,
-                resident.targets_array[edges],
-                alpha * (np.repeat(bases, counts) * resident.probs_array[edges]),
-            )
-
-
-class _NativePrimePushRun:
-    """:class:`_PrimePushRun` on the compiled kernels of
-    :mod:`repro.native`: the same per-query schedule — heaviest pool
-    first with left-to-right pool sums and first-inserted ties, FIFO
-    within a cluster, ``((1 - alpha) * mass) * p`` shares, scores
-    deposited in edge order, the fault budget charged per drain — with
-    the whole per-query state held as arrays (pending mass by node,
+    The schedule runs in the compiled kernels of :mod:`repro.native`,
+    with the whole per-query state held as arrays (pending mass by node,
     insertion-ordered linked lists per pool, the pool insertion order,
-    the insertion-ordered border) instead of dicts.  Same constructor,
-    same ``next_cluster`` / ``drain`` / ``frontier`` surface, bitwise
-    the same ``scores``, ``border``, ``drains`` and ``truncated``
-    (``tests/test_native_kernels.py``).  ``drain`` is one
-    ``resident_cluster`` call and one C call that releases the GIL.
+    the insertion-ordered border); ``drain`` is one ``resident_cluster``
+    call and one C call that releases the GIL.  ``scores``, ``border``,
+    ``drains`` and ``truncated`` equal the per-edge
+    ``tests/oracles.py::ReferencePrimePushRun`` byte for byte
+    (``tests/test_native_kernels.py``).
 
     Every array the kernels see is created here with its dtype and
     length (or by :class:`~repro.storage.residency.ResidentCluster`,
@@ -679,8 +485,8 @@ class _NativePrimePushRun:
 
     def drain(self) -> None:
         cluster = self._state.pending
-        # One residency resolution per drain, as in the Python run; the
-        # resident record holds the four arrays for the call's duration.
+        # One residency resolution per drain; the resident record holds
+        # the four arrays for the call's duration.
         resident = self.graph_store.resident_cluster(cluster)
         status = self._drain(
             self._ref,
@@ -774,6 +580,9 @@ class DiskFastPPV(BatchOfOne):
             raise ValueError("graph store and PPV store disagree on node count")
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
+        if fault_budget is not None and fault_budget < 1:
+            raise ValueError("fault_budget must be at least one cluster drain")
+        native.load()  # refuse here, before serving, when the kernels cannot load
         self.graph_store = graph_store
         self.ppv_store = ppv_store
         self.delta = delta
@@ -799,14 +608,10 @@ class DiskFastPPV(BatchOfOne):
         paper's DFS-within-cluster search and keeps faults near the
         number of distinct clusters the prime subgraph overlaps.
         """
-        runs: dict[int, _PrimePushRun | _NativePrimePushRun] = {}
-        if native.load() is not None:
-            new_run = _NativePrimePushRun
-        else:  # one list conversion of the hub mask for the whole batch
-            new_run = partial(_PrimePushRun, hub_list=self.ppv_store.hub_list)
+        runs: dict[int, _PrimePushRun] = {}
         for q in ids:
             if q not in self.ppv_store and q not in runs:
-                runs[q] = new_run(
+                runs[q] = _PrimePushRun(
                     self.graph_store,
                     q,
                     self.ppv_store.hub_mask,

@@ -186,7 +186,6 @@ class DiskPPVStore:
         hub_mask = np.zeros(self.num_nodes, dtype=bool)
         hub_mask[list(self._directory)] = True
         self.hub_mask = hub_mask
-        self._hub_list: "list[bool] | None" = None
 
     def _read_directory(self, path: str) -> None:
         self.alpha, self.epsilon, self.clip, self.num_nodes, num_hubs = _read_header(
@@ -219,16 +218,6 @@ class DiskPPVStore:
     def hubs(self) -> np.ndarray:
         """Sorted hub ids available in the store."""
         return np.asarray(sorted(self._directory), dtype=np.int64)
-
-    @property
-    def hub_list(self) -> list[bool]:
-        """``hub_mask`` as a plain list — O(1) lookups without numpy
-        scalar overhead in the Python disk push's per-edge loop (the
-        twin of :attr:`DiskGraphStore.labels_list`; never built when the
-        compiled drain is selected)."""
-        if self._hub_list is None:
-            self._hub_list = self.hub_mask.tolist()
-        return self._hub_list
 
     def read_record(self, hub: int) -> tuple[int, int, bytes]:
         """One hub's stored record — ``(entries, borders, payload)`` —

@@ -6,15 +6,13 @@ Written once for every cluster-segmented graph store: the local
 disk, :class:`~repro.sharding.remote.ShardedGraphStore` fetches them
 from shard processes; both decode the same stored bytes with
 :func:`~repro.storage.disk_engine.decode_segment`, supply the four CSR
-arrays of a cluster and inherit lowering, LRU and adjacency lookups
-from here.
+arrays of a cluster and inherit the resident form, LRU and adjacency
+lookups from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import native
 
 
 def check_segment(name, cluster, labels, nodes, offsets, targets, probs) -> None:
@@ -24,8 +22,7 @@ def check_segment(name, cluster, labels, nodes, offsets, targets, probs) -> None
     written, not that they describe rows of this graph: a buggy or
     foreign writer (or a rebuilt manifest) can be CRC-consistent with a
     target past the last node, which would index the push's per-node
-    state out of bounds — silently, for a negative target, in Python;
-    fatally in C.  Checked once per fault, before any kernel sees the
+    state out of bounds.  Checked once per fault, before any kernel sees the
     arrays: offsets start at 0, never decrease and end at the edge
     count; member nodes and targets lie in ``[0, num_nodes)``; every
     member is labelled with ``cluster``.  Raises :class:`ValueError`
@@ -56,18 +53,10 @@ class ResidentCluster:
     ``probs_array`` are the segment's four arrays in the dtypes the
     kernels read (int64, int64, int64, float64; C-contiguous, aligned) —
     the compiled drain of :mod:`repro.native` runs on them as they are,
-    and so do :meth:`out_edges` and the Python drain's vectorised score
-    deposit.  The Python drain's per-edge loop wants plain lists (no
-    numpy scalar overhead): ``rows`` (member node → row), ``offsets``,
-    ``targets`` and ``probs`` are that lowering, built on first touch —
-    at the fault when the process runs the fallback, never when the
-    compiled drain is selected.
+    and so does :meth:`out_edges`.
     """
 
-    __slots__ = (
-        "nodes_array", "offsets_array", "targets_array", "probs_array",
-        "rows", "offsets", "targets", "probs",
-    )
+    __slots__ = ("nodes_array", "offsets_array", "targets_array", "probs_array")
 
     def __init__(self, nodes, offsets, targets, probs) -> None:
         # The resident dtypes are stated here, where the arrays are
@@ -77,27 +66,14 @@ class ResidentCluster:
         self.offsets_array = np.require(offsets, np.int64, "CA")
         self.targets_array = np.require(targets, np.int64, "CA")
         self.probs_array = np.require(probs, np.float64, "CA")
-        if native.load() is None:
-            self._lower()
-
-    def _lower(self) -> None:
-        members = self.nodes_array.tolist()
-        self.rows = dict(zip(members, range(len(members))))
-        self.offsets = self.offsets_array.tolist()
-        self.targets = self.targets_array.tolist()
-        self.probs = self.probs_array.tolist()
-
-    def __getattr__(self, name):
-        # Reached only for a slot not yet filled: the list lowering.
-        if name in ("rows", "offsets", "targets", "probs"):
-            self._lower()
-            return getattr(self, name)
-        raise AttributeError(name)
 
     def out_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, step probabilities)`` of member ``node``."""
-        row = self.rows[node]
-        start, end = self.offsets[row], self.offsets[row + 1]
+        """``(targets, step probabilities)`` of member ``node`` (a scan of
+        the members; raises :class:`KeyError` for a node not held)."""
+        rows = np.flatnonzero(self.nodes_array == node)
+        if rows.size == 0:
+            raise KeyError(node)
+        start, end = self.offsets_array[rows[0]], self.offsets_array[rows[0] + 1]
         return self.targets_array[start:end], self.probs_array[start:end]
 
 
@@ -129,7 +105,6 @@ class ClusterResidency:
         self.num_clusters = num_clusters
         self.memory_budget = memory_budget
         self.faults = 0
-        self._labels_list: list[int] | None = None
         self._cache: dict[int, ResidentCluster] = {}  # LRU: most recent last
 
     def _fetch_cluster(self, cluster: int):
@@ -138,15 +113,6 @@ class ClusterResidency:
     def cluster_of(self, node: int) -> int:
         """Cluster id owning ``node``."""
         return int(self.labels[node])
-
-    @property
-    def labels_list(self) -> list[int]:
-        """``labels`` as a plain list — O(1) lookups without numpy
-        scalar overhead in the Python drain's per-edge loop (built on
-        first use; the compiled drain reads ``labels`` itself)."""
-        if self._labels_list is None:
-            self._labels_list = self.labels.tolist()
-        return self._labels_list
 
     def is_resident(self, cluster: int) -> bool:
         """Whether ``cluster`` is held now: no I/O, no LRU refresh."""

@@ -11,12 +11,13 @@ loop over ``index.get`` after a per-query ``prime_ppv`` push, and
 ``reference_query`` in every field, bit for bit.
 
 ``repro.storage.disk_engine.DiskFastPPV`` serves every query through two
-vectorised kernels: the cluster-draining push with deferred score
-flushes (``_PrimePushRun.drain``) and the order-preserving splice rounds
-of ``repro.core.splice.splice_rounds_exact``.  The loops they replaced
-live here, as oracles: the historical per-edge drain and
-``scalar_splice_rounds`` fed one ``ppv_store.get`` at a time.  The
-equivalence suite requires bitwise-equal results.
+compiled kernels: the cluster-draining push (``_PrimePushRun``) and the
+order-preserving splice rounds of
+``repro.core.splice.splice_rounds_exact``.  Their Python statements live
+here, as oracles: ``ReferencePrimePushRun`` (the push's schedule with
+the historical per-edge drain) and ``scalar_splice_rounds`` fed one
+``ppv_store.get`` at a time.  The equivalence suite requires
+bitwise-equal results.
 
 ``DemandOnlyDiskFastPPV`` is the engine with the batch wave rule it had
 before waves became residency-first: the most demanded cluster, never
@@ -67,7 +68,7 @@ from repro.core.query import (
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
-from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult, _PrimePushRun
+from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult
 
 
 def scalar_splice_rounds(
@@ -205,11 +206,82 @@ class DemandOnlyDiskFastPPV(DiskFastPPV):
         return max(needs, key=lambda c: (len(needs[c]), -c))
 
 
-class ReferencePrimePushRun(_PrimePushRun):
-    """The push with the historical drain: one ``scores[t] +=`` per edge,
-    residency resolved per expanded node through ``out_edges``."""
+class ReferencePrimePushRun:
+    """The cluster-draining push as the paper states it, in Python: the
+    per-query schedule ``repro.storage.disk_engine._PrimePushRun`` runs
+    compiled — heaviest pool first, FIFO within a cluster, the fault
+    budget charged per drain — with the historical drain: one
+    ``scores[t] +=`` per edge, residency resolved per expanded node
+    through ``out_edges``."""
 
-    __slots__ = ()
+    def __init__(
+        self, graph_store, source, hub_mask, alpha, epsilon, fault_budget
+    ) -> None:
+        self.graph_store = graph_store
+        self.hub_mask = hub_mask
+        self.alpha = alpha
+        self.epsilon = epsilon
+        self.fault_budget = fault_budget
+        self.scores = np.zeros(graph_store.num_nodes)
+        self.border: dict[int, float] = {}
+        # Pending *expansion* mass per cluster.  Scoring and border
+        # bookkeeping happen at insertion time and need no I/O — only the
+        # expansion of a node requires its cluster's adjacency, so pools
+        # whose every node sits below epsilon are dropped fault-free.
+        self.pools: dict[int, dict[int, float]] = {}
+        self.drains = 0
+        self.truncated = False
+        self._pending = None
+        # The initial unit at the source always expands (a tour's start
+        # never counts towards hub length), even when the source is a hub.
+        self.scores[source] += alpha
+        self.pools[graph_store.cluster_of(source)] = {source: 1.0}
+
+    def next_cluster(self):
+        """Cluster the next drain step needs, or ``None`` when done.
+        Idempotent and I/O-free: sub-threshold pools are dropped (their
+        mass is already scored), the heaviest remaining pool is staged
+        until :meth:`drain` consumes it."""
+        if self._pending is not None:
+            return self._pending[0]
+        while self.pools:
+            # Heaviest pool first: its export pattern settles fastest.
+            cluster = max(self.pools, key=self._pool_weight)
+            pending = self.pools.pop(cluster)
+            local = {
+                node: mass
+                for node, mass in pending.items()
+                if mass >= self.epsilon
+            }
+            if not local:
+                continue  # everything sub-threshold: already scored, no I/O
+            if self.drains >= self.fault_budget:
+                self.truncated = True
+                self.pools.clear()
+                return None
+            self._pending = (cluster, local)
+            return cluster
+        return None
+
+    def _pool_weight(self, cluster: int) -> float:
+        """A pool's pending mass, summed left to right in insertion
+        order.  Spelled out because builtin ``sum`` over floats became a
+        compensated sum in CPython 3.12: on a near-tie the heaviest-pool
+        choice — hence the drain order and the served bits — would
+        depend on the interpreter (and differ from ``kernels.c``)."""
+        weight = 0.0
+        for mass in self.pools[cluster].values():
+            weight += mass
+        return weight
+
+    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """The border as fresh ``(hub ids, arrival masses)`` arrays, in
+        first-arrival order."""
+        border = self.border
+        return (
+            np.fromiter(border.keys(), dtype=np.int64, count=len(border)),
+            np.fromiter(border.values(), dtype=np.float64, count=len(border)),
+        )
 
     def _deposit(self, node: int, mass: float) -> None:
         self.scores[node] += self.alpha * mass

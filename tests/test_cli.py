@@ -516,6 +516,11 @@ class TestErrorBoundary:
             (["serve", "--shard-map", "missing", "--tcp", "127.0.0.1:0"],
              "shard_map.json"),
             (["stats", "7474"], "HOST:PORT"),
+            (["query", "GRAPH", "INDEX", "5", "--backend", "disk",
+              "--fault-budget", "-2"], "fault_budget must be at least one"),
+            (["serve", "GRAPH", "INDEX", "--backend", "disk",
+              "--fault-budget", "0", "--tcp", "127.0.0.1:0"],
+             "fault_budget must be at least one"),
         ],
     )
     def test_exit_2_with_message(self, argv, message, graph_file,
@@ -575,6 +580,45 @@ class TestErrorBoundary:
         assert done.returncode == 2
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+
+    def test_without_a_compiler_query_and_serve_refuse_generate_and_index_run(
+        self, tmp_path
+    ):
+        import subprocess
+        import sys
+
+        from test_native_kernels import _environment
+
+        (tmp_path / "bin").mkdir()  # a PATH with no gcc / cc on it
+        (tmp_path / "cache").mkdir()  # an empty XDG_CACHE_HOME
+        env = _environment(tmp_path, PATH=str(tmp_path / "bin"))
+        assert "CC" not in env
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv], env=env,
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+
+        # The offline build's numpy rounds need no compiler.
+        assert cli("generate", "social", "--nodes", "200", "--out",
+                   "g.txt").returncode == 0
+        assert cli("index", "g.txt", "--hubs", "20", "--out",
+                   "g.fppv").returncode == 0
+        for argv in (
+            ["query", "g.txt", "g.fppv", "3"],
+            ["query", "g.txt", "g.fppv", "3", "--backend", "disk"],
+            ["serve", "g.txt", "g.fppv", "--tcp", "127.0.0.1:0"],
+        ):
+            done = cli(*argv)
+            assert done.returncode == 2, argv
+            assert done.stderr.startswith(
+                "error: compiled kernels unavailable: no C compiler on PATH"
+            )
+            assert done.stderr.count("\n") == 1  # one line, no traceback
+            assert done.stdout == ""  # refused before serving
+        assert not list((tmp_path / "cache").iterdir())
 
 
 class TestParser:

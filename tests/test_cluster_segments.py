@@ -92,7 +92,7 @@ class TestRoundTrip:
         assert (store.faults, store.bytes_read) == (1, size[0] + size[1])
         store.resident_cluster(2)  # the empty cluster still costs its read
         assert (store.faults, store.bytes_read) == (2, sum(size.values()) - size[3])
-        assert store.resident_cluster(2).rows == {}
+        assert store.resident_cluster(2).nodes_array.size == 0
 
     @pytest.mark.parametrize("kind", ["disk", "sharded"])
     @pytest.mark.parametrize("refusal", ["injected load error", "flipped byte"])
@@ -183,7 +183,7 @@ CORRUPTIONS = {
 
 def _read_local(directory) -> int:
     """Members of cluster 0, read through a local store's swap-in."""
-    return len(DiskGraphStore.open(directory).resident_cluster(0).rows)
+    return DiskGraphStore.open(directory).resident_cluster(0).nodes_array.size
 
 
 def _read_through_shard(directory) -> int:

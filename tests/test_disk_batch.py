@@ -12,7 +12,6 @@ from repro import (
     StopAfterIterations,
     StopAtL1Error,
     build_index,
-    native,
     query_top_k,
     select_hubs,
 )
@@ -445,10 +444,10 @@ def wave_setup(disk_batch_setup, small_social):
     return root / "waves", index_path, stream
 
 
-@pytest.fixture(params=["native", "python"])
-def selection(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setattr(native, "_loaded", [None])
+@pytest.fixture(params=["native"])
+def selection(request):
+    """The compiled kernels' row, under the id it had while a Python
+    row ran beside it."""
     return request.param
 
 

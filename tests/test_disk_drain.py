@@ -1,8 +1,8 @@
 """Bitwise teeth for the disk push's drain.
 
-``_PrimePushRun.drain`` routes mass in a per-edge Python loop but
-deposits scores in one vectorised pass per drain.  The cases a
-vectorised deposit could get wrong — the same target twice in one row,
+``_PrimePushRun.drain`` is one compiled call per drain that routes
+mass and deposits scores over the resident cluster's arrays.  The cases
+it could get wrong — the same target twice in one row,
 self-loops, a hub source, rows without edges, a cluster without edges,
 a drain that expands nothing, a budget-truncated run — are pinned here
 against the per-edge oracle of ``oracles.py``, byte for byte, together
@@ -83,7 +83,24 @@ def _run(kind, root, ppv_store, source, fault_budget, backend="disk"):
     return run
 
 
-def _assert_runs_identical(fast: _PrimePushRun, oracle: _PrimePushRun) -> None:
+def _stage(run, node: int, mass: float) -> None:
+    """Stage a drain of cluster 0 holding only ``node`` at ``mass`` by
+    hand — in the oracle's dicts or in the compiled run's arrays.
+    Unreachable through ``next_cluster``, which stages super-threshold
+    mass only."""
+    if isinstance(run, ReferencePrimePushRun):
+        run.pools.clear()
+        run._pending = (0, {node: mass})
+        return
+    state, arrays = run._state, run._arrays
+    arrays["head"][:] = -1
+    arrays["queued"][:] = 0
+    arrays["mass"][node], arrays["queued"][node] = mass, 1
+    state.order_count = 0
+    state.pending, state.pending_head, state.pending_tail = 0, node, node
+
+
+def _assert_runs_identical(fast, oracle) -> None:
     assert fast.scores.tobytes() == oracle.scores.tobytes()
     assert list(fast.border.items()) == list(oracle.border.items())
     assert (fast.drains, fast.truncated) == (oracle.drains, oracle.truncated)
@@ -140,8 +157,7 @@ class TestHandBuiltRows:
 
     @BACKENDS
     def test_a_drain_that_expands_no_row_deposits_nothing(self, tricky, backend):
-        # Unreachable through next_cluster (it stages super-threshold
-        # mass only) — staged by hand so the empty deposit stays safe.
+        # Staged by hand so the empty deposit stays safe.
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
             runs = [
                 kind(
@@ -151,11 +167,12 @@ class TestHandBuiltRows:
                 for kind in (_PrimePushRun, ReferencePrimePushRun)
             ]
         for run in runs:
-            run.pools.clear()
-            run._pending = (0, {1: run.epsilon / 2})
+            _stage(run, 1, ppv_store.epsilon / 2)
             run.drain()
+            assert run.next_cluster() is None
         _assert_runs_identical(*runs)
-        assert runs[0].scores.tolist() == [runs[0].alpha] + [0.0] * (NODES - 1)
+        assert runs[0].drains == 1
+        assert runs[0].scores.tolist() == [ppv_store.alpha] + [0.0] * (NODES - 1)
 
     @BACKENDS
     def test_edgeless_rows_and_clusters_keep_integer_targets(self, tricky, backend):

@@ -178,6 +178,14 @@ class TestDiskFastPPV:
         # The truncated search can only cover less mass.
         assert a.scores.sum() <= b.scores.sum() + 1e-12
 
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_a_non_positive_fault_budget_is_refused(self, disk_setup, budget):
+        # It used to be served: every non-hub query truncated before its
+        # first drain, with the source's alpha as its whole estimate.
+        graph_store, ppv_store = disk_setup
+        with pytest.raises(ValueError, match="fault_budget must be at least one"):
+            DiskFastPPV(graph_store, ppv_store, fault_budget=budget)
+
     def test_out_of_range_query(self, disk_setup):
         graph_store, ppv_store = disk_setup
         engine = DiskFastPPV(graph_store, ppv_store)

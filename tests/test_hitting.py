@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from oracles import reference_prime_hitting_push, reference_scheduled_hitting
 
-from repro import native
 from repro.core import hitting
 from repro.core.hitting import exact_hitting, scheduled_hitting
 from repro.graph import from_edges
@@ -334,24 +333,3 @@ class TestAgainstOracle:
             alone = scheduled_hitting(small_social, query, 7, mask)
             assert _bytes(shared) == _bytes(alone)
         assert cache and all(mask[hub] for hub in cache)
-
-    @pytest.mark.skipif(
-        native.load() is None, reason=f"no compiled kernels ({native.reason})"
-    )
-    def test_both_kernel_selections_return_the_same_bytes(
-        self, small_social, small_social_index, monkeypatch
-    ):
-        def estimates():
-            return [
-                scheduled_hitting(
-                    small_social, query, 9, small_social_index.hub_mask,
-                    epsilon=epsilon,
-                )
-                for query in (1, 77) for epsilon in (1e-9, 1e-3)
-            ]
-
-        compiled = estimates()
-        monkeypatch.setattr(native, "_loaded", [None])
-        fallback = estimates()
-        assert [_bytes(e) for e in compiled] == [_bytes(e) for e in fallback]
-        assert [e.iterations for e in compiled] == [e.iterations for e in fallback]

@@ -1,25 +1,26 @@
-"""The compiled kernels, pinned bit for bit against the code they replace.
+"""The compiled kernels, pinned bit for bit against their references.
 
 ``repro.native`` ports two schedules to C: the cluster drain
-(``_NativePrimePushRun`` vs ``_PrimePushRun`` vs the per-edge
-``oracles.ReferencePrimePushRun``) and the level-synchronous
-``prime_push_many`` (vs its numpy rounds) — and the two products of a
-splice round (``SpliceBlock.score_product`` / ``border_product`` vs
-their numpy spelling vs ``scalar_splice_rounds``).  Everything here compares
-*bytes* — ``scores.tobytes()``, the border's ``(hub, mass)`` order,
-``drains`` / ``truncated``, SHA-256 over served score vectors — never a
-tolerance.  The drain cases are the ones of ``test_disk_drain.py`` (its
-fixtures and strategies are imported, not copied), run three ways.
+(``_PrimePushRun`` vs the per-edge ``oracles.ReferencePrimePushRun``)
+and the level-synchronous ``prime_push_many`` (vs its numpy rounds) —
+and the two products of a splice round (``SpliceBlock.score_product`` /
+``border_product`` vs ``scalar_splice_rounds``).  Everything here
+compares *bytes* — ``scores.tobytes()``, the border's ``(hub, mass)``
+order, ``drains`` / ``truncated``, SHA-256 over served score vectors —
+never a tolerance.  The drain cases are the ones of
+``test_disk_drain.py`` (its fixtures and strategies are imported, not
+copied).
 
-Also here: how a process selects its kernels (no compiler, an unusable
-cache directory, two processes racing the first build, a truncated or
-foreign cached library), the two small fixes that ride along (the
-interpreter-independent pool sum; structural validation of cluster
-segments before any kernel sees them), allocation failure inside the
-push kernel, and a block row that names a node outside the graph.
+Also here: how a process loads its kernels (no compiler, an unusable
+cache directory, a failed build, two processes racing the first build,
+a truncated or foreign cached library), the two small fixes that ride
+along (the interpreter-independent pool sum; structural validation of
+cluster segments before any kernel sees them), allocation failure
+inside the push kernel, and a block row that names a node outside the
+graph.
 
-Under ``REPRO_NATIVE=0`` (CI runs the suite both ways) the comparisons
-against the compiled kernels skip; the selection and fix tests still run.
+The compiled kernels are the only selection: a ``[native]`` row keeps
+the id it had while a Python / numpy row ran beside it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from test_disk_drain import (
     _deploy,
     _open,
     _run,
+    _stage,
     deployments,
 )
 
@@ -91,20 +93,12 @@ from repro.storage import (
     load_index,
     save_index,
 )
-from repro.storage import disk_engine
-from repro.storage.disk_engine import _NativePrimePushRun, _PrimePushRun
+from repro.storage.disk_engine import _PrimePushRun
 from repro.storage.residency import ResidentCluster
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-needs_native = pytest.mark.skipif(
-    native.load() is None, reason=f"no compiled kernels ({native.reason})"
-)
-
-RUN_KINDS = [
-    pytest.param(_PrimePushRun, id="python"),
-    pytest.param(_NativePrimePushRun, id="native", marks=needs_native),
-]
+NATIVE = pytest.mark.parametrize("kernels", ["native"])
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +109,9 @@ def tricky(tmp_path_factory):
 
 
 # --------------------------------------------------------------------- #
-# (a) The drain, three ways
+# (a) The drain against the per-edge oracle
 
 
-@needs_native
 class TestDrainThreeWays:
     @BACKENDS
     @pytest.mark.parametrize("fault_budget", [1, 2, 3, 10**9])
@@ -127,14 +120,12 @@ class TestDrainThreeWays:
         # Parallel edges, self-loops, the hub as source, a dangling
         # source, edge-less rows and clusters, budget truncation.
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            native_run, python_run = (
-                _run(kind, tricky, ppv_store, source, fault_budget, backend)
-                for kind in (_NativePrimePushRun, _PrimePushRun)
+            native_run = _run(
+                _PrimePushRun, tricky, ppv_store, source, fault_budget, backend
             )
             oracle = _run(
                 ReferencePrimePushRun, tricky, ppv_store, source, fault_budget
             )
-        _assert_runs_identical(native_run, python_run)
         _assert_runs_identical(native_run, oracle)
         hubs, masses = native_run.frontier()
         assert (hubs.dtype, masses.dtype) == (np.int64, np.float64)
@@ -143,7 +134,7 @@ class TestDrainThreeWays:
     def test_truncation_actually_happens(self, tricky):
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
             runs = [
-                _run(_NativePrimePushRun, tricky, ppv_store, 0, budget)
+                _run(_PrimePushRun, tricky, ppv_store, 0, budget)
                 for budget in (1, 2, 3, 10**9)
             ]
         assert runs[0].truncated and not runs[-1].truncated
@@ -151,29 +142,21 @@ class TestDrainThreeWays:
 
     @BACKENDS
     def test_a_drain_that_expands_no_row_deposits_nothing(self, tricky, backend):
-        # Unreachable through next_cluster; staged by hand in each
-        # run's own state (dicts there, arrays here).
+        # Staged by hand in each run's own state (dicts in the oracle,
+        # arrays here).
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            native_run, python_run = (
+            native_run, oracle = (
                 kind(
                     _open(backend, tricky / "c"), 0, ppv_store.hub_mask,
                     ppv_store.alpha, ppv_store.epsilon, 10,
                 )
-                for kind in (_NativePrimePushRun, _PrimePushRun)
+                for kind in (_PrimePushRun, ReferencePrimePushRun)
             )
-        mass = python_run.epsilon / 2
-        python_run.pools.clear()
-        python_run._pending = (0, {1: mass})
-        state, arrays = native_run._state, native_run._arrays
-        arrays["head"][:] = -1
-        arrays["queued"][0] = 0
-        arrays["mass"][1], arrays["queued"][1] = mass, 1
-        state.order_count = 0
-        state.pending, state.pending_head, state.pending_tail = 0, 1, 1
-        for run in (native_run, python_run):
+        for run in (native_run, oracle):
+            _stage(run, 1, ppv_store.epsilon / 2)
             run.drain()
             assert run.next_cluster() is None
-        _assert_runs_identical(native_run, python_run)
+        _assert_runs_identical(native_run, oracle)
         assert native_run.drains == 1
         assert native_run.scores.tolist() == [native_run._state.alpha] + [0.0] * (
             NODES - 1
@@ -181,7 +164,7 @@ class TestDrainThreeWays:
 
     def test_next_cluster_is_idempotent_until_drained(self, tricky):
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _NativePrimePushRun(
+            run = _PrimePushRun(
                 _open("disk", tricky / "c"), 0, ppv_store.hub_mask,
                 ppv_store.alpha, ppv_store.epsilon, 10,
             )
@@ -198,7 +181,7 @@ class TestDrainThreeWays:
         resident_cluster = store.resident_cluster
         store.resident_cluster = lambda c: calls.append(c) or resident_cluster(c)
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _NativePrimePushRun(
+            run = _PrimePushRun(
                 store, 0, ppv_store.hub_mask, ppv_store.alpha,
                 ppv_store.epsilon, 10,
             )
@@ -207,21 +190,21 @@ class TestDrainThreeWays:
         assert len(calls) == run.drains > 1
 
     def test_the_list_lowering_is_never_built(self, tricky):
+        # The per-edge Python drain's plain-list views are gone: a
+        # resident cluster is its four arrays, nothing else.
         store = _open("disk", tricky / "c", 4)
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
             DiskFastPPV(store, ppv_store, delta=0.0).query_many([0, 3, 6])
-            assert ppv_store._hub_list is None
-        assert store._labels_list is None
-        for resident in store._cache.values():
-            for name in ("rows", "offsets", "targets", "probs"):
-                with pytest.raises(AttributeError):
-                    object.__getattribute__(resident, name)
-        # ... and is still there for whoever asks (out_edges, the oracle).
+            assert not hasattr(ppv_store, "hub_list")
+        assert not hasattr(store, "labels_list")
+        assert ResidentCluster.__slots__ == (
+            "nodes_array", "offsets_array", "targets_array", "probs_array"
+        )
+        # ... and out_edges (the oracle's lookup) reads those arrays.
         targets, _ = store.out_edges(0)
         assert targets.tolist() == [1, 1, 0, 3]
 
 
-@needs_native
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(deployments())
 def test_hypothesis_deployments_three_ways(deployment):
@@ -243,19 +226,18 @@ def test_hypothesis_deployments_three_ways(deployment):
                 return engine.query_many(batch), engine._grouped_pushes(batch)
 
             served, runs = serve()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(native, "_loaded", [None])
-                served_python, runs_python = serve()
-            for got, want in zip(served, served_python):
+            for query, got in zip(batch, served):
+                want = reference_disk_query(
+                    DiskGraphStore.open(root / "c"), ppv_store, query,
+                    delta=0.0, fault_budget=fault_budget,
+                )
                 assert got.scores.tobytes() == want.scores.tobytes()
                 assert got.result.error_history == want.result.error_history
                 assert (got.cluster_faults, got.hub_reads, got.truncated) == (
                     want.cluster_faults, want.hub_reads, want.truncated
                 )
             for query, run in runs.items():
-                assert type(run) is _NativePrimePushRun
-                assert type(runs_python[query]) is _PrimePushRun
-                _assert_runs_identical(run, runs_python[query])
+                assert type(run) is _PrimePushRun
                 _assert_runs_identical(
                     run,
                     _run(ReferencePrimePushRun, root, ppv_store, query, budget),
@@ -338,7 +320,6 @@ def _fans(sizes, seed=0):
     return _weighted_csr(node, edges, weights), sources
 
 
-@needs_native
 class TestPrimePushMany:
     # Group sizes that walk every branch of numpy's pairwise sum behind
     # reduceat (first + pairwise(rest)): rest < 8, the 8-accumulator
@@ -430,7 +411,6 @@ def push_cases(draw):
     return num_nodes, edges, weights, sorted(hubs), sources, epsilon, limit
 
 
-@needs_native
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(push_cases())
 def test_hypothesis_pushes_native_equals_numpy(case):
@@ -445,7 +425,7 @@ def test_hypothesis_pushes_native_equals_numpy(case):
 
 
 # --------------------------------------------------------------------- #
-# (c) Served bits on the ledger's dataset, under both selections
+# (c) Served bits on the ledger's dataset, against the oracles
 
 SOCIAL4K = dict(num_nodes=4000, graph_seed=11, num_hubs=400, epsilon=1e-6,
                 num_clusters=10, cluster_seed=1, delta=1e-4, eta=2)
@@ -469,42 +449,50 @@ def social4k(tmp_path_factory):
     return SimpleNamespace(graph=graph, index=index, workdir=workdir)
 
 
-def _served_digests(dataset) -> dict:
-    """SHA-256 over the served score vectors (PR 14's method) of the
-    ledger's 32 accuracy-sample nodes, from memory and from disk."""
-    specs = [
-        QuerySpec(node, stop=StopAfterIterations(SOCIAL4K["eta"]))
-        for node in L1_NODES
-    ]
-    services = {
-        "memory": lambda: PPVService.open(
-            dataset.index, graph=dataset.graph, delta=SOCIAL4K["delta"],
-            cache_size=0,
-        ),
-        "disk": lambda: PPVService.open(
-            str(dataset.workdir / "index.fppv"), backend="disk",
-            graph_store=DiskGraphStore.open(dataset.workdir / "clusters"),
-            delta=SOCIAL4K["delta"], cache_size=0,
-        ),
-    }
-    digests = {}
-    for backend, open_service in services.items():
-        with open_service() as service:
-            sha = hashlib.sha256()
-            for result in service.query_many(specs):
-                sha.update(result.scores.tobytes())
-            digests[backend] = sha.hexdigest()
-    return digests
+def _digest_of(results) -> str:
+    """SHA-256 over score vectors, in order (PR 14's method)."""
+    sha = hashlib.sha256()
+    for result in results:
+        sha.update(result.scores.tobytes())
+    return sha.hexdigest()
 
 
-@needs_native
-def test_social4k_served_scores_sha256_equal_under_both_selections(social4k):
-    compiled = _served_digests(social4k)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "_loaded", [None])
-        interpreted = _served_digests(social4k)
-    assert compiled == interpreted
-    assert compiled["memory"] != compiled["disk"]  # the fault budget bites
+# What both kernel selections served, equal, while the repo still had a
+# Python / numpy one.
+SOCIAL4K_DIGESTS = {
+    "memory": "6d89f8c41dad94b5932cf242aeef717055ca7aff6078601d01acea47b937c246",
+    "disk": "1cf0628ee13763671587bf20b4d8968d257a119cae8ef2ee61e86fb8baf1adef",
+}
+
+
+def test_social4k_served_scores_sha256_are_pinned(social4k):
+    """The ledger's 32 accuracy-sample nodes, served as one burst from
+    memory and from disk, hash to the pinned digests; the disk ones are
+    also ``reference_disk_query``'s (a memory burst shares one
+    level-synchronous push, whose rows may differ from a lone push by
+    round-off, so ``reference_query`` is pinned per query elsewhere)."""
+    stop = StopAfterIterations(SOCIAL4K["eta"])
+    specs = [QuerySpec(node, stop=stop) for node in L1_NODES]
+    with PPVService.open(
+        social4k.index, graph=social4k.graph, delta=SOCIAL4K["delta"],
+        cache_size=0,
+    ) as service:
+        memory = _digest_of(service.query_many(specs))
+    with PPVService.open(
+        str(social4k.workdir / "index.fppv"), backend="disk",
+        graph_store=DiskGraphStore.open(social4k.workdir / "clusters"),
+        delta=SOCIAL4K["delta"], cache_size=0,
+    ) as service:
+        disk = _digest_of(service.query_many(specs))
+    assert {"memory": memory, "disk": disk} == SOCIAL4K_DIGESTS
+    graph_store = DiskGraphStore.open(social4k.workdir / "clusters")
+    with DiskPPVStore(social4k.workdir / "index.fppv") as ppv_store:
+        assert disk == _digest_of(
+            reference_disk_query(
+                graph_store, ppv_store, node, stop=stop, delta=SOCIAL4K["delta"]
+            )
+            for node in L1_NODES
+        )
 
 
 def test_social4k_resident_block_is_the_per_hub_lowering(social4k):
@@ -520,7 +508,6 @@ def test_social4k_resident_block_is_the_per_hub_lowering(social4k):
     assert _block_csr(resident_block(loaded)) == want
 
 
-@needs_native
 def test_social4k_index_entries_are_the_compiled_rounds_bytes(social4k):
     # build_index runs the numpy rounds (see _build_chunk for why); the
     # day it flips to the compiled ones, every stored byte stays.
@@ -539,7 +526,7 @@ def test_social4k_index_entries_are_the_compiled_rounds_bytes(social4k):
 
 
 # --------------------------------------------------------------------- #
-# (d) Selection: how a process ends up with its kernels
+# (d) Loading: how a process ends up with its kernels, or an error
 
 PROBE = """
 import hashlib, sys, warnings
@@ -570,16 +557,26 @@ def _environment(tmp_path, **env) -> dict:
     }
 
 
-def _probe(tmp_path, **env):
-    """Run PROBE in a fresh interpreter: (library path, warnings, sha)."""
+LOAD_TWICE = """
+from repro import native
+for _ in range(2):
+    try:
+        native.load()
+    except RuntimeError as error:
+        print(error)
+"""
+
+
+def _load_twice(tmp_path, **env) -> list[str]:
+    """LOAD_TWICE in a fresh interpreter: the error of each ``load()``."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=_environment(tmp_path, **env),
+        [sys.executable, "-c", LOAD_TWICE], env=_environment(tmp_path, **env),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
-    path, warned, sha = done.stdout.split()
-    return path, int(warned), sha
+    errors = done.stdout.splitlines()
+    assert len(errors) == 2 and errors[0] == errors[1], errors
+    return errors
 
 
 def _status(tmp_path, **env):
@@ -592,36 +589,45 @@ def _status(tmp_path, **env):
 
 
 class TestSelection:
-    def test_the_switch_forces_the_fallback_with_identical_results(self, tmp_path):
-        forced = _probe(tmp_path, REPRO_NATIVE="0")
-        assert forced[:2] == ("None", 0)  # chosen, so nothing to warn about
-        assert not (tmp_path / "cache").exists()  # and nothing was built
-        if native.load() is not None:
-            built = _probe(tmp_path)
-            assert built[0].startswith(str(tmp_path / "cache" / "repro-fastppv"))
-            assert built[1:] == (0, forced[2])
-        status = _status(tmp_path, REPRO_NATIVE="0")
-        assert status.returncode == 0 and "fallback (REPRO_NATIVE=0)" in status.stdout
-
-    def test_no_compiler_on_path_is_one_warning_and_the_fallback(self, tmp_path):
+    def test_no_compiler_on_path_is_a_runtime_error(self, tmp_path):
         (tmp_path / "bin").mkdir()
-        path, warned, sha = _probe(tmp_path, PATH=str(tmp_path / "bin"))
-        assert (path, warned) == ("None", 1)
-        assert sha == _probe(tmp_path, REPRO_NATIVE="0")[2]
+        error, _ = _load_twice(tmp_path, PATH=str(tmp_path / "bin"))
+        assert error.startswith("compiled kernels unavailable: no C compiler on PATH")
+        assert "$CC" in error and "$XDG_CACHE_HOME" in error
+        assert not (tmp_path / "cache").exists()  # nothing was built
         status = _status(tmp_path, PATH=str(tmp_path / "bin"))
-        assert status.returncode == 1 and "no C compiler" in status.stdout
+        assert status.returncode == 1 and status.stdout == f"error: {error}\n"
         assert "Traceback" not in status.stderr
 
-    def test_an_unusable_cache_directory_is_the_fallback(self, tmp_path):
+    def test_an_unusable_cache_directory_is_a_runtime_error(self, tmp_path):
         # A regular file where the cache root should be: unusable even
         # for root, who ignores permission bits.
         (tmp_path / "cache").write_text("not a directory")
-        path, warned, sha = _probe(tmp_path)
-        if shutil.which("gcc") or shutil.which("cc"):
-            assert (path, warned) == ("None", 1)
-        assert sha == _probe(tmp_path, REPRO_NATIVE="0")[2]
+        error, _ = _load_twice(tmp_path)
+        assert f"cache directory {tmp_path / 'cache'}" in error
+        assert "is unusable" in error and "$XDG_CACHE_HOME" in error
+        status = _status(tmp_path)
+        assert status.returncode == 1 and status.stdout == f"error: {error}\n"
 
-    @needs_native
+    def test_a_failed_build_runs_the_compiler_once_per_process(self, tmp_path):
+        log = tmp_path / "cc.log"
+        fake = tmp_path / "bin" / "fake-cc"
+        fake.parent.mkdir()
+        fake.write_text(
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            f"open({str(log)!r}, 'a').write('built\\n')\n"
+            "sys.stderr.write('fake-cc: no kernels\\ntoday\\n')\n"
+            "sys.exit(1)\n"
+        )
+        fake.chmod(0o755)
+        error, _ = _load_twice(tmp_path, CC=str(fake))
+        assert f"{fake} failed: fake-cc: no kernels today;" in error
+        assert log.read_text() == "built\n"  # once, not once per load()
+        assert not list((tmp_path / "cache" / "repro-fastppv").iterdir())
+        _load_twice(tmp_path, CC=str(fake))  # a new process tries again
+        assert log.read_text() == "built\n" * 2
+
     def test_two_processes_racing_the_first_build_load_whole_libraries(
         self, tmp_path
     ):
@@ -644,7 +650,6 @@ class TestSelection:
                 path
             ).stem.rsplit("-", 1)[1]
 
-    @needs_native
     def test_a_truncated_or_foreign_cached_library_is_rebuilt_not_loaded(
         self, tmp_path, monkeypatch
     ):
@@ -675,7 +680,6 @@ class TestSelection:
         # The flags are the contract: nothing that reassociates or fuses.
         assert native.FLAGS == ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-    @needs_native
     def test_a_pool_parent_loads_before_it_forks(self, monkeypatch):
         from repro.server import pool
 
@@ -715,13 +719,16 @@ def _near_tie_store(root: Path) -> DiskGraphStore:
 
 @pytest.mark.parametrize(
     "kind",
-    RUN_KINDS + [pytest.param(ReferencePrimePushRun, id="reference")],
+    [
+        pytest.param(_PrimePushRun, id="native"),
+        pytest.param(ReferencePrimePushRun, id="reference"),
+    ],
 )
 def test_heaviest_pool_is_a_left_to_right_sum(tmp_path, monkeypatch, kind):
     store = _near_tie_store(tmp_path)
     # What CPython >= 3.12's builtin sum() computes; were next_cluster to
     # call sum(), this makes 3.11 behave like 3.12 here.
-    monkeypatch.setattr(disk_engine, "sum", math.fsum, raising=False)
+    monkeypatch.setattr(sys.modules[kind.__module__], "sum", math.fsum, raising=False)
     run = kind(store, 0, np.zeros(7, dtype=bool), 0.5, 1e-30, 10)
     assert run.next_cluster() == 0
     run.drain()
@@ -804,15 +811,13 @@ class TestSegmentStructure:
         with pytest.raises(ShardUnavailableError, match="malformed cluster segment"):
             remote.resident_cluster(0)
 
-    @pytest.mark.parametrize("selection", ["native", "python"])
+    @NATIVE
     @pytest.mark.parametrize(
         "broken", ["target_past_the_last_node", "negative_target"], indirect=True
     )
-    def test_no_kernel_sees_it(self, broken, selection, monkeypatch):
-        # Before the check: IndexError on the drain thread, or a silent
-        # wrap to hub_list[-1].
-        if selection == "python":
-            monkeypatch.setattr(native, "_loaded", [None])
+    def test_no_kernel_sees_it(self, broken, kernels):
+        # Before the check: an out-of-bounds index into the drain's
+        # per-node state.
         with DiskPPVStore(broken / "i.fppv") as ppv_store:
             engine = DiskFastPPV(DiskGraphStore.open(broken / "c"), ppv_store)
             with pytest.raises(ValueError, match="malformed"):
@@ -833,10 +838,9 @@ class TestSegmentStructure:
             array = getattr(resident, name)
             assert array.dtype == dtype
             assert array.flags.c_contiguous and array.flags.aligned
-        assert resident.rows == {4: 0, 9: 1}
+        assert resident.nodes_array.tolist() == [4, 9]
         assert resident.out_edges(9)[0].tolist() == [4, 9]
 
-    @needs_native
     def test_a_node_its_segment_does_not_hold_is_an_error_not_a_crash(
         self, tricky, tmp_path
     ):
@@ -860,7 +864,7 @@ class TestSegmentStructure:
 
         _rewrite_segment(tmp_path / "c", 0, drop_node_one)
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _NativePrimePushRun(
+            run = _PrimePushRun(
                 DiskGraphStore.open(tmp_path / "c"), 0, ppv_store.hub_mask,
                 ppv_store.alpha, ppv_store.epsilon, 10,
             )
@@ -889,7 +893,7 @@ graph = DiGraph(
 graph.edge_probabilities
 hub_mask = np.zeros(n, dtype=bool)
 sources = np.arange(batch, dtype=np.int64)
-assert native.load() is not None
+native.load()
 
 with open("/proc/self/statm") as statm:
     mapped = int(statm.read().split()[0]) * resource.getpagesize()
@@ -904,13 +908,13 @@ except MemoryError as error:
 resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 got = prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
-native._loaded[:] = [None]
-want = prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
+want = prime.prime_push_many(
+    graph, sources, hub_mask, epsilon=1e-12, _numpy_rounds=True
+)
 print("recovered:", all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
 """
 
 
-@needs_native
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS + /proc")
 def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
     done = subprocess.run(
@@ -926,12 +930,7 @@ def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# (g) The splice round's two products: native vs numpy vs the scalar loop
-
-SELECTIONS = [
-    pytest.param(True, id="native", marks=needs_native),
-    pytest.param(False, id="numpy"),
-]
+# (g) The splice round's two products against the scalar loop
 
 
 def _entry(hub, nodes, scores, border_hubs=(), border_masses=()) -> PrimePPV:
@@ -1030,18 +1029,12 @@ def _assert_rounds_three_ways(
 ):
     want = _scalar_rounds(entries, alpha, starts, stop, delta, cap)
     frontiers = set()
-    for compiled in (True, False):
-        if compiled and native.load() is None:
-            continue
-        with pytest.MonkeyPatch.context() as patch:
-            if not compiled:
-                patch.setattr(native, "_loaded", [None])
-            for resident in (True, False):
-                *got, final = _batch_rounds(
-                    entries, num_nodes, alpha, starts, stop, delta, cap, resident
-                )
-                assert tuple(got) == want, (compiled, resident)
-                frontiers.add(repr(final))
+    for resident in (True, False):
+        *got, final = _batch_rounds(
+            entries, num_nodes, alpha, starts, stop, delta, cap, resident
+        )
+        assert tuple(got) == want, resident
+        frontiers.add(repr(final))
     assert len(frontiers) == 1  # order and bits of what a next round would read
     return want[1]
 
@@ -1054,10 +1047,8 @@ class TestSpliceRoundsThreeWays:
         )
         assert [iterations for iterations, *_ in outcomes] == [3, 3, 3]
 
-    @pytest.mark.parametrize("compiled", SELECTIONS)
-    def test_first_touch_order_is_not_sorted_order(self, compiled, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(native, "_loaded", [None])
+    @NATIVE
+    def test_first_touch_order_is_not_sorted_order(self, kernels):
         *_, (frontier,) = _batch_rounds(
             ENTRIES, SPLICE_NODES, ALPHA, [_start([6, 1], [0.3, 0.2])],
             StopAfterIterations(1), 0.0, 64, True,
@@ -1212,53 +1203,50 @@ def row_batches(draw):
     return num_nodes, [[pool[hub] for hub in batch] for batch in batches]
 
 
-@pytest.mark.parametrize("compiled", SELECTIONS)
+@NATIVE
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=row_batches())
-def test_hypothesis_add_rows_is_the_per_hub_lowering(case, compiled):
+def test_hypothesis_add_rows_is_the_per_hub_lowering(case, kernels):
     """``add_rows`` appends bytewise what lowering one prime PPV at a
     time (``oracles.lower_entry``) appended: first occurrence kept,
     held hubs skipped, batch order preserved — and the block splices the
     same bits whichever way it was built."""
     num_nodes, batches = case
-    with pytest.MonkeyPatch.context() as patch:
-        if not compiled:
-            patch.setattr(native, "_loaded", [None])
-        block = SpliceBlock(ALPHA, num_nodes)
-        for batch in batches:
-            block.add_rows(HubRows.pack(batch))
-        appended = [entry for batch in batches for entry in batch]
-        assert _block_csr(block) == _reference_csr(appended, ALPHA)
-        held = sorted({entry.source for entry in appended})
-        assert block.num_rows == len(held)
-        for entry in appended:
-            nodes, scores, border_hubs, border_masses = block.prime_of(entry.source)
-            first = next(e for e in appended if e.source == entry.source)
-            assert nodes.tobytes() == first.nodes.tobytes()
-            assert scores.tobytes() == first.scores.tobytes()
-            assert border_hubs.tobytes() == first.border_hubs.tobytes()
-            assert border_masses.tobytes() == first.border_masses.tobytes()
-        if held:
-            rows = block.rows_of(np.array(held))
-            dest = np.zeros(len(held) * num_nodes)
-            block.score_product(
-                rows, np.full(len(held), 0.5),
-                np.arange(len(held)) * num_nodes, dest,
-            )
-            want = np.zeros_like(dest)
-            for position, hub in enumerate(held):
-                entry = next(e for e in appended if e.source == hub)
-                part = want[position * num_nodes:(position + 1) * num_nodes]
-                np.add.at(part, entry.nodes, 0.5 * entry.scores)
-                part[hub] -= ALPHA * 0.5
-            assert dest.tobytes() == want.tobytes()
+    block = SpliceBlock(ALPHA, num_nodes)
+    for batch in batches:
+        block.add_rows(HubRows.pack(batch))
+    appended = [entry for batch in batches for entry in batch]
+    assert _block_csr(block) == _reference_csr(appended, ALPHA)
+    held = sorted({entry.source for entry in appended})
+    assert block.num_rows == len(held)
+    for entry in appended:
+        nodes, scores, border_hubs, border_masses = block.prime_of(entry.source)
+        first = next(e for e in appended if e.source == entry.source)
+        assert nodes.tobytes() == first.nodes.tobytes()
+        assert scores.tobytes() == first.scores.tobytes()
+        assert border_hubs.tobytes() == first.border_hubs.tobytes()
+        assert border_masses.tobytes() == first.border_masses.tobytes()
+    if held:
+        rows = block.rows_of(np.array(held))
+        dest = np.zeros(len(held) * num_nodes)
+        block.score_product(
+            rows, np.full(len(held), 0.5),
+            np.arange(len(held)) * num_nodes, dest,
+        )
+        want = np.zeros_like(dest)
+        for position, hub in enumerate(held):
+            entry = next(e for e in appended if e.source == hub)
+            part = want[position * num_nodes:(position + 1) * num_nodes]
+            np.add.at(part, entry.nodes, 0.5 * entry.scores)
+            part[hub] -= ALPHA * 0.5
+        assert dest.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(deployments())
 def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
-    # Both backends, both selections: memory against reference_query, disk
-    # against the oracle loops of oracles.py.
+    # Both backends: memory against reference_query, disk against the
+    # oracle loops of oracles.py.
     num_nodes, edges, labels, hubs, batch, memory_budget, fault_budget, backend = (
         deployment
     )
@@ -1269,46 +1257,37 @@ def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
         index = load_index(root / "i.fppv")
         stop = StopAfterIterations(3)
         with DiskPPVStore(root / "i.fppv") as ppv_store:
-            for compiled in (True, False):
-                if compiled and native.load() is None:
-                    continue
-                with pytest.MonkeyPatch.context() as patch:
-                    if not compiled:
-                        patch.setattr(native, "_loaded", [None])
-                    memory = FastPPV(graph, index, delta=0.0)
-                    disk = DiskFastPPV(
-                        _open(backend, root / "c", memory_budget), ppv_store,
-                        delta=0.0, fault_budget=fault_budget,
-                    )
-                    for query in batch:
-                        got = memory.query(query, stop=stop)
-                        want = reference_query(memory, query, stop=stop)
-                        assert got.scores.tobytes() == want.scores.tobytes()
-                        assert got.error_history == want.error_history
-                        assert (got.iterations, got.hubs_expanded, got.work_units) == (
-                            want.iterations, want.hubs_expanded, want.work_units
-                        )
-                        got = disk.query(query, stop=stop)
-                        want = reference_disk_query(
-                            DiskGraphStore.open(root / "c"), ppv_store, query,
-                            stop=stop, delta=0.0, fault_budget=fault_budget,
-                        )
-                        assert got.scores.tobytes() == want.scores.tobytes()
-                        assert got.result.error_history == want.result.error_history
-                        assert got.hub_reads == want.hub_reads
+            memory = FastPPV(graph, index, delta=0.0)
+            disk = DiskFastPPV(
+                _open(backend, root / "c", memory_budget), ppv_store,
+                delta=0.0, fault_budget=fault_budget,
+            )
+            for query in batch:
+                got = memory.query(query, stop=stop)
+                want = reference_query(memory, query, stop=stop)
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert got.error_history == want.error_history
+                assert (got.iterations, got.hubs_expanded, got.work_units) == (
+                    want.iterations, want.hubs_expanded, want.work_units
+                )
+                got = disk.query(query, stop=stop)
+                want = reference_disk_query(
+                    DiskGraphStore.open(root / "c"), ppv_store, query,
+                    stop=stop, delta=0.0, fault_budget=fault_budget,
+                )
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert got.result.error_history == want.result.error_history
+                assert got.hub_reads == want.hub_reads
 
 
 class TestAColumnOutsideTheGraph:
     """A block row naming a node ``>= num_nodes`` or ``< 0`` (a corrupt
-    payload that still parses) is refused by both products under both
-    selections — never written through, into a neighbour's row or off
-    the buffer."""
+    payload that still parses) is refused by both products — never
+    written through, into a neighbour's row or off the buffer."""
 
-    @pytest.mark.parametrize("compiled", SELECTIONS)
+    @NATIVE
     @pytest.mark.parametrize("bad", [SPLICE_NODES, SPLICE_NODES + 40, -1, -(2**40)])
-    def test_score_row(self, compiled, bad, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(native, "_loaded", [None])
+    def test_score_row(self, kernels, bad):
         entries = dict(ENTRIES)
         entries[2] = _entry(2, [2, bad], [0.15, 0.07], [1], [0.2])
         block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
@@ -1322,11 +1301,9 @@ class TestAColumnOutsideTheGraph:
         assert (dest[:SPLICE_NODES] == 7.0).all()
         assert (dest[2 * SPLICE_NODES:] == 7.0).all()
 
-    @pytest.mark.parametrize("compiled", SELECTIONS)
+    @NATIVE
     @pytest.mark.parametrize("bad", [SPLICE_NODES, -1])
-    def test_border_row(self, compiled, bad, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(native, "_loaded", [None])
+    def test_border_row(self, kernels, bad):
         entries = dict(ENTRIES)
         entries[6] = _entry(6, [6], [0.15], [1, bad], [0.2, 0.1])
         block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
@@ -1336,10 +1313,8 @@ class TestAColumnOutsideTheGraph:
                 np.array([1, 1]),
             )
 
-    @pytest.mark.parametrize("compiled", SELECTIONS)
-    def test_through_the_round_loop(self, compiled, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(native, "_loaded", [None])
+    @NATIVE
+    def test_through_the_round_loop(self, kernels):
         entries = dict(ENTRIES)
         entries[1] = _entry(1, [0, SPLICE_NODES], [0.1, 0.2], [2], [0.3])
         with pytest.raises(ValueError, match="hub 1 names a node outside"):
