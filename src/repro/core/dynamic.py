@@ -18,6 +18,9 @@ could in principle become relevant after an update that *raises* mass
 towards it, but any such contribution is below the same epsilon the
 offline phase already discards.  Tests verify equivalence with a full
 rebuild on random update batches.
+
+Kept in ``src/``: ``examples/dynamic_graph.py`` calls it, and
+:meth:`repro.serving.PPVService.update_index` serves the index it returns.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ def normalise_weights(
     """Teleport weights for ``num_queries`` nodes, normalised to sum to 1.
 
     ``None`` means uniform preference.  Raises ``ValueError`` on a length
-    mismatch, negative entries, or an all-zero vector.
+    mismatch, negative entries, an all-zero vector, or a sum that is not
+    finite.
     """
     if num_queries == 0:
         raise ValueError("a query needs at least one node")
@@ -45,9 +46,13 @@ def normalise_weights(
     weight_arr = np.asarray(weights, dtype=float)
     if weight_arr.shape != (num_queries,):
         raise ValueError("one weight per query node required")
-    if np.any(weight_arr < 0.0) or weight_arr.sum() <= 0.0:
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        total = weight_arr.sum()
+    if np.any(weight_arr < 0.0) or total <= 0.0:
         raise ValueError("weights must be non-negative with positive sum")
-    return weight_arr / weight_arr.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"weights must have a finite sum, not {total}")
+    return weight_arr / total
 
 
 def combine_results(

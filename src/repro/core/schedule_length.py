@@ -15,6 +15,8 @@ length schedule's error is exactly ``(1-alpha)^(k+1)`` while hub-length
 partitions cover many lengths at once (every hub-free tour regardless of
 length lands in iteration 0), so FastPPV converges in far fewer — and
 index-accelerated — iterations.
+
+Kept in ``src/``: CI's ``benchmarks/bench_ablation_schedule.py`` calls it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ spelling.
 This package puts them behind one backend-agnostic API:
 
 * :class:`PPVService` — the façade.  ``PPVService.open(index, graph=g)``
-  or ``PPVService.open(ppv_store, graph_store=s)`` resolves a backend
-  from the registry (``"memory"``, ``"disk"``) and serves
+  or ``PPVService.open(ppv_store, graph_store=s)`` builds the memory
+  or disk backend from its keyword and serves
   :class:`QuerySpec` requests on it: ``query`` (sync), ``submit``
   (a :class:`QueryHandle` future), ``query_many`` (ordered burst),
   ``stream`` (per-iteration :class:`QuerySnapshot` delivery).
@@ -27,9 +27,8 @@ This package puts them behind one backend-agnostic API:
   batching, caching, and wire codec — so new analyses get
   coalescing/caching/network for free
   (:func:`~repro.serving.families.register_family`).
-* The :class:`~repro.serving.engines.Engine` protocol + registry, the
-  extension point for further backends
-  (:func:`~repro.serving.engines.register_backend`).
+* The :class:`~repro.serving.engines.Engine` protocol and its two
+  adapters, :class:`MemoryEngine` and :class:`DiskEngine`.
 
 Quickstart::
 
@@ -58,10 +57,6 @@ from repro.serving.engines import (
     DiskEngine,
     Engine,
     MemoryEngine,
-    available_backends,
-    detect_backend,
-    register_backend,
-    resolve_backend,
 )
 from repro.serving.scheduler import CoalescingScheduler
 from repro.serving.service import PPVService, ServiceStats
@@ -85,8 +80,4 @@ __all__ = [
     "Engine",
     "MemoryEngine",
     "DiskEngine",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
-    "detect_backend",
 ]

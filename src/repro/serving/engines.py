@@ -1,4 +1,4 @@
-"""The backend-agnostic ``Engine`` protocol, its adapters, and registry.
+"""The backend-agnostic ``Engine`` protocol and its two adapters.
 
 There is one engine per backend — the in-memory ``FastPPV`` and the
 disk ``DiskFastPPV``; on both, a single query is the batch of one and the
@@ -10,15 +10,15 @@ routing (time-based or user-defined conditions are served one query at a
 time on every backend) and a ``cache_token`` that tells the service when
 cached results went stale.
 
-Backends register under a name (``"memory"``, ``"disk"``) in a module
-registry; :meth:`~repro.serving.PPVService.open` resolves a name — or
-auto-detects one from the source object — to a factory from here.
-Third-party engines can join via :func:`register_backend`.
+:meth:`~repro.serving.PPVService.open` builds :class:`MemoryEngine`
+(``graph=``) or :class:`DiskEngine` (``graph_store=``) from its
+keywords; the shard router's :class:`~repro.sharding.router.RouterEngine`
+and the shard's :class:`~repro.sharding.shard.ShardEngine` are built by
+:mod:`repro.sharding` directly and handed to ``PPVService``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Protocol, Sequence
 
 from repro.core.batch import FastPPV, batch_safe
@@ -39,7 +39,7 @@ class Engine(Protocol):
     """
 
     backend: str
-    """Registry name of this backend (``"memory"``, ``"disk"``, ...)."""
+    """Name of this backend (``"memory"``, ``"disk"``, ...)."""
 
     num_nodes: int
     """Graph size, for request validation."""
@@ -201,120 +201,3 @@ class DiskEngine(_StopRouting):
     def close(self) -> None:
         if self._owns_store:
             self.ppv_store.close()
-
-
-# --------------------------------------------------------------------- #
-# Backend registry
-
-
-def _memory_factory(source, *, graph=None, graph_store=None, **kwargs):
-    if graph_store is not None:
-        raise ValueError("the memory backend takes graph=, not graph_store=")
-    if isinstance(source, FastPPV):
-        engine = source
-        return MemoryEngine(
-            engine.graph,
-            engine.index,
-            delta=kwargs.pop("delta", engine.delta),
-            max_iterations=kwargs.pop("max_iterations", engine.max_iterations),
-            online_epsilon=kwargs.pop("online_epsilon", engine.online_epsilon),
-            **kwargs,
-        )
-    if isinstance(source, PPVIndex):
-        if graph is None:
-            raise ValueError(
-                "opening the memory backend from a PPVIndex needs graph="
-            )
-        return MemoryEngine(graph, source, **kwargs)
-    raise TypeError(
-        f"memory backend cannot open {type(source).__name__}; pass a "
-        "PPVIndex (with graph=) or a FastPPV engine"
-    )
-
-
-def _disk_factory(source, *, graph=None, graph_store=None, **kwargs):
-    if graph is not None:
-        raise ValueError("the disk backend takes graph_store=, not graph=")
-    if isinstance(source, DiskFastPPV):
-        engine = source
-        return DiskEngine(
-            engine.graph_store,
-            engine.ppv_store,
-            delta=kwargs.pop("delta", engine.delta),
-            fault_budget=kwargs.pop("fault_budget", engine.fault_budget),
-            max_iterations=kwargs.pop(
-                "max_iterations", engine.max_iterations
-            ),
-            **kwargs,
-        )
-    owns = False
-    if isinstance(source, (str, os.PathLike)):
-        source = DiskPPVStore(source)
-        owns = True
-    if isinstance(source, DiskPPVStore):
-        if graph_store is None:
-            if owns:
-                source.close()
-            raise ValueError(
-                "opening the disk backend needs graph_store= (a "
-                "DiskGraphStore over the same graph)"
-            )
-        return DiskEngine(graph_store, source, owns_store=owns, **kwargs)
-    raise TypeError(
-        f"disk backend cannot open {type(source).__name__}; pass a "
-        "DiskPPVStore, an .fppv path, or a DiskFastPPV engine"
-    )
-
-
-_BACKENDS: dict[str, Callable[..., Engine]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., Engine]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    ``factory(source, *, graph=None, graph_store=None, **engine_kwargs)``
-    must return an :class:`Engine`.
-    """
-    _BACKENDS[name] = factory
-
-
-def resolve_backend(name: str) -> Callable[..., Engine]:
-    """The factory registered under ``name``.
-
-    Raises
-    ------
-    KeyError
-        With the list of known backends, if ``name`` is unknown.
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; registered: "
-            f"{sorted(_BACKENDS)}"
-        ) from None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def detect_backend(source, graph=None, graph_store=None) -> str:
-    """Infer the backend name from what the caller handed us."""
-    if isinstance(source, (PPVIndex, FastPPV)):
-        return "memory"
-    if isinstance(source, (DiskPPVStore, DiskFastPPV, str, os.PathLike)):
-        return "disk"
-    if graph is not None:
-        return "memory"
-    if graph_store is not None:
-        return "disk"
-    raise TypeError(
-        f"cannot infer a backend from {type(source).__name__}; pass "
-        "backend= explicitly"
-    )
-
-
-register_backend("memory", _memory_factory)
-register_backend("disk", _disk_factory)

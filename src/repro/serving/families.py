@@ -64,7 +64,12 @@ from repro.core.reachability import (
 )
 from repro.core.topk import top_k_result
 from repro.graph.pagerank import DEFAULT_ALPHA
-from repro.serving.spec import DEFAULT_TOPK_BUDGET, QuerySpec, integer_field
+from repro.serving.spec import (
+    DEFAULT_TOPK_BUDGET,
+    QuerySpec,
+    integer_field,
+    real_field,
+)
 from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
 
 MAX_SERVED_TOUR_LENGTH = 12
@@ -305,9 +310,11 @@ class PPVFamily(QueryFamily):
             raise ValueError(f'"eta" must not be negative, got {eta}')
         conditions = [StopAfterIterations(eta)]
         if request.get("target_error") is not None:
-            conditions.append(StopAtL1Error(float(request["target_error"])))
+            target = real_field("target_error", request["target_error"])
+            conditions.append(StopAtL1Error(target))
         if request.get("time_limit") is not None:
-            conditions.append(StopAfterTime(float(request["time_limit"])))
+            limit = real_field("time_limit", request["time_limit"])
+            conditions.append(StopAfterTime(limit))
         stop = conditions[0] if len(conditions) == 1 else any_of(*conditions)
         return QuerySpec(
             _nodes_from_request(request),
@@ -416,12 +423,12 @@ class HittingFamily(QueryFamily):
         if "target" not in params:
             raise ValueError('family "hitting" needs a "target" node')
         target = integer_field("target", params["target"])
-        beta = float(params.get("beta", DEFAULT_BETA))
+        beta = real_field("beta", params.get("beta", DEFAULT_BETA))
         max_levels = integer_field(
             "max_levels", params.get("max_levels", 16)
         )
-        epsilon = float(params.get("epsilon", 1e-9))
-        delta = float(params.get("delta", 0.0))
+        epsilon = real_field("epsilon", params.get("epsilon", 1e-9))
+        delta = real_field("delta", params.get("delta", 0.0))
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not 0 <= max_levels <= MAX_SERVED_HITTING_LEVELS:
@@ -515,7 +522,7 @@ class ReachabilityFamily(QueryFamily):
         max_length = integer_field(
             "max_length", params.get("max_length", DEFAULT_MAX_TOUR_LENGTH)
         )
-        alpha = float(params.get("alpha", DEFAULT_ALPHA))
+        alpha = real_field("alpha", params.get("alpha", DEFAULT_ALPHA))
         if not 0 <= max_length <= MAX_SERVED_TOUR_LENGTH:
             raise ValueError(
                 "max_length must lie in "

@@ -2,8 +2,8 @@
 
 The service owns four things:
 
-* an :class:`~repro.serving.engines.Engine` adapter (resolved through
-  the backend registry by :meth:`PPVService.open`),
+* an :class:`~repro.serving.engines.Engine` adapter (built from its
+  keywords by :meth:`PPVService.open`, or handed to the constructor),
 * the :class:`~repro.serving.scheduler.CoalescingScheduler` that admits
   concurrent ``submit()`` traffic and drains it as engine batches,
 * the shared :class:`~repro.serving.cache.PopularityCache` (hit-counter
@@ -31,6 +31,7 @@ engine's usual ~1e-14 reassociation round-off.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -42,7 +43,7 @@ from repro.core.topk import _certificate_holds, top_k_result
 from repro.obs import Observability, cost_counters
 from repro.obs.trace import activate as _activate_span
 from repro.serving.cache import DEFAULT_CACHE_SIZE, PopularityCache
-from repro.serving.engines import Engine, detect_backend, resolve_backend
+from repro.serving.engines import DiskEngine, Engine, MemoryEngine
 from repro.serving.families import (
     FamilyTask,
     QueryFamily,
@@ -57,8 +58,12 @@ from repro.serving.scheduler import (
 )
 from repro.serving.spec import QueryHandle, QuerySnapshot, QuerySpec
 from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
+from repro.storage.ppv_store import DiskPPVStore
 
 _STREAM_DONE = object()
+
+# What PPVService.open serves, by backend name: the keyword naming it.
+_BACKEND_KEYWORDS = {"memory": "graph=", "disk": "graph_store="}
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ class PPVService:
     @classmethod
     def open(
         cls,
-        index_or_store,
+        source,
         backend: str | None = None,
         *,
         graph=None,
@@ -263,32 +268,63 @@ class PPVService:
     ) -> "PPVService":
         """Open a service over an index (memory) or stores (disk).
 
+        The keyword picks the backend: ``graph=`` serves ``source`` in
+        memory (a :class:`MemoryEngine`), ``graph_store=`` from disk (a
+        :class:`DiskEngine`).
+
         Parameters
         ----------
-        index_or_store:
-            What to serve from: a :class:`~repro.core.index.PPVIndex`
-            (with ``graph=``) or a ``FastPPV`` engine for the memory
-            backend; a :class:`~repro.storage.ppv_store.DiskPPVStore`,
-            an ``.fppv`` path (opened and owned by the service), or a
-            ``DiskFastPPV`` engine (with ``graph_store=``) for disk.
+        source:
+            A :class:`~repro.core.index.PPVIndex` (with ``graph=``); or a
+            :class:`~repro.storage.ppv_store.DiskPPVStore` or an
+            ``.fppv`` path (with ``graph_store=``) — a path is opened,
+            owned and closed by the service.
         backend:
-            Registry name; auto-detected from the source type when
-            omitted.
+            ``"memory"`` or ``"disk"``; when passed, it must name the
+            backend the keywords pick.
         engine_kwargs:
-            Forwarded to the backend factory (``delta``,
-            ``online_epsilon``, ``fault_budget``, ...).
+            Forwarded to the adapter (``delta``, ``max_iterations``,
+            ``online_epsilon`` / ``fault_budget``).
         """
-        name = (
-            backend
-            if backend is not None
-            else detect_backend(index_or_store, graph=graph,
-                                graph_store=graph_store)
-        )
-        factory = resolve_backend(name)
-        engine = factory(
-            index_or_store, graph=graph, graph_store=graph_store,
-            **engine_kwargs,
-        )
+        if backend is not None and backend not in _BACKEND_KEYWORDS:
+            raise KeyError(
+                f"unknown backend {backend!r}; known: "
+                f"{sorted(_BACKEND_KEYWORDS)}"
+            )
+        if (graph is None) == (graph_store is None):
+            raise ValueError(
+                "pass exactly one of graph= (memory backend) and "
+                "graph_store= (disk backend)"
+            )
+        name = "memory" if graph is not None else "disk"
+        if backend is not None and backend != name:
+            raise ValueError(
+                f"the {backend} backend takes {_BACKEND_KEYWORDS[backend]}, "
+                f"not {_BACKEND_KEYWORDS[name]}"
+            )
+        if name == "memory":
+            if not isinstance(source, PPVIndex):
+                raise TypeError(
+                    f"the memory backend serves a PPVIndex, not "
+                    f"{type(source).__name__}"
+                )
+            engine = MemoryEngine(graph, source, **engine_kwargs)
+        elif isinstance(source, DiskPPVStore):
+            engine = DiskEngine(graph_store, source, **engine_kwargs)
+        elif isinstance(source, (str, os.PathLike)):
+            store = DiskPPVStore(source)
+            try:
+                engine = DiskEngine(
+                    graph_store, store, owns_store=True, **engine_kwargs
+                )
+            except BaseException:
+                store.close()
+                raise
+        else:
+            raise TypeError(
+                f"the disk backend serves a DiskPPVStore or an .fppv path, "
+                f"not {type(source).__name__}"
+            )
         return cls(
             engine,
             cache_size=cache_size,

@@ -23,6 +23,7 @@ accuracy-aware clients can consume PPVs as they converge.
 from __future__ import annotations
 
 import copy
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -52,6 +53,23 @@ def integer_field(name: str, value) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise TypeError(f'"{name}" must be an integer, not {value!r}')
+
+
+def real_field(name: str, value) -> float:
+    """``value`` of the request field ``name`` as a finite ``float``: only
+    an ``int`` (not a ``bool``), a ``float`` or a numpy number is one;
+    ``true``, ``"0.2"``, ``NaN`` and ``Infinity`` are a ``TypeError``
+    naming the field, never coerced."""
+    if not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise TypeError(f'"{name}" must be a finite real number, not {value!r}')
 
 
 @dataclass(frozen=True)
@@ -157,8 +175,10 @@ class QuerySpec:
         weight_tuple: tuple[float, ...] | None = None
         if weights is not None:
             weight_tuple = tuple(
-                float(w)
-                for w in normalise_weights(len(node_tuple), weights)
+                normalise_weights(
+                    len(node_tuple),
+                    [real_field("weights", w) for w in weights],
+                ).tolist()
             )
         object.__setattr__(self, "nodes", node_tuple)
         object.__setattr__(self, "weights", weight_tuple)

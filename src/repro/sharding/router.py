@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs import Histogram, MetricsRegistry, Observability
-from repro.serving.engines import DiskEngine, register_backend
+from repro.serving.engines import DiskEngine
 from repro.serving.service import DEFAULT_CACHE_SIZE, PPVService
 from repro.server.client import ServerError
 from repro.server.protocol import ShardUnavailableError
@@ -309,18 +309,6 @@ class RouterEngine(DiskEngine):
         self.ppv_store.close()
         self.graph_store.close()
         self.fleet.close()
-
-
-def _sharded_factory(source, *, graph=None, graph_store=None, **kwargs):
-    if graph is not None or graph_store is not None:
-        raise ValueError(
-            "the sharded backend opens a shard address list; it takes "
-            "no graph=/graph_store="
-        )
-    return RouterEngine(source, **kwargs)
-
-
-register_backend("sharded", _sharded_factory)
 
 
 class ShardRouter:

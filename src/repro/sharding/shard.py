@@ -32,10 +32,11 @@ the decoder a local read uses
     global cluster labels, from which the router bootstraps without
     ever reading the partition root itself.
 
-Query verbs are refused with a structured ``invalid`` error pointing at
-the router.  Fetches run under one lock: the TCP front-end executes
-them on ``asyncio.to_thread`` workers, and the underlying stores share
-seekable file handles that must not interleave.
+A shard answers no query family, so a ``query`` or ``stream`` sent to
+it is refused at admission as ``unsupported_family``, and its
+``stats`` lists ``families: []``.  Fetches run under one lock: the TCP
+front-end executes them on ``asyncio.to_thread`` workers, and the
+underlying stores share seekable file handles that must not interleave.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import json
 import threading
 from pathlib import Path
 
-from repro.serving.engines import register_backend
 from repro.storage.disk_engine import DiskGraphStore
 from repro.storage.ppv_store import DiskPPVStore
 
@@ -71,11 +71,11 @@ def encode_segment(segment: bytes) -> dict:
 class ShardEngine:
     """Serve one shard directory's stores to a shard router.
 
-    Implements just enough of the :class:`~repro.serving.engines.Engine`
-    protocol to sit behind ``PPVService``/``PPVServer`` (lifecycle,
-    ``num_nodes``, ``cache_token``); the query methods refuse, and the
-    real surface is :meth:`fetch_hubs` / :meth:`fetch_cluster` /
-    :meth:`shard_info`.
+    Sits behind ``PPVService``/``PPVServer`` with the lifecycle part of
+    the :class:`~repro.serving.engines.Engine` protocol (``num_nodes``,
+    ``cache_token``, ``close``) and the data verbs only:
+    :meth:`fetch_hubs` / :meth:`fetch_cluster` / :meth:`shard_info`.
+    It has no query methods, so it supports no query family.
     """
 
     backend = "shard"
@@ -106,26 +106,11 @@ class ShardEngine:
         return json.loads(meta_path.read_text())
 
     # ------------------------------------------------------------------ #
-    # Engine protocol (lifecycle only)
+    # Lifecycle
 
     @property
     def num_nodes(self) -> int:
         return self.graph_store.num_nodes
-
-    def _refuse(self):
-        raise ValueError(
-            f"shard {self.shard} serves data, not queries; query "
-            "through the shard router"
-        )
-
-    def query_batch(self, nodes, stop):
-        self._refuse()
-
-    def query_top_k_batch(self, nodes, k, budget):
-        self._refuse()
-
-    def query_stream(self, node, stop, on_iteration):
-        self._refuse()
 
     def cache_token(self) -> object:
         return self.ppv_store
@@ -238,15 +223,3 @@ def shard_service_factory(shard_dir, *, fault_plan=None, obs=True):
         )
 
     return factory
-
-
-def _shard_factory(source, *, graph=None, graph_store=None, **kwargs):
-    if graph is not None or graph_store is not None:
-        raise ValueError(
-            "the shard backend opens a shard directory; it takes no "
-            "graph=/graph_store="
-        )
-    return ShardEngine(source, **kwargs)
-
-
-register_backend("shard", _shard_factory)

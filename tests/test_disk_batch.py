@@ -265,11 +265,13 @@ class TestKernels:
 
     def test_serving_adapter_carries_cap(self, disk_batch_setup,
                                          small_social):
-        _, ppv_store, engine = _fresh_engine(
-            small_social, disk_batch_setup, "adapter", max_iterations=7,
+        store, ppv_store, _ = _fresh_engine(
+            small_social, disk_batch_setup, "adapter"
         )
         with ppv_store:
-            with PPVService.open(engine) as service:
+            with PPVService.open(
+                ppv_store, graph_store=store, max_iterations=7
+            ) as service:
                 assert service.engine._engine.max_iterations == 7
 
     def test_batch_on_iteration_counts(self, disk_batch_setup,

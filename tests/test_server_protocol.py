@@ -213,6 +213,44 @@ class TestSpecFromRequest:
             f'"{field}" must be an integer, not {value!r}'
         )
 
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            (b'{"nodes":[5,6],"weights":[NaN,1]}', "weights"),
+            (b'{"nodes":[5,6],"weights":[1,Infinity]}', "weights"),
+            # Each weight is finite, their sum is not.
+            (b'{"nodes":[5,6],"weights":[1e308,1e308]}', "weights"),
+            (b'{"nodes":[5,6],"weights":["1","2"]}', "weights"),
+            (b'{"nodes":[5,6],"weights":[true,1]}', "weights"),
+            (b'{"nodes":[5,6],"top_k":3,"weights":[NaN,1]}', "weights"),
+            (b'{"node":5,"target_error":"0.2"}', "target_error"),
+            (b'{"node":5,"target_error":true}', "target_error"),
+            (b'{"node":5,"target_error":NaN}', "target_error"),
+            (b'{"node":5,"time_limit":Infinity}', "time_limit"),
+            (b'{"node":5,"time_limit":"1"}', "time_limit"),
+            (b'{"node":5,"family":"hitting","target":6,"delta":"nan"}',
+             "delta"),
+            (b'{"node":5,"family":"hitting","target":6,"delta":NaN}',
+             "delta"),
+            (b'{"node":5,"family":"hitting","target":6,"epsilon":Infinity}',
+             "epsilon"),
+            (b'{"node":5,"family":"hitting","target":6,"beta":true}', "beta"),
+            (b'{"node":5,"family":"reachability","alpha":"0.5"}', "alpha"),
+            (b'{"node":5,"family":"reachability","alpha":NaN}', "alpha"),
+        ],
+    )
+    def test_real_fields_refuse_non_numbers(self, line, field):
+        # Only a finite int (not a bool) or float is a real number on
+        # the wire: strings, booleans, NaN and infinities are refused as
+        # "invalid" naming the field, at parse time or (the hitting /
+        # reachability parameters) when the family validates the spec.
+        request = protocol.parse_request(line)
+        with pytest.raises((ProtocolError, TypeError, ValueError)) as excinfo:
+            spec = protocol.spec_from_request(request)
+            resolve_family(spec.family).validate(spec, None)
+        assert protocol.error_code(excinfo.value) == protocol.E_INVALID
+        assert field in str(excinfo.value)
+
     def test_numpy_integers_are_integers(self):
         spec = QuerySpec(np.int64(3))
         assert spec.nodes == (3,) and type(spec.nodes[0]) is int

@@ -1,4 +1,4 @@
-"""The PPVService façade: backend registry, equivalence with direct
+"""The PPVService façade: how it opens, equivalence with direct
 engine calls (pinned bitwise), coalescing, handles, and streaming."""
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from repro import (
     select_hubs,
 )
 from repro.core.linearity import combine_results, multi_node_ppv, normalise_weights
-from repro.serving import engines as serving_engines
-from repro.serving.engines import (
-    available_backends,
-    detect_backend,
-    register_backend,
-)
 from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
@@ -69,13 +63,6 @@ class TestOpenAndRegistry:
             assert service.engine.backend == "memory"
             assert service.engine.num_nodes == small_social.num_nodes
 
-    def test_opens_from_fastppv_engine(self, small_social, small_social_index):
-        engine = FastPPV(small_social, small_social_index, delta=1e-3)
-        with PPVService.open(engine) as service:
-            assert service.engine.backend == "memory"
-            # Engine parameters carry over into the adapter.
-            assert service.engine._engine.delta == 1e-3
-
     def test_auto_detects_disk(self, disk_setup):
         root, graph, assignment, index_path = disk_setup
         store = DiskGraphStore(graph, assignment, root / "detect")
@@ -101,31 +88,103 @@ class TestOpenAndRegistry:
                 small_social_index, backend="gpu", graph=small_social
             )
 
-    def test_detect_needs_a_hint(self):
-        with pytest.raises(TypeError, match="cannot infer"):
-            detect_backend(object())
 
-    def test_available_backends(self):
-        names = available_backends()
-        assert "memory" in names and "disk" in names
+@pytest.fixture()
+def open_sources(small_social, small_social_index, disk_setup):
+    """Every kind of thing ``PPVService.open`` is handed, by name."""
+    root, graph, assignment, index_path = disk_setup
+    cluster_dir = root / "open_table"
+    if not cluster_dir.exists():
+        DiskGraphStore(graph, assignment, cluster_dir)
+    graph_store = DiskGraphStore.open(cluster_dir)
+    with DiskPPVStore(index_path) as ppv_store:
+        yield {
+            "index": small_social_index,
+            "graph": small_social,
+            "graph_store": graph_store,
+            "ppv_store": ppv_store,
+            "path": str(index_path),
+            "pathlike": index_path,
+            "fastppv": FastPPV(small_social, small_social_index),
+            "disk_fastppv": DiskFastPPV(graph_store, ppv_store),
+        }
 
-    def test_register_custom_backend(self, small_social, small_social_index):
-        built = {}
 
-        def factory(source, *, graph=None, graph_store=None, **kwargs):
-            built["source"] = source
-            return serving_engines.MemoryEngine(graph, source, **kwargs)
+class TestOpenTable:
+    """``PPVService.open`` picks its backend from the keyword: every form
+    it accepts, who owns the store, and every form it refuses."""
 
-        register_backend("custom", factory)
-        try:
-            with PPVService.open(
-                small_social_index, backend="custom", graph=small_social
-            ) as service:
-                assert built["source"] is small_social_index
-                result = service.query(QuerySpec(2, stop=STOP))
-                assert result.iterations == 2
-        finally:
-            del serving_engines._BACKENDS["custom"]
+    @pytest.mark.parametrize(
+        "source,backend,keyword,expected,owned",
+        [
+            pytest.param("index", None, "graph", "memory", None,
+                         id="index"),
+            pytest.param("index", "memory", "graph", "memory", None,
+                         id="index-named"),
+            pytest.param("ppv_store", None, "graph_store", "disk", False,
+                         id="store"),
+            pytest.param("ppv_store", "disk", "graph_store", "disk", False,
+                         id="store-named"),
+            pytest.param("path", None, "graph_store", "disk", True,
+                         id="path"),
+            pytest.param("path", "disk", "graph_store", "disk", True,
+                         id="path-named"),
+            pytest.param("pathlike", None, "graph_store", "disk", True,
+                         id="pathlike"),
+        ],
+    )
+    def test_accepted(self, open_sources, source, backend, keyword,
+                      expected, owned):
+        with PPVService.open(
+            open_sources[source], backend,
+            **{keyword: open_sources[keyword]},
+        ) as service:
+            assert service.engine.backend == expected
+            result = service.query(QuerySpec(3, stop=STOP))
+            assert result.scores.size == open_sources["graph"].num_nodes
+        store = getattr(service.engine, "ppv_store", None)
+        if owned is None:
+            assert store is None
+        else:
+            # A store the service opened closes with it; the caller's
+            # own store stays open.
+            assert (store is open_sources["ppv_store"]) is not owned
+            assert store._handle.closed is owned
+
+    @pytest.mark.parametrize(
+        "source,backend,keywords,error,match",
+        [
+            pytest.param("index", None, (), ValueError,
+                         "exactly one of graph=", id="no-keyword"),
+            pytest.param("path", None, (), ValueError,
+                         "exactly one of graph=", id="path-no-keyword"),
+            pytest.param("index", None, ("graph", "graph_store"), ValueError,
+                         "exactly one of graph=", id="both-keywords"),
+            pytest.param("path", "disk", ("graph",), ValueError,
+                         "disk backend takes graph_store=, not graph=",
+                         id="disk-with-graph"),
+            pytest.param("ppv_store", "memory", ("graph_store",), ValueError,
+                         "memory backend takes graph=, not graph_store=",
+                         id="memory-with-graph-store"),
+            pytest.param("index", "gpu", ("graph",), KeyError,
+                         "unknown backend 'gpu'", id="unknown-name"),
+            pytest.param("index", "sharded", ("graph",), KeyError,
+                         "unknown backend", id="router-name"),
+            pytest.param("fastppv", None, ("graph",), TypeError,
+                         "not FastPPV", id="fastppv-source"),
+            pytest.param("disk_fastppv", None, ("graph_store",), TypeError,
+                         "not DiskFastPPV", id="disk-fastppv-source"),
+            pytest.param("index", None, ("graph_store",), TypeError,
+                         "not PPVIndex", id="index-on-disk"),
+        ],
+    )
+    def test_refused(self, open_sources, source, backend, keywords, error,
+                     match):
+        with pytest.raises(error, match=match):
+            PPVService.open(
+                open_sources[source], backend,
+                **{keyword: open_sources[keyword] for keyword in keywords},
+            )
 
 
 class TestMemoryEquivalence:

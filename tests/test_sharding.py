@@ -32,8 +32,8 @@ from repro.server import (
 )
 from repro.obs import Histogram
 from repro.serving import PPVService, QuerySpec
-from repro.serving.engines import available_backends
 from repro.sharding import (
+    ShardEngine,
     ShardRouter,
     assign_clusters,
     load_shard_map,
@@ -219,11 +219,6 @@ class TestPartitioner:
         with pytest.raises(ValueError):
             load_shard_map(tmp_path)  # named shard dir does not exist
 
-    def test_backends_registered(self):
-        backends = available_backends()
-        assert "shard" in backends
-        assert "sharded" in backends
-
 
 # --------------------------------------------------------------------- #
 # Bitwise equivalence under concurrency (the tentpole's acceptance bar)
@@ -388,8 +383,7 @@ class TestRoleSeparation:
             with PPVClient(*address, timeout=15) as client:
                 with pytest.raises(ServerError) as excinfo:
                     client.query(3, eta=2)
-                assert excinfo.value.code == protocol.E_INVALID
-                assert "shard router" in str(excinfo.value)
+                assert excinfo.value.code == protocol.E_UNSUPPORTED_FAMILY
                 hub = entry["hubs"][0]
                 payload = client.fetch_hubs([hub])
                 record = payload[str(hub)]
@@ -412,6 +406,32 @@ class TestRoleSeparation:
                 assert info["num_shards"] == 2
         finally:
             pool.stop()
+
+    def test_shard_advertises_no_family(self, sharded_setup):
+        # A shard has no query methods, so the family probe finds none:
+        # stats says so, and every query or stream is refused at
+        # admission instead of reaching the drain thread.
+        part_root = sharded_setup["parts"][2]
+        entry = load_shard_map(part_root)["shards"][0]
+        engine = ShardEngine(part_root / entry["dir"])
+        with PPVService(engine, cache_size=0) as service:
+            assert service.families() == ()
+            with PPVServer(service).background() as address:
+                with PPVClient(*address, timeout=15) as client:
+                    assert client.stats()["families"] == []
+                    for call in (
+                        lambda: client.query(3, eta=2),
+                        lambda: client.query([3, 7], weights=[1.0, 2.0]),
+                        lambda: client.query(3, top_k=5),
+                        lambda: list(client.stream(3, top_k=5)),
+                        lambda: list(client.stream(3, eta=2)),
+                    ):
+                        with pytest.raises(ServerError) as excinfo:
+                            call()
+                        assert (
+                            excinfo.value.code == protocol.E_UNSUPPORTED_FAMILY
+                        )
+                    assert client.shard_info()["shard"] == 0
 
     def test_plain_server_refuses_fetch_verbs(self, small_social,
                                               small_social_index):
