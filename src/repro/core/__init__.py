@@ -39,7 +39,6 @@ from repro.core.prime import (
     PrimePPV,
     prime_ppv,
     prime_push_many,
-    prime_subgraph_nodes,
 )
 from repro.core.splice import invalidate_splice_cache
 from repro.core.query import (
@@ -66,7 +65,6 @@ __all__ = [
     "select_hubs",
     "PrimePPV",
     "prime_ppv",
-    "prime_subgraph_nodes",
     "PPVIndex",
     "build_index",
     "FastPPV",

@@ -8,7 +8,9 @@ a single query is the batch of one (``query(q)`` is
   (:func:`repro.core.prime.prime_push_many`) for all non-hub queries in
   the batch, with the per-round dispatch cost paid once per batch
   instead of once per query; a hub query loads its prime PPV from the
-  index.  Duplicate query ids share a single push.
+  index.  Duplicate query ids share a single push.  The push's rows run
+  on this process's CPUs (:func:`repro.native.push_threads`), with the
+  same bytes at every thread count.
 * **The incremental iterations** are
   :func:`repro.core.splice.splice_rounds_exact` — the one round loop both
   backends run — over :func:`~repro.core.splice.resident_block`, the

@@ -211,7 +211,12 @@ def prime_push_many(
     to floating-point round-off (~1e-16 relative) rather than bitwise —
     well inside the batch engine's 1e-12 equivalence contract.
 
-    The rounds run in the compiled kernel of :mod:`repro.native`.
+    The rounds run in the compiled kernel of :mod:`repro.native`, the
+    batch's rows split across :func:`repro.native.push_threads` threads
+    (this process's CPUs, capped at the row count).  A row's sums never
+    read another row, and the one whole-batch choice — the aggregation
+    rule of a round — is made from whole-batch totals, so the output
+    bytes are the same at every thread count.
     ``_numpy_rounds`` runs them in numpy instead
     (:func:`_push_rounds_numpy`): one schedule — same rounds, same
     aggregation rule chosen by the same predicate, same order inside
@@ -253,8 +258,8 @@ def prime_push_many(
         num_sources, np.ascontiguousarray(sources),
         np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
         alpha, epsilon, max_rounds, _DENSE_AGGREGATION_LIMIT,
-        scores, border, edges_touched,
-    ):
+        scores, border, edges_touched, native.push_threads(num_sources),
+    ) < 0:
         raise MemoryError("prime_push_many: the push kernel ran out of memory")
     return scores, border, edges_touched
 
@@ -342,19 +347,3 @@ def _push_rounds_numpy(
         active_row = group_keys // n
         active_node = group_keys % n
 
-
-def prime_subgraph_nodes(
-    graph: DiGraph,
-    source: int,
-    hub_mask: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    epsilon: float = DEFAULT_EPSILON,
-) -> np.ndarray:
-    """Node set of the prime subgraph ``G'(source)`` (Definition 2).
-
-    The interior plus the border hubs — i.e. everything a hub-interior-free
-    walk of reachability at least ``epsilon`` can touch.  Used by the
-    disk-based engine (Sect. 5.3) to know which clusters a query touches.
-    """
-    result = prime_ppv(graph, source, hub_mask, alpha=alpha, epsilon=epsilon)
-    return result.nodes

@@ -16,6 +16,22 @@ missing; it served the disk backend at about a quarter of the compiled
 0.65-0.80 s compiled, doubled the CI tier-1 matrix (257 s) and ran
 nowhere else, so it is gone.
 
+Threads
+-------
+The level-synchronous push splits a batch's source rows into contiguous
+ranges, one thread per range, created and joined inside the one C call
+(a small explicit stack each; nothing outlives the call, so a pre-fork
+worker never inherits a thread).  :func:`push_threads` picks the count:
+the CPUs in this process's affinity mask, capped at the batch's rows
+(every process, a ``ServerPool`` worker too, uses its own mask).  A
+thread the system refuses leaves its rows to fewer threads.  The output
+bytes are the same at every thread count — a row's sums read only that
+row, in the serial order, and the aggregation rule of each round is
+chosen from whole-batch totals summed at a barrier — so a one-CPU host
+serves the pinned digests of a many-CPU one.  An allocation failure in
+any thread ends every thread at the next barrier and surfaces as
+``MemoryError``.
+
 Build story
 -----------
 :func:`load` builds the library lazily, on first use, with the C compiler
@@ -34,7 +50,7 @@ The engines load the kernels when they are constructed, so a process
 that cannot build them refuses before it serves.  A pre-forking parent
 calls :func:`load` before ``fork`` (``ServerPool`` does), so workers
 inherit the mapped library and never build.  ``python -m repro.native``
-prints what a process would load.
+prints what a process would load and the threads a batch push would use.
 """
 
 from __future__ import annotations
@@ -53,8 +69,9 @@ from numpy.ctypeslib import ndpointer
 
 SOURCE = Path(__file__).with_name("kernels.c")
 
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-"""Everything the compiler is told.  ``-ffp-contract=off`` because gcc
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+"""Everything the compiler is told.  ``-pthread`` because the batched
+push splits its rows across threads.  ``-ffp-contract=off`` because gcc
 contracts ``a * b + c`` into a fused multiply-add by default where the
 target has one (aarch64; x86-64 with ``-march=native``), which rounds
 once instead of twice; no ``-ffast-math`` (licenses reassociation) and no
@@ -113,6 +130,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_int64, _array(np.int64), _array(np.uint8),
         ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         _array(np.float64, 2), _array(np.float64, 2), _array(np.int64),
+        ctypes.c_int64,
     )
     i64, f64 = _array(np.int64), _array(np.float64)
     lib.repro_splice_scores.restype = ctypes.c_int64
@@ -197,6 +215,17 @@ def _library() -> tuple[ctypes.CDLL, Path]:
         return ctypes.CDLL(str(path)), path
     except OSError as error:
         raise Unavailable(f"{path} does not load ({error})") from None
+
+
+def push_threads(rows: int) -> int:
+    """Threads a batched push of ``rows`` sources runs on: the CPUs this
+    process may run on (its affinity mask), at least one and at most one
+    per row."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity masks here
+        cpus = os.cpu_count() or 1
+    return max(1, min(rows, cpus))
 
 
 _lock = threading.Lock()

@@ -18,6 +18,8 @@ def main() -> int:
         print(f"error: {error}")
         return 1
     print(f"kernels: compiled library {native.path}")
+    print(f"threads: {native.push_threads(1 << 30)} per batch push "
+          f"(this process's CPUs, at most one per row)")
     print(f"build:   {native.compiler()} {' '.join(native.FLAGS)} "
           f"-o <cache>/kernels-<hash>.so {native.SOURCE}")
     print(f"cache:   {native.cache_dir()}")

@@ -6,12 +6,21 @@
  * is the contract*: the visiting order, the association of every product
  * and the order of every sum below are the Python code's own.  Build with
  * `-O2 -fPIC -shared -ffp-contract=off` and nothing that licenses
- * reassociation or fusion (no -ffast-math, no -march=native).
+ * reassociation or fusion (no -ffast-math, no -march=native), and with
+ * -pthread.
  *
  * No Python.h, no globals; the cluster drain never allocates (its state
  * is numpy arrays owned by the caller), the level-synchronous push grows
- * one work block with malloc and reports failure as -1.
+ * work blocks with malloc and reports failure as -1.  The push splits a
+ * batch's source rows into contiguous ranges, one thread per range,
+ * created and joined inside the one call (no thread outlives it, so a
+ * forked process never inherits one).  Its output bytes are the same at
+ * every thread count: a row's sums read only that row, in the serial
+ * order, and the one whole-batch choice of a round — the aggregation
+ * rule — is made from totals summed at a barrier.
  */
+#include <pthread.h>
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -283,27 +292,82 @@ static void sort_edges(lanes *w, int64_t count, int64_t max_key)
     }
 }
 
-/* scores / border: zeroed [num_sources * n]; edges_touched: zeroed
- * [num_sources].  Returns 0, or -1 when memory runs out. */
-int64_t repro_prime_push_many(
-    int64_t n, const int64_t *indptr, const int32_t *indices,
-    const double *probs, int64_t num_sources, const int64_t *sources,
-    const uint8_t *hubs, double alpha, double epsilon, int64_t max_rounds,
-    int64_t dense_limit, double *scores, double *border,
-    int64_t *edges_touched)
+/* One call's rows, split across threads: thread t owns the contiguous
+ * source rows [t * S / T, (t + 1) * S / T) and the output slots behind
+ * them.  A row's sums read only its own frontier, in the same element
+ * order whichever thread runs it, so the one whole-batch input of a
+ * round is the aggregation rule — and that is decided from the totals
+ * every thread posts at the round's barrier. */
+typedef struct {
+    int64_t expanding, total, failed;
+} tally;
+
+typedef struct {
+    int64_t n;
+    const int64_t *indptr;
+    const int32_t *indices;
+    const double *probs;
+    int64_t num_sources;
+    const int64_t *sources;
+    const uint8_t *hubs;
+    double alpha, epsilon;
+    int64_t max_rounds, dense_limit;
+    double *scores, *border;
+    int64_t *edges_touched;
+    int64_t threads;               /* fixed before `start` is released */
+    tally *slots;                  /* [2][threads]: by round parity */
+    pthread_mutex_t start;         /* held while the threads are created */
+    pthread_barrier_t round;
+} push_batch;
+
+typedef struct {
+    push_batch *batch;
+    int64_t index, status;
+    pthread_t thread;
+} push_part;
+
+enum { STACK_SIZE = 64 << 10 };
+
+/* Post this thread's round and wait for every thread's: the sums, in
+ * thread order.  Slots alternate by round parity, so a thread already
+ * posting the next round never overwrites one still being read, and one
+ * barrier wait a round is enough. */
+static tally barrier(push_batch *b, int64_t index, int64_t round, tally mine)
 {
-    const int64_t buffer_size = num_sources * n, words = buffer_size / 64 + 1;
+    tally *slots = b->slots + (round & 1) * b->threads, all = {0, 0, 0};
+    slots[index] = mine;
+    pthread_barrier_wait(&b->round);
+    for (int64_t t = 0; t < b->threads; t++) {
+        all.expanding += slots[t].expanding;
+        all.total += slots[t].total;
+        all.failed |= slots[t].failed;
+    }
+    return all;
+}
+
+/* The rounds over one thread's rows, keyed row * n + node from its
+ * first row.  Every thread meets every round's barrier until the whole
+ * batch stops, so a failed allocation is posted at the next barrier and
+ * ends every thread there.  Returns 0, or -1 when memory ran out. */
+static int64_t push_rows(push_batch *b, int64_t index)
+{
+    const int64_t n = b->n, *indptr = b->indptr;
+    const double alpha = b->alpha, epsilon = b->epsilon;
+    const int64_t first = index * b->num_sources / b->threads;
+    const int64_t rows = (index + 1) * b->num_sources / b->threads - first;
+    const int64_t buffer_size = rows * n, words = buffer_size / 64 + 1;
+    const int64_t batch_size = b->num_sources * n;
+    double *scores = b->scores + first * n, *border = b->border + first * n;
+    int64_t *edges_touched = b->edges_touched + first;
     lanes w = {0};
     double *bins = NULL;   /* the dense rule's buffer, all zero between rounds */
     uint64_t *touched = NULL;  /* one bit per slot of bins, behind it */
-    int64_t status = 0, live = num_sources;
-    if (lanes_grow(&w, num_sources, 0))
-        return -1;
+    int64_t failed = lanes_grow(&w, rows, 0), live = failed ? 0 : rows;
     for (int64_t i = 0; i < live; i++) {
-        w.fkey[i] = i * n + sources[i];
+        w.fkey[i] = i * n + b->sources[first + i];
         w.fval[i] = 1.0;
     }
-    for (int64_t round = 0; round < max_rounds; round++) {
+    for (int64_t round = 0; round < b->max_rounds; round++) {
         /* Score every arrival, absorb at hubs (never in the first round:
          * the initial unit at each source always expands), keep what
          * expands — in frontier order — and size the round.  Frontier
@@ -317,7 +381,7 @@ int64_t repro_prime_push_many(
                 base += n;
             const int64_t node = key - base;
             scores[key] += alpha * mass;
-            if (hubs[node] && round > 0) {
+            if (b->hubs[node] && round > 0) {
                 border[key] += mass;
             } else if (mass >= epsilon && indptr[node + 1] > indptr[node]) {
                 w.fkey[expanding] = key;
@@ -325,11 +389,16 @@ int64_t repro_prime_push_many(
                 total += indptr[node + 1] - indptr[node];
             }
         }
+        const tally all = barrier(b, index, round,
+                                  (tally){expanding, total, failed});
+        if (all.failed || all.expanding == 0)
+            break;
+        live = 0;
         if (expanding == 0)
-            break;
+            continue;
         if (lanes_grow(&w, total, expanding)) {
-            status = -1;
-            break;
+            failed = 1;
+            continue;
         }
         for (int64_t i = 0, at = 0, base = 0, row = 0; i < expanding; i++) {
             const int64_t key = w.fkey[i];
@@ -339,22 +408,21 @@ int64_t repro_prime_push_many(
             const double share_base = (1.0 - alpha) * w.fval[i];
             edges_touched[row] += indptr[node + 1] - indptr[node];
             for (int64_t e = indptr[node]; e < indptr[node + 1]; e++, at++) {
-                w.ekey[at] = base + indices[e];
-                w.eval[at] = share_base * probs[e];
+                w.ekey[at] = base + b->indices[e];
+                w.eval[at] = share_base * b->probs[e];
             }
         }
         /* Aggregate per (source row, target), by prime_push_many's own
-         * predicate: np.bincount's element-order += when the dense
-         * buffer fits and the round is dense enough to amortise scanning
-         * it, else stable grouping and np.add.reduceat's
-         * first + pairwise(rest). */
-        live = 0;
-        if (buffer_size <= dense_limit && total * 16 >= buffer_size) {
+         * predicate over the whole batch: np.bincount's element-order +=
+         * when the dense buffer fits and the round is dense enough to
+         * amortise scanning it, else stable grouping and
+         * np.add.reduceat's first + pairwise(rest). */
+        if (batch_size <= b->dense_limit && all.total * 16 >= batch_size) {
             if (bins == NULL) {
                 bins = calloc((size_t)(buffer_size + words), sizeof(double));
                 if (bins == NULL) {
-                    status = -1;
-                    break;
+                    failed = 1;
+                    continue;
                 }
                 touched = (uint64_t *)(bins + buffer_size);
             }
@@ -390,7 +458,81 @@ int64_t repro_prime_push_many(
     }
     free(w.block);
     free(bins);
-    return status;
+    return failed ? -1 : 0;
+}
+
+static void *push_thread(void *arg)
+{
+    push_part *part = arg;
+    /* Wait until every thread is created and the ranges are cut. */
+    pthread_mutex_lock(&part->batch->start);
+    pthread_mutex_unlock(&part->batch->start);
+    part->status = push_rows(part->batch, part->index);
+    return NULL;
+}
+
+/* scores / border: zeroed [num_sources * n]; edges_touched: zeroed
+ * [num_sources].  The rows run on up to `threads` threads (at least
+ * one, at most one per row), created and joined inside the call; a
+ * thread the system refuses leaves the rows to fewer threads, with the
+ * same bytes.  Returns the threads the rows ran on, or -1 when memory
+ * runs out. */
+int64_t repro_prime_push_many(
+    int64_t n, const int64_t *indptr, const int32_t *indices,
+    const double *probs, int64_t num_sources, const int64_t *sources,
+    const uint8_t *hubs, double alpha, double epsilon, int64_t max_rounds,
+    int64_t dense_limit, double *scores, double *border,
+    int64_t *edges_touched, int64_t threads)
+{
+    push_batch b = {
+        .n = n, .indptr = indptr, .indices = indices, .probs = probs,
+        .num_sources = num_sources, .sources = sources, .hubs = hubs,
+        .alpha = alpha, .epsilon = epsilon, .max_rounds = max_rounds,
+        .dense_limit = dense_limit, .scores = scores, .border = border,
+        .edges_touched = edges_touched, .threads = 1,
+        .start = PTHREAD_MUTEX_INITIALIZER,
+    };
+    int64_t want = threads < num_sources ? threads : num_sources;
+    if (want < 1)
+        want = 1;
+    push_part *parts = malloc((size_t)want * (sizeof(push_part) + 2 * sizeof(tally)));
+    if (parts == NULL)
+        return -1;
+    b.slots = (tally *)(parts + want);
+    pthread_attr_t attr;
+    const int attr_ok = want > 1 && pthread_attr_init(&attr) == 0;
+    if (attr_ok) {
+        size_t stack = STACK_SIZE;
+#ifdef PTHREAD_STACK_MIN
+        if (stack < (size_t)PTHREAD_STACK_MIN)
+            stack = PTHREAD_STACK_MIN;
+#endif
+        pthread_attr_setstacksize(&attr, stack);
+    }
+    pthread_mutex_lock(&b.start);
+    for (int64_t t = 0; t < want; t++) {
+        parts[t] = (push_part){.batch = &b, .index = t};
+        if (t > 0 && (!attr_ok
+                      || pthread_create(&parts[t].thread, &attr, push_thread,
+                                        parts + t) != 0))
+            break;
+        b.threads = t + 1;
+    }
+    if (attr_ok)
+        pthread_attr_destroy(&attr);
+    /* Ranges are cut now, from the threads that exist. */
+    pthread_barrier_init(&b.round, NULL, (unsigned)b.threads);
+    pthread_mutex_unlock(&b.start);
+    int64_t status = push_rows(&b, 0);
+    for (int64_t t = 1; t < b.threads; t++) {
+        pthread_join(parts[t].thread, NULL);
+        status |= parts[t].status;
+    }
+    const int64_t used = b.threads;
+    free(parts);
+    pthread_barrier_destroy(&b.round);
+    pthread_mutex_destroy(&b.start);
+    return status ? -1 : used;
 }
 
 /* ------------------------------------------------------------------ */

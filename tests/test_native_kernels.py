@@ -425,6 +425,118 @@ def test_hypothesis_pushes_native_equals_numpy(case):
 
 
 # --------------------------------------------------------------------- #
+# (b') prime_push_many's rows on threads: the serial call's bytes
+
+
+def _push_on(graph, sources, hub_mask, threads, alpha=0.15, epsilon=1e-8):
+    """The kernel entry itself with an explicit thread count: the
+    threads the rows ran on, and the three outputs."""
+    n = graph.num_nodes
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
+    outputs = (
+        np.zeros((sources.size, n)), np.zeros((sources.size, n)),
+        np.zeros(sources.size, dtype=np.int64),
+    )
+    used = native.load().repro_prime_push_many(
+        n, graph.indptr, graph.indices, graph.edge_probabilities,
+        sources.size, sources,
+        np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
+        alpha, epsilon, prime._max_rounds(alpha, epsilon),
+        prime._DENSE_AGGREGATION_LIMIT, *outputs, threads,
+    )
+    return used, outputs
+
+
+def _assert_thread_counts_agree(graph, sources, hub_mask, thread_counts, **kw):
+    """Every thread count gives the serial call's bytes, which are the
+    numpy rounds' (``_push_both_ways``); returns the rules they took."""
+    want, rules = _push_both_ways(graph, sources, hub_mask, **kw)
+    for threads in thread_counts:
+        used, got = _push_on(graph, sources, hub_mask, threads, **kw)
+        assert used == max(1, min(threads, len(sources))), threads
+        for name, a, b in zip(("scores", "border", "edges_touched"), got, want):
+            assert a.tobytes() == b.tobytes(), (threads, name)
+    return rules
+
+
+class TestThreadedPush:
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 16, 33])
+    def test_every_thread_count_is_the_serial_bytes(self, small_social, batch):
+        hubs = select_hubs(small_social, num_hubs=40)
+        hub_mask = np.zeros(small_social.num_nodes, dtype=bool)
+        hub_mask[hubs] = True
+        rng = np.random.default_rng(batch)
+        sources = rng.choice(small_social.num_nodes, batch)
+        sources[0] = hubs[0]  # a hub source rides in every batch
+        sources[batch // 2:] = sources[:batch - batch // 2]  # duplicates
+        threads = [1, 2, 3, 4, batch + 3]
+        for epsilon in (1e-4, 1e-8):
+            rules = _assert_thread_counts_agree(
+                small_social, sources, hub_mask, threads, epsilon=epsilon
+            )
+            if batch >= 16:  # one call, both aggregation rules
+                assert rules == {"dense", "sort"}
+
+    def test_a_thread_whose_rows_stop_first_keeps_meeting_the_rounds(self):
+        # Dangling sources end their rows in round 0 while the fans'
+        # rows run on, in the first range, the last, or both.
+        fan_graph, fans = _fans([9, 130, 3])
+        dangling = [fan_graph.num_nodes, fan_graph.num_nodes + 1]
+        graph = DiGraph(
+            np.append(fan_graph.indptr, [fan_graph.indptr[-1]] * 2),
+            fan_graph.indices, weights=fan_graph.edge_probabilities,
+        )
+        hub_mask = np.zeros(graph.num_nodes, dtype=bool)
+        for sources in (dangling + fans, fans + dangling, [fans[1]] + dangling):
+            _assert_thread_counts_agree(graph, sources, hub_mask, [1, 2, 3, 5])
+
+    def test_zero_or_negative_threads_run_on_one(self, small_social):
+        hub_mask = np.zeros(small_social.num_nodes, dtype=bool)
+        for threads in (0, -3):
+            used, _ = _push_on(small_social, [1, 2, 3], hub_mask, threads)
+            assert used == 1
+
+    def test_the_thread_policy(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert native.push_threads(1) == 1
+        assert native.push_threads(1 << 30) == cpus
+
+    def test_the_status_command_prints_the_thread_count(self, tmp_path):
+        status = _status(tmp_path, XDG_CACHE_HOME=_cache_home())
+        assert status.returncode == 0, status.stderr
+        threads = len(os.sched_getaffinity(0))
+        assert f"\nthreads: {threads} per batch push " in status.stdout
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="/proc")
+    def test_batched_queries_leave_no_thread_behind(
+        self, small_social, small_social_index, monkeypatch
+    ):
+        # One thread per row, so every batch below starts threads.
+        monkeypatch.setattr(native, "push_threads", lambda rows: rows)
+        engine = FastPPV(small_social, small_social_index)
+        nodes = [v for v in range(small_social.num_nodes)
+                 if v not in small_social_index][:200]
+        before = len(os.listdir("/proc/self/task"))
+        for start in range(0, 200, 8):
+            engine.query_many(nodes[start:start + 8], stop=StopAfterIterations(1))
+        assert len(os.listdir("/proc/self/task")) == before
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(push_cases(), st.integers(2, 6))
+def test_hypothesis_threaded_pushes_equal_serial_and_numpy(case, threads):
+    num_nodes, edges, weights, hubs, sources, epsilon, limit = case
+    graph = _weighted_csr(num_nodes, edges, weights)
+    hub_mask = np.zeros(num_nodes, dtype=bool)
+    hub_mask[hubs] = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prime, "_DENSE_AGGREGATION_LIMIT", limit)
+        _assert_thread_counts_agree(
+            graph, sources, hub_mask, [1, threads], epsilon=epsilon
+        )
+
+
+# --------------------------------------------------------------------- #
 # (c) Served bits on the ledger's dataset, against the oracles
 
 SOCIAL4K = dict(num_nodes=4000, graph_seed=11, num_hubs=400, epsilon=1e-6,
@@ -579,6 +691,12 @@ def _load_twice(tmp_path, **env) -> list[str]:
     return errors
 
 
+def _cache_home() -> str:
+    """The ``$XDG_CACHE_HOME`` this process's library was loaded from."""
+    native.load()
+    return str(native.path.parent.parent)
+
+
 def _status(tmp_path, **env):
     """``python -m repro.native`` in a fresh interpreter."""
     return subprocess.run(
@@ -677,8 +795,11 @@ class TestSelection:
         assert native.SOURCE.is_file()
         text = (Path(SRC).parent / "pyproject.toml").read_text()
         assert '"*.c"' in text and "repro.native" in text
-        # The flags are the contract: nothing that reassociates or fuses.
-        assert native.FLAGS == ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+        # The flags are the contract: nothing that reassociates or fuses;
+        # -pthread for the batched push's row threads.
+        assert native.FLAGS == (
+            "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread",
+        )
 
     def test_a_pool_parent_loads_before_it_forks(self, monkeypatch):
         from repro.server import pool
@@ -927,6 +1048,154 @@ def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "MemoryError: prime_push_many: the push kernel ran out of memory" in done.stdout
     assert "recovered: True" in done.stdout
+
+
+THREAD_STARVE = """
+import os, resource
+import numpy as np
+from repro import native
+from repro.core import prime
+from repro.graph.digraph import DiGraph
+
+n, degree, length = 2000, 50, 100
+rng = np.random.default_rng(3)
+# Nodes n .. n + length - 1 are a chain: a row pushed from its head
+# runs `length` rounds on a few bytes.
+graph = DiGraph(
+    np.concatenate((np.arange(0, n * degree + 1, degree),
+                    n * degree + np.arange(1, length), [n * degree + length - 1])),
+    np.concatenate((rng.integers(0, n, size=n * degree),
+                    np.arange(n + 1, n + length))).astype(np.int32),
+)
+graph.edge_probabilities
+size = graph.num_nodes
+hub_mask = np.zeros(size, dtype=bool)
+lib = native.load()
+tasks = len(os.listdir("/proc/self/task"))
+
+
+def push(sources, threads):
+    sources = np.array(sources, dtype=np.int64)
+    out = (np.zeros((sources.size, size)), np.zeros((sources.size, size)),
+           np.zeros(sources.size, np.int64))
+    used = lib.repro_prime_push_many(
+        size, graph.indptr, graph.indices, graph.edge_probabilities,
+        sources.size, sources, hub_mask.view(np.uint8), 0.15, 1e-12,
+        prime._max_rounds(0.15, 1e-12), prime._DENSE_AGGREGATION_LIMIT,
+        *out, threads)
+    return used, out
+
+
+chains, busy = [n] * 8, list(range(8))
+push(chains + chains, 4)  # three thread stacks, cached for the calls below
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+# Room for chain rows, not for the lanes of eight busy ones.
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (4 << 20), hard))
+used, out = push(chains + chains, 4)
+print("chains:", used, out[2].max())
+for threads in (2, 4):
+    # The chain rows stop at the barrier after the failure.
+    for name, sources in (("busy last:", chains + busy),
+                          ("busy first:", busy + chains)):
+        used, out = push(sources, threads)
+        print(name, threads, used, out[2][np.array(sources) == n].max() < 10)
+try:
+    prime.prime_push_many(graph, chains + busy, hub_mask, epsilon=1e-12)
+except MemoryError as error:
+    print("MemoryError:", error)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+print("threads left:", len(os.listdir("/proc/self/task")) - tasks)
+used, got = push(chains + busy, 2)
+_, want = push(chains + busy, 1)
+print("recovered:", used, all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS + /proc")
+def test_allocation_failure_in_any_thread_ends_every_thread(tmp_path):
+    # One malloc arena, so every thread's allocations count against
+    # RLIMIT_AS (glibc gives each thread an arena reserved up front).
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_STARVE],
+        env=_environment(
+            tmp_path, XDG_CACHE_HOME=_cache_home(), MALLOC_ARENA_MAX="1",
+        ),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "chains: 4 99",
+        "busy last: 2 -1 True", "busy first: 2 -1 True",
+        "busy last: 4 -1 True", "busy first: 4 -1 True",
+        "MemoryError: prime_push_many: the push kernel ran out of memory",
+        "threads left: 0",
+        "recovered: 2 True",
+    ]
+
+
+REFUSED_THREADS = """
+import resource, sys
+import numpy as np
+from repro import native
+from repro.core import prime
+from repro.graph.digraph import DiGraph
+
+n, degree = 200, 4
+rng = np.random.default_rng(3)
+graph = DiGraph(
+    np.arange(0, n * degree + 1, degree),
+    rng.integers(0, n, size=n * degree).astype(np.int32),
+)
+hub_mask = np.zeros(n, dtype=bool)
+hub_mask[::17] = True
+sources = np.arange(0, 40, 5, dtype=np.int64)
+lib = native.load()
+
+
+def push(threads):
+    out = (np.zeros((sources.size, n)), np.zeros((sources.size, n)),
+           np.zeros(sources.size, np.int64))
+    used = lib.repro_prime_push_many(
+        n, graph.indptr, graph.indices, graph.edge_probabilities,
+        sources.size, sources, hub_mask.view(np.uint8), 0.15, 1e-8,
+        prime._max_rounds(0.15, 1e-8), prime._DENSE_AGGREGATION_LIMIT,
+        *out, threads)
+    return used, out
+
+
+want = prime.prime_push_many(graph, sources, hub_mask, _numpy_rounds=True)
+push(1)  # the push's own blocks, freed for the call below to reuse
+warm = int(sys.argv[1])
+if warm > 1:
+    push(warm)  # leaves warm - 1 thread stacks cached
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+# No room for a new thread's stack.
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (16 << 10), hard))
+used, got = push(4)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+print(used, all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS + /proc")
+@pytest.mark.parametrize("cached_stacks", [0, 1, 2])
+def test_refused_threads_leave_the_rows_to_fewer(tmp_path, cached_stacks):
+    # Under RLIMIT_AS a thread starts only on a stack the C library
+    # kept from an earlier one, if any: asked for 4, the call runs on
+    # fewer, with the same bytes.
+    done = subprocess.run(
+        [sys.executable, "-c", REFUSED_THREADS, str(cached_stacks + 1)],
+        env=_environment(tmp_path, XDG_CACHE_HOME=_cache_home()),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    used, same = done.stdout.split()
+    assert 1 <= int(used) < 4
+    assert same == "True"
 
 
 # --------------------------------------------------------------------- #

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_ppv_dense_solve
-from repro.core.prime import PrimePPV, prime_ppv, prime_subgraph_nodes
+from repro.core.prime import PrimePPV, prime_ppv
 from repro.core.reachability import brute_force_increment
 from repro.graph import from_edges
-from tests.conftest import A, ALPHA, B, C, D, E, F, FIG3_HUBS, G, H
+from tests.conftest import A, ALPHA, D, E, FIG3_HUBS, H
 
 
 def dense_prime(graph, source, hub_mask, **kwargs):
@@ -123,21 +123,6 @@ class TestPrimePPVStructure:
     def test_wrong_mask_shape(self, fig1_graph):
         with pytest.raises(ValueError):
             prime_ppv(fig1_graph, A, np.zeros(3, dtype=bool))
-
-
-class TestPrimeSubgraphNodes:
-    def test_source_always_included(self, fig1_graph, fig1_hub_mask):
-        nodes = prime_subgraph_nodes(fig1_graph, A, fig1_hub_mask)
-        assert A in nodes.tolist()
-
-    def test_hubs_block_exploration(self, fig1_graph, fig1_hub_mask):
-        # From a, node e is reachable only through hubs b or d, so it is
-        # outside the prime subgraph; g is reachable via non-hub f... no,
-        # f is a hub, so g is blocked as well.
-        nodes = set(prime_subgraph_nodes(fig1_graph, A, fig1_hub_mask).tolist())
-        assert E not in nodes
-        assert G not in nodes
-        assert {A, B, C, D, F, H} == nodes
 
 
 class TestSingleSourceLockstep:
