@@ -20,14 +20,13 @@ a single query is the batch of one (``query(q)`` is
 Equivalence contract
 --------------------
 The rounds accumulate in the order of the paper's per-hub statement of
-Algorithm 2 (``tests/oracles.py::reference_query``), so a batch of one
-is bitwise that statement: ``scores``, ``error_history``,
-``iterations``, ``hubs_expanded``, ``work_units`` and the states passed
-to ``on_iteration``.  In a larger batch the only difference is
-iteration 0: ``prime_push_many`` aggregates a round's arrivals by a rule
-that depends on the batch's size, so scores and error values match to
-floating-point round-off (~1e-14) for any stopping condition that does
-not consult wall-clock time.  ``seconds`` is per-query wall-clock
+Algorithm 2 (``tests/oracles.py::reference_query``), and every row of
+iteration 0's ``prime_push_many`` is its query's lone push in any batch,
+order or thread count, so each query of any batch is bitwise that
+statement: ``scores``, ``error_history``, ``iterations``,
+``hubs_expanded``, ``work_units`` and the states passed to
+``on_iteration``, for any stopping condition that does not consult
+wall-clock time.  ``seconds`` is per-query wall-clock
 *within the batch* (time from batch start until the query finalised)
 and ``elapsed_seconds`` in :class:`~repro.core.query.QueryState` is
 shared batch time — for a batch of one, the query's own clock.

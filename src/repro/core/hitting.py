@@ -30,8 +30,7 @@ One push kernel.  Such a segment *is* the prime push of
 expands its source even when that is a hub, and records what reaches a
 barrier node as border arrival mass — at the target column the absorbed
 mass, elsewhere the hub border.  So a segment is one batch-of-one
-:func:`~repro.core.prime.prime_push_many` call, compiled or numpy by the
-selection that function already makes (identical bytes).
+:func:`~repro.core.prime.prime_push_many` call on the compiled rounds.
 
 The push does not report what it cuts off (arrivals below ``epsilon``,
 dangling nodes), but mass is conserved: every arrival is border ``B``,

@@ -14,7 +14,7 @@ Sect. 5.3.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,23 +163,6 @@ def _build_chunk(
     return entries, stats
 
 
-# Per-process state of the "process" executor: the graph and shared
-# build parameters travel once per worker (pool initializer) instead of
-# once per chunk — on a large graph the pickle, not the push, would
-# otherwise dominate.
-_PROCESS_BUILD_STATE: tuple | None = None
-
-
-def _init_build_worker(graph, hub_mask, alpha, epsilon, clip) -> None:
-    global _PROCESS_BUILD_STATE
-    _PROCESS_BUILD_STATE = (graph, hub_mask, alpha, epsilon, clip)
-
-
-def _build_chunk_in_worker(chunk: np.ndarray):
-    graph, hub_mask, alpha, epsilon, clip = _PROCESS_BUILD_STATE
-    return _build_chunk(graph, chunk, hub_mask, alpha, epsilon, clip)
-
-
 def build_index(
     graph: DiGraph,
     hubs: np.ndarray | list[int],
@@ -187,7 +170,6 @@ def build_index(
     epsilon: float = DEFAULT_EPSILON,
     clip: float = DEFAULT_CLIP,
     workers: int = 1,
-    executor: str = "thread",
 ) -> PPVIndex:
     """Offline precomputation (Algorithm 1).
 
@@ -206,17 +188,10 @@ def build_index(
     clip:
         Storage clip threshold.
     workers:
-        Number of ``concurrent.futures`` workers the hub set is chunked
-        across.  Each hub's push is independent, so the resulting index is
-        entry-wise identical for any worker count; per-chunk
-        :class:`IndexStats` are merged and ``build_seconds`` records
-        wall-clock time.
-    executor:
-        ``"thread"`` (the default) shares the graph zero-copy but is
-        GIL-bound on small prime subgraphs; ``"process"`` runs chunks in
-        a ``ProcessPoolExecutor`` so the build scales past the GIL at
-        the cost of pickling the graph to each worker.  Entry-wise
-        identical either way.
+        Number of threads the hub set is chunked across.  Each hub's
+        push is independent, so the resulting index is entry-wise
+        identical for any worker count; per-chunk :class:`IndexStats` are
+        merged and ``build_seconds`` records wall-clock time.
     """
     hubs = np.asarray(hubs, dtype=np.int64)
     if clip >= alpha:
@@ -226,10 +201,6 @@ def build_index(
         raise ValueError(f"clip ({clip}) must be below alpha ({alpha})")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"executor must be 'thread' or 'process', not {executor!r}"
-        )
     if hubs.size != np.unique(hubs).size:
         raise ValueError("hub ids must be unique")
     if hubs.size and (hubs.min() < 0 or hubs.max() >= graph.num_nodes):
@@ -247,25 +218,15 @@ def build_index(
         # Oversplit so a chunk of unusually large prime subgraphs cannot
         # straggle the whole build.
         chunks = np.array_split(hubs, min(hubs.size, workers * 4))
-        if executor == "process":
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_build_worker,
-                initargs=(graph, hub_mask, alpha, epsilon, clip),
-            ) as pool:
-                chunk_results = list(
-                    pool.map(_build_chunk_in_worker, chunks)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunk_results = list(
+                pool.map(
+                    lambda chunk: _build_chunk(
+                        graph, chunk, hub_mask, alpha, epsilon, clip
+                    ),
+                    chunks,
                 )
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunk_results = list(
-                    pool.map(
-                        lambda chunk: _build_chunk(
-                            graph, chunk, hub_mask, alpha, epsilon, clip
-                        ),
-                        chunks,
-                    )
-                )
+            )
     for entries, stats in chunk_results:
         index.entries.update(entries)
         index.stats.merge(stats)

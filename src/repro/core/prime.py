@@ -39,9 +39,10 @@ DEFAULT_EPSILON = 1e-8
 """Reachability cut-off for prime-subgraph exploration (Sect. 5.1)."""
 
 _DENSE_AGGREGATION_LIMIT = 1 << 23
-"""Batched-push rounds aggregate with a dense ``sources x nodes`` bincount
-buffer when it fits under this size *and* the round is dense enough to
-amortise scanning it; sparse or huge rounds use sort-based grouping."""
+"""A push round aggregates with a dense ``nodes``-slot bincount buffer
+when it fits under this size *and* the round is dense enough to amortise
+scanning it; sparse rounds, and every round on a larger graph, use
+sort-based grouping."""
 
 
 @dataclass(frozen=True)
@@ -155,13 +156,10 @@ def prime_ppv(
     cut-off).
 
     This is a thin wrapper over :func:`prime_push_many` with a batch of
-    one, so a single push and a batch share one kernel and their
-    summation-order lockstep is structural rather than documented.  The
-    output is bit-for-bit identical to a *batch-of-one*
-    ``prime_push_many`` call (pinned by ``tests/test_prime.py``); rows
-    of multi-source calls can differ by ~1e-16 relative because the
-    dense aggregation path's round choices depend on batch composition
-    (see the equivalence note in :func:`prime_push_many`).
+    one, so a single push and a batch share one kernel.  Every row of a
+    batched call is this push of its source, byte for byte, in any
+    batch, order or thread count (pinned by ``tests/test_prime.py`` and
+    ``tests/test_native_kernels.py``).
     """
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -201,30 +199,22 @@ def prime_push_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level-synchronous prime push for a *batch* of sources at once.
 
-    Semantically identical to calling :func:`prime_ppv` per source, but
-    the per-round cost is amortised across the batch: the residual
-    frontier carries ``(source row, node, mass)`` triples keyed by
-    ``row * n + node`` and every round expands all sources together.
-    Large rounds aggregate arrival masses with a dense scatter-add
-    (sequential summation) where the single-source push reduces pairwise,
-    so the returned scores match ``prime_ppv(graph, s, ...).to_dense(n)``
-    to floating-point round-off (~1e-16 relative) rather than bitwise —
-    well inside the batch engine's 1e-12 equivalence contract.
+    Every row is :func:`prime_ppv` of its source, byte for byte: the
+    rows share nothing — each runs its own rounds, keyed by node, and
+    picks each round's aggregation rule from its own totals — so any
+    batch, order or thread count gives a row the bytes of its lone push.
+    A batch saves the per-call dispatch, not arithmetic.
 
     The rounds run in the compiled kernel of :mod:`repro.native`, the
-    batch's rows split across :func:`repro.native.push_threads` threads
-    (this process's CPUs, capped at the row count).  A row's sums never
-    read another row, and the one whole-batch choice — the aggregation
-    rule of a round — is made from whole-batch totals, so the output
-    bytes are the same at every thread count.
-    ``_numpy_rounds`` runs them in numpy instead
+    batch's rows taken by up to :func:`repro.native.push_threads`
+    threads (this process's CPUs, capped at the row count).
+    ``_numpy_rounds`` runs them in numpy instead, one row at a time
     (:func:`_push_rounds_numpy`): one schedule — same rounds, same
     aggregation rule chosen by the same predicate, same order inside
     every sum — and identical bytes for identical arguments
-    (``tests/test_native_kernels.py``); the round-off note above is
-    about batch composition, not about which of the two ran.  It is the
-    caller's choice, not a selection: only the offline build makes it,
-    see :func:`repro.core.index._build_chunk` for why.
+    (``tests/test_native_kernels.py``).  It is the caller's choice, not
+    a selection: only the offline build makes it, see
+    :func:`repro.core.index._build_chunk` for why.
 
     Returns
     -------
@@ -249,10 +239,11 @@ def prime_push_many(
         return scores, border, edges_touched
     max_rounds = _max_rounds(alpha, epsilon)
     if _numpy_rounds:
-        _push_rounds_numpy(
-            graph, sources, hub_mask, alpha, epsilon, max_rounds,
-            scores, border, edges_touched,
-        )
+        for row, source in enumerate(sources.tolist()):
+            edges_touched[row] = _push_rounds_numpy(
+                graph, source, hub_mask, alpha, epsilon, max_rounds,
+                scores[row], border[row],
+            )
     elif native.load().repro_prime_push_many(
         n, graph.indptr, graph.indices, graph.edge_probabilities,
         num_sources, np.ascontiguousarray(sources),
@@ -266,53 +257,43 @@ def prime_push_many(
 
 def _push_rounds_numpy(
     graph: DiGraph,
-    sources: np.ndarray,
+    source: int,
     hub_mask: np.ndarray,
     alpha: float,
     epsilon: float,
     max_rounds: int,
     scores: np.ndarray,
     border: np.ndarray,
-    edges_touched: np.ndarray,
-) -> None:
-    """:func:`prime_push_many`'s rounds in numpy, into the zeroed
-    outputs: the offline build's ``_numpy_rounds``, and the oracle
-    ``kernels.c``'s ``repro_prime_push_many`` is pinned against."""
+) -> int:
+    """One source's rounds of :func:`prime_push_many` in numpy, into its
+    zeroed ``scores`` / ``border`` rows; returns the edges touched.  The
+    offline build's ``_numpy_rounds``, and the oracle ``kernels.c``'s
+    ``repro_prime_push_many`` is pinned against row by row."""
     n = graph.num_nodes
-    num_sources = sources.size
     indptr, indices = graph.indptr, graph.indices
     out_degrees = graph.out_degrees
     edge_probabilities = graph.edge_probabilities
 
-    active_row = np.arange(num_sources, dtype=np.int64)
-    active_node = sources.copy()
-    masses = np.ones(num_sources)
-    first_round = True
+    active = np.array([source], dtype=np.int64)
+    masses = np.ones(1)
+    edges_touched = 0
+    for round_ in range(max_rounds):
+        scores[active] += alpha * masses
 
-    scores_flat = scores.reshape(-1)
-    border_flat = border.reshape(-1)
-    for _ in range(max_rounds):
-        flat = active_row * n + active_node
-        scores_flat[flat] += alpha * masses
+        # The initial unit at the source always expands.
+        absorbed = hub_mask[active] & (round_ > 0)
+        border[active[absorbed]] += masses[absorbed]
 
-        absorbed = hub_mask[active_node]
-        if first_round:
-            # The initial unit at each source always expands.
-            absorbed = absorbed & (active_node != sources[active_row])
-        border_flat[flat[absorbed]] += masses[absorbed]
-
-        expand = ~absorbed & (masses >= epsilon) & (out_degrees[active_node] > 0)
-        expand_rows = active_row[expand]
-        expand_nodes = active_node[expand]
+        expand = ~absorbed & (masses >= epsilon) & (out_degrees[active] > 0)
+        expand_nodes = active[expand]
         expand_masses = masses[expand]
-        first_round = False
         if expand_nodes.size == 0:
             break
 
         counts = out_degrees[expand_nodes]
         starts = indptr[expand_nodes]
         total = int(counts.sum())
-        np.add.at(edges_touched, expand_rows, counts)
+        edges_touched += total
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         edge_ids = np.repeat(starts, counts) + offsets
         targets = indices[edge_ids].astype(np.int64)
@@ -321,29 +302,19 @@ def _push_rounds_numpy(
             * np.repeat(expand_masses, counts)
             * edge_probabilities[edge_ids]
         )
-        # Aggregate per (source row, target) pair.  The sort path reduces
-        # exactly like the single-source push (bitwise identical); the
-        # dense path's sequential scatter-add reassociates the same sums
-        # (~1e-17 deviations — see the docstring's equivalence note).
-        keys = np.repeat(expand_rows, counts) * n + targets
-        buffer_size = num_sources * n
-        if (
-            buffer_size <= _DENSE_AGGREGATION_LIMIT
-            and keys.size * 16 >= buffer_size
-        ):
-            bins = np.bincount(keys, weights=shares, minlength=buffer_size)
-            group_keys = np.nonzero(bins)[0]
-            masses = bins[group_keys]
+        # Aggregate per target: a dense element-order scatter-add when
+        # the round is dense enough, else a stable sort and reduceat.
+        if n <= _DENSE_AGGREGATION_LIMIT and total * 16 >= n:
+            bins = np.bincount(targets, weights=shares, minlength=n)
+            active = np.nonzero(bins)[0]
+            masses = bins[active]
         else:
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            sorted_shares = shares[order]
-            boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
+            order = np.argsort(targets, kind="stable")
+            sorted_targets = targets[order]
+            boundaries = np.nonzero(np.diff(sorted_targets))[0] + 1
             group_starts = np.concatenate(
                 (np.zeros(1, dtype=np.int64), boundaries)
             )
-            group_keys = sorted_keys[group_starts]
-            masses = np.add.reduceat(sorted_shares, group_starts)
-        active_row = group_keys // n
-        active_node = group_keys % n
-
+            active = sorted_targets[group_starts]
+            masses = np.add.reduceat(shares[order], group_starts)
+    return edges_touched

@@ -18,19 +18,18 @@ nowhere else, so it is gone.
 
 Threads
 -------
-The level-synchronous push splits a batch's source rows into contiguous
-ranges, one thread per range, created and joined inside the one C call
-(a small explicit stack each; nothing outlives the call, so a pre-fork
-worker never inherits a thread).  :func:`push_threads` picks the count:
-the CPUs in this process's affinity mask, capped at the batch's rows
-(every process, a ``ServerPool`` worker too, uses its own mask).  A
-thread the system refuses leaves its rows to fewer threads.  The output
-bytes are the same at every thread count — a row's sums read only that
-row, in the serial order, and the aggregation rule of each round is
-chosen from whole-batch totals summed at a barrier — so a one-CPU host
-serves the pinned digests of a many-CPU one.  An allocation failure in
-any thread ends every thread at the next barrier and surfaces as
-``MemoryError``.
+The rows of a level-synchronous push share nothing: each is the lone
+push of its source, its aggregation rule chosen from its own totals, so
+a row's bytes are the same in any batch, order or thread count and a
+one-CPU host serves the pinned digests of a many-CPU one.  Threads take
+rows off one atomic counter; they are created and joined inside the one
+C call (a small explicit stack each; nothing outlives the call, so a
+pre-fork worker never inherits a thread).  :func:`push_threads` picks
+the count: the CPUs in this process's affinity mask, capped at the
+batch's rows (every process, a ``ServerPool`` worker too, uses its own
+mask).  A thread the system refuses leaves the rows to fewer threads.
+An allocation failure in any thread stops every thread taking rows and
+surfaces as ``MemoryError``.
 
 Build story
 -----------
@@ -71,7 +70,7 @@ SOURCE = Path(__file__).with_name("kernels.c")
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 """Everything the compiler is told.  ``-pthread`` because the batched
-push splits its rows across threads.  ``-ffp-contract=off`` because gcc
+push's rows run on threads.  ``-ffp-contract=off`` because gcc
 contracts ``a * b + c`` into a fused multiply-add by default where the
 target has one (aarch64; x86-64 with ``-march=native``), which rounds
 once instead of twice; no ``-ffast-math`` (licenses reassociation) and no

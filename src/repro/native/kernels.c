@@ -11,16 +11,16 @@
  *
  * No Python.h, no globals; the cluster drain never allocates (its state
  * is numpy arrays owned by the caller), the level-synchronous push grows
- * work blocks with malloc and reports failure as -1.  The push splits a
- * batch's source rows into contiguous ranges, one thread per range,
- * created and joined inside the one call (no thread outlives it, so a
- * forked process never inherits one).  Its output bytes are the same at
- * every thread count: a row's sums read only that row, in the serial
- * order, and the one whole-batch choice of a round — the aggregation
- * rule — is made from totals summed at a barrier.
+ * work blocks with malloc and reports failure as -1.  The push's rows
+ * share nothing: each is a lone push of its source, rounds, sums and
+ * aggregation rule included, so a row's bytes are those of a batch of
+ * one in any batch, order or thread count.  Threads take rows off one
+ * atomic counter; they are created and joined inside the one call (no
+ * thread outlives it, so a forked process never inherits one).
  */
 #include <pthread.h>
 #include <limits.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -231,13 +231,16 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* Three (key, value) lanes of one capacity in one block: the frontier,
- * the round's edges, and the sort's scratch. */
+/* A thread's work space, reused across the rows it takes: three
+ * (key, value) lanes of one capacity in one block — the frontier, the
+ * round's edges and the sort's scratch — and the dense rule's bins. */
 typedef struct {
     char *block;
     int64_t capacity;
     int64_t *fkey, *ekey, *skey;
     double *fval, *eval, *sval;
+    double *bins;  /* [n] slots, then one bit per slot; all zero between
+                    * rounds, allocated by the first dense round */
 } lanes;
 
 /* Room for `need` entries per lane, keeping the first `live` frontier
@@ -292,16 +295,9 @@ static void sort_edges(lanes *w, int64_t count, int64_t max_key)
     }
 }
 
-/* One call's rows, split across threads: thread t owns the contiguous
- * source rows [t * S / T, (t + 1) * S / T) and the output slots behind
- * them.  A row's sums read only its own frontier, in the same element
- * order whichever thread runs it, so the one whole-batch input of a
- * round is the aggregation rule — and that is decided from the totals
- * every thread posts at the round's barrier. */
-typedef struct {
-    int64_t expanding, total, failed;
-} tally;
-
+/* One call's rows.  Each is a lone push: its rounds read and write only
+ * its own frontier and output slots, and choose their aggregation rule
+ * from its own totals. */
 typedef struct {
     int64_t n;
     const int64_t *indptr;
@@ -314,160 +310,127 @@ typedef struct {
     int64_t max_rounds, dense_limit;
     double *scores, *border;
     int64_t *edges_touched;
-    int64_t threads;               /* fixed before `start` is released */
-    tally *slots;                  /* [2][threads]: by round parity */
-    pthread_mutex_t start;         /* held while the threads are created */
-    pthread_barrier_t round;
+    int64_t next_row;  /* the next row a thread takes (atomic) */
+    int64_t threads;   /* threads the call runs on; -1 while starting them */
+    int64_t holding;   /* threads past their first allocation (atomic) */
+    int failed;        /* memory ran out: no thread takes another row */
 } push_batch;
-
-typedef struct {
-    push_batch *batch;
-    int64_t index, status;
-    pthread_t thread;
-} push_part;
 
 enum { STACK_SIZE = 64 << 10 };
 
-/* Post this thread's round and wait for every thread's: the sums, in
- * thread order.  Slots alternate by round parity, so a thread already
- * posting the next round never overwrites one still being read, and one
- * barrier wait a round is enough. */
-static tally barrier(push_batch *b, int64_t index, int64_t round, tally mine)
+/* The rounds of source row `row`, keyed by node.  Returns 0, or -1 when
+ * memory ran out. */
+static int push_row(const push_batch *b, lanes *w, int64_t row)
 {
-    tally *slots = b->slots + (round & 1) * b->threads, all = {0, 0, 0};
-    slots[index] = mine;
-    pthread_barrier_wait(&b->round);
-    for (int64_t t = 0; t < b->threads; t++) {
-        all.expanding += slots[t].expanding;
-        all.total += slots[t].total;
-        all.failed |= slots[t].failed;
-    }
-    return all;
-}
-
-/* The rounds over one thread's rows, keyed row * n + node from its
- * first row.  Every thread meets every round's barrier until the whole
- * batch stops, so a failed allocation is posted at the next barrier and
- * ends every thread there.  Returns 0, or -1 when memory ran out. */
-static int64_t push_rows(push_batch *b, int64_t index)
-{
-    const int64_t n = b->n, *indptr = b->indptr;
+    const int64_t n = b->n, *indptr = b->indptr, words = n / 64 + 1;
     const double alpha = b->alpha, epsilon = b->epsilon;
-    const int64_t first = index * b->num_sources / b->threads;
-    const int64_t rows = (index + 1) * b->num_sources / b->threads - first;
-    const int64_t buffer_size = rows * n, words = buffer_size / 64 + 1;
-    const int64_t batch_size = b->num_sources * n;
-    double *scores = b->scores + first * n, *border = b->border + first * n;
-    int64_t *edges_touched = b->edges_touched + first;
-    lanes w = {0};
-    double *bins = NULL;   /* the dense rule's buffer, all zero between rounds */
-    uint64_t *touched = NULL;  /* one bit per slot of bins, behind it */
-    int64_t failed = lanes_grow(&w, rows, 0), live = failed ? 0 : rows;
-    for (int64_t i = 0; i < live; i++) {
-        w.fkey[i] = i * n + b->sources[first + i];
-        w.fval[i] = 1.0;
-    }
+    double *scores = b->scores + row * n, *border = b->border + row * n;
+    int64_t live = 1, edges = 0;
+    if (lanes_grow(w, 1, 0))
+        return -1;
+    w->fkey[0] = b->sources[row];
+    w->fval[0] = 1.0;
     for (int64_t round = 0; round < b->max_rounds; round++) {
         /* Score every arrival, absorb at hubs (never in the first round:
-         * the initial unit at each source always expands), keep what
-         * expands — in frontier order — and size the round.  Frontier
-         * keys ascend, so `base` (the first key of the entry's source
-         * row) only ever steps forward: no division per entry. */
+         * the initial unit at the source always expands), keep what
+         * expands — in frontier order — and size the round. */
         int64_t expanding = 0, total = 0;
-        for (int64_t i = 0, base = 0; i < live; i++) {
-            const int64_t key = w.fkey[i];
-            const double mass = w.fval[i];
-            while (key - base >= n)
-                base += n;
-            const int64_t node = key - base;
-            scores[key] += alpha * mass;
+        for (int64_t i = 0; i < live; i++) {
+            const int64_t node = w->fkey[i];
+            const double mass = w->fval[i];
+            scores[node] += alpha * mass;
             if (b->hubs[node] && round > 0) {
-                border[key] += mass;
+                border[node] += mass;
             } else if (mass >= epsilon && indptr[node + 1] > indptr[node]) {
-                w.fkey[expanding] = key;
-                w.fval[expanding++] = mass;
+                w->fkey[expanding] = node;
+                w->fval[expanding++] = mass;
                 total += indptr[node + 1] - indptr[node];
             }
         }
-        const tally all = barrier(b, index, round,
-                                  (tally){expanding, total, failed});
-        if (all.failed || all.expanding == 0)
-            break;
-        live = 0;
         if (expanding == 0)
-            continue;
-        if (lanes_grow(&w, total, expanding)) {
-            failed = 1;
-            continue;
-        }
-        for (int64_t i = 0, at = 0, base = 0, row = 0; i < expanding; i++) {
-            const int64_t key = w.fkey[i];
-            while (key - base >= n)
-                base += n, row++;
-            const int64_t node = key - base;
-            const double share_base = (1.0 - alpha) * w.fval[i];
-            edges_touched[row] += indptr[node + 1] - indptr[node];
+            break;
+        if (lanes_grow(w, total, expanding))
+            return -1;
+        edges += total;
+        for (int64_t i = 0, at = 0; i < expanding; i++) {
+            const int64_t node = w->fkey[i];
+            const double share_base = (1.0 - alpha) * w->fval[i];
             for (int64_t e = indptr[node]; e < indptr[node + 1]; e++, at++) {
-                w.ekey[at] = base + b->indices[e];
-                w.eval[at] = share_base * b->probs[e];
+                w->ekey[at] = b->indices[e];
+                w->eval[at] = share_base * b->probs[e];
             }
         }
-        /* Aggregate per (source row, target), by prime_push_many's own
-         * predicate over the whole batch: np.bincount's element-order +=
-         * when the dense buffer fits and the round is dense enough to
-         * amortise scanning it, else stable grouping and
-         * np.add.reduceat's first + pairwise(rest). */
-        if (batch_size <= b->dense_limit && all.total * 16 >= batch_size) {
-            if (bins == NULL) {
-                bins = calloc((size_t)(buffer_size + words), sizeof(double));
-                if (bins == NULL) {
-                    failed = 1;
-                    continue;
-                }
-                touched = (uint64_t *)(bins + buffer_size);
-            }
+        /* Aggregate per target, by prime_push_many's own predicate over
+         * this row's round: np.bincount's element-order += when the
+         * dense buffer fits and the round is dense enough to amortise
+         * scanning it, else stable grouping and np.add.reduceat's
+         * first + pairwise(rest). */
+        live = 0;
+        if (n <= b->dense_limit && total * 16 >= n) {
+            if (w->bins == NULL
+                && (w->bins = calloc((size_t)(n + words), sizeof(double))) == NULL)
+                return -1;
+            double *bins = w->bins;
+            uint64_t *touched = (uint64_t *)(bins + n);
             for (int64_t i = 0; i < total; i++) {
-                bins[w.ekey[i]] += w.eval[i];
-                touched[w.ekey[i] >> 6] |= (uint64_t)1 << (w.ekey[i] & 63);
+                bins[w->ekey[i]] += w->eval[i];
+                touched[w->ekey[i] >> 6] |= (uint64_t)1 << (w->ekey[i] & 63);
             }
-            /* np.nonzero(bins) in ascending key order, visiting only
+            /* np.nonzero(bins) in ascending node order, visiting only
              * the slots this round wrote; bins is left all zero. */
             for (int64_t word = 0; word < words; word++) {
                 for (uint64_t bits = touched[word]; bits; bits &= bits - 1) {
-                    const int64_t key = word * 64 + __builtin_ctzll(bits);
-                    if (bins[key] != 0.0) {
-                        w.fkey[live] = key;
-                        w.fval[live++] = bins[key];
-                        bins[key] = 0.0;
+                    const int64_t node = word * 64 + __builtin_ctzll(bits);
+                    if (bins[node] != 0.0) {
+                        w->fkey[live] = node;
+                        w->fval[live++] = bins[node];
+                        bins[node] = 0.0;
                     }
                 }
                 touched[word] = 0;
             }
         } else {
-            sort_edges(&w, total, buffer_size - 1);
+            sort_edges(w, total, n - 1);
             for (int64_t start = 0, end; start < total; start = end) {
-                for (end = start + 1; end < total && w.ekey[end] == w.ekey[start];)
+                for (end = start + 1; end < total && w->ekey[end] == w->ekey[start];)
                     end++;
-                w.fkey[live] = w.ekey[start];
-                w.fval[live++] = end - start == 1
-                    ? w.eval[start]
-                    : w.eval[start]
-                        + pairwise_sum(w.eval + start + 1, end - start - 1);
+                w->fkey[live] = w->ekey[start];
+                w->fval[live++] = end - start == 1
+                    ? w->eval[start]
+                    : w->eval[start]
+                        + pairwise_sum(w->eval + start + 1, end - start - 1);
             }
         }
     }
-    free(w.block);
-    free(bins);
-    return failed ? -1 : 0;
+    b->edges_touched[row] = edges;
+    return 0;
 }
 
+/* Take rows off the shared counter until none is left or memory ran out
+ * in any thread.  A thread allocates before its first row and leaves
+ * only once every thread of the call has, so each binds a malloc arena
+ * of its own (glibc hands an exited thread's arena to the next thread
+ * that asks) and the next call's threads find one each, not having to
+ * map one that an address-space limit may refuse. */
 static void *push_thread(void *arg)
 {
-    push_part *part = arg;
-    /* Wait until every thread is created and the ranges are cut. */
-    pthread_mutex_lock(&part->batch->start);
-    pthread_mutex_unlock(&part->batch->start);
-    part->status = push_rows(part->batch, part->index);
+    push_batch *b = arg;
+    lanes w = {0};
+    if (lanes_grow(&w, 1, 0))
+        __atomic_store_n(&b->failed, 1, __ATOMIC_RELAXED);
+    __atomic_fetch_add(&b->holding, 1, __ATOMIC_RELAXED);
+    while (!__atomic_load_n(&b->failed, __ATOMIC_RELAXED)) {
+        const int64_t row = __atomic_fetch_add(&b->next_row, 1, __ATOMIC_RELAXED);
+        if (row >= b->num_sources)
+            break;
+        if (push_row(b, &w, row))
+            __atomic_store_n(&b->failed, 1, __ATOMIC_RELAXED);
+    }
+    free(w.block);
+    free(w.bins);
+    while (__atomic_load_n(&b->holding, __ATOMIC_RELAXED)
+           != __atomic_load_n(&b->threads, __ATOMIC_RELAXED))
+        sched_yield();
     return NULL;
 }
 
@@ -489,50 +452,30 @@ int64_t repro_prime_push_many(
         .num_sources = num_sources, .sources = sources, .hubs = hubs,
         .alpha = alpha, .epsilon = epsilon, .max_rounds = max_rounds,
         .dense_limit = dense_limit, .scores = scores, .border = border,
-        .edges_touched = edges_touched, .threads = 1,
-        .start = PTHREAD_MUTEX_INITIALIZER,
+        .edges_touched = edges_touched, .threads = -1,
     };
-    int64_t want = threads < num_sources ? threads : num_sources;
-    if (want < 1)
-        want = 1;
-    push_part *parts = malloc((size_t)want * (sizeof(push_part) + 2 * sizeof(tally)));
-    if (parts == NULL)
-        return -1;
-    b.slots = (tally *)(parts + want);
+    const int64_t extra = (threads < num_sources ? threads : num_sources) - 1;
+    pthread_t *workers = extra > 0 ? malloc((size_t)extra * sizeof(pthread_t)) : NULL;
+    int64_t started = 0;
     pthread_attr_t attr;
-    const int attr_ok = want > 1 && pthread_attr_init(&attr) == 0;
-    if (attr_ok) {
+    if (workers != NULL && pthread_attr_init(&attr) == 0) {
         size_t stack = STACK_SIZE;
 #ifdef PTHREAD_STACK_MIN
         if (stack < (size_t)PTHREAD_STACK_MIN)
             stack = PTHREAD_STACK_MIN;
 #endif
         pthread_attr_setstacksize(&attr, stack);
-    }
-    pthread_mutex_lock(&b.start);
-    for (int64_t t = 0; t < want; t++) {
-        parts[t] = (push_part){.batch = &b, .index = t};
-        if (t > 0 && (!attr_ok
-                      || pthread_create(&parts[t].thread, &attr, push_thread,
-                                        parts + t) != 0))
-            break;
-        b.threads = t + 1;
-    }
-    if (attr_ok)
+        while (started < extra
+               && pthread_create(workers + started, &attr, push_thread, &b) == 0)
+            started++;
         pthread_attr_destroy(&attr);
-    /* Ranges are cut now, from the threads that exist. */
-    pthread_barrier_init(&b.round, NULL, (unsigned)b.threads);
-    pthread_mutex_unlock(&b.start);
-    int64_t status = push_rows(&b, 0);
-    for (int64_t t = 1; t < b.threads; t++) {
-        pthread_join(parts[t].thread, NULL);
-        status |= parts[t].status;
     }
-    const int64_t used = b.threads;
-    free(parts);
-    pthread_barrier_destroy(&b.round);
-    pthread_mutex_destroy(&b.start);
-    return status ? -1 : used;
+    __atomic_store_n(&b.threads, started + 1, __ATOMIC_RELAXED);
+    push_thread(&b);
+    for (int64_t t = 0; t < started; t++)
+        pthread_join(workers[t], NULL);
+    free(workers);
+    return b.failed ? -1 : started + 1;
 }
 
 /* ------------------------------------------------------------------ */

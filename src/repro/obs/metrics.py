@@ -19,8 +19,7 @@ Two registration styles, chosen by cost profile:
   child series is guarded, so a snapshot can walk it while the hot
   path adds a first-seen label value.
 * **Function-backed metrics** (:meth:`~MetricsRegistry.counter_func` /
-  :meth:`~MetricsRegistry.gauge_func` /
-  :meth:`~MetricsRegistry.histogram_func`) read an existing counter
+  :meth:`~MetricsRegistry.gauge_func`) read an existing counter
   *at snapshot time* — the serving stack already counts cache hits,
   store reads, cluster faults and shard fetches, so exposing them
   costs the hot path nothing at all.
@@ -229,8 +228,8 @@ class Histogram:
 class _FuncMetric:
     """A metric whose value is read from a callable at snapshot time.
 
-    Unlabelled: ``fn()`` returns one number (or one histogram snapshot
-    dict).  Labelled: ``fn()`` returns ``{label_values_tuple: value}``.
+    Unlabelled: ``fn()`` returns one number.  Labelled: ``fn()``
+    returns ``{label_values_tuple: value}``.
     """
 
     def __init__(
@@ -247,20 +246,15 @@ class _FuncMetric:
         self.fn = fn
         self.labelnames = tuple(labelnames)
 
-    def _sample(self, labels: list, value) -> dict:
-        if self.kind == "histogram":
-            return {"labels": labels, "histogram": dict(value)}
-        return {"labels": labels, "value": value}
-
     def samples(self) -> list[dict]:
         value = self.fn()
         if not self.labelnames:
-            return [self._sample([], value)]
+            return [{"labels": [], "value": value}]
         out = []
         for key in sorted(value):
             key_tuple = key if isinstance(key, tuple) else (key,)
             out.append(
-                self._sample([str(part) for part in key_tuple], value[key])
+                {"labels": [str(part) for part in key_tuple], "value": value[key]}
             )
         return out
 
@@ -345,19 +339,6 @@ class MetricsRegistry:
             "gauge",
             name,
             lambda: _FuncMetric("gauge", name, help, fn, labelnames),
-        )
-
-    def histogram_func(
-        self,
-        name: str,
-        help: str,
-        fn: Callable,
-        labelnames: Sequence[str] = (),
-    ) -> _FuncMetric:
-        return self._register(
-            "histogram",
-            name,
-            lambda: _FuncMetric("histogram", name, help, fn, labelnames),
         )
 
     # -------------------------------------------------------------- #

@@ -33,8 +33,8 @@ Built-ins
 ---------
 ``ppv`` and ``top_k`` re-express the original PPV paths — same task
 planning, same group keys, same cache keys (modulo the family prefix),
-same wire payloads — so their served results stay bitwise (disk) /
-1e-12 (memory) equal to the pre-registry code.  ``hitting``
+same wire payloads — so their served results stay bitwise equal to
+the pre-registry code.  ``hitting``
 (:func:`repro.core.hitting.scheduled_hitting`) and ``reachability``
 (:func:`repro.core.reachability.reachability_query`) are the first
 genuinely new families: both need direct graph access, so they run on

@@ -23,10 +23,9 @@ underlying engine's own batch call over the coalesced node list, so a
 ``query_many`` burst returns scores **bitwise identical** to calling the
 engine's ``query_many`` directly on the same list.  When independent
 clients coalesce, the batch *composition* differs from what either
-client would have run alone; on the disk backend scores are
-schedule-independent (bitwise stable by `_PrimePushRun`'s contract), on
-the in-memory backend they match any other composition to the batch
-engine's usual ~1e-14 reassociation round-off.
+client would have run alone; scores are schedule-independent on both
+backends (bitwise stable by `_PrimePushRun`'s contract on disk, and by
+``prime_push_many``'s rows being lone pushes in memory).
 """
 
 from __future__ import annotations

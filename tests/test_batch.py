@@ -23,8 +23,6 @@ from repro.core.splice import invalidate_splice_cache, resident_block
 from repro.graph.build import GraphBuilder
 from repro.graph.generators import erdos_renyi_graph
 
-ATOL = 1e-12
-
 STOPS = [
     StopAfterIterations(0),
     StopAfterIterations(2),
@@ -79,27 +77,15 @@ def _engines(graph, num_hubs=25, delta=1e-4, **kwargs):
     return index, scalar, batch
 
 
-def assert_equivalent(scalar_result, batch_result, bitwise=True):
-    """Same query outcome.  The rounds are the scalar loop's bit for bit,
-    so a batch of one is the scalar result exactly; ``bitwise=False`` is
-    for results out of a larger batch, where ``prime_push_many``
-    aggregates iteration 0 by a rule that depends on the batch's size
-    (reassociated sums: 1e-12)."""
+def assert_equivalent(scalar_result, batch_result):
+    """Same query outcome, bit for bit: the rounds are the scalar loop's
+    and every push row is its query's lone push, in any batch."""
     assert batch_result.query == scalar_result.query
     assert batch_result.iterations == scalar_result.iterations
     assert batch_result.hubs_expanded == scalar_result.hubs_expanded
     assert batch_result.work_units == scalar_result.work_units
-    if bitwise:
-        assert batch_result.scores.tobytes() == scalar_result.scores.tobytes()
-        assert batch_result.error_history == scalar_result.error_history
-        return
-    assert len(batch_result.error_history) == len(scalar_result.error_history)
-    np.testing.assert_allclose(
-        batch_result.scores, scalar_result.scores, atol=ATOL
-    )
-    np.testing.assert_allclose(
-        batch_result.error_history, scalar_result.error_history, atol=ATOL
-    )
+    assert batch_result.scores.tobytes() == scalar_result.scores.tobytes()
+    assert batch_result.error_history == scalar_result.error_history
 
 
 class TestEquivalence:
@@ -115,8 +101,22 @@ class TestEquivalence:
             batch_results = batch.query_many(queries, stop=stop)
             for query, batch_result in zip(queries, batch_results):
                 reference = scalar.query(query, stop=stop)
-                assert_equivalent(reference, batch_result, bitwise=False)
+                assert_equivalent(reference, batch_result)
                 assert_equivalent(reference, batch.query(query, stop=stop))
+
+    @pytest.mark.parametrize("name,graph", _graph_zoo()[2:])
+    def test_rows_do_not_depend_on_their_batch(self, name, graph):
+        """A query's bytes are the same alone, in the whole batch, in a
+        permutation of it and in either part of a cut of it."""
+        _, _, batch = _engines(graph)
+        rng = np.random.default_rng(11)
+        queries = rng.choice(graph.num_nodes, size=16, replace=False).tolist()
+        order = rng.permutation(queries).tolist()
+        stop = StopAfterIterations(2)
+        lone = {query: batch.query(query, stop=stop) for query in queries}
+        for part in (queries, order, order[:5], order[5:]):
+            for query, result in zip(part, batch.query_many(part, stop=stop)):
+                assert_equivalent(lone[query], result)
 
     def test_fastppv_batch_engine_matches_scalar(self, small_social,
                                                  small_social_index):
@@ -126,8 +126,7 @@ class TestEquivalence:
         results = batch.query_many([9, 4, 4, 17], stop=stop)
         assert [r.query for r in results] == [9, 4, 4, 17]
         for query, result in zip([9, 4, 4, 17], results):
-            assert_equivalent(engine.query(query, stop=stop), result,
-                              bitwise=False)
+            assert_equivalent(engine.query(query, stop=stop), result)
 
     def test_default_delta_and_default_stop(self, small_social,
                                             small_social_index):
@@ -135,7 +134,7 @@ class TestEquivalence:
         batch = FastPPV(small_social, small_social_index)
         assert batch.delta == DEFAULT_DELTA
         for query, result in zip([2, 8], batch.query_many([2, 8])):
-            assert_equivalent(scalar.query(query), result, bitwise=False)
+            assert_equivalent(scalar.query(query), result)
 
     def test_push_many_matches_prime_ppv(self):
         graph = _with_dangling(erdos_renyi_graph(150, 0.03, seed=2))
@@ -148,12 +147,12 @@ class TestEquivalence:
         )
         for row, source in enumerate(sources.tolist()):
             single = prime_ppv(graph, source, mask, alpha=0.15, epsilon=1e-7)
-            np.testing.assert_allclose(
-                scores[row], single.to_dense(graph.num_nodes), atol=ATOL
+            np.testing.assert_array_equal(
+                scores[row], single.to_dense(graph.num_nodes)
             )
             dense_border = np.zeros(graph.num_nodes)
             dense_border[single.border_hubs] = single.border_masses
-            np.testing.assert_allclose(border[row], dense_border, atol=ATOL)
+            np.testing.assert_array_equal(border[row], dense_border)
             assert edges[row] == single.edges_touched
 
 

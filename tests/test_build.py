@@ -1,4 +1,4 @@
-"""Unit tests for GraphBuilder and from_edges."""
+"""Unit tests for GraphBuilder and from_edges, and the threaded index build."""
 
 import pytest
 
@@ -98,9 +98,9 @@ class TestFromEdges:
         assert graph.num_nodes == 0
 
 
-class TestProcessExecutorBuild:
-    """``build_index(..., executor="process")``: the GIL-escaping
-    offline build must be entry-wise identical to the serial one."""
+class TestThreadedBuild:
+    """``build_index(..., workers=k)`` chunks the hubs across threads; the
+    index is entry-wise identical for any worker count."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -122,38 +122,36 @@ class TestProcessExecutorBuild:
         assert np.array_equal(left.hub_mask, right.hub_mask)
         for hub, entry in left.entries.items():
             other = right.entries[hub]
-            assert np.array_equal(entry.nodes, other.nodes)
-            assert np.array_equal(entry.scores, other.scores)
-            assert np.array_equal(entry.border_hubs, other.border_hubs)
-            assert np.array_equal(entry.border_masses, other.border_masses)
-        assert left.stats.stored_entries == right.stats.stored_entries
-        assert left.stats.stored_bytes == right.stats.stored_bytes
-        assert left.stats.border_entries == right.stats.border_entries
-        assert left.stats.num_hubs == right.stats.num_hubs
+            for name in ("nodes", "scores", "border_hubs", "border_masses"):
+                assert getattr(entry, name).tobytes() == getattr(other, name).tobytes()
+        for name in ("num_hubs", "stored_entries", "stored_bytes", "border_entries"):
+            assert getattr(left.stats, name) == getattr(right.stats, name)
 
-    def test_process_pool_matches_serial(self, graph, hubs):
+    def test_thread_pool_matches_serial(self, graph, hubs):
         from repro import build_index
 
         serial = build_index(graph, hubs)
-        process = build_index(graph, hubs, workers=2, executor="process")
-        self._assert_indexes_identical(serial, process)
+        self._assert_indexes_identical(serial, build_index(graph, hubs, workers=3))
 
-    def test_process_pool_matches_thread_pool(self, graph, hubs):
+    def test_thread_counts_agree(self, graph, hubs):
         from repro import build_index
 
-        threaded = build_index(graph, hubs, workers=2, executor="thread")
-        process = build_index(graph, hubs, workers=3, executor="process")
-        self._assert_indexes_identical(threaded, process)
+        self._assert_indexes_identical(
+            build_index(graph, hubs, workers=2), build_index(graph, hubs, workers=4)
+        )
 
-    def test_single_worker_ignores_executor_choice(self, graph, hubs):
+    def test_more_workers_than_hubs_matches_serial(self, graph, hubs):
         from repro import build_index
 
-        serial = build_index(graph, hubs)
-        process = build_index(graph, hubs, workers=1, executor="process")
-        self._assert_indexes_identical(serial, process)
+        few = hubs[:3]
+        self._assert_indexes_identical(
+            build_index(graph, few), build_index(graph, few, workers=8)
+        )
 
-    def test_unknown_executor_rejected(self, graph, hubs):
+    def test_executor_option_is_gone(self, graph, hubs):
         from repro import build_index
 
-        with pytest.raises(ValueError, match="executor"):
-            build_index(graph, hubs, workers=2, executor="rayon")
+        with pytest.raises(TypeError, match="executor"):
+            build_index(graph, hubs, workers=2, executor="process")
+        with pytest.raises(ValueError, match="workers"):
+            build_index(graph, hubs, workers=0)

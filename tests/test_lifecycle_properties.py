@@ -8,9 +8,8 @@ stack promises:
 * **no query silently dropped** — every handle/request resolves with a
   result or a structured error, never a hang;
 * **served results stay correct** — vectors that do arrive are
-  bitwise-equal to a fault-free oracle run (disk backend; the memory
-  batch engine's documented ~1e-14 reassociation round-off applies
-  under differing batch composition);
+  bitwise-equal to a fault-free oracle run, on both backends, whatever
+  batch they were coalesced into;
 * **close() is idempotent** under concurrent streams;
 * **swap-under-load never serves a mixed-index batch** — every result
   matches the old index's oracle or the new one's, nothing in between.
@@ -117,7 +116,6 @@ _SHARD1_NODE = int(
 )
 
 ETAS = (1, 2)
-MEMORY_ATOL = 1e-12  # documented reassociation round-off headroom
 
 
 def _memory_oracles():
@@ -280,7 +278,7 @@ class _ServiceMachine(RuleBasedStateMachine):
         return MEMORY_ORACLES[(index_key, node, eta)]
 
     def _matches(self, scores: np.ndarray, oracle: np.ndarray) -> bool:
-        return bool(np.allclose(scores, oracle, rtol=0.0, atol=MEMORY_ATOL))
+        return bool(np.array_equal(scores, oracle))
 
     def _scores(self, result) -> np.ndarray:
         return result.scores

@@ -479,7 +479,7 @@ class TestThreadedPush:
 
     def test_a_thread_whose_rows_stop_first_keeps_meeting_the_rounds(self):
         # Dangling sources end their rows in round 0 while the fans'
-        # rows run on, in the first range, the last, or both.
+        # rows run on, taken first, last, or both.
         fan_graph, fans = _fans([9, 130, 3])
         dangling = [fan_graph.num_nodes, fan_graph.num_nodes + 1]
         graph = DiGraph(
@@ -522,9 +522,38 @@ class TestThreadedPush:
         assert len(os.listdir("/proc/self/task")) == before
 
 
+def _assert_rows_are_lone_pushes(data, graph, sources, hub_mask, epsilon):
+    """Row independence: the batch permuted, whole and cut into calls,
+    each on 1-4 threads or on more threads than it has rows, gives every
+    row its source's lone push — which is the numpy rounds of that
+    source alone."""
+    sources = np.array(sources, dtype=np.int64)
+    order = np.array(data.draw(st.permutations(range(sources.size))), dtype=np.int64)
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, sources.size - 1)))))
+    lone = {}
+    for source in set(sources.tolist()):
+        _, got = _push_on(graph, [source], hub_mask, 1, epsilon=epsilon)
+        want = prime.prime_push_many(
+            graph, [source], hub_mask, epsilon=epsilon, _numpy_rounds=True
+        )
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        lone[source] = [a[0].tobytes() for a in got]
+    for part in [order, *np.split(order, cuts)]:
+        if part.size == 0:
+            continue
+        threads = data.draw(
+            st.integers(1, 4) | st.integers(part.size + 1, part.size + 4)
+        )
+        _, got = _push_on(graph, sources[part], hub_mask, threads, epsilon=epsilon)
+        for i, source in enumerate(sources[part].tolist()):
+            assert [a[i].tobytes() for a in got] == lone[source], (part, threads)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(push_cases(), st.integers(2, 6))
-def test_hypothesis_threaded_pushes_equal_serial_and_numpy(case, threads):
+@given(push_cases(), st.integers(2, 6), st.data())
+def test_hypothesis_threaded_pushes_equal_serial_and_numpy(
+    small_social, case, threads, data
+):
     num_nodes, edges, weights, hubs, sources, epsilon, limit = case
     graph = _weighted_csr(num_nodes, edges, weights)
     hub_mask = np.zeros(num_nodes, dtype=bool)
@@ -534,6 +563,17 @@ def test_hypothesis_threaded_pushes_equal_serial_and_numpy(case, threads):
         _assert_thread_counts_agree(
             graph, sources, hub_mask, [1, threads], epsilon=epsilon
         )
+        _assert_rows_are_lone_pushes(data, graph, sources, hub_mask, epsilon)
+    # Rows on a social graph, where a round's density varies from row
+    # to row, so a rule chosen from batch totals would split them.
+    social_mask = np.zeros(small_social.num_nodes, dtype=bool)
+    social_mask[::10] = True
+    social_sources = data.draw(
+        st.lists(st.integers(0, small_social.num_nodes - 1), min_size=1, max_size=12)
+    )
+    _assert_rows_are_lone_pushes(
+        data, small_social, social_sources, social_mask, epsilon
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -569,20 +609,20 @@ def _digest_of(results) -> str:
     return sha.hexdigest()
 
 
-# What both kernel selections served, equal, while the repo still had a
-# Python / numpy one.
+# The disk digest is what both kernel selections served, equal, while
+# the repo still had a Python / numpy one; the memory digest is
+# ``reference_query``'s.
 SOCIAL4K_DIGESTS = {
-    "memory": "6d89f8c41dad94b5932cf242aeef717055ca7aff6078601d01acea47b937c246",
+    "memory": "002fd7719f43a2da141c453dc3438bc2098c4f7db676261fa5198b2448b39a1e",
     "disk": "1cf0628ee13763671587bf20b4d8968d257a119cae8ef2ee61e86fb8baf1adef",
 }
 
 
 def test_social4k_served_scores_sha256_are_pinned(social4k):
     """The ledger's 32 accuracy-sample nodes, served as one burst from
-    memory and from disk, hash to the pinned digests; the disk ones are
-    also ``reference_disk_query``'s (a memory burst shares one
-    level-synchronous push, whose rows may differ from a lone push by
-    round-off, so ``reference_query`` is pinned per query elsewhere)."""
+    memory and from disk, hash to the pinned digests, which are also
+    ``reference_query``'s and ``reference_disk_query``'s: a memory
+    burst's push rows are each the lone push of their query."""
     stop = StopAfterIterations(SOCIAL4K["eta"])
     specs = [QuerySpec(node, stop=stop) for node in L1_NODES]
     with PPVService.open(
@@ -597,6 +637,10 @@ def test_social4k_served_scores_sha256_are_pinned(social4k):
     ) as service:
         disk = _digest_of(service.query_many(specs))
     assert {"memory": memory, "disk": disk} == SOCIAL4K_DIGESTS
+    engine = FastPPV(social4k.graph, social4k.index, delta=SOCIAL4K["delta"])
+    assert memory == _digest_of(
+        reference_query(engine, node, stop=stop) for node in L1_NODES
+    )
     graph_store = DiskGraphStore.open(social4k.workdir / "clusters")
     with DiskPPVStore(social4k.workdir / "index.fppv") as ppv_store:
         assert disk == _digest_of(
@@ -1020,8 +1064,9 @@ with open("/proc/self/statm") as statm:
     mapped = int(statm.read().split()[0]) * resource.getpagesize()
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 # Room for the outputs (3 * batch * n * 8 bytes is generous) and some
-# slack, but not for the ~38 MB of lanes a saturated round needs.
-resource.setrlimit(resource.RLIMIT_AS, (mapped + (10 << 20), hard))
+# slack, but not for the ~7 MB of lanes one saturated row needs, even
+# on one thread.
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (2 << 20), hard))
 try:
     prime.prime_push_many(graph, sources, hub_mask, epsilon=1e-12)
 except MemoryError as error:
@@ -1040,9 +1085,7 @@ print("recovered:", all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
 def test_allocation_failure_in_the_push_kernel_is_a_memory_error(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", STARVE],
-        env=_environment(
-            tmp_path, XDG_CACHE_HOME=str(native.path.parent.parent)
-        ),
+        env=_environment(tmp_path, XDG_CACHE_HOME=_cache_home()),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -1091,16 +1134,17 @@ push(chains + chains, 4)  # three thread stacks, cached for the calls below
 with open("/proc/self/statm") as statm:
     mapped = int(statm.read().split()[0]) * resource.getpagesize()
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-# Room for chain rows, not for the lanes of eight busy ones.
+# Room for chain rows, not for the lanes of a busy one.
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (4 << 20), hard))
 used, out = push(chains + chains, 4)
 print("chains:", used, out[2].max())
 for threads in (2, 4):
-    # The chain rows stop at the barrier after the failure.
+    # Whichever thread takes a busy row fails; the call still joins
+    # every thread it started.
     for name, sources in (("busy last:", chains + busy),
                           ("busy first:", busy + chains)):
-        used, out = push(sources, threads)
-        print(name, threads, used, out[2][np.array(sources) == n].max() < 10)
+        used, _ = push(sources, threads)
+        print(name, threads, used)
 try:
     prime.prime_push_many(graph, chains + busy, hub_mask, epsilon=1e-12)
 except MemoryError as error:
@@ -1127,8 +1171,8 @@ def test_allocation_failure_in_any_thread_ends_every_thread(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "chains: 4 99",
-        "busy last: 2 -1 True", "busy first: 2 -1 True",
-        "busy last: 4 -1 True", "busy first: 4 -1 True",
+        "busy last: 2 -1", "busy first: 2 -1",
+        "busy last: 4 -1", "busy first: 4 -1",
         "MemoryError: prime_push_many: the push kernel ran out of memory",
         "threads left: 0",
         "recovered: 2 True",

@@ -231,15 +231,6 @@ def test_function_backed_metrics_read_at_snapshot_time():
     ]
 
 
-def test_histogram_func_wraps_existing_snapshot():
-    registry = MetricsRegistry()
-    latency = Histogram((1.0,))
-    latency.record(0.5)
-    registry.histogram_func("latency", "", latency.snapshot)
-    sample = registry.snapshot()["latency"]["samples"][0]
-    assert sample["histogram"]["count"] == 1
-
-
 def test_registry_snapshot_merge_sums_and_folds():
     def worker_snapshot(hits, depth, seconds):
         registry = MetricsRegistry()

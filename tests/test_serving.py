@@ -365,9 +365,7 @@ class TestCoalescing:
         for name, nodes in (("a", range(8)), ("b", range(20, 28))):
             for node, result in zip(nodes, outcome[name]):
                 reference = scalar.query(node, stop=STOP)
-                np.testing.assert_allclose(
-                    result.scores, reference.scores, atol=1e-12
-                )
+                np.testing.assert_array_equal(result.scores, reference.scores)
 
     def test_max_batch_splits_drains(self, small_social, small_social_index):
         with PPVService.open(
@@ -650,10 +648,9 @@ class TestMultiNodeSpecs:
         )
         assert served.query == reference.query
         assert served.iterations == reference.iterations
-        np.testing.assert_allclose(served.scores, reference.scores,
-                                   atol=1e-12)
-        np.testing.assert_allclose(
-            served.error_history, reference.error_history, atol=1e-12
+        np.testing.assert_array_equal(served.scores, reference.scores)
+        np.testing.assert_array_equal(
+            served.error_history, reference.error_history
         )
 
     def test_matches_manual_combination_on_disk(self, disk_setup):
