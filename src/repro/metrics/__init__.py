@@ -9,11 +9,6 @@ All four follow the convention "larger is better":
   *scores*.
 """
 
-from repro.metrics.extras import (
-    intersection_similarity,
-    ndcg_at_k,
-    spearman_footrule,
-)
 from repro.metrics.ranking import kendall_tau, precision_at_k, top_k_nodes
 from repro.metrics.scores import l1_error, l1_similarity, rag
 from repro.metrics.suite import AccuracyReport, evaluate_accuracy
@@ -27,7 +22,4 @@ __all__ = [
     "l1_similarity",
     "AccuracyReport",
     "evaluate_accuracy",
-    "ndcg_at_k",
-    "spearman_footrule",
-    "intersection_similarity",
 ]

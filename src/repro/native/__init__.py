@@ -1,13 +1,16 @@
 """Compiled kernels for the two prime pushes and the splice round.
 
-``kernels.c`` holds the cluster drain
-(:class:`repro.storage.disk_engine._PrimePushRun`), the
+``kernels.c`` holds the disk engine's batch push, drained in cluster
+waves (:class:`repro.storage.disk_engine._ClusterWaves`), with the
+structure check of every cluster segment it reads
+(:meth:`repro.storage.residency.ClusterResidency.check_segment`), the
 level-synchronous :func:`repro.core.prime.prime_push_many` and the two
 products of a splice round (:class:`repro.core.splice.SpliceBlock`).
 They are the only spelling ``src/`` serves with: each is pinned bit for
-bit against a reference in ``tests/oracles.py`` (the per-edge drain,
-``scalar_splice_rounds``) or, for the level-synchronous push, against
-its numpy rounds (``tests/test_native_kernels.py``).
+bit against a reference in ``tests/oracles.py`` (the per-edge drain
+under the Python wave loop, ``scalar_splice_rounds``) or, for the
+level-synchronous push, against its numpy rounds
+(``tests/test_native_kernels.py``).
 
 A C compiler and a writable cache directory are requirements at the
 first query.  A Python / numpy fallback used to serve when either was
@@ -107,22 +110,42 @@ class PushRun(ctypes.Structure):
     )
 
 
+class PushWaves(ctypes.Structure):
+    """``push_waves`` of ``kernels.c``: one batch's pushes, drained in
+    cluster waves.  ``runs`` points at ``rows`` :class:`PushRun` s, the
+    other pointers at numpy arrays; the owning waves object keeps all of
+    them alive."""
+
+    _fields_ = [
+        ("rows", ctypes.c_int64),
+        ("runs", ctypes.c_void_p),
+        ("sources", ctypes.c_void_p),
+        ("demand", ctypes.c_void_p),
+        ("held", ctypes.c_void_p),
+        ("wave", ctypes.c_int64),
+    ]
+
+
 def _array(dtype, ndim=1):
     return ndpointer(dtype=dtype, ndim=ndim, flags="C_CONTIGUOUS")
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    run = ctypes.POINTER(PushRun)
-    lib.repro_run_size.restype = ctypes.c_int64
-    lib.repro_run_size.argtypes = ()
-    lib.repro_run_start.restype = None
-    lib.repro_run_start.argtypes = (run, ctypes.c_int64)
-    lib.repro_next_cluster.restype = ctypes.c_int64
-    lib.repro_next_cluster.argtypes = (run,)
-    # The four arrays of a resident cluster are validated, typed and
-    # held by ``ResidentCluster``; the drain passes their addresses.
-    lib.repro_drain.restype = ctypes.c_int64
-    lib.repro_drain.argtypes = (run, ctypes.c_int64) + (ctypes.c_void_p,) * 4
+    waves, address = ctypes.POINTER(PushWaves), ctypes.c_void_p
+    for size in (lib.repro_run_size, lib.repro_waves_size):
+        size.restype = ctypes.c_int64
+        size.argtypes = ()
+    lib.repro_waves_start.restype = None
+    lib.repro_waves_start.argtypes = (waves,)
+    # A cluster segment is passed as the ``bytes`` a ``ResidentCluster``
+    # holds (length checked against its header): ctypes hands C the
+    # object's own buffer, no copy and no numpy view.
+    lib.repro_wave.restype = ctypes.c_int64
+    lib.repro_wave.argtypes = (waves, ctypes.c_char_p)
+    lib.repro_check_segment.restype = ctypes.c_int64
+    lib.repro_check_segment.argtypes = (
+        ctypes.c_int64, address, ctypes.c_int64, ctypes.c_char_p,
+    )
     lib.repro_prime_push_many.restype = ctypes.c_int64
     lib.repro_prime_push_many.argtypes = (
         ctypes.c_int64, _array(np.int64), _array(np.int32), _array(np.float64),
@@ -141,8 +164,12 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_int64, ctypes.c_int64, i64, i64, f64, i64, i64, f64,
         i64, i64, f64, i64,
     )
-    if lib.repro_run_size() != ctypes.sizeof(PushRun):
-        raise Unavailable("kernels.c and repro.native disagree on push_run")
+    if (lib.repro_run_size(), lib.repro_waves_size()) != (
+        ctypes.sizeof(PushRun), ctypes.sizeof(PushWaves)
+    ):
+        raise Unavailable(
+            "kernels.c and repro.native disagree on push_run / push_waves"
+        )
 
 
 def cache_dir() -> Path:

@@ -9,7 +9,7 @@
  * reassociation or fusion (no -ffast-math, no -march=native), and with
  * -pthread.
  *
- * No Python.h, no globals; the cluster drain never allocates (its state
+ * No Python.h, no globals; the cluster waves never allocate (their state
  * is numpy arrays owned by the caller), the level-synchronous push grows
  * work blocks with malloc and reports failure as -1.  The push's rows
  * share nothing: each is a lone push of its source, rounds, sums and
@@ -26,7 +26,63 @@
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* 1. The cluster-draining push: storage/disk_engine.py _PrimePushRun  */
+/* 1. The cluster-draining push: storage/disk_engine.py _ClusterWaves   */
+
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "cluster segments are little-endian; this host is not"
+#endif
+
+/* One format-2 cluster segment, read in place (storage/residency.py
+ * decode_segment is its Python twin):
+ *     members u64 | edges u64 | nodes i64[members]
+ *     | offsets i64[members + 1] | probs f64[edges] | targets i32[edges]
+ * The bytes are a Python bytes object's buffer (16-byte aligned) whose
+ * length the caller has checked against its header. */
+typedef struct {
+    int64_t members, edges;
+    const int64_t *nodes, *offsets;
+    const double *probs;
+    const int32_t *targets;
+} segment;
+
+static segment segment_at(const char *bytes)
+{
+    segment s;
+    memcpy(&s.members, bytes, 8);
+    memcpy(&s.edges, bytes + 8, 8);
+    s.nodes = (const int64_t *)(bytes + 16);
+    s.offsets = s.nodes + s.members;
+    s.probs = (const double *)(s.offsets + s.members + 1);
+    s.targets = (const int32_t *)(s.probs + s.edges);
+    return s;
+}
+
+/* The structure checks of one stored segment, made once per physical
+ * load before any wave reads it.  Returns 0, or the first of the
+ * problems storage/residency.py names: 1 offsets are not a
+ * non-decreasing 0..edges sequence, 2 an edge target lies outside
+ * [0, num_nodes), 3 a member node lies outside [0, num_nodes), 4 a
+ * member node is labelled with another cluster. */
+int64_t repro_check_segment(int64_t num_nodes, const int64_t *labels,
+                            int64_t cluster, const char *bytes)
+{
+    const segment s = segment_at(bytes);
+    int offsets_bad = s.offsets[0] != 0 || s.offsets[s.members] != s.edges;
+    int node_bad = 0, label_bad = 0;
+    for (int64_t i = 0; i < s.members; i++) {
+        offsets_bad |= s.offsets[i + 1] < s.offsets[i];
+        if ((uint64_t)s.nodes[i] >= (uint64_t)num_nodes)
+            node_bad = 1;
+        else
+            label_bad |= labels[s.nodes[i]] != cluster;
+    }
+    if (offsets_bad)
+        return 1;
+    for (int64_t e = 0; e < s.edges; e++)
+        if ((uint64_t)(int64_t)s.targets[e] >= (uint64_t)num_nodes)
+            return 2;
+    return node_bad ? 3 : label_bad ? 4 : 0;
+}
 
 typedef struct {
     int64_t num_nodes, num_clusters, fault_budget;
@@ -36,7 +92,8 @@ typedef struct {
     double *scores;          /* [num_nodes] */
     double *mass;            /* [num_nodes] pending expansion mass */
     int32_t *next;           /* [num_nodes] FIFO links: pool lists, drain queue */
-    int32_t *row;            /* [num_nodes] 1 + row in the node's own segment */
+    int32_t *row;            /* [num_nodes] 1 + row in the wave's segment, 0 off it;
+                              * shared by the batch */
     int32_t *slot;           /* [num_nodes] 1 + position in border_hubs */
     uint8_t *queued;         /* [num_nodes] node holds a pool / queue entry */
     int64_t *head, *tail;    /* [num_clusters] pool lists; head -1 = no pool */
@@ -47,7 +104,20 @@ typedef struct {
     int64_t pending, pending_head, pending_tail;  /* staged cluster, -1 = none */
 } push_run;
 
+/* One batch's pushes.  runs[0] arrives with row 0's arrays; row r's
+ * follow at r * num_nodes (per-node arrays) and r * num_clusters
+ * (per-cluster arrays).  held mirrors the graph store's resident set. */
+typedef struct {
+    int64_t rows;
+    push_run *runs;          /* [rows] */
+    const int64_t *sources;  /* [rows] */
+    int64_t *demand;         /* [num_clusters] all zero between waves */
+    const uint8_t *held;     /* [num_clusters] 1 while the store holds it */
+    int64_t wave;            /* the cluster the next wave drains, -1 = done */
+} push_waves;
+
 int64_t repro_run_size(void) { return (int64_t)sizeof(push_run); }
+int64_t repro_waves_size(void) { return (int64_t)sizeof(push_waves); }
 
 /* pools[c][node] = pools[c].get(node, 0.0) + share */
 static void pool_add(push_run *r, int64_t c, int32_t node, double share)
@@ -67,18 +137,11 @@ static void pool_add(push_run *r, int64_t c, int32_t node, double share)
     r->tail[c] = node;
 }
 
-/* The initial unit at the source always expands, hub or not. */
-void repro_run_start(push_run *r, int64_t source)
-{
-    r->pending = -1;
-    r->scores[source] += r->alpha;
-    pool_add(r, r->labels[source], (int32_t)source, 1.0);
-}
-
-/* Cluster the next drain needs, -1 when done: the heaviest pool (sums
- * left to right, the first pool wins a tie), pools with nothing at or
- * above epsilon dropped without a fault, the budget charged per drain. */
-int64_t repro_next_cluster(push_run *r)
+/* Cluster the run's next drain needs, -1 when done (and from then on):
+ * the heaviest pool (sums left to right, the first pool wins a tie),
+ * pools with nothing at or above epsilon dropped without a fault, the
+ * budget charged per drain.  Staged until drained. */
+static int64_t next_cluster(push_run *r)
 {
     if (r->pending >= 0)
         return r->pending;
@@ -136,24 +199,22 @@ int64_t repro_next_cluster(push_run *r)
     return -1;
 }
 
-/* Drain the staged cluster over its resident CSR rows: FIFO over the
- * members, share = ((1 - alpha) * mass) * p, every target scored
- * alpha * share in edge order, then routed hub / same cluster / other
- * pool.  Returns 0, or -(node + 1) for a node labelled with a cluster
- * whose segment does not hold it, or a label outside the clusters. */
-int64_t repro_drain(push_run *r, int64_t members, const int64_t *nodes,
-                    const int64_t *offsets, const int64_t *targets,
-                    const double *probs)
+/* Drain the staged cluster over its segment's CSR rows (row[] set for
+ * its members): FIFO over the members, share = ((1 - alpha) * mass) * p,
+ * every target scored alpha * share in edge order, then routed hub /
+ * same cluster / other pool.  Returns 0, or -(node + 1) for a node
+ * labelled with a cluster whose segment does not hold it, or a label
+ * outside the clusters. */
+static int64_t drain(push_run *r, const segment *s)
 {
+    const int64_t members = s->members, *offsets = s->offsets;
+    const int32_t *targets = s->targets;
+    const double *probs = s->probs;
     const int64_t cluster = r->pending;
     const double alpha = r->alpha, epsilon = r->epsilon;
     int64_t head = r->pending_head, tail = r->pending_tail;
-    if (cluster < 0)
-        return 0;
     r->pending = -1;
     r->drains++;
-    for (int64_t i = 0; i < members; i++)
-        r->row[nodes[i]] = (int32_t)(i + 1);
     while (head >= 0) {
         const int64_t node = head;
         head = node == tail ? -1 : r->next[node];
@@ -197,6 +258,84 @@ int64_t repro_drain(push_run *r, int64_t members, const int64_t *nodes,
         }
     }
     return 0;
+}
+
+/* The cluster the next wave drains, residency first: among the clusters
+ * runs need next, the most demanded one the store holds; when it holds
+ * none, the most demanded of all; ties to the smallest id.  -1 when
+ * every run is done.  Each run's next step is fixed by the run alone,
+ * so the choice decides only when a step is taken, never which. */
+static int64_t next_wave(push_waves *w)
+{
+    int64_t best = -1, best_demand = 0, best_held = 0;
+    for (int64_t i = 0; i < w->rows; i++) {
+        const int64_t c = next_cluster(w->runs + i);
+        if (c >= 0)
+            w->demand[c]++;
+    }
+    for (int64_t i = 0; i < w->rows; i++) {
+        const int64_t c = w->runs[i].pending, demand = c >= 0 ? w->demand[c] : 0;
+        if (demand == 0)
+            continue;  /* done, or this cluster was weighed already */
+        const int64_t held = w->held[c] != 0;
+        w->demand[c] = 0;
+        if (best < 0 || held > best_held
+            || (held == best_held
+                && (demand > best_demand
+                    || (demand == best_demand && c < best)))) {
+            best = c;
+            best_demand = demand;
+            best_held = held;
+        }
+    }
+    return best;
+}
+
+/* Lay the rows out from runs[0], start every push (the initial unit at
+ * the source always expands, hub or not) and stage the first wave. */
+void repro_waves_start(push_waves *w)
+{
+    const push_run first = w->runs[0];
+    const int64_t n = first.num_nodes, clusters = first.num_clusters;
+    for (int64_t i = 0; i < w->rows; i++) {
+        push_run *r = w->runs + i;
+        *r = first;
+        r->scores += i * n, r->mass += i * n, r->next += i * n;
+        r->slot += i * n, r->queued += i * n;
+        r->border_hubs += i * n, r->border_mass += i * n;
+        r->head += i * clusters, r->tail += i * clusters, r->order += i * clusters;
+        for (int64_t c = 0; c < clusters; c++)
+            r->head[c] = -1;
+        r->pending = -1;
+        r->scores[w->sources[i]] += r->alpha;
+        pool_add(r, r->labels[w->sources[i]], (int32_t)w->sources[i], 1.0);
+    }
+    w->wave = next_wave(w);
+}
+
+/* Drain the staged wave over its cluster's stored segment (checked by
+ * repro_check_segment when it was loaded) — every run whose next step
+ * needs it, in row order — then stage the next wave.  Returns 0, or
+ * drain's -(node + 1); a failed wave stages none. */
+int64_t repro_wave(push_waves *w, const char *bytes)
+{
+    const int64_t cluster = w->wave;
+    const segment s = segment_at(bytes);
+    int32_t *row = w->runs[0].row;
+    int64_t status = 0;
+    if (cluster < 0)
+        return 0;
+    w->wave = -1;
+    for (int64_t i = 0; i < s.members; i++)
+        row[s.nodes[i]] = (int32_t)(i + 1);
+    for (int64_t i = 0; i < w->rows && status == 0; i++)
+        if (w->runs[i].pending == cluster)
+            status = drain(w->runs + i, &s);
+    for (int64_t i = 0; i < s.members; i++)
+        row[s.nodes[i]] = 0;
+    if (status == 0)
+        w->wave = next_wave(w);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

@@ -76,7 +76,7 @@ Requests
                        (:func:`repro.storage.ppv_store.decode_records`)
     ``fetch_cluster``  ``{"segment": "<base64>"}`` — the cluster's
                        whole format-2 segment, header included
-                       (:func:`repro.storage.disk_engine.decode_segment`)
+                       (:func:`repro.storage.residency.decode_segment`)
     =================  ==========================================
 
   The shard verifies a segment against its manifest (length, CRC-32,

@@ -17,7 +17,7 @@ on demand.  A fetch carries the **stored record's own bytes** (base64
 text inside the JSONL reply; see :mod:`repro.sharding.shard` for the
 fields) and the router decodes them with the decoder a local read
 uses — :func:`~repro.storage.ppv_store.decode_records`,
-:func:`~repro.storage.disk_engine.decode_segment` — so a fetched
+:func:`~repro.storage.residency.decode_segment` — so a fetched
 payload is a local disk read by construction, dtypes included;
 identical kernel + identical data + identical operation order =
 bitwise-identical results, certified top-k included.  The shards hold
@@ -70,9 +70,8 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.protocol import ShardUnavailableError
-from repro.storage.disk_engine import decode_segment
 from repro.storage.ppv_store import check_records, decode_records
-from repro.storage.residency import ClusterResidency, check_segment
+from repro.storage.residency import ClusterResidency, ResidentCluster
 
 DEFAULT_HUB_CACHE = 256
 """Stored hub records the router keeps resident (LRU)."""
@@ -392,10 +391,10 @@ class ShardedGraphStore(ClusterResidency):
     :class:`~repro.storage.residency.ClusterResidency` LRU —
     ``faults`` counts swap-ins, and the cluster-draining push's
     schedule (hence every score) is residency-independent.  A
-    ``fetch_cluster`` reply is the stored segment's bytes, decoded by
-    :func:`~repro.storage.disk_engine.decode_segment` exactly as
-    :class:`~repro.storage.disk_engine.DiskGraphStore` decodes its own
-    reads, so the shared lowering sees the same four arrays either way.
+    ``fetch_cluster`` reply is the stored segment's bytes, held as a
+    :class:`~repro.storage.residency.ResidentCluster` exactly as
+    :class:`~repro.storage.disk_engine.DiskGraphStore` holds its own
+    reads, so the waves read the same bytes either way.
     """
 
     def __init__(
@@ -419,8 +418,9 @@ class ShardedGraphStore(ClusterResidency):
 
     def close(self) -> None:
         self._cache.clear()
+        self.resident_flags[:] = 0
 
-    def _fetch_cluster(self, cluster: int):
+    def _fetch_cluster(self, cluster: int) -> ResidentCluster:
         shard = self.cluster_shards[cluster]
         with self._lock:
             payload = self.fleet.request(
@@ -428,13 +428,12 @@ class ShardedGraphStore(ClusterResidency):
             )
             self.shard_fetches[shard] += 1
         try:
-            arrays = decode_segment(
+            resident = ResidentCluster(
                 base64.b64decode(payload["segment"], validate=True)
             )
-            check_segment(
-                f"cluster {cluster} from shard {shard}", cluster,
-                self.labels, *arrays,
+            self.check_segment(
+                f"cluster {cluster} from shard {shard}", cluster, resident
             )
-            return arrays
+            return resident
         except _REPLY_ERRORS as error:
             raise _undecodable(shard, "fetch_cluster", error) from None

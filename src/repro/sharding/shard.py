@@ -11,7 +11,7 @@ disk**, base64 text inside the ordinary JSONL reply: no array is
 rebuilt, no number is printed, and the router decodes the bytes with
 the decoder a local read uses
 (:func:`repro.storage.ppv_store.decode_records`,
-:func:`repro.storage.disk_engine.decode_segment`).
+:func:`repro.storage.residency.decode_segment`).
 
 ``fetch_hubs``
     ``{"<hub>": {"entries": n, "borders": m, "payload": "<base64>"}}``

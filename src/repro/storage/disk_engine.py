@@ -35,22 +35,25 @@ One engine, scalar is the batch of one
 amortising the I/O that dominates disk queries; :meth:`DiskFastPPV.query`
 is ``query_many([q])[0]``:
 
-* The prime-subgraph walks of all non-hub queries run as interleaved
-  :class:`_PrimePushRun` steps grouped **by cluster**: each scheduling
-  wave drains every run that needs one cluster next while that cluster
-  is resident, so a cluster is faulted in once per wave instead of once
-  per query.  Waves are **residency-first**: among the clusters needed
-  next, one the store already holds is drained before any other (most
-  demanded first, ties to the smallest id); a new cluster is faulted in
-  only when no resident one is needed, and then the most demanded.  A
-  run's per-query schedule (heaviest pool first, FIFO within a cluster)
-  is fixed and residency-independent — the wave order only decides
-  *when* a run takes its next step, never which step — so per-query
-  scores, drain counts and truncation are bitwise identical to serving
-  the query alone; only the physical fault schedule moves.  A run's
-  drain is compiled (:mod:`repro.native`, one C call per drain over the
-  resident cluster's arrays) and pinned bit for bit against the
-  per-edge drain of ``tests/oracles.py``.
+* The prime-subgraph walks of all non-hub queries run as one
+  :class:`_ClusterWaves` batch, one :class:`_PrimePushRun` row per
+  query, grouped **by cluster**: each scheduling wave drains every run
+  that needs one cluster next while that cluster is resident, so a
+  cluster is faulted in once per wave instead of once per query.  Waves
+  are **residency-first**: among the clusters needed next, one the
+  store already holds is drained before any other (most demanded first,
+  ties to the smallest id); a new cluster is faulted in only when no
+  resident one is needed, and then the most demanded.  A run's
+  per-query schedule (heaviest pool first, FIFO within a cluster) is
+  fixed and residency-independent — the wave order only decides *when*
+  a run takes its next step, never which step — so per-query scores,
+  drain counts and truncation are bitwise identical to serving the
+  query alone; only the physical fault schedule moves.  The waves are
+  compiled (:mod:`repro.native`): per wave, one ``resident_cluster``
+  call and one C call that drains the wave over the resident cluster's
+  stored segment bytes and picks the next.  The drain is pinned bit for bit
+  against the per-edge drain of ``tests/oracles.py``, the schedule and
+  the stores' physical counters against its Python wave loop.
 * Hub prime PPVs go straight into the batch's
   :class:`~repro.core.splice.SpliceBlock`: one
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
@@ -85,7 +88,6 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import struct
 import time
 import zlib
 from dataclasses import dataclass
@@ -109,51 +111,18 @@ from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
-from repro.storage.residency import ClusterResidency, check_segment
+from repro.storage.residency import (
+    _SEGMENT_HEADER,
+    ClusterResidency,
+    ResidentCluster,
+    _header_implied_size,
+)
 
 
-_SEGMENT_HEADER = struct.Struct("<2Q")
 _REBUILD = (
     "rebuild the cluster directory with DiskGraphStore(graph, assignment, "
     "directory) (shard directories: `repro shard-index`)"
 )
-
-
-def _header_implied_size(data: bytes) -> int:
-    """Byte length a segment's own header says it has (-1 when ``data``
-    is too short to hold a header)."""
-    if len(data) < _SEGMENT_HEADER.size:
-        return -1
-    members, edges = _SEGMENT_HEADER.unpack_from(data)
-    return _SEGMENT_HEADER.size + 8 * members + 8 * (members + 1) + 12 * edges
-
-
-def decode_segment(data: bytes):
-    """One format-2 segment → ``(nodes i64, offsets i64, targets i32,
-    probs f64)`` views over ``data``: the only decoder of the segment
-    layout, whether the bytes come from a local read or out of a
-    shard's ``fetch_cluster`` reply.
-
-    Raises :class:`ValueError` when ``data`` is not the length its
-    header implies, so no view can run past the buffer.  An edge-less
-    cluster decodes to empty ``targets`` / ``probs`` of those dtypes.
-    """
-    if len(data) != _header_implied_size(data):
-        raise ValueError(
-            f"a cluster segment of {len(data)} bytes disagrees with the "
-            "length its header implies"
-        )
-    members, edges = _SEGMENT_HEADER.unpack_from(data)
-    nodes_at = _SEGMENT_HEADER.size
-    offsets_at = nodes_at + 8 * members
-    probs_at = offsets_at + 8 * (members + 1)
-    targets_at = probs_at + 8 * edges
-    return (
-        np.frombuffer(data, "<i8", members, nodes_at),
-        np.frombuffer(data, "<i8", members + 1, offsets_at),
-        np.frombuffer(data, "<i4", edges, targets_at),
-        np.frombuffer(data, "<f8", edges, probs_at),
-    )
 
 
 class DiskGraphStore(ClusterResidency):
@@ -194,8 +163,9 @@ class DiskGraphStore(ClusterResidency):
     cluster, the segment's byte length and CRC-32.
 
     A cluster fault is **one** ``read()`` of the whole segment, checked
-    against the manifest (length, header-implied size, CRC-32) before a
-    single edge is served.  :attr:`faults` counts LRU swap-ins — what a
+    against the manifest (length, header-implied size, CRC-32) and for
+    structure (:meth:`~repro.storage.residency.ClusterResidency.check_segment`)
+    before a single edge is served.  :attr:`faults` counts LRU swap-ins — what a
     query pays for residency; :attr:`bytes_read` counts segment bytes
     physically read, swap-ins and :meth:`cluster_arrays` reads alike.
     """
@@ -335,8 +305,8 @@ class DiskGraphStore(ClusterResidency):
     def read_segment(self, cluster: int) -> bytes:
         """One physical, verified read of ``cluster``'s segment: the
         stored bytes, checked against the manifest (length, CRC-32) and
-        their own header.  :func:`decode_segment` turns them into
-        arrays; a shard ships them as they are."""
+        their own header.  :class:`~repro.storage.residency.ResidentCluster`
+        serves them; a shard ships them as they are."""
         return self._read_segment(cluster, self._segment_path(cluster))
 
     def _read_segment(self, cluster: int, path: str) -> bytes:
@@ -370,11 +340,11 @@ class DiskGraphStore(ClusterResidency):
             )
         return data
 
-    def _fetch_cluster(self, cluster: int):
+    def _fetch_cluster(self, cluster: int) -> ResidentCluster:
         path = self._segment_path(cluster)
-        arrays = decode_segment(self._read_segment(cluster, path))
-        check_segment(path, cluster, self.labels, *arrays)
-        return arrays
+        resident = ResidentCluster(self._read_segment(cluster, path))
+        self.check_segment(path, cluster, resident)
+        return resident
 
     def cluster_arrays(self, cluster: int) -> dict:
         """One stored cluster's raw arrays (``nodes`` / ``offsets`` /
@@ -386,78 +356,40 @@ class DiskGraphStore(ClusterResidency):
         shard serves ``fetch_cluster`` from :meth:`read_segment` (the
         stored bytes, undecoded); this is the decoded view.
         """
-        names = ("nodes", "offsets", "targets", "probs")
-        return dict(zip(names, self._fetch_cluster(cluster)))
+        resident = self._fetch_cluster(cluster)
+        return {
+            name: getattr(resident, f"{name}_array")
+            for name in ("nodes", "offsets", "targets", "probs")
+        }
 
 
 class _PrimePushRun:
-    """One query's cluster-draining prime push, advanced drain by drain.
+    """One query's cluster-draining prime push: a row of a
+    :class:`_ClusterWaves` batch, read once the batch has run.
 
-    Structured so a scheduler can interleave many runs:
-    :meth:`next_cluster` resolves which cluster the next drain step
-    needs (I/O-free), :meth:`drain` performs that step through the graph
-    store.  The per-query schedule — heaviest pool first with
-    left-to-right pool sums and first-inserted ties, FIFO within a
-    cluster, ``((1 - alpha) * mass) * p`` shares, scores deposited in
-    edge order — is fixed and independent of which cluster happens to be
-    memory-resident, so interleaving runs to share residency never
-    changes a query's mass flow: scores are bitwise identical to running
-    the query alone.  The fault budget is charged per *drain step* —
-    exactly the faults a dedicated one-cluster-budget store would incur —
-    so truncation is deterministic and independent of what else is in
-    the batch.
-
-    The schedule runs in the compiled kernels of :mod:`repro.native`,
-    with the whole per-query state held as arrays (pending mass by node,
-    insertion-ordered linked lists per pool, the pool insertion order,
-    the insertion-ordered border); ``drain`` is one ``resident_cluster``
-    call and one C call that releases the GIL.  ``scores``, ``border``,
-    ``drains`` and ``truncated`` equal the per-edge
+    The per-query schedule — heaviest pool first with left-to-right pool
+    sums and first-inserted ties, FIFO within a cluster,
+    ``((1 - alpha) * mass) * p`` shares, scores deposited in edge order —
+    is fixed and independent of which cluster happens to be
+    memory-resident, so running rows side by side to share residency
+    never changes a query's mass flow: ``scores``, ``border``,
+    ``drains`` and ``truncated`` are bitwise those of the query pushed
+    alone, and equal the per-edge
     ``tests/oracles.py::ReferencePrimePushRun`` byte for byte
-    (``tests/test_native_kernels.py``).
-
-    Every array the kernels see is created here with its dtype and
-    length (or by :class:`~repro.storage.residency.ResidentCluster`,
-    after :func:`~repro.storage.residency.check_segment`) and is held
-    by this object for as long as the C struct points at it.
+    (``tests/test_native_kernels.py``).  The fault budget is charged per
+    *drain step* — exactly the faults a dedicated one-cluster-budget
+    store would incur — so truncation is deterministic and independent
+    of what else is in the batch.
     """
 
-    def __init__(
-        self, graph_store, source, hub_mask, alpha, epsilon, fault_budget
-    ) -> None:
-        lib = native.load()
-        num_nodes, num_clusters = graph_store.num_nodes, graph_store.num_clusters
-        labels = np.require(graph_store.labels, np.int64, "CA")
-        hubs = np.require(hub_mask, np.bool_, "CA")
-        if labels.shape != (num_nodes,) or hubs.shape != (num_nodes,):
-            raise ValueError("labels and hub_mask need one entry per node")
-        if not 0 <= labels[source] < num_clusters:
-            raise ValueError(f"node {source} is labelled outside the clusters")
-        self.graph_store = graph_store
-        self.scores = np.zeros(num_nodes)
-        self._arrays = dict(
-            labels=labels,
-            hubs=hubs,
-            scores=self.scores,
-            mass=np.zeros(num_nodes),
-            next=np.zeros(num_nodes, np.int32),
-            row=np.zeros(num_nodes, np.int32),
-            slot=np.zeros(num_nodes, np.int32),
-            queued=np.zeros(num_nodes, np.uint8),
-            head=np.full(num_clusters, -1, np.int64),
-            tail=np.zeros(num_clusters, np.int64),
-            order=np.zeros(num_clusters, np.int64),
-            border_hubs=np.zeros(num_nodes, np.int64),
-            border_mass=np.zeros(num_nodes),
-        )
-        self._state = native.PushRun(
-            num_nodes=num_nodes, num_clusters=num_clusters,
-            fault_budget=fault_budget, alpha=alpha, epsilon=epsilon,
-            **{name: array.ctypes.data for name, array in self._arrays.items()},
-        )
-        self._ref = ctypes.byref(self._state)
-        self._next_cluster, self._drain = lib.repro_next_cluster, lib.repro_drain
-        lib.repro_run_start(self._ref, source)
+    __slots__ = ("scores", "_state", "_border_hubs", "_border_mass")
+
+    def __init__(self, waves: "_ClusterWaves", row: int) -> None:
+        arrays = waves.arrays
+        self.scores = arrays["scores"][row]
+        self._state = waves.runs[row]  # a view that keeps the batch alive
+        self._border_hubs = arrays["border_hubs"][row]
+        self._border_mass = arrays["border_mass"][row]
 
     @property
     def drains(self) -> int:
@@ -469,37 +401,122 @@ class _PrimePushRun:
 
     def frontier(self) -> tuple[np.ndarray, np.ndarray]:
         count = self._state.border_count
-        return (
-            self._arrays["border_hubs"][:count].copy(),
-            self._arrays["border_mass"][:count].copy(),
-        )
+        return self._border_hubs[:count].copy(), self._border_mass[:count].copy()
 
     @property
     def border(self) -> dict[int, float]:
         hubs, masses = self.frontier()
         return dict(zip(hubs.tolist(), masses.tolist()))
 
-    def next_cluster(self) -> int | None:
-        cluster = self._next_cluster(self._ref)
-        return cluster if cluster >= 0 else None
 
-    def drain(self) -> None:
-        cluster = self._state.pending
-        # One residency resolution per drain; the resident record holds
-        # the four arrays for the call's duration.
-        resident = self.graph_store.resident_cluster(cluster)
-        status = self._drain(
-            self._ref,
-            resident.nodes_array.size,
-            resident.nodes_array.ctypes.data,
-            resident.offsets_array.ctypes.data,
-            resident.targets_array.ctypes.data,
-            resident.probs_array.ctypes.data,
+class _ClusterWaves:
+    """The prime pushes of one batch's non-hub sources, drained in
+    cluster waves by the compiled kernels of :mod:`repro.native`.
+
+    Each wave drains, over one resident cluster, every run whose next
+    step needs that cluster, so the batch faults a cluster in once per
+    wave instead of once per query.  Waves are **residency-first**:
+    among the clusters runs need next, one the store already holds is
+    drained before any other (most demanded first, ties to the smallest
+    id); a new cluster is faulted in only when no held one is needed,
+    and then the most demanded.  Under an LRU of more than one cluster a
+    demand-only choice evicts clusters the batch still needs and faults
+    them back in; draining what is held first does not.  The rule
+    lives in ``kernels.c`` next to the drains and reads the store's
+    :attr:`~repro.storage.residency.ClusterResidency.resident_flags`;
+    the Python statement of the loop is the reference wave schedule of
+    ``tests/oracles.py``.
+
+    :meth:`run` makes, per wave, one ``graph_store.resident_cluster``
+    call (the ledger times cluster loads through that name) and one C
+    call that drains the wave and picks the next.  The state of every
+    run is allocated here, once per batch: per-node arrays of shape
+    ``(rows, num_nodes)``, per-cluster arrays of ``(rows,
+    num_clusters)``, and one row-lookup array the waves share.  Every
+    array the kernels see is created here with its dtype and shape and
+    is held for as long as the C structs point at it; a wave reads its
+    cluster's rows straight out of the stored segment bytes, which the
+    store checked when it loaded them
+    (:meth:`~repro.storage.residency.ClusterResidency.check_segment`).
+    """
+
+    def __init__(
+        self, graph_store, sources, hub_mask, alpha, epsilon, fault_budget
+    ) -> None:
+        lib = native.load()
+        num_nodes, num_clusters = graph_store.num_nodes, graph_store.num_clusters
+        labels = graph_store.labels  # int64, C-contiguous (ClusterResidency)
+        hubs = np.require(hub_mask, np.bool_, "CA")
+        if labels.shape != (num_nodes,) or hubs.shape != (num_nodes,):
+            raise ValueError("labels and hub_mask need one entry per node")
+        sources = np.array(sources, np.int64)
+        outside = sources[(labels[sources] < 0) | (labels[sources] >= num_clusters)]
+        if outside.size:
+            raise ValueError(f"node {outside[0]} is labelled outside the clusters")
+        rows = sources.size
+        per_node, per_cluster = (rows, num_nodes), (rows, num_clusters)
+        # Zeroed where the kernels read before they write; the rest is
+        # written first (mass and links on insertion, heads at start).
+        self.arrays = arrays = dict(
+            labels=labels,
+            hubs=hubs,
+            sources=sources,
+            scores=np.zeros(per_node),
+            mass=np.empty(per_node),
+            next=np.empty(per_node, np.int32),
+            row=np.zeros(num_nodes, np.int32),
+            slot=np.zeros(per_node, np.int32),
+            queued=np.zeros(per_node, np.uint8),
+            head=np.empty(per_cluster, np.int64),
+            tail=np.empty(per_cluster, np.int64),
+            order=np.empty(per_cluster, np.int64),
+            border_hubs=np.empty(per_node, np.int64),
+            border_mass=np.empty(per_node),
+            demand=np.zeros(num_clusters, np.int64),
+        )
+        self.graph_store = graph_store
+        self.runs = (native.PushRun * rows)()
+        self.runs[0] = native.PushRun(
+            num_nodes=num_nodes, num_clusters=num_clusters,
+            fault_budget=fault_budget, alpha=alpha, epsilon=epsilon,
+            **{name: arrays[name].ctypes.data for name in (
+                "labels", "hubs", "scores", "mass", "next", "row", "slot",
+                "queued", "head", "tail", "order", "border_hubs", "border_mass",
+            )},
+        )
+        self.state = native.PushWaves(
+            rows=rows,
+            runs=ctypes.addressof(self.runs),
+            sources=sources.ctypes.data,
+            demand=arrays["demand"].ctypes.data,
+            # Read in place by every wave; the store holds the array.
+            held=graph_store.resident_flags.ctypes.data,
+        )
+        self._ref = ctypes.byref(self.state)
+        self._wave = lib.repro_wave
+        lib.repro_waves_start(self._ref)
+
+    def rows(self) -> list[_PrimePushRun]:
+        """One :class:`_PrimePushRun` per source, in order."""
+        return [_PrimePushRun(self, row) for row in range(len(self.runs))]
+
+    def run(self) -> None:
+        """Drain wave after wave until every run is done (or truncated
+        by its budget)."""
+        while self.state.wave >= 0:
+            self.step()
+
+    def step(self) -> None:
+        """Drain the staged wave and stage the next (``state.wave``, -1
+        once every run is done)."""
+        cluster = self.state.wave
+        status = self._wave(
+            self._ref, self.graph_store.resident_cluster(cluster).segment
         )
         if status:
             raise ValueError(
-                f"node {-status - 1} reached while draining cluster {cluster} "
-                "is labelled with a cluster that does not hold it"
+                f"node {-status - 1} reached while draining cluster "
+                f"{cluster} is labelled with a cluster that does not hold it"
             )
 
 
@@ -594,11 +611,9 @@ class DiskFastPPV(BatchOfOne):
     # ------------------------------------------------------------------ #
 
     def _grouped_pushes(self, ids: list[int]) -> dict[int, _PrimePushRun]:
-        """Run the prime pushes of all unique non-hub queries, grouped by
-        cluster: every scheduling wave picks one cluster runs need next
-        (:meth:`_wave_cluster`) and drains all of them while it is
-        resident, so the batch faults each cluster in once per wave
-        instead of once per query.
+        """Run the prime pushes of all unique non-hub queries as one
+        :class:`_ClusterWaves` batch: a wave drains every run that needs
+        one cluster next while that cluster is resident.
 
         Push is order-independent (any schedule that expands every
         super-threshold residual converges to the same vector), so
@@ -608,45 +623,21 @@ class DiskFastPPV(BatchOfOne):
         paper's DFS-within-cluster search and keeps faults near the
         number of distinct clusters the prime subgraph overlaps.
         """
-        runs: dict[int, _PrimePushRun] = {}
-        for q in ids:
-            if q not in self.ppv_store and q not in runs:
-                runs[q] = _PrimePushRun(
-                    self.graph_store,
-                    q,
-                    self.ppv_store.hub_mask,
-                    self.ppv_store.alpha,
-                    self.ppv_store.epsilon,
-                    self.fault_budget,
-                )
-        active = dict(runs)
-        while active:
-            needs: dict[int, list[int]] = {}
-            for q in list(active):
-                cluster = active[q].next_cluster()
-                if cluster is None:
-                    del active[q]  # finished (or truncated by its budget)
-                else:
-                    needs.setdefault(cluster, []).append(q)
-            if not needs:
-                break
-            for q in needs[self._wave_cluster(needs)]:
-                active[q].drain()
-        return runs
-
-    def _wave_cluster(self, needs: dict[int, list[int]]) -> int:
-        """The cluster the next wave drains, residency first: the most
-        demanded (ties: smallest id) of the needed clusters the store
-        holds; only when it holds none, the most demanded of all.
-
-        Under an LRU of more than one cluster a demand-only choice
-        evicts clusters the batch still needs and faults them back in;
-        draining what is held first does not.  The choice cannot change
-        a score: each run's next step is fixed by the run alone, and a
-        wave only decides when it is taken.
-        """
-        held = [c for c in needs if self.graph_store.is_resident(c)]
-        return max(held or needs, key=lambda c: (len(needs[c]), -c))
+        sources = list(
+            dict.fromkeys(q for q in ids if q not in self.ppv_store)
+        )
+        if not sources:
+            return {}
+        waves = _ClusterWaves(
+            self.graph_store,
+            sources,
+            self.ppv_store.hub_mask,
+            self.ppv_store.alpha,
+            self.ppv_store.epsilon,
+            self.fault_budget,
+        )
+        waves.run()
+        return dict(zip(sources, waves.rows()))
 
     def query_many(
         self,

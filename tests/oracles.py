@@ -11,19 +11,23 @@ loop over ``index.get`` after a per-query ``prime_ppv`` push, and
 ``reference_query`` in every field, bit for bit.
 
 ``repro.storage.disk_engine.DiskFastPPV`` serves every query through two
-compiled kernels: the cluster-draining push (``_PrimePushRun``) and the
-order-preserving splice rounds of
-``repro.core.splice.splice_rounds_exact``.  Their Python statements live
-here, as oracles: ``ReferencePrimePushRun`` (the push's schedule with
-the historical per-edge drain) and ``scalar_splice_rounds`` fed one
-``ppv_store.get`` at a time.  The equivalence suite requires
-bitwise-equal results.
+compiled kernels: the cluster-draining push, drained in batch waves
+(``_ClusterWaves``, one row per query), and the order-preserving splice
+rounds of ``repro.core.splice.splice_rounds_exact``.  Their Python
+statements live here, as oracles: ``ReferencePrimePushRun`` (one
+query's schedule with the historical per-edge drain),
+``ReferenceWavesDiskFastPPV`` (the Python wave loop, residency first,
+over compiled lone runs or, with ``run_class = ReferencePrimePushRun``,
+over per-edge ones) and ``scalar_splice_rounds`` fed one ``ppv_store.get``
+at a time.  The equivalence suite requires bitwise-equal results, and
+the compiled waves must leave the stores' physical counters where the
+reference wave loop leaves them.
 
-``DemandOnlyDiskFastPPV`` is the engine with the batch wave rule it had
-before waves became residency-first: the most demanded cluster, never
-asking what the store holds.  Its results must equal the engine's bit
-for bit, and on ``tests/test_disk_batch.py``'s seeded stream it must
-pay at least as many physical faults.
+``DemandOnlyDiskFastPPV`` is the reference wave loop with the rule it
+had before waves became residency-first: the most demanded cluster,
+never asking what the store holds.  Its results must equal the engine's
+bit for bit, and on ``tests/test_disk_batch.py``'s seeded stream it
+must pay at least as many physical faults.
 
 ``sharded_over`` puts the router's ``ShardedGraphStore`` over a local
 store through a one-shard in-process fleet that answers with
@@ -68,7 +72,7 @@ from repro.core.query import (
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
-from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult
+from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult, _ClusterWaves
 
 
 def scalar_splice_rounds(
@@ -198,9 +202,87 @@ class ReferenceFastPPV(FastPPV):
     query = reference_query
 
 
-class DemandOnlyDiskFastPPV(DiskFastPPV):
-    """Each wave drains the cluster the most runs need next (ties:
-    smallest id), whatever is resident."""
+class LoneCompiledRun:
+    """One query's compiled push stepped drain by drain: a
+    ``_ClusterWaves`` batch of one, whose staged wave is the run's next
+    cluster.  The fast run class of :class:`ReferenceWavesDiskFastPPV`
+    (``ReferencePrimePushRun`` is the per-edge one)."""
+
+    def __init__(
+        self, graph_store, source, hub_mask, alpha, epsilon, fault_budget
+    ) -> None:
+        self._waves = _ClusterWaves(
+            graph_store, [source], hub_mask, alpha, epsilon, fault_budget
+        )
+        self._row = self._waves.rows()[0]
+        self.scores = self._row.scores
+
+    def next_cluster(self):
+        cluster = self._waves.state.wave
+        return cluster if cluster >= 0 else None
+
+    def drain(self) -> None:
+        self._waves.step()
+
+    def __getattr__(self, name):  # drains, truncated, frontier, border
+        return getattr(self._row, name)
+
+
+class ReferenceWavesDiskFastPPV(DiskFastPPV):
+    """``DiskFastPPV`` with its batch push run by the reference wave
+    schedule: the Python loop the engine ran before its waves were
+    compiled, over one ``run_class`` run per source.
+
+    Every scheduling wave asks each unfinished run for the cluster its
+    next drain needs, picks one of them (:meth:`_wave_cluster`) and
+    drains every run that needs it, one ``resident_cluster`` call per
+    drain (the per-edge drain makes one per expanded node, all within
+    the wave's cluster).  So the store pays the faults, reads and bytes
+    of one load per wave — what the compiled waves pay through one
+    ``resident_cluster`` call.
+    """
+
+    run_class = LoneCompiledRun
+
+    def _grouped_pushes(self, ids):
+        runs = {}
+        for q in ids:
+            if q not in self.ppv_store and q not in runs:
+                runs[q] = self.run_class(
+                    self.graph_store,
+                    q,
+                    self.ppv_store.hub_mask,
+                    self.ppv_store.alpha,
+                    self.ppv_store.epsilon,
+                    self.fault_budget,
+                )
+        active = dict(runs)
+        while active:
+            needs: dict[int, list[int]] = {}
+            for q in list(active):
+                cluster = active[q].next_cluster()
+                if cluster is None:
+                    del active[q]  # finished (or truncated by its budget)
+                else:
+                    needs.setdefault(cluster, []).append(q)
+            if not needs:
+                break
+            for q in needs[self._wave_cluster(needs)]:
+                active[q].drain()
+        return runs
+
+    def _wave_cluster(self, needs):
+        """Residency first: the most demanded (ties: smallest id) of the
+        needed clusters the store holds; only when it holds none, the
+        most demanded of all."""
+        held = [c for c in needs if self.graph_store.resident_flags[c]]
+        return max(held or needs, key=lambda c: (len(needs[c]), -c))
+
+
+class DemandOnlyDiskFastPPV(ReferenceWavesDiskFastPPV):
+    """The reference wave schedule with the rule waves had before they
+    became residency-first: each wave drains the cluster the most runs
+    need next (ties: smallest id), whatever is resident."""
 
     def _wave_cluster(self, needs):
         return max(needs, key=lambda c: (len(needs[c]), -c))

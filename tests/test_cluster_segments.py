@@ -20,7 +20,7 @@ from repro.server import protocol
 from repro.sharding import partition_index, shard_dir_name
 from repro.sharding.shard import ShardEngine
 from repro.storage import ClusterAssignment, DiskGraphStore
-from repro.storage.disk_engine import decode_segment
+from repro.storage.residency import decode_segment
 
 # Node 5 has no out-edges; cluster 2 has no members.
 EDGES = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 5), (6, 0)]
@@ -116,12 +116,14 @@ class TestRoundTrip:
             plan.on("graph_store.load", error=ValueError("injected"), times=1)
         with pytest.raises(ValueError):
             store.resident_cluster(1)
-        resident = [store.is_resident(c) for c in range(4)]
-        assert (store.faults, resident) == (1, [True, False, False, False])
+        resident = store.resident_flags.tolist()
+        assert (store.faults, resident) == (1, [1, 0, 0, 0])
         segment.write_bytes(intact)
         store.resident_cluster(1)
-        resident = [store.is_resident(c) for c in range(4)]
-        assert (store.faults, resident) == (2, [True, True, False, False])
+        resident = store.resident_flags.tolist()
+        assert (store.faults, resident) == (2, [1, 1, 0, 0])
+        store.resident_cluster(2)  # evicts cluster 0, the least recent
+        assert (store.faults, store.resident_flags.tolist()) == (3, [0, 1, 1, 0])
 
     def test_rebuild_in_place_replaces_an_old_format_directory(
         self, graph, tmp_path

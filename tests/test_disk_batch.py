@@ -15,7 +15,12 @@ from repro import (
     query_top_k,
     select_hubs,
 )
-from oracles import DemandOnlyDiskFastPPV, reference_disk_query
+from oracles import (
+    DemandOnlyDiskFastPPV,
+    ReferenceWavesDiskFastPPV,
+    reference_disk_query,
+    sharded_over,
+)
 from repro.core.topk import StopWhenCertified, top_k_result
 from repro.serving import DiskEngine, PPVService
 from repro.storage import (
@@ -513,6 +518,42 @@ class TestResidencyFirstWaves:
         store, _ = _serve_stream(DiskFastPPV, wave_setup, budget)
         assert len(store.touched) > 1
         assert store.faults == len(store.touched)
+
+
+class TestCompiledWaves:
+    """The compiled waves keep the physical schedule: on the seeded
+    stream, every result and every physical counter — the graph store's
+    ``faults``, the bytes read from its segments, the PPV store's
+    ``reads`` — equals the reference wave loop of ``oracles.py``,
+    locally and through the router's ``ShardedGraphStore``."""
+
+    @pytest.mark.parametrize("backend", ["disk", "sharded"])
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_same_results_and_counters_as_the_reference_loop(
+        self, wave_setup, budget, backend
+    ):
+        directory, index_path, stream = wave_setup
+
+        def serve(engine_class):
+            local = DiskGraphStore.open(directory, memory_budget=budget)
+            store = local if backend == "disk" else sharded_over(local, budget)
+            with DiskPPVStore(index_path) as ppv_store:
+                engine = engine_class(store, ppv_store, delta=0.0)
+                fields = [
+                    _fields(result)
+                    for batch in stream
+                    for result in engine.query_many(
+                        batch, stop=StopAfterIterations(2)
+                    )
+                ]
+                reads = (ppv_store.reads, ppv_store.bytes_read)
+            return fields, (store.faults, local.faults, local.bytes_read, reads)
+
+        served, counters = serve(DiskFastPPV)
+        oracle, oracle_counters = serve(ReferenceWavesDiskFastPPV)
+        assert served == oracle
+        assert counters == oracle_counters
+        assert counters[0] > len(stream)  # more than one wave per batch
 
 
 class TestDiskTopK:

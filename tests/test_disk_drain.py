@@ -1,7 +1,9 @@
 """Bitwise teeth for the disk push's drain.
 
-``_PrimePushRun.drain`` is one compiled call per drain that routes
-mass and deposits scores over the resident cluster's arrays.  The cases
+A batch's pushes run as ``_ClusterWaves``: one compiled call per wave
+drains every run that needs the wave's cluster, routing mass and
+depositing scores over the resident cluster's arrays; a push of one
+source is a batch of one, read back as its ``_PrimePushRun`` row.  The cases
 it could get wrong — the same target twice in one row,
 self-loops, a hub source, rows without edges, a cluster without edges,
 a drain that expands nothing, a budget-truncated run — are pinned here
@@ -33,7 +35,7 @@ from repro.storage import (
     DiskPPVStore,
     save_index,
 )
-from repro.storage.disk_engine import _PrimePushRun
+from repro.storage.disk_engine import _ClusterWaves, _PrimePushRun
 
 
 def _csr(num_nodes: int, edges: list[tuple[int, int]]) -> DiGraph:
@@ -67,37 +69,60 @@ def _open(backend: str, directory: Path, memory_budget: int = 1):
 BACKENDS = pytest.mark.parametrize("backend", ["disk", "sharded"])
 
 
+def _waves(store, sources, ppv_store, fault_budget) -> _ClusterWaves:
+    """The compiled pushes of ``sources`` as one batch, started (the
+    first wave staged) but not run."""
+    return _ClusterWaves(
+        store, sources, ppv_store.hub_mask, ppv_store.alpha,
+        ppv_store.epsilon, fault_budget,
+    )
+
+
+def _begin(kind, store, source, ppv_store, fault_budget):
+    """A push of ``kind`` from ``source``, nothing drained yet: the
+    oracle's run, or the compiled batch of one."""
+    if kind is _PrimePushRun:
+        return _waves(store, [source], ppv_store, fault_budget)
+    return kind(
+        store, source, ppv_store.hub_mask, ppv_store.alpha,
+        ppv_store.epsilon, fault_budget,
+    )
+
+
+def _finish(started):
+    """Drain ``started`` to completion (or to its budget); the run."""
+    if isinstance(started, _ClusterWaves):
+        started.run()
+        return started.rows()[0]
+    while started.next_cluster() is not None:
+        started.drain()
+    return started
+
+
 def _run(kind, root, ppv_store, source, fault_budget, backend="disk"):
     """A push of ``kind`` from ``source`` on a fresh one-cluster store,
     drained to completion (or to its budget)."""
-    run = kind(
-        _open(backend, root / "c"),
-        source,
-        ppv_store.hub_mask,
-        ppv_store.alpha,
-        ppv_store.epsilon,
-        fault_budget,
+    return _finish(
+        _begin(kind, _open(backend, root / "c"), source, ppv_store, fault_budget)
     )
-    while run.next_cluster() is not None:
-        run.drain()
-    return run
 
 
-def _stage(run, node: int, mass: float) -> None:
+def _stage(started, node: int, mass: float) -> None:
     """Stage a drain of cluster 0 holding only ``node`` at ``mass`` by
-    hand — in the oracle's dicts or in the compiled run's arrays.
-    Unreachable through ``next_cluster``, which stages super-threshold
-    mass only."""
-    if isinstance(run, ReferencePrimePushRun):
-        run.pools.clear()
-        run._pending = (0, {node: mass})
+    hand — in the oracle's dicts or in the compiled batch of one's
+    arrays (and its next wave).  Unreachable through ``next_cluster``,
+    which stages super-threshold mass only."""
+    if isinstance(started, ReferencePrimePushRun):
+        started.pools.clear()
+        started._pending = (0, {node: mass})
         return
-    state, arrays = run._state, run._arrays
+    arrays, state = started.arrays, started.runs[0]
     arrays["head"][:] = -1
     arrays["queued"][:] = 0
-    arrays["mass"][node], arrays["queued"][node] = mass, 1
+    arrays["mass"][0, node], arrays["queued"][0, node] = mass, 1
     state.order_count = 0
     state.pending, state.pending_head, state.pending_tail = 0, node, node
+    started.state.wave = 0
 
 
 def _assert_runs_identical(fast, oracle) -> None:
@@ -159,17 +184,14 @@ class TestHandBuiltRows:
     def test_a_drain_that_expands_no_row_deposits_nothing(self, tricky, backend):
         # Staged by hand so the empty deposit stays safe.
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            runs = [
-                kind(
-                    _open(backend, tricky / "c"), 0, ppv_store.hub_mask,
-                    ppv_store.alpha, ppv_store.epsilon, 10,
-                )
+            started = [
+                _begin(kind, _open(backend, tricky / "c"), 0, ppv_store, 10)
                 for kind in (_PrimePushRun, ReferencePrimePushRun)
             ]
-        for run in runs:
-            _stage(run, 1, ppv_store.epsilon / 2)
-            run.drain()
-            assert run.next_cluster() is None
+        for push in started:
+            _stage(push, 1, ppv_store.epsilon / 2)
+        started[1].drain()
+        runs = [_finish(push) for push in started]
         _assert_runs_identical(*runs)
         assert runs[0].drains == 1
         assert runs[0].scores.tolist() == [ppv_store.alpha] + [0.0] * (NODES - 1)

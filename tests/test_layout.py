@@ -19,7 +19,6 @@ EXEMPT = {
     "repro.cli": "the console-script entry point (pyproject.toml)",
     "repro.faults": "the fault-injection seam: tests hand a FaultPlan in",
     "repro.graph.components": "SCC/WCC helpers; deletion deferred (ROADMAP item 13)",
-    "repro.metrics.extras": "extra ranking metrics; deletion deferred (ROADMAP item 13)",
     "repro.core.workload_hubs": "parked hub re-selection foothold (ROADMAP item 13)",
 }
 """Modules nothing imports on purpose, with the reason.  ``__main__``

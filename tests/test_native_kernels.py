@@ -1,7 +1,7 @@
 """The compiled kernels, pinned bit for bit against their references.
 
 ``repro.native`` ports two schedules to C: the cluster drain
-(``_PrimePushRun`` vs the per-edge ``oracles.ReferencePrimePushRun``)
+(``_ClusterWaves`` rows vs the per-edge ``oracles.ReferencePrimePushRun``)
 and the level-synchronous ``prime_push_many`` (vs its numpy rounds) —
 and the two products of a splice round (``SpliceBlock.score_product`` /
 ``border_product`` vs ``scalar_splice_rounds``).  Everything here
@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -46,6 +47,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferencePrimePushRun,
+    ReferenceWavesDiskFastPPV,
     reference_block_csr,
     reference_disk_query,
     reference_query,
@@ -58,11 +60,14 @@ from test_disk_drain import (
     TRICKY_EDGES,
     TRICKY_LABELS,
     _assert_runs_identical,
+    _begin,
     _csr,
     _deploy,
+    _finish,
     _open,
     _run,
     _stage,
+    _waves,
     deployments,
 )
 
@@ -93,7 +98,8 @@ from repro.storage import (
     load_index,
     save_index,
 )
-from repro.storage.disk_engine import _PrimePushRun
+from repro.storage import disk_engine
+from repro.storage.disk_engine import _ClusterWaves, _PrimePushRun
 from repro.storage.residency import ResidentCluster
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -137,57 +143,88 @@ class TestDrainThreeWays:
                 _run(_PrimePushRun, tricky, ppv_store, 0, budget)
                 for budget in (1, 2, 3, 10**9)
             ]
+            waves = _waves(_open("disk", tricky / "c"), [0], ppv_store, 1)
         assert runs[0].truncated and not runs[-1].truncated
-        assert runs[0].next_cluster() is None  # and stays finished
+        waves.run()
+        waves.run()  # and stays finished
+        assert waves.state.wave == -1 and waves.rows()[0].drains == 1
 
     @BACKENDS
     def test_a_drain_that_expands_no_row_deposits_nothing(self, tricky, backend):
-        # Staged by hand in each run's own state (dicts in the oracle,
-        # arrays here).
+        # Staged by hand in each push's own state (dicts in the oracle,
+        # the batch of one's arrays here).
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            native_run, oracle = (
-                kind(
-                    _open(backend, tricky / "c"), 0, ppv_store.hub_mask,
-                    ppv_store.alpha, ppv_store.epsilon, 10,
-                )
+            started = [
+                _begin(kind, _open(backend, tricky / "c"), 0, ppv_store, 10)
                 for kind in (_PrimePushRun, ReferencePrimePushRun)
-            )
-        for run in (native_run, oracle):
-            _stage(run, 1, ppv_store.epsilon / 2)
-            run.drain()
-            assert run.next_cluster() is None
+            ]
+        for push in started:
+            _stage(push, 1, ppv_store.epsilon / 2)
+        started[1].drain()
+        native_run, oracle = (_finish(push) for push in started)
         _assert_runs_identical(native_run, oracle)
         assert native_run.drains == 1
         assert native_run.scores.tolist() == [native_run._state.alpha] + [0.0] * (
             NODES - 1
         )
 
-    def test_next_cluster_is_idempotent_until_drained(self, tricky):
+    def test_the_first_wave_is_staged_until_run(self, tricky):
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _PrimePushRun(
-                _open("disk", tricky / "c"), 0, ppv_store.hub_mask,
-                ppv_store.alpha, ppv_store.epsilon, 10,
-            )
-        first = run.next_cluster()
-        assert first == TRICKY_LABELS[0] == run.next_cluster()
-        assert run.drains == 0
-        run.drain()
-        assert run.drains == 1
+            waves = _waves(_open("disk", tricky / "c"), [0], ppv_store, 10)
+        assert waves.state.wave == TRICKY_LABELS[0]
+        assert waves.rows()[0].drains == 0
+        waves.run()
+        assert waves.rows()[0].drains > 1
 
-    def test_one_resident_cluster_call_per_drain(self, tricky):
-        # The ledger's ``store.cluster_load`` span is exactly this call.
-        store = _open("disk", tricky / "c")
-        calls = []
-        resident_cluster = store.resident_cluster
-        store.resident_cluster = lambda c: calls.append(c) or resident_cluster(c)
-        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _PrimePushRun(
-                store, 0, ppv_store.hub_mask, ppv_store.alpha,
-                ppv_store.epsilon, 10,
-            )
-        while run.next_cluster() is not None:
-            run.drain()
-        assert len(calls) == run.drains > 1
+    def test_one_resident_cluster_call_and_one_c_call_per_wave(
+        self, tricky, monkeypatch
+    ):
+        # The ledger's ``store.cluster_load`` span is exactly the
+        # resident_cluster call; no ctypes call is made per drain.
+        lib, calls = native.load(), []
+
+        class Counted:
+            def __getattr__(self, name):
+                function = getattr(lib, name)
+                return lambda *args: calls.append(name) or function(*args)
+
+        monkeypatch.setattr(disk_engine.native, "load", Counted)
+
+        def serve(engine_class):
+            store = _open("disk", tricky / "c")
+            loads = []
+            resident_cluster = store.resident_cluster
+            store.resident_cluster = lambda c: loads.append(c) or resident_cluster(c)
+            with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+                engine = engine_class(store, ppv_store, delta=0.0)
+                runs = engine._grouped_pushes(list(range(NODES)))
+            return store, loads, runs
+
+        store, loads, runs = serve(DiskFastPPV)
+        assert calls.count("repro_waves_start") == 1
+        assert calls.count("repro_wave") == len(loads)
+        assert calls.count("repro_check_segment") == store.faults
+        assert set(calls) == {
+            "repro_waves_start", "repro_wave", "repro_check_segment"
+        }
+        # Waves share drains: fewer loads than drains.
+        assert 1 < len(loads) < sum(run.drains for run in runs.values())
+        assert not hasattr(lib, "repro_drain")
+        assert not hasattr(lib, "repro_next_cluster")
+        # The reference loop picks a cluster per wave and drains the
+        # same clusters in the same order.
+        picked = []
+
+        class Logged(ReferenceWavesDiskFastPPV):
+            run_class = ReferencePrimePushRun
+
+            def _wave_cluster(self, needs):
+                picked.append(super()._wave_cluster(needs))
+                return picked[-1]
+
+        oracle_store, oracle_loads, _ = serve(Logged)
+        assert picked == loads
+        assert oracle_store.faults == store.faults
 
     def test_the_list_lowering_is_never_built(self, tricky):
         # The per-edge Python drain's plain-list views are gone: a
@@ -198,7 +235,8 @@ class TestDrainThreeWays:
             assert not hasattr(ppv_store, "hub_list")
         assert not hasattr(store, "labels_list")
         assert ResidentCluster.__slots__ == (
-            "nodes_array", "offsets_array", "targets_array", "probs_array"
+            "segment", "nodes_array", "offsets_array", "targets_array",
+            "probs_array",
         )
         # ... and out_edges (the oracle's lookup) reads those arrays.
         targets, _ = store.out_edges(0)
@@ -477,7 +515,9 @@ class TestThreadedPush:
             if batch >= 16:  # one call, both aggregation rules
                 assert rules == {"dense", "sort"}
 
-    def test_a_thread_whose_rows_stop_first_keeps_meeting_the_rounds(self):
+    def test_rows_of_different_lengths_give_the_same_bytes_at_any_thread_count(
+        self,
+    ):
         # Dangling sources end their rows in round 0 while the fans'
         # rows run on, taken first, last, or both.
         fan_graph, fans = _fans([9, 130, 3])
@@ -891,21 +931,29 @@ def _near_tie_store(root: Path) -> DiskGraphStore:
 )
 def test_heaviest_pool_is_a_left_to_right_sum(tmp_path, monkeypatch, kind):
     store = _near_tie_store(tmp_path)
-    # What CPython >= 3.12's builtin sum() computes; were next_cluster to
-    # call sum(), this makes 3.11 behave like 3.12 here.
+    # What CPython >= 3.12's builtin sum() computes; were the pool sum
+    # spelled sum(), this makes 3.11 behave like 3.12 here.
     monkeypatch.setattr(sys.modules[kind.__module__], "sum", math.fsum, raising=False)
-    run = kind(store, 0, np.zeros(7, dtype=bool), 0.5, 1e-30, 10)
-    assert run.next_cluster() == 0
-    run.drain()
+    loads = []
+    resident_cluster = store.resident_cluster
+    store.resident_cluster = lambda c: loads.append(c) or resident_cluster(c)
+    hubs = np.zeros(7, dtype=bool)
+    if kind is _PrimePushRun:
+        _ClusterWaves(store, [0], hubs, 0.5, 1e-30, 10).run()
+    else:
+        run = kind(store, 0, hubs, 0.5, 1e-30, 10)
+        while run.next_cluster() is not None:
+            run.drain()
+    # The oracle resolves residency per expanded node: one entry per
+    # drain is its run of equal loads.
+    drained = [c for i, c in enumerate(loads) if i == 0 or loads[i - 1] != c]
     pool_one = [0.125] + [1.25e-17] * 4
     pool_two = float(np.nextafter(0.125, 1.0))
     plain = 0.0
     for mass in pool_one:
         plain += mass
     assert plain < pool_two < math.fsum(pool_one)  # the near-tie is real
-    assert run.next_cluster() == 2  # the compensated sum would say 1
-    run.drain()
-    assert run.next_cluster() == 1
+    assert drained == [0, 2, 1]  # the compensated sum would drain 1 first
 
 
 _HEADER = struct.Struct("<2Q")
@@ -942,15 +990,26 @@ def _set(name, position, value):
     return edit
 
 
-MALFORMED = {
-    "target_past_the_last_node": _set("targets", 0, NODES),
-    "negative_target": _set("targets", -1, -1),
-    "offsets_do_not_start_at_zero": _set("offsets", 0, 1),
-    "offsets_decrease": _set("offsets", 1, 99),
-    "offsets_end_short_of_the_edges": _set("offsets", -1, 1),
-    "member_out_of_range": _set("nodes", 0, NODES + 3),
-    "member_of_another_cluster": _set("nodes", 0, 3),
+_TARGETS = f"an edge target lies outside [0, {NODES})"
+_OFFSETS = "offsets are not a non-decreasing 0..8 sequence"  # 8 edges
+MALFORMED = {  # the edit, and the problem its refusal names
+    "target_past_the_last_node": (_set("targets", 0, NODES), _TARGETS),
+    "negative_target": (_set("targets", -1, -1), _TARGETS),
+    "offsets_do_not_start_at_zero": (_set("offsets", 0, 1), _OFFSETS),
+    "offsets_decrease": (_set("offsets", 1, 99), _OFFSETS),
+    "offsets_end_short_of_the_edges": (_set("offsets", -1, 1), _OFFSETS),
+    "member_out_of_range": (
+        _set("nodes", 0, NODES + 3), f"a member node lies outside [0, {NODES})"
+    ),
+    "member_of_another_cluster": (
+        _set("nodes", 0, 3), "a member node is labelled with another cluster"
+    ),
 }
+
+
+def _refusal(case: str) -> str:
+    """The refusal text of MALFORMED ``case``, as a pattern."""
+    return re.escape(f"malformed cluster segment ({MALFORMED[case][1]})")
 
 
 class TestSegmentStructure:
@@ -958,22 +1017,27 @@ class TestSegmentStructure:
     def broken(self, tricky, tmp_path, request):
         shutil.copytree(tricky / "c", tmp_path / "c")
         shutil.copy(tricky / "i.fppv", tmp_path / "i.fppv")
-        _rewrite_segment(tmp_path / "c", 0, MALFORMED[request.param])
-        return tmp_path
+        _rewrite_segment(tmp_path / "c", 0, MALFORMED[request.param][0])
+        return tmp_path, request.param
 
     @pytest.mark.parametrize("broken", MALFORMED, indirect=True)
     def test_refused_locally_naming_the_segment(self, broken):
-        store = DiskGraphStore.open(broken / "c")
-        with pytest.raises(ValueError, match=r"cluster_00000\.seg: malformed"):
+        root, case = broken
+        store = DiskGraphStore.open(root / "c")
+        with pytest.raises(ValueError, match=r"cluster_00000\.seg: " + _refusal(case)):
             store.resident_cluster(0)
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match=_refusal(case)):
             store.out_edges(0)
+        assert store.faults == 0 and not store.resident_flags.any()
         assert store.resident_cluster(1).nodes_array.tolist() == [3, 4]
 
     @pytest.mark.parametrize("broken", MALFORMED, indirect=True)
     def test_refused_as_shard_unavailable_from_a_shard(self, broken):
-        remote = sharded_over(DiskGraphStore.open(broken / "c"))
-        with pytest.raises(ShardUnavailableError, match="malformed cluster segment"):
+        root, case = broken
+        remote = sharded_over(DiskGraphStore.open(root / "c"))
+        with pytest.raises(
+            ShardUnavailableError, match=r"from shard 0: " + _refusal(case)
+        ):
             remote.resident_cluster(0)
 
     @NATIVE
@@ -983,28 +1047,35 @@ class TestSegmentStructure:
     def test_no_kernel_sees_it(self, broken, kernels):
         # Before the check: an out-of-bounds index into the drain's
         # per-node state.
-        with DiskPPVStore(broken / "i.fppv") as ppv_store:
-            engine = DiskFastPPV(DiskGraphStore.open(broken / "c"), ppv_store)
-            with pytest.raises(ValueError, match="malformed"):
+        root, case = broken
+        with DiskPPVStore(root / "i.fppv") as ppv_store:
+            engine = DiskFastPPV(DiskGraphStore.open(root / "c"), ppv_store)
+            with pytest.raises(ValueError, match=_refusal(case)):
                 engine.query(0)
             engine.query(7)  # a query that never touches the segment
 
-    def test_resident_arrays_are_typed_where_they_are_created(self):
-        resident = ResidentCluster(
-            np.array([4, 9], dtype=np.int32),
-            [0, 1, 3],
-            np.array([9, 4, 9], dtype=np.int32)[::1],
-            np.array([1.0, 0.5, 0.5], dtype=np.float32),
-        )
+    def test_resident_arrays_are_the_stored_bytes_in_their_stored_dtypes(self):
+        segment = b"".join((
+            _HEADER.pack(2, 3),
+            np.array([4, 9], "<i8").tobytes(),
+            np.array([0, 1, 3], "<i8").tobytes(),
+            np.array([1.0, 0.5, 0.5], "<f8").tobytes(),
+            np.array([9, 4, 9], "<i4").tobytes(),
+        ))
+        resident = ResidentCluster(segment)
+        assert resident.segment is segment
         for name, dtype in (
             ("nodes_array", np.int64), ("offsets_array", np.int64),
-            ("targets_array", np.int64), ("probs_array", np.float64),
+            ("targets_array", np.int32), ("probs_array", np.float64),
         ):
             array = getattr(resident, name)
             assert array.dtype == dtype
             assert array.flags.c_contiguous and array.flags.aligned
+            assert array.base is segment  # a view: nothing copied or widened
         assert resident.nodes_array.tolist() == [4, 9]
         assert resident.out_edges(9)[0].tolist() == [4, 9]
+        with pytest.raises(ValueError, match="length its header implies"):
+            ResidentCluster(segment[:-1])
 
     def test_a_node_its_segment_does_not_hold_is_an_error_not_a_crash(
         self, tricky, tmp_path
@@ -1029,13 +1100,10 @@ class TestSegmentStructure:
 
         _rewrite_segment(tmp_path / "c", 0, drop_node_one)
         with DiskPPVStore(tricky / "i.fppv") as ppv_store:
-            run = _PrimePushRun(
-                DiskGraphStore.open(tmp_path / "c"), 0, ppv_store.hub_mask,
-                ppv_store.alpha, ppv_store.epsilon, 10,
-            )
-        assert run.next_cluster() == 0
-        with pytest.raises(ValueError, match="node 1 "):
-            run.drain()
+            waves = _waves(DiskGraphStore.open(tmp_path / "c"), [0], ppv_store, 10)
+        assert waves.state.wave == 0
+        with pytest.raises(ValueError, match="node 1 reached while draining cluster 0 "):
+            waves.run()
 
 
 # --------------------------------------------------------------------- #

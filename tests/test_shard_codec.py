@@ -124,12 +124,15 @@ class TestRemoteDecodeIsTheLocalRead:
     def test_every_cluster(self, deployment):
         edgeless = 0
         for cluster in range(NUM_CLUSTERS):
-            remote = deployment.remote_graph._fetch_cluster(cluster)
+            names = ("nodes", "offsets", "targets", "probs")
+            fetched = deployment.remote_graph._fetch_cluster(cluster)
+            remote = [getattr(fetched, f"{name}_array") for name in names]
             local = deployment.local_graph.cluster_arrays(cluster)
-            for got, name in zip(remote, ("nodes", "offsets", "targets", "probs")):
+            for got, name in zip(remote, names):
                 _assert_same_array(got, local[name])
             nodes, offsets, targets, probs = remote
             assert (nodes.dtype, offsets.dtype) == (np.int64, np.int64)
+            # The stored dtypes, read by the waves as they are.
             assert (targets.dtype, probs.dtype) == (np.int32, np.float64)
             edgeless += targets.size == 0
             # ... and so is the resident form the drain runs on.
@@ -137,7 +140,7 @@ class TestRemoteDecodeIsTheLocalRead:
             reference = deployment.local_graph.resident_cluster(cluster)
             _assert_same_array(resident.targets_array, reference.targets_array)
             _assert_same_array(resident.probs_array, reference.probs_array)
-            assert resident.targets_array.dtype == np.int64
+            assert resident.targets_array.dtype == np.int32
             _assert_same_array(resident.nodes_array, reference.nodes_array)
             _assert_same_array(resident.offsets_array, reference.offsets_array)
         assert edgeless == 2  # the member-less cluster and node 7's
@@ -145,7 +148,7 @@ class TestRemoteDecodeIsTheLocalRead:
     def test_zero_out_degree_member_has_an_empty_row(self, deployment):
         targets, probs = deployment.remote_graph.out_edges(5)
         assert (targets.size, probs.size) == (0, 0)
-        assert (targets.dtype, probs.dtype) == (np.int64, np.float64)
+        assert (targets.dtype, probs.dtype) == (np.int32, np.float64)
 
     def test_served_scores_are_bitwise_the_unsharded_engine(self, deployment):
         remote = DiskFastPPV(
