@@ -282,6 +282,46 @@ def test_hypothesis_deployments_three_ways(deployment):
                 )
 
 
+# Sources whose first step needs their own cluster (TRICKY_LABELS: 0, 1
+# in cluster 0; 3, 4 in 1; 5, 6 in 2; 7 in 3), the clusters the store
+# holds when the batch starts, and the wave the rule stages first.
+WAVE_CHOICES = {
+    "none_held_the_most_demanded": ([3, 4, 0], [], 1),
+    "none_held_ties_to_the_smallest_id": ([5, 3], [], 1),
+    "a_held_cluster_first_however_little_demanded": ([3, 4, 0], [0], 0),
+    "the_most_demanded_of_the_held": ([0, 3, 4, 7], [0, 1], 1),
+    "a_held_cluster_no_run_needs_is_passed_over": ([3, 0, 4], [2], 1),
+    "held_ties_to_the_smallest_id": ([5, 3, 0, 1], [1, 2], 1),
+}
+
+
+class TestWaveChoice:
+    """The compiled rule stages the wave the reference schedule's
+    ``_wave_cluster`` picks, reading the store's ``resident_flags`` in
+    place: a held cluster before any other, the most demanded first,
+    ties to the smallest id."""
+
+    @BACKENDS
+    @pytest.mark.parametrize("case", WAVE_CHOICES)
+    def test_the_first_wave_is_the_reference_rules_choice(
+        self, tricky, case, backend
+    ):
+        sources, held, expected = WAVE_CHOICES[case]
+        store = _open(backend, tricky / "c", memory_budget=4)
+        for cluster in held:
+            store.resident_cluster(cluster)
+        assert np.flatnonzero(store.resident_flags).tolist() == held
+        needs = {}
+        for source in sources:
+            needs.setdefault(TRICKY_LABELS[source], []).append(source)
+        rule = ReferenceWavesDiskFastPPV._wave_cluster
+        assert rule(SimpleNamespace(graph_store=store), needs) == expected
+        with DiskPPVStore(tricky / "i.fppv") as ppv_store:
+            waves = _waves(store, sources, ppv_store, 10)
+        assert waves.state.wave == expected
+        assert store.faults == len(held)  # staging loads nothing
+
+
 # --------------------------------------------------------------------- #
 # (b) prime_push_many, native vs numpy
 
