@@ -6,8 +6,8 @@ asyncio TCP server speaking the versioned JSONL protocol, and plain
 blocking clients talking to it from worker threads — the in-process
 stand-in for independent client *processes* (the protocol makes no
 difference between the two; `repro serve --tcp HOST:PORT` serves the
-same wire format from the CLI, and `--workers N` pre-forks N serving
-processes on one port).
+same wire format from the CLI, from one process whose compiled push
+already uses every CPU).
 
 Shown here:
 

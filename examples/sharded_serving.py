@@ -2,7 +2,7 @@
 
 One FastPPV index is split across shard processes (whole PPR clusters
 — hence their hubs — per shard, LPT-balanced) and served through a
-:class:`~repro.sharding.ShardRouter`: shard pools that only answer
+:class:`~repro.sharding.ShardRouter`: shard processes that only answer
 ``fetch_hubs`` / ``fetch_cluster``, and a router front-end where the
 real disk kernels run, speaking the ordinary JSONL wire protocol.
 Results are **bitwise equal** to an unsharded disk deployment of the
@@ -88,7 +88,7 @@ def main() -> None:
                 )
             ]
 
-        # 2. Serve the partition: shard pools + router front-end.
+        # 2. Serve the partition: shard processes + router front-end.
         with ShardRouter(part, delta=0.0, cache_size=0) as (host, port):
             print(f"router serving on {host}:{port} over "
                   f"{manifest['num_shards']} shards")

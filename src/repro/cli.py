@@ -10,7 +10,7 @@ The subcommands cover the offline/online lifecycle end to end::
     repro query graph.txt graph.fppv 42 7 19 --top-k 10
     repro query graph.txt graph.fppv 42 7 19 --backend disk --clusters 12
     repro serve graph.txt graph.fppv --requests requests.jsonl
-    repro serve graph.txt graph.fppv --tcp 127.0.0.1:7474 --workers 4
+    repro serve graph.txt graph.fppv --tcp 127.0.0.1:7474
     repro shard-index graph.txt graph.fppv --shards 3 --out parts/
     repro serve --shard-map parts/ --tcp 127.0.0.1:7474
     repro serve graph.txt graph.fppv --shards 3 --tcp 127.0.0.1:7474
@@ -21,7 +21,7 @@ The subcommands cover the offline/online lifecycle end to end::
 
 ``query`` and ``serve`` are the online subcommands and share one
 bootstrap (:func:`_deployment`): GRAPH, INDEX, ``--backend`` and the
-disk options become a :class:`~repro.serving.PPVService` factory.
+disk options become one open :class:`~repro.serving.PPVService`.
 ``--backend disk`` replays the Sect. 5.3 reduced-memory deployment
 (cluster-segmented graph, on-disk PPV index) and every result then
 reports the cluster faults and hub reads it paid.  ``query`` submits its
@@ -31,12 +31,13 @@ runs until its top set is provably exact.  ``serve`` keeps a service
 open behind the :mod:`repro.server` asyncio front-end — as one
 connection on stdin/stdout by default (each input line is a request,
 replies come in completion order, correlated by ``id``), or over the
-network with ``--tcp HOST:PORT`` (``--workers N`` pre-forks N serving
-processes sharing the port, ``--shards`` / ``--shard-map`` front a shard
-fleet); both speak every verb of :mod:`repro.server.protocol`.  A
-missing file, an unusable value or compiled kernels that cannot be
-built (:mod:`repro.native`) end any subcommand with ``error: ...`` on
-stderr and exit status 2 (:func:`main`).
+network with ``--tcp HOST:PORT`` (``--shards`` / ``--shard-map`` front
+a shard fleet); both speak every verb of :mod:`repro.server.protocol`.
+A server is one process: the compiled push already spreads a batch
+over every CPU (:mod:`repro.native`).  A missing file, an unusable
+value or compiled kernels that cannot be built (:mod:`repro.native`)
+end any subcommand with ``error: ...`` on stderr and exit status 2
+(:func:`main`).
 
 Graphs travel as whitespace edge lists (the SNAP convention), indexes as
 the binary ``.fppv`` format of :mod:`repro.storage.ppv_store`.
@@ -88,9 +89,10 @@ def _read_graph(args: argparse.Namespace):
 
 
 @contextmanager
-def _deployment(args: argparse.Namespace):
-    """GRAPH, INDEX, ``--backend`` and the disk options as a service
-    factory: yields ``open_service(**service_kwargs) -> PPVService``.
+def _deployment(args: argparse.Namespace, **service_kwargs):
+    """GRAPH, INDEX, ``--backend`` and the disk options as one open
+    ``PPVService`` (``service_kwargs`` go to ``PPVService.open``),
+    closed when the ``with`` block ends.
 
     ``query`` and ``serve`` both start here.  For the disk backend this
     clusters the graph and writes the segment directory once; a
@@ -100,9 +102,10 @@ def _deployment(args: argparse.Namespace):
     graph = _read_graph(args)
     if args.backend == "memory":
         index = load_index(args.index)
-        yield lambda **service_kwargs: PPVService.open(
+        with PPVService.open(
             index, graph=graph, delta=args.delta, **service_kwargs
-        )
+        ) as service:
+            yield service
         return
     from repro.storage import DiskGraphStore, cluster_graph
 
@@ -118,17 +121,17 @@ def _deployment(args: argparse.Namespace):
         # From here on the stores are the deployment: this frame lives
         # as long as the service, and must not pin the graph in memory.
         del graph, assignment
-        # Opened from the path, so every call gets its *own*
-        # DiskPPVStore (closed with the service): one file handle
-        # shared across forked workers would race on seeks.
-        yield lambda **service_kwargs: PPVService.open(
+        # Opened from the path: the service owns (and closes) its
+        # DiskPPVStore.
+        with PPVService.open(
             args.index,
             backend="disk",
             graph_store=graph_store,
             delta=args.delta,
             fault_budget=args.fault_budget,
             **service_kwargs,
-        )
+        ) as service:
+            yield service
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -399,9 +402,8 @@ def _print_result(spec: QuerySpec, result, top: int) -> None:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     specs = _query_specs(args)
-    with _deployment(args) as open_service:
-        with open_service() as service:
-            results = service.query_many(specs)
+    with _deployment(args) as service:
+        results = service.query_many(specs)
     for spec, result in zip(specs, results):
         _print_result(spec, result, args.top)
     engine = service.engine
@@ -503,8 +505,8 @@ def _add_serve(subparsers) -> None:
         "stream, stats, trace, ping, swap_index or shutdown.  By default "
         "the server answers one connection — stdin (or --requests) in, "
         "stdout out, until end of input; --tcp HOST:PORT listens on the "
-        "network instead, and --workers N pre-forks N serving processes "
-        "on the same port.  Same protocol either way: enveloped replies "
+        "network instead.  A server is one process.  Same protocol "
+        "either way: enveloped replies "
         'in completion order, correlated by "id".',
     )
     parser.add_argument(
@@ -526,9 +528,8 @@ def _add_serve(subparsers) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="TCP only: pre-fork this many serving processes sharing "
-        "the listen socket (escapes the GIL; needs fork support).  With "
-        "--shards/--shard-map: worker processes per shard pool",
+        help="only 1 is accepted: a server is one process, and the "
+        "compiled push already uses every CPU",
     )
     sharded = parser.add_mutually_exclusive_group()
     sharded.add_argument(
@@ -585,8 +586,7 @@ def _add_serve(subparsers) -> None:
 
 
 def _make_obs(args: argparse.Namespace):
-    """The serve subcommand's Observability bundle.  Called inside
-    service factories so pre-forked workers each build their own."""
+    """The serve subcommand's Observability bundle."""
     from repro.obs import Observability
 
     return Observability(
@@ -604,24 +604,21 @@ def _parse_tcp_address(value: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _plural(count: int, noun: str) -> str:
-    return f"{count} {noun}{'s' if count != 1 else ''}"
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.server import PPVServer, ServerConfig, protocol, run_pool
+    from repro.server import PPVServer, ServerConfig, protocol
 
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
+    if args.workers != 1:
+        raise ValueError(
+            f"--workers {args.workers}: a server is one process (the "
+            "compiled push already uses every CPU); drop --workers"
+        )
     if args.max_inflight < 1:
         raise ValueError("--max-inflight must be at least 1")
     protocol.top_from_request({}, args.top)  # the default, checked as a request's
     sharded = args.shards is not None or args.shard_map is not None
     if args.tcp is None:
-        if args.workers != 1:
-            raise ValueError("--workers needs --tcp")
         if sharded:
             raise ValueError(
                 "sharded serving needs --tcp (the router fans out over "
@@ -647,11 +644,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.graph is None or args.index is None:
         raise ValueError("serve needs GRAPH and INDEX (or --shard-map ROOT)")
 
-    with _deployment(args) as open_service:
-
-        def make_service() -> PPVService:
-            return open_service(obs=_make_obs(args), **service_kwargs)
-
+    with _deployment(args, obs=_make_obs(args), **service_kwargs) as service:
+        server = PPVServer(service, config)
         if args.tcp is None:
             # Unbuffered: the thread that copies it may still be parked
             # in a read of stdin when the process exits, and a buffered
@@ -660,10 +654,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 sys.stdin.fileno() if args.requests == "-" else args.requests,
                 "rb", buffering=0, closefd=args.requests != "-",
             )
-            with requests as source, make_service() as service:
-                server = PPVServer(service, config)
+            with requests as source:
                 asyncio.run(server.serve_connection(source, sys.stdout.buffer))
-                stats = service.stats()
+            stats = service.stats()
             print(
                 f"served {stats.submitted} requests in {stats.batches} "
                 f"batches (largest {stats.largest_batch}); cache "
@@ -675,30 +668,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         def announce(address) -> None:
             print(
                 f"serving {args.backend} backend on "
-                f"{address[0]}:{address[1]} "
-                f"({_plural(args.workers, 'worker')})",
+                f"{address[0]}:{address[1]}",
                 file=sys.stderr,
                 flush=True,
             )
 
-        if args.workers == 1:
-            with make_service() as service:
-                asyncio.run(PPVServer(service, config).serve(on_ready=announce))
-            return 0
-        return run_pool(
-            make_service, args.workers, config, announce=announce
-        )
+        asyncio.run(server.serve(on_ready=announce))
+    return 0
 
 
 def _serve_sharded(args: argparse.Namespace, config, service_kwargs) -> int:
     """``serve --shard-map ROOT`` / ``serve --shards N``: a
-    :class:`~repro.sharding.ShardRouter` (shard pools plus the router
-    front-end) on the TCP address."""
+    :class:`~repro.sharding.ShardRouter` (one process per shard plus the
+    router front-end) on the TCP address."""
     from repro.sharding import ShardRouter
 
     router_kwargs = dict(
         service_kwargs,
-        workers_per_shard=args.workers,
         config=config,
         delta=args.delta,
         fault_budget=args.fault_budget,
@@ -724,8 +710,7 @@ def _serve_sharded(args: argparse.Namespace, config, service_kwargs) -> int:
     def announce(address) -> None:
         print(
             f"shard router on {address[0]}:{address[1]} "
-            f"({router.manifest['num_shards']} shards, "
-            f"{_plural(args.workers, 'worker')} each)",
+            f"({router.manifest['num_shards']} shards)",
             file=sys.stderr,
             flush=True,
         )

@@ -1,9 +1,9 @@
-"""Deterministic fault injection for the serving/server/pool stack.
+"""Deterministic fault injection for the serving/server stack.
 
 A :class:`FaultPlan` is a seedable schedule of failures that tests thread
 into the components under test: fail (or delay) the Nth disk read, make
 the scheduler's executor raise, tear a server frame mid-write, SIGKILL a
-pool worker after m requests.  Components accept an optional
+forked server after m requests.  Components accept an optional
 ``fault_plan`` and call :meth:`FaultPlan.fire` at named **sites**; when
 no plan is installed the hook is a single ``is None`` check, so the hot
 path is untouched.
@@ -46,7 +46,7 @@ Rules
     plan.on("ppv_store.read", nth=3)                  # 3rd read raises
     plan.on("scheduler.execute", delay=0.05, times=2) # 2 slow drains
     plan.on("server.send", after=5, torn=True)        # tear frame 6
-    plan.on("server.request", after=10, kill=True)    # SIGKILL worker
+    plan.on("server.request", after=10, kill=True)    # SIGKILL server
 
 Trigger selection: ``nth=k`` fires on exactly the k-th hit (1-based) of
 that site; ``after=m`` fires on every hit past the first m (bounded by
@@ -55,7 +55,8 @@ seeded RNG, making random-looking schedules reproducible.  A rule
 disarms after ``times`` triggers (``times=None`` never disarms).
 
 Trigger action, in order: sleep ``delay`` seconds if given; SIGKILL the
-*current process* if ``kill`` (pool tests run this in a forked worker);
+*current process* if ``kill`` (the fault suites arm it in a server that
+:class:`~repro.server.pool.ServerPool` forked);
 return a truthy :class:`FaultAction` if ``torn`` (the transport caller
 writes a truncated frame and drops the connection); otherwise raise
 ``error`` (default :class:`InjectedFault`).  A pure ``delay`` rule

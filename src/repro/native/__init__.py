@@ -27,9 +27,9 @@ a row's bytes are the same in any batch, order or thread count and a
 one-CPU host serves the pinned digests of a many-CPU one.  Threads take
 rows off one atomic counter; they are created and joined inside the one
 C call (a small explicit stack each; nothing outlives the call, so a
-pre-fork worker never inherits a thread).  :func:`push_threads` picks
+forked server never inherits a thread).  :func:`push_threads` picks
 the count: the CPUs in this process's affinity mask, capped at the
-batch's rows (every process, a ``ServerPool`` worker too, uses its own
+batch's rows (every process, a forked shard server too, uses its own
 mask).  A thread the system refuses leaves the rows to fewer threads.
 An allocation failure in any thread stops every thread taking rows and
 surfaces as ``MemoryError``.
@@ -49,9 +49,9 @@ compiler, an unusable cache directory or a failed build raise
 :class:`Unavailable` (a :class:`RuntimeError`) naming the cause and the
 fix; the first failure is kept, so a process never retries the build.
 The engines load the kernels when they are constructed, so a process
-that cannot build them refuses before it serves.  A pre-forking parent
-calls :func:`load` before ``fork`` (``ServerPool`` does), so workers
-inherit the mapped library and never build.  ``python -m repro.native``
+that cannot build them refuses before it serves.  A forking parent
+calls :func:`load` before ``fork`` (``ServerPool`` does), so the child
+inherits the mapped library and never builds.  ``python -m repro.native``
 prints what a process would load and the threads a batch push would use.
 """
 

@@ -10,7 +10,7 @@ One :class:`Observability` bundle ties the three pillars together:
   shard → kernel path,
 * an optional :class:`~repro.obs.slowlog.SlowQueryLog`.
 
-Every ``PPVService`` (hence every server, router and shard worker) has
+Every ``PPVService`` (hence every server, router and shard server) has
 one: pass your own to ``PPVService(..., obs=...)`` / ``ShardRouter(...,
 obs=...)`` to configure the slow-query log or the span log, or omit it
 and the service builds a private default.  The registry is the serving

@@ -4,7 +4,7 @@ Three metric kinds — :class:`Counter`, :class:`Gauge`,
 :class:`Histogram` — each optionally labelled, collected in a
 :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.snapshot` is one
 JSON-ready dict the ``stats`` verb ships unchanged and
-:meth:`~MetricsRegistry.merge` folds across pool workers and shards.
+:meth:`~MetricsRegistry.merge` folds across shards.
 :func:`render_prometheus` turns any snapshot into Prometheus text
 exposition for scraping (``repro stats --prometheus``).
 

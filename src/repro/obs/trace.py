@@ -4,7 +4,7 @@ A trace is a tree of :class:`Span` records sharing one ``trace_id``.
 The client (or CLI) opens the root span and sends its
 :class:`SpanContext` over the wire as the optional ``trace`` request
 field (schema versioned in :mod:`repro.server.protocol`); every hop —
-TCP server, router, shard worker — continues the same trace by opening
+TCP server, router, shard server — continues the same trace by opening
 child spans, so the assembled tree attributes end-to-end latency to
 admission wait, coalescing, kernel time, per-shard fetches and cache
 lookups, across process boundaries (each span records its ``pid``).

@@ -13,14 +13,14 @@ the layer that puts the serving façade on the network:
   backpressure) and structured error replies.  ``serve()`` accepts
   them from a TCP listener; ``serve_connection(source, sink)`` serves
   one pair of files through the same connection handler.
-* :func:`run_pool` (:mod:`repro.server.pool`) — pre-fork multi-worker
-  mode: N processes accepting from one shared listen socket, each with
-  its own service over the copy-on-write index, so throughput scales
-  past the GIL.
+* :class:`ServerPool` (:mod:`repro.server.pool`) — one forked server
+  process with a pid, a SIGKILL and an exit code: how the shard router
+  starts its shards and the fault suites kill a server.  A server is
+  one process; the compiled push already uses every CPU.
 * :class:`PPVClient` (:mod:`repro.server.client`) — the small blocking
   client used by tests, benchmarks and examples.
 
-The CLI front door is ``repro serve --tcp HOST:PORT [--workers N]``;
+The CLI front door is ``repro serve --tcp HOST:PORT``;
 without ``--tcp`` the same server answers stdin on stdout.
 """
 
@@ -30,7 +30,7 @@ from repro.server.client import (
     ProtocolViolation,
     ServerError,
 )
-from repro.server.pool import ServerPool, open_listen_socket, run_pool
+from repro.server.pool import ServerPool
 from repro.server.server import PPVServer, ServerConfig
 
 __all__ = [
@@ -41,6 +41,4 @@ __all__ = [
     "ServerPool",
     "ClientTimeout",
     "ProtocolViolation",
-    "open_listen_socket",
-    "run_pool",
 ]

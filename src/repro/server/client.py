@@ -369,7 +369,7 @@ class PPVClient:
                     pass
 
     def stats(self) -> dict:
-        """Service + server counters of the worker serving us."""
+        """Service + server counters of the server we talk to."""
         return self.request({"verb": "stats"})
 
     def trace(
@@ -378,7 +378,7 @@ class PPVClient:
         *,
         limit: int | None = None,
     ) -> dict:
-        """Recent trace spans from the serving worker (a shard router
+        """Recent trace spans from the server (a shard router
         fans the verb out and merges every shard's spans in).
 
         ``trace_id`` filters to one trace — typically
@@ -429,7 +429,7 @@ class PPVClient:
         return self.request({"verb": "shard_info"})
 
     def shutdown_server(self) -> None:
-        """Ask the serving worker to shut down gracefully."""
+        """Ask the server to shut down gracefully."""
         self.request({"verb": "shutdown"})
 
     @staticmethod

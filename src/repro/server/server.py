@@ -121,15 +121,14 @@ class PPVServer:
     ----------
     service:
         The service to serve.  The server never closes it — the caller
-        (or worker harness) that opened the service owns its lifetime.
+        (or the forked process) that opened the service owns its
+        lifetime.
     config:
         Transport tunables; defaults are fine for tests and benchmarks.
-    worker_index:
-        Cosmetic tag reported by ``stats`` in multi-worker mode.
     fault_plan:
         Tests only: a :class:`repro.faults.FaultPlan`.  The
         ``server.request`` site fires per parsed request line (a
-        ``kill`` rule implements "SIGKILL this worker after m
+        ``kill`` rule implements "SIGKILL this server after m
         requests"); ``server.send`` fires per response frame (a
         ``torn`` rule truncates the frame and drops the connection, a
         raising rule simulates a mid-write disconnect).  ``None`` keeps
@@ -140,12 +139,10 @@ class PPVServer:
         self,
         service,
         config: ServerConfig | None = None,
-        worker_index: int = 0,
         fault_plan=None,
     ) -> None:
         self.service = service
         self.config = config or ServerConfig()
-        self.worker_index = worker_index
         self.fault_plan = fault_plan
         # The counters live in the service's registry (a PPVService
         # always has one) and are incremented in place; the stats
@@ -241,8 +238,9 @@ class PPVServer:
         """Accept and serve connections until shutdown is requested.
 
         ``sock`` overrides ``config.host``/``config.port`` with an
-        already-bound listening socket — the pre-fork worker path, where
-        every worker accepts from the same inherited socket.
+        already-bound listening socket — the path of a server forked by
+        :class:`~repro.server.pool.ServerPool`, which binds in the
+        parent.
         ``on_ready`` (if given) is called with the bound ``(host,
         port)`` once the server is listening.
         """
@@ -597,9 +595,7 @@ class PPVServer:
         when the request carries no trace context."""
         if context is None:
             return None
-        return self.obs.tracer.start_span(
-            f"server.{verb}", context, worker=self.worker_index
-        )
+        return self.obs.tracer.start_span(f"server.{verb}", context)
 
     # ------------------------------------------------------------------ #
     # Control verbs: take the request, return the ok payload or raise
@@ -725,10 +721,12 @@ class PPVServer:
                 "swaps_total": self._swaps_total.value,
             },
             "service": asdict(self.service.stats()),
-            "worker": {"index": self.worker_index, "pid": os.getpid()},
+            # A server is one process; the shape stays for readers of
+            # per-shard stats.
+            "worker": {"index": 0, "pid": os.getpid()},
             "backend": getattr(self.service.engine, "backend", None),
             # Capability advertisement: the query families this
-            # worker's engine can answer.
+            # server's engine can answer.
             "families": list(supported_families(self.service.engine)),
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "version": __version__,

@@ -16,8 +16,9 @@ reachability to the shards, not the partition root's filesystem.
 Put a :class:`~repro.server.PPVServer` in front of a ``PPVService``
 over this engine and you have a shard router speaking the ordinary
 JSONL wire protocol; :class:`ShardRouter` bundles exactly that, plus
-spawning one :class:`~repro.server.pool.ServerPool` per shard from a
-partition root, into one lifecycle object.
+forking one shard server process per shard directory
+(:class:`~repro.server.pool.ServerPool`) from a partition root, into
+one lifecycle object.
 
 Hot swap rolls across the fleet: the router's front-end holds (never
 drops) new admissions behind its swap gate, drains in-flight work,
@@ -28,6 +29,7 @@ answered from the old partition, queries after from the new one.
 
 from __future__ import annotations
 
+import inspect
 import shutil
 import tempfile
 import threading
@@ -36,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.query import DEFAULT_DELTA
 from repro.obs import Histogram, MetricsRegistry, Observability
 from repro.serving.engines import DiskEngine
 from repro.serving.service import DEFAULT_CACHE_SIZE, PPVService
@@ -75,7 +78,7 @@ class RouterEngine(DiskEngine):
     Parameters
     ----------
     addresses:
-        ``(host, port)`` of each shard's server (pool), indexed by
+        ``(host, port)`` of each shard's server, indexed by
         shard id — shard ``s`` must be served at ``addresses[s]``
         (validated against every shard's own ``shard_info``).
     timeout:
@@ -102,14 +105,20 @@ class RouterEngine(DiskEngine):
         cache_hubs: int = DEFAULT_HUB_CACHE,
         memory_budget: int = DEFAULT_CLUSTER_BUDGET,
         fault_plan=None,
-        **engine_kwargs,
+        delta: float = DEFAULT_DELTA,
+        fault_budget: int | None = None,
+        max_iterations: int = 64,
     ) -> None:
         self.fleet = ShardFleet(
             addresses, timeout=timeout, fault_plan=fault_plan
         )
         self._cache_hubs = cache_hubs
         self._memory_budget = memory_budget
-        self._engine_kwargs = engine_kwargs
+        self._engine_kwargs = {
+            "delta": delta,
+            "fault_budget": fault_budget,
+            "max_iterations": max_iterations,
+        }
         # One reentrant lock serialises ALL fleet traffic (the remote
         # stores share it): the service's drain thread, stream pump
         # threads and the front-end's stats/swap to_thread workers may
@@ -314,9 +323,10 @@ class RouterEngine(DiskEngine):
 class ShardRouter:
     """Everything between a partition root and a listening router port.
 
-    Spawns one :class:`~repro.server.pool.ServerPool` per shard
-    directory, builds a :class:`RouterEngine` over their addresses,
-    wraps it in a ``PPVService`` and serves that with a background
+    Forks one shard server process (a
+    :class:`~repro.server.pool.ServerPool`) per shard directory, builds
+    a :class:`RouterEngine` over their addresses, wraps it in a
+    ``PPVService`` and serves that with a background
     :class:`~repro.server.PPVServer`::
 
         with ShardRouter(root) as (host, port):
@@ -331,29 +341,26 @@ class ShardRouter:
     root:
         A partition root from :func:`repro.sharding.partition.
         partition_index` (or ``repro shard-index``).
-    workers_per_shard:
-        Processes per shard pool.  The default (1) is also the safe
-        value for hot swap: the router pins one connection per shard,
-        and ``swap_index`` applies to the worker that receives it.
     config:
         The router front-end's :class:`ServerConfig` (host/port,
-        admission bounds).  Shard pools always bind an OS-assigned
+        admission bounds).  Shard servers always bind an OS-assigned
         port on ``shard_host``.
     cache_size:
         The router service's popularity cache.
     obs:
         The router-side :class:`~repro.obs.Observability` bundle; a
         fresh one by default.  Pass one to configure the slow-query
-        log or the span log.  Shard workers always build their own.
+        log or the span log.  Shard servers always build their own.
     engine_kwargs:
         Forwarded to :class:`RouterEngine` (``timeout``,
-        ``delta``, ``cache_hubs``, ...).
+        ``delta``, ``cache_hubs``, ...); a keyword it does not take is
+        a ``TypeError`` here, before any shard forks.
 
     Attributes
     ----------
     pools:
         The per-shard :class:`ServerPool` objects, by shard id — the
-        fault suites SIGKILL workers through these.
+        fault suites SIGKILL shard servers through these.
     service / server:
         The router-side service and front-end, once started.
     """
@@ -362,7 +369,6 @@ class ShardRouter:
         self,
         root,
         *,
-        workers_per_shard: int = 1,
         config: ServerConfig | None = None,
         shard_host: str = "127.0.0.1",
         cache_size: int = DEFAULT_CACHE_SIZE,
@@ -372,10 +378,8 @@ class ShardRouter:
         obs=None,
         **engine_kwargs,
     ) -> None:
-        if workers_per_shard < 1:
-            raise ValueError("workers_per_shard must be at least 1")
+        inspect.signature(RouterEngine).bind((), **engine_kwargs)
         self.root = Path(root)
-        self.workers_per_shard = workers_per_shard
         self.config = config or ServerConfig()
         self.shard_host = shard_host
         self.obs = obs or Observability()
@@ -432,13 +436,12 @@ class ShardRouter:
         return router
 
     def _spawn(self) -> None:
-        """Start the shard pools and build the router service."""
+        """Start the shard servers and build the router service."""
         if self.service is not None:
             raise RuntimeError("router already started")
         for entry in self.manifest["shards"]:
             pool = ServerPool(
                 shard_service_factory(self.root / entry["dir"]),
-                workers=self.workers_per_shard,
                 config=ServerConfig(host=self.shard_host, port=0),
             )
             self.pools.append(pool)
@@ -451,7 +454,7 @@ class ShardRouter:
         self.service = PPVService(engine, obs=self.obs, **self.service_kwargs)
 
     def start(self) -> tuple:
-        """Spawn the shard pools and the router (on a background
+        """Spawn the shard servers and the router (on a background
         thread); return the router's bound ``(host, port)``."""
         try:
             self._spawn()
@@ -464,8 +467,8 @@ class ShardRouter:
 
     def serve_forever(self, announce=None) -> int:
         """Foreground CLI path: serve the router on this thread until
-        interrupted, then tear everything down.  Returns the worst
-        shard-pool exit code (0 = all clean)."""
+        interrupted, then tear everything down.  Returns :meth:`stop`'s
+        exit code."""
         import asyncio
 
         try:
@@ -475,15 +478,15 @@ class ShardRouter:
                 asyncio.run(self.server.serve(on_ready=announce))
             except KeyboardInterrupt:
                 pass
-            return max(
-                (pool.worst_exit_code() for pool in self.pools), default=0
-            )
         finally:
-            self.stop()
+            code = self.stop()
+        return code
 
-    def stop(self) -> None:
-        """Stop the router, close the fleet, tear the pools down (and
-        remove a partition root :meth:`partitioning` made up)."""
+    def stop(self) -> int:
+        """Stop the router, close the fleet, stop the shard servers (and
+        remove a partition root :meth:`partitioning` made up).  Returns
+        the worst shard exit code (0 = all clean; see
+        :meth:`ServerPool.stop`)."""
         if self._background is not None:
             background, self._background = self._background, None
             background.__exit__(None, None, None)
@@ -491,12 +494,12 @@ class ShardRouter:
         if self.service is not None:
             service, self.service = self.service, None
             service.close()
-        for pool in self.pools:
-            pool.stop()
+        code = max((pool.stop() for pool in self.pools), default=0)
         self.pools = []
         self.addresses = []
         if self._owns_root:
             shutil.rmtree(self.root, ignore_errors=True)
+        return code
 
     def __enter__(self) -> tuple:
         return self.start()

@@ -1,8 +1,8 @@
 """The shard side of sharded serving: a data-plane engine.
 
-A shard process is an ordinary :class:`~repro.server.PPVServer` worker
-(usually a whole :class:`~repro.server.pool.ServerPool`) whose engine
-is a :class:`ShardEngine` over one shard directory produced by
+A shard process is an ordinary :class:`~repro.server.PPVServer`
+(forked by a :class:`~repro.server.pool.ServerPool`) whose engine is a
+:class:`ShardEngine` over one shard directory produced by
 :func:`repro.sharding.partition.partition_index`.  It serves no queries
 of its own — all scoring runs at the router, so every byte a shard
 ships is a verbatim read of its stores — just the three data verbs.
@@ -199,8 +199,8 @@ def shard_service_factory(shard_dir, *, fault_plan=None, obs=True):
     the shape :class:`~repro.server.pool.ServerPool` wants.
 
     The service carries no result cache (a shard never serves results)
-    and opens its stores inside the worker, after the fork; each worker
-    gets its own default :class:`~repro.obs.Observability`, so the
+    and opens its stores inside the shard process, after the fork; each
+    shard gets its own default :class:`~repro.obs.Observability`, so the
     shard exports store counters in ``stats`` and continues router
     traces.
 
@@ -211,7 +211,7 @@ def shard_service_factory(shard_dir, *, fault_plan=None, obs=True):
     if obs is not True:
         raise TypeError(
             "shard_service_factory() takes no obs= option; shard "
-            "workers are always observable"
+            "servers are always observable"
         )
     shard_dir = Path(shard_dir)
 

@@ -376,11 +376,15 @@ class TestServe:
         assert responses[1]["result"]["iterations"] == 2
 
     def test_workers_require_tcp(self, graph_file, index_file, capsys):
+        # Refused on stdio as on --tcp (TestOneProcess): a server is
+        # one process whatever its transport.
         code = main(
             ["serve", str(graph_file), str(index_file), "--workers", "2"]
         )
         assert code == 2
-        assert "--workers needs --tcp" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers 2: a server is one process")
+        assert err.count("\n") == 1
 
     def test_bad_tcp_address_rejected(self, graph_file, index_file,
                                       capsys):
@@ -477,7 +481,7 @@ class TestShardedServe:
                 "--tcp", "127.0.0.1:0", "--shards", "5"]
         assert main(argv + ["--clusters", "8", "--workdir", str(root)]) == 0
         assert capsys.readouterr().err == (
-            "shard router on 127.0.0.1:7474 (5 shards, 1 worker each)\n"
+            "shard router on 127.0.0.1:7474 (5 shards)\n"
         )
         assert json.loads((root / "shard_map.json").read_text())[
             "num_clusters"

@@ -636,7 +636,7 @@ TestServerLifecycle = ServerMachine.TestCase
 
 
 # --------------------------------------------------------------------- #
-# 4. Pool machine: SIGKILL a worker under load, the port keeps serving
+# 4. Forked server machine: SIGKILL the one server process under load
 
 
 def _pool_factory():
@@ -644,83 +644,64 @@ def _pool_factory():
 
 
 class PoolMachine(RuleBasedStateMachine):
-    WORKERS = 2
+    """The one process a :class:`ServerPool` forks, under queries, stats
+    probes and a SIGKILL.  While it lives every request is answered and
+    every query carries the oracle's scores; once it is killed every
+    request fails typed within the client timeout — never a hang, never
+    an answer — and teardown reports the kill as 128 + SIGKILL."""
+
+    TIMEOUT = 3
 
     def __init__(self) -> None:
         super().__init__()
-        self.pool = ServerPool(_pool_factory, workers=self.WORKERS)
+        self.pool = ServerPool(_pool_factory, workers=1)
         self.address = self.pool.start()
-        self.killed: list[int] = []
+        self.killed = False
 
-    def _query_with_retry(self, node: int) -> dict:
-        """One query, retrying transient connection failures.
-
-        Retries are legitimate here: a killed worker's accept queue
-        takes a moment to drain out of the kernel's load-balancing
-        group, and a connection may be routed to it meanwhile.  What is
-        *not* legitimate is running out of retries while a worker
-        lives — that would be a dropped query.
-        """
-        host, port = self.address
-        deadline = time.monotonic() + 30
-        last: BaseException | None = None
-        while time.monotonic() < deadline:
-            try:
-                with PPVClient(host, port, timeout=3) as client:
-                    return client.query(node, eta=1, top=8)
-            except (ConnectionError, OSError, ProtocolViolation,
-                    ClientTimeout) as error:
-                last = error
-                time.sleep(0.02)
-        raise AssertionError(
-            f"query dropped: no worker answered within 30 s "
-            f"(alive={self.pool.alive_workers()}, last={last!r})"
-        )
+    def _request(self, call):
+        """``call(client)`` on a fresh connection: its reply while the
+        server lives, ``None`` (a typed failure) once it is killed."""
+        started = time.monotonic()
+        try:
+            with PPVClient(*self.address, timeout=self.TIMEOUT) as client:
+                reply = call(client)
+        except (ConnectionError, OSError, ClientTimeout):
+            reply = None
+        assert (reply is None) == self.killed, (reply, self.killed)
+        assert time.monotonic() - started < self.TIMEOUT + 1
+        return reply
 
     @rule(node=nodes_st)
     def query(self, node: int) -> None:
-        payload = self._query_with_retry(node)
-        oracle = MEMORY_ORACLES[("A", node, 1)]
-        for n, s in payload["top"]:
-            assert abs(oracle[int(n)] - float(s)) <= 1e-9
+        payload = self._request(lambda c: c.query(node, eta=1, top=8))
+        if payload is not None:
+            oracle = MEMORY_ORACLES[("A", node, 1)]
+            for n, s in payload["top"]:
+                assert abs(oracle[int(n)] - float(s)) <= 1e-9
 
-    @precondition(lambda self: len(self.pool.alive_workers()) > 1)
+    @precondition(lambda self: not self.killed)
     @rule()
-    def kill_one_worker(self) -> None:
-        victim = self.pool.alive_workers()[-1]
-        self.pool.kill_worker(victim)
-        self.killed.append(victim)
-        assert self.pool.exitcodes()[victim] == -signal.SIGKILL
+    def kill(self) -> None:
+        self.pool.kill()
+        self.killed = True
+        assert self.pool.process.exitcode == -signal.SIGKILL
 
     @rule()
-    def stats_from_any_worker(self) -> None:
-        host, port = self.address
-        try:
-            with PPVClient(host, port, timeout=3) as client:
-                stats = client.stats()
-        except (ConnectionError, OSError, ProtocolViolation,
-                ClientTimeout):
-            return  # transient post-kill routing; query rule retries
-        assert stats["worker"]["index"] in range(self.WORKERS)
-        assert stats["service"]["latency"]["count"] >= 0
+    def stats(self) -> None:
+        stats = self._request(lambda c: c.stats())
+        if stats is not None:
+            assert stats["worker"] == {
+                "index": 0, "pid": self.pool.process.pid,
+            }
+            assert stats["service"]["latency"]["count"] >= 0
 
     @invariant()
-    def at_least_one_worker_lives(self) -> None:
-        assert self.pool.alive_workers()
+    def alive_until_killed(self) -> None:
+        assert self.pool.process.is_alive() != self.killed
 
     def teardown(self) -> None:
-        worst = self.pool.stop()
-        codes = self.pool.exitcodes()
-        for victim in self.killed:
-            assert codes[victim] == -signal.SIGKILL
-        if self.killed:
-            assert worst == 128 + signal.SIGKILL
-        else:
-            assert worst == 0
-        # Survivors went down via our graceful SIGTERM, nothing else.
-        for index, code in enumerate(codes):
-            if index not in self.killed:
-                assert code in (0, -signal.SIGTERM)
+        code = self.pool.stop()
+        assert code == (128 + signal.SIGKILL if self.killed else 0)
 
 
 TestPoolLifecycle = PoolMachine.TestCase
@@ -862,9 +843,9 @@ class RouterMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.shard_down)
     @rule()
     def kill_shard(self) -> None:
-        """SIGKILL shard 1's worker; traffic that needs it must fail
+        """SIGKILL shard 1's server; traffic that needs it must fail
         typed and promptly, while the front-end stays up."""
-        self.router.pools[1].kill_worker(0)
+        self.router.pools[1].kill()
         self.shard_down = True
         self._evict_router_caches()
         client = self._client()

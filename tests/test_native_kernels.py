@@ -931,8 +931,10 @@ class TestSelection:
         loads = []
         monkeypatch.setattr(pool.native, "load", lambda: loads.append(1))
         monkeypatch.setattr(
-            pool, "open_listen_socket",
-            lambda *a: (_ for _ in ()).throw(OSError("stop before the fork")),
+            pool.socket, "create_server",
+            lambda *a, **k: (_ for _ in ()).throw(
+                OSError("stop before the fork")
+            ),
         )
         with pytest.raises(OSError):
             pool.ServerPool(lambda: None, workers=1).start()

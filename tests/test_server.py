@@ -1,8 +1,8 @@
 """End-to-end behaviour of the TCP server (:mod:`repro.server`):
 concurrent-client equivalence on both backends, wire-level error
 handling, streaming (including mid-stream disconnect), backpressure,
-hot index swap under load, graceful shutdown, and the pre-fork
-multi-worker CLI path."""
+hot index swap under load, graceful shutdown, and the one-process CLI
+launch the performance ledger uses."""
 
 from __future__ import annotations
 
@@ -687,9 +687,39 @@ class TestLifecycle:
         assert _server_metric(server, "connections_open") == 0
 
 
-class TestMultiWorkerCLI:
-    def test_two_workers_share_the_port(self, tmp_path, small_social,
-                                        small_social_index):
+class TestOneProcess:
+    """A server is one process: more workers are refused everywhere,
+    and ``--workers 1`` (the ledger's launch line) is that process."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [["graph.txt", "index.fppv", "--tcp", "127.0.0.1:0"],
+         ["graph.txt", "index.fppv"],
+         ["--shard-map", "parts", "--tcp", "127.0.0.1:0"]],
+        ids=["tcp", "stdio", "shard-map"],
+    )
+    def test_cli_refuses_two_workers(self, target, capsys):
+        from repro.cli import main
+
+        assert main(["serve", *target, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers 2: a server is one process")
+        assert err.count("\n") == 1
+
+    def test_pool_refuses_two_workers(self):
+        from repro.server import ServerPool
+
+        with pytest.raises(ValueError, match="a server is one process"):
+            ServerPool(lambda: None, workers=2)
+
+    def test_router_takes_no_worker_count(self, tmp_path):
+        from repro.sharding import ShardRouter
+
+        with pytest.raises(TypeError, match="workers_per_shard"):
+            ShardRouter(tmp_path, workers_per_shard=2)
+
+    def test_one_worker_is_the_serving_process(self, tmp_path, small_social,
+                                               small_social_index):
         from repro.graph.io import write_edge_list
 
         graph_path = tmp_path / "graph.txt"
@@ -699,27 +729,20 @@ class TestMultiWorkerCLI:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                str(graph_path), str(index_path),
-                "--tcp", "127.0.0.1:0", "--workers", "2",
+                str(graph_path), str(index_path), "--workers", "1",
+                "--tcp", "127.0.0.1:0", "--max-delay", "auto",
             ],
             stderr=subprocess.PIPE,
             env=_child_env(),
         )
         try:
             banner = process.stderr.readline().decode()
-            assert "serving memory backend" in banner, banner
-            address = banner.split(" on ")[1].split(" ")[0]
-            host, port = address.split(":")
-            port = int(port)
-            pids = set()
-            deadline = time.monotonic() + 60
-            while len(pids) < 2 and time.monotonic() < deadline:
-                with PPVClient(host, port) as client:
-                    stats = client.stats()
-                    pids.add(stats["worker"]["pid"])
-                    result = client.query(7, eta=2)
-                    assert result["iterations"] == 2
-            assert len(pids) == 2, f"saw workers {pids}"
+            assert "serving memory backend on " in banner, banner
+            host, port = banner.split(" on ")[1].split()[0].split(":")
+            with PPVClient(host, int(port)) as client:
+                assert client.query(7, eta=2)["iterations"] == 2
+                stats = client.stats()
+            assert stats["worker"] == {"index": 0, "pid": process.pid}
         finally:
             process.send_signal(signal.SIGTERM)
             try:

@@ -468,7 +468,7 @@ class TestShardKill:
             dead_hub = manifest["shards"][1]["hubs"][0]
             with PPVClient(*address, timeout=60) as client:
                 assert client.query(dead_hub, eta=2)["top"]
-                router.pools[1].kill_worker(0)
+                router.pools[1].kill()
                 started = time.monotonic()
                 with pytest.raises(ServerError) as excinfo:
                     client.query(dead_hub, eta=2)
@@ -502,7 +502,7 @@ class TestShardKill:
                     for node in QUERY_NODES
                 ]
                 assert before == expected
-                router.pools[0].kill_worker(0)
+                router.pools[0].kill()
                 after = [
                     client.query(node, eta=2, top=20)
                     for node in QUERY_NODES
