@@ -27,7 +27,7 @@ def main() -> None:
     for query in (100, 901, 777, 1250):
         result = query_top_k(engine, query, k=k, max_iterations=60)
         exact = exact_ppv(graph, query)
-        matches = set(result.nodes.tolist()) == set(
+        matches = set(result.top.tolist()) == set(
             top_k_nodes(exact, k).tolist()
         )
         print(

@@ -104,14 +104,14 @@ def run(workdir: Path) -> None:
     one_by_one = serve("sequential", sequential_run)
     coalesced = serve("concurrent", concurrent_run)
     agree = all(
-        set(a.topk.nodes.tolist()) == set(b.topk.nodes.tolist())
+        set(a.top.tolist()) == set(b.top.tolist())
         for a, b in zip(one_by_one, coalesced)
     )
     print(f"\nsame certified sets either way: {agree}")
     certified_match = sum(
-        set(r.topk.nodes.tolist()) == set(m.nodes.tolist())
+        set(r.top.tolist()) == set(m.top.tolist())
         for r, m in zip(coalesced, results)
-        if r.topk.certified
+        if r.certified
     )
     print(f"certified disk answers matching the memory backend: {certified_match}")
 

@@ -29,7 +29,6 @@ from repro.core import (
     StopAfterTime,
     StopAtL1Error,
     StopWhenCertified,
-    TopKResult,
     any_of,
     autotune_hub_count,
     build_index,
@@ -98,7 +97,6 @@ __all__ = [
     "multi_node_ppv",
     "query_top_k",
     "StopWhenCertified",
-    "TopKResult",
     "autotune_hub_count",
     "from_weighted_edges",
     # serving

@@ -373,29 +373,28 @@ def _print_result(spec: QuerySpec, result, top: int) -> None:
         )
         ranked = result.top_k(top)
     else:
-        inner, io_columns = result, ""
-        if hasattr(result, "cluster_faults"):  # disk result wrappers
-            inner = result.topk if hasattr(result, "topk") else result.result
+        io_columns = ""
+        if result.cluster_faults is not None:  # the disk I/O record
             io_columns = (
                 f", {result.cluster_faults} faults, "
                 f"{result.hub_reads} hub reads"
                 + (", truncated" if result.truncated else "")
             )
-        if spec.top_k is not None:
-            status = "certified" if inner.certified else "UNCERTIFIED"
+        if result.certified is not None:  # certified top-k
+            status = "certified" if result.certified else "UNCERTIFIED"
             header = (
-                f"top-{spec.top_k} {status} after {inner.iterations} "
-                f"iterations, L1 error {inner.l1_error:.4f}"
+                f"top-{spec.top_k} {status} after {result.iterations} "
+                f"iterations, L1 error {result.l1_error:.4f}"
             )
-            nodes = inner.nodes
+            nodes = result.top
         else:
             header = (
-                f"{inner.iterations} iterations, L1 error "
-                f"{inner.l1_error:.4f}, {inner.seconds * 1000:.1f} ms"
+                f"{result.iterations} iterations, L1 error "
+                f"{result.l1_error:.4f}, {result.seconds * 1000:.1f} ms"
             )
-            nodes = inner.top_k(top)
+            nodes = result.top_k(top)
         print(f"query {query}: {header}{io_columns}")
-        ranked = [(int(node), inner.scores[node]) for node in nodes]
+        ranked = [(int(node), result.scores[node]) for node in nodes]
     for rank, (node, score) in enumerate(ranked, start=1):
         print(f"{rank:4d}. node {node:8d}  score {score:.6f}")
 
@@ -419,7 +418,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     clip = (engine.ppv_store if args.backend == "disk" else engine.index).clip
     if specs[0].top_k is not None and clip > 0 and not any(
-        getattr(result, "topk", result).certified for result in results
+        result.certified for result in results
     ):
         print(
             f"hint: no certificate fired — the index clips stored "

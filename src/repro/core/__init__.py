@@ -54,7 +54,6 @@ from repro.core.reachability import (
 )
 from repro.core.topk import (
     StopWhenCertified,
-    TopKResult,
     query_top_k,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "multi_node_ppv",
     "query_top_k",
     "StopWhenCertified",
-    "TopKResult",
     "add_edges",
     "remove_edges",
     "update_index",

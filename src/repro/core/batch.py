@@ -58,7 +58,7 @@ from repro.core.query import (
 )
 from repro.core.prime import prime_push_many
 from repro.core.splice import resident_block, splice_rounds_exact
-from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
+from repro.core.topk import StopWhenCertified, top_k_result
 
 BatchCallback = Callable[[int, QueryState], None]
 """Per-query iteration callback: ``(position_in_batch, state)``.
@@ -202,7 +202,7 @@ class FastPPV(BatchOfOne):
         k: int = 10,
         max_iterations: int = 32,
         on_iteration: BatchCallback | None = None,
-    ) -> list[TopKResult]:
+    ) -> list[QueryResult]:
         """Certified top-k for a whole batch of queries, preserving order.
 
         Batch-retirement contract

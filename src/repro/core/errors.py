@@ -45,16 +45,3 @@ def realized_l1_error(exact: np.ndarray, estimate: np.ndarray) -> float:
     """The actual ``||exact - estimate||_1`` (needs the ground truth)."""
     return float(np.abs(np.asarray(exact) - np.asarray(estimate)).sum())
 
-
-def iterations_for_error(target: float, alpha: float = DEFAULT_ALPHA) -> int:
-    """Smallest ``k`` whose Theorem 2 bound is at most ``target``.
-
-    Inverse of :func:`l1_error_bound`; used by auto-configuration to turn
-    an accuracy requirement into an iteration budget a priori.
-    """
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must lie in (0, 1)")
-    k = 0
-    while l1_error_bound(k, alpha) > target:
-        k += 1
-    return k

@@ -45,7 +45,7 @@ to that slack, ``value <= f_p(q) <= value + remaining_mass`` stays sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class HittingEstimate:
     remaining_mass: float
     iterations: int
     history: list[float] = field(default_factory=list)
+
+    def copy(self) -> "HittingEstimate":
+        """A copy that shares no buffer with this estimate."""
+        return replace(self, history=list(self.history))
 
 
 def exact_hitting(
@@ -210,47 +214,3 @@ def scheduled_hitting(
             masses = arrivals[hubs]
         history.append(value)
     return HittingEstimate(value, float(masses.sum()) + dropped, level, history)
-
-
-def scheduled_commute(
-    graph: DiGraph,
-    a: int,
-    b: int,
-    hub_mask: np.ndarray,
-    beta: float = DEFAULT_BETA,
-    max_levels: int = 16,
-    epsilon: float = 1e-9,
-) -> HittingEstimate:
-    """Discounted commute probability ``E[beta^(tau_ab + tau_ba)]``.
-
-    Sect. 7 names "hitting and commute time" as targets for the
-    partition-and-prioritise principle.  By independence of the two legs
-    (strong Markov property at the first hit of ``b``), the discounted
-    commute factorises into the product of the two hitting estimates;
-    the lower/upper brackets multiply accordingly.
-    """
-    forward = scheduled_hitting(
-        graph, a, b, hub_mask, beta=beta, max_levels=max_levels, epsilon=epsilon
-    )
-    backward = scheduled_hitting(
-        graph, b, a, hub_mask, beta=beta, max_levels=max_levels, epsilon=epsilon
-    )
-    value = forward.value * backward.value
-    upper = (forward.value + forward.remaining_mass) * (
-        backward.value + backward.remaining_mass
-    )
-    depth = max(len(forward.history), len(backward.history))
-
-    def level_value(history: list, level: int) -> float:
-        return history[min(level, len(history) - 1)]
-
-    history = [
-        level_value(forward.history, level) * level_value(backward.history, level)
-        for level in range(depth)
-    ]
-    return HittingEstimate(
-        value=value,
-        remaining_mass=upper - value,
-        iterations=max(forward.iterations, backward.iterations),
-        history=history,
-    )

@@ -67,6 +67,8 @@ def combine_results(
     ``query`` of the returned result is the first node of the set;
     ``error_history`` combines the per-query histories weighted the same
     way (valid since L1 error is linear over the under-approximations).
+    When the results carry a disk I/O record, the mixture's is their
+    sum (``truncated``: any of them).
     """
     scores = np.zeros_like(results[0].scores)
     for weight, result in zip(weight_arr, results):
@@ -81,7 +83,7 @@ def combine_results(
             error += weight * history[min(level, len(history) - 1)]
         combined_history.append(error)
 
-    return QueryResult(
+    combined = QueryResult(
         query=int(queries[0]),
         scores=scores,
         iterations=max(r.iterations for r in results),
@@ -90,6 +92,11 @@ def combine_results(
         seconds=sum(r.seconds for r in results),
         work_units=sum(r.work_units for r in results),
     )
+    if results[0].cluster_faults is not None:
+        combined.cluster_faults = sum(r.cluster_faults for r in results)
+        combined.hub_reads = sum(r.hub_reads for r in results)
+        combined.truncated = any(r.truncated for r in results)
+    return combined
 
 
 def multi_node_ppv(

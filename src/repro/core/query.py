@@ -21,7 +21,7 @@ would double-count (see the module docstring of :mod:`repro.core.prime`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -109,7 +109,8 @@ def any_of(*conditions: StoppingCondition) -> StoppingCondition:
 
 @dataclass
 class QueryResult:
-    """Outcome of one FastPPV query.
+    """Outcome of one FastPPV query: the one result every PPV path serves,
+    on both backends and for both the ``ppv`` and ``top_k`` families.
 
     Attributes
     ----------
@@ -132,6 +133,18 @@ class QueryResult:
         push plus index entries touched by splices.  Reported alongside
         wall-clock time because at our reduced graph scale constant
         factors (numpy batch kernels) can dominate milliseconds.
+    cluster_faults, hub_reads, truncated:
+        The disk I/O record of Fig. 16 (``None`` on memory results):
+        the faults a dedicated one-cluster-budget store would have paid
+        (= the prime push's drain steps), the hub records the query
+        requested, and whether the fault budget cut the push short.
+        Deterministic: independent of the batch the query was served in
+        and of the store's ``memory_budget``.
+    certified, top:
+        The top-k certificate (``None`` unless the result came from
+        :func:`~repro.core.topk.top_k_result`): whether ``top``, the
+        top-k node ids by estimated score (best first), provably equals
+        the exact top-k set.
     """
 
     query: int
@@ -141,11 +154,46 @@ class QueryResult:
     hubs_expanded: int = 0
     seconds: float = 0.0
     work_units: int = 0
+    cluster_faults: int | None = None
+    hub_reads: int | None = None
+    truncated: bool | None = None
+    certified: bool | None = None
+    top: np.ndarray | None = None
 
     @property
     def l1_error(self) -> float:
         """Query-time L1 error of the final estimate."""
         return self.error_history[-1]
+
+    @property
+    def result(self) -> "QueryResult":
+        """This result itself.
+
+        Read-only, and only for the frozen performance ledger, which
+        reads ``r.result.iterations`` (``benchmarks/ledger/workloads.py``);
+        it goes with ROADMAP item 1(e).
+        """
+        return self
+
+    @property
+    def nodes(self) -> "np.ndarray | None":
+        """``top`` under its old name.
+
+        Read-only, and only for the frozen performance ledger's
+        self-test, which reads ``a.nodes`` off top-k results
+        (``benchmarks/ledger/selftest_ledger.py``); it goes with ROADMAP
+        item 1(e).
+        """
+        return self.top
+
+    def copy(self) -> "QueryResult":
+        """A copy that shares no buffer with this result."""
+        return replace(
+            self,
+            scores=self.scores.copy(),
+            error_history=list(self.error_history),
+            top=None if self.top is None else self.top.copy(),
+        )
 
     def top_k(self, k: int = 10, exclude_query: bool = False) -> np.ndarray:
         """Node ids of the ``k`` highest scores, best first.

@@ -17,7 +17,7 @@ exactly the computation of the paper's Fig. 1(b) example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -130,6 +130,10 @@ class ReachabilityResult:
         """
         order = top_k_nodes(self.scores, int(k))
         return list(zip(order.tolist(), self.scores[order].tolist()))
+
+    def copy(self) -> "ReachabilityResult":
+        """A copy that shares no buffer with this result."""
+        return replace(self, scores=self.scores.copy())
 
 
 def reachability_query(

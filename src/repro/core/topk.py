@@ -14,11 +14,16 @@ best lower bound exceeds the (k+1)-th best upper bound — i.e. when the
 gap between the k-th and (k+1)-th estimates exceeds ``phi``.  The engine
 below iterates exactly until that certificate holds (or a budget runs
 out), typically far earlier than a fixed accuracy target would require.
+
+The certificate is read off the estimate, so it rides on the one served
+result: :func:`top_k_result` fills ``certified`` and ``top`` of a
+:class:`~repro.core.query.QueryResult` (memory or disk, single or
+multi-node) and keeps every other field, the disk I/O record included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,32 +33,6 @@ from repro.metrics.ranking import top_k_nodes
 
 if TYPE_CHECKING:
     from repro.core.batch import FastPPV
-
-
-@dataclass(frozen=True)
-class TopKResult:
-    """Outcome of a certified top-k query.
-
-    Attributes
-    ----------
-    nodes:
-        The top-k node ids by estimated score, best first.
-    certified:
-        ``True`` when the set provably equals the exact top-k (the order
-        *within* the set may still differ from the exact order).
-    iterations:
-        Incremental iterations the certificate needed.
-    l1_error:
-        Query-time L1 error when iteration stopped.
-    scores:
-        The full estimate vector (lower bounds on the exact scores).
-    """
-
-    nodes: np.ndarray
-    certified: bool
-    iterations: int
-    l1_error: float
-    scores: np.ndarray
 
 
 def _certificate_holds(scores: np.ndarray, k: int, phi: float) -> bool:
@@ -123,19 +102,19 @@ class StopWhenCertified:
         )
 
 
-def top_k_result(result: QueryResult, k: int) -> TopKResult:
-    """Wrap a finished :class:`QueryResult` as a :class:`TopKResult`.
+def top_k_result(result: QueryResult, k: int) -> QueryResult:
+    """``result`` with its top-k certificate filled in: ``top`` holds the
+    ``k`` best node ids, ``certified`` whether that set is exact.
 
     Re-evaluates the certificate on the final estimate, so the reported
     ``certified`` flag is sound even when iteration stopped for another
-    reason (budget, empty frontier).
+    reason (budget, empty frontier).  Every other field, the disk I/O
+    record included, is ``result``'s own.
     """
-    return TopKResult(
-        nodes=top_k_nodes(result.scores, k),
+    return replace(
+        result,
         certified=_certificate_holds(result.scores, k, result.l1_error),
-        iterations=result.iterations,
-        l1_error=result.l1_error,
-        scores=result.scores,
+        top=top_k_nodes(result.scores, k),
     )
 
 
@@ -144,7 +123,7 @@ def query_top_k(
     query: int,
     k: int = 10,
     max_iterations: int = 32,
-) -> TopKResult:
+) -> QueryResult:
     """Iterate until the top-k set is certified exact (or budget is hit).
 
     Runs as a *single* incremental pass: the certificate is evaluated by a

@@ -8,10 +8,6 @@ edge in both directions.
 
 from repro.graph.analysis import graph_stats
 from repro.graph.build import GraphBuilder, from_edges, from_weighted_edges
-from repro.graph.components import (
-    strongly_connected_components,
-    weakly_connected_components,
-)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     bibliographic_graph,
@@ -44,6 +40,4 @@ __all__ = [
     "edge_sample",
     "snapshot_series",
     "graph_stats",
-    "strongly_connected_components",
-    "weakly_connected_components",
 ]

@@ -23,24 +23,16 @@ from typing import Optional
 def cost_counters(result) -> dict:
     """The engine cost counters a served result exposes, duck-typed.
 
-    Disk results carry ``cluster_faults``/``hub_reads``; snapshots and
-    memory results carry ``iterations``; wrapped results (top-k over a
-    full vector) nest them one level down.
+    PPV results (memory or disk, plain or top-k) and ``hitting``
+    estimates carry ``iterations``; disk PPV results also carry their
+    I/O record (``cluster_faults`` / ``hub_reads`` / ``truncated``),
+    which is ``None`` — and left out — on memory results.
     """
     out: dict = {}
-    sources = (
-        result,
-        getattr(result, "result", None),
-        getattr(result, "snapshot", None),
-    )
     for name in ("iterations", "cluster_faults", "hub_reads", "truncated"):
-        for source in sources:
-            if source is None:
-                continue
-            value = getattr(source, name, None)
-            if value is not None:
-                out[name] = value if name == "truncated" else int(value)
-                break
+        value = getattr(result, name, None)
+        if value is not None:
+            out[name] = value if name == "truncated" else int(value)
     return out
 
 

@@ -7,13 +7,13 @@ under pure recency eviction — new entries start at zero hits and are the
 first to go unless they prove themselves.
 
 The cache stores defensive copies in both directions (entries are copied
-on ``put`` and on every ``get``), so callers can mutate results freely,
-and it is invalidated wholesale whenever the service's engine reports a
-new cache token — for the memory backend the index's resident
-:class:`~repro.core.splice.SpliceBlock` (index swap via
+on ``put`` and on every ``get``, by the result's own ``copy()``), so
+callers can mutate results freely; a result without a ``copy()`` method
+is served but never cached.  It is invalidated wholesale whenever the
+service's engine reports a new cache token — for the memory backend the
+index's resident :class:`~repro.core.splice.SpliceBlock` (index swap via
 :meth:`~repro.serving.PPVService.update_index`, or an in-place index
-mutation followed by
-:func:`~repro.core.splice.invalidate_splice_cache`).
+mutation followed by :func:`~repro.core.splice.invalidate_splice_cache`).
 """
 
 from __future__ import annotations
@@ -21,71 +21,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.core.hitting import HittingEstimate
-from repro.core.query import QueryResult
-from repro.core.reachability import ReachabilityResult
-from repro.core.topk import TopKResult
-from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
-
 DEFAULT_CACHE_SIZE = 256
 """Default capacity of the service-level popularity cache."""
-
-
-def copy_served(result):
-    """Deep-enough copy of any known served result object.
-
-    Covers the four PPV result shapes the engines produce plus the
-    ``hitting`` and ``reachability`` family results; the copy shares no
-    mutable buffers with the original.
-    """
-    if isinstance(result, QueryResult):
-        return QueryResult(
-            query=result.query,
-            scores=result.scores.copy(),
-            iterations=result.iterations,
-            error_history=list(result.error_history),
-            hubs_expanded=result.hubs_expanded,
-            seconds=result.seconds,
-            work_units=result.work_units,
-        )
-    if isinstance(result, TopKResult):
-        return TopKResult(
-            nodes=result.nodes.copy(),
-            certified=result.certified,
-            iterations=result.iterations,
-            l1_error=result.l1_error,
-            scores=result.scores.copy(),
-        )
-    if isinstance(result, DiskQueryResult):
-        return DiskQueryResult(
-            result=copy_served(result.result),
-            cluster_faults=result.cluster_faults,
-            hub_reads=result.hub_reads,
-            truncated=result.truncated,
-        )
-    if isinstance(result, DiskTopKResult):
-        return DiskTopKResult(
-            topk=copy_served(result.topk),
-            cluster_faults=result.cluster_faults,
-            hub_reads=result.hub_reads,
-            truncated=result.truncated,
-        )
-    if isinstance(result, HittingEstimate):
-        return HittingEstimate(
-            value=result.value,
-            remaining_mass=result.remaining_mass,
-            iterations=result.iterations,
-            history=list(result.history),
-        )
-    if isinstance(result, ReachabilityResult):
-        return ReachabilityResult(
-            query=result.query,
-            max_length=result.max_length,
-            alpha=result.alpha,
-            scores=result.scores.copy(),
-            truncation_bound=result.truncation_bound,
-        )
-    raise TypeError(f"unsupported served result type: {type(result)!r}")
 
 
 @dataclass
@@ -147,26 +84,28 @@ class PopularityCache:
             entry.hits += 1
             entry.last_used = self._clock
             self.hits += 1
-            return copy_served(entry.value)
+            return entry.value.copy()
 
     def put(self, key: tuple, value) -> None:
-        """Insert a copy of ``value``, evicting the least popular entry
+        """Insert ``value.copy()``, evicting the least popular entry
         (ties: least recently used) when over capacity.
 
         Re-inserting an existing key refreshes its value and recency but
-        keeps its earned hit count.
+        keeps its earned hit count.  A ``value`` without a ``copy()``
+        method is not cached.
         """
-        if self.capacity == 0:
+        if self.capacity == 0 or not callable(getattr(value, "copy", None)):
             return
+        value = value.copy()
         with self._lock:
             self._clock += 1
             existing = self._entries.get(key)
             if existing is not None:
-                existing.value = copy_served(value)
+                existing.value = value
                 existing.last_used = self._clock
                 return
             self._entries[key] = _Entry(
-                value=copy_served(value), hits=0, last_used=self._clock
+                value=value, hits=0, last_used=self._clock
             )
             while len(self._entries) > self.capacity:
                 # Over .items(): no per-candidate lookup re-hashing a key

@@ -70,7 +70,6 @@ from repro.serving.spec import (
     integer_field,
     real_field,
 )
-from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
 
 MAX_SERVED_TOUR_LENGTH = 12
 """Hard ceiling on served ``reachability`` tour length: enumeration is
@@ -132,53 +131,35 @@ def ranked_scores(scores: np.ndarray, nodes: np.ndarray) -> list:
     ]
 
 
-def _encode_scored(spec: QuerySpec, result, top: int) -> dict:
+def _encode_scored(spec: QuerySpec, result: QueryResult, top: int) -> dict:
     """The PPV-shaped response payload (plain and certified top-k).
 
     Byte-identical to the pre-registry ``render_result``: no ``family``
     key, so existing clients and recorded payloads keep matching.
     """
     payload: dict = {"nodes": list(spec.nodes)}
-    inner = result
-    if hasattr(result, "cluster_faults"):  # disk result wrappers
+    if result.cluster_faults is not None:  # the disk I/O record
         payload["cluster_faults"] = result.cluster_faults
         payload["hub_reads"] = result.hub_reads
         if result.truncated:
             payload["truncated"] = True
-        inner = result.topk if hasattr(result, "topk") else result.result
-    payload["iterations"] = int(inner.iterations)
-    payload["l1_error"] = float(inner.l1_error)
-    if hasattr(inner, "certified"):  # certified top-k
-        payload["certified"] = bool(inner.certified)
-        payload["top"] = ranked_scores(inner.scores, inner.nodes)
+    payload["iterations"] = int(result.iterations)
+    payload["l1_error"] = float(result.l1_error)
+    if result.certified is not None:  # certified top-k
+        payload["certified"] = bool(result.certified)
+        payload["top"] = ranked_scores(result.scores, result.top)
     else:
-        payload["top"] = ranked_scores(inner.scores, inner.top_k(top))
+        payload["top"] = ranked_scores(result.scores, result.top_k(top))
     return payload
 
 
-def _combine_ppv(spec: QuerySpec, tasks: Sequence[FamilyTask]):
+def _combine_ppv(spec: QuerySpec, tasks: Sequence[FamilyTask]) -> QueryResult:
     """Multi-node assembly via the Linearity Theorem (both backends)."""
-    raw = [task.result for task in tasks]
-    on_disk = isinstance(raw[0], DiskQueryResult)
-    inners: list[QueryResult] = [r.result if on_disk else r for r in raw]
-    combined = combine_results(spec.nodes, spec.weight_array(), inners)
+    combined = combine_results(
+        spec.nodes, spec.weight_array(), [task.result for task in tasks]
+    )
     if spec.top_k is not None:
-        topk = top_k_result(combined, spec.top_k)
-        if on_disk:
-            return DiskTopKResult(
-                topk=topk,
-                cluster_faults=sum(r.cluster_faults for r in raw),
-                hub_reads=sum(r.hub_reads for r in raw),
-                truncated=any(r.truncated for r in raw),
-            )
-        return topk
-    if on_disk:
-        return DiskQueryResult(
-            result=combined,
-            cluster_faults=sum(r.cluster_faults for r in raw),
-            hub_reads=sum(r.hub_reads for r in raw),
-            truncated=any(r.truncated for r in raw),
-        )
+        return top_k_result(combined, spec.top_k)
     return combined
 
 

@@ -56,7 +56,6 @@ from repro.serving.scheduler import (
     CoalescingScheduler,
 )
 from repro.serving.spec import QueryHandle, QuerySnapshot, QuerySpec
-from repro.storage.disk_engine import DiskQueryResult, DiskTopKResult
 from repro.storage.ppv_store import DiskPPVStore
 
 _STREAM_DONE = object()
@@ -744,12 +743,7 @@ class PPVService:
                 task.result = result
                 cache_key = family.cache_key(spec, task)
                 if cache_key is not None:
-                    try:
-                        self.cache.put((family.name,) + cache_key, result)
-                    except TypeError:
-                        # A custom backend's result shape copy_served
-                        # does not know: serve it, just never cache it.
-                        pass
+                    self.cache.put((family.name,) + cache_key, result)
 
         for job, family, tasks in plans:
             failed = next(
@@ -815,15 +809,7 @@ class PPVService:
                 spec.nodes[0], stop, on_iteration
             )
             if k is not None:
-                if isinstance(result, DiskQueryResult):
-                    result = DiskTopKResult(
-                        topk=top_k_result(result.result, k),
-                        cluster_faults=result.cluster_faults,
-                        hub_reads=result.hub_reads,
-                        truncated=result.truncated,
-                    )
-                else:
-                    result = top_k_result(result, k)
+                result = top_k_result(result, k)
             job.handle._set_result(result)
         except BaseException as error:
             job.handle._set_error(error)

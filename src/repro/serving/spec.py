@@ -298,10 +298,11 @@ class QueryHandle:
     def result(self, timeout: float | None = None):
         """Block until served and return the backend's result object.
 
-        Memory backend: :class:`~repro.core.query.QueryResult`
-        (or :class:`~repro.core.topk.TopKResult` for ``top_k`` specs);
-        disk backend: :class:`~repro.storage.disk_engine.DiskQueryResult`
-        (or :class:`~repro.storage.disk_engine.DiskTopKResult`).
+        ``ppv`` and ``top_k`` specs, on either backend: a
+        :class:`~repro.core.query.QueryResult` (``top_k``: with
+        ``certified`` / ``top`` filled in; disk: with the I/O record
+        ``cluster_faults`` / ``hub_reads`` / ``truncated``).  Other
+        families: the family's own result.
 
         Raises
         ------

@@ -16,16 +16,14 @@ Four pieces:
   disk-resident graph: packed per-cluster segment files, one cluster in
   memory at a time, cluster faults counted and budgeted, prime subgraphs
   assembled cluster by cluster.  One engine, :class:`DiskFastPPV`,
-  serves batches; a single query is the batch of one.
+  serves batches; a single query is the batch of one.  It serves the
+  memory engine's :class:`~repro.core.query.QueryResult`, with the
+  per-query I/O record (``cluster_faults`` / ``hub_reads`` /
+  ``truncated``) filled in.
 """
 
 from repro.storage.clustering import ClusterAssignment, cluster_graph
-from repro.storage.disk_engine import (
-    DiskFastPPV,
-    DiskGraphStore,
-    DiskQueryResult,
-    DiskTopKResult,
-)
+from repro.storage.disk_engine import DiskFastPPV, DiskGraphStore
 from repro.storage.ppv_store import DiskPPVStore, load_index, save_index
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "cluster_graph",
     "DiskGraphStore",
     "DiskFastPPV",
-    "DiskQueryResult",
-    "DiskTopKResult",
 ]

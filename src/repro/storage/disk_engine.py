@@ -73,7 +73,9 @@ is ``query_many([q])[0]``:
   that loop run over the same store (``tests/oracles.py`` keeps it and
   pins the equality, together with the historical per-edge drain loop).
 
-Per-query :class:`DiskQueryResult` accounting is *deterministic* I/O:
+Each :class:`~repro.core.query.QueryResult` a disk query serves carries
+its I/O record in ``cluster_faults`` / ``hub_reads`` / ``truncated``
+(``None`` on memory results), and the record is *deterministic* I/O:
 ``cluster_faults`` counts the query's drain steps — the faults a
 dedicated **one-cluster-budget** store would incur (the paper's Fig. 16
 setting, and the currency the fault budget is charged in) — and
@@ -90,7 +92,6 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -107,7 +108,7 @@ from repro.core.query import (
     query_ids,
 )
 from repro.core.splice import SpliceBlock, concat_ranges, splice_rounds_exact
-from repro.core.topk import StopWhenCertified, TopKResult, top_k_result
+from repro.core.topk import StopWhenCertified, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
@@ -520,44 +521,6 @@ class _ClusterWaves:
             )
 
 
-@dataclass
-class DiskQueryResult:
-    """A :class:`QueryResult` plus the I/O accounting of Fig. 16.
-
-    ``cluster_faults`` and ``hub_reads`` report deterministic per-query
-    I/O: the faults a dedicated *one-cluster-budget* store would have
-    paid (= the push's drain steps) and the hub fetches the query
-    requested — independent of the batch it was served in and of the
-    store's ``memory_budget``.  The physical amortised I/O is the delta
-    of the stores' counters around the call.
-    """
-
-    result: QueryResult
-    cluster_faults: int
-    hub_reads: int
-    truncated: bool
-
-    @property
-    def scores(self) -> np.ndarray:
-        """Estimated PPV (delegates to the inner result)."""
-        return self.result.scores
-
-    @property
-    def seconds(self) -> float:
-        """Wall-clock query time (delegates to the inner result)."""
-        return self.result.seconds
-
-
-@dataclass
-class DiskTopKResult:
-    """A :class:`~repro.core.topk.TopKResult` plus disk I/O accounting."""
-
-    topk: TopKResult
-    cluster_faults: int
-    hub_reads: int
-    truncated: bool
-
-
 class DiskFastPPV(BatchOfOne):
     """FastPPV online processing against disk-resident graph and index.
 
@@ -644,7 +607,7 @@ class DiskFastPPV(BatchOfOne):
         queries: Sequence[int],
         stop: StoppingCondition | None = None,
         on_iteration: "Callable[[int, QueryState], None] | None" = None,
-    ) -> list[DiskQueryResult]:
+    ) -> list[QueryResult]:
         """Estimate the PPVs of ``queries`` from disk, preserving order.
 
         Scores, iteration counts, I/O accounting and truncation flags of
@@ -719,17 +682,15 @@ class DiskFastPPV(BatchOfOne):
         )
 
         return [
-            DiskQueryResult(
-                result=QueryResult(
-                    query=q,
-                    # Copy out of the shared batch matrix so one retained
-                    # result cannot pin the whole (batch, n) buffer.
-                    scores=estimates[position].copy(),
-                    iterations=iteration,
-                    error_history=error_history,
-                    hubs_expanded=hubs_expanded,
-                    seconds=seconds,
-                ),
+            QueryResult(
+                query=q,
+                # Copy out of the shared batch matrix so one retained
+                # result cannot pin the whole (batch, n) buffer.
+                scores=estimates[position].copy(),
+                iterations=iteration,
+                error_history=error_history,
+                hubs_expanded=hubs_expanded,
+                seconds=seconds,
                 cluster_faults=cluster_faults[position],
                 hub_reads=hub_reads[position] + hubs_expanded,
                 truncated=truncated[position],
@@ -745,7 +706,7 @@ class DiskFastPPV(BatchOfOne):
         queries: Sequence[int],
         k: int = 10,
         max_iterations: int = 32,
-    ) -> list[DiskTopKResult]:
+    ) -> list[QueryResult]:
         """Certified top-k for a batch of disk queries, preserving order.
 
         Each query iterates until its top-k certificate (the phi-gap rule
@@ -760,11 +721,6 @@ class DiskFastPPV(BatchOfOne):
             raise ValueError("k must be positive")
         stop = StopWhenCertified(k=k, max_iterations=max_iterations)
         return [
-            DiskTopKResult(
-                topk=top_k_result(r.result, k),
-                cluster_faults=r.cluster_faults,
-                hub_reads=r.hub_reads,
-                truncated=r.truncated,
-            )
-            for r in self.query_many(queries, stop=stop)
+            top_k_result(result, k)
+            for result in self.query_many(queries, stop=stop)
         ]

@@ -72,7 +72,7 @@ from repro.core.query import (
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
-from repro.storage.disk_engine import DiskFastPPV, DiskQueryResult, _ClusterWaves
+from repro.storage.disk_engine import DiskFastPPV, _ClusterWaves
 
 
 def scalar_splice_rounds(
@@ -415,7 +415,7 @@ def reference_disk_query(
     delta: float = DEFAULT_DELTA,
     fault_budget: int | None = None,
     max_iterations: int = 64,
-) -> DiskQueryResult:
+) -> QueryResult:
     """One disk query, served by the oracle loops alone.
 
     ``cluster_faults`` is the drain count and ``hub_reads`` the number
@@ -460,15 +460,13 @@ def reference_disk_query(
         ppv_store.get,
         started,
     )
-    return DiskQueryResult(
-        result=QueryResult(
-            query=query,
-            scores=estimate,
-            iterations=iterations,
-            error_history=error_history,
-            hubs_expanded=hubs_expanded,
-            seconds=time.perf_counter() - started,
-        ),
+    return QueryResult(
+        query=query,
+        scores=estimate,
+        iterations=iterations,
+        error_history=error_history,
+        hubs_expanded=hubs_expanded,
+        seconds=time.perf_counter() - started,
         cluster_faults=drains,
         hub_reads=hub_reads + hubs_expanded,
         truncated=truncated,

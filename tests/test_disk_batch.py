@@ -83,9 +83,9 @@ class TestEquality:
             # Bitwise, not approximate: the batch scheduler only reorders
             # physical residency, never a query's mass flow.
             np.testing.assert_array_equal(scalar.scores, batched.scores)
-            assert scalar.result.iterations == batched.result.iterations
-            assert scalar.result.hubs_expanded == batched.result.hubs_expanded
-            assert scalar.result.error_history == batched.result.error_history
+            assert scalar.iterations == batched.iterations
+            assert scalar.hubs_expanded == batched.hubs_expanded
+            assert scalar.error_history == batched.error_history
             assert scalar.truncated == batched.truncated
             # Scalar-equivalent per-query I/O accounting.
             assert scalar.hub_reads == batched.hub_reads
@@ -143,7 +143,7 @@ class TestEquality:
         with ppv_store:
             results = engine.query_many([4, 8], stop=StopAfterIterations(1))
             reference = engine.query(4, stop=StopAfterIterations(1))
-        assert [r.result.query for r in results] == [4, 8]
+        assert [r.query for r in results] == [4, 8]
         np.testing.assert_array_equal(results[0].scores, reference.scores)
 
     def test_negative_delta_rejected_at_every_entry(
@@ -206,10 +206,10 @@ class TestKernels:
                 reference.scores, vectorised.scores
             )
             assert (
-                reference.result.error_history
-                == vectorised.result.error_history
+                reference.error_history
+                == vectorised.error_history
             )
-            assert reference.result.iterations == vectorised.result.iterations
+            assert reference.iterations == vectorised.iterations
             assert reference.hub_reads == vectorised.hub_reads
             assert reference.cluster_faults == vectorised.cluster_faults
             assert reference.truncated == vectorised.truncated
@@ -223,8 +223,8 @@ class TestKernels:
         for reference, result in zip(reference_results, batched):
             np.testing.assert_array_equal(reference.scores, result.scores)
             assert (
-                reference.result.error_history
-                == result.result.error_history
+                reference.error_history
+                == result.error_history
             )
             assert reference.hub_reads == result.hub_reads
             assert reference.cluster_faults == result.cluster_faults
@@ -301,7 +301,7 @@ class TestKernels:
             )
         for position, result in enumerate(results):
             assert seen[position] == list(
-                range(result.result.iterations + 1)
+                range(result.iterations + 1)
             )
 
 
@@ -339,9 +339,9 @@ class TestMaxIterations:
                 ref_store, ref_ppv, non_hub, stop=unreachable,
                 delta=0.0, max_iterations=3,
             )
-        assert scalar_result.result.iterations == 3
-        assert batch_result.result.iterations == 3
-        assert reference_result.result.iterations == 3
+        assert scalar_result.iterations == 3
+        assert batch_result.iterations == 3
+        assert reference_result.iterations == 3
 
     def test_default_cap_matches_memory_default(self, disk_batch_setup,
                                                 small_social):
@@ -578,9 +578,9 @@ class TestDiskTopK:
         certified = 0
         for q, disk_result in zip(queries, results):
             reference = query_top_k(memory, q, k=5, max_iterations=40)
-            if disk_result.topk.certified and reference.certified:
-                assert set(disk_result.topk.nodes.tolist()) == set(
-                    reference.nodes.tolist()
+            if disk_result.certified and reference.certified:
+                assert set(disk_result.top.tolist()) == set(
+                    reference.top.tolist()
                 )
                 certified += 1
             assert disk_result.hub_reads > 0
@@ -598,13 +598,13 @@ class TestDiskTopK:
             for q, in_batch in zip(queries[:6], batched):
                 (alone,) = engine.query_top_k_many([q], k=5)
                 np.testing.assert_array_equal(
-                    alone.topk.scores, in_batch.topk.scores
+                    alone.scores, in_batch.scores
                 )
                 np.testing.assert_array_equal(
-                    alone.topk.nodes, in_batch.topk.nodes
+                    alone.top, in_batch.top
                 )
-                assert alone.topk.iterations == in_batch.topk.iterations
-                assert alone.topk.certified == in_batch.topk.certified
+                assert alone.iterations == in_batch.iterations
+                assert alone.certified == in_batch.certified
                 assert alone.hub_reads == in_batch.hub_reads
                 assert alone.cluster_faults == in_batch.cluster_faults
 
@@ -701,10 +701,10 @@ class TestHubRecordsAsRowBatches:
             assert (ppv_store.reads, ppv_store.bytes_read) == (reads, size)
         for result, reference in zip(got, want):
             expected = top_k_result(reference.result, k)
-            assert result.topk.nodes.tolist() == expected.nodes.tolist()
-            assert result.topk.scores.tobytes() == expected.scores.tobytes()
-            assert (result.topk.certified, result.topk.iterations,
-                    result.topk.l1_error) == (
+            assert result.top.tolist() == expected.top.tolist()
+            assert result.scores.tobytes() == expected.scores.tobytes()
+            assert (result.certified, result.iterations,
+                    result.l1_error) == (
                 expected.certified, expected.iterations, expected.l1_error)
             assert (result.cluster_faults, result.hub_reads, result.truncated) == (
                 reference.cluster_faults, reference.hub_reads,

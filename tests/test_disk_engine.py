@@ -94,8 +94,8 @@ class TestDiskFastPPV:
             a = disk_engine.query(hub, stop=stop)
             b = memory_engine.query(hub, stop=stop)
             np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.result.error_history == b.error_history
-            assert a.result.hubs_expanded == b.hubs_expanded
+            assert a.error_history == b.error_history
+            assert a.hubs_expanded == b.hubs_expanded
 
     def test_matches_in_memory_engine_for_non_hub_query(
         self, disk_setup, small_social, small_social_index
@@ -159,12 +159,12 @@ class TestDiskFastPPV:
         )
         result = engine.query(non_hub, stop=StopAfterIterations(1))
         # A non-hub query reads exactly one payload per spliced hub.
-        assert result.hub_reads == result.result.hubs_expanded
+        assert result.hub_reads == result.hubs_expanded
         assert result.cluster_faults >= 0
         # A hub query pays one extra read for its own iteration-0 vector.
         hub = int(small_social_index.hubs[0])
         hub_result = engine.query(hub, stop=StopAfterIterations(1))
-        assert hub_result.hub_reads == hub_result.result.hubs_expanded + 1
+        assert hub_result.hub_reads == hub_result.hubs_expanded + 1
 
     def test_fault_budget_truncates(self, disk_setup, small_social, small_social_index):
         graph_store, ppv_store = disk_setup
@@ -264,7 +264,7 @@ class TestMemoryBudget:
     def test_result_faults_are_drains_store_faults_are_physical(
         self, small_social, small_social_index, tmp_path
     ):
-        # One meaning for DiskQueryResult.cluster_faults: the drain
+        # One meaning for a disk result's cluster_faults: the drain
         # count, whatever is resident.  A warm repeat on a store that
         # holds every cluster reports the same drains while the store
         # itself pays no further physical fault.

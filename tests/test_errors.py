@@ -5,7 +5,6 @@ import pytest
 
 from repro import FastPPV, StopAfterIterations
 from repro.core.errors import (
-    iterations_for_error,
     l1_error_bound,
     query_time_l1_error,
     realized_l1_error,
@@ -65,18 +64,3 @@ class TestRealizedError:
         assert realized_l1_error(exact, estimate) == pytest.approx(
             query_time_l1_error(estimate)
         )
-
-
-class TestIterationsForError:
-    def test_inverse_of_bound(self):
-        for target in (0.2, 0.05, 0.01):
-            k = iterations_for_error(target, alpha=0.15)
-            assert l1_error_bound(k, 0.15) <= target
-            if k > 0:
-                assert l1_error_bound(k - 1, 0.15) > target
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            iterations_for_error(0.0)
-        with pytest.raises(ValueError):
-            iterations_for_error(1.0)

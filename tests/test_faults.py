@@ -448,7 +448,7 @@ class TestRouterEngineIsTheDiskEngine:
                 states = []
                 streamed = engine.query_stream(node, stop, states.append)
                 assert np.array_equal(streamed.scores, expected.scores)
-                assert len(states) == expected.result.iterations + 1
+                assert len(states) == expected.iterations + 1
                 assert streamed.cluster_faults == expected.cluster_faults
                 assert streamed.hub_reads == expected.hub_reads
         finally:
@@ -492,7 +492,7 @@ class TestRouterFaultSites:
             expected = local.query_batch([3], stop)[0]
             got = engine.query_batch([3], stop)[0]
             assert np.array_equal(
-                got.result.scores, expected.result.scores
+                got.scores, expected.scores
             )
         finally:
             engine.close()

@@ -125,53 +125,6 @@ class TestScheduledHitting:
         assert estimate.value == pytest.approx(BETA, abs=1e-9)
 
 
-class TestScheduledCommute:
-    def test_commute_is_product_of_legs(self, cyclic_graph):
-        from repro.core.hitting import scheduled_commute
-
-        mask = np.zeros(cyclic_graph.num_nodes, dtype=bool)
-        mask[1] = True
-        commute = scheduled_commute(
-            cyclic_graph, 0, 2, mask, BETA, max_levels=60, epsilon=1e-12
-        )
-        forward = exact_hitting(cyclic_graph, 0, 2, BETA)
-        backward = exact_hitting(cyclic_graph, 2, 0, BETA)
-        assert commute.value == pytest.approx(forward * backward, abs=1e-6)
-
-    def test_commute_bracket_contains_exact(self, fig1_graph, fig1_hub_mask):
-        from repro.core.hitting import scheduled_commute
-
-        exact = exact_hitting(fig1_graph, 0, 2, BETA) * exact_hitting(
-            fig1_graph, 2, 0, BETA
-        )
-        for levels in (0, 1, 3):
-            estimate = scheduled_commute(
-                fig1_graph, 0, 2, fig1_hub_mask, BETA,
-                max_levels=levels, epsilon=1e-12,
-            )
-            assert estimate.value <= exact + 1e-9
-            assert estimate.value + estimate.remaining_mass >= exact - 1e-9
-
-    def test_commute_symmetric(self, cyclic_graph):
-        from repro.core.hitting import scheduled_commute
-
-        mask = np.zeros(cyclic_graph.num_nodes, dtype=bool)
-        a = scheduled_commute(cyclic_graph, 0, 2, mask, BETA, epsilon=1e-12)
-        b = scheduled_commute(cyclic_graph, 2, 0, mask, BETA, epsilon=1e-12)
-        assert a.value == pytest.approx(b.value, abs=1e-9)
-
-    def test_commute_history_monotone(self, fig1_graph, fig1_hub_mask):
-        from repro.core.hitting import scheduled_commute
-
-        estimate = scheduled_commute(
-            fig1_graph, 0, 3, fig1_hub_mask, BETA, epsilon=1e-12
-        )
-        assert all(
-            later >= earlier - 1e-15
-            for earlier, later in zip(estimate.history, estimate.history[1:])
-        )
-
-
 @st.composite
 def hitting_cases(draw):
     """A small digraph — weighted or not, dangling nodes and cycles both

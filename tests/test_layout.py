@@ -1,10 +1,15 @@
-"""Layout guard: no module under ``src/repro`` is an orphan.
+"""Layout guards.
 
-Every module must be imported by another ``src/`` module, by
-``examples/`` or by ``benchmarks/``; a module that only its own tests
-import is dead code.  An import through a package ``__init__`` counts
-for the module that defines the imported name, and the package
-``__init__``'s own re-export counts for nothing.
+No module under ``src/repro`` is an orphan: every module must be
+imported by another ``src/`` module, by ``examples/`` or by
+``benchmarks/``; a module that only its own tests import is dead code.
+An import through a package ``__init__`` counts for the module that
+defines the imported name, and the package ``__init__``'s own re-export
+counts for nothing.
+
+The serving layers read one result type: nothing in ``repro.serving``,
+``repro.server``, ``repro.obs`` or ``repro.cli`` tests a result's class
+or sniffs for a wrapper's attributes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ SRC = ROOT / "src"
 EXEMPT = {
     "repro.cli": "the console-script entry point (pyproject.toml)",
     "repro.faults": "the fault-injection seam: tests hand a FaultPlan in",
-    "repro.graph.components": "SCC/WCC helpers; deletion deferred (ROADMAP item 13)",
     "repro.core.workload_hubs": "parked hub re-selection foothold (ROADMAP item 13)",
 }
 """Modules nothing imports on purpose, with the reason.  ``__main__``
@@ -117,3 +121,88 @@ def test_every_module_has_a_caller():
 
 def test_exemptions_are_still_modules():
     assert set(EXEMPT) <= set(MODULES)
+
+
+SERVED_RESULTS = {"QueryResult", "HittingEstimate", "ReachabilityResult"}
+"""The classes the service serves results as."""
+
+SNIFFED_NAMES = {"topk", "result", "cluster_faults"}
+"""Attribute names whose ``hasattr`` / ``getattr`` probe would tell one
+result shape from another."""
+
+READERS = ("repro/serving", "repro/server", "repro/obs", "repro/cli.py")
+"""The layers that read served results and must not branch on their
+shape."""
+
+
+def _class_names(node: ast.expr) -> set[str]:
+    """The class names an ``isinstance`` second argument spells."""
+    items = node.elts if isinstance(node, ast.Tuple) else [node]
+    names = set()
+    for item in items:
+        if isinstance(item, ast.Name):
+            names.add(item.id)
+        elif isinstance(item, ast.Attribute):
+            names.add(item.attr)
+    return names
+
+
+def _shape_tests(path: Path) -> list[str]:
+    """Each ``isinstance`` on a served result class and each
+    ``hasattr`` / ``getattr`` on a sniffed name in the file, as
+    ``file:line code``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        args = node.args
+        if node.func.id == "isinstance" and len(args) == 2:
+            hit = _class_names(args[1]) & SERVED_RESULTS
+        elif node.func.id in ("hasattr", "getattr") and len(args) >= 2:
+            hit = (
+                isinstance(args[1], ast.Constant)
+                and args[1].value in SNIFFED_NAMES
+            )
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{path.name}:{line} {code}" for line, code in sorted(found)]
+
+
+def test_serving_layers_do_not_branch_on_the_result_shape():
+    paths = []
+    for reader in READERS:
+        root = SRC / reader
+        paths.extend(sorted(root.rglob("*.py")) if root.is_dir() else [root])
+    assert len(paths) > len(READERS)
+    found = [line for path in paths for line in _shape_tests(path)]
+    assert found == [], (
+        "serving layers must read the one result type's flat fields, "
+        f"not test its shape: {found}"
+    )
+
+
+def test_shape_guard_sees_a_wrapper_sniff(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(result, QueryResult, module):\n"
+        "    if isinstance(result, (int, module.QueryResult)):\n"
+        "        return getattr(result, 'topk', result)\n"
+        "    if isinstance(result, dict):\n"
+        "        return getattr(result, 'scores', None)\n"
+        "    return hasattr(result, 'cluster_faults')\n"
+    )
+    assert [line.split()[0] for line in _shape_tests(path)] == [
+        "sample.py:2", "sample.py:3", "sample.py:6",
+    ]
+
+
+def test_served_result_classes_exist():
+    defined = {
+        node.name
+        for path in MODULES.values()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert SERVED_RESULTS <= defined

@@ -138,7 +138,7 @@ def _disk_oracles(index_path):
         for node in range(GRAPH.num_nodes):
             for eta in ETAS:
                 result = engine.query(node, stop=StopAfterIterations(eta))
-                oracles[(node, eta)] = result.result.scores.copy()
+                oracles[(node, eta)] = result.scores.copy()
     return oracles
 
 
@@ -459,7 +459,7 @@ class DiskServiceMachine(_ServiceMachine):
         return bool(np.array_equal(scores, oracle))
 
     def _scores(self, result) -> np.ndarray:
-        return result.result.scores  # DiskQueryResult wraps QueryResult
+        return result.scores
 
     def _engine_fault_site(self) -> str:
         return "ppv_store.read"

@@ -270,7 +270,7 @@ def test_hypothesis_deployments_three_ways(deployment):
                     delta=0.0, fault_budget=fault_budget,
                 )
                 assert got.scores.tobytes() == want.scores.tobytes()
-                assert got.result.error_history == want.result.error_history
+                assert got.error_history == want.error_history
                 assert (got.cluster_faults, got.hub_reads, got.truncated) == (
                     want.cluster_faults, want.hub_reads, want.truncated
                 )
@@ -1699,7 +1699,7 @@ def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
                     stop=stop, delta=0.0, fault_budget=fault_budget,
                 )
                 assert got.scores.tobytes() == want.scores.tobytes()
-                assert got.result.error_history == want.result.error_history
+                assert got.error_history == want.error_history
                 assert got.hub_reads == want.hub_reads
 
 

@@ -411,22 +411,28 @@ def test_slow_query_log_ring_and_span_attachment(tmp_path):
 
 
 def test_cost_counters_duck_typing():
+    import numpy as np
+
+    from repro.core.query import QueryResult
+
     class DiskResult:
         cluster_faults = 3
         hub_reads = 7
         truncated = False
 
-    class Inner:
-        iterations = 2
-
-    class Wrapped:
-        result = Inner()
-        cluster_faults = 1
-
+    memory = QueryResult(query=0, scores=np.zeros(2), iterations=2)
+    disk = QueryResult(
+        query=0, scores=np.zeros(2), iterations=2,
+        cluster_faults=1, hub_reads=4, truncated=True,
+    )
     assert cost_counters(DiskResult()) == {
         "cluster_faults": 3, "hub_reads": 7, "truncated": False,
     }
-    assert cost_counters(Wrapped()) == {"iterations": 2, "cluster_faults": 1}
+    assert cost_counters(memory) == {"iterations": 2}
+    assert cost_counters(disk) == {
+        "iterations": 2, "cluster_faults": 1, "hub_reads": 4,
+        "truncated": True,
+    }
     assert cost_counters(object()) == {}
 
 

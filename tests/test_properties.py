@@ -329,7 +329,7 @@ class TestTopKProperties:
         if result.certified:
             exact = exact_ppv_dense_solve(graph, 0, alpha=ALPHA)
             expected = set(top_k_nodes(exact, k).tolist())
-            got = set(int(x) for x in result.nodes.tolist())
+            got = set(int(x) for x in result.top.tolist())
             # Ties at the boundary can make several sets "the" top-k; use
             # score comparison instead of id comparison.
             worst_got = min(exact[list(got)])

@@ -22,6 +22,7 @@ from repro import (
     select_hubs,
 )
 from repro.core.linearity import combine_results, multi_node_ppv, normalise_weights
+from repro.serving import MemoryEngine
 from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
@@ -219,7 +220,7 @@ class TestMemoryEquivalence:
         ).query_top_k_many(nodes, k=5, max_iterations=30)
         assert any(r.certified for r in served)
         for a, b in zip(served, direct):
-            np.testing.assert_array_equal(a.nodes, b.nodes)
+            np.testing.assert_array_equal(a.top, b.top)
             np.testing.assert_array_equal(a.scores, b.scores)
             assert a.certified == b.certified
             assert a.iterations == b.iterations
@@ -300,7 +301,7 @@ class TestDiskEquivalence:
                 batched = service.engine.query_batch(nodes, STOP)
         for one, result in zip(routed, batched):
             np.testing.assert_array_equal(one.scores, result.scores)
-            assert one.result.iterations == result.result.iterations
+            assert one.iterations == result.iterations
             assert one.cluster_faults == result.cluster_faults
             assert one.hub_reads == result.hub_reads
 
@@ -312,8 +313,51 @@ class TestDiskEquivalence:
                 ppv_store, graph_store=store, delta=0.0
             ) as service:
                 result = service.query(QuerySpec(9, top_k=5))
-        assert result.topk.nodes.size == 5
+        assert result.top.size == 5
         assert result.hub_reads > 0
+
+
+class TestFrozenLedgerReads:
+    """What the frozen performance ledger reads off served results.
+
+    ``benchmarks/ledger/workloads.py`` sums ``r.result.iterations`` over
+    disk results, and ``benchmarks/ledger/selftest_ledger.py`` reads
+    ``cluster_faults`` / ``hub_reads`` / ``scores`` off
+    ``DiskEngine.query_batch`` results and ``nodes`` off top-k results.
+    ``QueryResult.result`` and ``QueryResult.nodes`` exist only for
+    these reads and go with ROADMAP item 1(e); removing them earlier
+    fails here.
+    """
+
+    def test_workload_iteration_sum_over_disk_results(self, disk_setup):
+        root, graph, assignment, index_path = disk_setup
+        store = DiskGraphStore(graph, assignment, root / "ledger")
+        nodes = [9, 4, 120, 77]
+        with PPVService.open(
+            index_path, graph_store=store, delta=1e-4, cache_size=0
+        ) as service:
+            results = service.query_many(
+                [QuerySpec(n, stop=STOP) for n in nodes]
+            )
+            batch = service.engine.query_batch(nodes, STOP)
+        # The ledger's exact expression (workloads.py).
+        total = sum(r.result.iterations for r in results)
+        assert total == sum(r.iterations for r in results) > 0
+        assert all(r.result is r for r in results)
+        # selftest_ledger.py's reads off DiskEngine.query_batch.
+        for a, served in zip(batch, results):
+            assert a.cluster_faults >= 0 and a.hub_reads > 0
+            assert (a.cluster_faults, a.hub_reads) == (
+                served.cluster_faults, served.hub_reads
+            )
+            np.testing.assert_array_equal(a.scores, served.scores)
+
+    def test_selftest_reads_top_k_nodes(self, small_social,
+                                        certifiable_index):
+        engine = MemoryEngine(small_social, certifiable_index, delta=0.0)
+        for a in engine.query_top_k_batch([3, 9], 10, 32):
+            assert a.nodes is a.top
+            assert a.nodes.size == 10
 
 
 class TestCoalescing:
@@ -403,8 +447,8 @@ class TestCoalescing:
     def test_unknown_result_shape_served_uncached(self, small_social,
                                                   small_social_index,
                                                   monkeypatch):
-        # A custom backend may return result shapes copy_served cannot
-        # copy; they must be served (uncached), never strand the handle.
+        # A custom backend may return a result without a copy() method;
+        # it must be served (uncached), never strand the handle.
         class Opaque:
             def __init__(self, inner):
                 self.inner = inner
@@ -555,8 +599,8 @@ class TestStreaming:
                 batch = service.engine.query_batch(nodes, STOP)
         for final, result in zip(finals, batch):
             np.testing.assert_array_equal(final.scores, result.scores)
-            assert final.iteration == result.result.iterations
-            assert final.l1_error == result.result.l1_error
+            assert final.iteration == result.iterations
+            assert final.l1_error == result.l1_error
 
     def test_disk_snapshots_match_scalar_on_iteration(self, disk_setup):
         # The streamed sequence is exactly the scalar disk engine's
@@ -582,7 +626,7 @@ class TestStreaming:
                     (s.iteration, s.l1_error, s.frontier_size)
                 ),
             )
-        assert len(snapshots) == reference.result.iterations + 1
+        assert len(snapshots) == reference.iterations + 1
         assert len(snapshots) == len(states)
         assert [s.iteration for s in snapshots] == [s[0] for s in states]
         assert [s.l1_error for s in snapshots] == [s[1] for s in states]
@@ -611,7 +655,7 @@ class TestStreaming:
                 )
                 result = service.query(QuerySpec(non_hub, stop=STOP))
         assert result.truncated
-        assert len(snapshots) == result.result.iterations + 1
+        assert len(snapshots) == result.iterations + 1
         np.testing.assert_array_equal(snapshots[-1].scores, result.scores)
 
     def test_disk_top_k_certificate_streams(self, disk_setup, small_social,
@@ -671,7 +715,7 @@ class TestMultiNodeSpecs:
         expected = combine_results(
             nodes,
             normalise_weights(len(nodes), weights),
-            [p.result for p in parts],
+            parts,
         )
         np.testing.assert_array_equal(served.scores, expected.scores)
         assert served.cluster_faults == sum(p.cluster_faults for p in parts)
@@ -685,7 +729,7 @@ class TestMultiNodeSpecs:
             result = service.query(
                 QuerySpec((3, 9), top_k=5, top_k_budget=30)
             )
-        assert result.nodes.size == 5
+        assert result.top.size == 5
         # The certificate is re-evaluated on the combined estimate.
         assert isinstance(result.certified, bool)
 

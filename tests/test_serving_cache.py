@@ -4,6 +4,8 @@ updates)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro import (
 )
 from repro.core.dynamic import add_edges, update_index
 from repro.core.splice import invalidate_splice_cache
-from repro.serving.cache import PopularityCache, copy_served
+from repro.serving.cache import PopularityCache
 from repro.storage import DiskGraphStore, DiskPPVStore, cluster_graph, save_index
 
 STOP = StopAfterIterations(2)
@@ -27,10 +29,76 @@ def _result(service, node):
     return service.query(QuerySpec(node, stop=STOP))
 
 
+SERVED_SPECS = {
+    "ppv": QuerySpec(5, stop=STOP),
+    "top_k": QuerySpec(5, top_k=4),
+    "multi_ppv": QuerySpec((3, 9), weights=(2, 1), stop=STOP),
+    "hitting": QuerySpec(5, family="hitting", params={"target": 9}),
+    "reachability": QuerySpec(
+        5, family="reachability", params={"max_length": 3}
+    ),
+}
+SERVED_CASES = [
+    (backend, kind)
+    for backend in ("memory", "disk")
+    for kind in ("ppv", "top_k", "multi_ppv")
+] + [("memory", "hitting"), ("memory", "reachability")]
+
+
+@pytest.fixture(scope="module", params=SERVED_CASES, ids="-".join)
+def served(request, small_social, small_social_index, tmp_path_factory):
+    """``(backend, kind, result)``: one result as the service serves it,
+    for every result shape it serves."""
+    backend, kind = request.param
+    spec = SERVED_SPECS[kind]
+    if backend == "memory":
+        with PPVService.open(
+            small_social_index, graph=small_social, delta=0.0
+        ) as service:
+            return backend, kind, service.query(spec)
+    root = tmp_path_factory.mktemp("served")
+    save_index(small_social_index, root / "index.fppv")
+    assignment = cluster_graph(small_social, 4, seed=1)
+    store = DiskGraphStore(small_social, assignment, root / "c")
+    with DiskPPVStore(root / "index.fppv") as ppv_store:
+        with PPVService.open(
+            ppv_store, graph_store=store, delta=0.0
+        ) as service:
+            return backend, kind, service.query(spec)
+
+
+def _assert_same_fields(got, want) -> None:
+    assert type(got) is type(want)
+    for item in dataclasses.fields(want):
+        a, b = getattr(got, item.name), getattr(want, item.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), item.name
+        else:
+            assert a == b, item.name
+
+
+def _buffers(result) -> list:
+    """The mutable containers a result holds: arrays and lists."""
+    return [
+        value
+        for value in vars(result).values()
+        if isinstance(value, (np.ndarray, list))
+    ]
+
+
+def _scribble(result) -> None:
+    """Overwrite every buffer of ``result`` in place."""
+    for value in _buffers(result):
+        if isinstance(value, np.ndarray):
+            value.fill(-1)
+        else:
+            value.append(-1.0)
+
+
 class TestPopularityCacheUnit:
     def test_eviction_prefers_fewest_hits(self, small_social,
                                           small_social_index):
-        # Real QueryResults so copy_served round-trips them.
+        # Real QueryResults, so the cache's copy() round-trips them.
         from repro import FastPPV
 
         engine = FastPPV(small_social, small_social_index)
@@ -64,28 +132,49 @@ class TestPopularityCacheUnit:
         assert ("old",) not in cache
         assert ("new",) in cache and ("newest",) in cache
 
-    def test_copies_in_both_directions(self, small_social,
-                                       small_social_index):
-        from repro import FastPPV
+    def test_served_results_carry_their_records(self, served):
+        backend, kind, result = served
+        if kind in ("ppv", "top_k", "multi_ppv"):
+            assert (result.cluster_faults is not None) == (backend == "disk")
+            assert (result.certified is not None) == (kind == "top_k")
 
-        value = FastPPV(small_social, small_social_index).query(0, stop=STOP)
+    def test_copy_equals_the_original_in_every_field(self, served):
+        _backend, _kind, result = served
+        _assert_same_fields(result.copy(), result)
+
+    def test_copy_shares_no_buffer(self, served):
+        _backend, _kind, result = served
+        copy = result.copy()
+        pairs = list(zip(_buffers(copy), _buffers(result)))
+        assert pairs
+        for mine, theirs in pairs:
+            if isinstance(theirs, np.ndarray):
+                assert not np.shares_memory(mine, theirs)
+            else:
+                assert mine is not theirs
+
+    def test_copies_in_both_directions(self, served):
+        _backend, _kind, result = served
+        value = result.copy()
+        expected = result.copy()
         cache = PopularityCache(4)
         cache.put(("k",), value)
-        value.scores[:] = -1.0  # caller mutates after put
+        _scribble(value)  # caller mutates after put
         first = cache.get(("k",))
-        assert first.scores[0] != -1.0
-        first.scores[:] = -2.0  # caller mutates a hit
-        second = cache.get(("k",))
-        assert second.scores[0] != -2.0
+        _assert_same_fields(first, expected)
+        _scribble(first)  # caller mutates a hit
+        _assert_same_fields(cache.get(("k",)), expected)
 
     def test_capacity_zero_disables(self):
         cache = PopularityCache(0)
         cache.put(("k",), None)
         assert len(cache) == 0
 
-    def test_copy_served_rejects_unknown_shapes(self):
-        with pytest.raises(TypeError):
-            copy_served(object())
+    def test_a_result_without_copy_is_not_cached(self):
+        cache = PopularityCache(4)
+        cache.put(("k",), object())
+        assert len(cache) == 0
+        assert cache.get(("k",)) is None
 
 
 class TestServiceCacheMemory:
@@ -135,7 +224,7 @@ class TestServiceCacheMemory:
             first = service.query(QuerySpec(5, top_k=4))
             second = service.query(QuerySpec(5, top_k=4))
             stats = service.stats()
-        np.testing.assert_array_equal(first.nodes, second.nodes)
+        np.testing.assert_array_equal(first.top, second.top)
         assert stats.cache_hits == 1
 
     def test_cached_results_are_isolated(self, small_social,

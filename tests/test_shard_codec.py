@@ -159,8 +159,8 @@ class TestRemoteDecodeIsTheLocalRead:
         )
         nodes = list(range(LABELS.size))
         for got, expected in zip(remote.query_many(nodes), local.query_many(nodes)):
-            assert got.result.scores.tobytes() == expected.result.scores.tobytes()
-            assert got.result.error_history == expected.result.error_history
+            assert got.scores.tobytes() == expected.scores.tobytes()
+            assert got.error_history == expected.error_history
 
 
 def _rows_bytes(rows) -> tuple:

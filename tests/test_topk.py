@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import FastPPV, build_index, exact_ppv, select_hubs
-from repro.core.topk import TopKResult, _certificate_holds, query_top_k
+from repro.core.query import QueryResult
+from repro.core.topk import _certificate_holds, query_top_k
 from repro.metrics import top_k_nodes
 
 
@@ -36,7 +37,7 @@ class TestQueryTopK:
                 continue  # budget exhausted (rare) — nothing to verify
             exact = exact_ppv(small_social, query)
             expected = set(top_k_nodes(exact, 5).tolist())
-            assert set(result.nodes.tolist()) == expected
+            assert set(result.top.tolist()) == expected
 
     def test_certifies_somewhere(self, engine, small_social):
         certified = sum(
@@ -47,8 +48,8 @@ class TestQueryTopK:
 
     def test_result_fields(self, engine):
         result = query_top_k(engine, 9, k=4)
-        assert isinstance(result, TopKResult)
-        assert result.nodes.size == 4
+        assert isinstance(result, QueryResult)
+        assert result.top.size == 4
         assert result.iterations >= 0
         assert 0.0 <= result.l1_error <= 1.0
         assert result.scores.shape[0] == engine.graph.num_nodes

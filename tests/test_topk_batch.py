@@ -14,8 +14,8 @@ from oracles import ReferenceFastPPV
 from repro import (
     FastPPV,
     StopAfterIterations,
+    QueryResult,
     StopWhenCertified,
-    TopKResult,
     build_index,
     query_top_k,
     select_hubs,
@@ -43,7 +43,8 @@ def _setup(kind: str, graph_seed: int, delta: float):
     return graph, index, scalar, batch
 
 
-def assert_topk_equivalent(scalar_result: TopKResult, batch_result: TopKResult):
+def assert_topk_equivalent(scalar_result: QueryResult,
+                           batch_result: QueryResult):
     assert batch_result.certified == scalar_result.certified
     assert batch_result.iterations == scalar_result.iterations
     assert batch_result.l1_error == scalar_result.l1_error
@@ -51,8 +52,8 @@ def assert_topk_equivalent(scalar_result: TopKResult, batch_result: TopKResult):
     if scalar_result.certified:
         # Certified means provably *the* exact top-k set, so both paths
         # must name the same nodes.
-        assert set(batch_result.nodes.tolist()) == set(
-            scalar_result.nodes.tolist()
+        assert set(batch_result.top.tolist()) == set(
+            scalar_result.top.tolist()
         )
 
 
@@ -179,8 +180,8 @@ class TestWiring:
     def test_batch_top_k_matches_scalar_reference(self):
         graph, index, scalar, batch = _setup("social", 1, 0.0)
         results = batch.query_top_k_many([3, 9, 9], k=4, max_iterations=32)
-        assert all(isinstance(r, TopKResult) for r in results)
-        assert [r.nodes.size for r in results] == [4, 4, 4]
+        assert all(isinstance(r, QueryResult) for r in results)
+        assert [r.top.size for r in results] == [4, 4, 4]
         reference = query_top_k(scalar, 3, k=4, max_iterations=32)
         assert results[0].iterations == reference.iterations
         assert results[0].certified == reference.certified
