@@ -21,7 +21,7 @@ would double-count (see the module docstring of :mod:`repro.core.prime`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -187,11 +187,24 @@ class QueryResult:
         return self.top
 
     def copy(self) -> "QueryResult":
-        """A copy that shares no buffer with this result."""
-        return replace(
-            self,
+        """A copy that shares no buffer with this result.
+
+        Built field by field rather than through ``dataclasses.replace``,
+        which walks the field list on every call: the popularity cache
+        copies on every hit and every insert.
+        """
+        return QueryResult(
+            query=self.query,
             scores=self.scores.copy(),
+            iterations=self.iterations,
             error_history=list(self.error_history),
+            hubs_expanded=self.hubs_expanded,
+            seconds=self.seconds,
+            work_units=self.work_units,
+            cluster_faults=self.cluster_faults,
+            hub_reads=self.hub_reads,
+            truncated=self.truncated,
+            certified=self.certified,
             top=None if self.top is None else self.top.copy(),
         )
 
