@@ -58,7 +58,7 @@ from repro.core.query import (
 )
 from repro.core.prime import prime_push_many
 from repro.core.splice import resident_block, splice_rounds_exact
-from repro.core.topk import StopWhenCertified, top_k_result
+from repro.core.topk import StopWhenCertified
 
 BatchCallback = Callable[[int, QueryState], None]
 """Per-query iteration callback: ``(position_in_batch, state)``.
@@ -195,54 +195,6 @@ class FastPPV(BatchOfOne):
                 )
             )
         return results
-
-    def query_top_k_many(
-        self,
-        queries: Sequence[int],
-        k: int = 10,
-        max_iterations: int = 32,
-        on_iteration: BatchCallback | None = None,
-    ) -> list[QueryResult]:
-        """Certified top-k for a whole batch of queries, preserving order.
-
-        Batch-retirement contract
-        -------------------------
-        The batch runs in lock-step rounds, but every query carries its
-        *own* top-k certificate (the phi-gap rule of
-        :mod:`repro.core.topk`): after each round the certificates of all
-        in-flight queries are checked in one vectorised pass
-        (:meth:`~repro.core.topk.StopWhenCertified.should_stop_many`),
-        and a query **retires from the batch the moment its certificate
-        fires** — it stops consuming rounds while uncertified neighbours
-        keep iterating towards ``max_iterations``.  Each query therefore
-        performs exactly as many incremental iterations as
-        :func:`~repro.core.topk.query_top_k` alone would (same certified
-        sets, same per-query iteration counts), with the per-round work
-        batched into the two products of the shared round loop.
-
-        Certificate soundness follows
-        :func:`~repro.core.topk.query_top_k`: build the engine with
-        ``delta = 0`` for a formally sound certificate (a positive
-        ``delta`` makes the Eq. 6 error slightly optimistic about pruned
-        mass).
-
-        Parameters
-        ----------
-        queries:
-            Query node ids (duplicates allowed).
-        k:
-            Size of the wanted top set.
-        max_iterations:
-            Per-query certificate budget; queries whose certificate never
-            fires within it are returned with ``certified=False``.
-        on_iteration:
-            Optional :data:`BatchCallback`, as in :meth:`query_many`.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        stop = StopWhenCertified(k=k, max_iterations=max_iterations)
-        results = self.query_many(queries, stop=stop, on_iteration=on_iteration)
-        return [top_k_result(result, k) for result in results]
 
     # ------------------------------------------------------------------ #
 

@@ -244,14 +244,25 @@ def prime_push_many(
                 graph, source, hub_mask, alpha, epsilon, max_rounds,
                 scores[row], border[row],
             )
-    elif native.load().repro_prime_push_many(
-        n, graph.indptr, graph.indices, graph.edge_probabilities,
-        num_sources, np.ascontiguousarray(sources),
-        np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
-        alpha, epsilon, max_rounds, _DENSE_AGGREGATION_LIMIT,
-        scores, border, edges_touched, native.push_threads(num_sources),
-    ) < 0:
-        raise MemoryError("prime_push_many: the push kernel ran out of memory")
+    else:
+        # The kernel takes raw addresses: every array is checked here,
+        # once, for the dtype and C layout it reads (a no-op on a
+        # DiGraph's own arrays), and held until the call returns.
+        arrays = (
+            np.require(graph.indptr, np.int64, "C"),
+            np.require(graph.indices, np.int32, "C"),
+            np.require(graph.edge_probabilities, np.float64, "C"),
+            np.require(sources, np.int64, "C"),
+            np.require(hub_mask, np.bool_, "C"),
+        )
+        indptr, indices, probs, rows, hubs = (a.ctypes.data for a in arrays)
+        if native.load().repro_prime_push_many(
+            n, indptr, indices, probs, num_sources, rows, hubs,
+            alpha, epsilon, max_rounds, _DENSE_AGGREGATION_LIMIT,
+            scores.ctypes.data, border.ctypes.data, edges_touched.ctypes.data,
+            native.push_threads(num_sources),
+        ) < 0:
+            raise MemoryError("prime_push_many: the push kernel ran out of memory")
     return scores, border, edges_touched
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from repro.core.topk import StopWhenCertified, top_k_result
 from repro.metrics.ranking import top_k_nodes
 
 DEFAULT_DELTA = 0.005
@@ -69,6 +70,9 @@ class StopAfterIterations:
     def should_stop(self, state: QueryState) -> bool:
         return state.iteration >= self.eta
 
+    def should_stop_many(self, iterations, l1_errors, scores) -> np.ndarray:
+        return iterations >= self.eta
+
 
 @dataclass(frozen=True)
 class StopAtL1Error:
@@ -78,6 +82,9 @@ class StopAtL1Error:
 
     def should_stop(self, state: QueryState) -> bool:
         return state.l1_error <= self.target
+
+    def should_stop_many(self, iterations, l1_errors, scores) -> np.ndarray:
+        return l1_errors <= self.target
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,22 @@ class _AnyOf:
 
     def should_stop(self, state: QueryState) -> bool:
         return any(c.should_stop(state) for c in self.conditions)
+
+    @property
+    def should_stop_many(self):
+        """The members' ``should_stop_many`` or-ed together, or ``None``
+        when a member has none (the round loop then asks per state)."""
+        members = [getattr(c, "should_stop_many", None) for c in self.conditions]
+        if any(member is None for member in members):
+            return None
+
+        def should_stop_many(iterations, l1_errors, scores) -> np.ndarray:
+            stopping = np.zeros(len(iterations), dtype=bool)
+            for member in members:
+                stopping |= member(iterations, l1_errors, scores)
+            return stopping
+
+        return should_stop_many
 
 
 def any_of(*conditions: StoppingCondition) -> StoppingCondition:
@@ -233,8 +256,9 @@ def query_ids(queries: Sequence[int], num_nodes: int) -> list[int]:
 
 
 class BatchOfOne:
-    """``query`` for an engine whose ``query_many(queries, stop,
-    on_iteration)`` reports ``on_iteration(position, state)``."""
+    """``query`` and ``query_top_k_many`` for an engine whose
+    ``query_many(queries, stop, on_iteration)`` reports
+    ``on_iteration(position, state)``."""
 
     def query(
         self,
@@ -249,3 +273,52 @@ class BatchOfOne:
         if on_iteration is not None:
             callback = lambda _position, state: on_iteration(state)
         return self.query_many([query], stop=stop, on_iteration=callback)[0]
+
+    def query_top_k_many(
+        self,
+        queries: Sequence[int],
+        k: int = 10,
+        max_iterations: int = 32,
+        on_iteration: "Callable[[int, QueryState], None] | None" = None,
+    ) -> "list[QueryResult]":
+        """Certified top-k for a whole batch of queries, preserving order.
+
+        Batch-retirement contract
+        -------------------------
+        The batch runs in lock-step rounds, but every query carries its
+        *own* top-k certificate (the phi-gap rule of
+        :mod:`repro.core.topk`): after each round the certificates of all
+        in-flight queries are checked in one vectorised pass
+        (:meth:`~repro.core.topk.StopWhenCertified.should_stop_many`),
+        and a query **retires from the batch the moment its certificate
+        fires** — it stops consuming rounds while uncertified neighbours
+        keep iterating towards ``max_iterations``.  Each query therefore
+        performs exactly as many incremental iterations as
+        :func:`~repro.core.topk.query_top_k` alone would (same certified
+        sets, same per-query iteration counts).  The result carries the
+        engine's own record (the disk I/O record on the disk engine).
+
+        Certificate soundness follows
+        :func:`~repro.core.topk.query_top_k`: build the engine with
+        ``delta = 0`` for a formally sound certificate (a positive
+        ``delta`` makes the Eq. 6 error slightly optimistic about pruned
+        mass; a truncated disk push stays sound because its missing mass
+        is part of the Eq. 6 error the certificate already budgets for).
+
+        Parameters
+        ----------
+        queries:
+            Query node ids (duplicates allowed).
+        k:
+            Size of the wanted top set.
+        max_iterations:
+            Per-query certificate budget; queries whose certificate never
+            fires within it are returned with ``certified=False``.
+        on_iteration:
+            Optional ``(position, state)`` callback, as in ``query_many``.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        stop = StopWhenCertified(k=k, max_iterations=max_iterations)
+        results = self.query_many(queries, stop=stop, on_iteration=on_iteration)
+        return [top_k_result(result, k) for result in results]

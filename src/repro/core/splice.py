@@ -20,12 +20,13 @@ payloads:
   :func:`resident_block`, the block holding every hub of a
   :class:`~repro.core.index.PPVIndex`, packed once and cached on the
   index — memory is "disk with everything resident".
-* Each round is two products over the stacked, delta-gated
-  ``(query, hub)`` pairs — :meth:`SpliceBlock.score_product` and
-  :meth:`SpliceBlock.border_product` — whose per-element accumulation
+* Each round of a batch is one call of the compiled
+  ``repro_splice_round`` (:mod:`repro.native`) over state allocated once
+  per batch: the delta gate, the score scatter and the first-touch
+  border accumulation of every gated ``(query, hub)`` pair, each query's
+  counters and its ``1 - sum(estimate)``.  The per-element accumulation
   order is exactly the scalar loop's, so scores, error histories and
-  frontiers are **bitwise equal** to it on every backend.  Both run in the
-  compiled kernels of :mod:`repro.native`
+  frontiers are **bitwise equal** to it on every backend
   (``tests/test_native_kernels.py``).
 
 Indexes are treated as immutable once queried —
@@ -36,6 +37,7 @@ cached block can never go stale through the supported update path.  Call
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -51,6 +53,15 @@ _CACHE_ATTR = "_splice_block"
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
+
+
+_BYTES = ctypes.c_char * 0
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's first byte (a
+    quarter of what ``array.ctypes.data`` costs per call)."""
+    return ctypes.addressof(_BYTES.from_buffer(array))
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -182,9 +193,9 @@ class SpliceBlock:
     them into one batch, is sized for exactly those and carries no
     growth slack.
 
-    :meth:`score_product` and :meth:`border_product` are the two products
-    of one incremental round over any sequence of block rows, read
-    straight from the CSR.
+    The splice round reads the rows straight from the CSR, and checks a
+    hub's rows for columns outside ``[0, num_nodes)`` the first time it
+    splices them (``_checked``, one flag per node).
     """
 
     def __init__(
@@ -193,6 +204,7 @@ class SpliceBlock:
         self.alpha = alpha
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
+        self._checked = np.zeros(num_nodes, dtype=np.uint8)
         self._num_rows = 0
         rows = HubRows.pack(entries)
         self._scores = _GrowableRows(rows.nodes.size + len(rows) or 1024)
@@ -287,67 +299,6 @@ class SpliceBlock:
             )
         return rows
 
-    def _refuse(self, row: int) -> None:
-        hub = int(np.nonzero(self._row_lookup == row)[0][0])
-        raise ValueError(
-            f"the prime PPV of hub {hub} names a node outside "
-            f"[0, {self.num_nodes})"
-        )
-
-    def work_of(self, rows: np.ndarray) -> np.ndarray:
-        """Per row, the work units of one splice: the prime PPV's
-        ``nodes.size + border_hubs.size`` (the score row's trailing
-        correction element is not an index entry)."""
-        scores, borders = self._scores.csr()[0], self._borders.csr()[0]
-        return (
-            scores[rows + 1] - scores[rows] - 1
-            + borders[rows + 1] - borders[rows]
-        )
-
-    def score_product(
-        self,
-        rows: np.ndarray,
-        masses: np.ndarray,
-        offsets: np.ndarray,
-        dest: np.ndarray,
-    ) -> None:
-        """``dest[offsets[p] + column] += masses[p] * value`` over score
-        row ``rows[p]``, in (pair, row element) order — the scalar loop's
-        ``estimate[nodes] += m * scores; estimate[hub] -= alpha * m`` per
-        pair.  Raises :class:`ValueError`, writing nothing past it, on a
-        column outside ``[0, num_nodes)``."""
-        bad = native.load().repro_splice_scores(
-            self.num_nodes, rows.size, rows, masses, offsets,
-            *self._scores.csr(), dest,
-        )
-        if bad >= 0:
-            self._refuse(bad)
-
-    def border_product(
-        self, rows: np.ndarray, masses: np.ndarray, counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next frontiers of ``counts.size`` queries whose pairs
-        ``(rows[p], masses[p])`` are stacked query by query, ``counts[q]``
-        each: per query ``next[hub] = next.get(hub, 0.0) + masses[p] *
-        value`` over border row ``rows[p]`` in (pair, row element) order,
-        hubs in *first-touch* order — the scalar loop's dict, insertion
-        order included.  Returns ``(hubs, arrival masses, per-query entry
-        counts)``, the first two stacked query by query."""
-        indptr, indices, data = self._borders.csr()
-        room = int((indptr[rows + 1] - indptr[rows]).sum())
-        next_hubs = np.empty(room, dtype=np.int64)
-        next_masses = np.empty(room, dtype=np.float64)
-        next_counts = np.empty(counts.size, dtype=np.int64)
-        written = native.load().repro_splice_borders(
-            self.num_nodes, counts.size, counts, rows, masses,
-            indptr, indices, data,
-            np.zeros(self.num_nodes, dtype=np.int64),
-            next_hubs, next_masses, next_counts,
-        )
-        if written < 0:
-            self._refuse(-written - 1)
-        return next_hubs[:written], next_masses[:written], next_counts
-
 
 def resident_block(index: PPVIndex) -> SpliceBlock:
     """The :class:`SpliceBlock` holding every hub of ``index``, built on
@@ -385,6 +336,156 @@ def invalidate_splice_cache(index: PPVIndex) -> None:
         delattr(index, _CACHE_ATTR)
 
 
+class _BatchRounds:
+    """One batch's state for ``kernels.c::repro_splice_round``, allocated
+    once per batch and read in place by every round's one C call.
+
+    The frontiers are stacked in two buffers, the rows of ``hubs`` /
+    ``masses``, that the kernel swaps each round: query ``i``'s is
+    ``[starts[i], starts[i] + counts[i])`` of row ``current``.
+    ``errors[r, i]`` is query ``i``'s L1 error after iteration ``r``;
+    ``iterations``, ``hubs_expanded`` and ``work_units`` are per query.
+    Every array the kernel sees is created here with its dtype and
+    layout and held for as long as the struct points at it.
+    """
+
+    def __init__(
+        self,
+        estimates: np.ndarray,
+        frontiers: "list[tuple[np.ndarray, np.ndarray]]",
+        alpha: float,
+        delta: float,
+        block: SpliceBlock,
+    ) -> None:
+        if estimates.dtype != np.float64 or not estimates.flags.c_contiguous:
+            raise ValueError("estimates must be C-contiguous float64")
+        batch, num_nodes = estimates.shape
+        self._round = native.load().repro_splice_round
+        self.estimates, self.block = estimates, block
+        # One int64 table, a row per counter, passed as one address.
+        self.table = table = np.zeros((7, batch), dtype=np.int64)
+        (
+            self.starts, self.counts, _, _,
+            self.iterations, self.hubs_expanded, self.work_units,
+        ) = table
+        self.counts[:] = [hubs.size for hubs, _ in frontiers]
+        self.starts[:] = np.cumsum(self.counts) - self.counts
+        total = int(self.counts.sum())
+        # A next frontier holds each border hub once; on a block whose
+        # border hubs all have rows (every resident block) that is at
+        # most num_rows per query, so the buffers never grow.
+        capacity = max(1024, 4 * total, batch * block.num_rows)
+        self.hubs = np.empty((2, capacity), dtype=np.int64)
+        self.masses = np.empty((2, capacity))
+        self.current = 0
+        np.concatenate(
+            [_EMPTY_I64, *(h for h, _ in frontiers)], out=self.hubs[0, :total]
+        )
+        np.concatenate(
+            [_EMPTY_F64, *(m for _, m in frontiers)], out=self.masses[0, :total]
+        )
+        self.errors = np.empty((8, batch))
+        # np.sum's bits per row: numpy reduces each contiguous row whole.
+        self.errors[0] = 1.0 - estimates.sum(axis=1)
+        # slot (zero between calls), then absent.
+        self.scratch = np.zeros((2, num_nodes), dtype=np.int64)
+        self.rows = _EMPTY_I64
+        table_at, row_bytes = _address(table), table.strides[0]
+        scratch_at = _address(self.scratch)
+        self.state = native.SpliceRound(
+            num_nodes=num_nodes, queries=batch, alpha=alpha, delta=delta,
+            estimates=_address(estimates), errors=_address(self.errors),
+            **{
+                name: table_at + row * row_bytes
+                for row, name in enumerate((
+                    "starts", "counts", "next_starts", "next_counts",
+                    "iterations", "hubs_expanded", "work_units",
+                ))
+            },
+            slot=scratch_at, absent=scratch_at + self.scratch.strides[0],
+        )
+        self._point_at_buffers()
+        self._point_at_block()
+        self._ref = ctypes.byref(self.state)
+
+    def _point_at_buffers(self) -> None:
+        state, current = self.state, self.current
+        hubs_at, masses_at = _address(self.hubs), _address(self.masses)
+        row_bytes = self.hubs.strides[0]
+        state.hubs = hubs_at + current * row_bytes
+        state.masses = masses_at + current * row_bytes
+        state.next_hubs = hubs_at + (1 - current) * row_bytes
+        state.next_masses = masses_at + (1 - current) * row_bytes
+        state.capacity = self.hubs.shape[1]
+
+    def _point_at_block(self) -> None:
+        """Point the struct at the block's arrays (again after it grew:
+        an append may move them)."""
+        block, state = self.block, self.state
+        (
+            state.row_lookup, state.checked,
+            state.score_indptr, state.score_indices, state.score_data,
+            state.border_indptr, state.border_indices, state.border_data,
+        ) = map(
+            _address,
+            (
+                block._row_lookup, block._checked,
+                *block._scores.csr(), *block._borders.csr(),
+            ),
+        )
+
+    def run(self, rows: np.ndarray, ensure: Callable[[np.ndarray], None]) -> None:
+        """One round of the queries ``rows`` (int64, ascending), all at
+        the same iteration: ``ensure`` makes the hubs they need resident,
+        then the kernel runs the round."""
+        state = self.state
+        if rows is not self.rows:
+            self.rows = rows
+            state.rows, state.runnable = _address(rows), rows.size
+        if self.errors.shape[0] <= self.iterations[rows[0]] + 1:
+            self.errors = np.concatenate((self.errors, np.empty_like(self.errors)))
+            state.errors = _address(self.errors)
+        while status := self._round(self._ref):
+            if status > 0:  # hubs without a row: one stacked fetch
+                absent = self.scratch[1, :status].copy()
+                ensure(absent)
+                still = self.block.missing(absent)
+                if still.size:
+                    raise KeyError(f"hubs {still.tolist()} are not in the block")
+                self._point_at_block()
+            elif status == -1:  # the next frontiers outgrew the buffers
+                live, capacity = self.current, self.hubs.shape[1]
+                hubs, masses = self.hubs, self.masses
+                self.hubs = np.empty((2, 2 * capacity), dtype=np.int64)
+                self.masses = np.empty((2, 2 * capacity))
+                self.hubs[live, :capacity] = hubs[live]
+                self.masses[live, :capacity] = masses[live]
+                self._point_at_buffers()
+            elif status == -2:
+                raise ValueError(
+                    f"the prime PPV of hub {state.refused} names a node "
+                    f"outside [0, {state.num_nodes})"
+                )
+            else:
+                raise ValueError(
+                    f"frontier hub {state.refused} is outside [0, {state.num_nodes})"
+                )
+        self.current = 1 - self.current
+
+    def frontiers(self, queries: np.ndarray) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """The current frontiers of ``queries``: views into one copy of
+        the current buffer."""
+        hubs = self.hubs[self.current].copy()
+        masses = self.masses[self.current].copy()
+        starts = self.starts[queries]
+        return [
+            (hubs[start:end], masses[start:end])
+            for start, end in zip(
+                starts.tolist(), (starts + self.counts[queries]).tolist()
+            )
+        ]
+
+
 def splice_rounds_exact(
     estimates: np.ndarray,
     frontiers: "list[tuple[np.ndarray, np.ndarray]]",
@@ -400,14 +501,17 @@ def splice_rounds_exact(
     """Algorithm 2's incremental rounds for a batch, bitwise-exact.
 
     The batch twin of the per-hub dict loop (the scalar loop of the
-    module docstring): each round stacks
-    the delta-gated ``(query, hub)`` pairs of every in-flight query and
-    applies :meth:`SpliceBlock.score_product` and
-    :meth:`SpliceBlock.border_product` to them, whose element order is
-    (query, frontier position, row element) — the exact operation order
-    of the scalar loop, so scores, error histories and next frontiers
-    are bit-for-bit identical to running it per query (queries never
-    share accumulation targets).
+    module docstring): each round is one call of the compiled
+    ``repro_splice_round`` over every in-flight query.  It applies the
+    delta gate to each ``(query, hub)`` pair in frontier order, splices
+    the gated hubs' score and border rows in (query, frontier position,
+    row element) order — the exact operation order of the scalar loop,
+    so scores, error histories and next frontiers are bit-for-bit
+    identical to running it per query (queries never share accumulation
+    targets) — and writes each query's ``1 - sum(estimate)`` with
+    numpy's own pairwise sum over the row.  Python keeps the loop over
+    rounds: the stop test, the retirement of finished queries and
+    ``on_iteration``.
 
     Parameters
     ----------
@@ -416,20 +520,22 @@ def splice_rounds_exact(
         query ``i``'s running estimate (iteration 0 already applied).
     frontiers:
         Per query, ``(hub ids int64, arrival masses float64)`` in the
-        scalar dict's iteration order; consumed and replaced (the arrays
-        themselves are never written).
+        scalar dict's iteration order; each entry is replaced by the
+        query's last frontier when it retires (the arrays themselves are
+        never written).
     stop / alpha / delta / max_iterations:
         As in :class:`repro.core.batch.FastPPV`; ``stop`` is evaluated
         per query per round and must be stateless to mean the same thing
-        it does for a query served alone.  A condition exposing a vectorised
-        ``should_stop_many`` (the certified top-k rule) is evaluated for
-        every in-flight query of the round in one pass; the decisions
-        are identical by that method's contract.
+        it does for a query served alone.  A condition exposing a
+        vectorised ``should_stop_many`` (every built-in one) is evaluated
+        for every in-flight query of the round in one pass, without a
+        :class:`~repro.core.query.QueryState`; the decisions are
+        identical by that method's contract.
     block / ensure:
         The resident-row block and a callable that must make every hub
         id array passed to it resident (``ensure(missing)`` — fetch and
         :meth:`SpliceBlock.add_rows`); it is reached only when a round
-        needs a hub the block lacks.
+        needs a hub the block lacks, and the round is then run again.
     on_iteration:
         Optional ``(query position, QueryState)`` callback, invoked once
         per executed iteration per query, iteration 0 included.
@@ -442,22 +548,17 @@ def splice_rounds_exact(
     touched, and ``seconds`` is the time from ``started`` until the
     query retired.
     """
-    batch, num_nodes = estimates.shape
-    flat_estimates = estimates.reshape(-1)
-    iterations = np.zeros(batch, dtype=np.int64)
-    hubs_expanded = [0] * batch
-    work_units = [0] * batch
-    seconds = [0.0] * batch
-    error_history = [
-        [1.0 - float(estimates[i].sum())] for i in range(batch)
-    ]
+    batch = estimates.shape[0]
+    rounds = _BatchRounds(estimates, frontiers, alpha, delta, block)
+    seconds = np.zeros(batch)
 
     def state_of(i: int) -> QueryState:
+        iteration = int(rounds.iterations[i])
         return QueryState(
-            iteration=int(iterations[i]),
-            l1_error=error_history[i][-1],
+            iteration=iteration,
+            l1_error=float(rounds.errors[iteration, i]),
             elapsed_seconds=time.perf_counter() - started,
-            frontier_size=frontiers[i][0].size,
+            frontier_size=int(rounds.counts[i]),
             scores=estimates[i],
         )
 
@@ -466,78 +567,42 @@ def splice_rounds_exact(
             on_iteration(i, state_of(i))
 
     stop_many = getattr(stop, "should_stop_many", None)
-    active = list(range(batch))
-    while active:
+    live = np.arange(batch, dtype=np.int64)
+    iteration = 0
+    while live.size:
+        # Every live query has run `iteration` rounds.
+        done = (rounds.counts[live] == 0) | (iteration >= max_iterations)
         if stop_many is not None:
-            stopping = stop_many(
-                iterations[active],
-                np.array([error_history[i][-1] for i in active]),
-                estimates[active],
+            done |= stop_many(
+                rounds.iterations[live],
+                rounds.errors[iteration, live],
+                estimates if live.size == batch else estimates[live],
             )
-        runnable = []
-        for position, i in enumerate(active):
-            if (
-                frontiers[i][0].size == 0
-                or iterations[i] >= max_iterations
-                or (
-                    stopping[position]
-                    if stop_many is not None
-                    else stop.should_stop(state_of(i))
-                )
-            ):
-                seconds[i] = time.perf_counter() - started
-            else:
-                runnable.append(i)
-        active = runnable
-        if not runnable:
-            break
-
-        # Per-(query, hub) delta gate (Algorithm 2, line 9): a frontier
-        # hub is expanded only if its increment score alpha * mass
-        # exceeds delta; gated entries also drop out of the next
-        # frontier.  The survivors of the whole round are stacked.
-        kept = []
-        for i in runnable:
-            hubs, masses = frontiers[i]
-            keep = alpha * masses > delta
-            kept.append((hubs[keep], masses[keep]))
-        counts = np.array([hubs.size for hubs, _ in kept], dtype=np.int64)
-        ends = np.cumsum(counts)
-        next_hubs, next_masses = _EMPTY_I64, _EMPTY_F64
-        next_counts, work = np.zeros_like(counts), np.zeros(1, dtype=np.int64)
-        if ends[-1]:
-            needed = np.concatenate([hubs for hubs, _ in kept])
-            masses = np.concatenate([masses for _, masses in kept])
-            absent = block.missing(needed)
-            if absent.size:
-                ensure(absent)  # one stacked fetch for the round
-            rows = block.rows_of(needed)
-            block.score_product(
-                rows,
-                masses,
-                np.repeat(np.asarray(runnable, dtype=np.int64) * num_nodes, counts),
-                flat_estimates,
-            )
-            next_hubs, next_masses, next_counts = block.border_product(
-                rows, masses, counts
-            )
-            work = np.concatenate(([0], np.cumsum(block.work_of(rows))))
-        cuts = np.cumsum(next_counts)[:-1]
-        for i, end, expanded, hubs, masses in zip(
-            runnable,
-            ends.tolist(),
-            counts.tolist(),
-            np.split(next_hubs, cuts),
-            np.split(next_masses, cuts),
-        ):
-            iterations[i] += 1
-            hubs_expanded[i] += expanded
-            work_units[i] += int(work[end] - work[end - expanded])
-            frontiers[i] = (hubs, masses)
-            error_history[i].append(1.0 - float(estimates[i].sum()))
-            if on_iteration is not None:
+        else:
+            for position in np.flatnonzero(~done).tolist():
+                done[position] = stop.should_stop(state_of(int(live[position])))
+        if done.any():
+            retired = live[done]
+            seconds[retired] = time.perf_counter() - started
+            for i, frontier in zip(retired.tolist(), rounds.frontiers(retired)):
+                frontiers[i] = frontier
+            live = live[~done]
+            if not live.size:
+                break
+        rounds.run(live, ensure)
+        iteration += 1
+        if on_iteration is not None:
+            for i in live.tolist():
                 on_iteration(i, state_of(i))
 
-    return list(
-        zip(iterations.tolist(), error_history, hubs_expanded, work_units, seconds)
-    )
+    return [
+        (iterations, rounds.errors[: iterations + 1, i].tolist(), expanded, work, spent)
+        for i, (iterations, expanded, work, spent) in enumerate(
+            zip(
+                rounds.iterations.tolist(),
+                rounds.hubs_expanded.tolist(),
+                rounds.work_units.tolist(),
+                seconds.tolist(),
+            )
+        )
+    ]

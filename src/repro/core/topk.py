@@ -28,11 +28,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.query import QueryResult
 from repro.metrics.ranking import top_k_nodes
 
 if TYPE_CHECKING:
     from repro.core.batch import FastPPV
+    from repro.core.query import QueryResult
 
 
 def _certificate_holds(scores: np.ndarray, k: int, phi: float) -> bool:

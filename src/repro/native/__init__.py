@@ -4,13 +4,21 @@
 waves (:class:`repro.storage.disk_engine._ClusterWaves`), with the
 structure check of every cluster segment it reads
 (:meth:`repro.storage.residency.ClusterResidency.check_segment`), the
-level-synchronous :func:`repro.core.prime.prime_push_many` and the two
-products of a splice round (:class:`repro.core.splice.SpliceBlock`).
-They are the only spelling ``src/`` serves with: each is pinned bit for
-bit against a reference in ``tests/oracles.py`` (the per-edge drain
-under the Python wave loop, ``scalar_splice_rounds``) or, for the
-level-synchronous push, against its numpy rounds
-(``tests/test_native_kernels.py``).
+level-synchronous :func:`repro.core.prime.prime_push_many` and one
+incremental round of a batch (:func:`repro.core.splice.splice_rounds_exact`
+calls ``repro_splice_round`` once per round).  They are the only
+spelling ``src/`` serves with: each is pinned bit for bit against a
+reference in ``tests/oracles.py`` (the per-edge drain under the Python
+wave loop, ``scalar_splice_rounds``) or, for the level-synchronous
+push, against its numpy rounds (``tests/test_native_kernels.py``).
+
+Every array reaches C as a raw address (``c_void_p``, or ``bytes`` for
+a stored segment), never through a numpy argtype, whose per-call check
+costs microseconds per array.  The caller that builds or
+receives an array checks its dtype and contiguity once, where it does
+so: :func:`~repro.core.prime.prime_push_many` for the push, and the
+structs' owners (``_ClusterWaves``, the splice round's batch state) for
+the arrays they allocate.
 
 A C compiler and a writable cache directory are requirements at the
 first query.  A Python / numpy fallback used to serve when either was
@@ -65,9 +73,6 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-
-import numpy as np
-from numpy.ctypeslib import ndpointer
 
 SOURCE = Path(__file__).with_name("kernels.c")
 
@@ -126,13 +131,33 @@ class PushWaves(ctypes.Structure):
     ]
 
 
-def _array(dtype, ndim=1):
-    return ndpointer(dtype=dtype, ndim=ndim, flags="C_CONTIGUOUS")
+class SpliceRound(ctypes.Structure):
+    """``splice_round`` of ``kernels.c``: one batch's incremental rounds
+    (see :func:`repro.core.splice.splice_rounds_exact`).  The pointers
+    borrow the splice block's arrays and the batch's; the owning round
+    state keeps all of them alive."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in ("num_nodes", "queries")]
+        + [(name, ctypes.c_double) for name in ("alpha", "delta")]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "row_lookup", "checked", "score_indptr", "score_indices",
+                "score_data", "border_indptr", "border_indices", "border_data",
+                "estimates", "rows", "starts", "counts", "next_starts",
+                "next_counts", "hubs", "masses", "next_hubs", "next_masses",
+                "iterations", "hubs_expanded", "work_units", "errors", "slot",
+                "absent",
+            )
+        ]
+        + [(name, ctypes.c_int64) for name in ("runnable", "capacity", "refused")]
+    )
 
 
 def _declare(lib: ctypes.CDLL) -> None:
     waves, address = ctypes.POINTER(PushWaves), ctypes.c_void_p
-    for size in (lib.repro_run_size, lib.repro_waves_size):
+    for size in (lib.repro_run_size, lib.repro_waves_size, lib.repro_round_size):
         size.restype = ctypes.c_int64
         size.argtypes = ()
     lib.repro_waves_start.restype = None
@@ -148,27 +173,17 @@ def _declare(lib: ctypes.CDLL) -> None:
     )
     lib.repro_prime_push_many.restype = ctypes.c_int64
     lib.repro_prime_push_many.argtypes = (
-        ctypes.c_int64, _array(np.int64), _array(np.int32), _array(np.float64),
-        ctypes.c_int64, _array(np.int64), _array(np.uint8),
-        ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-        _array(np.float64, 2), _array(np.float64, 2), _array(np.int64),
-        ctypes.c_int64,
+        ctypes.c_int64, address, address, address, ctypes.c_int64, address,
+        address, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+        ctypes.c_int64, address, address, address, ctypes.c_int64,
     )
-    i64, f64 = _array(np.int64), _array(np.float64)
-    lib.repro_splice_scores.restype = ctypes.c_int64
-    lib.repro_splice_scores.argtypes = (
-        ctypes.c_int64, ctypes.c_int64, i64, f64, i64, i64, i64, f64, f64,
-    )
-    lib.repro_splice_borders.restype = ctypes.c_int64
-    lib.repro_splice_borders.argtypes = (
-        ctypes.c_int64, ctypes.c_int64, i64, i64, f64, i64, i64, f64,
-        i64, i64, f64, i64,
-    )
-    if (lib.repro_run_size(), lib.repro_waves_size()) != (
-        ctypes.sizeof(PushRun), ctypes.sizeof(PushWaves)
-    ):
+    lib.repro_splice_round.restype = ctypes.c_int64
+    lib.repro_splice_round.argtypes = (ctypes.POINTER(SpliceRound),)
+    sizes = (lib.repro_run_size(), lib.repro_waves_size(), lib.repro_round_size())
+    if sizes != tuple(map(ctypes.sizeof, (PushRun, PushWaves, SpliceRound))):
         raise Unavailable(
             "kernels.c and repro.native disagree on push_run / push_waves"
+            " / splice_round"
         )
 
 

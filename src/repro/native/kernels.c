@@ -1,5 +1,5 @@
-/* The two prime-push schedules of repro and the two products of a splice
- * round, ported operation for operation.
+/* The two prime-push schedules of repro and its splice round, ported
+ * operation for operation.
  *
  * The ports are pinned bit for bit against the Python / numpy code they
  * take off the hot path (tests/test_native_kernels.py), so *the schedule
@@ -9,14 +9,15 @@
  * reassociation or fusion (no -ffast-math, no -march=native), and with
  * -pthread.
  *
- * No Python.h, no globals; the cluster waves never allocate (their state
- * is numpy arrays owned by the caller), the level-synchronous push grows
- * work blocks with malloc and reports failure as -1.  The push's rows
- * share nothing: each is a lone push of its source, rounds, sums and
- * aggregation rule included, so a row's bytes are those of a batch of
- * one in any batch, order or thread count.  Threads take rows off one
- * atomic counter; they are created and joined inside the one call (no
- * thread outlives it, so a forked process never inherits one).
+ * No Python.h, no globals; the cluster waves and the splice round never
+ * allocate (their state is numpy arrays owned by the caller), the
+ * level-synchronous push grows work blocks with malloc and reports
+ * failure as -1.  The push's rows share nothing: each is a lone push of
+ * its source, rounds, sums and aggregation rule included, so a row's
+ * bytes are those of a batch of one in any batch, order or thread
+ * count.  Threads take rows off one atomic counter; they are created
+ * and joined inside the one call (no thread outlives it, so a forked
+ * process never inherits one).
  */
 #include <pthread.h>
 #include <limits.h>
@@ -342,8 +343,9 @@ int64_t repro_wave(push_waves *w, const char *bytes)
 /* 2. The level-synchronous batched push: core/prime.py prime_push_many */
 
 /* numpy's pairwise summation (what np.add.reduceat runs over the tail
- * of each group): a plain loop below 8 elements, 8 accumulators up to
- * 128, halves split at a multiple of 8 above that. */
+ * of each group, and np.sum over a whole contiguous float64 row): a
+ * plain loop below 8 elements, 8 accumulators up to 128, halves split
+ * at a multiple of 8 above that. */
 static double pairwise_sum(const double *a, int64_t n)
 {
     if (n < 8) {
@@ -618,61 +620,202 @@ int64_t repro_prime_push_many(
 }
 
 /* ------------------------------------------------------------------ */
-/* 3. The two products of a splice round: core/splice.py SpliceBlock   */
+/* 3. The splice round: core/splice.py splice_rounds_exact             */
 
-/* dest[offsets[p] + column] += masses[p] * value over CSR row rows[p],
- * in (pair, row element) order: np.add.at's.  Returns -1, or the row
- * holding a column outside [0, n) — refused before it is written. */
-int64_t repro_splice_scores(
-    int64_t n, int64_t pairs, const int64_t *rows, const double *masses,
-    const int64_t *offsets, const int64_t *indptr, const int64_t *indices,
-    const double *data, double *dest)
+/* One batch's incremental rounds (Algorithm 2, lines 8-12).  The block
+ * (SpliceBlock: row_lookup, checked and the two CSR matrices) is read
+ * here and may grow between calls; everything else is the batch's,
+ * allocated once per batch by the caller.  Query q's frontier is
+ * hubs / masses [starts[q], starts[q] + counts[q]), in the scalar
+ * loop's dict order; a round writes the next ones into next_hubs /
+ * next_masses (placed by next_starts / next_counts until the round
+ * commits) and swaps the two buffers.  The estimates are dense rows of
+ * num_nodes, addressed only through estimate_of, so a sparse row can
+ * take their place. */
+typedef struct {
+    int64_t num_nodes, queries;
+    double alpha, delta;
+    const int64_t *row_lookup;   /* [num_nodes] block row of a hub, -1 = none */
+    uint8_t *checked;            /* [num_nodes] 1 once a hub's rows were checked */
+    const int64_t *score_indptr, *score_indices;
+    const double *score_data;
+    const int64_t *border_indptr, *border_indices;
+    const double *border_data;
+    double *estimates;           /* [queries * num_nodes] */
+    const int64_t *rows;         /* [runnable] the queries this round runs */
+    int64_t *starts, *counts, *next_starts, *next_counts;  /* [queries] */
+    int64_t *hubs;               /* [capacity] current frontiers */
+    double *masses;
+    int64_t *next_hubs;          /* [capacity] */
+    double *next_masses;
+    int64_t *iterations, *hubs_expanded, *work_units;  /* [queries] */
+    double *errors;              /* error after iteration i at [i * queries + q] */
+    int64_t *slot;               /* [num_nodes] all zero between calls */
+    int64_t *absent;             /* [num_nodes] hubs without a row */
+    int64_t runnable, capacity, refused;
+} splice_round;
+
+int64_t repro_round_size(void) { return (int64_t)sizeof(splice_round); }
+
+static double *estimate_of(const splice_round *s, int64_t q)
 {
-    for (int64_t p = 0; p < pairs; p++) {
-        double *estimate = dest + offsets[p];
-        const double mass = masses[p];
-        for (int64_t e = indptr[rows[p]]; e < indptr[rows[p] + 1]; e++) {
-            if ((uint64_t)indices[e] >= (uint64_t)n)
-                return rows[p];
-            estimate[indices[e]] += mass * data[e];
-        }
-    }
-    return -1;
+    return s->estimates + q * s->num_nodes;
 }
 
-/* Per query q (its counts[q] pairs are consecutive):
- * next[hub] = next.get(hub, 0.0) + masses[p] * value over CSR row
- * rows[p], hubs in first-touch order — a dict's insertion order — into
- * next_hubs / next_masses, next_counts[q] of them.  slot: [n], all zero
- * on entry and on a successful exit.  Returns the entries written, or
- * -(row + 1) for the row holding a column outside [0, n). */
-int64_t repro_splice_borders(
-    int64_t n, int64_t queries, const int64_t *counts, const int64_t *rows,
-    const double *masses, const int64_t *indptr, const int64_t *indices,
-    const double *data, int64_t *slot, int64_t *next_hubs,
-    double *next_masses, int64_t *next_counts)
+static int gated(const splice_round *s, int64_t p)
 {
-    int64_t written = 0;
-    for (int64_t q = 0, p = 0; q < queries; q++) {
-        const int64_t first = written;
-        for (const int64_t end = p + counts[q]; p < end; p++) {
-            for (int64_t e = indptr[rows[p]]; e < indptr[rows[p] + 1]; e++) {
-                const int64_t hub = indices[e];
-                const double share = masses[p] * data[e];
-                if ((uint64_t)hub >= (uint64_t)n)
-                    return -(rows[p] + 1);
-                if (slot[hub]) {
-                    next_masses[slot[hub] - 1] += share;
-                } else {
-                    next_hubs[written] = hub;
-                    next_masses[written] = 0.0 + share;
-                    slot[hub] = ++written;
+    return s->alpha * s->masses[p] > s->delta;
+}
+
+/* Whether score row or border row `row` names a column outside [0, n). */
+static int row_outside(const splice_round *s, int64_t row)
+{
+    const uint64_t n = (uint64_t)s->num_nodes;
+    for (int64_t e = s->score_indptr[row]; e < s->score_indptr[row + 1]; e++)
+        if ((uint64_t)s->score_indices[e] >= n)
+            return 1;
+    for (int64_t e = s->border_indptr[row]; e < s->border_indptr[row + 1]; e++)
+        if ((uint64_t)s->border_indices[e] >= n)
+            return 1;
+    return 0;
+}
+
+/* The delta gate over every runnable pair, in frontier order: every
+ * gated hub must have rows, checked once per block.  Returns 0; the
+ * count k of gated hubs without a row, absent[0..k) in first-need
+ * order, once each; -2 when the rows of hub `refused` name a column
+ * outside [0, num_nodes); or -3 when the frontier hub `refused` lies
+ * there itself (only a caller's frontier can: the border rows are
+ * checked). */
+static int64_t round_rows(splice_round *s)
+{
+    int64_t absent = 0, status = 0;
+    for (int64_t i = 0; i < s->runnable && status == 0; i++) {
+        const int64_t q = s->rows[i], end = s->starts[q] + s->counts[q];
+        for (int64_t p = s->starts[q]; p < end; p++) {
+            const int64_t hub = s->hubs[p];
+            if ((uint64_t)hub >= (uint64_t)s->num_nodes) {
+                s->refused = hub;
+                status = -3;
+                break;
+            }
+            if (!gated(s, p))
+                continue;
+            const int64_t row = s->row_lookup[hub];
+            if (row < 0) {
+                if (!s->slot[hub]) {
+                    s->slot[hub] = 1;
+                    s->absent[absent++] = hub;
                 }
+            } else if (!__atomic_load_n(s->checked + hub, __ATOMIC_RELAXED)) {
+                if (row_outside(s, row)) {
+                    s->refused = hub;
+                    status = -2;
+                    break;
+                }
+                __atomic_store_n(s->checked + hub, 1, __ATOMIC_RELAXED);
             }
         }
-        for (int64_t i = first; i < written; i++)
-            slot[next_hubs[i]] = 0;
-        next_counts[q] = written - first;
     }
-    return written;
+    for (int64_t k = 0; k < absent; k++)
+        s->slot[s->absent[k]] = 0;
+    return status == 0 ? absent : status;
+}
+
+/* next[hub] = next.get(hub, 0.0) + mass * value over border row `row`,
+ * hubs in first-touch order (a dict's insertion order) after the
+ * *written entries of next_hubs / next_masses.  Returns 0, or -1 when
+ * the next frontiers outgrow the capacity. */
+static int64_t splice_borders(splice_round *s, int64_t row, double mass,
+                              int64_t *written)
+{
+    const int64_t start = s->border_indptr[row], end = s->border_indptr[row + 1];
+    for (int64_t e = start; e < end; e++) {
+        const int64_t hub = s->border_indices[e];
+        const double share = mass * s->border_data[e];
+        if (s->slot[hub]) {
+            s->next_masses[s->slot[hub] - 1] += share;
+        } else {
+            if (*written == s->capacity)
+                return -1;
+            s->next_hubs[*written] = hub;
+            s->next_masses[*written] = 0.0 + share;
+            s->slot[hub] = ++*written;
+        }
+    }
+    return 0;
+}
+
+/* Every runnable query's next frontier, placed by next_starts /
+ * next_counts.  Returns 0, or -1 (slot left all zero) when they need
+ * more than capacity entries. */
+static int64_t round_frontiers(splice_round *s)
+{
+    int64_t written = 0, status = 0;
+    for (int64_t i = 0; i < s->runnable && status == 0; i++) {
+        const int64_t q = s->rows[i], end = s->starts[q] + s->counts[q];
+        const int64_t first = written;
+        for (int64_t p = s->starts[q]; p < end && status == 0; p++)
+            if (gated(s, p))
+                status = splice_borders(s, s->row_lookup[s->hubs[p]],
+                                        s->masses[p], &written);
+        for (int64_t k = first; k < written; k++)
+            s->slot[s->next_hubs[k]] = 0;
+        s->next_starts[q] = first;
+        s->next_counts[q] = written - first;
+    }
+    return status;
+}
+
+/* estimate[column] += mass * value over score row `row`, in row order:
+ * the scalar loop's estimate[nodes] += m * scores, then its
+ * estimate[hub] -= alpha * m as the row's trailing (hub, -alpha).
+ * Returns the prime PPV's entries (the trailing element is none). */
+static int64_t splice_scores(const splice_round *s, int64_t row, double mass,
+                             double *estimate)
+{
+    const int64_t start = s->score_indptr[row], end = s->score_indptr[row + 1];
+    for (int64_t e = start; e < end; e++)
+        estimate[s->score_indices[e]] += mass * s->score_data[e];
+    return end - start - 1;
+}
+
+/* One round of every runnable query, in (query, frontier position, row
+ * element) order: the gated pairs' next frontier, then their scores,
+ * the query's hubs_expanded and work_units, its iteration and its error
+ * 1 - sum(estimate) as numpy sums a whole contiguous row.  Returns 0;
+ * or, writing nothing the caller reads, round_rows' status or
+ * round_frontiers' -1. */
+int64_t repro_splice_round(splice_round *s)
+{
+    int64_t status = round_rows(s);
+    if (status == 0)
+        status = round_frontiers(s);
+    if (status != 0)
+        return status;
+    for (int64_t i = 0; i < s->runnable; i++) {
+        const int64_t q = s->rows[i], end = s->starts[q] + s->counts[q];
+        double *estimate = estimate_of(s, q);
+        int64_t expanded = 0, work = 0;
+        for (int64_t p = s->starts[q]; p < end; p++) {
+            if (!gated(s, p))
+                continue;
+            const int64_t row = s->row_lookup[s->hubs[p]];
+            work += splice_scores(s, row, s->masses[p], estimate);
+            work += s->border_indptr[row + 1] - s->border_indptr[row];
+            expanded++;
+        }
+        s->starts[q] = s->next_starts[q];
+        s->counts[q] = s->next_counts[q];
+        s->hubs_expanded[q] += expanded;
+        s->work_units[q] += work;
+        s->iterations[q]++;
+        s->errors[s->iterations[q] * s->queries + q] =
+            1.0 - pairwise_sum(estimate, s->num_nodes);
+    }
+    int64_t *hubs = s->hubs;
+    double *masses = s->masses;
+    s->hubs = s->next_hubs, s->masses = s->next_masses;
+    s->next_hubs = hubs, s->next_masses = masses;
+    return 0;
 }

@@ -66,12 +66,13 @@ is ``query_many([q])[0]``:
 * The incremental splice rounds of the whole batch run in lock-step
   through :func:`repro.core.splice.splice_rounds_exact`, the one round
   loop both backends run — over that shared block (the lowering the
-  in-memory engine holds for its whole index); each round is two products over
-  the stacked, delta-gated frontiers, compiled like the pushes
-  (:mod:`repro.native`).  The products accumulate in the exact operation
-  order of the paper's per-hub loop, so scores are **bitwise equal** to
-  that loop run over the same store (``tests/oracles.py`` keeps it and
-  pins the equality, together with the historical per-edge drain loop).
+  in-memory engine holds for its whole index); each round is one compiled
+  call over the batch's delta-gated frontiers (:mod:`repro.native`), which
+  accumulates in the exact operation order of the paper's per-hub loop
+  and asks for the hubs the block lacks first, so scores are **bitwise
+  equal** to that loop run over the same store (``tests/oracles.py``
+  keeps it and pins the equality, together with the historical per-edge
+  drain loop).
 
 Each :class:`~repro.core.query.QueryResult` a disk query serves carries
 its I/O record in ``cluster_faults`` / ``hub_reads`` / ``truncated``
@@ -108,7 +109,6 @@ from repro.core.query import (
     query_ids,
 )
 from repro.core.splice import SpliceBlock, concat_ranges, splice_rounds_exact
-from repro.core.topk import StopWhenCertified, top_k_result
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
@@ -699,28 +699,4 @@ class DiskFastPPV(BatchOfOne):
                 q,
                 (iteration, error_history, hubs_expanded, _work_units, seconds),
             ) in enumerate(zip(ids, rounds))
-        ]
-
-    def query_top_k_many(
-        self,
-        queries: Sequence[int],
-        k: int = 10,
-        max_iterations: int = 32,
-    ) -> list[QueryResult]:
-        """Certified top-k for a batch of disk queries, preserving order.
-
-        Each query iterates until its top-k certificate (the phi-gap rule
-        of :mod:`repro.core.topk`) fires or ``max_iterations`` is spent,
-        with the batch's cluster faults and hub reads amortised as in
-        :meth:`query_many`.  As with the in-memory engines, build with
-        ``delta = 0`` for a formally sound certificate; a truncated prime
-        push stays sound because its missing mass is part of the Eq. 6
-        error the certificate already budgets for.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        stop = StopWhenCertified(k=k, max_iterations=max_iterations)
-        return [
-            top_k_result(result, k)
-            for result in self.query_many(queries, stop=stop)
         ]

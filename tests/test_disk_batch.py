@@ -608,6 +608,25 @@ class TestDiskTopK:
                 assert alone.hub_reads == in_batch.hub_reads
                 assert alone.cluster_faults == in_batch.cluster_faults
 
+    def test_on_iteration_sees_every_round_of_every_query(
+        self, disk_batch_setup, small_social
+    ):
+        _, _, _, queries = disk_batch_setup
+        _, ppv_store, engine = _fresh_engine(
+            small_social, disk_batch_setup, "topk_trace", delta=0.0
+        )
+        seen = []
+        with ppv_store:
+            results = engine.query_top_k_many(
+                queries[:4], k=5,
+                on_iteration=lambda i, state: seen.append((i, state.iteration)),
+            )
+        assert sorted(seen) == [
+            (i, iteration)
+            for i, result in enumerate(results)
+            for iteration in range(result.iterations + 1)
+        ]
+
     def test_invalid_k(self, disk_batch_setup, small_social):
         _, ppv_store, batch = _fresh_engine(
             small_social, disk_batch_setup, "topk_k"

@@ -3,8 +3,9 @@
 ``repro.native`` ports two schedules to C: the cluster drain
 (``_ClusterWaves`` rows vs the per-edge ``oracles.ReferencePrimePushRun``)
 and the level-synchronous ``prime_push_many`` (vs its numpy rounds) —
-and the two products of a splice round (``SpliceBlock.score_product`` /
-``border_product`` vs ``scalar_splice_rounds``).  Everything here
+and the splice round (``splice_rounds_exact``, one
+``repro_splice_round`` call per round, vs ``scalar_splice_rounds``).
+Everything here
 compares *bytes* — ``scores.tobytes()``, the border's ``(hub, mass)``
 order, ``drains`` / ``truncated``, SHA-256 over served score vectors —
 never a tolerance.  The drain cases are the ones of
@@ -37,6 +38,7 @@ import sys
 import tempfile
 import time
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +78,7 @@ from repro import (
     FastPPV,
     StopAfterIterations,
     StopAtL1Error,
+    any_of,
     build_index,
     native,
     select_hubs,
@@ -515,12 +518,18 @@ def _push_on(graph, sources, hub_mask, threads, alpha=0.15, epsilon=1e-8):
         np.zeros((sources.size, n)), np.zeros((sources.size, n)),
         np.zeros(sources.size, dtype=np.int64),
     )
+    hub_mask = np.ascontiguousarray(hub_mask, dtype=np.bool_)
+    indptr, indices, probs, rows, hubs, *out = (
+        array.ctypes.data
+        for array in (
+            graph.indptr, graph.indices, graph.edge_probabilities, sources,
+            hub_mask, *outputs,
+        )
+    )
     used = native.load().repro_prime_push_many(
-        n, graph.indptr, graph.indices, graph.edge_probabilities,
-        sources.size, sources,
-        np.ascontiguousarray(hub_mask, dtype=np.bool_).view(np.uint8),
+        n, indptr, indices, probs, sources.size, rows, hubs,
         alpha, epsilon, prime._max_rounds(alpha, epsilon),
-        prime._DENSE_AGGREGATION_LIMIT, *outputs, threads,
+        prime._DENSE_AGGREGATION_LIMIT, *out, threads,
     )
     return used, outputs
 
@@ -1227,15 +1236,19 @@ lib = native.load()
 tasks = len(os.listdir("/proc/self/task"))
 
 
+def addresses(*arrays):
+    return [array.ctypes.data for array in arrays]
+
+
 def push(sources, threads):
     sources = np.array(sources, dtype=np.int64)
     out = (np.zeros((sources.size, size)), np.zeros((sources.size, size)),
            np.zeros(sources.size, np.int64))
     used = lib.repro_prime_push_many(
-        size, graph.indptr, graph.indices, graph.edge_probabilities,
-        sources.size, sources, hub_mask.view(np.uint8), 0.15, 1e-12,
+        size, *addresses(graph.indptr, graph.indices, graph.edge_probabilities),
+        sources.size, *addresses(sources, hub_mask), 0.15, 1e-12,
         prime._max_rounds(0.15, 1e-12), prime._DENSE_AGGREGATION_LIMIT,
-        *out, threads)
+        *addresses(*out), threads)
     return used, out
 
 
@@ -1308,14 +1321,18 @@ sources = np.arange(0, 40, 5, dtype=np.int64)
 lib = native.load()
 
 
+def addresses(*arrays):
+    return [array.ctypes.data for array in arrays]
+
+
 def push(threads):
     out = (np.zeros((sources.size, n)), np.zeros((sources.size, n)),
            np.zeros(sources.size, np.int64))
     used = lib.repro_prime_push_many(
-        n, graph.indptr, graph.indices, graph.edge_probabilities,
-        sources.size, sources, hub_mask.view(np.uint8), 0.15, 1e-8,
+        n, *addresses(graph.indptr, graph.indices, graph.edge_probabilities),
+        sources.size, *addresses(sources, hub_mask), 0.15, 1e-8,
         prime._max_rounds(0.15, 1e-8), prime._DENSE_AGGREGATION_LIMIT,
-        *out, threads)
+        *addresses(*out), threads)
     return used, out
 
 
@@ -1353,7 +1370,7 @@ def test_refused_threads_leave_the_rows_to_fewer(tmp_path, cached_stacks):
 
 
 # --------------------------------------------------------------------- #
-# (g) The splice round's two products against the scalar loop
+# (g) The compiled splice round against the scalar loop
 
 
 def _entry(hub, nodes, scores, border_hubs=(), border_masses=()) -> PrimePPV:
@@ -1394,9 +1411,20 @@ def _hub_start(hub):
     )
 
 
-def _batch_rounds(entries, num_nodes, alpha, starts, stop, delta, cap, resident):
+def _seen(state):
+    """Every bit of a ``QueryState`` but its clock."""
+    return (
+        state.iteration, state.l1_error, state.frontier_size,
+        state.scores.tobytes(),
+    )
+
+
+def _batch_rounds(
+    entries, num_nodes, alpha, starts, stop, delta, cap, resident, fetched=None
+):
     """``splice_rounds_exact`` over ``starts`` on a block holding every
-    entry up front (memory) or growing through ``ensure`` (disk)."""
+    entry up front (memory) or growing through ``ensure`` (disk), whose
+    calls are appended to ``fetched``."""
     estimates = np.array([estimate for estimate, _, _ in starts]).reshape(
         len(starts), num_nodes
     )
@@ -1411,15 +1439,15 @@ def _batch_rounds(entries, num_nodes, alpha, starts, stop, delta, cap, resident)
         block = SpliceBlock(alpha, num_nodes)
 
         def ensure(hubs):
+            if fetched is not None:
+                fetched.append(hubs.tolist())
             block.add_rows(HubRows.pack(entries[hub] for hub in hubs.tolist()))
 
     trace = [[] for _ in starts]
     rounds = splice_rounds_exact(
         estimates, frontiers, stop, alpha, delta, cap, block, ensure,
         time.perf_counter(),
-        on_iteration=lambda i, state: trace[i].append(
-            (state.iteration, state.l1_error, state.frontier_size)
-        ),
+        on_iteration=lambda i, state: trace[i].append(_seen(state)),
     )
     return (
         estimates.tobytes(),
@@ -1438,9 +1466,7 @@ def _scalar_rounds(entries, alpha, starts, stop, delta, cap):
             scalar_splice_rounds(
                 estimate, dict(zip(hubs, masses)), stop, alpha, delta, cap,
                 entries.__getitem__, time.perf_counter(),
-                on_iteration=lambda state: trace[i].append(
-                    (state.iteration, state.l1_error, state.frontier_size)
-                ),
+                on_iteration=lambda state: trace[i].append(_seen(state)),
             )
         )
         estimates.append(estimate)
@@ -1519,6 +1545,34 @@ class TestSpliceRoundsThreeWays:
         assert outcomes[0][:1] + outcomes[0][2:] == (1, 1, 1)
         assert outcomes[1][0] == 4
 
+    def test_a_growing_block_fetches_hubs_first_needed_in_later_rounds(self):
+        # Round 1 needs hub 1; its border brings 2 and 5 (round 2), and
+        # hub 2's brings 6 (round 3): the round asks, ensure fetches, the
+        # round runs again.
+        starts = [_start([1], [0.5]), _start([1], [0.4], seed=4)]
+        _assert_rounds_three_ways(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(3)
+        )
+        fetched = []
+        _batch_rounds(
+            ENTRIES, SPLICE_NODES, ALPHA, starts, StopAfterIterations(3),
+            0.0, 64, False, fetched,
+        )
+        assert fetched == [[1], [2, 5], [6]]
+
+    def test_a_resident_block_refuses_a_hub_it_lacks_as_a_key_error(self):
+        # On memory ``ensure`` is ``block.rows_of``: hub 5, first needed
+        # in round 2, is not indexed.
+        entries = {hub: ENTRIES[hub] for hub in (1, 2, 6)}
+        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        estimates = np.zeros((1, SPLICE_NODES))
+        frontiers = [(np.array([1]), np.array([0.5]))]
+        with pytest.raises(KeyError, match=r"hubs \[5\] are not in the block"):
+            splice_rounds_exact(
+                estimates, frontiers, StopAfterIterations(3), ALPHA, 0.0, 64,
+                block, block.rows_of, time.perf_counter(),
+            )
+
     def test_max_iterations_zero_runs_no_round(self):
         starts = [_start([1], [0.5]), _hub_start(1)]
         outcomes = _assert_rounds_three_ways(
@@ -1592,6 +1646,86 @@ def test_hypothesis_rounds_three_ways(case):
     _assert_rounds_three_ways(entries, num_nodes, 0.2, starts, stop, delta, cap)
 
 
+@dataclass(frozen=True)
+class _StopPastFrontier:
+    """A user condition with no ``should_stop_many``: the round loop asks
+    it per state, as the scalar loop does."""
+
+    size: int
+    rounds: int
+
+    def should_stop(self, state) -> bool:
+        return state.frontier_size > self.size or state.iteration >= self.rounds
+
+
+ROUND_STOPS = [
+    StopWhenCertified(k=2, max_iterations=6),
+    StopAtL1Error(0.3),
+    StopAtL1Error(0.6),
+    any_of(StopAtL1Error(0.4), StopAfterIterations(2)),
+    any_of(StopWhenCertified(k=1, max_iterations=4), StopAtL1Error(0.5)),
+    _StopPastFrontier(3, 4),
+    any_of(_StopPastFrontier(2, 5), StopAtL1Error(0.5)),
+]
+
+
+@st.composite
+def round_batches(draw):
+    """``splice_cases`` with repeated queries, shuffled, under stopping
+    conditions that retire queries mid-batch."""
+    entries, num_nodes, starts, _, delta, _ = draw(splice_cases())
+    repeats = draw(st.lists(st.sampled_from(range(len(starts))), max_size=3))
+    starts = draw(st.permutations(starts + [starts[i] for i in repeats]))
+    stop = draw(st.sampled_from(ROUND_STOPS))
+    return entries, num_nodes, starts, stop, delta, draw(st.sampled_from([1, 3, 64]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(round_batches())
+def test_hypothesis_the_compiled_round_is_the_scalar_loop(case):
+    """Scores, error histories, counters and every ``on_iteration``
+    state, bit for bit, on a resident and on a growing block."""
+    entries, num_nodes, starts, stop, delta, cap = case
+    _assert_rounds_three_ways(entries, num_nodes, 0.2, starts, stop, delta, cap)
+
+
+@pytest.mark.parametrize("num_nodes", [4_000, 20_000, 100_000])
+def test_the_error_sum_keeps_np_sums_bits(num_nodes):
+    """Each round's ``1 - sum(estimate)`` is computed in C; it must be
+    ``1.0 - float(np.sum(row))`` to the bit on random supports."""
+    rng = np.random.default_rng(num_nodes)
+
+    def values(size):
+        return rng.random(size) * 10.0 ** rng.integers(-9, -2, size)
+
+    hubs = rng.choice(num_nodes, 24, replace=False)
+    entries = {}
+    for hub in hubs.tolist():
+        size = rng.integers(1, num_nodes // 4)
+        nodes = np.sort(rng.choice(num_nodes, size, replace=False))
+        border = np.sort(rng.choice(hubs, rng.integers(0, 7), replace=False))
+        entries[hub] = _entry(
+            hub, nodes, values(size), border, rng.random(border.size) * 0.3
+        )
+    estimates = np.zeros((4, num_nodes))
+    frontiers = []
+    for row in estimates:
+        support = rng.choice(num_nodes, rng.integers(1, num_nodes), replace=False)
+        row[support] = values(support.size)
+        frontiers.append((rng.choice(hubs, 6, replace=False), rng.random(6) * 0.4))
+    block = SpliceBlock(0.15, num_nodes, entries.values())
+    seen = [[] for _ in frontiers]
+    rounds = splice_rounds_exact(
+        estimates, frontiers, StopAfterIterations(3), 0.15, 0.0, 64, block,
+        block.rows_of, time.perf_counter(),
+        on_iteration=lambda i, state: seen[i].append(state.scores.copy()),
+    )
+    for (iterations, history, *_), rows in zip(rounds, seen):
+        assert iterations == 3
+        want = [1.0 - float(np.sum(row)) for row in rows]
+        assert np.array(history).tobytes() == np.array(want).tobytes()
+
+
 def _block_csr(block: SpliceBlock) -> tuple:
     return tuple(
         array.tobytes() for matrix in (block._scores, block._borders)
@@ -1650,19 +1784,19 @@ def test_hypothesis_add_rows_is_the_per_hub_lowering(case, kernels):
         assert border_hubs.tobytes() == first.border_hubs.tobytes()
         assert border_masses.tobytes() == first.border_masses.tobytes()
     if held:
-        rows = block.rows_of(np.array(held))
-        dest = np.zeros(len(held) * num_nodes)
-        block.score_product(
-            rows, np.full(len(held), 0.5),
-            np.arange(len(held)) * num_nodes, dest,
+        # One round of one query per held hub, its frontier that hub.
+        estimates = np.zeros((len(held), num_nodes))
+        splice_rounds_exact(
+            estimates, [(np.array([hub]), np.array([0.5])) for hub in held],
+            StopAfterIterations(1), ALPHA, 0.0, 64, block, block.rows_of,
+            time.perf_counter(),
         )
-        want = np.zeros_like(dest)
-        for position, hub in enumerate(held):
+        want = np.zeros_like(estimates)
+        for part, hub in zip(want, held):
             entry = next(e for e in appended if e.source == hub)
-            part = want[position * num_nodes:(position + 1) * num_nodes]
             np.add.at(part, entry.nodes, 0.5 * entry.scores)
             part[hub] -= ALPHA * 0.5
-        assert dest.tobytes() == want.tobytes()
+        assert estimates.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1705,36 +1839,40 @@ def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
 
 class TestAColumnOutsideTheGraph:
     """A block row naming a node ``>= num_nodes`` or ``< 0`` (a corrupt
-    payload that still parses) is refused by both products — never
-    written through, into a neighbour's row or off the buffer."""
+    payload that still parses) is refused by the round before it writes
+    anything — never written through, into a neighbour's row or off the
+    buffer."""
+
+    @staticmethod
+    def _refused(entries, hub):
+        # Three queries; only the middle one's frontier names ``hub``.
+        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        estimates = np.full((3, SPLICE_NODES), 7.0)
+        frontiers = [
+            (np.array([1]), np.array([0.5])),
+            (np.array([1, hub]), np.array([0.5, 0.25])),
+            (np.array([5]), np.array([0.5])),
+        ]
+        with pytest.raises(ValueError, match=f"hub {hub} names a node outside"):
+            splice_rounds_exact(
+                estimates, frontiers, StopAfterIterations(2), ALPHA, 0.0, 64,
+                block, block.rows_of, time.perf_counter(),
+            )
+        assert (estimates == 7.0).all()
 
     @NATIVE
     @pytest.mark.parametrize("bad", [SPLICE_NODES, SPLICE_NODES + 40, -1, -(2**40)])
     def test_score_row(self, kernels, bad):
         entries = dict(ENTRIES)
         entries[2] = _entry(2, [2, bad], [0.15, 0.07], [1], [0.2])
-        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
-        dest = np.full(3 * SPLICE_NODES, 7.0)
-        with pytest.raises(ValueError, match="hub 2 names a node outside"):
-            block.score_product(
-                block.rows_of(np.array([1, 2])), np.array([0.5, 0.25]),
-                np.array([SPLICE_NODES, SPLICE_NODES]), dest,
-            )
-        # Only the middle query's row may have been touched.
-        assert (dest[:SPLICE_NODES] == 7.0).all()
-        assert (dest[2 * SPLICE_NODES:] == 7.0).all()
+        self._refused(entries, 2)
 
     @NATIVE
     @pytest.mark.parametrize("bad", [SPLICE_NODES, -1])
     def test_border_row(self, kernels, bad):
         entries = dict(ENTRIES)
         entries[6] = _entry(6, [6], [0.15], [1, bad], [0.2, 0.1])
-        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
-        with pytest.raises(ValueError, match="hub 6 names a node outside"):
-            block.border_product(
-                block.rows_of(np.array([1, 6])), np.array([0.5, 0.25]),
-                np.array([1, 1]),
-            )
+        self._refused(entries, 6)
 
     @NATIVE
     def test_through_the_round_loop(self, kernels):
@@ -1744,4 +1882,13 @@ class TestAColumnOutsideTheGraph:
             _batch_rounds(
                 entries, SPLICE_NODES, ALPHA, [_start([6, 1], [0.3, 0.2])],
                 StopAfterIterations(2), 0.0, 64, False,
+            )
+
+    def test_a_frontier_hub_outside_the_graph(self):
+        block = SpliceBlock(ALPHA, SPLICE_NODES, ENTRIES.values())
+        with pytest.raises(ValueError, match="frontier hub -1 is outside"):
+            splice_rounds_exact(
+                np.zeros((1, SPLICE_NODES)), [(np.array([-1]), np.array([0.5]))],
+                StopAfterIterations(2), ALPHA, 0.0, 64, block, block.rows_of,
+                time.perf_counter(),
             )

@@ -14,8 +14,11 @@ from oracles import ReferenceFastPPV
 from repro import (
     FastPPV,
     StopAfterIterations,
+    StopAfterTime,
+    StopAtL1Error,
     QueryResult,
     StopWhenCertified,
+    any_of,
     build_index,
     query_top_k,
     select_hubs,
@@ -160,6 +163,40 @@ class TestStopWhenCertified:
                 scores=scores[row],
             )
             assert bool(mask[row]) == stop.should_stop(state)
+
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopAfterIterations(0),
+            StopAfterIterations(7),
+            StopAtL1Error(0.1),
+            StopAtL1Error(0.0),
+            any_of(StopAtL1Error(0.05), StopAfterIterations(32)),
+            any_of(StopWhenCertified(k=4, max_iterations=40), StopAtL1Error(0.02)),
+            any_of(any_of(StopAfterIterations(1)), StopAtL1Error(0.15)),
+        ],
+        ids=repr,
+    )
+    def test_the_other_should_stop_many_match_should_stop(self, stop):
+        rng = np.random.default_rng(5)
+        scores = rng.random((9, 40))
+        errors = np.concatenate((rng.random(6) * 0.2, [0.0, 0.1, 0.05]))
+        iterations = np.array([0, 1, 7, 32, 40, 6, 0, 3, 1], dtype=np.int64)
+        mask = stop.should_stop_many(iterations, errors, scores)
+        assert mask.dtype == np.bool_ and mask.shape == (9,)
+        for row in range(9):
+            state = QueryState(
+                iteration=int(iterations[row]),
+                l1_error=float(errors[row]),
+                elapsed_seconds=0.0,
+                frontier_size=1,
+                scores=scores[row],
+            )
+            assert bool(mask[row]) == stop.should_stop(state)
+
+    def test_any_of_has_no_should_stop_many_when_a_member_lacks_one(self):
+        assert any_of(StopAtL1Error(0.1), StopAfterTime(1.0)).should_stop_many is None
+        assert getattr(StopAfterTime(1.0), "should_stop_many", None) is None
 
     def test_budget_exhaustion_stops(self):
         stop = StopWhenCertified(k=3, max_iterations=2)
