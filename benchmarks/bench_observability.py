@@ -64,8 +64,6 @@ def test_tracing_overhead(setup):
         index, graph=graph, delta=DELTA, online_epsilon=ONLINE_EPSILON,
         cache_size=0, obs=obs,
     ) as service:
-        service.warm()
-
         def run_untraced():
             return service.query_many(specs)
 

@@ -45,8 +45,6 @@ def main() -> None:
     with PPVService.open(
         index, graph=graph, delta=1e-4, online_epsilon=1e-5
     ) as service:
-        service.warm()  # build the resident splice block outside timed regions
-
         # 2. One burst through the facade: the scheduler drains it as
         #    engine batches (iteration 0 = one multi-source push, every
         #    further iteration = the round's two compiled products).

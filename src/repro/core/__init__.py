@@ -40,7 +40,6 @@ from repro.core.prime import (
     prime_ppv,
     prime_push_many,
 )
-from repro.core.splice import invalidate_splice_cache
 from repro.core.query import (
     QueryResult,
     StopAfterIterations,
@@ -67,7 +66,6 @@ __all__ = [
     "PPVIndex",
     "build_index",
     "FastPPV",
-    "invalidate_splice_cache",
     "prime_push_many",
     "QueryResult",
     "StopAfterIterations",

@@ -12,10 +12,19 @@ a single query is the batch of one (``query(q)`` is
   on this process's CPUs (:func:`repro.native.push_threads`), with the
   same bytes at every thread count.
 * **The incremental iterations** are
-  :func:`repro.core.splice.splice_rounds_exact` — the one round loop both
-  backends run — over :func:`~repro.core.splice.resident_block`, the
-  :class:`~repro.core.splice.SpliceBlock` holding every hub of the index:
-  the disk engine's rounds with everything resident.
+  :func:`repro.core.splice.splice_rounds_exact` — the one round loop —
+  over the index's own :class:`~repro.core.splice.SpliceBlock`, which
+  holds every hub: the disk engine's rounds with everything resident.
+
+:func:`splice_batch` is the batch driver both backends share (the
+paper's disk algorithm of Sect. 5.3 is Algorithm 2 with the graph and
+the hub records paged in): it takes each query's iteration 0 as a
+:class:`Start` — a hub query's own row of the block, or a pushed
+query's score row and frontier — runs the rounds and builds the
+:class:`~repro.core.query.QueryResult` s.  :class:`FastPPV` fills it
+from ``prime_push_many`` and the index's block; the disk engine
+(:mod:`repro.storage.disk_engine`) from its cluster waves and a block of
+hub records read per batch.
 
 Equivalence contract
 --------------------
@@ -39,7 +48,7 @@ dataclasses; see :func:`batch_safe`).
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +66,7 @@ from repro.core.query import (
     query_ids,
 )
 from repro.core.prime import prime_push_many
-from repro.core.splice import resident_block, splice_rounds_exact
+from repro.core.splice import SpliceBlock, splice_rounds_exact
 from repro.core.topk import StopWhenCertified
 
 BatchCallback = Callable[[int, QueryState], None]
@@ -73,6 +82,87 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 """Target elements (~32 MB of float64) per dense working matrix; the
 default chunk size is derived from this so large graphs are processed in
 memory-bounded slices rather than one ``batch x n`` allocation."""
+
+
+class Start(NamedTuple):
+    """One query's iteration 0, as :func:`splice_batch` takes it.
+
+    ``scores`` is ``None`` for a hub query: its estimate and frontier
+    are its own row of the batch's block
+    (:meth:`~repro.core.splice.SpliceBlock.prime_of`).  A pushed query
+    carries its dense score row (copied, never written), its frontier
+    ``(hubs, masses)`` in the order the rounds take it and the push's
+    edge traversals.  ``io`` is the query's disk I/O record
+    ``(cluster_faults, hub_reads, truncated)``, ``None`` on memory.
+    """
+
+    scores: "np.ndarray | None" = None
+    hubs: "np.ndarray | None" = None
+    masses: "np.ndarray | None" = None
+    edges: int = 0
+    io: "tuple[int, int, bool] | None" = None
+
+
+def splice_batch(
+    ids: list[int],
+    starts: Sequence[Start],
+    block: SpliceBlock,
+    ensure: Callable[[np.ndarray], None],
+    stop: StoppingCondition,
+    delta: float,
+    max_iterations: int,
+    started: float,
+    on_iteration: BatchCallback | None = None,
+) -> list[QueryResult]:
+    """Algorithm 2 for the batch ``ids`` from its iteration 0,
+    ``starts`` (aligned with ``ids``): stack the estimates and frontiers,
+    run :func:`~repro.core.splice.splice_rounds_exact` over ``block``
+    (``ensure`` makes the hubs a round lacks resident) and return one
+    :class:`~repro.core.query.QueryResult` per query, in order.
+
+    ``work_units`` is the push's edges plus the index entries the splices
+    touched; a start with an I/O record adds its ``hubs_expanded`` to
+    ``hub_reads``.  ``seconds`` runs from ``started``.
+    """
+    estimates = np.zeros((len(ids), block.num_nodes))
+    frontiers: list[tuple[np.ndarray, np.ndarray]] = []
+    for position, (q, start) in enumerate(zip(ids, starts)):
+        if start.scores is None:
+            nodes, scores, hubs, masses = block.prime_of(q)
+            estimates[position, nodes] = scores
+            frontiers.append((hubs, masses))
+        else:
+            estimates[position] = start.scores
+            frontiers.append((start.hubs, start.masses))
+    rounds = splice_rounds_exact(
+        estimates, frontiers, stop, block.alpha, delta, max_iterations,
+        block, ensure, started, on_iteration=on_iteration,
+    )
+    results = []
+    for position, (q, start, (iterations, errors, expanded, work, seconds)) in (
+        enumerate(zip(ids, starts, rounds))
+    ):
+        io = {}
+        if start.io is not None:
+            faults, reads, truncated = start.io
+            io = dict(
+                cluster_faults=faults, hub_reads=reads + expanded, truncated=truncated
+            )
+        results.append(
+            QueryResult(
+                query=q,
+                # Copy out of the shared batch matrix so one retained
+                # result cannot pin the whole (batch, n) buffer.
+                scores=estimates[position].copy(),
+                iterations=iterations,
+                error_history=errors,
+                hubs_expanded=expanded,
+                seconds=seconds,
+                work_units=start.edges + work,
+                **io,
+            )
+        )
+    return results
 
 
 def batch_safe(stop: StoppingCondition) -> bool:
@@ -146,6 +236,18 @@ class FastPPV(BatchOfOne):
             )
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        # The rounds splice every frontier hub from the index's block,
+        # so a hub with no entry, or a border hub outside the index,
+        # would make a batch silently diverge from the scalar loop.
+        if not np.array_equal(index.hubs, np.flatnonzero(index.hub_mask)):
+            raise ValueError(
+                "index entries do not cover the hub mask; the batch engine "
+                "needs a prime PPV stored for every hub"
+            )
+        _, border_hubs, _ = index.block._borders.csr()
+        outside = np.unique(border_hubs[~index.hub_mask[border_hubs]])
+        if outside.size:
+            raise ValueError(f"border hubs outside the index: {outside.tolist()}")
         native.load()  # refuse here, before serving, when the kernels cannot load
         self.graph = graph
         self.index = index
@@ -207,78 +309,36 @@ class FastPPV(BatchOfOne):
     ) -> list[QueryResult]:
         """Run the batch rounds for one chunk, ``ids``, which starts at
         position ``first`` of the caller's batch."""
-        graph, index = self.graph, self.index
-        block = resident_block(index)
+        index = self.index
         started = time.perf_counter()
-
-        # ---- iteration 0: one multi-source push for all non-hub queries.
-        push_sources: list[int] = []
-        push_row_of: dict[int, int] = {}
-        for q in ids:
-            if q not in index and q not in push_row_of:
-                push_row_of[q] = len(push_sources)
-                push_sources.append(q)
-        push_scores, push_border, push_edges = prime_push_many(
-            graph,
-            np.asarray(push_sources, dtype=np.int64),
+        # Iteration 0: one multi-source push for the chunk's unique
+        # non-hub queries; a hub query reads its own row of the block.
+        sources = list(dict.fromkeys(q for q in ids if q not in index))
+        scores, border, edges = prime_push_many(
+            self.graph,
+            np.asarray(sources, dtype=np.int64),
             index.hub_mask,
             alpha=index.alpha,
             epsilon=self.online_epsilon,
         )
-
-        # Estimates and frontiers as Algorithm 2 starts from them: the
-        # frontier in PrimePPV's sorted border order.
-        estimates = np.zeros((len(ids), graph.num_nodes))
-        frontiers: list[tuple[np.ndarray, np.ndarray]] = []
-        push_work = [0] * len(ids)
-        for local, q in enumerate(ids):
-            if q in index:
-                entry = index.get(q)
-                estimates[local, entry.nodes] = entry.scores
-                frontiers.append(
-                    (
-                        entry.border_hubs.astype(np.int64, copy=False),
-                        entry.border_masses.astype(np.float64, copy=False),
-                    )
-                )
-            else:
-                row = push_row_of[q]
-                estimates[local] = push_scores[row]
-                border_hubs = np.nonzero(push_border[row])[0]
-                frontiers.append((border_hubs, push_border[row, border_hubs]))
-                push_work[local] = int(push_edges[row])
-
+        pushed = {}
+        for row, q in enumerate(sources):
+            # The frontier in PrimePPV's sorted border order.
+            hubs = np.nonzero(border[row])[0]
+            pushed[q] = Start(scores[row], hubs, border[row, hubs], int(edges[row]))
         callback = None
         if on_iteration is not None:
             callback = lambda local, state: on_iteration(first + local, state)
-        rounds = splice_rounds_exact(
-            estimates,
-            frontiers,
-            stop,
-            index.alpha,
-            self.delta,
-            self.max_iterations,
-            block,
+        return splice_batch(
+            ids,
+            [pushed.get(q, Start()) for q in ids],
+            index.block,
             # Every hub is resident, so nothing is ever fetched: a
             # frontier hub without a row is refused by the lookup itself.
-            block.rows_of,
+            index.block.rows_of,
+            stop,
+            self.delta,
+            self.max_iterations,
             started,
-            on_iteration=callback,
+            callback,
         )
-        return [
-            QueryResult(
-                query=q,
-                # Copy out of the shared chunk matrix so one retained
-                # result cannot pin the whole (chunk_size, n) buffer.
-                scores=estimates[local].copy(),
-                iterations=iterations,
-                error_history=error_history,
-                hubs_expanded=hubs_expanded,
-                seconds=seconds,
-                work_units=push_work[local] + work_units,
-            )
-            for local, (
-                q,
-                (iterations, error_history, hubs_expanded, work_units, seconds),
-            ) in enumerate(zip(ids, rounds))
-        ]

@@ -104,8 +104,8 @@ def affected_hubs(index: PPVIndex, sources: np.ndarray) -> np.ndarray:
     source_set = set(int(s) for s in sources)
     hub_mask = index.hub_mask
     affected = []
-    for hub, entry in index.entries.items():
-        for node in entry.nodes:
+    for hub in index.hubs.tolist():
+        for node in index.get(hub).nodes:
             node = int(node)
             if node in source_set and (not hub_mask[node] or node == hub):
                 affected.append(hub)
@@ -133,31 +133,21 @@ def update_index(
     """
     sources = changed_sources(old_graph, new_graph)
     stale = affected_hubs(index, sources)
-    stale_set = set(int(h) for h in stale)
-
+    entries = {hub: index.get(hub) for hub in index.hubs.tolist()}
+    for hub in stale.tolist():
+        entries[hub] = clip_prime_ppv(
+            prime_ppv(
+                new_graph,
+                hub,
+                index.hub_mask,
+                alpha=index.alpha,
+                epsilon=index.epsilon,
+            ),
+            index.clip,
+        )
     refreshed = PPVIndex(
-        alpha=index.alpha,
-        epsilon=index.epsilon,
-        clip=index.clip,
-        hub_mask=index.hub_mask.copy(),
+        index.alpha, index.epsilon, index.clip, index.hub_mask.copy(), entries
     )
-    refreshed.stats.num_hubs = index.stats.num_hubs
-    for hub, entry in index.entries.items():
-        if hub in stale_set:
-            entry = clip_prime_ppv(
-                prime_ppv(
-                    new_graph,
-                    hub,
-                    index.hub_mask,
-                    alpha=index.alpha,
-                    epsilon=index.epsilon,
-                ),
-                index.clip,
-            )
-        refreshed.entries[hub] = entry
-        refreshed.stats.stored_entries += entry.nodes.size
-        refreshed.stats.border_entries += entry.border_hubs.size
-        refreshed.stats.stored_bytes += entry.nbytes
     return refreshed, stale.size
 
 

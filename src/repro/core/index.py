@@ -6,20 +6,25 @@ clipped (scores below ``clip`` are dropped, the paper's 1e-4 storage
 optimisation) together with the border-hub arrival masses the online engine
 splices.
 
-The index is an in-memory structure; :mod:`repro.storage.ppv_store`
-round-trips it to a binary on-disk format for the disk-based deployment of
-Sect. 5.3.
+In memory the index is one :class:`~repro.core.splice.SpliceBlock` — the
+CSR rows the online rounds read — built once, when the index is made;
+:meth:`PPVIndex.get` returns read-only views into it, and there is no
+other copy of a hub's prime PPV.  :mod:`repro.storage.ppv_store`
+round-trips the index to a binary on-disk format for the disk-based
+deployment of Sect. 5.3.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.prime import DEFAULT_EPSILON, PrimePPV, prime_ppv
+from repro.core.splice import HubRows, SpliceBlock
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA
 
@@ -42,21 +47,10 @@ class IndexStats:
         """Stored size in MB (the unit of the paper's space plots)."""
         return self.stored_bytes / 1e6
 
-    def merge(self, other: "IndexStats") -> None:
-        """Accumulate another chunk's counters (parallel build merge).
-
-        ``build_seconds`` is *not* summed — for a parallel build the
-        meaningful figure is wall-clock time, which the caller stamps.
-        """
-        self.num_hubs += other.num_hubs
-        self.stored_entries += other.stored_entries
-        self.stored_bytes += other.stored_bytes
-        self.border_entries += other.border_entries
-
 
 @dataclass
 class PPVIndex:
-    """Precomputed prime PPVs keyed by hub node.
+    """Precomputed prime PPVs keyed by hub node, held as one CSR block.
 
     Attributes
     ----------
@@ -66,40 +60,73 @@ class PPVIndex:
     hub_mask:
         Boolean membership array for the hub set.
     entries:
-        ``hub id -> PrimePPV`` (scores already clipped).
+        Constructor input only: the hubs' prime PPVs (scores already
+        clipped), as a ``hub id -> PrimePPV`` mapping or as one
+        :class:`~repro.core.splice.HubRows` batch (what
+        :func:`~repro.storage.ppv_store.load_index` decodes).  A row's
+        hub is its ``source``.
     stats:
-        Offline cost accounting.
+        Offline cost accounting: the counts of the block's rows, and
+        ``build_seconds`` as :func:`build_index` stamps it.
+    block:
+        The :class:`~repro.core.splice.SpliceBlock` of every entry, built
+        here: what the batch rounds read and :meth:`get` views.  An index
+        is not edited in place; :func:`repro.core.dynamic.update_index`
+        returns a new one.
     """
 
     alpha: float
     epsilon: float
     clip: float
     hub_mask: np.ndarray
-    entries: dict[int, PrimePPV] = field(default_factory=dict)
-    stats: IndexStats = field(default_factory=IndexStats)
+    entries: InitVar["Mapping[int, PrimePPV] | HubRows | None"] = None
+    stats: IndexStats = field(init=False)
+    block: SpliceBlock = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, entries) -> None:
+        if entries is None:
+            entries = ()
+        elif not isinstance(entries, HubRows):
+            entries = [entries[hub] for hub in sorted(entries)]
+        self.block = block = SpliceBlock(self.alpha, self.hub_mask.size, entries)
+        # A score row is its entries plus the trivial-tour correction.
+        stored = int(block._scores.csr()[0][-1]) - block.num_rows
+        borders = int(block._borders.csr()[0][-1])
+        self.stats = IndexStats(
+            num_hubs=block.num_rows,
+            stored_entries=stored,
+            stored_bytes=16 * (stored + borders),
+            border_entries=borders,
+        )
 
     @property
     def hubs(self) -> np.ndarray:
-        """Sorted hub ids."""
-        return np.nonzero(self.hub_mask)[0].astype(np.int64)
+        """Sorted ids of the hubs with a stored entry."""
+        return np.flatnonzero(self.block._row_lookup >= 0)
 
     @property
     def num_hubs(self) -> int:
-        """Number of hubs."""
-        return len(self.entries)
+        """Number of hubs with a stored entry."""
+        return self.block.num_rows
 
     def __contains__(self, hub: int) -> bool:
-        return int(hub) in self.entries
+        hub = int(hub)
+        return 0 <= hub < self.hub_mask.size and self.block._row_lookup[hub] >= 0
 
     def get(self, hub: int) -> PrimePPV:
-        """Prime PPV of ``hub``.
+        """Prime PPV of ``hub``: read-only views into :attr:`block`.
 
         Raises
         ------
         KeyError
             If ``hub`` was not indexed.
         """
-        return self.entries[int(hub)]
+        if hub not in self:
+            raise KeyError(hub)
+        arrays = self.block.prime_of(hub)
+        for array in arrays:
+            array.flags.writeable = False
+        return PrimePPV(int(hub), *arrays)
 
     def is_hub(self, node: int) -> bool:
         """Whether ``node`` belongs to the hub set."""
@@ -134,10 +161,9 @@ def _build_chunk(
     alpha: float,
     epsilon: float,
     clip: float,
-) -> tuple[dict[int, PrimePPV], IndexStats]:
-    """Compute one chunk of hub entries with its own stats (no timing)."""
+) -> dict[int, PrimePPV]:
+    """Compute one chunk of hub entries."""
     entries: dict[int, PrimePPV] = {}
-    stats = IndexStats(num_hubs=int(chunk.size))
     for hub in chunk:
         # The offline build stays on the numpy rounds for now.  Not for
         # the bits — the compiled rounds return the same bytes for every
@@ -149,18 +175,14 @@ def _build_chunk(
         # is 0.22-0.26 s; 2 of 25 such runs died without a result.
         # Flip this flag when the ledger's window rule is fixed
         # (ROADMAP item 1(a)).
-        entry = clip_prime_ppv(
+        entries[int(hub)] = clip_prime_ppv(
             prime_ppv(
                 graph, int(hub), hub_mask, alpha=alpha, epsilon=epsilon,
                 _numpy_rounds=True,
             ),
             clip,
         )
-        entries[int(hub)] = entry
-        stats.stored_entries += entry.nodes.size
-        stats.border_entries += entry.border_hubs.size
-        stats.stored_bytes += entry.nbytes
-    return entries, stats
+    return entries
 
 
 def build_index(
@@ -190,8 +212,8 @@ def build_index(
     workers:
         Number of threads the hub set is chunked across.  Each hub's
         push is independent, so the resulting index is entry-wise
-        identical for any worker count; per-chunk :class:`IndexStats` are
-        merged and ``build_seconds`` records wall-clock time.
+        identical for any worker count; ``stats.build_seconds`` records
+        wall-clock time.
     """
     hubs = np.asarray(hubs, dtype=np.int64)
     if clip >= alpha:
@@ -208,7 +230,6 @@ def build_index(
     hub_mask = np.zeros(graph.num_nodes, dtype=bool)
     hub_mask[hubs] = True
 
-    index = PPVIndex(alpha=alpha, epsilon=epsilon, clip=clip, hub_mask=hub_mask)
     started = time.perf_counter()
     if workers == 1 or hubs.size <= 1:
         chunk_results = [
@@ -227,8 +248,11 @@ def build_index(
                     chunks,
                 )
             )
-    for entries, stats in chunk_results:
-        index.entries.update(entries)
-        index.stats.merge(stats)
+    entries = {hub: entry for chunk in chunk_results for hub, entry in chunk.items()}
+    # Packed and dropped before the index lowers the rows, so the build
+    # holds at most two copies of the entries at once.
+    rows = HubRows.pack(entries[hub] for hub in sorted(entries))
+    del chunk_results, entries
+    index = PPVIndex(alpha, epsilon, clip, hub_mask, rows)
     index.stats.build_seconds = time.perf_counter() - started
     return index

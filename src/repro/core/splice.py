@@ -5,8 +5,9 @@ splices the prime PPV of every frontier hub into the running estimate.
 Done one hub at a time it is the paper's statement — the *scalar loop*,
 kept as the oracle in ``tests/oracles.py``; done for a *batch* of
 queries it is :func:`splice_rounds_exact`, the only round loop in
-``src/``, run by both backends over one representation of the hub
-payloads:
+``src/``, run by both backends (through
+:func:`repro.core.batch.splice_batch`) over one representation of the
+hub payloads:
 
 * :class:`SpliceBlock` holds prime PPVs as two append-only CSR matrices —
   score rows (the trivial-tour correction is a trailing ``(hub, -alpha)``
@@ -16,10 +17,9 @@ payloads:
   :func:`repro.storage.ppv_store.decode_records` — and are lowered in one
   vectorised step per batch (:meth:`SpliceBlock.add_rows`, the one path
   into a block).  The disk engine grows one block per query batch as
-  hub records are fetched; the in-memory engine uses
-  :func:`resident_block`, the block holding every hub of a
-  :class:`~repro.core.index.PPVIndex`, packed once and cached on the
-  index — memory is "disk with everything resident".
+  hub records are fetched; a :class:`~repro.core.index.PPVIndex` *is* a
+  block holding every hub, built once with the index — memory is "disk
+  with everything resident".
 * Each round of a batch is one call of the compiled
   ``repro_splice_round`` (:mod:`repro.native`) over state allocated once
   per batch: the delta gate, the score scatter and the first-touch
@@ -28,11 +28,6 @@ payloads:
   order is exactly the scalar loop's, so scores, error histories and
   frontiers are **bitwise equal** to it on every backend
   (``tests/test_native_kernels.py``).
-
-Indexes are treated as immutable once queried —
-:func:`repro.core.dynamic.update_index` returns a *new* index, so the
-cached block can never go stale through the supported update path.  Call
-:func:`invalidate_splice_cache` after mutating ``index.entries`` in place.
 """
 
 from __future__ import annotations
@@ -45,11 +40,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import native
-from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
 from repro.core.query import QueryState, StoppingCondition
-
-_CACHE_ATTR = "_splice_block"
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
@@ -119,8 +111,8 @@ class HubRows:
     def primes(self) -> list[PrimePPV]:
         """One :class:`~repro.core.prime.PrimePPV` per row — views into
         this batch's arrays.  For callers that want the per-hub object
-        (``get``, ``load_index``); the query path appends the batch to a
-        block instead."""
+        (the stores' ``get``); the query path and ``load_index`` append
+        the batch to a block instead."""
         cuts, border_cuts = np.cumsum(self.entries)[:-1], np.cumsum(self.borders)[:-1]
         return [
             PrimePPV(hub, nodes, scores, border_hubs, border_masses)
@@ -189,9 +181,10 @@ class SpliceBlock:
     whole index up front — hub records arrive from the
     :class:`~repro.storage.ppv_store.DiskPPVStore` wave by wave — so its
     per-batch block starts empty and grows one batch at a time; a block
-    given its ``entries`` at construction (:func:`resident_block`) packs
-    them into one batch, is sized for exactly those and carries no
-    growth slack.
+    given its ``entries`` at construction (a :class:`HubRows` batch, or
+    prime PPVs it packs into one) — the block of a
+    :class:`~repro.core.index.PPVIndex` — is sized for exactly those and
+    carries no growth slack.
 
     The splice round reads the rows straight from the CSR, and checks a
     hub's rows for columns outside ``[0, num_nodes)`` the first time it
@@ -199,14 +192,17 @@ class SpliceBlock:
     """
 
     def __init__(
-        self, alpha: float, num_nodes: int, entries: Iterable[PrimePPV] = ()
+        self,
+        alpha: float,
+        num_nodes: int,
+        entries: "HubRows | Iterable[PrimePPV]" = (),
     ) -> None:
         self.alpha = alpha
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
         self._checked = np.zeros(num_nodes, dtype=np.uint8)
         self._num_rows = 0
-        rows = HubRows.pack(entries)
+        rows = entries if isinstance(entries, HubRows) else HubRows.pack(entries)
         self._scores = _GrowableRows(rows.nodes.size + len(rows) or 1024)
         self._borders = _GrowableRows(rows.border_hubs.size or 1024)
         self.add_rows(rows)
@@ -254,9 +250,11 @@ class SpliceBlock:
         self._row_lookup[hubs] = np.arange(self._num_rows, self._num_rows + count)
         self._num_rows += count
         columns, values = self._scores.extend(rows.entries + 1)
-        # Row i's elements sit after i earlier corrections.
-        body = np.arange(rows.nodes.size) + np.repeat(np.arange(count), rows.entries)
+        # Each row's correction is its last element; the entries fill
+        # the rest in order.
         tails = np.cumsum(rows.entries + 1) - 1
+        body = np.ones(columns.size, dtype=bool)
+        body[tails] = False
         columns[body] = rows.nodes
         columns[tails] = hubs
         values[body] = rows.scores
@@ -300,42 +298,6 @@ class SpliceBlock:
         return rows
 
 
-def resident_block(index: PPVIndex) -> SpliceBlock:
-    """The :class:`SpliceBlock` holding every hub of ``index``, built on
-    first use and cached on the index (see the module docstring).
-
-    Raises
-    ------
-    ValueError
-        If the index has a hub in its mask with no stored entry, or an
-        entry whose border hubs are not themselves indexed — either would
-        make a batch splice silently diverge from the scalar loop.
-    """
-    block = getattr(index, _CACHE_ATTR, None)
-    if block is not None:
-        return block
-    hubs = sorted(index.entries)
-    if not np.array_equal(hubs, np.nonzero(index.hub_mask)[0]):
-        raise ValueError(
-            "index entries do not cover the hub mask; the batch engine "
-            "needs a prime PPV stored for every hub"
-        )
-    for hub in hubs:
-        if not index.hub_mask[index.entries[hub].border_hubs].all():
-            raise ValueError(f"hub {hub} has border hubs outside the index")
-    block = SpliceBlock(
-        index.alpha, index.hub_mask.size, (index.entries[hub] for hub in hubs)
-    )
-    setattr(index, _CACHE_ATTR, block)
-    return block
-
-
-def invalidate_splice_cache(index: PPVIndex) -> None:
-    """Drop the cached block (call after mutating ``index.entries``)."""
-    if hasattr(index, _CACHE_ATTR):
-        delattr(index, _CACHE_ATTR)
-
-
 class _BatchRounds:
     """One batch's state for ``kernels.c::repro_splice_round``, allocated
     once per batch and read in place by every round's one C call.
@@ -372,7 +334,7 @@ class _BatchRounds:
         self.starts[:] = np.cumsum(self.counts) - self.counts
         total = int(self.counts.sum())
         # A next frontier holds each border hub once; on a block whose
-        # border hubs all have rows (every resident block) that is at
+        # border hubs all have rows (every index's block) that is at
         # most num_rows per query, so the buffers never grow.
         capacity = max(1024, 4 * total, batch * block.num_rows)
         self.hubs = np.empty((2, capacity), dtype=np.int64)

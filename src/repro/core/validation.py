@@ -51,17 +51,16 @@ class ValidationReport:
 def validate_index_structure(index: PPVIndex) -> ValidationReport:
     """Structural invariants of every entry (cheap, full coverage)."""
     report = ValidationReport()
-    hubs = set(int(h) for h in index.hubs)
-    if set(index.entries) != hubs:
+    mask_hubs = np.flatnonzero(index.hub_mask)
+    if not np.array_equal(index.hubs, mask_hubs):
         report.add_problem(
             "hub mask and entry keys disagree: "
-            f"{len(index.entries)} entries vs {len(hubs)} mask hubs"
+            f"{index.num_hubs} entries vs {mask_hubs.size} mask hubs"
         )
     report.checks += 1
-    for hub, entry in index.entries.items():
+    for hub in index.hubs.tolist():
+        entry = index.get(hub)
         report.checks += 1
-        if entry.source != hub:
-            report.add_problem(f"entry {hub}: source field says {entry.source}")
         if entry.nodes.size != np.unique(entry.nodes).size:
             report.add_problem(f"entry {hub}: duplicate support nodes")
         if np.any(np.diff(entry.nodes) <= 0):
@@ -120,7 +119,7 @@ def validate_index_against_graph(
             ),
             index.clip,
         )
-        stored = index.entries[int(hub)]
+        stored = index.get(int(hub))
         if not np.array_equal(fresh.nodes, stored.nodes):
             report.add_problem(f"hub {int(hub)}: support set differs from graph")
             continue

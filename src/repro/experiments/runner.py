@@ -109,10 +109,6 @@ def run_fastppv(
     with PPVService.open(
         index, graph=graph, delta=delta, online_epsilon=online_epsilon
     ) as service:
-        # Materialise the index's resident splice block outside the timed
-        # online region: it is a one-off offline-type cost (and is
-        # cached on the index), not per-query work.
-        service.warm()
         accuracy, online_ms, work = _score_workload(
             workload,
             lambda qs: service.query_many(

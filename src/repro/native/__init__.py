@@ -108,7 +108,7 @@ class PushRun(ctypes.Structure):
         + [
             (name, ctypes.c_int64)
             for name in (
-                "order_count", "border_count", "drains", "truncated",
+                "order_count", "border_count", "drains", "truncated", "edges",
                 "pending", "pending_head", "pending_tail",
             )
         ]

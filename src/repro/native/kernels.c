@@ -102,6 +102,7 @@ typedef struct {
     int64_t *border_hubs;    /* [num_nodes] first-touch order */
     double *border_mass;     /* [num_nodes] aligned with border_hubs */
     int64_t order_count, border_count, drains, truncated;
+    int64_t edges;           /* out-edges of the expanded nodes */
     int64_t pending, pending_head, pending_tail;  /* staged cluster, -1 = none */
 } push_run;
 
@@ -227,6 +228,7 @@ static int64_t drain(push_run *r, const segment *s)
         if (row >= (uint64_t)members)
             return -(node + 1);
         const double base = (1.0 - alpha) * mass;
+        r->edges += offsets[row + 1] - offsets[row];
         for (int64_t e = offsets[row]; e < offsets[row + 1]; e++) {
             const int64_t t = targets[e];
             const double share = base * probs[e];

@@ -11,9 +11,8 @@ on ``put`` and on every ``get``, by the result's own ``copy()``), so
 callers can mutate results freely; a result without a ``copy()`` method
 is served but never cached.  It is invalidated wholesale whenever the
 service's engine reports a new cache token — for the memory backend the
-index's resident :class:`~repro.core.splice.SpliceBlock` (index swap via
-:meth:`~repro.serving.PPVService.update_index`, or an in-place index
-mutation followed by :func:`~repro.core.splice.invalidate_splice_cache`).
+:class:`~repro.core.index.PPVIndex` itself, which changes only by an
+index swap (:meth:`~repro.serving.PPVService.update_index`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from typing import Callable, Protocol, Sequence
 from repro.core.batch import FastPPV, batch_safe
 from repro.core.index import PPVIndex
 from repro.core.query import DEFAULT_DELTA, QueryState, StoppingCondition
-from repro.core.splice import resident_block
 from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.ppv_store import DiskPPVStore
 
@@ -110,7 +109,7 @@ class _StopRouting:
 class MemoryEngine(_StopRouting):
     """Adapter: the in-memory ``FastPPV``.
 
-    Batches run the shared round loop over the index's resident
+    Batches run the shared round loop over the index's
     :class:`~repro.core.splice.SpliceBlock`; streams and non-batch-safe
     stopping conditions serve one query at a time through the same
     engine — the batch of one.
@@ -138,10 +137,10 @@ class MemoryEngine(_StopRouting):
         return self.graph.num_nodes
 
     def cache_token(self) -> object:
-        # The index's resident block is rebuilt whenever the index
-        # content changes through a supported path, so its identity is
-        # exactly the lifetime of any result computed from it.
-        return resident_block(self.index)
+        # An index is never edited in place (update_index returns a new
+        # one), so its identity is exactly the lifetime of any result
+        # computed from it.
+        return self.index
 
     def replace_index(self, index: PPVIndex, graph=None) -> None:
         """Swap in a new index (e.g. from ``update_index``) in place.

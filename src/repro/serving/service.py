@@ -357,11 +357,6 @@ class PPVService:
         self.engine.close()
         self.obs.close()
 
-    def warm(self) -> None:
-        """Materialise one-off backend state (e.g. the matrix lowering)
-        outside any timed serving region."""
-        self._refresh_cache_token()
-
     # ------------------------------------------------------------------ #
     # Public request API
 

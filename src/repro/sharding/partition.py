@@ -123,7 +123,7 @@ def partition_index(
     cluster_shards = assign_clusters(assignment.sizes(), num_shards)
 
     labels = assignment.labels
-    hubs = sorted(index.entries)
+    hubs = index.hubs.tolist()
     hub_shards = {
         hub: cluster_shards[int(labels[hub])] for hub in hubs
     }
@@ -140,17 +140,20 @@ def partition_index(
         owned_hubs = [hub for hub in hubs if hub_shards[hub] == shard]
 
         # Sub-index: owned entries only, hub mask full-length so
-        # num_nodes stays global in the .fppv header.
+        # num_nodes stays global in the .fppv header.  Not kept: its
+        # block is a copy of part of the index's.
         sub_mask = np.zeros(index.hub_mask.size, dtype=bool)
         sub_mask[owned_hubs] = True
-        sub_index = PPVIndex(
-            alpha=index.alpha,
-            epsilon=index.epsilon,
-            clip=index.clip,
-            hub_mask=sub_mask,
-            entries={hub: index.entries[hub] for hub in owned_hubs},
+        index_bytes = save_index(
+            PPVIndex(
+                alpha=index.alpha,
+                epsilon=index.epsilon,
+                clip=index.clip,
+                hub_mask=sub_mask,
+                entries={hub: index.get(hub) for hub in owned_hubs},
+            ),
+            shard_dir / "index.fppv",
         )
-        index_bytes = save_index(sub_index, shard_dir / "index.fppv")
 
         store = DiskGraphStore(
             graph, assignment, shard_dir / "graph", clusters=owned_clusters

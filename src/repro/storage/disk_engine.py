@@ -63,10 +63,13 @@ is ``query_many([q])[0]``:
   lacks.  Each hub record is read from disk once per batch, not once per
   query that splices it, and no per-hub object is built on the way; a
   hub query's iteration 0 reads its own row back from the block.
-* The incremental splice rounds of the whole batch run in lock-step
-  through :func:`repro.core.splice.splice_rounds_exact`, the one round
-  loop both backends run — over that shared block (the lowering the
-  in-memory engine holds for its whole index); each round is one compiled
+* The rest is the in-memory engine's batch driver,
+  :func:`repro.core.batch.splice_batch`, handed each query's iteration 0
+  (a push row, or a hub query's own row of the block) and that block:
+  the incremental splice rounds of the whole batch run in lock-step
+  through :func:`repro.core.splice.splice_rounds_exact` — over the shared
+  block, the form a :class:`~repro.core.index.PPVIndex` holds its whole
+  index in; each round is one compiled
   call over the batch's delta-gated frontiers (:mod:`repro.native`), which
   accumulates in the exact operation order of the paper's per-hub loop
   and asks for the hubs the block lacks first, so scores are **bitwise
@@ -76,7 +79,10 @@ is ``query_many([q])[0]``:
 
 Each :class:`~repro.core.query.QueryResult` a disk query serves carries
 its I/O record in ``cluster_faults`` / ``hub_reads`` / ``truncated``
-(``None`` on memory results), and the record is *deterministic* I/O:
+(``None`` on memory results), and ``work_units`` as on memory: the
+push's edges (every expanded node's out-edges, counted by the drain)
+plus the index entries the splices touched.  The record is
+*deterministic* I/O:
 ``cluster_faults`` counts the query's drain steps — the faults a
 dedicated **one-cluster-budget** store would incur (the paper's Fig. 16
 setting, and the currency the fault budget is charged in) — and
@@ -99,6 +105,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import native
+from repro.core.batch import Start, splice_batch
 from repro.core.query import (
     DEFAULT_DELTA,
     BatchOfOne,
@@ -108,7 +115,7 @@ from repro.core.query import (
     StoppingCondition,
     query_ids,
 )
-from repro.core.splice import SpliceBlock, concat_ranges, splice_rounds_exact
+from repro.core.splice import SpliceBlock, concat_ranges
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
@@ -374,7 +381,8 @@ class _PrimePushRun:
     is fixed and independent of which cluster happens to be
     memory-resident, so running rows side by side to share residency
     never changes a query's mass flow: ``scores``, ``border``,
-    ``drains`` and ``truncated`` are bitwise those of the query pushed
+    ``drains``, ``edges`` (the out-edges of every expanded node) and
+    ``truncated`` are bitwise those of the query pushed
     alone, and equal the per-edge
     ``tests/oracles.py::ReferencePrimePushRun`` byte for byte
     (``tests/test_native_kernels.py``).  The fault budget is charged per
@@ -399,6 +407,10 @@ class _PrimePushRun:
     @property
     def truncated(self) -> bool:
         return bool(self._state.truncated)
+
+    @property
+    def edges(self) -> int:
+        return self._state.edges
 
     def frontier(self) -> tuple[np.ndarray, np.ndarray]:
         count = self._state.border_count
@@ -626,77 +638,33 @@ class DiskFastPPV(BatchOfOne):
             stop = StopAfterIterations(2)
         started = time.perf_counter()
         alpha = self.ppv_store.alpha
-        num_nodes = self.graph_store.num_nodes
-
-        runs = self._grouped_pushes(ids)
-
+        pushed = {
+            q: Start(
+                run.scores, *run.frontier(), run.edges,
+                (run.drains, 0, run.truncated),
+            )
+            for q, run in self._grouped_pushes(ids).items()
+        }
         # The batch's splice block, seeded with one physical
         # (offset-ordered) read per unique hub the first round can need:
         # the hub queries' own rows and the gated push frontiers.  A hub
-        # record is read once per batch, however many queries splice it.
-        wanted = {q for q in ids if q in self.ppv_store}
-        for run in runs.values():
-            hubs, masses = run.frontier()
-            wanted.update(hubs[alpha * masses > self.delta].tolist())
-        block = SpliceBlock(alpha, num_nodes)
+        # record is read once per batch, however many queries splice it;
+        # a round that needs hubs the block lacks reads them in and
+        # appends them.
+        wanted = {q for q in ids if q not in pushed}
+        for start in pushed.values():
+            wanted.update(start.hubs[alpha * start.masses > self.delta].tolist())
+        block = SpliceBlock(alpha, self.graph_store.num_nodes)
         block.add_rows(self.ppv_store.get_many(wanted))
-
-        # ---- iteration 0: stack every query's estimate and frontier.
-        batch = len(ids)
-        estimates = np.zeros((batch, num_nodes))
-        frontiers: list[tuple[np.ndarray, np.ndarray]] = []
-        hub_reads = [0] * batch
-        cluster_faults = [0] * batch
-        truncated = [False] * batch
-        for position, q in enumerate(ids):
-            if q in self.ppv_store:
-                nodes, scores, border_hubs, border_masses = block.prime_of(q)
-                hub_reads[position] = 1
-                estimates[position, nodes] = scores
-                frontiers.append((border_hubs.copy(), border_masses.copy()))
-            else:
-                run = runs[q]
-                # Copy into the row: duplicates share the run, and the
-                # splice rounds mutate the estimate in place.
-                estimates[position] = run.scores
-                frontiers.append(run.frontier())
-                cluster_faults[position] = run.drains
-                truncated[position] = run.truncated
-
-        # ---- incremental rounds: the shared exact kernel; a round that
-        # needs hubs the block lacks reads them in and appends them.
-        def ensure(hubs: np.ndarray) -> None:
-            block.add_rows(self.ppv_store.get_many(hubs))
-
-        rounds = splice_rounds_exact(
-            estimates,
-            frontiers,
+        hub_query = Start(io=(0, 1, False))  # one hub read, no push
+        return splice_batch(
+            ids,
+            [pushed.get(q, hub_query) for q in ids],
+            block,
+            lambda hubs: block.add_rows(self.ppv_store.get_many(hubs)),
             stop,
-            alpha,
             self.delta,
             self.max_iterations,
-            block,
-            ensure,
             started,
-            on_iteration=on_iteration,
+            on_iteration,
         )
-
-        return [
-            QueryResult(
-                query=q,
-                # Copy out of the shared batch matrix so one retained
-                # result cannot pin the whole (batch, n) buffer.
-                scores=estimates[position].copy(),
-                iterations=iteration,
-                error_history=error_history,
-                hubs_expanded=hubs_expanded,
-                seconds=seconds,
-                cluster_faults=cluster_faults[position],
-                hub_reads=hub_reads[position] + hubs_expanded,
-                truncated=truncated[position],
-            )
-            for position, (
-                q,
-                (iteration, error_history, hubs_expanded, _work_units, seconds),
-            ) in enumerate(zip(ids, rounds))
-        ]

@@ -36,7 +36,7 @@ import struct
 
 import numpy as np
 
-from repro.core.index import IndexStats, PPVIndex
+from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
 from repro.core.splice import HubRows, concat_ranges
 
@@ -49,9 +49,10 @@ _DIR_ENTRY = struct.Struct("<4Q")
 def save_index(index: PPVIndex, path: str | os.PathLike[str]) -> int:
     """Serialise a :class:`PPVIndex` to ``path``.
 
-    Returns the number of bytes written.
+    Returns the number of bytes written.  Records are written in hub
+    order, each from its rows of ``index.block``.
     """
-    hubs = sorted(index.entries)
+    hubs = index.hubs.tolist()
     with open(path, "wb") as handle:
         handle.write(
             _HEADER.pack(
@@ -68,7 +69,7 @@ def save_index(index: PPVIndex, path: str | os.PathLike[str]) -> int:
         handle.write(b"\x00" * _DIR_ENTRY.size * len(hubs))
         records = []
         for hub in hubs:
-            entry = index.entries[hub]
+            entry = index.get(hub)
             offset = handle.tell()
             handle.write(entry.nodes.astype("<i8").tobytes())
             handle.write(entry.scores.astype("<f8").tobytes())
@@ -258,21 +259,14 @@ class DiskPPVStore:
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:
-    """Eagerly load a saved index back into a :class:`PPVIndex`."""
+    """Eagerly load a saved index back into a :class:`PPVIndex`: one
+    :meth:`DiskPPVStore.get_many` over every hub, appended to the index's
+    block as it is decoded."""
     with DiskPPVStore(path) as store:
-        index = PPVIndex(
+        return PPVIndex(
             alpha=store.alpha,
             epsilon=store.epsilon,
             clip=store.clip,
             hub_mask=store.hub_mask.copy(),
+            entries=store.get_many(store.hubs),
         )
-        stats = IndexStats(num_hubs=len(store.hubs))
-        entries = {entry.source: entry for entry in store.get_many(store.hubs).primes()}
-        for hub in store.hubs.tolist():
-            entry = entries[hub]
-            index.entries[hub] = entry
-            stats.stored_entries += entry.nodes.size
-            stats.border_entries += entry.border_hubs.size
-            stats.stored_bytes += entry.nbytes
-        index.stats = stats
-        return index

@@ -294,7 +294,7 @@ class ReferencePrimePushRun:
     compiled — heaviest pool first, FIFO within a cluster, the fault
     budget charged per drain — with the historical drain: one
     ``scores[t] +=`` per edge, residency resolved per expanded node
-    through ``out_edges``."""
+    through ``out_edges``, whose edges ``edges`` counts."""
 
     def __init__(
         self, graph_store, source, hub_mask, alpha, epsilon, fault_budget
@@ -312,6 +312,7 @@ class ReferencePrimePushRun:
         # whose every node sits below epsilon are dropped fault-free.
         self.pools: dict[int, dict[int, float]] = {}
         self.drains = 0
+        self.edges = 0
         self.truncated = False
         self._pending = None
         # The initial unit at the source always expands (a tour's start
@@ -388,6 +389,7 @@ class ReferencePrimePushRun:
             if mass < epsilon:
                 continue  # sub-threshold remainder: already scored
             neighbors, probabilities = graph_store.out_edges(node)
+            self.edges += len(neighbors)
             for target, probability in zip(neighbors, probabilities):
                 target = int(target)
                 share = (1.0 - alpha) * mass * probability
@@ -420,7 +422,8 @@ def reference_disk_query(
 
     ``cluster_faults`` is the drain count and ``hub_reads`` the number
     of ``ppv_store.get`` calls — the deterministic accounting
-    ``DiskFastPPV`` reports.
+    ``DiskFastPPV`` reports — and ``work_units`` the drain's edges plus
+    the index entries the splices touched, as on memory.
     """
     if stop is None:
         stop = StopAfterIterations(2)
@@ -429,6 +432,7 @@ def reference_disk_query(
     started = time.perf_counter()
     hub_reads = 0
     drains = 0
+    edges = 0
     truncated = False
     if query in ppv_store:
         entry = ppv_store.get(query)
@@ -449,8 +453,8 @@ def reference_disk_query(
         while run.next_cluster() is not None:
             run.drain()
         estimate, frontier = run.scores, run.border
-        drains, truncated = run.drains, run.truncated
-    iterations, error_history, hubs_expanded, _ = scalar_splice_rounds(
+        drains, edges, truncated = run.drains, run.edges, run.truncated
+    iterations, error_history, hubs_expanded, work_units = scalar_splice_rounds(
         estimate,
         frontier,
         stop,
@@ -467,6 +471,7 @@ def reference_disk_query(
         error_history=error_history,
         hubs_expanded=hubs_expanded,
         seconds=time.perf_counter() - started,
+        work_units=edges + work_units,
         cluster_faults=drains,
         hub_reads=hub_reads + hubs_expanded,
         truncated=truncated,

@@ -17,9 +17,9 @@ from repro import (
     select_hubs,
     social_graph,
 )
-from repro.core.prime import prime_ppv, prime_push_many
+from repro.core.index import PPVIndex
+from repro.core.prime import PrimePPV, prime_ppv, prime_push_many
 from repro.core.query import DEFAULT_DELTA, QueryState
-from repro.core.splice import invalidate_splice_cache, resident_block
 from repro.graph.build import GraphBuilder
 from repro.graph.generators import erdos_renyi_graph
 
@@ -216,16 +216,15 @@ class TestEdgeCases:
         hubs = select_hubs(small_social, num_hubs=30)
         serial = build_index(small_social, hubs, workers=1)
         parallel = build_index(small_social, hubs, workers=4)
-        assert set(serial.entries) == set(parallel.entries)
-        for hub, entry in serial.entries.items():
-            other = parallel.entries[hub]
+        np.testing.assert_array_equal(serial.hubs, parallel.hubs)
+        for hub in serial.hubs.tolist():
+            entry, other = serial.get(hub), parallel.get(hub)
             np.testing.assert_array_equal(entry.nodes, other.nodes)
             np.testing.assert_array_equal(entry.scores, other.scores)
             np.testing.assert_array_equal(entry.border_hubs, other.border_hubs)
             np.testing.assert_array_equal(
                 entry.border_masses, other.border_masses
             )
-            assert entry.edges_touched == other.edges_touched
         assert serial.stats.num_hubs == parallel.stats.num_hubs
         assert serial.stats.stored_entries == parallel.stats.stored_entries
         assert serial.stats.stored_bytes == parallel.stats.stored_bytes
@@ -267,24 +266,43 @@ class TestEdgeCases:
         assert result.query == 3 and type(result.query) is int
 
 
-class TestSpliceMatrix:
-    """The index's cached CSR lowering — ``resident_block``: the
-    ``SpliceBlock`` holding every hub, which the batch rounds read."""
+def _rebuilt(index, hub_mask=None, change=lambda entry: entry, drop=()):
+    """A new index from ``index``'s prime PPVs (read through ``get``),
+    each passed through ``change``, without the hubs in ``drop``."""
+    return PPVIndex(
+        index.alpha, index.epsilon, index.clip,
+        index.hub_mask.copy() if hub_mask is None else hub_mask,
+        {
+            hub: change(index.get(hub))
+            for hub in index.hubs.tolist() if hub not in drop
+        },
+    )
 
-    def test_cached_on_index(self, small_social_index):
-        first = resident_block(small_social_index)
-        assert resident_block(small_social_index) is first
+
+class TestSpliceMatrix:
+    """The index's CSR block — ``PPVIndex.block``: the ``SpliceBlock``
+    holding every hub, built with the index, which the batch rounds
+    read and ``get`` views."""
+
+    def test_cached_on_index(self, small_social, small_social_index):
+        first = small_social_index.block
+        assert small_social_index.block is first
         assert first.num_rows == small_social_index.num_hubs
-        invalidate_splice_cache(small_social_index)
-        rebuilt = resident_block(small_social_index)
+        assert FastPPV(small_social, small_social_index).index.block is first
+        # An index made from the same prime PPVs packs its own block,
+        # with the same rows.
+        rebuilt = _rebuilt(small_social_index).block
         assert rebuilt is not first
         hubs = small_social_index.hubs
         np.testing.assert_array_equal(rebuilt.rows_of(hubs), first.rows_of(hubs))
 
     def test_shapes_and_correction(self, small_social_index):
-        block = resident_block(small_social_index)
+        block = small_social_index.block
         alpha = small_social_index.alpha
-        entries = small_social_index.entries
+        entries = {
+            hub: small_social_index.get(hub)
+            for hub in small_social_index.hubs.tolist()
+        }
         score_indptr, score_columns, score_values = block._scores.csr()
         border_indptr, border_columns, _ = block._borders.csr()
         for hub, entry in entries.items():
@@ -305,52 +323,62 @@ class TestSpliceMatrix:
             entry.border_hubs.size for entry in entries.values()
         )
 
-    def test_engine_follows_invalidation(self, small_social):
-        # An existing engine must pick up a rebuilt lowering after
-        # invalidate_splice_cache, not keep serving a private stale copy.
+    def test_engine_follows_a_new_index(self, small_social):
+        # An index is not edited in place — its get() views refuse
+        # writes — so a changed index is a new one, which an existing
+        # engine serves once it is swapped in.
         from repro.serving.engines import MemoryEngine
 
         index = build_index(small_social, select_hubs(small_social, 12))
         engine = MemoryEngine(small_social, index, delta=0.0)
-        before = engine.cache_token()
-        assert engine.cache_token() is before is resident_block(index)
+        assert engine.cache_token() is index
         query, stop = 3, StopAfterIterations(1)
         (served,) = engine.query_batch([query], stop)
-        for entry in index.entries.values():
-            entry.scores[:] *= 0.5  # an in-place edit of the index
-        (stale,) = engine.query_batch([query], stop)
-        invalidate_splice_cache(index)
-        assert engine.cache_token() is not before
+        for hub in index.hubs.tolist():
+            with pytest.raises(ValueError, match="read-only"):
+                index.get(hub).scores[:] *= 0.5
+        (again,) = engine.query_batch([query], stop)
+        halved = _rebuilt(
+            index,
+            change=lambda entry: PrimePPV(
+                entry.source, entry.nodes, entry.scores * 0.5,
+                entry.border_hubs, entry.border_masses,
+            ),
+        )
+        engine.replace_index(halved)
+        assert engine.cache_token() is halved
         (fresh,) = engine.query_batch([query], stop)
-        assert stale.scores.tobytes() == served.scores.tobytes()
+        assert again.scores.tobytes() == served.scores.tobytes()
         assert fresh.scores.tobytes() != served.scores.tobytes()
         assert_equivalent(
-            ReferenceFastPPV(small_social, index, delta=0.0).query(
+            ReferenceFastPPV(small_social, halved, delta=0.0).query(
                 query, stop=stop
             ),
             fresh,
         )
 
     def test_rows_of_empty_input(self, small_social_index):
-        block = resident_block(small_social_index)
+        block = small_social_index.block
         assert block.rows_of(np.zeros(0, dtype=np.int64)).size == 0
 
     def test_rows_of_rejects_non_hub(self, small_social, small_social_index):
-        block = resident_block(small_social_index)
+        block = small_social_index.block
         non_hub = int(np.nonzero(~small_social_index.hub_mask)[0][0])
         with pytest.raises(KeyError):
             block.rows_of(np.array([non_hub]))
 
     def test_an_index_the_rounds_cannot_serve_is_refused(self, small_social):
         index = build_index(small_social, select_hubs(small_social, 12))
-        entries = dict(index.entries)
-        reached = int(next(iter(entries.values())).border_hubs[0])
-        del index.entries[reached]
+        reached = int(index.get(int(index.hubs[0])).border_hubs[0])
+        # The index itself takes both (a shard's sub-index has border
+        # hubs outside it); the engine refuses them before serving.
+        uncovered = _rebuilt(index, drop={reached})
         with pytest.raises(ValueError, match="do not cover the hub mask"):
-            resident_block(index)
-        index.hub_mask[reached] = False
+            FastPPV(small_social, uncovered)
+        outside = uncovered.hub_mask.copy()
+        outside[reached] = False
         with pytest.raises(ValueError, match="border hubs outside"):
-            resident_block(index)
+            FastPPV(small_social, _rebuilt(uncovered, hub_mask=outside))
 
 
 class TestRoutingAndChunking:

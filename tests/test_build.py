@@ -118,10 +118,10 @@ class TestThreadedBuild:
     def _assert_indexes_identical(left, right):
         import numpy as np
 
-        assert sorted(left.entries) == sorted(right.entries)
+        assert np.array_equal(left.hubs, right.hubs)
         assert np.array_equal(left.hub_mask, right.hub_mask)
-        for hub, entry in left.entries.items():
-            other = right.entries[hub]
+        for hub in left.hubs.tolist():
+            entry, other = left.get(hub), right.get(hub)
             for name in ("nodes", "scores", "border_hubs", "border_masses"):
                 assert getattr(entry, name).tobytes() == getattr(other, name).tobytes()
         for name in ("num_hubs", "stored_entries", "stored_bytes", "border_entries"):

@@ -90,6 +90,7 @@ class TestEquality:
             # Scalar-equivalent per-query I/O accounting.
             assert scalar.hub_reads == batched.hub_reads
             assert scalar.cluster_faults == batched.cluster_faults
+            assert scalar.work_units == batched.work_units
 
     def test_duplicates_share_push_but_not_buffers(
         self, disk_batch_setup, small_social
@@ -463,7 +464,7 @@ def _fields(result) -> tuple:
     inner = result.result
     return (
         inner.query, inner.scores.tobytes(), inner.iterations,
-        inner.error_history, inner.hubs_expanded,
+        inner.error_history, inner.hubs_expanded, result.work_units,
         result.cluster_faults, result.hub_reads, result.truncated,
     )
 
@@ -554,6 +555,37 @@ class TestCompiledWaves:
         assert served == oracle
         assert counters == oracle_counters
         assert counters[0] > len(stream)  # more than one wave per batch
+
+
+class TestWorkUnits:
+    """A disk result's ``work_units`` means what a memory result's does —
+    the push's edges plus the index entries the splices touched — and,
+    like the I/O record, is independent of the batch and the backend."""
+
+    def test_equals_the_oracle_alone_in_a_batch_and_sharded(self, wave_setup):
+        directory, index_path, stream = wave_setup
+        queries = stream[0]
+        stop = StopAfterIterations(2)
+        with DiskPPVStore(index_path) as ppv_store:
+            want = [
+                reference_disk_query(
+                    DiskGraphStore.open(directory), ppv_store, q, stop=stop,
+                    delta=0.0,
+                ).work_units
+                for q in queries
+            ]
+            engine = DiskFastPPV(DiskGraphStore.open(directory), ppv_store, delta=0.0)
+            batched = [r.work_units for r in engine.query_many(queries, stop=stop)]
+            alone = [engine.query(q, stop=stop).work_units for q in queries]
+            mixed = engine.query_many(queries[::-1] + queries[:3], stop=stop)
+            sharded = DiskFastPPV(
+                sharded_over(DiskGraphStore.open(directory)), ppv_store, delta=0.0
+            ).query_many(queries, stop=stop)
+        assert batched == alone == want
+        assert [r.work_units for r in mixed] == want[::-1] + want[:3]
+        assert [r.work_units for r in sharded] == want
+        pushed = [w for q, w in zip(queries, want) if q not in ppv_store]
+        assert pushed and min(pushed) > 0
 
 
 class TestDiskTopK:

@@ -128,7 +128,9 @@ def _stage(started, node: int, mass: float) -> None:
 def _assert_runs_identical(fast, oracle) -> None:
     assert fast.scores.tobytes() == oracle.scores.tobytes()
     assert list(fast.border.items()) == list(oracle.border.items())
-    assert (fast.drains, fast.truncated) == (oracle.drains, oracle.truncated)
+    assert (fast.drains, fast.edges, fast.truncated) == (
+        oracle.drains, oracle.edges, oracle.truncated
+    )
 
 
 # Node 0 fans out with a parallel edge (0 -> 1 twice) and a self-loop;

