@@ -64,7 +64,8 @@ class PPVIndex:
         clipped), as a ``hub id -> PrimePPV`` mapping or as one
         :class:`~repro.core.splice.HubRows` batch (what
         :func:`~repro.storage.ppv_store.load_index` decodes).  A row's
-        hub is its ``source``.
+        hub is its ``source``; a mapping key that disagrees with it is
+        refused.
     stats:
         Offline cost accounting: the counts of the block's rows, and
         ``build_seconds`` as :func:`build_index` stamps it.
@@ -87,6 +88,13 @@ class PPVIndex:
         if entries is None:
             entries = ()
         elif not isinstance(entries, HubRows):
+            # The block files a row under its entry's source, so a key
+            # that disagrees with it would misfile the row.
+            for hub, entry in entries.items():
+                if entry.source != hub:
+                    raise ValueError(
+                        f"entry {hub}: source field says {entry.source}"
+                    )
             entries = [entries[hub] for hub in sorted(entries)]
         self.block = block = SpliceBlock(self.alpha, self.hub_mask.size, entries)
         # A score row is its entries plus the trivial-tour correction.

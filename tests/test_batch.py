@@ -4,6 +4,8 @@ per-query callback contract."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from oracles import ReferenceFastPPV
@@ -17,6 +19,7 @@ from repro import (
     select_hubs,
     social_graph,
 )
+from repro.core.batch import Start, splice_batch
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV, prime_ppv, prime_push_many
 from repro.core.query import DEFAULT_DELTA, QueryState
@@ -379,6 +382,90 @@ class TestSpliceMatrix:
         outside[reached] = False
         with pytest.raises(ValueError, match="border hubs outside"):
             FastPPV(small_social, _rebuilt(uncovered, hub_mask=outside))
+
+
+class TestSpliceBatch:
+    """``splice_batch``, the one driver both engines fill, called
+    directly with the starts ``FastPPV`` builds."""
+
+    STOP = StopAfterIterations(2)
+
+    @staticmethod
+    def _starts(graph, index, ids, io=None):
+        """Per query its iteration 0: a hub's own block row, or its lone
+        push row with the frontier in sorted border order."""
+        sources = [q for q in dict.fromkeys(ids) if q not in index]
+        scores, border, edges = prime_push_many(
+            graph, np.asarray(sources, dtype=np.int64), index.hub_mask,
+            alpha=index.alpha, epsilon=index.epsilon,
+        )
+        pushed = {}
+        for row, q in enumerate(sources):
+            hubs = np.nonzero(border[row])[0]
+            pushed[q] = Start(scores[row], hubs, border[row, hubs], int(edges[row]))
+        return [pushed.get(q, Start())._replace(io=io) for q in ids]
+
+    def _run(self, graph, index, ids, starts):
+        return splice_batch(
+            ids, starts, index.block, index.block.rows_of, self.STOP,
+            DEFAULT_DELTA, 50, time.perf_counter(),
+        )
+
+    def _ids(self, index):
+        return [int(index.hubs[0]), 3, 7, 3, int(index.hubs[1])]
+
+    def test_hub_and_pushed_starts_are_the_engines_results(
+        self, small_social, small_social_index
+    ):
+        ids = self._ids(small_social_index)
+        starts = self._starts(small_social, small_social_index, ids)
+        assert [start.scores is None for start in starts] == [
+            True, False, False, False, True
+        ]
+        served = FastPPV(small_social, small_social_index).query_many(
+            ids, stop=self.STOP
+        )
+        for result, expected in zip(
+            self._run(small_social, small_social_index, ids, starts), served
+        ):
+            assert_equivalent(expected, result)
+            assert result.cluster_faults is result.hub_reads is None
+            assert result.truncated is None
+
+    def test_io_record_adds_the_expanded_hubs(self, small_social, small_social_index):
+        ids = self._ids(small_social_index)
+        starts = self._starts(small_social, small_social_index, ids, io=(4, 9, True))
+        for result in self._run(small_social, small_social_index, ids, starts):
+            assert result.cluster_faults == 4
+            assert result.hub_reads == 9 + result.hubs_expanded
+            assert result.truncated is True
+
+    def test_work_units_add_the_push_edges(self, small_social, small_social_index):
+        ids = self._ids(small_social_index)
+        starts = self._starts(small_social, small_social_index, ids)
+        counted = self._run(small_social, small_social_index, ids, starts)
+        unpushed = self._run(
+            small_social, small_social_index, ids,
+            [start._replace(edges=0) for start in starts],
+        )
+        for start, result, bare in zip(starts, counted, unpushed):
+            assert result.work_units == start.edges + bare.work_units
+            assert result.scores.tobytes() == bare.scores.tobytes()
+        assert all(start.edges > 0 for start in starts if start.scores is not None)
+
+    def test_start_rows_are_read_not_written(self, small_social, small_social_index):
+        ids = self._ids(small_social_index)
+        starts = self._starts(small_social, small_social_index, ids)
+        before = []
+        for start in starts:
+            if start.scores is not None:
+                start.scores.flags.writeable = False
+                before.append(start.scores.tobytes())
+        results = self._run(small_social, small_social_index, ids, starts)
+        assert before == [s.scores.tobytes() for s in starts if s.scores is not None]
+        # Each result owns its scores: none pins the batch's matrix.
+        for result in results:
+            assert result.scores.base is None
 
 
 class TestRoutingAndChunking:

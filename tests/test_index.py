@@ -124,3 +124,59 @@ class TestIndexAccessors:
     def test_is_hub_matches_contains(self, small_social_index):
         for node in (0, 1, 2, 50, 100):
             assert small_social_index.is_hub(node) == (node in small_social_index)
+
+
+class TestIndexEntriesInput:
+    """``PPVIndex``'s ``entries=`` — a ``hub -> PrimePPV`` mapping or one
+    ``HubRows`` batch — becomes the index's block and nothing else."""
+
+    @staticmethod
+    def _entries(index):
+        return {hub: index.get(hub) for hub in index.hubs.tolist()}
+
+    @staticmethod
+    def _block_bytes(index):
+        return [
+            array.tobytes()
+            for matrix in (index.block._scores, index.block._borders)
+            for array in matrix.csr()
+        ]
+
+    def test_rows_and_mapping_build_the_same_block(self, small_social_index):
+        from repro.core.splice import HubRows
+
+        index = small_social_index
+        entries = self._entries(index)
+        args = (index.alpha, index.epsilon, index.clip, index.hub_mask)
+        from_map = PPVIndex(*args, entries)
+        from_rows = PPVIndex(*args, HubRows.pack(entries[h] for h in sorted(entries)))
+        # A mapping in any key order is filed in hub order.
+        reversed_map = PPVIndex(*args, dict(reversed(list(entries.items()))))
+        for other in (from_rows, reversed_map):
+            assert self._block_bytes(other) == self._block_bytes(from_map)
+            assert other.stats == from_map.stats
+        assert self._block_bytes(from_map) == self._block_bytes(index)
+
+    def test_stats_are_the_per_entry_sums(self, small_social_index):
+        entries = self._entries(small_social_index).values()
+        stats = small_social_index.stats
+        assert stats.num_hubs == len(entries)
+        assert stats.stored_entries == sum(entry.nodes.size for entry in entries)
+        assert stats.border_entries == sum(entry.border_hubs.size for entry in entries)
+        assert stats.stored_bytes == sum(entry.nbytes for entry in entries)
+
+    def test_no_entries_is_an_empty_index(self, fig1_graph, fig1_hub_mask):
+        index = PPVIndex(ALPHA, 1e-6, DEFAULT_CLIP, fig1_hub_mask)
+        assert index.num_hubs == 0 and index.hubs.size == 0
+        assert index.stats.stored_entries == index.stats.stored_bytes == 0
+        for hub in FIG3_HUBS:
+            assert index.is_hub(hub) and hub not in index
+            with pytest.raises(KeyError):
+                index.get(hub)
+
+    def test_contains_is_false_outside_the_node_range(self, fig1_graph):
+        index = build_index(fig1_graph, FIG3_HUBS)
+        assert -1 not in index
+        assert fig1_graph.num_nodes not in index
+        with pytest.raises(KeyError):
+            index.get(fig1_graph.num_nodes)

@@ -48,6 +48,20 @@ class TestStructuralValidation:
             index.alpha, index.epsilon, index.clip, index.hub_mask, entries
         )
 
+    def test_detects_wrong_source(self, fig1_graph):
+        # The block files a row under its entry's source, so an entry
+        # keyed under another hub is refused when the index is made.
+        index = build_index(fig1_graph, FIG3_HUBS)
+        entry = index.get(FIG3_HUBS[0])
+        with pytest.raises(ValueError, match="source field says 99"):
+            self._with_first_hub(index, PrimePPV(
+                source=99,
+                nodes=entry.nodes,
+                scores=entry.scores,
+                border_hubs=entry.border_hubs,
+                border_masses=entry.border_masses,
+            ))
+
     def test_detects_negative_score(self, fig1_graph):
         index = build_index(fig1_graph, FIG3_HUBS)
         entry = index.get(FIG3_HUBS[0])
