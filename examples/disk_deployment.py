@@ -1,10 +1,11 @@
 """Disk-resident deployment: bounded memory, counted I/O (Sect. 5.3).
 
-The graph is segmented into PPR clusters persisted as files; at most
-``memory_budget`` clusters are RAM-resident (LRU).  The PPV index lives
-in a binary file fetched one hub per read.  Every query reports its
-cluster drains and index reads, and the stores count the physical
-faults and reads — the currency of Fig. 16.
+The graph is segmented into PPR clusters persisted as files, and the
+PPV index lives in a binary file fetched one hub per read.  One pool of
+stored bytes (an LRU bounded in bytes) holds what the two stores have
+read; here it is given to the graph store alone, so it holds clusters.
+Every query reports its cluster drains and index reads, and the stores
+count the physical faults and reads — the currency of Fig. 16.
 
 Run with:  python examples/disk_deployment.py
 """
@@ -19,6 +20,7 @@ from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
+    StoredBytes,
     cluster_graph,
     save_index,
 )
@@ -44,23 +46,22 @@ def run(workdir: Path) -> None:
     )
 
     # A realistic workload has locality: consecutive queries hit the same
-    # region (e.g. a user browsing one community).  Larger cluster budgets
-    # pay off exactly there — the region stays cached across queries.
+    # region (e.g. a user browsing one community).  Larger pools pay off
+    # exactly there — the region stays resident across queries.
     rng = np.random.default_rng(0)
     base = int(rng.integers(graph.num_nodes))
     queries = [(base + offset) % graph.num_nodes for offset in range(8)]
 
     print("\nworkload: 8 queries in one neighbourhood, asked twice")
-    for budget in (1, 6):
-        budget_store = DiskGraphStore(
-            graph, assignment, workdir / f"clusters_b{budget}",
-            memory_budget=budget,
+    for budget in (store.largest_cluster_bytes, 6 * store.largest_cluster_bytes):
+        budget_store = DiskGraphStore.open(
+            workdir / "clusters", pool=StoredBytes(budget)
         )
-        with DiskPPVStore(index_path) as ppv_store:
+        with DiskPPVStore(index_path, pool=StoredBytes(0)) as ppv_store:
             engine = DiskFastPPV(budget_store, ppv_store)
             per_pass = []
             for _ in range(2):
-                # Physical faults: the store's counter sees the LRU hits
+                # Physical faults: the store's counter sees the pool hits
                 # (a result's cluster_faults is the budget-independent
                 # drain count).
                 faults_before = budget_store.faults
@@ -70,7 +71,7 @@ def run(workdir: Path) -> None:
                     (budget_store.faults - faults_before) / len(queries)
                 )
         print(
-            f"memory budget {budget} cluster(s): "
+            f"memory budget {budget / 1e3:.1f} kB: "
             f"{per_pass[0]:.1f} faults/query cold, "
             f"{per_pass[1]:.1f} warm"
         )

@@ -64,6 +64,7 @@ from repro.graph.io import read_edge_list, write_edge_list
 from repro.serving import PPVService, QuerySpec
 from repro.serving.spec import DEFAULT_TOPK_BUDGET
 from repro.storage.ppv_store import DiskPPVStore, load_index, save_index
+from repro.storage.residency import DEFAULT_MEMORY_BYTES
 
 DEFAULT_CLUSTERS = 8
 """``--backend disk``'s cluster count when ``--clusters`` is not given."""
@@ -107,7 +108,7 @@ def _deployment(args: argparse.Namespace, **service_kwargs):
         ) as service:
             yield service
         return
-    from repro.storage import DiskGraphStore, cluster_graph
+    from repro.storage import DiskGraphStore, StoredBytes, cluster_graph
 
     num_clusters = DEFAULT_CLUSTERS if args.clusters is None else args.clusters
     assignment = cluster_graph(graph, num_clusters, seed=args.seed)
@@ -116,13 +117,13 @@ def _deployment(args: argparse.Namespace, **service_kwargs):
         workdir = tempfile.mkdtemp(prefix="fastppv_disk_")
     try:
         graph_store = DiskGraphStore(
-            graph, assignment, workdir, memory_budget=args.memory_budget
+            graph, assignment, workdir, pool=StoredBytes(args.memory_bytes)
         )
         # From here on the stores are the deployment: this frame lives
         # as long as the service, and must not pin the graph in memory.
         del graph, assignment
         # Opened from the path: the service owns (and closes) its
-        # DiskPPVStore.
+        # DiskPPVStore, which shares the graph store's pool.
         with PPVService.open(
             args.index,
             backend="disk",
@@ -152,9 +153,12 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         "max(8, 2N))",
     )
     parser.add_argument(
-        "--memory-budget", type=int, default=1,
-        help="disk backend: clusters resident in memory at once (the "
-        "paper keeps 1)",
+        "--memory-budget", dest="memory_bytes", type=int,
+        default=DEFAULT_MEMORY_BYTES,
+        help="disk and sharded backends: bytes of stored cluster segments "
+        "and hub records held in memory, one pool for both (default "
+        f"{DEFAULT_MEMORY_BYTES}; the paper holds one cluster and no "
+        "record)",
     )
     parser.add_argument(
         "--fault-budget", type=int, default=None,
@@ -413,8 +417,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(
             f"physical I/O for {len(results)} queries: {store.faults} "
             f"cluster faults, {engine.ppv_store.reads} hub reads "
-            f"({store.num_clusters} clusters, memory budget "
-            f"{store.memory_budget})"
+            f"({store.num_clusters} clusters, pool holds "
+            f"{store.pool.held} of {store.pool.capacity} bytes)"
         )
     clip = (engine.ppv_store if args.backend == "disk" else engine.index).clip
     if specs[0].top_k is not None and clip > 0 and not any(
@@ -687,6 +691,7 @@ def _serve_sharded(args: argparse.Namespace, config, service_kwargs) -> int:
         config=config,
         delta=args.delta,
         fault_budget=args.fault_budget,
+        memory_bytes=args.memory_bytes,
         obs=_make_obs(args),
     )
     if args.shard_map is not None:

@@ -162,7 +162,7 @@ class QueryResult:
         (= the prime push's drain steps), the hub records the query
         requested, and whether the fault budget cut the push short.
         Deterministic: independent of the batch the query was served in
-        and of the store's ``memory_budget``.
+        and of the stores' pool.
     certified, top:
         The top-k certificate (``None`` unless the result came from
         :func:`~repro.core.topk.top_k_result`): whether ``top``, the

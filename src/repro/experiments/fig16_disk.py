@@ -4,6 +4,11 @@ Sweeps the number of clusters and reports, per query: cluster faults,
 time, and the memory need (largest cluster as a fraction of the graph).
 Expected shape (Sect. 6.4.2): faults grow with cluster count, query time
 stays roughly stable, memory need shrinks.
+
+Both sweeps run the paper's deployment explicitly: the graph store's
+pool holds one largest cluster (``k`` of them in the budget ablation)
+and the PPV store's pool 0 bytes, so every hub record a query needs is
+read (Sect. 6.3.1).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from repro.graph.digraph import DiGraph
 from repro.storage.clustering import cluster_graph
 from repro.storage.disk_engine import DiskFastPPV, DiskGraphStore
 from repro.storage.ppv_store import DiskPPVStore, save_index
+from repro.storage.residency import StoredBytes
 
 
 @dataclass
@@ -58,33 +64,49 @@ def run_disk_sweep(
     points = []
     for num_clusters in cluster_counts:
         assignment = cluster_graph(graph, num_clusters, seed=seed)
-        store_dir = scratch / f"clusters_{num_clusters}"
-        graph_store = DiskGraphStore(graph, assignment, store_dir)
-        with DiskPPVStore(index_path) as ppv_store:
-            engine = DiskFastPPV(graph_store, ppv_store)
-            seconds = []
-            for query in queries:
-                result = engine.query(int(query), stop=StopAfterIterations(eta))
-                seconds.append(result.seconds)
+        faults, ms = _serve_paper(
+            graph, assignment, scratch / f"clusters_{num_clusters}", 1,
+            index_path, queries, eta, fault_budget=None,
+        )
         points.append(
             DiskSweepPoint(
                 num_clusters=num_clusters,
-                # Physical faults: the store's own counter, which (unlike
-                # the result's deterministic drain count) credits
-                # residency carried over between queries.
-                faults_per_query=graph_store.faults / len(queries),
-                ms_per_query=float(np.mean(seconds)) * 1000.0,
+                faults_per_query=faults,
+                ms_per_query=ms,
                 memory_need=assignment.largest_fraction(graph),
             )
         )
     return points
 
 
+def _serve_paper(
+    graph, assignment, directory, clusters, index_path, queries, eta,
+    fault_budget,
+) -> tuple[float, float]:
+    """Serve ``queries`` one by one on the paper's deployment — a graph
+    pool of ``clusters`` largest clusters, a 0-byte PPV pool — and
+    return physical faults and milliseconds per query.  The faults are
+    the store's own counter, which (unlike a result's deterministic
+    drain count) credits residency carried over between queries."""
+    largest = DiskGraphStore(graph, assignment, directory).largest_cluster_bytes
+    graph_store = DiskGraphStore.open(
+        directory, pool=StoredBytes(clusters * largest)
+    )
+    with DiskPPVStore(index_path, pool=StoredBytes(0)) as ppv_store:
+        engine = DiskFastPPV(graph_store, ppv_store, fault_budget=fault_budget)
+        seconds = [
+            engine.query(int(query), stop=StopAfterIterations(eta)).seconds
+            for query in queries
+        ]
+    return graph_store.faults / len(queries), float(np.mean(seconds)) * 1000.0
+
+
 @dataclass
 class BudgetSweepPoint:
-    """Results at one memory budget (clusters resident simultaneously)."""
+    """Results at one memory budget: a graph-store pool of
+    ``clusters`` largest clusters."""
 
-    memory_budget: int
+    clusters: int
     faults_per_query: float
     ms_per_query: float
 
@@ -99,10 +121,11 @@ def run_budget_sweep(
     seed: int = 0,
     workdir: str | None = None,
 ) -> list[BudgetSweepPoint]:
-    """Ablation: LRU memory budget vs cluster faults (fixed clustering).
+    """Ablation: memory budget vs cluster faults (fixed clustering).
 
-    The paper's deployment keeps exactly one cluster resident; this sweep
-    quantifies what additional memory buys.
+    ``budgets`` count largest clusters: budget ``k`` is a graph-store
+    pool of ``k * largest_cluster_bytes``.  The paper's deployment holds
+    one; this sweep quantifies what additional memory buys.
     """
     if queries is None:
         rng = np.random.default_rng(seed)
@@ -112,40 +135,26 @@ def run_budget_sweep(
     save_index(index, index_path)
     assignment = cluster_graph(graph, num_clusters, seed=seed)
 
-    points = []
-    for budget in budgets:
-        graph_store = DiskGraphStore(
-            graph, assignment, scratch / f"clusters_b{budget}",
-            memory_budget=budget,
-        )
-        with DiskPPVStore(index_path) as ppv_store:
-            # No fault-budget truncation here: the ablation measures the
-            # *demand* for swaps, which truncation would mask.
-            engine = DiskFastPPV(graph_store, ppv_store, fault_budget=10**9)
-            seconds = []
-            for query in queries:
-                result = engine.query(int(query), stop=StopAfterIterations(eta))
-                seconds.append(result.seconds)
-        points.append(
-            BudgetSweepPoint(
-                memory_budget=budget,
-                # Physical faults (see run_disk_sweep): LRU hits are free.
-                faults_per_query=graph_store.faults / len(queries),
-                ms_per_query=float(np.mean(seconds)) * 1000.0,
-            )
-        )
-    return points
+    # No fault-budget truncation here: the ablation measures the
+    # *demand* for swaps, which truncation would mask.
+    return [
+        BudgetSweepPoint(budget, *_serve_paper(
+            graph, assignment, scratch / f"clusters_b{budget}", budget,
+            index_path, queries, eta, fault_budget=10**9,
+        ))
+        for budget in budgets
+    ]
 
 
 def budget_table(points: list[BudgetSweepPoint], dataset: str) -> Table:
     """The memory-budget ablation table."""
     table = Table(
-        title=f"Ablation ({dataset}) — LRU memory budget vs cluster faults",
-        headers=["Resident clusters", "# Faults per query", "Time per query (ms)"],
+        title=f"Ablation ({dataset}) — memory budget vs cluster faults",
+        headers=["Budget (largest clusters)", "# Faults per query", "Time per query (ms)"],
     )
     for point in points:
         table.add_row(
-            point.memory_budget, point.faults_per_query, point.ms_per_query
+            point.clusters, point.faults_per_query, point.ms_per_query
         )
     return table
 

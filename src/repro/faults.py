@@ -16,10 +16,10 @@ one table instead of the codebase.
 =====================  ===================================================
 site                   fired …
 =====================  ===================================================
-``ppv_store.read``     per :meth:`DiskPPVStore.get` /
-                       per unique read of ``get_many``
+``ppv_store.read``     per hub record actually read from disk (the
+                       misses of ``get`` / ``get_many``, one per unique hub)
 ``graph_store.load``   per cluster segment actually loaded from disk
-                       (LRU swap-ins and shard ``read_segment`` reads)
+                       (pool misses and shard ``read_segment`` reads)
 ``scheduler.execute``  per drain, just before the executor runs
 ``server.request``     per parsed request line, before dispatch
 ``server.send``        per response frame, before the write

@@ -275,8 +275,9 @@ class PPVService:
         source:
             A :class:`~repro.core.index.PPVIndex` (with ``graph=``); or a
             :class:`~repro.storage.ppv_store.DiskPPVStore` or an
-            ``.fppv`` path (with ``graph_store=``) — a path is opened,
-            owned and closed by the service.
+            ``.fppv`` path (with ``graph_store=``) — a path is opened
+            over ``graph_store``'s pool of stored bytes (one pool per
+            deployment), owned and closed by the service.
         backend:
             ``"memory"`` or ``"disk"``; when passed, it must name the
             backend the keywords pick.
@@ -310,7 +311,7 @@ class PPVService:
         elif isinstance(source, DiskPPVStore):
             engine = DiskEngine(graph_store, source, **engine_kwargs)
         elif isinstance(source, (str, os.PathLike)):
-            store = DiskPPVStore(source)
+            store = DiskPPVStore(source, pool=graph_store.pool)
             try:
                 engine = DiskEngine(
                     graph_store, store, owns_store=True, **engine_kwargs

@@ -22,12 +22,15 @@ payload is a local disk read by construction, dtypes included;
 identical kernel + identical data + identical operation order =
 bitwise-identical results, certified top-k included.  The shards hold
 the index — the O(hubs x reachable-nodes) structure that dominates
-memory — while the router holds only bounded caches, so capacity
-scales with the shard count.  The hub LRU holds the stored records
-themselves (counts plus payload bytes), not decoded objects: a
-``get_many`` decodes its hits and its fetches together, in one
-:func:`~repro.storage.ppv_store.decode_records` pass, into the row batch
-the engine appends to its splice block.
+memory — while the router holds one
+:class:`~repro.storage.residency.StoredBytes` pool of stored bytes,
+bounded in bytes and shared by its two stores, so capacity scales with
+the shard count.  The pool is the one cache of a sharded deployment:
+shards read their stores physically on every fetch.  It holds stored
+records themselves (counts plus payload bytes) and stored segments, not
+decoded objects: a ``get_many`` decodes its hits and its fetches
+together, in one :func:`~repro.storage.ppv_store.decode_records` pass,
+into the row batch the engine appends to its splice block.
 
 What is verified where: the shard checks every segment it reads
 against its manifest (length, CRC-32, header); the router checks that
@@ -70,15 +73,8 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.protocol import ShardUnavailableError
-from repro.storage.ppv_store import check_records, decode_records
-from repro.storage.residency import ClusterResidency, ResidentCluster
-
-DEFAULT_HUB_CACHE = 256
-"""Stored hub records the router keeps resident (LRU)."""
-
-DEFAULT_CLUSTER_BUDGET = 8
-"""Cluster adjacency segments the router keeps resident (LRU).  Scores
-are residency-independent, so this only tunes refetch traffic."""
+from repro.storage.ppv_store import PooledRecords, check_records
+from repro.storage.residency import ClusterResidency, ResidentCluster, StoredBytes
 
 _TRANSPORT_ERRORS = (ConnectionError, OSError, ClientTimeout, ProtocolViolation)
 
@@ -270,20 +266,20 @@ def _record_from_payload(payload: dict) -> tuple[int, int, bytes]:
     )
 
 
-class ShardedPPVStore:
+class ShardedPPVStore(PooledRecords):
     """A :class:`~repro.storage.ppv_store.DiskPPVStore` look-alike that
     fetches hub entries from their owning shards.
 
-    ``get_many`` groups wanted hubs by shard and issues one pipelined
-    ``fetch_hubs`` per shard; a bounded LRU keeps hot hubs' stored
-    records resident so popular hubs are not refetched per batch.  A
-    fetched record is checked (base64, length against its counts) when
-    it arrives, before it is cached.  The ``reads`` counter
-    counts hubs actually fetched over the wire (cache hits are free) —
-    per-query ``hub_reads`` accounting is computed upstream from
-    *requested* fetches and is cache-independent, exactly as with the
-    disk store.  Per-shard fetch counts (:attr:`shard_fetches`) feed
-    the router's balance reporting.
+    ``get_many`` serves the records the deployment's ``pool`` holds and
+    groups the rest by shard, one pipelined ``fetch_hubs`` per shard
+    (:class:`~repro.storage.ppv_store.PooledRecords`, the path the local
+    store takes too).  A fetched record is checked (base64, length
+    against its counts) when it arrives, before the pool holds it.  The
+    ``reads`` counter counts hubs actually fetched over the wire (pool
+    hits are free) — per-query ``hub_reads`` accounting is computed
+    upstream from *requested* fetches and is pool-independent, exactly
+    as with the disk store.  Per-shard fetch counts
+    (:attr:`shard_fetches`) feed the router's balance reporting.
     """
 
     def __init__(
@@ -295,89 +291,52 @@ class ShardedPPVStore:
         clip: float,
         num_nodes: int,
         hub_shards: "dict[int, int]",
-        cache_hubs: int = DEFAULT_HUB_CACHE,
+        pool: StoredBytes | None = None,
         lock: "threading.Lock | None" = None,
     ) -> None:
-        self.fleet = fleet
-        self.alpha = alpha
-        self.epsilon = epsilon
-        self.clip = clip
-        self.num_nodes = num_nodes
         self.hub_shards = {int(h): int(s) for h, s in hub_shards.items()}
-        self.cache_hubs = max(0, int(cache_hubs))
-        self.reads = 0
+        super().__init__(alpha, epsilon, clip, num_nodes, self.hub_shards, pool)
+        self.fleet = fleet
         self.shard_fetches = [0] * fleet.num_shards
-        # hub -> stored record (entries, borders, payload); LRU, most
-        # recent last.
-        self._cache: "dict[int, tuple[int, int, bytes]]" = {}
         self._lock = lock if lock is not None else threading.Lock()
-        hub_mask = np.zeros(num_nodes, dtype=bool)
-        hub_mask[list(self.hub_shards)] = True
-        self.hub_mask = hub_mask
 
-    def __contains__(self, hub: int) -> bool:
-        return int(hub) in self.hub_shards
-
-    @property
-    def hubs(self) -> np.ndarray:
-        """Sorted hub ids across every shard."""
-        return np.asarray(sorted(self.hub_shards), dtype=np.int64)
-
-    def close(self) -> None:
-        """Drop the cache (the fleet is owned by the engine)."""
-        self._cache.clear()
-
-    def _remember(self, hub: int, record: tuple[int, int, bytes]) -> None:
-        if self.cache_hubs == 0:
-            return
-        self._cache.pop(hub, None)
-        while len(self._cache) >= self.cache_hubs:
-            del self._cache[next(iter(self._cache))]
-        self._cache[hub] = record
+    def _fetch(self, hubs: list[int]) -> "dict[int, tuple[int, int, bytes]]":
+        """The stored records of ``hubs``: one pipelined ``fetch_hubs``
+        per owning shard (a hub no shard owns is a :class:`KeyError`
+        before anything is sent)."""
+        wanted: dict[int, list[int]] = {}
+        for hub in hubs:
+            wanted.setdefault(self.hub_shards[hub], []).append(hub)
+        replies = self.fleet.request_many(
+            {
+                shard: {"verb": "fetch_hubs", "hubs": shard_hubs}
+                for shard, shard_hubs in wanted.items()
+            }
+        )
+        records = {}
+        for shard, shard_hubs in wanted.items():
+            payloads = replies[shard]
+            self.shard_fetches[shard] += len(shard_hubs)
+            self.reads += len(shard_hubs)
+            try:
+                fetched = [
+                    _record_from_payload(payloads[str(hub)]) for hub in shard_hubs
+                ]
+                check_records(shard_hubs, fetched)
+            except _REPLY_ERRORS as error:
+                raise _undecodable(shard, "fetch_hubs", error) from None
+            records.update(zip(shard_hubs, fetched))
+        return records
 
     def get_many(self, hubs) -> HubRows:
         """Fetch several hubs as one row batch (sorted hub order), one
-        pipelined request per owning shard for the ones not cached."""
-        unique = sorted({int(hub) for hub in hubs})
-        for hub in unique:
-            if hub not in self.hub_shards:
-                raise KeyError(hub)
+        pipelined request per owning shard for the ones the pool
+        misses."""
         with self._lock:
-            records: dict[int, tuple[int, int, bytes]] = {}
-            wanted: dict[int, list[int]] = {}
-            for hub in unique:
-                record = self._cache.pop(hub, None)
-                if record is not None:
-                    self._cache[hub] = record  # re-insert as most recent
-                    records[hub] = record
-                else:
-                    wanted.setdefault(self.hub_shards[hub], []).append(hub)
-            if wanted:
-                replies = self.fleet.request_many(
-                    {
-                        shard: {"verb": "fetch_hubs", "hubs": shard_hubs}
-                        for shard, shard_hubs in wanted.items()
-                    }
-                )
-                for shard, shard_hubs in wanted.items():
-                    payloads = replies[shard]
-                    self.shard_fetches[shard] += len(shard_hubs)
-                    self.reads += len(shard_hubs)
-                    try:
-                        fetched = [
-                            _record_from_payload(payloads[str(hub)])
-                            for hub in shard_hubs
-                        ]
-                        check_records(shard_hubs, fetched)
-                    except _REPLY_ERRORS as error:
-                        raise _undecodable(shard, "fetch_hubs", error) from None
-                    for hub, record in zip(shard_hubs, fetched):
-                        self._remember(hub, record)
-                        records[hub] = record
-        return decode_records(unique, [records[hub] for hub in unique])
+            return super().get_many(hubs)
 
     def get(self, hub: int) -> PrimePPV:
-        """Fetch one hub's prime PPV (through the cache)."""
+        """Fetch one hub's prime PPV (through the pool)."""
         return self.get_many([hub]).primes()[0]
 
 
@@ -387,10 +346,10 @@ class ShardedGraphStore(ClusterResidency):
 
     Labels and ``num_clusters`` are global (so ``cluster_of`` answers
     for every node, exactly like a local store); only the adjacency
-    payloads are remote, held under the same
-    :class:`~repro.storage.residency.ClusterResidency` LRU —
-    ``faults`` counts swap-ins, and the cluster-draining push's
-    schedule (hence every score) is residency-independent.  A
+    payloads are remote, held in the deployment's ``pool`` through
+    :class:`~repro.storage.residency.ClusterResidency` — ``faults``
+    counts swap-ins, and the cluster-draining push's schedule (hence
+    every score) is residency-independent.  A
     ``fetch_cluster`` reply is the stored segment's bytes, held as a
     :class:`~repro.storage.residency.ResidentCluster` exactly as
     :class:`~repro.storage.disk_engine.DiskGraphStore` holds its own
@@ -403,22 +362,18 @@ class ShardedGraphStore(ClusterResidency):
         *,
         labels: np.ndarray,
         cluster_shards: Sequence[int],
-        memory_budget: int = DEFAULT_CLUSTER_BUDGET,
+        pool: StoredBytes | None = None,
         lock: "threading.Lock | None" = None,
     ) -> None:
         self.cluster_shards = [int(shard) for shard in cluster_shards]
         super().__init__(
             np.asarray(labels, dtype=np.int64),
             len(self.cluster_shards),
-            memory_budget,
+            pool,
         )
         self.fleet = fleet
         self.shard_fetches = [0] * fleet.num_shards
         self._lock = lock if lock is not None else threading.Lock()
-
-    def close(self) -> None:
-        self._cache.clear()
-        self.resident_flags[:] = 0
 
     def _fetch_cluster(self, cluster: int) -> ResidentCluster:
         shard = self.cluster_shards[cluster]

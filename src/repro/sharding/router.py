@@ -23,8 +23,10 @@ one lifecycle object.
 Hot swap rolls across the fleet: the router's front-end holds (never
 drops) new admissions behind its swap gate, drains in-flight work,
 sends each shard its own ``swap_index`` for ``root/shard_NN``, then
-re-bootstraps the remote stores — queries admitted before the swap are
-answered from the old partition, queries after from the new one.
+re-bootstraps the remote stores over a fresh pool of stored bytes —
+queries admitted before the swap are answered from the old partition,
+queries after from the new one, and no byte of the old one is served
+after the swap.
 """
 
 from __future__ import annotations
@@ -53,13 +55,12 @@ from repro.sharding.partition import (
     shard_dir_name,
 )
 from repro.sharding.remote import (
-    DEFAULT_CLUSTER_BUDGET,
-    DEFAULT_HUB_CACHE,
     ShardedGraphStore,
     ShardedPPVStore,
     ShardFleet,
 )
 from repro.sharding.shard import shard_service_factory
+from repro.storage.residency import DEFAULT_MEMORY_BYTES, StoredBytes
 
 _AGREED_KEYS = (
     "num_shards",
@@ -85,8 +86,9 @@ class RouterEngine(DiskEngine):
         Per-round-trip deadline on the shard connections; a hung shard
         surfaces as :class:`ShardUnavailableError` instead of stalling
         the drain thread forever.
-    cache_hubs / memory_budget:
-        Router-side residency (see :mod:`repro.sharding.remote`);
+    memory_bytes:
+        Capacity of the router's one pool of stored bytes (cluster
+        segments and hub records; see :mod:`repro.sharding.remote`);
         affects refetch traffic only, never results.
     fault_plan:
         Tests only: fires the ``router.dispatch`` / ``router.connect``
@@ -102,8 +104,7 @@ class RouterEngine(DiskEngine):
         addresses: Sequence[tuple],
         *,
         timeout: float | None = 30.0,
-        cache_hubs: int = DEFAULT_HUB_CACHE,
-        memory_budget: int = DEFAULT_CLUSTER_BUDGET,
+        memory_bytes: int = DEFAULT_MEMORY_BYTES,
         fault_plan=None,
         delta: float = DEFAULT_DELTA,
         fault_budget: int | None = None,
@@ -112,8 +113,7 @@ class RouterEngine(DiskEngine):
         self.fleet = ShardFleet(
             addresses, timeout=timeout, fault_plan=fault_plan
         )
-        self._cache_hubs = cache_hubs
-        self._memory_budget = memory_budget
+        self._memory_bytes = memory_bytes
         self._engine_kwargs = {
             "delta": delta,
             "fault_budget": fault_budget,
@@ -161,6 +161,9 @@ class RouterEngine(DiskEngine):
                         f"{hub_shards[hub]} and {shard}"
                     )
                 hub_shards[hub] = shard
+        # A fresh pool per bootstrap: a swap never serves a stored byte
+        # of the old partition.
+        pool = StoredBytes(self._memory_bytes)
         ppv_store = ShardedPPVStore(
             self.fleet,
             alpha=float(base["alpha"]),
@@ -168,14 +171,14 @@ class RouterEngine(DiskEngine):
             clip=float(base["clip"]),
             num_nodes=int(base["num_nodes"]),
             hub_shards=hub_shards,
-            cache_hubs=self._cache_hubs,
+            pool=pool,
             lock=self._lock,
         )
         graph_store = ShardedGraphStore(
             self.fleet,
             labels=np.asarray(base["labels"], dtype=np.int64),
             cluster_shards=base["cluster_shards"],
-            memory_budget=self._memory_budget,
+            pool=pool,
             lock=self._lock,
         )
         DiskEngine.__init__(
@@ -353,7 +356,7 @@ class ShardRouter:
         log or the span log.  Shard servers always build their own.
     engine_kwargs:
         Forwarded to :class:`RouterEngine` (``timeout``,
-        ``delta``, ``cache_hubs``, ...); a keyword it does not take is
+        ``delta``, ``memory_bytes``, ...); a keyword it does not take is
         a ``TypeError`` here, before any shard forks.
 
     Attributes

@@ -25,8 +25,10 @@ the decoder a local read uses
     i64[members] | offsets i64[members + 1] | probs f64[edges] |
     targets i32[edges]`` — the layout of
     :mod:`repro.storage.disk_engine`), length- and CRC-32-checked
-    against the shard's manifest on every read and bypassing the LRU —
-    a fetch is a read of the stored bytes, not a swap-in.
+    against the shard's manifest on every read and bypassing the pool —
+    a fetch is a read of the stored bytes, not a swap-in.  ``fetch_hubs``
+    reads its records the same way (``read_records``): the router's pool
+    is the one cache of a sharded deployment.
 ``shard_info``
     The shard's partition coordinates (from ``shard.json``) plus the
     global cluster labels, from which the router bootstraps without

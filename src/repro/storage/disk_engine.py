@@ -1,16 +1,19 @@
 """Disk-based online query processing (Sect. 5.3, Fig. 16).
 
 Simulates the paper's reduced-memory deployment: the graph is segmented
-into PPR clusters, each persisted as its own file, and **at most one
-cluster's adjacency lives in memory at a time**.  Walking the prime
-subgraph of a query touches neighbouring clusters; every swap is a
+into PPR clusters, each persisted as its own file, and the clusters and
+hub records in memory are bounded in bytes by one
+:class:`~repro.storage.residency.StoredBytes` pool the two stores share
+(the paper's setting holds one cluster and no hub record).  Walking the
+prime subgraph of a query touches neighbouring clusters; every swap is a
 *cluster fault*.  Faults are counted, and the prime-subgraph search is
 prematurely terminated once a fault budget (default: the number of
 clusters, "generally robust" per the paper) is exhausted — trading a
 little accuracy for much less I/O.
 
 Hub prime PPVs are fetched lazily from the on-disk
-:class:`~repro.storage.ppv_store.DiskPPVStore`, one random access each.
+:class:`~repro.storage.ppv_store.DiskPPVStore`, one random access for
+each record the pool misses.
 
 Cluster segment layout (format 2)
 ---------------------------------
@@ -87,8 +90,8 @@ plus the index entries the splices touched.  The record is
 dedicated **one-cluster-budget** store would incur (the paper's Fig. 16
 setting, and the currency the fault budget is charged in) — and
 ``hub_reads`` counts the hub fetches the query requested.  Both are
-independent of batch composition and of the store's ``memory_budget``
-so experiments stay comparable; the *physical*, amortised I/O is the
+independent of batch composition and of the pool's capacity so
+experiments stay comparable; the *physical*, amortised I/O is the
 delta of the stores' ``faults`` / ``reads`` counters around the call.
 """
 
@@ -123,6 +126,7 @@ from repro.storage.residency import (
     _SEGMENT_HEADER,
     ClusterResidency,
     ResidentCluster,
+    StoredBytes,
     _header_implied_size,
 )
 
@@ -134,7 +138,7 @@ _REBUILD = (
 
 
 class DiskGraphStore(ClusterResidency):
-    """A graph segmented into per-cluster files with a bounded cache.
+    """A graph segmented into per-cluster files, held through a pool.
 
     Parameters
     ----------
@@ -144,11 +148,14 @@ class DiskGraphStore(ClusterResidency):
         Cluster assignment from :func:`repro.storage.clustering.cluster_graph`.
     directory:
         Where cluster files are written.
-    memory_budget:
-        How many clusters may be memory-resident at once.  The paper's
-        deployment keeps exactly one (the Fig. 16 setting, the default);
-        larger budgets trade memory for fewer faults via LRU eviction —
-        the ablation of ``benchmarks/bench_fig16_disk.py``.
+    pool:
+        The deployment's :class:`~repro.storage.residency.StoredBytes`
+        pool, shared with its PPV store; ``None`` (the default) makes
+        one of :data:`~repro.storage.residency.DEFAULT_MEMORY_BYTES`.
+        The paper's deployment holds one cluster (a pool of
+        :attr:`largest_cluster_bytes`, the Fig. 16 setting); larger pools
+        trade memory for fewer faults — the ablation of
+        ``benchmarks/bench_fig16_disk.py``.
     fault_plan:
         Tests only: a :class:`repro.faults.FaultPlan` whose
         ``graph_store.load`` site fires per cluster segment actually
@@ -173,7 +180,7 @@ class DiskGraphStore(ClusterResidency):
     A cluster fault is **one** ``read()`` of the whole segment, checked
     against the manifest (length, header-implied size, CRC-32) and for
     structure (:meth:`~repro.storage.residency.ClusterResidency.check_segment`)
-    before a single edge is served.  :attr:`faults` counts LRU swap-ins — what a
+    before a single edge is served.  :attr:`faults` counts pool misses — what a
     query pays for residency; :attr:`bytes_read` counts segment bytes
     physically read, swap-ins and :meth:`cluster_arrays` reads alike.
     """
@@ -183,8 +190,8 @@ class DiskGraphStore(ClusterResidency):
         graph: DiGraph,
         assignment: ClusterAssignment,
         directory: str | os.PathLike[str],
-        memory_budget: int = 1,
         *,
+        pool: StoredBytes | None = None,
         fault_plan=None,
         clusters: Sequence[int] | None = None,
     ) -> None:
@@ -197,9 +204,7 @@ class DiskGraphStore(ClusterResidency):
         ):
             raise ValueError("clusters out of range")
         labels = assignment.labels.copy()
-        self._attach(
-            directory, labels, num_clusters, {}, memory_budget, fault_plan
-        )
+        self._attach(directory, labels, num_clusters, {}, pool, fault_plan)
         self.directory.mkdir(parents=True, exist_ok=True)
         for stale in self.directory.glob("cluster_*.npz"):
             stale.unlink()  # a format-1 build this one replaces
@@ -234,8 +239,8 @@ class DiskGraphStore(ClusterResidency):
     def open(
         cls,
         directory: str | os.PathLike[str],
-        memory_budget: int = 1,
         *,
+        pool: StoredBytes | None = None,
         fault_plan=None,
     ) -> "DiskGraphStore":
         """Reopen a previously built store without the source graph.
@@ -274,17 +279,16 @@ class DiskGraphStore(ClusterResidency):
                 int(cluster): (int(size), int(crc))
                 for cluster, (size, crc) in zip(clusters, segments)
             },
-            memory_budget,
+            pool,
             fault_plan,
         )
         return self
 
     def _attach(
-        self, directory, labels, num_clusters, segments, memory_budget,
-        fault_plan,
+        self, directory, labels, num_clusters, segments, pool, fault_plan
     ) -> None:
         """Reader state shared by a fresh build and :meth:`open`."""
-        ClusterResidency.__init__(self, labels, num_clusters, memory_budget)
+        ClusterResidency.__init__(self, labels, num_clusters, pool)
         self.directory = Path(directory)
         self.fault_plan = fault_plan
         self.bytes_read = 0
@@ -356,7 +360,7 @@ class DiskGraphStore(ClusterResidency):
 
     def cluster_arrays(self, cluster: int) -> dict:
         """One stored cluster's raw arrays (``nodes`` / ``offsets`` /
-        ``targets`` / ``probs``), bypassing the residency cache.
+        ``targets`` / ``probs``), bypassing the pool.
 
         This is a read of the stored bytes, not a swap-in: no eviction
         and no :attr:`faults` charge (the ``graph_store.load`` fault
@@ -432,8 +436,8 @@ class _ClusterWaves:
     among the clusters runs need next, one the store already holds is
     drained before any other (most demanded first, ties to the smallest
     id); a new cluster is faulted in only when no held one is needed,
-    and then the most demanded.  Under an LRU of more than one cluster a
-    demand-only choice evicts clusters the batch still needs and faults
+    and then the most demanded.  Under a pool that holds more than one
+    cluster a demand-only choice evicts clusters the batch still needs and faults
     them back in; draining what is held first does not.  The rule
     lives in ``kernels.c`` next to the drains and reads the store's
     :attr:`~repro.storage.residency.ClusterResidency.resident_flags`;
@@ -537,8 +541,9 @@ class DiskFastPPV(BatchOfOne):
     """FastPPV online processing against disk-resident graph and index.
 
     Serves batches, amortising cluster faults (cluster-grouped prime
-    pushes) and hub payload reads (a per-batch fetch cache) across the
-    queries of one call — see the module docstring.  A single query is
+    pushes) and hub payload reads (each record fetched once per batch
+    into its splice block) across the queries of one call — see the
+    module docstring.  A single query is
     the batch of one, so per-query results never depend on what else
     was served alongside.
 

@@ -12,9 +12,10 @@ Layout (little-endian throughout)::
 
 The fixed-width directory is read once and kept in memory (it is tiny:
 32 bytes per hub); each hub fetch then costs exactly one seek + read —
-the "one random access to the disk" of Sect. 6.3.1.  A file shorter
-than its header or its directory is refused with a ``ValueError``
-naming the path and the byte counts.
+the "one random access to the disk" of Sect. 6.3.1 — unless the
+deployment's :class:`~repro.storage.residency.StoredBytes` pool holds
+the record.  A file shorter than its header or its directory is refused
+with a ``ValueError`` naming the path and the byte counts.
 
 A hub's *record* is its two directory counts plus its payload bytes.
 Reading one (:meth:`DiskPPVStore.read_record` — the seek + read, the
@@ -22,11 +23,14 @@ Reading one (:meth:`DiskPPVStore.read_record` — the seek + read, the
 accounting) and decoding records (:func:`decode_records`, bytes →
 arrays) are separate so a shard process can ship the stored bytes
 verbatim and the router decodes them with the same function a local
-read uses (:mod:`repro.sharding`).  :func:`decode_records` is the only
-decoder of the payload layout: it turns a whole batch of records into
-one :class:`~repro.core.splice.HubRows` — one join of the payloads, two
-typed views over it, four gathers — which the disk engine appends to
-its splice block as it is, with no per-hub object in between.
+read uses (:mod:`repro.sharding`).  :func:`decode_records` turns a
+whole batch of records into one :class:`~repro.core.splice.HubRows` —
+one join of the payloads, then :func:`_rows`, the only decoder of the
+payload layout — which the disk engine appends to its splice block as
+it is, with no per-hub object in between.  :class:`PooledRecords` is
+the one ``get_many`` of both PPV stores: records the pool holds, the
+rest fetched, checked and remembered.  :func:`load_index`
+reads around the pool: one read of the payload region, decoded once.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
 from repro.core.splice import HubRows, concat_ranges
+from repro.storage.residency import StoredBytes
 
 _MAGIC = b"FPPV"
 _VERSION = 1
@@ -123,16 +128,15 @@ def check_records(hubs, records) -> None:
 
 
 def decode_records(hubs, records) -> HubRows:
-    """Stored records → one :class:`~repro.core.splice.HubRows` batch:
-    the only decoder of the payload layout, whether the bytes come from
-    local reads or out of shards' ``fetch_hubs`` replies.
+    """Stored records → one :class:`~repro.core.splice.HubRows` batch,
+    whether the bytes come from local reads or out of shards'
+    ``fetch_hubs`` replies.
 
     ``records`` are ``(entries, borders, payload)`` triples
     (:meth:`DiskPPVStore.read_record`), aligned with ``hubs``.  Each is
-    checked first (:func:`check_records`).  The payloads are joined once
-    and read through one ``i64`` and one ``f64`` view; each of the four
-    arrays is one gather over those views.  Zero counts decode to empty
-    rows of the stated dtypes.
+    checked first (:func:`check_records`), then the payloads are joined
+    once and decoded by :func:`_rows`.  Zero counts decode to empty rows
+    of the stated dtypes.
     """
     hubs = list(hubs)
     records = list(records)
@@ -140,66 +144,123 @@ def decode_records(hubs, records) -> HubRows:
     entries, borders, payloads = zip(*records) if records else ((), (), ())
     entries = np.array(entries, dtype=np.int64)
     borders = np.array(borders, dtype=np.int64)
-    data = b"".join(payloads)
-    ints, reals = np.frombuffer(data, dtype="<i8"), np.frombuffer(data, dtype="<f8")
-    # Record i starts at word 2 * (its predecessors' entries + borders):
-    # nodes i64[entries] | scores f64[entries] | border hubs i64[borders]
-    # | border masses f64[borders]; each value sits its row's count of
-    # words after its id.
     words = 2 * (entries + borders)
-    nodes_at = np.cumsum(words) - words
-    nodes = concat_ranges(nodes_at, entries)
-    border_hubs = concat_ranges(nodes_at + 2 * entries, borders)
+    return _rows(hubs, entries, borders, b"".join(payloads), np.cumsum(words) - words)
+
+
+def _rows(hubs, entries, borders, data, starts) -> HubRows:
+    """The only decoder of the payload layout: the records laid in
+    ``data`` from word ``starts[i]`` on, as one gather per array through
+    an ``i64`` and an ``f64`` view.  A value sits its row's count of
+    words after its id, so one index array, shifted in place, serves
+    both gathers of a pair."""
+    ints, reals = np.frombuffer(data, dtype="<i8"), np.frombuffer(data, dtype="<f8")
+    at = concat_ranges(starts, entries)
+    nodes = ints[at]
+    at += entries.repeat(entries)
+    scores = reals[at]
+    at = concat_ranges(starts + 2 * entries, borders)
+    border_hubs = ints[at]
+    at += borders.repeat(borders)
     return HubRows(
         hubs=np.array(hubs, dtype=np.int64),
         entries=entries,
         borders=borders,
-        nodes=ints[nodes],
-        scores=reals[nodes + entries.repeat(entries)],
-        border_hubs=ints[border_hubs],
-        border_masses=reals[border_hubs + borders.repeat(borders)],
+        nodes=nodes,
+        scores=scores,
+        border_hubs=border_hubs,
+        border_masses=reals[at],
     )
 
 
-class DiskPPVStore:
-    """Lazy reader over a saved index: one disk access per hub fetch.
+class PooledRecords:
+    """Hub metadata plus the records a :class:`StoredBytes` pool holds:
+    both PPV stores apart from where records come from, as
+    :class:`~repro.storage.residency.ClusterResidency` is for the graph
+    stores.  Subclasses supply ``_fetch(hubs)``, a hub → record mapping
+    (one physical read or wire fetch per hub, counted in ``reads``).
+    ``pool`` is the deployment's (its own of
+    :data:`~repro.storage.residency.DEFAULT_MEMORY_BYTES` if ``None``).
+    """
+
+    def __init__(self, alpha, epsilon, clip, num_nodes, hubs, pool) -> None:
+        self.alpha, self.epsilon, self.clip = alpha, epsilon, clip
+        self.num_nodes = num_nodes
+        self.hub_mask = np.zeros(num_nodes, dtype=bool)
+        self.hub_mask[list(hubs)] = True
+        self.reads = 0
+        self.pool = pool if pool is not None else StoredBytes()
+        self._kind = self.pool.kind("hub")
+
+    def __contains__(self, hub: int) -> bool:
+        return 0 <= int(hub) < self.num_nodes and bool(self.hub_mask[int(hub)])
+
+    @property
+    def hubs(self) -> np.ndarray:
+        """Sorted hub ids available in the store."""
+        return np.flatnonzero(self.hub_mask)
+
+    def close(self) -> None:
+        """Evict this store's records from the pool."""
+        self.pool.drop(self._kind)
+
+    def get_many(self, hubs) -> HubRows:
+        """Several hubs' prime PPVs as one row batch, sorted by hub: the
+        records the pool holds, and ``_fetch`` for the rest — checked
+        (:func:`check_records`) before the pool holds them, so a refused
+        record is fetched, and refused, again next time."""
+        unique = sorted({int(hub) for hub in hubs})
+        records = {hub: self.pool.get(self._kind, hub) for hub in unique}
+        missing = [hub for hub, record in records.items() if record is None]
+        if missing:
+            fetched = self._fetch(missing)
+            fetched = [fetched[hub] for hub in missing]
+            check_records(missing, fetched)
+            for hub, record in zip(missing, fetched):
+                self.pool.put(self._kind, hub, record, len(record[2]))
+                records[hub] = record
+        return decode_records(unique, records.values())
+
+
+class DiskPPVStore(PooledRecords):
+    """Lazy reader over a saved index: one disk access per hub record the
+    pool misses.
 
     Use as a context manager or call :meth:`close` explicitly.  The
-    ``reads`` counter records how many hub payloads were fetched — the I/O
-    accounting of the disk-based experiments.
+    ``reads`` / ``bytes_read`` counters record the hub records
+    physically read — the I/O accounting of the disk-based experiments.
 
     ``fault_plan`` (tests only) fires the ``ppv_store.read`` site before
-    each payload fetch; without a plan the hook costs one ``is None``.
+    each record read; without a plan the hook costs one ``is None``.
     """
 
     def __init__(
-        self, path: str | os.PathLike[str], *, fault_plan=None
+        self,
+        path: str | os.PathLike[str],
+        *,
+        pool: StoredBytes | None = None,
+        fault_plan=None,
     ) -> None:
         self.fault_plan = fault_plan
+        self._path = os.fspath(path)
         self._handle = open(path, "rb")
         try:
-            self._read_directory(os.fspath(path))
+            alpha, epsilon, clip, num_nodes, num_hubs = _read_header(
+                self._handle, self._path
+            )
+            raw = _read_exactly(
+                self._handle, num_hubs * _DIR_ENTRY.size, self._path,
+                f"directory of {num_hubs} hubs",
+            )
         except BaseException:
             self._handle.close()
             raise
-        self.reads = 0
-        self.bytes_read = 0
-        hub_mask = np.zeros(self.num_nodes, dtype=bool)
-        hub_mask[list(self._directory)] = True
-        self.hub_mask = hub_mask
-
-    def _read_directory(self, path: str) -> None:
-        self.alpha, self.epsilon, self.clip, self.num_nodes, num_hubs = _read_header(
-            self._handle, path
-        )
-        raw = _read_exactly(
-            self._handle, num_hubs * _DIR_ENTRY.size, path,
-            f"directory of {num_hubs} hubs",
-        )
         self._directory: dict[int, tuple[int, int, int]] = {
             hub: (offset, entries, borders)
             for hub, offset, entries, borders in _DIR_ENTRY.iter_unpack(raw)
         }
+        super().__init__(alpha, epsilon, clip, num_nodes, self._directory, pool)
+        self.bytes_read = 0
 
     def __enter__(self) -> "DiskPPVStore":
         return self
@@ -208,22 +269,15 @@ class DiskPPVStore:
         self.close()
 
     def close(self) -> None:
-        """Release the file handle."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __contains__(self, hub: int) -> bool:
-        return int(hub) in self._directory
-
-    @property
-    def hubs(self) -> np.ndarray:
-        """Sorted hub ids available in the store."""
-        return np.asarray(sorted(self._directory), dtype=np.int64)
+        """Release the file handle and this store's records in the pool."""
+        super().close()
+        self._handle.close()
 
     def read_record(self, hub: int) -> tuple[int, int, bytes]:
         """One hub's stored record — ``(entries, borders, payload)`` —
-        with one seek + read; :func:`decode_records` turns records into
-        arrays.  Raises :class:`KeyError` for a hub not stored here."""
+        with one seek + read, around the pool; :func:`decode_records`
+        turns records into arrays.  Raises :class:`KeyError` for a hub
+        not stored here."""
         if self.fault_plan is not None:
             self.fault_plan.fire("ppv_store.read", hub=int(hub))
         offset, entries, borders = self._directory[int(hub)]
@@ -246,27 +300,55 @@ class DiskPPVStore:
         )
         return {hub: self.read_record(hub) for hub in unique}
 
-    def get(self, hub: int) -> PrimePPV:
-        """Fetch one hub's prime PPV from disk (one seek + read)."""
-        return decode_records([hub], [self.read_record(hub)]).primes()[0]
+    _fetch = read_records
 
-    def get_many(self, hubs) -> HubRows:
-        """Fetch several hubs' prime PPVs as one row batch:
-        :meth:`read_records` (offset-ordered, one read per unique hub),
-        decoded by :func:`decode_records`, rows in read order."""
-        records = self.read_records(hubs)
-        return decode_records(records, records.values())
+    def read_all(self) -> HubRows:
+        """Every hub's rows, in hub order, around the pool: one read of
+        the payload region, checked (:func:`check_records`; a record off
+        the first one's 8-byte grid too) and decoded once."""
+        hubs = sorted(self._directory)
+        offsets, entries, borders = np.array(
+            [self._directory[hub] for hub in hubs], dtype=np.int64
+        ).reshape(-1, 3).T.copy()
+        base = int(offsets.min()) if hubs else 0
+        starts, misaligned = np.divmod(offsets - base, 8)
+        if misaligned.any():
+            hub = hubs[int(np.flatnonzero(misaligned)[0])]
+            raise ValueError(
+                f"{self._path}: hub {hub}'s record is off the 8-byte grid"
+            )
+        sizes = 16 * (entries + borders)
+        end = int((offsets + sizes).max(initial=base))
+        left = os.fstat(self._handle.fileno()).st_size - base
+        self._handle.seek(base)
+        data = self._handle.read(max(0, min(end - base, left)))
+        self.bytes_read += len(data)
+        self.reads += len(hubs)
+        view = memoryview(data)
+        check_records(hubs, [
+            (count, border_count, view[8 * start:8 * start + size])
+            for count, border_count, start, size in zip(
+                entries.tolist(), borders.tolist(), starts.tolist(),
+                sizes.tolist(),
+            )
+        ])
+        return _rows(hubs, entries, borders, data, starts)
+
+    def get(self, hub: int) -> PrimePPV:
+        """Fetch one hub's prime PPV from disk (one seek + read, around
+        the pool)."""
+        return decode_records([hub], [self.read_record(hub)]).primes()[0]
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:
-    """Eagerly load a saved index back into a :class:`PPVIndex`: one
-    :meth:`DiskPPVStore.get_many` over every hub, appended to the index's
-    block as it is decoded."""
+    """Eagerly load a saved index back into a :class:`PPVIndex`:
+    :meth:`DiskPPVStore.read_all` (one read of the payload region,
+    around the pool), appended to the index's block as it is decoded."""
     with DiskPPVStore(path) as store:
         return PPVIndex(
             alpha=store.alpha,
             epsilon=store.epsilon,
             clip=store.clip,
             hub_mask=store.hub_mask.copy(),
-            entries=store.get_many(store.hubs),
+            entries=store.read_all(),
         )

@@ -1,13 +1,14 @@
-"""Cluster residency: the one memory-resident form of a PPR cluster and
-the bounded LRU that holds it (Sect. 5.3's "one cluster in memory").
+"""Stored bytes in memory (Sect. 5.3's memory model): :class:`StoredBytes`,
+the one pool a deployment's graph and PPV stores hold them in, and the
+memory-resident form of a PPR cluster.
 
 Written once for every cluster-segmented graph store: the local
 :class:`~repro.storage.disk_engine.DiskGraphStore` reads segments from
 disk, :class:`~repro.sharding.remote.ShardedGraphStore` fetches them
 from shard processes; both hand the same stored bytes to
 :class:`ResidentCluster` (:func:`decode_segment` is the one decoder of
-the segment layout) and inherit the structure check, LRU and adjacency
-lookups from here.
+the segment layout) and inherit the structure check, the pool lookup
+and the adjacency lookups from :class:`ClusterResidency`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import numpy as np
 from repro import native
 
 _SEGMENT_HEADER = struct.Struct("<2Q")
+
+DEFAULT_MEMORY_BYTES = 4 << 20
+"""Capacity of a pool a store makes for itself (4 MiB): more than the
+whole social4k dataset (1.6 MB of segments and records), so a default
+deployment of that size reads each stored byte once."""
 
 _PROBLEMS = {
     1: "offsets are not a non-decreasing 0..{edges} sequence",
@@ -66,6 +72,77 @@ def decode_segment(data: bytes):
     )
 
 
+class StoredBytes:
+    """One deployment's pool of stored bytes: an LRU over ``(kind, id)``
+    bounded in bytes.
+
+    :meth:`put` evicts from the least recently used end until the new
+    entry fits, so the pool holds the most-recently-used prefix that
+    fits :attr:`capacity` — a subset of what any larger capacity holds.
+    An entry larger than the capacity is held alone (a wave must drain a
+    cluster bigger than the budget): capacity 0 holds the newest entry.
+    Each store takes its own kind (:meth:`kind`), so stores share the
+    bytes, never the entries; a kind's ``flags`` (uint8 per id) read 1
+    while the id is held.
+    """
+
+    def __init__(self, capacity: int = DEFAULT_MEMORY_BYTES) -> None:
+        if capacity < 0:
+            raise ValueError("a pool's capacity is a byte count, at least 0")
+        self.capacity = int(capacity)
+        self.held = 0  # bytes
+        self._entries: dict[tuple, tuple[object, int]] = {}  # most recent last
+        self._flags: dict[tuple, np.ndarray] = {}
+        self._kinds = 0
+
+    def kind(self, name: str, flags: np.ndarray | None = None) -> tuple:
+        """A fresh kind for one store's entries (``(name, serial)``);
+        ``flags`` mirrors which of its ids are held."""
+        self._kinds += 1
+        kind = (name, self._kinds)
+        if flags is not None:
+            self._flags[kind] = flags
+        return kind
+
+    def keys(self) -> list[tuple]:
+        """Held ``(kind, id)`` keys, least recently used first."""
+        return list(self._entries)
+
+    def get(self, kind: tuple, key: int):
+        """The value held under ``(kind, key)``, now the most recently
+        used, or ``None``."""
+        entry = self._entries.pop((kind, key), None)
+        if entry is None:
+            return None
+        self._entries[kind, key] = entry
+        return entry[0]
+
+    def put(self, kind: tuple, key: int, value, size: int) -> None:
+        """Hold ``value`` (``size`` bytes) under ``(kind, key)`` as the
+        most recently used entry, evicting until it fits."""
+        old = self._entries.pop((kind, key), None)
+        if old is not None:
+            self.held -= old[1]
+        while self._entries and self.held + size > self.capacity:
+            self._evict(next(iter(self._entries)))
+        self._entries[kind, key] = (value, size)
+        self.held += size
+        flags = self._flags.get(kind)
+        if flags is not None:
+            flags[key] = 1
+
+    def drop(self, kind: tuple) -> None:
+        """Evict every entry of ``kind`` (a store closing)."""
+        for key in [key for key in self._entries if key[0] == kind]:
+            self._evict(key)
+
+    def _evict(self, key: tuple) -> None:
+        self.held -= self._entries.pop(key)[1]
+        flags = self._flags.get(key[0])
+        if flags is not None:
+            flags[key[1]] = 0
+
+
 class ResidentCluster:
     """One memory-resident cluster: its stored segment, checked once per
     fault.
@@ -102,36 +179,36 @@ class ResidentCluster:
 
 
 class ClusterResidency:
-    """Global cluster labels plus a bounded LRU of
-    :class:`ResidentCluster` records — everything a cluster-segmented
-    graph store is apart from where its segments come from.
+    """Global cluster labels plus the clusters a :class:`StoredBytes`
+    pool holds — everything a cluster-segmented graph store is apart
+    from where its segments come from.
 
     Subclasses supply :meth:`_fetch_cluster`: one cluster as a
     :class:`ResidentCluster` over its stored segment, accepted by
     :meth:`check_segment` (each subclass runs the check where it can
     name the segment's origin in the refusal).  ``faults`` counts
-    swap-ins — successful fetches only: a refused segment or an
-    unreachable shard swaps nothing in and is not counted; at most
-    ``memory_budget`` clusters are resident, least recently used evicted
-    first.  :attr:`resident_flags` says which clusters are held (uint8
-    per cluster, 1 while held, updated in place) without touching the
-    LRU order — what the compiled batch waves read before they pick the
-    cluster a wave drains.
+    swap-ins — pool misses fetched successfully: a refused segment or an
+    unreachable shard swaps nothing in, is not counted and never enters
+    the pool.  ``pool`` is the deployment's pool (its own, of
+    :data:`DEFAULT_MEMORY_BYTES`, when none is given); the PPV store of
+    the deployment shares it.  :attr:`resident_flags` says which
+    clusters the pool holds (uint8 per cluster, 1 while held, updated in
+    place on every insert and eviction) without touching the LRU order —
+    what the compiled batch waves read before they pick the cluster a
+    wave drains.
     """
 
     def __init__(
-        self, labels: np.ndarray, num_clusters: int, memory_budget: int
+        self, labels: np.ndarray, num_clusters: int, pool: StoredBytes | None
     ) -> None:
-        if memory_budget < 1:
-            raise ValueError("memory_budget must be at least one cluster")
         self.labels = np.require(labels, np.int64, "CA")
         self._labels_at = self.labels.ctypes.data
         self.num_nodes = int(labels.size)
         self.num_clusters = num_clusters
-        self.memory_budget = memory_budget
         self.faults = 0
         self.resident_flags = np.zeros(num_clusters, np.uint8)
-        self._cache: dict[int, ResidentCluster] = {}  # LRU: most recent last
+        self.pool = pool if pool is not None else StoredBytes()
+        self._kind = self.pool.kind("cluster", self.resident_flags)
 
     def _fetch_cluster(self, cluster: int) -> ResidentCluster:
         raise NotImplementedError
@@ -169,29 +246,28 @@ class ClusterResidency:
         return int(self.labels[node])
 
     def resident_cluster(self, cluster: int) -> ResidentCluster:
-        """``cluster`` in resident form, swapping it in (with LRU
-        eviction, bumping :attr:`faults`) if needed.
+        """``cluster`` in resident form: from the pool, else fetched,
+        checked and put in the pool (evicting least recently used
+        entries), bumping :attr:`faults`.
 
         The batch push resolves residency once per wave through this:
         every drain of a wave reads the one cluster it returns.  A fetch
-        that raises leaves :attr:`faults` and the resident set as they
-        were.
+        that raises leaves :attr:`faults` and the pool as they were.
         """
-        resident = self._cache.pop(cluster, None)  # re-insert as most recent
+        resident = self.pool.get(self._kind, cluster)
         if resident is None:
             resident = self._fetch_cluster(cluster)
             self.faults += 1
-            while len(self._cache) >= self.memory_budget:
-                evicted = next(iter(self._cache))
-                del self._cache[evicted]
-                self.resident_flags[evicted] = 0
-            self.resident_flags[cluster] = 1
-        self._cache[cluster] = resident
+            self.pool.put(self._kind, cluster, resident, len(resident.segment))
         return resident
+
+    def close(self) -> None:
+        """Evict this store's clusters from the pool."""
+        self.pool.drop(self._kind)
 
     def out_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """``(targets, step probabilities)`` of ``node``, swapping its
-        cluster in (with LRU eviction) if needed."""
+        cluster in if the pool misses it."""
         return self.resident_cluster(self.cluster_of(node)).out_edges(node)
 
     def out_neighbors(self, node: int) -> np.ndarray:

@@ -73,6 +73,7 @@ from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
 from repro.storage.disk_engine import DiskFastPPV, _ClusterWaves
+from repro.storage.residency import StoredBytes
 
 
 def scalar_splice_rounds(
@@ -693,11 +694,17 @@ class LocalFleet:
         return {shard: self.request(shard, body) for shard, body in bodies.items()}
 
 
-def sharded_over(store, memory_budget: int = 1) -> ShardedGraphStore:
-    """``store``'s clusters behind a ``ShardedGraphStore``."""
+def sharded_over(store, pool: StoredBytes | None = None) -> ShardedGraphStore:
+    """``store``'s clusters behind a ``ShardedGraphStore`` over ``pool``."""
     return ShardedGraphStore(
         LocalFleet([StoreShard(graph_store=store)]),
         labels=store.labels,
         cluster_shards=[0] * store.num_clusters,
-        memory_budget=memory_budget,
+        pool=pool,
     )
+
+
+def clusters_pool(store, clusters: int) -> StoredBytes:
+    """A pool of ``clusters`` times ``store``'s largest segment: what a
+    memory budget counted in clusters became."""
+    return StoredBytes(clusters * store.largest_cluster_bytes)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (driven through ``main(argv)``)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -196,6 +198,30 @@ class TestDiskQuery:
         out = capsys.readouterr().out
         assert out.count("hub reads") >= 3
         assert "physical I/O for 3 queries" in out
+
+    def test_memory_budget_is_one_pool_in_bytes(self, graph_file, index_file,
+                                                capsys):
+        io = {}
+        for budget in (0, 10**8):
+            code = main(
+                ["query", str(graph_file), str(index_file), "7", "9", "11",
+                 "--backend", "disk", "--clusters", "4",
+                 "--memory-budget", str(budget)]
+            )
+            assert code == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            assert line.endswith(f" of {budget} bytes)"), line
+            faults, reads = re.search(
+                r": (\d+) cluster faults, (\d+) hub reads", line
+            ).groups()
+            io[budget] = (int(faults), int(reads))
+        assert io[10**8][0] < io[0][0] and io[10**8][1] <= io[0][1]
+        code = main(
+            ["query", str(graph_file), str(index_file), "7",
+             "--backend", "disk", "--memory-budget", "-1"]
+        )
+        assert code == 2
+        assert "byte count" in capsys.readouterr().err
 
     def test_mismatched_index_fails(self, index_file, tmp_path, capsys):
         other = tmp_path / "other.txt"

@@ -13,13 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from oracles import sharded_over
+from oracles import clusters_pool, sharded_over
 from repro import build_index, from_edges
 from repro.faults import FaultPlan
 from repro.server import protocol
 from repro.sharding import partition_index, shard_dir_name
 from repro.sharding.shard import ShardEngine
-from repro.storage import ClusterAssignment, DiskGraphStore
+from repro.storage import ClusterAssignment, DiskGraphStore, StoredBytes
 from repro.storage.residency import decode_segment
 
 # Node 5 has no out-edges; cluster 2 has no members.
@@ -82,7 +82,8 @@ class TestRoundTrip:
                 assert probs.tolist() == [1 / max(len(targets), 1)] * len(targets)
 
     def test_one_read_per_fault_accounting(self, graph, tmp_path):
-        store = DiskGraphStore(graph, ASSIGNMENT, tmp_path / "c", memory_budget=2)
+        store = DiskGraphStore(graph, ASSIGNMENT, tmp_path / "c")
+        store = DiskGraphStore.open(store.directory, pool=clusters_pool(store, 2))
         size = {c: (tmp_path / "c" / f"cluster_{c:05d}.seg").stat().st_size
                 for c in range(4)}
         store.resident_cluster(0)
@@ -101,12 +102,14 @@ class TestRoundTrip:
     ):
         # `faults` counts swap-ins: a fetch that raises swaps nothing in.
         plan = FaultPlan()
-        store = DiskGraphStore(
-            graph, ASSIGNMENT, tmp_path / "c", memory_budget=2,
-            fault_plan=plan,
-        )
+        store = DiskGraphStore(graph, ASSIGNMENT, tmp_path / "c")
+        # Holds clusters 0 and 1, and evicts 0 for the empty cluster 2.
+        pool = StoredBytes(sum(
+            len(store.read_segment(cluster)) for cluster in (0, 1)
+        ))
+        store = DiskGraphStore.open(store.directory, pool=pool, fault_plan=plan)
         if kind == "sharded":  # the refusal comes back from the shard
-            store = sharded_over(store, memory_budget=2)
+            store = sharded_over(store, pool)
         segment = tmp_path / "c" / "cluster_00001.seg"
         intact = segment.read_bytes()
         store.resident_cluster(0)

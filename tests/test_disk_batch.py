@@ -18,6 +18,7 @@ from repro import (
 from oracles import (
     DemandOnlyDiskFastPPV,
     ReferenceWavesDiskFastPPV,
+    clusters_pool,
     reference_disk_query,
     sharded_over,
 )
@@ -27,6 +28,7 @@ from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
+    StoredBytes,
     cluster_graph,
     save_index,
 )
@@ -51,8 +53,10 @@ def disk_batch_setup(small_social, small_social_index, tmp_path_factory):
 
 def _fresh_engine(small_social, setup, name, **kwargs):
     root, assignment, index_path, _ = setup
+    # The paper's deployment: one cluster resident, no hub record.
     store = DiskGraphStore(small_social, assignment, root / name)
-    ppv_store = DiskPPVStore(index_path)
+    store = DiskGraphStore.open(store.directory, pool=clusters_pool(store, 1))
+    ppv_store = DiskPPVStore(index_path, pool=StoredBytes(0))
     return store, ppv_store, DiskFastPPV(store, ppv_store, **kwargs)
 
 
@@ -384,20 +388,19 @@ class TestAmortisation:
         self, disk_batch_setup, small_social
     ):
         # Per-query cluster_faults reports the deterministic budget-1
-        # scalar equivalent (drain steps), whatever memory_budget the
-        # batch store actually has; scores stay bitwise equal.  (A
-        # scalar engine on the same budget-3 store may report *fewer*
-        # physical faults — LRU hits are free there; see the disk_engine
-        # module docstring.)
+        # scalar equivalent (drain steps), whatever pool the batch store
+        # actually has; scores stay bitwise equal.  (A scalar engine on
+        # the same three-cluster pool may report *fewer* physical
+        # faults — pool hits are free there; see the disk_engine module
+        # docstring.)
         root, assignment, index_path, queries = disk_batch_setup
         non_hub = queries[1]
         store1, ppv1, _ = _fresh_engine(
             small_social, disk_batch_setup, "budget1", delta=0.0
         )
         scalar1 = DiskFastPPV(store1, ppv1, delta=0.0)
-        store3 = DiskGraphStore(
-            small_social, assignment, root / "budget3", memory_budget=3
-        )
+        store3 = DiskGraphStore(small_social, assignment, root / "budget3")
+        store3 = DiskGraphStore.open(store3.directory, pool=clusters_pool(store3, 3))
         with ppv1, DiskPPVStore(index_path) as ppv3:
             reference = scalar1.query(non_hub, stop=StopAfterIterations(1))
             batch = DiskFastPPV(store3, ppv3, delta=0.0)
@@ -470,10 +473,13 @@ def _fields(result) -> tuple:
 
 
 def _serve_stream(engine_class, wave_setup, budget, stream=None):
-    """Serve the stream batch by batch through one store of ``budget``
-    clusters; return the store and every result's fields."""
+    """Serve the stream batch by batch through one store over a pool of
+    ``budget`` largest clusters; return the store and every result's
+    fields."""
     directory, index_path, default_stream = wave_setup
-    store = _TouchLog.open(directory, memory_budget=budget)
+    store = _TouchLog.open(
+        directory, pool=clusters_pool(DiskGraphStore.open(directory), budget)
+    )
     with DiskPPVStore(index_path) as ppv_store:
         engine = engine_class(store, ppv_store, delta=0.0)
         fields = [
@@ -536,8 +542,9 @@ class TestCompiledWaves:
         directory, index_path, stream = wave_setup
 
         def serve(engine_class):
-            local = DiskGraphStore.open(directory, memory_budget=budget)
-            store = local if backend == "disk" else sharded_over(local, budget)
+            pool = clusters_pool(DiskGraphStore.open(directory), budget)
+            local = DiskGraphStore.open(directory, pool=pool)
+            store = local if backend == "disk" else sharded_over(local, pool)
             with DiskPPVStore(index_path) as ppv_store:
                 engine = engine_class(store, ppv_store, delta=0.0)
                 fields = [

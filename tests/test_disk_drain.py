@@ -25,7 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferencePrimePushRun, reference_disk_query, sharded_over
+from oracles import (
+    ReferencePrimePushRun,
+    clusters_pool,
+    reference_disk_query,
+    sharded_over,
+)
 from repro import build_index
 from repro.graph.digraph import DiGraph
 from repro.storage import (
@@ -60,10 +65,14 @@ def _deploy(root: Path, graph: DiGraph, hubs, labels, epsilon: float):
     )
 
 
-def _open(backend: str, directory: Path, memory_budget: int = 1):
-    """A fresh reader of ``directory`` for ``backend``."""
-    store = DiskGraphStore.open(directory, memory_budget)
-    return store if backend == "disk" else sharded_over(store, memory_budget)
+def _open(backend: str, directory: Path, clusters: int = 1):
+    """A fresh reader of ``directory`` for ``backend``, over a pool of
+    ``clusters`` largest segments."""
+    store = DiskGraphStore.open(directory)
+    pool = clusters_pool(store, clusters)
+    if backend == "disk":
+        return DiskGraphStore.open(directory, pool=pool)
+    return sharded_over(store, pool)
 
 
 BACKENDS = pytest.mark.parametrize("backend", ["disk", "sharded"])

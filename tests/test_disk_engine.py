@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import sharded_over
+from oracles import clusters_pool, sharded_over
 from repro import (
     FastPPV,
     StopAfterIterations,
@@ -15,6 +15,7 @@ from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
+    StoredBytes,
     cluster_graph,
     save_index,
 )
@@ -26,8 +27,12 @@ def disk_setup(small_social, small_social_index, tmp_path_factory):
     index_path = root / "index.fppv"
     save_index(small_social_index, index_path)
     assignment = cluster_graph(small_social, 6, seed=1)
+    # The paper's deployment: one cluster resident, no hub record.
     graph_store = DiskGraphStore(small_social, assignment, root / "clusters")
-    ppv_store = DiskPPVStore(index_path)
+    graph_store = DiskGraphStore.open(
+        graph_store.directory, pool=clusters_pool(graph_store, 1)
+    )
+    ppv_store = DiskPPVStore(index_path, pool=StoredBytes(0))
     return graph_store, ppv_store
 
 
@@ -212,16 +217,15 @@ class TestMemoryBudget:
     def test_invalid_budget(self, small_social, tmp_path):
         assignment = cluster_graph(small_social, 3, seed=0)
         with pytest.raises(ValueError):
-            DiskGraphStore(small_social, assignment, tmp_path / "c", memory_budget=0)
+            DiskGraphStore(
+                small_social, assignment, tmp_path / "c", pool=StoredBytes(-1)
+            )
 
     def test_larger_budget_fewer_faults(self, small_social, tmp_path):
         assignment = cluster_graph(small_social, 6, seed=1)
-        single = DiskGraphStore(
-            small_social, assignment, tmp_path / "c1", memory_budget=1
-        )
-        triple = DiskGraphStore(
-            small_social, assignment, tmp_path / "c3", memory_budget=3
-        )
+        built = DiskGraphStore(small_social, assignment, tmp_path / "c")
+        single = DiskGraphStore.open(built.directory, pool=clusters_pool(built, 1))
+        triple = DiskGraphStore.open(built.directory, pool=clusters_pool(built, 3))
         # Alternate between nodes of three clusters: thrashes a 1-cluster
         # cache, fits entirely in a 3-cluster cache.
         anchors = [
@@ -236,13 +240,16 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("kind", ["disk", "sharded"])
     def test_lru_eviction_order(self, small_social, tmp_path, kind):
-        # One LRU (repro.storage.residency) behind both stores.
+        # One pool (repro.storage.residency) behind both stores.
         assignment = cluster_graph(small_social, 4, seed=2)
-        store = DiskGraphStore(
-            small_social, assignment, tmp_path / "c", memory_budget=2
-        )
+        local = DiskGraphStore(small_social, assignment, tmp_path / "c")
+        sizes = [len(local.read_segment(cluster)) for cluster in range(3)]
+        # Holds cluster 0 with either of 1 and 2, never all three.
+        pool = StoredBytes(sizes[0] + max(sizes[1:]))
         if kind == "sharded":
-            store = sharded_over(store, memory_budget=2)
+            store = sharded_over(local, pool)
+        else:
+            store = DiskGraphStore.open(local.directory, pool=pool)
         anchors = [
             int(np.nonzero(assignment.labels == c)[0][0]) for c in range(3)
         ]
@@ -271,9 +278,8 @@ class TestMemoryBudget:
         index_path = tmp_path / "i.fppv"
         save_index(small_social_index, index_path)
         assignment = cluster_graph(small_social, 5, seed=3)
-        store = DiskGraphStore(
-            small_social, assignment, tmp_path / "c", memory_budget=5
-        )
+        store = DiskGraphStore(small_social, assignment, tmp_path / "c")
+        store = DiskGraphStore.open(store.directory, pool=clusters_pool(store, 5))
         query = next(
             q for q in range(small_social.num_nodes)
             if q not in small_social_index
@@ -313,9 +319,9 @@ class TestMemoryBudget:
         )
         results = []
         for budget in (1, 4):
-            store = DiskGraphStore(
-                small_social, assignment, tmp_path / f"c{budget}",
-                memory_budget=budget,
+            store = DiskGraphStore(small_social, assignment, tmp_path / f"c{budget}")
+            store = DiskGraphStore.open(
+                store.directory, pool=clusters_pool(store, budget)
             )
             with DiskPPVStore(index_path) as ppv_store:
                 engine = DiskFastPPV(store, ppv_store, delta=0.0,

@@ -724,15 +724,15 @@ class RouterMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        # Router-side residency off: every query pulls from the shards,
-        # so a killed shard is observable immediately; the short fleet
+        # A 0-byte router pool holds only the newest entry, so queries
+        # pull from the shards and a killed shard is observable at once
+        # (the kill rules empty the pool first); the short fleet
         # timeout bounds how long that observation can take.
         self.router = ShardRouter(
             PART_A_ROOT,
             timeout=1.0,
             cache_size=0,
-            cache_hubs=0,
-            memory_budget=1,
+            memory_bytes=0,
         )
         self.address = self.router.start()
         self.clients: list = []
@@ -835,7 +835,7 @@ class RouterMachine(RuleBasedStateMachine):
 
     def _evict_router_caches(self) -> None:
         """Drop the router's residency so the next query must refetch
-        (both remote stores' ``close`` only clears their caches)."""
+        (both remote stores' ``close`` only drops their pool entries)."""
         engine = self.router.service.engine
         engine.graph_store.close()
         engine.ppv_store.close()

@@ -348,9 +348,9 @@ def traced_router(tmp_path_factory, small_social):
     index = build_index(small_social, hubs, epsilon=1e-6)
     root = tmp_path_factory.mktemp("obs_parts")
     partition_index(small_social, index, 2, root)
-    # cache_size=0 / cache_hubs=0 so every query actually runs the
+    # cache_size=0 / memory_bytes=0 so every query actually runs the
     # kernel and refetches hubs — the spans under test must exist.
-    router = ShardRouter(root, cache_size=0, cache_hubs=0)
+    router = ShardRouter(root, cache_size=0, memory_bytes=0)
     with router as (host, port):
         yield router, host, port
 

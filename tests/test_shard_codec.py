@@ -37,6 +37,7 @@ from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
+    StoredBytes,
     save_index,
 )
 
@@ -81,7 +82,7 @@ class Deployment:
             clip=index.clip,
             num_nodes=graph.num_nodes,
             hub_shards=self.hub_shards,
-            cache_hubs=0,
+            pool=StoredBytes(0),
         )
         self.remote_graph = ShardedGraphStore(
             self.fleet, labels=LABELS, cluster_shards=self.cluster_shards
@@ -171,9 +172,12 @@ def _rows_bytes(rows) -> tuple:
 
 
 def test_a_cache_hit_serves_the_bytes_of_a_fetch(deployment):
-    """The router's LRU holds stored records: a batch served from it —
+    """The router's pool holds stored records: a batch served from it —
     wholly or in part — decodes to the bytes a fetch decodes to, and to
     the local store's rows."""
+    last_two = sum(
+        len(deployment.local_ppv.read_record(hub)[2]) for hub in HUBS[-2:]
+    )
     cached = ShardedPPVStore(
         deployment.fleet,
         alpha=deployment.remote_ppv.alpha,
@@ -181,13 +185,13 @@ def test_a_cache_hit_serves_the_bytes_of_a_fetch(deployment):
         clip=deployment.remote_ppv.clip,
         num_nodes=LABELS.size,
         hub_shards=deployment.hub_shards,
-        cache_hubs=2,
+        pool=StoredBytes(last_two),
     )
     fetched = cached.get_many(HUBS)
     assert cached.reads == len(HUBS)
     assert _rows_bytes(fetched) == _rows_bytes(deployment.remote_ppv.get_many(HUBS))
     assert _rows_bytes(fetched) == _rows_bytes(deployment.local_ppv.get_many(HUBS))
-    assert list(cached._cache) == HUBS[-2:]
+    assert [hub for _, hub in cached.pool.keys()] == HUBS[-2:]
     hit = cached.get_many(HUBS[::-1][:2])  # both cached
     assert cached.reads == len(HUBS)
     assert _rows_bytes(hit) == _rows_bytes(deployment.remote_ppv.get_many(HUBS[-2:]))
@@ -306,6 +310,27 @@ def test_hub_counts_that_disagree_with_the_payload_are_refused(damaged, damage):
     with pytest.raises(ShardUnavailableError) as excinfo:
         damaged.remote_ppv.get_many(HUBS)
     assert "fetch_hubs" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("verb", BYTES_FIELD)
+def test_a_refused_reply_never_enters_the_pool(damaged, verb):
+    """A damaged record or segment is refused before the router's pool
+    holds it: every later request fetches it again, and is refused
+    again."""
+    damaged.fleet.verb = verb
+    damaged.fleet.damage = DAMAGE["short payload"](BYTES_FIELD[verb])
+    for attempt in range(1, 3):
+        with pytest.raises(ShardUnavailableError):
+            if verb == "fetch_hubs":
+                damaged.remote_ppv.get_many([HUBS[0]])
+            else:
+                damaged.remote_graph.resident_cluster(0)
+        fetched = (damaged.remote_ppv.reads, sum(damaged.remote_graph.shard_fetches))
+        assert fetched == ((attempt, 0) if verb == "fetch_hubs" else (0, attempt))
+        assert damaged.remote_ppv.pool.keys() == []
+        assert damaged.remote_graph.pool.keys() == []
+        assert damaged.remote_graph.resident_flags.sum() == 0
+    assert damaged.remote_graph.faults == 0
 
 
 def test_old_format_replies_are_refused_not_guessed(damaged):

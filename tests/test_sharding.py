@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import clusters_pool
 from repro import build_index, select_hubs
 from repro.core.query import StopAfterIterations
 from repro.server import (
@@ -338,21 +339,21 @@ class TestRemoteResidency:
     def test_router_fetches_what_a_local_store_faults(self, sharded_setup,
                                                       budget):
         """One wave rule for both stores: the same batch stream through
-        a router and through a local disk engine, each holding
-        ``budget`` clusters, fetches exactly what the local store
+        a router and through a local disk engine, each over one pool of
+        ``budget`` largest clusters, fetches exactly what the local store
         faults, and serves the same bits."""
         stop = StopAfterIterations(2)
         nodes = np.random.default_rng(5).permutation(400)[:48].tolist()
         stream = [nodes[i:i + 12] for i in range(0, 48, 12)]
-        local_store = DiskGraphStore.open(
-            sharded_setup["store_dir"], memory_budget=budget
-        )
-        with DiskPPVStore(sharded_setup["index_path"]) as ppv_store:
+        pool = clusters_pool(DiskGraphStore.open(sharded_setup["store_dir"]), budget)
+        local_store = DiskGraphStore.open(sharded_setup["store_dir"], pool=pool)
+        # One pool for both stores, as the router's.
+        with DiskPPVStore(sharded_setup["index_path"], pool=pool) as ppv_store:
             local = DiskFastPPV(local_store, ppv_store, delta=0.0)
             expected = [local.query_many(batch, stop=stop) for batch in stream]
         router = ShardRouter(
             sharded_setup["parts"][2], delta=0.0, cache_size=0,
-            memory_budget=budget,
+            memory_bytes=pool.capacity,
         )
         with router:
             engine = router.service.engine
@@ -461,7 +462,7 @@ class TestShardKill:
         promptly, and the router front-end stays responsive."""
         router = ShardRouter(
             sharded_setup["parts"][2], timeout=1.5, delta=0.0,
-            cache_size=0, cache_hubs=0, memory_budget=1,
+            cache_size=0, memory_bytes=0,
         )
         with router as address:
             manifest = router.manifest
@@ -529,6 +530,14 @@ class TestRollingSwap:
             for i, spec in enumerate(specs)
             if spec.top_k is None and not spec.is_multi
         ]
+        # A and B store different bytes for a hub both hold, so a router
+        # serving a record of A after the swap would fail below.
+        with DiskPPVStore(sharded_setup["index_path"]) as a, \
+                DiskPPVStore(sharded_setup["index_b_path"]) as b:
+            assert any(
+                a.read_record(hub) != b.read_record(hub)
+                for hub in set(a.hubs.tolist()) & set(b.hubs.tolist())
+            )
         with ShardRouter(
             sharded_setup["parts"][2], delta=0.0, cache_size=0
         ) as address:
@@ -543,6 +552,23 @@ class TestRollingSwap:
                 client.swap_index(str(sharded_setup["parts"][2]))
                 for i, node in plain:
                     assert client.query(node, eta=2, top=20) == expected_a[i]
+
+    def test_each_bootstrap_shares_one_fresh_pool(self, sharded_setup):
+        """The router's two remote stores share one pool of stored
+        bytes, and a swap re-bootstraps them over a new, empty one."""
+        router = ShardRouter(sharded_setup["parts"][2], delta=0.0, cache_size=0)
+        with router as address:
+            engine = router.service.engine
+            with PPVClient(*address, timeout=60) as client:
+                for node in QUERY_NODES[:4]:
+                    client.query(node, eta=2)
+                pool = engine.graph_store.pool
+                assert engine.ppv_store.pool is pool
+                assert {kind[0] for kind, _ in pool.keys()} == {"cluster", "hub"}
+                client.swap_index(str(sharded_setup["part_b"]))
+                assert engine.ppv_store.pool is engine.graph_store.pool
+                assert engine.graph_store.pool is not pool
+                assert engine.graph_store.pool.keys() == []
 
     def test_swap_refuses_mismatched_shard_count(self, sharded_setup):
         with ShardRouter(
