@@ -7,9 +7,11 @@ optimisation) together with the border-hub arrival masses the online engine
 splices.
 
 In memory the index is one :class:`~repro.core.splice.SpliceBlock` — the
-CSR rows the online rounds read — built once, when the index is made;
-:meth:`PPVIndex.get` returns read-only views into it, and there is no
-other copy of a hub's prime PPV.  :mod:`repro.storage.ppv_store`
+CSR rows the online rounds read — made once, when the index is made,
+over the arrays of the :class:`~repro.core.splice.HubRows` batch it is
+given (the build's packed rows, or the rows ``load_index`` decodes) with
+no copy; :meth:`PPVIndex.get` returns read-only views into it, and there
+is no other copy of a hub's prime PPV.  :mod:`repro.storage.ppv_store`
 round-trips the index to a binary on-disk format for the disk-based
 deployment of Sect. 5.3.
 """
@@ -63,9 +65,10 @@ class PPVIndex:
         Constructor input only: the hubs' prime PPVs (scores already
         clipped), as a ``hub id -> PrimePPV`` mapping or as one
         :class:`~repro.core.splice.HubRows` batch (what
-        :func:`~repro.storage.ppv_store.load_index` decodes).  A row's
-        hub is its ``source``; a mapping key that disagrees with it is
-        refused.
+        :func:`~repro.storage.ppv_store.load_index` decodes), whose
+        arrays the block then holds as they are.  A mapping is packed
+        once; a row's hub is its ``source``, and a mapping key that
+        disagrees with it is refused.
     stats:
         Offline cost accounting: the counts of the block's rows, and
         ``build_seconds`` as :func:`build_index` stamps it.
@@ -85,9 +88,8 @@ class PPVIndex:
     block: SpliceBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, entries) -> None:
-        if entries is None:
-            entries = ()
-        elif not isinstance(entries, HubRows):
+        if not isinstance(entries, HubRows):
+            entries = entries or {}
             # The block files a row under its entry's source, so a key
             # that disagrees with it would misfile the row.
             for hub, entry in entries.items():
@@ -95,13 +97,12 @@ class PPVIndex:
                     raise ValueError(
                         f"entry {hub}: source field says {entry.source}"
                     )
-            entries = [entries[hub] for hub in sorted(entries)]
-        self.block = block = SpliceBlock(self.alpha, self.hub_mask.size, entries)
-        # A score row is its entries plus the trivial-tour correction.
-        stored = int(block._scores.csr()[0][-1]) - block.num_rows
-        borders = int(block._borders.csr()[0][-1])
+            entries = HubRows.pack(entries[hub] for hub in sorted(entries))
+        # The block holds the batch's arrays as they are.
+        self.block = SpliceBlock(self.alpha, self.hub_mask.size, entries)
+        stored, borders = int(entries.entries.sum()), int(entries.borders.sum())
         self.stats = IndexStats(
-            num_hubs=block.num_rows,
+            num_hubs=self.block.num_rows,
             stored_entries=stored,
             stored_bytes=16 * (stored + borders),
             border_entries=borders,
@@ -257,8 +258,8 @@ def build_index(
                 )
             )
     entries = {hub: entry for chunk in chunk_results for hub, entry in chunk.items()}
-    # Packed and dropped before the index lowers the rows, so the build
-    # holds at most two copies of the entries at once.
+    # Packed and dropped before the index is made over the rows, so the
+    # build holds at most two copies of the entries at once.
     rows = HubRows.pack(entries[hub] for hub in sorted(entries))
     del chunk_results, entries
     index = PPVIndex(alpha, epsilon, clip, hub_mask, rows)

@@ -1,4 +1,4 @@
-"""CSR lowering of prime PPVs and the one incremental-round loop.
+"""CSR rows of prime PPVs and the one incremental-round loop.
 
 The online engine's inner loop (Algorithm 2, lines 8-12; Theorem 4)
 splices the prime PPV of every frontier hub into the running estimate.
@@ -10,16 +10,16 @@ queries it is :func:`splice_rounds_exact`, the only round loop in
 hub payloads:
 
 * :class:`SpliceBlock` holds prime PPVs as two append-only CSR matrices —
-  score rows (the trivial-tour correction is a trailing ``(hub, -alpha)``
-  element, see :meth:`SpliceBlock.add_rows`) and border rows (columns
-  are hub *node ids*).  Rows arrive as a :class:`HubRows` batch — the
-  stored records' own concatenated arrays, decoded once by
-  :func:`repro.storage.ppv_store.decode_records` — and are lowered in one
-  vectorised step per batch (:meth:`SpliceBlock.add_rows`, the one path
-  into a block).  The disk engine grows one block per query batch as
-  hub records are fetched; a :class:`~repro.core.index.PPVIndex` *is* a
-  block holding every hub, built once with the index — memory is "disk
-  with everything resident".
+  score rows and border rows (columns are hub *node ids*) — whose arrays
+  are :class:`HubRows` batches' own: the stored records' concatenated
+  arrays, decoded once by :func:`repro.storage.ppv_store.decode_records`,
+  or :meth:`HubRows.pack` of prime PPVs.  A hub's prime PPV has that one
+  layout in memory; the trivial-tour correction is applied by the round,
+  not stored.  The batch a block is made with is held without a copy
+  (a :class:`~repro.core.index.PPVIndex` *is* such a block, holding
+  every hub — memory is "disk with everything resident"); the disk
+  engine's per-query-batch block copies later fetches in as they arrive
+  (:meth:`SpliceBlock.add_rows`).
 * Each round of a batch is one call of the compiled
   ``repro_splice_round`` (:mod:`repro.native`) over state allocated once
   per batch: the delta gate, the score scatter and the first-touch
@@ -66,7 +66,7 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HubRows:
     """A batch of hub prime PPVs as CSR rows: what a :class:`SpliceBlock`
-    appends.
+    holds.
 
     Row ``i`` is hub ``hubs[i]`` with ``entries[i]`` score entries and
     ``borders[i]`` border entries; each of the four value arrays holds
@@ -127,156 +127,122 @@ class HubRows:
 
 
 class _GrowableRows:
-    """Append-only CSR row storage over amortised-doubling buffers.
+    """Append-only CSR rows, ``indptr`` the cumulative sum of the row
+    lengths.  The first rows' arrays are held as they are (``np.require``
+    copies one only if it is not int64 / float64, aligned, C-contiguous
+    and writable); they are full, so the first :meth:`extend` moves to
+    amortised-doubling buffers and no caller's array is ever written.
+    :meth:`csr` returns zero-copy views."""
 
-    A per-batch :class:`SpliceBlock` grows every scheduling wave;
-    rebuilding the concatenation from per-row arrays would copy the whole
-    block per round (worst-case quadratic in total fetched payload).
-    Doubling buffers make each :meth:`extend` amortised O(appended
-    elements), and :meth:`csr` returns zero-copy views.  ``capacity`` is
-    the element count the buffers start with: a block whose rows are
-    known up front asks for exactly their total and never doubles.
-    """
+    __slots__ = ("_indices", "_data", "_nnz", "_indptr")
 
-    __slots__ = ("_indices", "_data", "_nnz", "_ends", "_indptr")
+    def __init__(self, columns, values, lengths) -> None:
+        self._indices = np.require(columns, np.int64, "CAW")
+        self._data = np.require(values, np.float64, "CAW")
+        self._nnz = self._indices.size
+        self._indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._indptr[1:])
 
-    def __init__(self, capacity: int) -> None:
-        self._indices = np.empty(capacity, dtype=np.int64)
-        self._data = np.empty(capacity, dtype=np.float64)
-        self._nnz = 0
-        self._ends: list[int] = [0]
-        self._indptr: np.ndarray | None = None
-
-    def extend(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append rows of ``lengths`` elements; returns writable views of
-        their ``(columns, values)``, end to end, for the caller to fill."""
-        start = self._nnz
-        ends = start + np.cumsum(lengths)
-        end = int(ends[-1]) if ends.size else start
+    def extend(self, columns, values, lengths) -> None:
+        """Append rows of ``lengths`` elements, copying their ``columns``
+        and ``values`` (laid end to end) in."""
+        start, end = self._nnz, self._nnz + len(columns)
         if end > self._indices.size:
             capacity = max(end, 2 * self._indices.size)
-            indices = np.empty(capacity, dtype=np.int64)
-            indices[:start] = self._indices[:start]
-            data = np.empty(capacity, dtype=np.float64)
-            data[:start] = self._data[:start]
-            self._indices, self._data = indices, data
+            self._indices = np.resize(self._indices[:start], capacity)
+            self._data = np.resize(self._data[:start], capacity)
+        self._indices[start:end] = columns
+        self._data[start:end] = values
         self._nnz = end
-        self._ends.extend(ends.tolist())
-        self._indptr = None
-        return self._indices[start:end], self._data[start:end]
+        self._indptr = np.concatenate((self._indptr, start + np.cumsum(lengths)))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)`` views of the rows added so far."""
-        if self._indptr is None:
-            self._indptr = np.asarray(self._ends, dtype=np.int64)
         return self._indptr, self._indices[: self._nnz], self._data[: self._nnz]
 
 
 class SpliceBlock:
     """Append-only CSR block of prime PPVs: what the splice rounds read.
 
-    :meth:`add_rows` appends a :class:`HubRows` batch: per hub a score
-    row and a border row (columns are hub *node ids*; the border targets
-    need not be in the block yet).  The disk engine cannot lower the
-    whole index up front — hub records arrive from the
-    :class:`~repro.storage.ppv_store.DiskPPVStore` wave by wave — so its
-    per-batch block starts empty and grows one batch at a time; a block
-    given its ``entries`` at construction (a :class:`HubRows` batch, or
-    prime PPVs it packs into one) — the block of a
-    :class:`~repro.core.index.PPVIndex` — is sized for exactly those and
-    carries no growth slack.
+    Its rows are :class:`HubRows` batches as they are: per hub a score
+    row ``(nodes, scores)`` and a border row ``(border_hubs,
+    border_masses)`` (columns are hub *node ids*; the border targets need
+    not be in the block yet).  The batch given at construction — every
+    hub of a :class:`~repro.core.index.PPVIndex`, or the disk engine's
+    first fetch of a query batch — is held without a copy;
+    :meth:`add_rows` copies later batches in (the disk engine's hub
+    records arrive from the :class:`~repro.storage.ppv_store.DiskPPVStore`
+    wave by wave).
 
-    The splice round reads the rows straight from the CSR, and checks a
-    hub's rows for columns outside ``[0, num_nodes)`` the first time it
-    splices them (``_checked``, one flag per node).
+    The splice round reads the rows straight from the CSR, applies the
+    trivial-tour correction itself (``kernels.c::splice_scores``), and
+    checks a hub's rows for columns outside ``[0, num_nodes)`` the first
+    time it splices them (``_checked``, one flag per node).
     """
 
-    def __init__(
-        self,
-        alpha: float,
-        num_nodes: int,
-        entries: "HubRows | Iterable[PrimePPV]" = (),
-    ) -> None:
+    def __init__(self, alpha: float, num_nodes: int, rows: HubRows) -> None:
         self.alpha = alpha
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
         self._checked = np.zeros(num_nodes, dtype=np.uint8)
         self._num_rows = 0
-        rows = entries if isinstance(entries, HubRows) else HubRows.pack(entries)
-        self._scores = _GrowableRows(rows.nodes.size + len(rows) or 1024)
-        self._borders = _GrowableRows(rows.border_hubs.size or 1024)
-        self.add_rows(rows)
+        self._file(rows)
+        self._scores = _GrowableRows(rows.nodes, rows.scores, rows.entries)
+        self._borders = _GrowableRows(
+            rows.border_hubs, rows.border_masses, rows.borders
+        )
 
     @property
     def num_rows(self) -> int:
         """Number of hub rows appended so far."""
         return self._num_rows
 
-    def add_rows(self, rows: HubRows) -> None:
-        """Append a batch of hubs as new rows, in batch order, with one
-        extend per matrix.  A hub the block already holds is skipped, and
-        so is a repeat within the batch (the first occurrence wins).
-
-        A score row is the hub's ``(nodes, scores)`` followed by the
-        trivial-tour correction ``(hub, -alpha)``.  The scalar loop
-        splices an arrival mass ``m`` as two operations:
-        ``estimate[entry.nodes] += m * entry.scores`` followed by
-        ``estimate[hub] -= alpha * m``; a *sequential* scatter-add over the
-        row reproduces them in their original order: ``m * (-alpha)`` is
-        bitwise ``-(alpha * m)`` and IEEE addition of a negated value is
-        bitwise subtraction, hence bit-for-bit equality.
-        """
-        if not len(rows):
-            return
-        hubs = rows.hubs
-        fresh = self._row_lookup[hubs] < 0
-        _, first = np.unique(hubs, return_index=True)
-        if first.size < hubs.size:
-            once = np.zeros(hubs.size, dtype=bool)
-            once[first] = True
-            fresh &= once
-        if not fresh.all():
-            kept = np.repeat(fresh, rows.entries)
-            border_kept = np.repeat(fresh, rows.borders)
-            rows = HubRows(
-                hubs[fresh], rows.entries[fresh], rows.borders[fresh],
-                rows.nodes[kept], rows.scores[kept],
-                rows.border_hubs[border_kept], rows.border_masses[border_kept],
+    def _file(self, rows: HubRows) -> None:
+        """Give the batch's hubs the next rows, in batch order, after
+        refusing (``ValueError``) a batch whose arrays disagree with its
+        counts — the kernel reads them by address — and, naming the hub,
+        one outside ``[0, num_nodes)``, held or named twice."""
+        hubs = np.asarray(rows.hubs, dtype=np.int64)
+        for counts, *arrays in (
+            (rows.entries, rows.nodes, rows.scores),
+            (rows.borders, rows.border_hubs, rows.border_masses),
+        ):
+            if len(counts) != hubs.size or np.any(np.less(counts, 0)) or any(
+                np.shape(array) != (np.sum(counts),) for array in arrays
+            ):
+                raise ValueError("a row batch's arrays disagree with its counts")
+        outside = (hubs < 0) | (hubs >= self.num_nodes)
+        if outside.any():
+            raise ValueError(
+                f"hub {hubs[outside][0]} is outside [0, {self.num_nodes})"
             )
-            hubs = rows.hubs
-        count = hubs.size
-        if count == 0:
-            return
-        self._row_lookup[hubs] = np.arange(self._num_rows, self._num_rows + count)
-        self._num_rows += count
-        columns, values = self._scores.extend(rows.entries + 1)
-        # Each row's correction is its last element; the entries fill
-        # the rest in order.
-        tails = np.cumsum(rows.entries + 1) - 1
-        body = np.ones(columns.size, dtype=bool)
-        body[tails] = False
-        columns[body] = rows.nodes
-        columns[tails] = hubs
-        values[body] = rows.scores
-        values[tails] = -self.alpha
-        columns, values = self._borders.extend(rows.borders)
-        columns[:] = rows.border_hubs
-        values[:] = rows.border_masses
+        held = self._row_lookup[hubs] >= 0
+        if held.any():
+            raise ValueError(f"hub {hubs[held][0]} already has a row")
+        numbers = np.arange(self._num_rows, self._num_rows + hubs.size)
+        self._row_lookup[hubs] = numbers
+        repeated = self._row_lookup[hubs] != numbers
+        if repeated.any():
+            self._row_lookup[hubs] = -1
+            raise ValueError(f"hub {hubs[repeated][0]} is named twice in a batch")
+        self._num_rows += hubs.size
+
+    def add_rows(self, rows: HubRows) -> None:
+        """Append a batch of new hubs as rows, in batch order: one copy
+        per array.  A hub the block holds, or one the batch names twice,
+        is refused (a ``ValueError`` naming it)."""
+        self._file(rows)
+        self._scores.extend(rows.nodes, rows.scores, rows.entries)
+        self._borders.extend(rows.border_hubs, rows.border_masses, rows.borders)
 
     def prime_of(self, hub: int) -> tuple[np.ndarray, ...]:
         """A held hub's prime PPV read back from its rows: ``(nodes,
-        scores, border hubs, border masses)`` views — the score row
-        without its trailing correction, and the border row."""
+        scores, border hubs, border masses)`` views."""
         row = int(self.rows_of(np.array([hub], dtype=np.int64))[0])
-        indptr, indices, data = self._scores.csr()
-        start, end = indptr[row], indptr[row + 1] - 1
-        border_indptr, border_indices, border_data = self._borders.csr()
-        border_start, border_end = border_indptr[row], border_indptr[row + 1]
-        return (
-            indices[start:end],
-            data[start:end],
-            border_indices[border_start:border_end],
-            border_data[border_start:border_end],
+        return tuple(
+            array[indptr[row]:indptr[row + 1]]
+            for indptr, *arrays in (self._scores.csr(), self._borders.csr())
+            for array in arrays
         )
 
     def missing(self, hubs: np.ndarray) -> np.ndarray:

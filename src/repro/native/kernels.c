@@ -625,13 +625,14 @@ int64_t repro_prime_push_many(
 /* 3. The splice round: core/splice.py splice_rounds_exact             */
 
 /* One batch's incremental rounds (Algorithm 2, lines 8-12).  The block
- * (SpliceBlock: row_lookup, checked and the two CSR matrices) is read
- * here and may grow between calls; everything else is the batch's,
- * allocated once per batch by the caller.  Query q's frontier is
- * hubs / masses [starts[q], starts[q] + counts[q]), in the scalar
- * loop's dict order; a round writes the next ones into next_hubs /
- * next_masses (placed by next_starts / next_counts until the round
- * commits) and swaps the two buffers.  The estimates are dense rows of
+ * (SpliceBlock: row_lookup, checked and the two CSR matrices of the
+ * hubs' HubRows as they are, with no stored trivial-tour correction:
+ * splice_scores applies it) is read here and may grow between calls;
+ * everything else is the batch's, allocated once per batch by the
+ * caller.  Query q's frontier is hubs / masses [starts[q], starts[q] +
+ * counts[q]), in the scalar loop's dict order; a round writes the next
+ * ones into next_hubs / next_masses (placed by next_starts /
+ * next_counts until the round commits) and swaps the two buffers.  The estimates are dense rows of
  * num_nodes, addressed only through estimate_of, so a sparse row can
  * take their place. */
 typedef struct {
@@ -769,17 +770,20 @@ static int64_t round_frontiers(splice_round *s)
     return status;
 }
 
-/* estimate[column] += mass * value over score row `row`, in row order:
- * the scalar loop's estimate[nodes] += m * scores, then its
- * estimate[hub] -= alpha * m as the row's trailing (hub, -alpha).
- * Returns the prime PPV's entries (the trailing element is none). */
-static int64_t splice_scores(const splice_round *s, int64_t row, double mass,
-                             double *estimate)
+/* estimate[column] += mass * value over score row `row`, in row order,
+ * then estimate[hub] += mass * -alpha: the scalar loop's
+ * estimate[nodes] += m * scores, then its trivial-tour correction
+ * estimate[hub] -= alpha * m (m * -alpha is bitwise -(alpha * m), and
+ * adding a negated value is bitwise subtracting it).  Returns the prime
+ * PPV's entries. */
+static int64_t splice_scores(const splice_round *s, int64_t hub, int64_t row,
+                             double mass, double *estimate)
 {
     const int64_t start = s->score_indptr[row], end = s->score_indptr[row + 1];
     for (int64_t e = start; e < end; e++)
         estimate[s->score_indices[e]] += mass * s->score_data[e];
-    return end - start - 1;
+    estimate[hub] += mass * -s->alpha;
+    return end - start;
 }
 
 /* One round of every runnable query, in (query, frontier position, row
@@ -802,8 +806,8 @@ int64_t repro_splice_round(splice_round *s)
         for (int64_t p = s->starts[q]; p < end; p++) {
             if (!gated(s, p))
                 continue;
-            const int64_t row = s->row_lookup[s->hubs[p]];
-            work += splice_scores(s, row, s->masses[p], estimate);
+            const int64_t hub = s->hubs[p], row = s->row_lookup[hub];
+            work += splice_scores(s, hub, row, s->masses[p], estimate);
             work += s->border_indptr[row + 1] - s->border_indptr[row];
             expanded++;
         }

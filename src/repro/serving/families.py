@@ -307,11 +307,14 @@ class PPVFamily(QueryFamily):
         return _encode_scored(spec, result, top)
 
 
-class TopKFamily(QueryFamily):
-    """Certified top-k: iterate until the top set is provably exact."""
+class TopKFamily(PPVFamily):
+    """Certified top-k: iterate until the top set is provably exact.
+
+    A single-node spec is one ``topk`` task; a multi-node one runs
+    :class:`PPVFamily`'s per-node sub-queries under the certificate rule,
+    and is assembled and encoded as that family's results are."""
 
     name = "top_k"
-    streamable = True
 
     def supports(self, engine) -> bool:
         return callable(getattr(engine, "query_top_k_batch", None))
@@ -319,43 +322,23 @@ class TopKFamily(QueryFamily):
     def plan(self, spec: QuerySpec) -> list[FamilyTask]:
         if not spec.is_multi:
             return [FamilyTask(spec.nodes[0], "topk", spec.resolved_stop())]
-        # Multi-node certified top-k: per-node sub-queries under the
-        # certificate rule, combined then re-ranked in assemble().
-        stop = spec.resolved_stop()
-        return [FamilyTask(node, "stop", stop) for node in spec.nodes]
+        return super().plan(spec)
 
     def group_key(self, spec: QuerySpec, task: FamilyTask) -> tuple:
         if task.kind == "topk":
             return ("topk", spec.top_k, spec.top_k_budget)
-        try:
-            hash(task.stop)
-            return ("stop", task.stop)
-        except TypeError:
-            return ("stop-instance", id(task.stop))
+        return super().group_key(spec, task)
 
     def cache_key(self, spec: QuerySpec, task: FamilyTask) -> tuple | None:
         if task.kind == "topk":
             return ("topk", task.node, spec.top_k, spec.top_k_budget)
-        try:
-            if not batch_safe(task.stop):
-                return None
-            hash(task.stop)
-        except TypeError:
-            return None
-        return ("stop", task.node, task.stop)
+        return super().cache_key(spec, task)
 
     def run_group(self, engine, family_key, members) -> list:
-        nodes = [task.node for _spec, task in members]
         if family_key[0] == "topk":
-            return engine.query_top_k_batch(
-                nodes, family_key[1], family_key[2]
-            )
-        return engine.query_batch(nodes, members[0][1].stop)
-
-    def assemble(self, spec: QuerySpec, tasks):
-        if not spec.is_multi:
-            return tasks[0].result
-        return _combine_ppv(spec, tasks)
+            nodes = [task.node for _spec, task in members]
+            return engine.query_top_k_batch(nodes, family_key[1], family_key[2])
+        return super().run_group(engine, family_key, members)
 
     def decode_request(self, request: dict) -> QuerySpec:
         if request.get("top_k") is None:
@@ -368,9 +351,6 @@ class TopKFamily(QueryFamily):
                 "budget", request.get("budget", DEFAULT_TOPK_BUDGET)
             ),
         )
-
-    def encode_result(self, spec: QuerySpec, result, top: int) -> dict:
-        return _encode_scored(spec, result, top)
 
 
 class HittingFamily(QueryFamily):

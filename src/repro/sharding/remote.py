@@ -29,8 +29,10 @@ the shard count.  The pool is the one cache of a sharded deployment:
 shards read their stores physically on every fetch.  It holds stored
 records themselves (counts plus payload bytes) and stored segments, not
 decoded objects: a ``get_many`` decodes its hits and its fetches
-together, in one :func:`~repro.storage.ppv_store.decode_records` pass,
-into the row batch the engine appends to its splice block.
+together, in one pass of the decoder
+:func:`~repro.storage.ppv_store.decode_records` uses, into the row batch
+the engine's splice block holds; a record is checked once, in
+:meth:`ShardedPPVStore._fetch`, when it arrives.
 
 What is verified where: the shard checks every segment it reads
 against its manifest (length, CRC-32, header); the router checks that

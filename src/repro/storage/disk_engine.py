@@ -58,14 +58,15 @@ is ``query_many([q])[0]``:
   against the per-edge drain of ``tests/oracles.py``, the schedule and
   the stores' physical counters against its Python wave loop.
 * Hub prime PPVs go straight into the batch's
-  :class:`~repro.core.splice.SpliceBlock`: one
+  :class:`~repro.core.splice.SpliceBlock`: the block is made over one
   :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
-  reads, decoded as one :class:`~repro.core.splice.HubRows` batch) and
-  one :meth:`~repro.core.splice.SpliceBlock.add_rows` for the first
-  round, and the same pair whenever a later round needs hubs the block
-  lacks.  Each hub record is read from disk once per batch, not once per
-  query that splices it, and no per-hub object is built on the way; a
-  hub query's iteration 0 reads its own row back from the block.
+  reads, decoded as one :class:`~repro.core.splice.HubRows` batch whose
+  arrays it holds as they are) for the first round, and whenever a
+  later round needs hubs the block lacks, one more ``get_many`` is
+  copied in by :meth:`~repro.core.splice.SpliceBlock.add_rows`.  Each
+  hub record is read from disk once per batch, not once per query that
+  splices it, and no per-hub object is built on the way; a hub query's
+  iteration 0 reads its own row back from the block.
 * The rest is the in-memory engine's batch driver,
   :func:`repro.core.batch.splice_batch`, handed each query's iteration 0
   (a push row, or a hub query's own row of the block) and that block:
@@ -659,8 +660,9 @@ class DiskFastPPV(BatchOfOne):
         wanted = {q for q in ids if q not in pushed}
         for start in pushed.values():
             wanted.update(start.hubs[alpha * start.masses > self.delta].tolist())
-        block = SpliceBlock(alpha, self.graph_store.num_nodes)
-        block.add_rows(self.ppv_store.get_many(wanted))
+        block = SpliceBlock(
+            alpha, self.graph_store.num_nodes, self.ppv_store.get_many(wanted)
+        )
         hub_query = Start(io=(0, 1, False))  # one hub read, no push
         return splice_batch(
             ids,

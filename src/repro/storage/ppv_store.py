@@ -26,11 +26,18 @@ verbatim and the router decodes them with the same function a local
 read uses (:mod:`repro.sharding`).  :func:`decode_records` turns a
 whole batch of records into one :class:`~repro.core.splice.HubRows` —
 one join of the payloads, then :func:`_rows`, the only decoder of the
-payload layout — which the disk engine appends to its splice block as
-it is, with no per-hub object in between.  :class:`PooledRecords` is
-the one ``get_many`` of both PPV stores: records the pool holds, the
-rest fetched, checked and remembered.  :func:`load_index`
-reads around the pool: one read of the payload region, decoded once.
+payload layout — whose arrays the disk engine's splice block holds or
+copies in as they are, with no per-hub object in between.
+:class:`PooledRecords` is the one ``get_many`` of both PPV stores:
+records the pool holds, the rest fetched, checked once (in each store's
+``_fetch``, where the refusal names the file or the shard) and
+remembered; a pool hit is decoded without a second check.
+:func:`load_index` reads around the pool: one read of the payload
+region, checked and decoded once, which the index's block then holds.
+
+A directory that names a hub twice, or a hub outside the graph, is
+refused when the store opens, with a ``ValueError`` naming the path and
+the hub: a damaged file is never served.
 """
 
 from __future__ import annotations
@@ -133,14 +140,12 @@ def decode_records(hubs, records) -> HubRows:
     ``fetch_hubs`` replies.
 
     ``records`` are ``(entries, borders, payload)`` triples
-    (:meth:`DiskPPVStore.read_record`), aligned with ``hubs``.  Each is
-    checked first (:func:`check_records`), then the payloads are joined
-    once and decoded by :func:`_rows`.  Zero counts decode to empty rows
-    of the stated dtypes.
+    (:meth:`DiskPPVStore.read_record`), aligned with ``hubs``, that the
+    caller has checked (:func:`check_records`) — once, when they were
+    fetched.  The payloads are joined once and decoded by :func:`_rows`.
+    Zero counts decode to empty rows of the stated dtypes.
     """
-    hubs = list(hubs)
     records = list(records)
-    check_records(hubs, records)
     entries, borders, payloads = zip(*records) if records else ((), (), ())
     entries = np.array(entries, dtype=np.int64)
     borders = np.array(borders, dtype=np.int64)
@@ -178,7 +183,9 @@ class PooledRecords:
     both PPV stores apart from where records come from, as
     :class:`~repro.storage.residency.ClusterResidency` is for the graph
     stores.  Subclasses supply ``_fetch(hubs)``, a hub → record mapping
-    (one physical read or wire fetch per hub, counted in ``reads``).
+    (one physical read or wire fetch per hub, counted in ``reads``) of
+    records it has checked (:func:`check_records`), its refusal naming
+    where they came from.
     ``pool`` is the deployment's (its own of
     :data:`~repro.storage.residency.DEFAULT_MEMORY_BYTES` if ``None``).
     """
@@ -207,18 +214,17 @@ class PooledRecords:
     def get_many(self, hubs) -> HubRows:
         """Several hubs' prime PPVs as one row batch, sorted by hub: the
         records the pool holds, and ``_fetch`` for the rest — checked
-        (:func:`check_records`) before the pool holds them, so a refused
-        record is fetched, and refused, again next time."""
+        there, once, before the pool holds them, so a refused record is
+        fetched, and refused, again next time; a hit is decoded as it
+        is."""
         unique = sorted({int(hub) for hub in hubs})
         records = {hub: self.pool.get(self._kind, hub) for hub in unique}
         missing = [hub for hub, record in records.items() if record is None]
         if missing:
             fetched = self._fetch(missing)
-            fetched = [fetched[hub] for hub in missing]
-            check_records(missing, fetched)
-            for hub, record in zip(missing, fetched):
+            for hub in missing:
+                records[hub] = record = fetched[hub]
                 self.pool.put(self._kind, hub, record, len(record[2]))
-                records[hub] = record
         return decode_records(unique, records.values())
 
 
@@ -252,13 +258,18 @@ class DiskPPVStore(PooledRecords):
                 self._handle, num_hubs * _DIR_ENTRY.size, self._path,
                 f"directory of {num_hubs} hubs",
             )
+            self._directory: dict[int, tuple[int, int, int]] = {}
+            for hub, offset, entries, borders in _DIR_ENTRY.iter_unpack(raw):
+                if hub in self._directory or hub >= num_nodes:
+                    where = f"of a {num_nodes}-node graph" if hub >= num_nodes else ""
+                    raise ValueError(
+                        f"{self._path}: damaged FastPPV index: the directory "
+                        f"names hub {hub} {where or 'twice'}"
+                    )
+                self._directory[hub] = (offset, entries, borders)
         except BaseException:
             self._handle.close()
             raise
-        self._directory: dict[int, tuple[int, int, int]] = {
-            hub: (offset, entries, borders)
-            for hub, offset, entries, borders in _DIR_ENTRY.iter_unpack(raw)
-        }
         super().__init__(alpha, epsilon, clip, num_nodes, self._directory, pool)
         self.bytes_read = 0
 
@@ -300,7 +311,18 @@ class DiskPPVStore(PooledRecords):
         )
         return {hub: self.read_record(hub) for hub in unique}
 
-    _fetch = read_records
+    def _check(self, hubs, records) -> None:
+        """:func:`check_records`, the refusal naming this file."""
+        try:
+            check_records(hubs, records)
+        except ValueError as error:
+            raise ValueError(f"{self._path}: {error}") from None
+
+    def _fetch(self, hubs) -> "dict[int, tuple[int, int, bytes]]":
+        """:meth:`read_records`, checked."""
+        records = self.read_records(hubs)
+        self._check(list(records), list(records.values()))
+        return records
 
     def read_all(self) -> HubRows:
         """Every hub's rows, in hub order, around the pool: one read of
@@ -325,7 +347,7 @@ class DiskPPVStore(PooledRecords):
         self.bytes_read += len(data)
         self.reads += len(hubs)
         view = memoryview(data)
-        check_records(hubs, [
+        self._check(hubs, [
             (count, border_count, view[8 * start:8 * start + size])
             for count, border_count, start, size in zip(
                 entries.tolist(), borders.tolist(), starts.tolist(),
@@ -337,13 +359,13 @@ class DiskPPVStore(PooledRecords):
     def get(self, hub: int) -> PrimePPV:
         """Fetch one hub's prime PPV from disk (one seek + read, around
         the pool)."""
-        return decode_records([hub], [self.read_record(hub)]).primes()[0]
+        return decode_records([hub], self._fetch([hub]).values()).primes()[0]
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:
     """Eagerly load a saved index back into a :class:`PPVIndex`:
     :meth:`DiskPPVStore.read_all` (one read of the payload region,
-    around the pool), appended to the index's block as it is decoded."""
+    around the pool), whose decoded arrays the index's block holds."""
     with DiskPPVStore(path) as store:
         return PPVIndex(
             alpha=store.alpha,

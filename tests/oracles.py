@@ -8,7 +8,11 @@ loop over ``index.get`` after a per-query ``prime_ppv`` push, and
 (so ``query_top_k`` and ``multi_node_ppv`` run on it too).
 ``repro.core.batch.FastPPV`` answers a query as a batch of one through
 ``repro.core.splice.splice_rounds_exact``; it must equal
-``reference_query`` in every field, bit for bit.
+``reference_query`` in every field, bit for bit.  The scalar loop
+subtracts ``alpha * m`` at a spliced hub after adding its scores; the
+compiled round does the same itself, over a block whose rows are the
+hubs' ``HubRows`` arrays as they are, so these two oracles pin the
+splice's bits.
 
 ``repro.storage.disk_engine.DiskFastPPV`` serves every query through two
 compiled kernels: the cluster-draining push, drained in batch waves
@@ -37,12 +41,6 @@ backend's residency — and its wire decode — without sockets.
 ``reference_decode_record`` is the per-record payload decoder that
 ``repro.storage.ppv_store.decode_records`` replaced: four typed views
 over one record's bytes.
-
-``lower_entry`` / ``reference_block_csr`` are ``SpliceBlock``'s per-hub
-append as it stood before rows arrived in batches: one prime PPV lowered
-to a score row with its trailing ``(hub, -alpha)`` correction, appended
-row by row.  ``SpliceBlock.add_rows`` must produce their arrays byte for
-byte.
 
 ``reference_prime_hitting_push`` / ``reference_scheduled_hitting`` are
 ``repro.core.hitting`` as it stood before the hitting family moved onto
@@ -492,49 +490,6 @@ def reference_decode_record(entries: int, borders: int, payload: bytes):
     return tuple(
         view.astype(dtype) for view, dtype in zip(views, (np.int64, np.float64) * 2)
     )
-
-
-def lower_entry(entry, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower one prime PPV into a score row ``(columns, values)``: its
-    entries, then the trivial-tour correction ``(hub, -alpha)``."""
-    columns = np.empty(entry.nodes.size + 1, dtype=np.int64)
-    columns[:-1] = entry.nodes
-    columns[-1] = entry.source
-    values = np.empty(entry.scores.size + 1, dtype=np.float64)
-    values[:-1] = entry.scores
-    values[-1] = -alpha
-    return columns, values
-
-
-def reference_block_csr(entries, alpha: float):
-    """The ``(indptr, indices, data)`` of the score and of the border
-    matrix after appending ``entries`` one hub at a time, skipping a hub
-    already appended."""
-    seen = set()
-    score_rows, border_rows = [], []
-    for entry in entries:
-        if int(entry.source) in seen:
-            continue
-        seen.add(int(entry.source))
-        score_rows.append(lower_entry(entry, alpha))
-        border_rows.append(
-            (
-                entry.border_hubs.astype(np.int64, copy=False),
-                entry.border_masses.astype(np.float64, copy=False),
-            )
-        )
-
-    def csr(rows):
-        ends = [0]
-        for columns, _ in rows:
-            ends.append(ends[-1] + columns.size)
-        return (
-            np.asarray(ends, dtype=np.int64),
-            np.concatenate([np.zeros(0, np.int64)] + [c for c, _ in rows]),
-            np.concatenate([np.zeros(0)] + [v for _, v in rows]),
-        )
-
-    return csr(score_rows), csr(border_rows)
 
 
 def reference_prime_hitting_push(

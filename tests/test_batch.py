@@ -299,32 +299,30 @@ class TestSpliceMatrix:
         hubs = small_social_index.hubs
         np.testing.assert_array_equal(rebuilt.rows_of(hubs), first.rows_of(hubs))
 
-    def test_shapes_and_correction(self, small_social_index):
-        block = small_social_index.block
-        alpha = small_social_index.alpha
-        entries = {
-            hub: small_social_index.get(hub)
-            for hub in small_social_index.hubs.tolist()
-        }
-        score_indptr, score_columns, score_values = block._scores.csr()
-        border_indptr, border_columns, _ = block._borders.csr()
-        for hub, entry in entries.items():
-            # A score row is the entry plus the trivial-tour correction
-            # as its last element; a border row names hub node ids.
-            row = int(block.rows_of(np.array([hub]))[0])
-            columns = score_columns[score_indptr[row]:score_indptr[row + 1]]
-            assert columns.tolist() == entry.nodes.tolist() + [hub]
-            assert score_values[score_indptr[row + 1] - 1] == -alpha
-            borders = border_columns[border_indptr[row]:border_indptr[row + 1]]
-            assert borders.tolist() == entry.border_hubs.tolist()
-        # rss_mb: the block lives as long as the index, so its buffers
-        # hold exactly the index's entries, not a doubling's worth.
-        assert score_columns.base.size == score_indptr[-1] == sum(
-            entry.nodes.size + 1 for entry in entries.values()
-        )
-        assert border_columns.base.size == border_indptr[-1] == sum(
-            entry.border_hubs.size for entry in entries.values()
-        )
+    def test_rows_are_the_packed_entries(self, small_social_index):
+        # A score row is the entry as it is (the round applies the
+        # trivial-tour correction); a border row names hub node ids.
+        # The block's arrays are, byte for byte, HubRows.pack's of the
+        # entries in hub order, each indptr the counts' cumulative sum.
+        from repro.core.splice import HubRows
+
+        index = small_social_index
+        rows = HubRows.pack(index.get(hub) for hub in index.hubs.tolist())
+        block = index.block
+        for matrix, counts, arrays in (
+            (block._scores, rows.entries, (rows.nodes, rows.scores)),
+            (block._borders, rows.borders, (rows.border_hubs, rows.border_masses)),
+        ):
+            indptr, *held = matrix.csr()
+            assert indptr.tobytes() == np.concatenate(([0], np.cumsum(counts))).tobytes()
+            assert [array.tobytes() for array in held] == [
+                array.tobytes() for array in arrays
+            ]
+            # rss_mb: the block lives as long as the index, so its
+            # buffers hold exactly the index's entries, not a doubling's
+            # worth.
+            assert [array.base.size for array in held] == [indptr[-1]] * 2
+        assert rows.hubs.tolist() == index.hubs.tolist()
 
     def test_engine_follows_a_new_index(self, small_social):
         # An index is not edited in place — its get() views refuse

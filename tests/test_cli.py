@@ -595,6 +595,27 @@ class TestErrorBoundary:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_a_damaged_directory_is_exit_2(self, backend, graph_file,
+                                           index_file, tmp_path, capsys):
+        # Directory entry 1 (header 48 bytes, entries 32, hub id first)
+        # rewritten to name entry 0's hub.
+        data = bytearray(index_file.read_bytes())
+        data[80:88] = data[48:56]
+        bad = tmp_path / "bad.fppv"
+        bad.write_bytes(bytes(data))
+        hub = int.from_bytes(data[48:56], "little")
+        capsys.readouterr()
+        code = main(["query", str(graph_file), str(bad), "5",
+                     "--backend", backend])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: {bad}: damaged FastPPV index: the directory names "
+            f"hub {hub} twice\n"
+        )
+        assert captured.out == ""
+
     def test_no_traceback_from_the_real_process(self, index_file, tmp_path):
         import subprocess
         import sys

@@ -157,6 +157,23 @@ class TestIndexEntriesInput:
             assert other.stats == from_map.stats
         assert self._block_bytes(from_map) == self._block_bytes(index)
 
+    def test_the_block_holds_the_rows_it_is_given(self, small_social_index):
+        # No copy: the block's four arrays are the batch's own, so an
+        # index holds its entries once.
+        from repro.core.splice import HubRows
+
+        index = small_social_index
+        entries = self._entries(index)
+        rows = HubRows.pack(entries[h] for h in sorted(entries))
+        block = PPVIndex(
+            index.alpha, index.epsilon, index.clip, index.hub_mask, rows
+        ).block
+        held = (*block._scores.csr()[1:], *block._borders.csr()[1:])
+        given = (rows.nodes, rows.scores, rows.border_hubs, rows.border_masses)
+        for array, source in zip(held, given):
+            assert np.shares_memory(array, source)
+            assert array.tobytes() == source.tobytes()
+
     def test_stats_are_the_per_entry_sums(self, small_social_index):
         entries = self._entries(small_social_index).values()
         stats = small_social_index.stats

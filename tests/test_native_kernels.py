@@ -40,7 +40,7 @@ import tempfile
 import time
 import tracemalloc
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,7 +52,6 @@ from hypothesis import strategies as st
 from oracles import (
     ReferencePrimePushRun,
     ReferenceWavesDiskFastPPV,
-    reference_block_csr,
     reference_disk_query,
     reference_query,
     scalar_splice_rounds,
@@ -742,14 +741,12 @@ def test_social4k_served_scores_sha256_are_pinned(social4k):
         )
 
 
-def test_social4k_index_block_is_the_per_hub_lowering(social4k):
-    """The index's block, packed in one batch, holds bytewise the CSR
-    arrays the per-hub append built — for the built index and for the
-    same index read back from disk."""
+def test_social4k_index_block_holds_the_packed_rows(social4k):
+    """The index's block holds bytewise ``HubRows.pack``'s arrays of its
+    prime PPVs, each indptr their counts' cumulative sum — for the built
+    index and for the same index read back from disk."""
     index = social4k.index
-    want = _reference_csr(
-        [index.get(hub) for hub in index.hubs.tolist()], index.alpha
-    )
+    want = _packed_csr(HubRows.pack(index.get(hub) for hub in index.hubs.tolist()))
     assert _block_csr(index.block) == want
     loaded = load_index(social4k.workdir / "index.fppv")
     assert _block_csr(loaded.block) == want
@@ -1523,10 +1520,10 @@ def _batch_rounds(
         for _, hubs, masses in starts
     ]
     if resident:
-        block = SpliceBlock(alpha, num_nodes, entries.values())
+        block = SpliceBlock(alpha, num_nodes, HubRows.pack(entries.values()))
         ensure = block.rows_of
     else:
-        block = SpliceBlock(alpha, num_nodes)
+        block = SpliceBlock(alpha, num_nodes, HubRows.pack(()))
 
         def ensure(hubs):
             if fetched is not None:
@@ -1654,7 +1651,7 @@ class TestSpliceRoundsThreeWays:
         # On memory ``ensure`` is ``block.rows_of``: hub 5, first needed
         # in round 2, is not indexed.
         entries = {hub: ENTRIES[hub] for hub in (1, 2, 6)}
-        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        block = SpliceBlock(ALPHA, SPLICE_NODES, HubRows.pack(entries.values()))
         estimates = np.zeros((1, SPLICE_NODES))
         frontiers = [(np.array([1]), np.array([0.5]))]
         with pytest.raises(KeyError, match=r"hubs \[5\] are not in the block"):
@@ -1804,7 +1801,7 @@ def test_the_error_sum_keeps_np_sums_bits(num_nodes):
         support = rng.choice(num_nodes, rng.integers(1, num_nodes), replace=False)
         row[support] = values(support.size)
         frontiers.append((rng.choice(hubs, 6, replace=False), rng.random(6) * 0.4))
-    block = SpliceBlock(0.15, num_nodes, entries.values())
+    block = SpliceBlock(0.15, num_nodes, HubRows.pack(entries.values()))
     seen = [[] for _ in frontiers]
     rounds = splice_rounds_exact(
         estimates, frontiers, StopAfterIterations(3), 0.15, 0.0, 64, block,
@@ -1824,58 +1821,68 @@ def _block_csr(block: SpliceBlock) -> tuple:
     )
 
 
-def _reference_csr(entries, alpha) -> tuple:
+def _packed_csr(rows: HubRows) -> tuple:
+    """The bytes of ``rows`` as the block's two CSR matrices: each indptr
+    the cumulative sum of the counts, the arrays as they are."""
+    def indptr(counts):
+        return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+
     return tuple(
-        array.tobytes() for matrix in reference_block_csr(entries, alpha)
-        for array in matrix
+        array.tobytes()
+        for array in (
+            indptr(rows.entries), rows.nodes, rows.scores,
+            indptr(rows.borders), rows.border_hubs, rows.border_masses,
+        )
     )
 
 
 @st.composite
 def row_batches(draw):
-    """Prime PPVs (empty score and border rows included) split into
-    append batches that repeat hubs within a batch and across batches."""
+    """Prime PPVs (empty score and border rows included) of distinct
+    hubs, split into append batches."""
     num_nodes = draw(st.integers(1, 12))
     node = st.integers(0, num_nodes - 1)
     value = st.floats(-1.0, 1.0, allow_nan=False)
-    pool = {}
-    for hub in draw(st.sets(node, min_size=1, max_size=6)):
+    entries = []
+    for hub in draw(st.permutations(range(num_nodes)))[:draw(st.integers(0, 6))]:
         nodes = sorted(draw(st.sets(node, max_size=5)))
         borders = sorted(draw(st.sets(node, max_size=4)))
-        pool[hub] = _entry(
+        entries.append(_entry(
             hub, nodes, [draw(value) for _ in nodes],
             borders, [draw(value) for _ in borders],
-        )
-    hubs = st.sampled_from(sorted(pool))
-    batches = draw(st.lists(st.lists(hubs, max_size=6), max_size=5))
-    return num_nodes, [[pool[hub] for hub in batch] for batch in batches]
+        ))
+    cuts = sorted(draw(st.lists(st.integers(0, len(entries)), max_size=4)))
+    bounds = [0, *cuts, len(entries)]
+    return num_nodes, [entries[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @NATIVE
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=row_batches())
-def test_hypothesis_add_rows_is_the_per_hub_lowering(case, kernels):
-    """``add_rows`` appends bytewise what lowering one prime PPV at a
-    time (``oracles.lower_entry``) appended: first occurrence kept,
-    held hubs skipped, batch order preserved — and the block splices the
-    same bits whichever way it was built."""
+def test_hypothesis_add_rows_holds_the_packed_rows(case, kernels):
+    """A block made over one batch and grown by ``add_rows`` holds
+    bytewise ``HubRows.pack``'s arrays of every row in append order (the
+    batch it was made with without a copy), reads each prime PPV back,
+    and splices the scalar loop's bits: the scores, then the trivial-tour
+    correction the round applies at the hub."""
     num_nodes, batches = case
-    block = SpliceBlock(ALPHA, num_nodes)
-    for batch in batches:
+    first = HubRows.pack(batches[0])
+    block = SpliceBlock(ALPHA, num_nodes, first)
+    for batch in batches[1:]:
         block.add_rows(HubRows.pack(batch))
     appended = [entry for batch in batches for entry in batch]
-    assert _block_csr(block) == _reference_csr(appended, ALPHA)
-    held = sorted({entry.source for entry in appended})
-    assert block.num_rows == len(held)
+    assert _block_csr(block) == _packed_csr(HubRows.pack(appended))
+    if len(batches) == 1 and first.nodes.size:
+        assert np.shares_memory(block._scores.csr()[1], first.nodes)
+    assert block.num_rows == len(appended)
     for entry in appended:
-        nodes, scores, border_hubs, border_masses = block.prime_of(entry.source)
-        first = next(e for e in appended if e.source == entry.source)
-        assert nodes.tobytes() == first.nodes.tobytes()
-        assert scores.tobytes() == first.scores.tobytes()
-        assert border_hubs.tobytes() == first.border_hubs.tobytes()
-        assert border_masses.tobytes() == first.border_masses.tobytes()
-    if held:
+        got = block.prime_of(entry.source)
+        for array, want in zip(got, (entry.nodes, entry.scores,
+                                     entry.border_hubs, entry.border_masses)):
+            assert array.tobytes() == want.tobytes()
+    if appended:
         # One round of one query per held hub, its frontier that hub.
+        held = [entry.source for entry in appended]
         estimates = np.zeros((len(held), num_nodes))
         splice_rounds_exact(
             estimates, [(np.array([hub]), np.array([0.5])) for hub in held],
@@ -1883,11 +1890,47 @@ def test_hypothesis_add_rows_is_the_per_hub_lowering(case, kernels):
             time.perf_counter(),
         )
         want = np.zeros_like(estimates)
-        for part, hub in zip(want, held):
-            entry = next(e for e in appended if e.source == hub)
+        for part, entry in zip(want, appended):
             np.add.at(part, entry.nodes, 0.5 * entry.scores)
-            part[hub] -= ALPHA * 0.5
+            part[entry.source] -= ALPHA * 0.5
         assert estimates.tobytes() == want.tobytes()
+
+
+class TestOneRowPerHub:
+    """A block refuses a hub it already holds, and a batch naming a hub
+    twice, before it changes anything."""
+
+    def _block(self):
+        return SpliceBlock(ALPHA, SPLICE_NODES, HubRows.pack([ENTRIES[1]]))
+
+    def test_a_held_hub(self):
+        block = self._block()
+        with pytest.raises(ValueError, match="hub 1 already has a row"):
+            block.add_rows(HubRows.pack([ENTRIES[2], ENTRIES[1]]))
+        assert block.num_rows == 1
+        assert block.missing(np.array([1, 2])).tolist() == [2]
+
+    def test_a_repeated_hub(self):
+        block = self._block()
+        with pytest.raises(ValueError, match="hub 2 is named twice"):
+            block.add_rows(HubRows.pack([ENTRIES[2], ENTRIES[6], ENTRIES[2]]))
+        assert block.missing(np.array([2, 6])).tolist() == [2, 6]
+        with pytest.raises(ValueError, match="hub 6 is named twice"):
+            SpliceBlock(ALPHA, SPLICE_NODES, HubRows.pack([ENTRIES[6]] * 2))
+        block.add_rows(HubRows.pack([ENTRIES[2]]))
+        assert block.num_rows == 2
+
+    def test_a_hub_outside_the_graph(self):
+        entry = _entry(SPLICE_NODES, [0], [0.15], [], [])
+        with pytest.raises(ValueError, match=f"hub {SPLICE_NODES} is outside"):
+            self._block().add_rows(HubRows.pack([entry]))
+
+    def test_arrays_that_disagree_with_their_counts(self):
+        rows = HubRows.pack([ENTRIES[2]])
+        with pytest.raises(ValueError, match="disagree with its counts"):
+            self._block().add_rows(replace(rows, scores=rows.scores[:-1]))
+        with pytest.raises(ValueError, match="disagree with its counts"):
+            SpliceBlock(ALPHA, SPLICE_NODES, replace(rows, entries=-rows.entries))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1938,7 +1981,7 @@ class TestAColumnOutsideTheGraph:
     @staticmethod
     def _refused(entries, hub):
         # Three queries; only the middle one's frontier names ``hub``.
-        block = SpliceBlock(ALPHA, SPLICE_NODES, entries.values())
+        block = SpliceBlock(ALPHA, SPLICE_NODES, HubRows.pack(entries.values()))
         estimates = np.full((3, SPLICE_NODES), 7.0)
         frontiers = [
             (np.array([1]), np.array([0.5])),
@@ -1977,7 +2020,7 @@ class TestAColumnOutsideTheGraph:
             )
 
     def test_a_frontier_hub_outside_the_graph(self):
-        block = SpliceBlock(ALPHA, SPLICE_NODES, ENTRIES.values())
+        block = SpliceBlock(ALPHA, SPLICE_NODES, HubRows.pack(ENTRIES.values()))
         with pytest.raises(ValueError, match="frontier hub -1 is outside"):
             splice_rounds_exact(
                 np.zeros((1, SPLICE_NODES)), [(np.array([-1]), np.array([0.5]))],

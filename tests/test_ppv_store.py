@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import reference_decode_record
 from repro.core.index import build_index
 from repro.storage import DiskPPVStore, load_index, ppv_store, save_index
-from repro.storage.ppv_store import decode_records
+from repro.storage.ppv_store import check_records, decode_records
 from tests.conftest import ALPHA, FIG3_HUBS
 
 
@@ -101,21 +101,23 @@ class TestDiskStore:
         store.close()
 
 
+@pytest.fixture()
+def opened(monkeypatch):
+    """The file handles ``ppv_store`` opens."""
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(ppv_store, "open", recording_open, raising=False)
+    return handles
+
+
 class TestTruncatedFile:
     """A file cut short inside its header or its directory is a
     ``ValueError`` naming the path and the byte counts — never a
     ``struct.error`` — and the refused store leaves no handle open."""
-
-    @pytest.fixture()
-    def opened(self, monkeypatch):
-        handles = []
-
-        def recording_open(*args, **kwargs):
-            handles.append(open(*args, **kwargs))
-            return handles[-1]
-
-        monkeypatch.setattr(ppv_store, "open", recording_open, raising=False)
-        return handles
 
     # (bytes kept, the part cut short, the bytes of it the file holds);
     # the header is 48 bytes and the fixture's directory 3 x 32.
@@ -144,6 +146,50 @@ class TestTruncatedFile:
             last = max(store.hubs.tolist(), key=lambda hub: store._directory[hub][0])
             with pytest.raises(ValueError, match=f"hub {last}: "):
                 store.get_many(store.hubs)
+
+
+def _damaged(path, tmp_path, entry: int, hub: int):
+    """A copy of the index at ``path`` whose directory entry ``entry``
+    names ``hub``; the header is 48 bytes, a directory entry 32 and its
+    first word the hub id."""
+    data = bytearray(path.read_bytes())
+    data[48 + 32 * entry:48 + 32 * entry + 8] = hub.to_bytes(8, "little")
+    damaged = tmp_path / "damaged.fppv"
+    damaged.write_bytes(bytes(data))
+    return damaged
+
+
+class TestDamagedDirectory:
+    """A directory that names a hub twice (a dict would keep one and
+    serve another hub's record under it) or a hub outside the graph (a
+    bare ``IndexError`` before) is refused when the store opens, with a
+    ``ValueError`` naming the path and the hub, by every reader."""
+
+    @pytest.mark.parametrize("read", [DiskPPVStore, load_index])
+    def test_a_hub_named_twice(self, saved_index, tmp_path, opened, read):
+        _, path = saved_index
+        first = sorted(FIG3_HUBS)[0]
+        damaged = _damaged(path, tmp_path, 1, first)
+        with pytest.raises(ValueError) as excinfo:
+            read(damaged)
+        assert str(excinfo.value) == (
+            f"{damaged}: damaged FastPPV index: the directory names hub "
+            f"{first} twice"
+        )
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize("read", [DiskPPVStore, load_index])
+    def test_a_hub_outside_the_graph(self, saved_index, tmp_path, opened, read):
+        index, path = saved_index
+        nodes = index.hub_mask.size
+        damaged = _damaged(path, tmp_path, 0, nodes)
+        with pytest.raises(ValueError) as excinfo:
+            read(damaged)
+        assert str(excinfo.value) == (
+            f"{damaged}: damaged FastPPV index: the directory names hub "
+            f"{nodes} of a {nodes}-node graph"
+        )
+        assert len(opened) == 1 and opened[0].closed
 
 
 def _record(values, entries: int, borders: int):
@@ -220,11 +266,11 @@ class TestDecodeRecords:
         damaged = payload[:change] if change < 0 else payload + bytes(change)
         records = records[:bad] + [(entries, borders, damaged)] + records[bad + 1:]
         with pytest.raises(ValueError, match=f"^hub {hubs[bad]}: "):
-            decode_records(hubs, records)
+            check_records(hubs, records)
 
     def test_negative_counts_are_refused(self):
         with pytest.raises(ValueError, match="^hub 3: "):
-            decode_records([3], [(-1, 1, b"")])
+            check_records([3], [(-1, 1, b"")])
 
 
 @pytest.fixture(scope="module")

@@ -200,6 +200,42 @@ def test_a_cache_hit_serves_the_bytes_of_a_fetch(deployment):
     assert _rows_bytes(mixed) == _rows_bytes(fetched)
 
 
+@pytest.mark.parametrize("side", ["local", "sharded"])
+def test_a_record_is_checked_once_when_fetched(deployment, monkeypatch, side):
+    """Each store checks a record in its ``_fetch``, once per miss; a
+    pool hit is decoded without a check."""
+    from repro.sharding import remote
+    from repro.storage import ppv_store
+
+    checked, check = [], ppv_store.check_records
+
+    def counting(hubs, records):
+        hubs = list(hubs)
+        checked.extend(hubs)
+        return check(hubs, records)
+
+    monkeypatch.setattr(ppv_store, "check_records", counting)
+    monkeypatch.setattr(remote, "check_records", counting)
+    store = deployment.local_ppv if side == "local" else ShardedPPVStore(
+        deployment.fleet,
+        alpha=deployment.remote_ppv.alpha,
+        epsilon=deployment.remote_ppv.epsilon,
+        clip=deployment.remote_ppv.clip,
+        num_nodes=LABELS.size,
+        hub_shards=deployment.hub_shards,
+        pool=StoredBytes(),
+    )
+    want = _rows_bytes(store.get_many(HUBS[:2]))  # two misses
+    assert sorted(checked) == HUBS[:2]
+    checked.clear()
+    both = store.get_many(HUBS)  # two hits, one miss
+    assert checked == HUBS[2:]
+    checked.clear()
+    assert _rows_bytes(store.get_many(HUBS[:2])) == want  # hits only
+    assert checked == [] and store.reads == len(HUBS)
+    assert _rows_bytes(both) == _rows_bytes(deployment.local_ppv.read_all())
+
+
 # --------------------------------------------------------------------- #
 # Undecodable replies
 
