@@ -23,8 +23,8 @@ the hub records paged in): it takes each query's iteration 0 as a
 query's score row and frontier — runs the rounds and builds the
 :class:`~repro.core.query.QueryResult` s.  :class:`FastPPV` fills it
 from ``prime_push_many`` and the index's block; the disk engine
-(:mod:`repro.storage.disk_engine`) from its cluster waves and a block of
-hub records read per batch.
+(:mod:`repro.storage.disk_engine`) from its cluster waves and its PPV
+store's block of the hub records its pool holds.
 
 Equivalence contract
 --------------------

@@ -111,7 +111,7 @@ class PPVIndex:
     @property
     def hubs(self) -> np.ndarray:
         """Sorted ids of the hubs with a stored entry."""
-        return np.flatnonzero(self.block._row_lookup >= 0)
+        return self.block.hubs
 
     @property
     def num_hubs(self) -> int:
@@ -132,10 +132,7 @@ class PPVIndex:
         """
         if hub not in self:
             raise KeyError(hub)
-        arrays = self.block.prime_of(hub)
-        for array in arrays:
-            array.flags.writeable = False
-        return PrimePPV(int(hub), *arrays)
+        return PrimePPV(int(hub), *self.block.prime_of(hub))
 
     def is_hub(self, node: int) -> bool:
         """Whether ``node`` belongs to the hub set."""

@@ -17,9 +17,10 @@ hub payloads:
   layout in memory; the trivial-tour correction is applied by the round,
   not stored.  The batch a block is made with is held without a copy
   (a :class:`~repro.core.index.PPVIndex` *is* such a block, holding
-  every hub — memory is "disk with everything resident"); the disk
-  engine's per-query-batch block copies later fetches in as they arrive
-  (:meth:`SpliceBlock.add_rows`).
+  every hub — memory is "disk with everything resident"); a PPV store's
+  block starts empty, lives as long as the store, copies each fetched
+  record in once (:meth:`SpliceBlock.add_rows`) and drops the hubs its
+  pool evicted (:meth:`SpliceBlock.drop`).
 * Each round of a batch is one call of the compiled
   ``repro_splice_round`` (:mod:`repro.native`) over state allocated once
   per batch: the delta gate, the score scatter and the first-touch
@@ -105,25 +106,15 @@ class HubRows:
             border_masses=joined("border_masses", _EMPTY_F64),
         )
 
-    def __len__(self) -> int:
-        return self.hubs.size
 
-    def primes(self) -> list[PrimePPV]:
-        """One :class:`~repro.core.prime.PrimePPV` per row — views into
-        this batch's arrays.  For callers that want the per-hub object
-        (the stores' ``get``); the query path and ``load_index`` append
-        the batch to a block instead."""
-        cuts, border_cuts = np.cumsum(self.entries)[:-1], np.cumsum(self.borders)[:-1]
-        return [
-            PrimePPV(hub, nodes, scores, border_hubs, border_masses)
-            for hub, nodes, scores, border_hubs, border_masses in zip(
-                self.hubs.tolist(),
-                np.split(self.nodes, cuts),
-                np.split(self.scores, cuts),
-                np.split(self.border_hubs, border_cuts),
-                np.split(self.border_masses, border_cuts),
-            )
-        ]
+def _room(array: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """``array`` if it has ``needed`` elements, else a new buffer of at
+    least twice its size holding its first ``used``."""
+    if needed <= array.size:
+        return array
+    grown = np.empty(max(needed, 2 * array.size), array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
 
 class _GrowableRows:
@@ -131,48 +122,58 @@ class _GrowableRows:
     lengths.  The first rows' arrays are held as they are (``np.require``
     copies one only if it is not int64 / float64, aligned, C-contiguous
     and writable); they are full, so the first :meth:`extend` moves to
-    amortised-doubling buffers and no caller's array is ever written.
-    :meth:`csr` returns zero-copy views."""
+    amortised-doubling buffers (the indptr's too) and no caller's array
+    is ever written.  :meth:`csr` returns zero-copy views."""
 
-    __slots__ = ("_indices", "_data", "_nnz", "_indptr")
+    __slots__ = ("_indices", "_data", "_nnz", "_indptr", "_rows")
 
     def __init__(self, columns, values, lengths) -> None:
         self._indices = np.require(columns, np.int64, "CAW")
         self._data = np.require(values, np.float64, "CAW")
         self._nnz = self._indices.size
-        self._indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        self._rows = len(lengths)
+        self._indptr = np.zeros(self._rows + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._indptr[1:])
 
     def extend(self, columns, values, lengths) -> None:
         """Append rows of ``lengths`` elements, copying their ``columns``
         and ``values`` (laid end to end) in."""
         start, end = self._nnz, self._nnz + len(columns)
-        if end > self._indices.size:
-            capacity = max(end, 2 * self._indices.size)
-            self._indices = np.resize(self._indices[:start], capacity)
-            self._data = np.resize(self._data[:start], capacity)
+        first, last = self._rows + 1, self._rows + 1 + len(lengths)
+        self._indices = _room(self._indices, start, end)
+        self._data = _room(self._data, start, end)
+        self._indptr = _room(self._indptr, first, last)
         self._indices[start:end] = columns
         self._data[start:end] = values
-        self._nnz = end
-        self._indptr = np.concatenate((self._indptr, start + np.cumsum(lengths)))
+        np.cumsum(lengths, out=self._indptr[first:last])
+        self._indptr[first:last] += start
+        self._nnz, self._rows = end, last - 1
+
+    def gathered(self, rows: np.ndarray) -> "_GrowableRows":
+        """New rows holding ``rows`` of these, in that order: one gather
+        per array."""
+        indptr, indices, data = self.csr()
+        lengths = indptr[rows + 1] - indptr[rows]
+        at = concat_ranges(indptr[rows], lengths)
+        return _GrowableRows(indices[at], data[at], lengths)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)`` views of the rows added so far."""
-        return self._indptr, self._indices[: self._nnz], self._data[: self._nnz]
+        rows, nnz = self._rows + 1, self._nnz
+        return self._indptr[:rows], self._indices[:nnz], self._data[:nnz]
 
 
 class SpliceBlock:
-    """Append-only CSR block of prime PPVs: what the splice rounds read.
+    """CSR block of prime PPVs: what the splice rounds read.
 
     Its rows are :class:`HubRows` batches as they are: per hub a score
     row ``(nodes, scores)`` and a border row ``(border_hubs,
     border_masses)`` (columns are hub *node ids*; the border targets need
     not be in the block yet).  The batch given at construction — every
-    hub of a :class:`~repro.core.index.PPVIndex`, or the disk engine's
-    first fetch of a query batch — is held without a copy;
-    :meth:`add_rows` copies later batches in (the disk engine's hub
-    records arrive from the :class:`~repro.storage.ppv_store.DiskPPVStore`
-    wave by wave).
+    hub of a :class:`~repro.core.index.PPVIndex`, or none for a PPV
+    store's block — is held without a copy; :meth:`add_rows` copies later
+    batches in (a store's records arrive as rounds first need them) and
+    :meth:`drop` forgets hubs (the ones a store's pool evicted).
 
     The splice round reads the rows straight from the CSR, applies the
     trivial-tour correction itself (``kernels.c::splice_scores``), and
@@ -185,7 +186,8 @@ class SpliceBlock:
         self.num_nodes = num_nodes
         self._row_lookup = np.full(num_nodes, -1, dtype=np.int64)
         self._checked = np.zeros(num_nodes, dtype=np.uint8)
-        self._num_rows = 0
+        # Rows filed (dropped ones too), rows live, elements dropped.
+        self._num_rows = self._live = self._dead = 0
         self._file(rows)
         self._scores = _GrowableRows(rows.nodes, rows.scores, rows.entries)
         self._borders = _GrowableRows(
@@ -194,8 +196,13 @@ class SpliceBlock:
 
     @property
     def num_rows(self) -> int:
-        """Number of hub rows appended so far."""
-        return self._num_rows
+        """Number of hubs with a row."""
+        return self._live
+
+    @property
+    def hubs(self) -> np.ndarray:
+        """Sorted ids of the hubs with a row."""
+        return np.flatnonzero(self._row_lookup >= 0)
 
     def _file(self, rows: HubRows) -> None:
         """Give the batch's hubs the next rows, in batch order, after
@@ -226,6 +233,7 @@ class SpliceBlock:
             self._row_lookup[hubs] = -1
             raise ValueError(f"hub {hubs[repeated][0]} is named twice in a batch")
         self._num_rows += hubs.size
+        self._live += hubs.size
 
     def add_rows(self, rows: HubRows) -> None:
         """Append a batch of new hubs as rows, in batch order: one copy
@@ -235,15 +243,38 @@ class SpliceBlock:
         self._scores.extend(rows.nodes, rows.scores, rows.entries)
         self._borders.extend(rows.border_hubs, rows.border_masses, rows.borders)
 
+    def drop(self, hubs: np.ndarray) -> None:
+        """Forget the rows of ``hubs`` (distinct, each with a row): they
+        read as missing, and a row added for one later is checked again.
+        Live rows are compacted (one gather per array) once dropped
+        elements outnumber them, so drop only between batches."""
+        rows = self.rows_of(hubs)
+        self._row_lookup[hubs] = -1
+        self._checked[hubs] = 0
+        self._live -= hubs.size
+        for matrix in (self._scores, self._borders):
+            indptr = matrix.csr()[0]
+            self._dead += int((indptr[rows + 1] - indptr[rows]).sum())
+        if 2 * self._dead > self._scores._nnz + self._borders._nnz:
+            held = self.hubs  # their rows, renumbered in hub order
+            rows = self._row_lookup[held]
+            self._scores = self._scores.gathered(rows)
+            self._borders = self._borders.gathered(rows)
+            self._row_lookup[held] = np.arange(held.size)
+            self._num_rows, self._dead = held.size, 0
+
     def prime_of(self, hub: int) -> tuple[np.ndarray, ...]:
         """A held hub's prime PPV read back from its rows: ``(nodes,
-        scores, border hubs, border masses)`` views."""
+        scores, border hubs, border masses)`` read-only views."""
         row = int(self.rows_of(np.array([hub], dtype=np.int64))[0])
-        return tuple(
+        views = tuple(
             array[indptr[row]:indptr[row + 1]]
             for indptr, *arrays in (self._scores.csr(), self._borders.csr())
             for array in arrays
         )
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def missing(self, hubs: np.ndarray) -> np.ndarray:
         """The subset of ``hubs`` without a row yet, first-need order,

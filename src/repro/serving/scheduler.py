@@ -13,7 +13,8 @@ once and drains every coalesced query that needs it.
 
 All engine work — batch serving *and* streaming queries — runs on the
 drain thread, so engines never see concurrent calls and need no locking
-of their own.
+of their own: the disk engine's splice block, which outlives its
+batches (:mod:`repro.storage.disk_engine`), relies on that.
 
 The scheduler is deliberately engine-agnostic: it moves opaque jobs to an
 ``execute`` callback (the service's planner) and only owns admission,

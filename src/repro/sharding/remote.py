@@ -27,12 +27,13 @@ memory — while the router holds one
 bounded in bytes and shared by its two stores, so capacity scales with
 the shard count.  The pool is the one cache of a sharded deployment:
 shards read their stores physically on every fetch.  It holds stored
-records themselves (counts plus payload bytes) and stored segments, not
-decoded objects: a ``get_many`` decodes its hits and its fetches
-together, in one pass of the decoder
-:func:`~repro.storage.ppv_store.decode_records` uses, into the row batch
-the engine's splice block holds; a record is checked once, in
-:meth:`ShardedPPVStore._fetch`, when it arrives.
+segments, and the sizes of the hub records whose decoded rows the PPV
+store's one splice block holds
+(:class:`~repro.storage.ppv_store.PooledRecords`): a record is checked
+once, in :meth:`ShardedPPVStore._fetch`, when it arrives, decoded once
+by :func:`~repro.storage.ppv_store.decode_records` and appended; a hub
+the block holds is never fetched or decoded again until the pool
+evicts it.
 
 What is verified where: the shard checks every segment it reads
 against its manifest (length, CRC-32, header); the router checks that
@@ -64,8 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.prime import PrimePPV
-from repro.core.splice import HubRows
+from repro.core.splice import SpliceBlock
 from repro.obs.trace import current_span
 from repro.server import protocol
 from repro.server.client import (
@@ -272,15 +272,15 @@ class ShardedPPVStore(PooledRecords):
     """A :class:`~repro.storage.ppv_store.DiskPPVStore` look-alike that
     fetches hub entries from their owning shards.
 
-    ``get_many`` serves the records the deployment's ``pool`` holds and
-    groups the rest by shard, one pipelined ``fetch_hubs`` per shard
+    ``get_many`` fetches the hubs its block lacks, grouped by shard, one
+    pipelined ``fetch_hubs`` per shard
     (:class:`~repro.storage.ppv_store.PooledRecords`, the path the local
     store takes too).  A fetched record is checked (base64, length
     against its counts) when it arrives, before the pool holds it.  The
-    ``reads`` counter counts hubs actually fetched over the wire (pool
-    hits are free) — per-query ``hub_reads`` accounting is computed
-    upstream from *requested* fetches and is pool-independent, exactly
-    as with the disk store.  Per-shard fetch counts
+    ``reads`` counter counts hubs actually fetched over the wire (a hub
+    the block holds is free) — per-query ``hub_reads`` accounting is
+    computed upstream from *requested* fetches and is pool-independent,
+    exactly as with the disk store.  Per-shard fetch counts
     (:attr:`shard_fetches`) feed the router's balance reporting.
     """
 
@@ -330,16 +330,11 @@ class ShardedPPVStore(PooledRecords):
             records.update(zip(shard_hubs, fetched))
         return records
 
-    def get_many(self, hubs) -> HubRows:
-        """Fetch several hubs as one row batch (sorted hub order), one
-        pipelined request per owning shard for the ones the pool
-        misses."""
+    def get_many(self, hubs) -> SpliceBlock:
+        """Make ``hubs`` resident, one pipelined request per owning shard
+        for the ones the block lacks, and return the block."""
         with self._lock:
             return super().get_many(hubs)
-
-    def get(self, hub: int) -> PrimePPV:
-        """Fetch one hub's prime PPV (through the pool)."""
-        return self.get_many([hub]).primes()[0]
 
 
 class ShardedGraphStore(ClusterResidency):

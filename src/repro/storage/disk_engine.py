@@ -57,24 +57,23 @@ is ``query_many([q])[0]``:
   stored segment bytes and picks the next.  The drain is pinned bit for bit
   against the per-edge drain of ``tests/oracles.py``, the schedule and
   the stores' physical counters against its Python wave loop.
-* Hub prime PPVs go straight into the batch's
-  :class:`~repro.core.splice.SpliceBlock`: the block is made over one
-  :meth:`~repro.storage.ppv_store.DiskPPVStore.get_many` (offset-ordered
-  reads, decoded as one :class:`~repro.core.splice.HubRows` batch whose
-  arrays it holds as they are) for the first round, and whenever a
-  later round needs hubs the block lacks, one more ``get_many`` is
-  copied in by :meth:`~repro.core.splice.SpliceBlock.add_rows`.  Each
-  hub record is read from disk once per batch, not once per query that
-  splices it, and no per-hub object is built on the way; a hub query's
-  iteration 0 reads its own row back from the block.
+* Hub prime PPVs are rows of the PPV store's one
+  :class:`~repro.core.splice.SpliceBlock`, which lives as long as the
+  store (:class:`~repro.storage.ppv_store.PooledRecords`): a record is
+  read, checked and decoded once, when a round first needs a hub the
+  block lacks (``get_many``, offset-ordered reads), and serves every
+  later batch until the pool evicts it; a hub query's iteration 0 reads
+  its own row back from the block.  At a batch's start the store drops
+  the rows of evicted hubs (``trim``); within a batch the block only
+  grows, so a round never loses a row it holds.
 * The rest is the in-memory engine's batch driver,
   :func:`repro.core.batch.splice_batch`, handed each query's iteration 0
   (a push row, or a hub query's own row of the block) and that block:
   the incremental splice rounds of the whole batch run in lock-step
-  through :func:`repro.core.splice.splice_rounds_exact` — over the shared
+  through :func:`repro.core.splice.splice_rounds_exact` — over the
   block, the form a :class:`~repro.core.index.PPVIndex` holds its whole
-  index in; each round is one compiled
-  call over the batch's delta-gated frontiers (:mod:`repro.native`), which
+  index in (the backends differ only in ``ensure``); each round is one
+  compiled call over the batch's delta-gated frontiers, which
   accumulates in the exact operation order of the paper's per-hub loop
   and asks for the hubs the block lacks first, so scores are **bitwise
   equal** to that loop run over the same store (``tests/oracles.py``
@@ -94,6 +93,15 @@ setting, and the currency the fault budget is charged in) — and
 independent of batch composition and of the pool's capacity so
 experiments stay comparable; the *physical*, amortised I/O is the
 delta of the stores' ``faults`` / ``reads`` counters around the call.
+
+The store's block is state every batch shares, read by address, so
+batches on one store never overlap.  The callers: the serving
+scheduler's drain thread, one batch or stream at a time; direct
+``query_many`` callers (``repro query --backend disk``,
+:mod:`repro.experiments`, tests), one thread each; the shard router's
+engine, on its drain thread, with ``ShardedPPVStore``'s lock around
+``get_many``.  A batch trims (and compacts) the block on its own thread
+at its start; closing a store never frees the block's arrays.
 """
 
 from __future__ import annotations
@@ -119,7 +127,7 @@ from repro.core.query import (
     StoppingCondition,
     query_ids,
 )
-from repro.core.splice import SpliceBlock, concat_ranges
+from repro.core.splice import concat_ranges
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
 from repro.storage.ppv_store import DiskPPVStore
@@ -542,9 +550,9 @@ class DiskFastPPV(BatchOfOne):
     """FastPPV online processing against disk-resident graph and index.
 
     Serves batches, amortising cluster faults (cluster-grouped prime
-    pushes) and hub payload reads (each record fetched once per batch
-    into its splice block) across the queries of one call — see the
-    module docstring.  A single query is
+    pushes) across the queries of one call and hub record reads across
+    calls (each record decoded once into the store's splice block while
+    the pool holds it) — see the module docstring.  A single query is
     the batch of one, so per-query results never depend on what else
     was served alongside.
 
@@ -643,7 +651,7 @@ class DiskFastPPV(BatchOfOne):
         if stop is None:
             stop = StopAfterIterations(2)
         started = time.perf_counter()
-        alpha = self.ppv_store.alpha
+        self.ppv_store.trim()
         pushed = {
             q: Start(
                 run.scores, *run.frontier(), run.edges,
@@ -651,24 +659,14 @@ class DiskFastPPV(BatchOfOne):
             )
             for q, run in self._grouped_pushes(ids).items()
         }
-        # The batch's splice block, seeded with one physical
-        # (offset-ordered) read per unique hub the first round can need:
-        # the hub queries' own rows and the gated push frontiers.  A hub
-        # record is read once per batch, however many queries splice it;
-        # a round that needs hubs the block lacks reads them in and
-        # appends them.
-        wanted = {q for q in ids if q not in pushed}
-        for start in pushed.values():
-            wanted.update(start.hubs[alpha * start.masses > self.delta].tolist())
-        block = SpliceBlock(
-            alpha, self.graph_store.num_nodes, self.ppv_store.get_many(wanted)
-        )
+        # The store's block: the hub queries' own rows now, the rows a
+        # round lacks when it first needs them.
         hub_query = Start(io=(0, 1, False))  # one hub read, no push
         return splice_batch(
             ids,
             [pushed.get(q, hub_query) for q in ids],
-            block,
-            lambda hubs: block.add_rows(self.ppv_store.get_many(hubs)),
+            self.ppv_store.get_many([q for q in ids if q not in pushed]),
+            self.ppv_store.get_many,
             stop,
             self.delta,
             self.max_iterations,

@@ -26,12 +26,12 @@ verbatim and the router decodes them with the same function a local
 read uses (:mod:`repro.sharding`).  :func:`decode_records` turns a
 whole batch of records into one :class:`~repro.core.splice.HubRows` —
 one join of the payloads, then :func:`_rows`, the only decoder of the
-payload layout — whose arrays the disk engine's splice block holds or
-copies in as they are, with no per-hub object in between.
-:class:`PooledRecords` is the one ``get_many`` of both PPV stores:
-records the pool holds, the rest fetched, checked once (in each store's
-``_fetch``, where the refusal names the file or the shard) and
-remembered; a pool hit is decoded without a second check.
+payload layout — with no per-hub object in between.
+:class:`PooledRecords` is the one ``get_many`` of both PPV stores: a
+hub its lifelong :class:`~repro.core.splice.SpliceBlock` lacks is
+fetched, checked once (in each store's ``_fetch``, where the refusal
+names the file or the shard), decoded once and appended, and the pool,
+which holds only record sizes, bounds the block in bytes.
 :func:`load_index` reads around the pool: one read of the payload
 region, checked and decoded once, which the index's block then holds.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV
-from repro.core.splice import HubRows, concat_ranges
+from repro.core.splice import HubRows, SpliceBlock, concat_ranges
 from repro.storage.residency import StoredBytes
 
 _MAGIC = b"FPPV"
@@ -179,15 +179,19 @@ def _rows(hubs, entries, borders, data, starts) -> HubRows:
 
 
 class PooledRecords:
-    """Hub metadata plus the records a :class:`StoredBytes` pool holds:
-    both PPV stores apart from where records come from, as
-    :class:`~repro.storage.residency.ClusterResidency` is for the graph
-    stores.  Subclasses supply ``_fetch(hubs)``, a hub → record mapping
-    (one physical read or wire fetch per hub, counted in ``reads``) of
-    records it has checked (:func:`check_records`), its refusal naming
-    where they came from.
-    ``pool`` is the deployment's (its own of
-    :data:`~repro.storage.residency.DEFAULT_MEMORY_BYTES` if ``None``).
+    """Hub metadata plus the hubs a :class:`StoredBytes` pool holds, as
+    rows of one :class:`~repro.core.splice.SpliceBlock` (:attr:`block`,
+    their only copy): both PPV stores apart from where records come
+    from, as :class:`~repro.storage.residency.ClusterResidency` is for
+    the graph stores.  Subclasses supply ``_fetch(hubs)``, a hub →
+    record mapping (one physical read or wire fetch per hub, counted in
+    ``reads``) of records it has checked (:func:`check_records`), its
+    refusal naming where they came from.  ``pool`` is the deployment's
+    (its own of :data:`~repro.storage.residency.DEFAULT_MEMORY_BYTES` if
+    ``None``); its entry for a hub is the record's size, ``16 * (entries
+    + borders)`` bytes, and :attr:`held` (uint8 per node) reads 1 while
+    it is held.  After a :meth:`trim` the block's rows are exactly the
+    held hubs', and its arrays hold at most four times their bytes.
     """
 
     def __init__(self, alpha, epsilon, clip, num_nodes, hubs, pool) -> None:
@@ -197,7 +201,9 @@ class PooledRecords:
         self.hub_mask[list(hubs)] = True
         self.reads = 0
         self.pool = pool if pool is not None else StoredBytes()
-        self._kind = self.pool.kind("hub")
+        self.held = np.zeros(num_nodes, dtype=np.uint8)
+        self._kind = self.pool.kind("hub", self.held)
+        self.block = SpliceBlock(alpha, num_nodes, HubRows.pack([]))
 
     def __contains__(self, hub: int) -> bool:
         return 0 <= int(hub) < self.num_nodes and bool(self.hub_mask[int(hub)])
@@ -208,24 +214,41 @@ class PooledRecords:
         return np.flatnonzero(self.hub_mask)
 
     def close(self) -> None:
-        """Evict this store's records from the pool."""
+        """Evict this store's records from the pool (not the block's
+        arrays: a running batch may point at them)."""
         self.pool.drop(self._kind)
 
-    def get_many(self, hubs) -> HubRows:
-        """Several hubs' prime PPVs as one row batch, sorted by hub: the
-        records the pool holds, and ``_fetch`` for the rest — checked
-        there, once, before the pool holds them, so a refused record is
-        fetched, and refused, again next time; a hit is decoded as it
-        is."""
+    def get_many(self, hubs) -> SpliceBlock:
+        """Make ``hubs`` resident and return :attr:`block`: each hub
+        without a row is fetched (``_fetch``, checked there, once),
+        decoded once, appended and put in the pool, so a refused record
+        is fetched, and refused, again next time.  A hub not stored here
+        is a :class:`KeyError`."""
         unique = sorted({int(hub) for hub in hubs})
-        records = {hub: self.pool.get(self._kind, hub) for hub in unique}
-        missing = [hub for hub, record in records.items() if record is None]
+        outside = [hub for hub in unique if hub not in self]
+        if outside:
+            raise KeyError(f"hubs {outside} are not stored here")
+        missing = self.block.missing(np.array(unique, dtype=np.int64)).tolist()
         if missing:
             fetched = self._fetch(missing)
-            for hub in missing:
-                records[hub] = record = fetched[hub]
-                self.pool.put(self._kind, hub, record, len(record[2]))
-        return decode_records(unique, records.values())
+            records = [fetched[hub] for hub in missing]
+            self.block.add_rows(decode_records(missing, records))
+            for hub, (_, _, payload) in zip(missing, records):
+                self.pool.put(self._kind, hub, None, len(payload))
+        return self.block
+
+    def trim(self) -> None:
+        """Drop from :attr:`block` the hubs the pool has evicted.  Call it
+        between batches only, on the thread that runs them: a round
+        points at the block's arrays and may need any row it holds."""
+        hubs = self.block.hubs
+        evicted = hubs[self.held[hubs] == 0]
+        if evicted.size:
+            self.block.drop(evicted)
+
+    def get(self, hub: int) -> PrimePPV:
+        """One hub's prime PPV (:meth:`get_many`), as views of its rows."""
+        return PrimePPV(int(hub), *self.get_many([hub]).prime_of(hub))
 
 
 class DiskPPVStore(PooledRecords):
@@ -355,11 +378,6 @@ class DiskPPVStore(PooledRecords):
             )
         ])
         return _rows(hubs, entries, borders, data, starts)
-
-    def get(self, hub: int) -> PrimePPV:
-        """Fetch one hub's prime PPV from disk (one seek + read, around
-        the pool)."""
-        return decode_records([hub], self._fetch([hub]).values()).primes()[0]
 
 
 def load_index(path: str | os.PathLike[str]) -> PPVIndex:

@@ -147,10 +147,11 @@ class TestStorageHooks:
         with DiskPPVStore(index_path, fault_plan=plan) as store:
             hubs = store.hubs.tolist()
             store.get(hubs[0])
+            # A second get of hubs[0] is a hit: the second read is hubs[1].
             with pytest.raises(InjectedFault):
-                store.get(hubs[0])
+                store.get(hubs[1])
             # The store object survives the injected failure.
-            entry = store.get(hubs[0])
+            entry = store.get(hubs[1])
             assert entry.nodes.size > 0
 
     def test_graph_store_reopen_matches_build(self, fig1_graph, tiny_disk):

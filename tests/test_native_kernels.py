@@ -1896,6 +1896,33 @@ def test_hypothesis_add_rows_holds_the_packed_rows(case, kernels):
         assert estimates.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=row_batches(), data=st.data())
+def test_hypothesis_drop_keeps_every_other_row(case, data):
+    """Hubs dropped between appends — the rows compacted once dropped
+    elements outnumber live ones — read as missing, every other row
+    reads back bytewise, and a dropped hub can be appended again."""
+    num_nodes, batches = case
+    block = SpliceBlock(ALPHA, num_nodes, HubRows.pack([]))
+    held, dropped = {}, []
+    for batch in batches:
+        block.add_rows(HubRows.pack(batch))
+        held.update((entry.source, entry) for entry in batch)
+        gone = []
+        if held:
+            gone = sorted(data.draw(st.sets(st.sampled_from(sorted(held)))))
+        block.drop(np.array(gone, dtype=np.int64))
+        dropped += [held.pop(hub) for hub in gone]
+        assert block.hubs.tolist() == sorted(held) and block.num_rows == len(held)
+        assert block.missing(np.array(gone, dtype=np.int64)).tolist() == gone
+    block.add_rows(HubRows.pack(dropped))
+    for entry in [*held.values(), *dropped]:
+        got = block.prime_of(entry.source)
+        for array, want in zip(got, (entry.nodes, entry.scores,
+                                     entry.border_hubs, entry.border_masses)):
+            assert array.tobytes() == want.tobytes()
+
+
 class TestOneRowPerHub:
     """A block refuses a hub it already holds, and a batch naming a hub
     twice, before it changes anything."""

@@ -242,13 +242,16 @@ class TestDecodeRecords:
         assert rows.hubs.tolist() == hubs
         assert rows.entries.tolist() == [entries for entries, _, _ in records]
         assert rows.borders.tolist() == [borders for _, borders, _ in records]
-        primes = rows.primes()
-        assert len(primes) == len(records)
-        for hub, prime, record in zip(hubs, primes, records):
-            assert prime.source == hub
-            for name, want in zip(FIELDS, reference_decode_record(*record)):
-                got = getattr(prime, name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        cuts = np.cumsum(rows.entries)[:-1], np.cumsum(rows.borders)[:-1]
+        split = [  # per field, one array per row
+            np.split(getattr(rows, name), cuts[position // 2])
+            for position, name in enumerate(FIELDS)
+        ]
+        assert len(split[0]) == max(len(records), 1)
+        for record, *got in zip(records, *split):
+            for array, want in zip(got, reference_decode_record(*record)):
+                assert array.dtype == want.dtype
+                assert array.tobytes() == want.tobytes()
         for name, dtype in zip(FIELDS, (np.int64, np.float64) * 2):
             assert getattr(rows, name).dtype == dtype
 
@@ -287,11 +290,11 @@ def test_get_many_is_one_read_per_unique_hub(fig1_file, wanted):
     """Any request order, repeats included: one row per unique hub, read
     once, each row the hub's own ``get``."""
     with DiskPPVStore(fig1_file) as store, DiskPPVStore(fig1_file) as single:
-        rows = store.get_many(wanted)
-        assert sorted(rows.hubs.tolist()) == sorted(set(wanted))
+        block = store.get_many(wanted)
+        assert block.hubs.tolist() == sorted(set(wanted))
         assert store.reads == len(set(wanted))
-        for prime in rows.primes():
-            alone = single.get(prime.source)
-            for name in FIELDS:
-                assert getattr(prime, name).tobytes() == getattr(alone, name).tobytes()
+        for hub in set(wanted):
+            alone = single.get(hub)
+            for array, name in zip(block.prime_of(hub), FIELDS):
+                assert array.tobytes() == getattr(alone, name).tobytes()
         assert store.bytes_read == single.bytes_read

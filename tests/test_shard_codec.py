@@ -23,6 +23,7 @@ import pytest
 
 from oracles import LocalFleet
 from repro import build_index, from_edges
+from repro.core.splice import SpliceBlock
 from repro.server import protocol
 from repro.server.protocol import ShardUnavailableError
 from repro.sharding import (
@@ -75,17 +76,21 @@ class Deployment:
             for entry in manifest["shards"]
             for hub in entry["hubs"]
         }
-        self.remote_ppv = ShardedPPVStore(
-            self.fleet,
-            alpha=index.alpha,
-            epsilon=index.epsilon,
-            clip=index.clip,
-            num_nodes=graph.num_nodes,
-            hub_shards=self.hub_shards,
-            pool=StoredBytes(0),
-        )
+        self.remote_ppv = self.sharded_ppv(StoredBytes(0))
         self.remote_graph = ShardedGraphStore(
             self.fleet, labels=LABELS, cluster_shards=self.cluster_shards
+        )
+
+    def sharded_ppv(self, pool: StoredBytes) -> ShardedPPVStore:
+        """A router-side PPV store over this fleet, holding ``pool``."""
+        return ShardedPPVStore(
+            self.fleet,
+            alpha=self.local_ppv.alpha,
+            epsilon=self.local_ppv.epsilon,
+            clip=self.local_ppv.clip,
+            num_nodes=LABELS.size,
+            hub_shards=self.hub_shards,
+            pool=pool,
         )
 
     def close(self):
@@ -164,46 +169,42 @@ class TestRemoteDecodeIsTheLocalRead:
             assert got.error_history == expected.error_history
 
 
-def _rows_bytes(rows) -> tuple:
+def _rows_bytes(block, hubs) -> tuple:
+    """The rows ``block`` holds for ``hubs``, as bytes (a snapshot)."""
     return tuple(
-        (name, getattr(rows, name).dtype.str, getattr(rows, name).tobytes())
-        for name in ("hubs", "entries", "borders") + PPV_FIELDS
+        (hub, array.dtype.str, array.tobytes())
+        for hub in hubs for array in block.prime_of(hub)
     )
 
 
 def test_a_cache_hit_serves_the_bytes_of_a_fetch(deployment):
-    """The router's pool holds stored records: a batch served from it —
-    wholly or in part — decodes to the bytes a fetch decodes to, and to
+    """The router's block holds the pooled hubs' rows: a batch served
+    from it — wholly or in part — is the bytes a fetch decodes to, and
     the local store's rows."""
     last_two = sum(
         len(deployment.local_ppv.read_record(hub)[2]) for hub in HUBS[-2:]
     )
-    cached = ShardedPPVStore(
-        deployment.fleet,
-        alpha=deployment.remote_ppv.alpha,
-        epsilon=deployment.remote_ppv.epsilon,
-        clip=deployment.remote_ppv.clip,
-        num_nodes=LABELS.size,
-        hub_shards=deployment.hub_shards,
-        pool=StoredBytes(last_two),
-    )
-    fetched = cached.get_many(HUBS)
+    cached = deployment.sharded_ppv(StoredBytes(last_two))
+    fetched = _rows_bytes(cached.get_many(HUBS), HUBS)
     assert cached.reads == len(HUBS)
-    assert _rows_bytes(fetched) == _rows_bytes(deployment.remote_ppv.get_many(HUBS))
-    assert _rows_bytes(fetched) == _rows_bytes(deployment.local_ppv.get_many(HUBS))
+    assert fetched == _rows_bytes(deployment.remote_ppv.get_many(HUBS), HUBS)
+    assert fetched == _rows_bytes(deployment.local_ppv.get_many(HUBS), HUBS)
     assert [hub for _, hub in cached.pool.keys()] == HUBS[-2:]
     hit = cached.get_many(HUBS[::-1][:2])  # both cached
     assert cached.reads == len(HUBS)
-    assert _rows_bytes(hit) == _rows_bytes(deployment.remote_ppv.get_many(HUBS[-2:]))
+    assert _rows_bytes(hit, HUBS[-2:]) == _rows_bytes(
+        deployment.remote_ppv.get_many(HUBS[-2:]), HUBS[-2:]
+    )
+    cached.trim()  # between batches: the evicted hub's row goes
     mixed = cached.get_many(HUBS)  # one refetched, two hits
     assert cached.reads == len(HUBS) + 1
-    assert _rows_bytes(mixed) == _rows_bytes(fetched)
+    assert _rows_bytes(mixed, HUBS) == fetched
 
 
 @pytest.mark.parametrize("side", ["local", "sharded"])
 def test_a_record_is_checked_once_when_fetched(deployment, monkeypatch, side):
     """Each store checks a record in its ``_fetch``, once per miss; a
-    pool hit is decoded without a check."""
+    hub its block holds is not checked again."""
     from repro.sharding import remote
     from repro.storage import ppv_store
 
@@ -216,24 +217,52 @@ def test_a_record_is_checked_once_when_fetched(deployment, monkeypatch, side):
 
     monkeypatch.setattr(ppv_store, "check_records", counting)
     monkeypatch.setattr(remote, "check_records", counting)
-    store = deployment.local_ppv if side == "local" else ShardedPPVStore(
-        deployment.fleet,
-        alpha=deployment.remote_ppv.alpha,
-        epsilon=deployment.remote_ppv.epsilon,
-        clip=deployment.remote_ppv.clip,
-        num_nodes=LABELS.size,
-        hub_shards=deployment.hub_shards,
-        pool=StoredBytes(),
+    store = (
+        deployment.local_ppv if side == "local"
+        else deployment.sharded_ppv(StoredBytes())
     )
-    want = _rows_bytes(store.get_many(HUBS[:2]))  # two misses
+    want = _rows_bytes(store.get_many(HUBS[:2]), HUBS[:2])  # two misses
     assert sorted(checked) == HUBS[:2]
     checked.clear()
-    both = store.get_many(HUBS)  # two hits, one miss
+    both = _rows_bytes(store.get_many(HUBS), HUBS)  # two hits, one miss
     assert checked == HUBS[2:]
     checked.clear()
-    assert _rows_bytes(store.get_many(HUBS[:2])) == want  # hits only
+    assert _rows_bytes(store.get_many(HUBS[:2]), HUBS[:2]) == want  # hits only
     assert checked == [] and store.reads == len(HUBS)
-    assert _rows_bytes(both) == _rows_bytes(deployment.local_ppv.read_all())
+    read_all = deployment.local_ppv.read_all()
+    assert both == _rows_bytes(SpliceBlock(0.15, LABELS.size, read_all), HUBS)
+
+
+@pytest.mark.parametrize("side", ["local", "sharded"])
+def test_a_warm_batch_fetches_and_decodes_nothing(deployment, monkeypatch, side):
+    """At the default budget a warm engine's store holds every hub it
+    has fetched as a row: a batch that needs no new hub makes no
+    ``_fetch`` and no ``decode_records`` call, and serves the bits of the
+    batch that fetched them."""
+    from repro.storage import ppv_store
+
+    graph_store, store = (
+        (deployment.local_graph, deployment.local_ppv) if side == "local"
+        else (deployment.remote_graph, deployment.sharded_ppv(StoredBytes()))
+    )
+    engine = DiskFastPPV(graph_store, store, delta=0.0)
+    nodes = list(range(LABELS.size))
+    cold = engine.query_many(nodes)
+    calls = []
+    decode, fetch = ppv_store.decode_records, store._fetch
+    monkeypatch.setattr(
+        ppv_store, "decode_records",
+        lambda *args: calls.append("decode") or decode(*args),
+    )
+    monkeypatch.setattr(
+        store, "_fetch", lambda hubs: calls.append("fetch") or fetch(hubs)
+    )
+    for _ in range(2):
+        warm = engine.query_many(nodes)
+        assert calls == []
+        for got, expected in zip(warm, cold):
+            assert got.scores.tobytes() == expected.scores.tobytes()
+            assert got.hub_reads == expected.hub_reads
 
 
 # --------------------------------------------------------------------- #

@@ -16,10 +16,10 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import StopAfterIterations
+from repro import StopAfterIterations, StopAtL1Error
 from repro.faults import FaultPlan
 from repro.serving import PPVService
 from repro.storage import (
@@ -200,7 +200,10 @@ def test_a_pool_hit_reads_nothing(deployment, small_social_index):
     hubs = small_social_index.hubs[:3].tolist()
     with DiskPPVStore(deployment / "i.fppv", pool=pool, fault_plan=plan) as store:
         graph_store.resident_cluster(2)
-        rows = store.get_many(hubs)
+        rows = [
+            array.tobytes() for hub in hubs
+            for array in store.get_many(hubs).prime_of(hub)
+        ]
 
         def physical():
             return (plan.hits("graph_store.load"), plan.hits("ppv_store.read"),
@@ -213,9 +216,9 @@ def test_a_pool_hit_reads_nothing(deployment, small_social_index):
         hit = store.get_many(hubs[::-1])
         assert physical() == cold
         assert again.segment == graph_store.read_segment(2)
-        for name in ("hubs", "entries", "borders", "nodes", "scores",
-                     "border_hubs", "border_masses"):
-            assert getattr(hit, name).tobytes() == getattr(rows, name).tobytes()
+        assert [
+            array.tobytes() for hub in hubs for array in hit.prime_of(hub)
+        ] == rows
 
 
 def test_one_deployment_shares_one_pool(deployment):
@@ -254,6 +257,98 @@ def test_physical_io_falls_and_served_bits_do_not_move(deployment):
     assert pooled_graph.faults <= 4  # each cluster at most once
     assert pooled_graph.faults < paper_graph.faults
     assert pooled_ppv.reads < paper_ppv.reads
+
+
+# --------------------------------------------------------------------- #
+# A store's block holds the hubs its pool holds
+
+
+def _pooled_engine(deployment, capacity: int):
+    pool = StoredBytes(capacity)
+    graph_store = DiskGraphStore.open(deployment / "c", pool=pool)
+    store = DiskPPVStore(deployment / "i.fppv", pool=pool)
+    return DiskFastPPV(graph_store, store, delta=1e-4), store
+
+
+def _served(result) -> tuple:
+    return (result.scores.tobytes(), result.error_history, result.hub_reads,
+            result.cluster_faults, result.truncated, result.work_units)
+
+
+_STOPS = (StopAfterIterations(2), StopAfterIterations(5), StopAtL1Error(0.2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    capacity=st.sampled_from(["nothing", "one record", "default"]),
+    batches=st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 399)),
+                     min_size=1, max_size=6),
+            st.sampled_from(_STOPS),
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_a_long_lived_block_serves_what_a_fresh_engine_serves(
+    deployment, capacity, batches
+):
+    """Whatever the pool evicts between batches, each batch serves the
+    bits and I/O record of a fresh engine, and after a trim the block's
+    rows are exactly the pool's hub entries: their bytes are the
+    records', and the block allocates at most four times that (doubling
+    slack, dropped rows not yet compacted)."""
+    with DiskPPVStore(deployment / "i.fppv") as probe:
+        sizes = {
+            hub: 16 * (entries + borders)
+            for hub, (_, entries, borders) in probe._directory.items()
+        }
+    hubs = sorted(sizes)
+    capacity = {"nothing": 0, "one record": max(sizes.values()),
+                "default": DEFAULT_MEMORY_BYTES}[capacity]
+    engine, store = _pooled_engine(deployment, capacity)
+    with store:
+        for picks, stop in batches:
+            nodes = [hubs[n % len(hubs)] if hub else n for hub, n in picks]
+            got = engine.query_many(nodes, stop=stop)
+            fresh, fresh_store = _pooled_engine(deployment, capacity)
+            with fresh_store:
+                want = fresh.query_many(nodes, stop=stop)
+            assert list(map(_served, got)) == list(map(_served, want))
+            store.trim()
+            block, held = store.block, np.flatnonzero(store.held).tolist()
+            assert block.hubs.tolist() == held
+            live = sum(
+                view.size for hub in held for view in block.prime_of(hub)[::2]
+            )
+            assert 16 * live == sum(sizes[hub] for hub in held)
+            allocated = block._scores._indices.size + block._borders._indices.size
+            assert allocated <= 4 * live
+
+
+def test_a_dropped_hub_read_back_damaged_is_refused(
+    deployment, small_social, tmp_path
+):
+    """A drop clears the hub's checked flag: a hub the rounds checked,
+    evicted and then read back from a damaged record is refused, not
+    spliced on the strength of the old row's check."""
+    path = tmp_path / "i.fppv"
+    shutil.copy(deployment / "i.fppv", path)
+    graph_store = DiskGraphStore.open(deployment / "c")
+    with DiskPPVStore(path, pool=StoredBytes(0)) as store:
+        engine = DiskFastPPV(graph_store, store, delta=0.0)
+        query = next(q for q in range(small_social.num_nodes) if q not in store)
+        engine.query(query)
+        hub = next(
+            hub for hub in store.block.hubs.tolist()
+            if store.block._checked[hub] and not store.held[hub]
+            and store._directory[hub][1]
+        )
+        with open(path, "r+b") as handle:  # the record's first node id
+            handle.seek(store._directory[hub][0])
+            handle.write((small_social.num_nodes + 5).to_bytes(8, "little"))
+        with pytest.raises(ValueError, match=f"prime PPV of hub {hub} names"):
+            engine.query(query)
 
 
 # --------------------------------------------------------------------- #
