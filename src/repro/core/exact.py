@@ -11,19 +11,31 @@ it — so on graphs with dangling nodes ``sum(r_q) < 1``; on dangling-free
 graphs (all graphs in the paper's evaluation, and all generator outputs
 here) ``r_q`` is a probability distribution and the paper's query-time
 error identity (Eq. 6) is exact.
+
+These solvers are the one place the library runs on scipy's sparse
+products (and ``repro.core.schedule_length``, through the same
+operator): ``scipy.sparse`` is imported when an operator is built, so
+importing this module — as ``repro`` does — costs a process nothing
+until exact ground truth is asked for.  Serving and the index build
+never ask.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 
 def _ppv_operator(graph: DiGraph) -> sparse.csr_matrix:
-    """``P^T`` as CSR (column-stochastic up to dangling nodes)."""
+    """``P^T`` as CSR (column-stochastic up to dangling nodes); imports
+    ``scipy.sparse`` through :meth:`DiGraph.transition_matrix`."""
     return graph.transition_matrix().T.tocsr()
 
 

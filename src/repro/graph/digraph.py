@@ -9,14 +9,20 @@ walks) allocation-free and cache-friendly.
 An optional node-label table maps external identifiers (author names, user
 ids, ...) to the dense integer space, so example applications can speak in
 domain terms.
+
+numpy is the only import: serving, hub selection and the index build never
+need scipy.  :meth:`DiGraph.transition_matrix` imports ``scipy.sparse``
+when it is called, for the exact solvers that want a scipy matrix.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class DiGraph:
@@ -267,8 +273,11 @@ class DiGraph:
         Dangling nodes (out-degree zero) produce an all-zero row; callers
         decide how to treat the lost mass (the PPV solvers in
         :mod:`repro.core.exact` let the walk end there, matching the
-        tour-reachability semantics of Eq. 1-2).
+        tour-reachability semantics of Eq. 1-2).  Imports
+        ``scipy.sparse`` on call: scipy is needed only here.
         """
+        from scipy import sparse
+
         n = self.num_nodes
         return sparse.csr_matrix(
             (

@@ -2,8 +2,18 @@
 
 Used by hub selection (the "popularity" half of expected utility, Eq. 7)
 and by the MonteCarlo baseline's hub policy.  Implemented as standard power
-iteration on the CSR transition matrix with uniform teleportation; dangling
-mass is redistributed uniformly, the textbook convention.
+iteration with uniform teleportation; dangling mass is redistributed
+uniformly, the textbook convention.
+
+Each step's ``P^T @ rank`` runs on the graph's own CSR arrays, with numpy
+alone: one ``np.bincount`` of ``probability * rank[source]`` over the edges
+in CSR order.  Within a target's bin the edges arrive in source order (and
+in row order between parallel edges), and each bin's sum starts at 0.0, so
+the additions happen in exactly the order of scipy's CSR mat-vec over
+``graph.transition_matrix().T.tocsr()`` and every rank is bit for bit what
+that product gives (``tests/oracles.py::reference_global_pagerank`` is the
+scipy iteration, pinned against this one).  Hub selection, and so every
+index byte, does not depend on whether scipy is installed.
 """
 
 from __future__ import annotations
@@ -47,13 +57,18 @@ def global_pagerank(
     n = graph.num_nodes
     if n == 0:
         return np.zeros(0)
-    matrix = graph.transition_matrix().T.tocsr()
-    dangling = np.asarray(graph.out_degrees == 0)
+    sources = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
+    targets = graph.indices
+    probabilities = graph.edge_probabilities
+    dangling = graph.out_degrees == 0
     rank = np.full(n, 1.0 / n)
     teleport = np.full(n, alpha / n)
     for _ in range(max_iter):
         dangling_mass = rank[dangling].sum()
-        new_rank = (1.0 - alpha) * (matrix @ rank + dangling_mass / n) + teleport
+        inflow = np.bincount(
+            targets, weights=probabilities * rank[sources], minlength=n
+        )
+        new_rank = (1.0 - alpha) * (inflow + dangling_mass / n) + teleport
         delta = np.abs(new_rank - rank).sum()
         rank = new_rank
         if delta < tol:

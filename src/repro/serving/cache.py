@@ -27,8 +27,7 @@ DEFAULT_CACHE_SIZE = 256
 @dataclass
 class _Entry:
     value: object
-    hits: int
-    last_used: int
+    hits: int = 0
 
 
 class PopularityCache:
@@ -42,9 +41,13 @@ class PopularityCache:
     Notes
     -----
     Thread-safe (the scheduler thread and streaming workers may touch it
-    concurrently).  Eviction scans for the minimum ``(hits, last_used)``
-    pair — O(capacity) per insert beyond capacity, which is fine at the
-    few-hundred-entry scale this cache runs at.
+    concurrently).  Keys live in buckets by hit count, each an
+    insertion-ordered dict holding its least recently used key first, so
+    every operation — an eviction included — is O(1): an insert over
+    capacity has just put a 0-hit entry in bucket 0, and the victim is
+    that bucket's first key.  The victims are those of the rule "evict
+    the minimum ``(hits, last use)``", which
+    ``tests/oracles.py::ReferencePopularityCache`` applies by a scan.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
@@ -52,7 +55,7 @@ class PopularityCache:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
         self._entries: dict[tuple, _Entry] = {}
-        self._clock = 0
+        self._buckets: dict[int, dict[tuple, None]] = {}  # hits → keys, LRU first
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -72,16 +75,16 @@ class PopularityCache:
     def get(self, key: tuple):
         """A private copy of the cached result, or ``None`` on a miss.
 
-        A hit bumps the entry's popularity counter and recency stamp.
+        A hit bumps the entry's popularity counter and recency.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            self._clock += 1
+            self._unfile(key, entry.hits)
             entry.hits += 1
-            entry.last_used = self._clock
+            self._file(key, entry.hits)
             self.hits += 1
             return entry.value.copy()
 
@@ -97,26 +100,40 @@ class PopularityCache:
             return
         value = value.copy()
         with self._lock:
-            self._clock += 1
             existing = self._entries.get(key)
             if existing is not None:
                 existing.value = value
-                existing.last_used = self._clock
+                self._unfile(key, existing.hits)
+                self._file(key, existing.hits)
                 return
-            self._entries[key] = _Entry(
-                value=value, hits=0, last_used=self._clock
-            )
+            self._entries[key] = _Entry(value)
+            self._file(key, 0)
             while len(self._entries) > self.capacity:
-                # Over .items(): no per-candidate lookup re-hashing a key
-                # tuple.  ``last_used`` is unique, so the minimum is too.
-                victim, _ = min(
-                    self._entries.items(),
-                    key=lambda item: (item[1].hits, item[1].last_used),
-                )
+                # Bucket 0 holds the entry just put, unless a lowered
+                # capacity evicts more than one.
+                fewest = 0 if 0 in self._buckets else min(self._buckets)
+                victim = next(iter(self._buckets[fewest]))
+                self._unfile(victim, fewest)
                 del self._entries[victim]
                 self.evictions += 1
+
+    def _file(self, key: tuple, hits: int) -> None:
+        """Put ``key`` at the most recent end of bucket ``hits``."""
+        bucket = self._buckets.get(hits)
+        if bucket is None:
+            bucket = self._buckets[hits] = {}
+        bucket[key] = None
+
+    def _unfile(self, key: tuple, hits: int) -> None:
+        """Take ``key`` out of bucket ``hits``, dropping the bucket once
+        it is empty."""
+        bucket = self._buckets[hits]
+        del bucket[key]
+        if not bucket:
+            del self._buckets[hits]
 
     def clear(self) -> None:
         """Drop every entry (hit/miss totals are kept for observability)."""
         with self._lock:
             self._entries.clear()
+            self._buckets.clear()

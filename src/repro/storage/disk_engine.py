@@ -64,8 +64,9 @@ is ``query_many([q])[0]``:
   block lacks (``get_many``, offset-ordered reads), and serves every
   later batch until the pool evicts it; a hub query's iteration 0 reads
   its own row back from the block.  At a batch's start the store drops
-  the rows of evicted hubs (``trim``); within a batch the block only
-  grows, so a round never loses a row it holds.
+  the rows of evicted hubs (``trim``, which returns at once when the
+  pool has evicted none of its hubs since the last batch); within a
+  batch the block only grows, so a round never loses a row it holds.
 * The rest is the in-memory engine's batch driver,
   :func:`repro.core.batch.splice_batch`, handed each query's iteration 0
   (a push row, or a hub query's own row of the block) and that block:

@@ -203,6 +203,7 @@ class PooledRecords:
         self.pool = pool if pool is not None else StoredBytes()
         self.held = np.zeros(num_nodes, dtype=np.uint8)
         self._kind = self.pool.kind("hub", self.held)
+        self._trimmed_at = 0  # pool.evicted(kind) at the last trim
         self.block = SpliceBlock(alpha, num_nodes, HubRows.pack([]))
 
     def __contains__(self, hub: int) -> bool:
@@ -240,7 +241,13 @@ class PooledRecords:
     def trim(self) -> None:
         """Drop from :attr:`block` the hubs the pool has evicted.  Call it
         between batches only, on the thread that runs them: a round
-        points at the block's arrays and may need any row it holds."""
+        points at the block's arrays and may need any row it holds.
+        Free when the pool has evicted none of this store's hubs since
+        the last trim (a warm batch): no scan of the block's hubs."""
+        evicted_now = self.pool.evicted(self._kind)
+        if evicted_now == self._trimmed_at:
+            return
+        self._trimmed_at = evicted_now
         hubs = self.block.hubs
         evicted = hubs[self.held[hubs] == 0]
         if evicted.size:

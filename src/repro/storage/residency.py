@@ -83,7 +83,7 @@ class StoredBytes:
     cluster bigger than the budget): capacity 0 holds the newest entry.
     Each store takes its own kind (:meth:`kind`), so stores share the
     bytes, never the entries; a kind's ``flags`` (uint8 per id) read 1
-    while the id is held.
+    while the id is held, and :meth:`evicted` counts its evictions.
     """
 
     def __init__(self, capacity: int = DEFAULT_MEMORY_BYTES) -> None:
@@ -93,6 +93,7 @@ class StoredBytes:
         self.held = 0  # bytes
         self._entries: dict[tuple, tuple[object, int]] = {}  # most recent last
         self._flags: dict[tuple, np.ndarray] = {}
+        self._evicted: dict[tuple, int] = {}
         self._kinds = 0
 
     def kind(self, name: str, flags: np.ndarray | None = None) -> tuple:
@@ -103,6 +104,12 @@ class StoredBytes:
         if flags is not None:
             self._flags[kind] = flags
         return kind
+
+    def evicted(self, kind: tuple) -> int:
+        """How many entries of ``kind`` have been evicted (by a
+        :meth:`put` or a :meth:`drop`): while it stands still, every id
+        put under ``kind`` since it last moved is held."""
+        return self._evicted.get(kind, 0)
 
     def keys(self) -> list[tuple]:
         """Held ``(kind, id)`` keys, least recently used first."""
@@ -138,6 +145,7 @@ class StoredBytes:
 
     def _evict(self, key: tuple) -> None:
         self.held -= self._entries.pop(key)[1]
+        self._evicted[key[0]] = self._evicted.get(key[0], 0) + 1
         flags = self._flags.get(key[0])
         if flags is not None:
             flags[key[1]] = 0

@@ -47,6 +47,16 @@ over one record's bytes.
 ``prime_push_many``: the per-edge dict push and the per-border-entry
 dict level loop, verbatim.  ``tests/test_hitting.py`` pins the array
 code against them.
+
+``reference_global_pagerank`` is ``repro.graph.pagerank.global_pagerank``
+as it stood while it multiplied by scipy's ``transition_matrix().T.tocsr()``;
+the numpy-only iteration must equal it bit for bit, since hub selection —
+and so every index byte — is ranked by it (``tests/test_pagerank.py``).
+
+``ReferencePopularityCache`` is ``repro.serving.cache.PopularityCache``
+as it stood while eviction scanned every entry for the minimum
+``(hits, last_used)``: the bucketed cache must evict the same keys
+(``tests/test_serving_cache.py``).
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ from repro.core.query import (
     QueryState,
     StopAfterIterations,
 )
+from repro.graph.pagerank import DEFAULT_ALPHA
 from repro.server import protocol
 from repro.sharding.remote import ShardedGraphStore
 from repro.sharding.shard import ShardEngine
@@ -663,3 +674,71 @@ def clusters_pool(store, clusters: int) -> StoredBytes:
     """A pool of ``clusters`` times ``store``'s largest segment: what a
     memory budget counted in clusters became."""
     return StoredBytes(clusters * store.largest_cluster_bytes)
+
+
+def reference_global_pagerank(
+    graph, alpha=DEFAULT_ALPHA, tol=1e-10, max_iter=200
+) -> np.ndarray:
+    """PageRank by power iteration over scipy's ``P^T`` CSR (needs scipy)."""
+    n = graph.num_nodes
+    if n == 0:
+        return np.zeros(0)
+    matrix = graph.transition_matrix().T.tocsr()
+    dangling = np.asarray(graph.out_degrees == 0)
+    rank = np.full(n, 1.0 / n)
+    teleport = np.full(n, alpha / n)
+    for _ in range(max_iter):
+        dangling_mass = rank[dangling].sum()
+        new_rank = (1.0 - alpha) * (matrix @ rank + dangling_mass / n) + teleport
+        delta = np.abs(new_rank - rank).sum()
+        rank = new_rank
+        if delta < tol:
+            break
+    return rank
+
+
+class ReferencePopularityCache:
+    """The popularity cache's keys and counters under the scan rule: a
+    put over capacity evicts the entry of minimum ``(hits, last_used)``,
+    found by looking at every entry.  Holds values as given (no copies)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: dict = {}  # key -> [value, hits, last_used]
+        self._clock = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def keys(self) -> set:
+        return set(self._entries)
+
+    def popularity(self, key) -> int:
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None else 0
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._clock += 1
+        entry[1] += 1
+        entry[2] = self._clock
+        self.hits += 1
+        return entry[0]
+
+    def put(self, key, value) -> None:
+        if self.capacity == 0:
+            return
+        self._clock += 1
+        existing = self._entries.get(key)
+        if existing is not None:
+            existing[0] = value
+            existing[2] = self._clock
+            return
+        self._entries[key] = [value, 0, self._clock]
+        while len(self._entries) > self.capacity:
+            victim = min(self._entries, key=lambda k: self._entries[k][1:])
+            del self._entries[victim]
+            self.evictions += 1

@@ -148,6 +148,12 @@ class TestReverse:
 
 
 class TestTransitionMatrix:
+    def test_is_a_scipy_csr_matrix(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        matrix = star_graph(3).transition_matrix()
+        assert isinstance(matrix, sparse.csr_matrix)
+        assert matrix.shape == (4, 4)
+
     def test_rows_stochastic(self):
         graph = star_graph(3)
         matrix = graph.transition_matrix()

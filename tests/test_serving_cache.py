@@ -8,7 +8,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferencePopularityCache
 from repro import (
     PPVService,
     QuerySpec,
@@ -130,6 +133,35 @@ class TestPopularityCacheUnit:
         cache.put(("newest",), value)
         assert ("old",) not in cache
         assert ("new",) in cache and ("newest",) in cache
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["get", "put", "put", "shrink"]),
+                      st.integers(0, 5)),
+            max_size=60,
+        ),
+    )
+    def test_evicts_what_the_minimum_scan_evicts(self, capacity, steps):
+        """Every get, put and capacity cut leaves the bucketed cache with
+        the keys, hit counts and counters of the ``min((hits,
+        last_used))`` scan it replaced."""
+        cache = PopularityCache(capacity)
+        reference = ReferencePopularityCache(capacity)
+        for step, (op, key) in enumerate(steps):
+            if op == "get":
+                assert cache.get((key,)) == reference.get((key,))
+            elif op == "put":  # a list has the copy() a cached value needs
+                cache.put((key,), [key, step])
+                reference.put((key,), [key, step])
+            else:  # a smaller capacity applies at the next insert
+                cache.capacity = reference.capacity = max(1, cache.capacity - 1)
+            assert set(cache._entries) == reference.keys()
+            for held in reference.keys():
+                assert cache.popularity(held) == reference.popularity(held)
+            assert (cache.hits, cache.misses, cache.evictions) == (
+                reference.hits, reference.misses, reference.evictions)
 
     def test_served_results_carry_their_records(self, served):
         backend, kind, result = served

@@ -114,6 +114,18 @@ class TestPool:
         assert flags.tolist() == [0, 0, 0, 0]
         assert pool.keys() == [(hubs, 9)] and pool.held == 4
 
+    def test_evictions_are_counted_per_kind(self):
+        pool = StoredBytes(8)
+        clusters, hubs = pool.kind("cluster"), pool.kind("hub")
+        pool.put(clusters, 1, "c1", 4)
+        pool.put(hubs, 9, "record", 4)
+        pool.put(hubs, 9, "record again", 4)  # a refresh evicts nothing
+        assert (pool.evicted(clusters), pool.evicted(hubs)) == (0, 0)
+        pool.put(hubs, 8, "record", 4)  # evicts cluster 1
+        assert (pool.evicted(clusters), pool.evicted(hubs)) == (1, 0)
+        pool.drop(hubs)
+        assert (pool.evicted(clusters), pool.evicted(hubs)) == (1, 2)
+
 
 # --------------------------------------------------------------------- #
 # Properties over access sequences of sized keys
@@ -324,6 +336,33 @@ def test_a_long_lived_block_serves_what_a_fresh_engine_serves(
             assert 16 * live == sum(sizes[hub] for hub in held)
             allocated = block._scores._indices.size + block._borders._indices.size
             assert allocated <= 4 * live
+
+
+def test_a_warm_batch_trims_without_a_scan(deployment, small_social,
+                                           monkeypatch):
+    """A batch after which the pool evicted none of the store's hubs
+    leaves the next trim nothing to do: it never lists the block's hubs.
+    Once the pool does evict one, the trim scans and drops it."""
+    engine, store = _pooled_engine(deployment, DEFAULT_MEMORY_BYTES)
+    hubs = store.hubs.tolist()
+    scans = []
+    listed = type(store.block).hubs
+    monkeypatch.setattr(
+        type(store.block), "hubs",
+        property(lambda block: scans.append(1) or listed.fget(block)),
+    )
+    with store:
+        nodes = list(range(0, small_social.num_nodes, 7))
+        cold = engine.query_many(nodes)
+        assert store.pool.evicted(store._kind) == 0
+        scans.clear()
+        warm = engine.query_many(nodes)
+        assert scans == []
+        assert list(map(_served, warm)) == list(map(_served, cold))
+        store.pool.put(store.pool.kind("x"), 0, "big", store.pool.capacity)
+        store.trim()
+        assert scans and store.block.hubs.size == 0
+        assert not np.any(store.held[hubs])
 
 
 def test_a_dropped_hub_read_back_damaged_is_refused(
