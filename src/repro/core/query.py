@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.core.topk import StopWhenCertified, top_k_result
 from repro.metrics.ranking import top_k_nodes
 
 DEFAULT_DELTA = 0.005
@@ -253,72 +252,3 @@ def query_ids(queries: Sequence[int], num_nodes: int) -> list[int]:
         if not 0 <= q < num_nodes:
             raise ValueError(f"query node {q} out of range")
     return ids
-
-
-class BatchOfOne:
-    """``query`` and ``query_top_k_many`` for an engine whose
-    ``query_many(queries, stop, on_iteration)`` reports
-    ``on_iteration(position, state)``."""
-
-    def query(
-        self,
-        query: int,
-        stop: StoppingCondition | None = None,
-        on_iteration: Callable[[QueryState], None] | None = None,
-    ):
-        """Estimate the PPV of ``query``: ``query_many([query])[0]``, with
-        ``on_iteration`` (if given) called with each iteration's
-        :class:`QueryState` alone, iteration 0 included."""
-        callback = None
-        if on_iteration is not None:
-            callback = lambda _position, state: on_iteration(state)
-        return self.query_many([query], stop=stop, on_iteration=callback)[0]
-
-    def query_top_k_many(
-        self,
-        queries: Sequence[int],
-        k: int = 10,
-        max_iterations: int = 32,
-        on_iteration: "Callable[[int, QueryState], None] | None" = None,
-    ) -> "list[QueryResult]":
-        """Certified top-k for a whole batch of queries, preserving order.
-
-        Batch-retirement contract
-        -------------------------
-        The batch runs in lock-step rounds, but every query carries its
-        *own* top-k certificate (the phi-gap rule of
-        :mod:`repro.core.topk`): after each round the certificates of all
-        in-flight queries are checked in one vectorised pass
-        (:meth:`~repro.core.topk.StopWhenCertified.should_stop_many`),
-        and a query **retires from the batch the moment its certificate
-        fires** — it stops consuming rounds while uncertified neighbours
-        keep iterating towards ``max_iterations``.  Each query therefore
-        performs exactly as many incremental iterations as
-        :func:`~repro.core.topk.query_top_k` alone would (same certified
-        sets, same per-query iteration counts).  The result carries the
-        engine's own record (the disk I/O record on the disk engine).
-
-        Certificate soundness follows
-        :func:`~repro.core.topk.query_top_k`: build the engine with
-        ``delta = 0`` for a formally sound certificate (a positive
-        ``delta`` makes the Eq. 6 error slightly optimistic about pruned
-        mass; a truncated disk push stays sound because its missing mass
-        is part of the Eq. 6 error the certificate already budgets for).
-
-        Parameters
-        ----------
-        queries:
-            Query node ids (duplicates allowed).
-        k:
-            Size of the wanted top set.
-        max_iterations:
-            Per-query certificate budget; queries whose certificate never
-            fires within it are returned with ``certified=False``.
-        on_iteration:
-            Optional ``(position, state)`` callback, as in ``query_many``.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        stop = StopWhenCertified(k=k, max_iterations=max_iterations)
-        results = self.query_many(queries, stop=stop, on_iteration=on_iteration)
-        return [top_k_result(result, k) for result in results]

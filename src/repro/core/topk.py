@@ -31,7 +31,7 @@ import numpy as np
 from repro.metrics.ranking import top_k_nodes
 
 if TYPE_CHECKING:
-    from repro.core.batch import FastPPV
+    from repro.core.batch import Engine
     from repro.core.query import QueryResult
 
 
@@ -119,12 +119,13 @@ def top_k_result(result: QueryResult, k: int) -> QueryResult:
 
 
 def query_top_k(
-    engine: FastPPV,
+    engine: Engine,
     query: int,
     k: int = 10,
     max_iterations: int = 32,
 ) -> QueryResult:
-    """Iterate until the top-k set is certified exact (or budget is hit).
+    """Iterate until the top-k set is certified exact (or budget is hit):
+    ``engine.query_top_k_many([query], k, max_iterations)[0]``.
 
     Runs as a *single* incremental pass: the certificate is evaluated by a
     content-aware stopping condition after every iteration.
@@ -132,10 +133,10 @@ def query_top_k(
     Parameters
     ----------
     engine:
-        A :class:`~repro.core.batch.FastPPV` engine.  Use ``delta = 0``
-        for a sound certificate: frontier pruning makes the Eq. 6 error
-        slightly optimistic about prunable mass, which is fine in
-        practice but weakens the formal guarantee.
+        Either backend's :class:`~repro.core.batch.Engine`.  Use
+        ``delta = 0`` for a sound certificate: frontier pruning makes the
+        Eq. 6 error slightly optimistic about prunable mass, which is
+        fine in practice but weakens the formal guarantee.
     query:
         Query node.
     k:
@@ -144,9 +145,4 @@ def query_top_k(
         Budget; if the certificate never fires the result is returned
         uncertified.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    result = engine.query(
-        query, stop=StopWhenCertified(k=k, max_iterations=max_iterations)
-    )
-    return top_k_result(result, k)
+    return engine.query_top_k_many([query], k=k, max_iterations=max_iterations)[0]

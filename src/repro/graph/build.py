@@ -80,13 +80,6 @@ class GraphBuilder:
         for src, dst in edges:
             self.add_edge(src, dst)
 
-    def add_weighted_edges(
-        self, edges: Iterable[tuple[Hashable, Hashable, float]]
-    ) -> None:
-        """Add many directed weighted edges as ``(src, dst, weight)``."""
-        for src, dst, weight in edges:
-            self.add_edge(src, dst, weight)
-
     @property
     def num_pending_edges(self) -> int:
         """Edges added so far (before deduplication)."""

@@ -73,40 +73,25 @@ class Observability:
 
     Parameters
     ----------
-    registry, tracer:
-        Existing instances to share; fresh private ones by default.
     slow_query_seconds:
         When given, queries slower than this many seconds are recorded
         into :attr:`slow_log` with their cost counters and trace id.
-    trace_capacity / trace_log_path:
-        Span ring size and optional JSONL span log (only used when a
-        fresh tracer is created).
+    slow_log_path / trace_log_path:
+        Optional JSONL logs of the slow queries and of the spans.
     """
 
     def __init__(
         self,
-        registry: "MetricsRegistry | None" = None,
-        tracer: "Tracer | None" = None,
         *,
         slow_query_seconds: "float | None" = None,
-        slow_log_capacity: int = 128,
         slow_log_path=None,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         trace_log_path=None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(capacity=trace_capacity, log_path=trace_log_path)
-        )
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(log_path=trace_log_path)
         self.slow_log: "SlowQueryLog | None" = None
         if slow_query_seconds is not None:
-            self.slow_log = SlowQueryLog(
-                slow_query_seconds,
-                capacity=slow_log_capacity,
-                path=slow_log_path,
-            )
+            self.slow_log = SlowQueryLog(slow_query_seconds, path=slow_log_path)
 
     def close(self) -> None:
         """Close the span log and the slow-query log files.  Both reopen

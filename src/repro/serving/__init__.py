@@ -1,10 +1,10 @@
 """The serving layer: one façade over every FastPPV query engine.
 
 There is one engine per backend — in memory ``FastPPV``, on disk
-``DiskFastPPV``; a single query is the batch of one on both, and both
-run the same incremental-round loop — each with its own workload
-spelling.
-This package puts them behind one backend-agnostic API:
+``DiskFastPPV``; both are an :class:`Engine`
+(:class:`repro.core.batch.Engine`), which gives them one ``query_many``,
+the batch of one and the three serving calls.  This package serves them
+through one backend-agnostic API:
 
 * :class:`PPVService` — the façade.  ``PPVService.open(index, graph=g)``
   or ``PPVService.open(ppv_store, graph_store=s)`` builds the memory
@@ -27,8 +27,6 @@ This package puts them behind one backend-agnostic API:
   batching, caching, and wire codec — so new analyses get
   coalescing/caching/network for free
   (:func:`~repro.serving.families.register_family`).
-* The :class:`~repro.serving.engines.Engine` protocol and its two
-  adapters, :class:`MemoryEngine` and :class:`DiskEngine`.
 
 Quickstart::
 
@@ -43,6 +41,7 @@ Quickstart::
                 break                                          # anytime!
 """
 
+from repro.core.batch import Engine, FastPPV
 from repro.serving.cache import PopularityCache
 from repro.serving.families import (
     FamilyTask,
@@ -53,14 +52,16 @@ from repro.serving.families import (
     resolve_family,
     supported_families,
 )
-from repro.serving.engines import (
-    DiskEngine,
-    Engine,
-    MemoryEngine,
-)
 from repro.serving.scheduler import CoalescingScheduler
 from repro.serving.service import PPVService, ServiceStats
 from repro.serving.spec import QueryHandle, QuerySnapshot, QuerySpec
+from repro.storage.disk_engine import DiskFastPPV
+
+# The frozen performance ledger (``benchmarks/ledger``) builds its
+# engines under the names of the serving adapters these two engines
+# replaced; the names go at the ledger's next re-anchor (ROADMAP item 1).
+MemoryEngine = FastPPV
+DiskEngine = DiskFastPPV
 
 __all__ = [
     "PPVService",

@@ -2,8 +2,8 @@
 
 The service owns four things:
 
-* an :class:`~repro.serving.engines.Engine` adapter (built from its
-  keywords by :meth:`PPVService.open`, or handed to the constructor),
+* an :class:`~repro.core.batch.Engine` (built from its keywords by
+  :meth:`PPVService.open`, or handed to the constructor),
 * the :class:`~repro.serving.scheduler.CoalescingScheduler` that admits
   concurrent ``submit()`` traffic and drains it as engine batches,
 * the shared :class:`~repro.serving.cache.PopularityCache` (hit-counter
@@ -37,12 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro.core.batch import Engine, FastPPV
 from repro.core.index import PPVIndex
 from repro.core.topk import _certificate_holds, top_k_result
 from repro.obs import Observability, cost_counters
 from repro.obs.trace import activate as _activate_span
 from repro.serving.cache import DEFAULT_CACHE_SIZE, PopularityCache
-from repro.serving.engines import DiskEngine, Engine, MemoryEngine
 from repro.serving.families import (
     FamilyTask,
     QueryFamily,
@@ -56,6 +56,7 @@ from repro.serving.scheduler import (
     CoalescingScheduler,
 )
 from repro.serving.spec import QueryHandle, QuerySnapshot, QuerySpec
+from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.ppv_store import DiskPPVStore
 
 _STREAM_DONE = object()
@@ -144,12 +145,14 @@ class PPVService:
     """One serving façade for all FastPPV engines (see module docstring).
 
     Build it with :meth:`open`; use it as a context manager (or call
-    :meth:`close`) so the drain thread and any owned stores are released.
+    :meth:`close`) so the drain thread and any store it opened are
+    released.
 
     Parameters
     ----------
     engine:
-        An :class:`~repro.serving.engines.Engine` adapter.
+        An :class:`~repro.core.batch.Engine` (or a data-plane
+        :class:`~repro.sharding.shard.ShardEngine`).
     cache_size:
         Capacity of the popularity-aware result cache (0 disables it).
     max_batch:
@@ -239,6 +242,8 @@ class PPVService:
             lambda: len(self.cache),
         )
         self.obs.observe_engine(self.engine)
+        # The DiskPPVStore open() made from an .fppv path, closed here.
+        self._opened_store: "DiskPPVStore | None" = None
         self._closed = False
         # Live streaming jobs, so close() can cancel them instead of
         # letting an abandoned iterator run its query to completion on
@@ -267,8 +272,8 @@ class PPVService:
         """Open a service over an index (memory) or stores (disk).
 
         The keyword picks the backend: ``graph=`` serves ``source`` in
-        memory (a :class:`MemoryEngine`), ``graph_store=`` from disk (a
-        :class:`DiskEngine`).
+        memory (a :class:`~repro.core.batch.FastPPV`), ``graph_store=``
+        from disk (a :class:`~repro.storage.disk_engine.DiskFastPPV`).
 
         Parameters
         ----------
@@ -282,7 +287,7 @@ class PPVService:
             ``"memory"`` or ``"disk"``; when passed, it must name the
             backend the keywords pick.
         engine_kwargs:
-            Forwarded to the adapter (``delta``, ``max_iterations``,
+            Forwarded to the engine (``delta``, ``max_iterations``,
             ``online_epsilon`` / ``fault_budget``).
         """
         if backend is not None and backend not in _BACKEND_KEYWORDS:
@@ -301,30 +306,29 @@ class PPVService:
                 f"the {backend} backend takes {_BACKEND_KEYWORDS[backend]}, "
                 f"not {_BACKEND_KEYWORDS[name]}"
             )
+        opened = None
         if name == "memory":
             if not isinstance(source, PPVIndex):
                 raise TypeError(
                     f"the memory backend serves a PPVIndex, not "
                     f"{type(source).__name__}"
                 )
-            engine = MemoryEngine(graph, source, **engine_kwargs)
+            engine = FastPPV(graph, source, **engine_kwargs)
         elif isinstance(source, DiskPPVStore):
-            engine = DiskEngine(graph_store, source, **engine_kwargs)
+            engine = DiskFastPPV(graph_store, source, **engine_kwargs)
         elif isinstance(source, (str, os.PathLike)):
-            store = DiskPPVStore(source, pool=graph_store.pool)
+            opened = DiskPPVStore(source, pool=graph_store.pool)
             try:
-                engine = DiskEngine(
-                    graph_store, store, owns_store=True, **engine_kwargs
-                )
+                engine = DiskFastPPV(graph_store, opened, **engine_kwargs)
             except BaseException:
-                store.close()
+                opened.close()
                 raise
         else:
             raise TypeError(
                 f"the disk backend serves a DiskPPVStore or an .fppv path, "
                 f"not {type(source).__name__}"
             )
-        return cls(
+        service = cls(
             engine,
             cache_size=cache_size,
             max_batch=max_batch,
@@ -332,6 +336,8 @@ class PPVService:
             fault_plan=fault_plan,
             obs=obs,
         )
+        service._opened_store = opened
+        return service
 
     def __enter__(self) -> "PPVService":
         return self
@@ -356,6 +362,8 @@ class PPVService:
                 job.cancel.set()
         self._scheduler.close()
         self.engine.close()
+        if self._opened_store is not None:
+            self._opened_store.close()
         self.obs.close()
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,10 @@
 """The shard router: exact FastPPV serving over a shard fleet.
 
-:class:`RouterEngine` subclasses the disk backend's
-:class:`~repro.serving.engines.DiskEngine` with the two stores swapped
-for their remote twins (:mod:`repro.sharding.remote`): the real
-``DiskFastPPV`` engine runs *at the router*, fetching hub prime PPVs
-and cluster adjacency from shard processes on demand.  Identical
+:class:`RouterEngine` is the disk backend's engine,
+:class:`~repro.storage.disk_engine.DiskFastPPV`, over the remote twins
+of its two stores (:mod:`repro.sharding.remote`): the disk engine runs
+*at the router*, fetching hub prime PPVs and cluster adjacency from
+shard processes on demand.  Identical
 kernel + bit-identical data (a fetch ships the stored record's bytes
 and the router decodes them with the local stores' decoders) +
 identical operation order make every result — multi-node splices
@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core.query import DEFAULT_DELTA
 from repro.obs import Histogram, MetricsRegistry, Observability
-from repro.serving.engines import DiskEngine
 from repro.serving.service import DEFAULT_CACHE_SIZE, PPVService
 from repro.server.client import ServerError
 from repro.server.protocol import ShardUnavailableError
@@ -60,6 +59,7 @@ from repro.sharding.remote import (
     ShardFleet,
 )
 from repro.sharding.shard import shard_service_factory
+from repro.storage.disk_engine import DiskFastPPV
 from repro.storage.residency import DEFAULT_MEMORY_BYTES, StoredBytes
 
 _AGREED_KEYS = (
@@ -73,7 +73,7 @@ _AGREED_KEYS = (
 )
 
 
-class RouterEngine(DiskEngine):
+class RouterEngine(DiskFastPPV):
     """The ``"sharded"`` backend: a disk engine over remote stores.
 
     Parameters
@@ -94,7 +94,7 @@ class RouterEngine(DiskEngine):
         Tests only: fires the ``router.dispatch`` / ``router.connect``
         / ``shard.recv`` sites (see :mod:`repro.faults`).
     delta / fault_budget / max_iterations:
-        Forwarded to the disk engine, exactly as on ``DiskEngine``.
+        The disk engine's, as on ``DiskFastPPV``.
     """
 
     backend = "sharded"
@@ -181,7 +181,7 @@ class RouterEngine(DiskEngine):
             pool=pool,
             lock=self._lock,
         )
-        DiskEngine.__init__(
+        DiskFastPPV.__init__(
             self, graph_store, ppv_store, **self._engine_kwargs
         )
 

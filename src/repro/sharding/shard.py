@@ -73,9 +73,9 @@ def encode_segment(segment: bytes) -> dict:
 class ShardEngine:
     """Serve one shard directory's stores to a shard router.
 
-    Sits behind ``PPVService``/``PPVServer`` with the lifecycle part of
-    the :class:`~repro.serving.engines.Engine` protocol (``num_nodes``,
-    ``cache_token``, ``close``) and the data verbs only:
+    Sits behind ``PPVService``/``PPVServer`` with what the service reads
+    off any engine (``num_nodes``, ``cache_token``, ``close``) and the
+    data verbs only:
     :meth:`fetch_hubs` / :meth:`fetch_cluster` / :meth:`shard_info`.
     It has no query methods, so it supports no query family.
     """

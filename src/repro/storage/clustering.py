@@ -21,6 +21,11 @@ from repro.baselines.push import forward_push
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import DEFAULT_ALPHA
 
+_PUSH_THRESHOLD = 1e-5
+"""Forward-push threshold of the anchor PPVs (teleport probability
+``DEFAULT_ALPHA``): coarser is faster but leaves more nodes to the
+fallback assignment."""
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -65,8 +70,6 @@ class ClusterAssignment:
 def cluster_graph(
     graph: DiGraph,
     num_clusters: int,
-    alpha: float = DEFAULT_ALPHA,
-    push_threshold: float = 1e-5,
     seed: int = 0,
 ) -> ClusterAssignment:
     """Partition ``graph`` into ``num_clusters`` PPR clusters.
@@ -77,11 +80,6 @@ def cluster_graph(
         The graph.
     num_clusters:
         Number of anchors/clusters.
-    alpha:
-        Teleport probability for the anchor PPVs.
-    push_threshold:
-        Forward-push threshold for the anchor PPVs; coarser is faster but
-        leaves more nodes to the fallback assignment.
     seed:
         Random seed for anchor selection.
     """
@@ -97,7 +95,7 @@ def cluster_graph(
     labels = np.zeros(graph.num_nodes, dtype=np.int64)
     for cluster, anchor in enumerate(anchors):
         scores, _ = forward_push(
-            graph, int(anchor), alpha=alpha, threshold=push_threshold
+            graph, int(anchor), alpha=DEFAULT_ALPHA, threshold=_PUSH_THRESHOLD
         )
         better = scores > best_score
         labels[better] = cluster

@@ -34,11 +34,14 @@ serving wrong scores.  There is no reader for the retired ``.npz`` format.
 
 One engine, scalar is the batch of one
 --------------------------------------
-:class:`DiskFastPPV` serves a whole batch against the stores while
-amortising the I/O that dominates disk queries; :meth:`DiskFastPPV.query`
-is ``query_many([q])[0]``:
+:class:`DiskFastPPV` is an :class:`~repro.core.batch.Engine`: it
+serves a whole batch against the stores, chunk by chunk (the chunk
+rule bounds the waves' ``(rows, n)`` arrays as it bounds memory's push
+matrices), while amortising the I/O that dominates disk queries; it
+defines only its iteration 0, and ``query(q)`` is
+``query_many([q])[0]``:
 
-* The prime-subgraph walks of all non-hub queries run as one
+* The prime-subgraph walks of a chunk's non-hub queries run as one
   :class:`_ClusterWaves` batch, one :class:`_PrimePushRun` row per
   query, grouped **by cluster**: each scheduling wave drains every run
   that needs one cluster next while that cluster is resident, so a
@@ -63,14 +66,14 @@ is ``query_many([q])[0]``:
   read, checked and decoded once, when a round first needs a hub the
   block lacks (``get_many``, offset-ordered reads), and serves every
   later batch until the pool evicts it; a hub query's iteration 0 reads
-  its own row back from the block.  At a batch's start the store drops
+  its own row back from the block.  At a chunk's start the store drops
   the rows of evicted hubs (``trim``, which returns at once when the
-  pool has evicted none of its hubs since the last batch); within a
-  batch the block only grows, so a round never loses a row it holds.
+  pool has evicted none of its hubs since the last chunk); within a
+  chunk the block only grows, so a round never loses a row it holds.
 * The rest is the in-memory engine's batch driver,
   :func:`repro.core.batch.splice_batch`, handed each query's iteration 0
   (a push row, or a hub query's own row of the block) and that block:
-  the incremental splice rounds of the whole batch run in lock-step
+  the incremental splice rounds of the whole chunk run in lock-step
   through :func:`repro.core.splice.splice_rounds_exact` — over the
   block, the form a :class:`~repro.core.index.PPVIndex` holds its whole
   index in (the backends differ only in ``ensure``); each round is one
@@ -101,7 +104,7 @@ scheduler's drain thread, one batch or stream at a time; direct
 ``query_many`` callers (``repro query --backend disk``,
 :mod:`repro.experiments`, tests), one thread each; the shard router's
 engine, on its drain thread, with ``ShardedPPVStore``'s lock around
-``get_many``.  A batch trims (and compacts) the block on its own thread
+``get_many``.  A chunk trims (and compacts) the block on its own thread
 at its start; closing a store never frees the block's arrays.
 """
 
@@ -110,24 +113,15 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import time
 import zlib
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import native
-from repro.core.batch import Start, splice_batch
-from repro.core.query import (
-    DEFAULT_DELTA,
-    BatchOfOne,
-    QueryResult,
-    QueryState,
-    StopAfterIterations,
-    StoppingCondition,
-    query_ids,
-)
+from repro.core.batch import Engine, Start
+from repro.core.query import DEFAULT_DELTA
 from repro.core.splice import concat_ranges
 from repro.graph.digraph import DiGraph
 from repro.storage.clustering import ClusterAssignment, cluster_graph
@@ -547,11 +541,11 @@ class _ClusterWaves:
             )
 
 
-class DiskFastPPV(BatchOfOne):
+class DiskFastPPV(Engine):
     """FastPPV online processing against disk-resident graph and index.
 
     Serves batches, amortising cluster faults (cluster-grouped prime
-    pushes) across the queries of one call and hub record reads across
+    pushes) across the queries of one chunk and hub record reads across
     calls (each record decoded once into the store's splice block while
     the pool holds it) — see the module docstring.  A single query is
     the batch of one, so per-query results never depend on what else
@@ -562,7 +556,8 @@ class DiskFastPPV(BatchOfOne):
     graph_store:
         Cluster-segmented graph (:class:`DiskGraphStore`).
     ppv_store:
-        On-disk PPV index (:class:`DiskPPVStore`).
+        On-disk PPV index (:class:`DiskPPVStore`); the engine reads it
+        and never closes it.
     delta:
         Border-hub expansion threshold (as in the in-memory engine).
     fault_budget:
@@ -575,6 +570,8 @@ class DiskFastPPV(BatchOfOne):
         (:class:`~repro.core.batch.FastPPV`, default 64).
     """
 
+    backend = "disk"
+
     def __init__(
         self,
         graph_store: DiskGraphStore,
@@ -585,18 +582,18 @@ class DiskFastPPV(BatchOfOne):
     ) -> None:
         if graph_store.num_nodes != ppv_store.num_nodes:
             raise ValueError("graph store and PPV store disagree on node count")
-        if delta < 0.0:
-            raise ValueError("delta must be non-negative")
         if fault_budget is not None and fault_budget < 1:
             raise ValueError("fault_budget must be at least one cluster drain")
-        native.load()  # refuse here, before serving, when the kernels cannot load
+        super().__init__(graph_store.num_nodes, delta, max_iterations)
         self.graph_store = graph_store
         self.ppv_store = ppv_store
-        self.delta = delta
         self.fault_budget = (
             fault_budget if fault_budget is not None else graph_store.num_clusters
         )
-        self.max_iterations = max_iterations
+
+    def cache_token(self) -> object:
+        # On-disk indexes are immutable for the life of the store.
+        return self.ppv_store
 
     # ------------------------------------------------------------------ #
 
@@ -629,29 +626,11 @@ class DiskFastPPV(BatchOfOne):
         waves.run()
         return dict(zip(sources, waves.rows()))
 
-    def query_many(
-        self,
-        queries: Sequence[int],
-        stop: StoppingCondition | None = None,
-        on_iteration: "Callable[[int, QueryState], None] | None" = None,
-    ) -> list[QueryResult]:
-        """Estimate the PPVs of ``queries`` from disk, preserving order.
-
-        Scores, iteration counts, I/O accounting and truncation flags of
-        each element are identical to serving it alone; only the
-        physical I/O schedule differs.  Duplicated query ids share one
-        prime push.  ``stop`` is evaluated per query (it sees per-query
-        state, including ``scores``, so certificate conditions work
-        here too) and must be stateless.  ``on_iteration`` mirrors the
-        in-memory batch engine's :data:`~repro.core.batch.BatchCallback`
-        contract: invoked as ``on_iteration(position, state)`` once per
-        executed iteration per query, iteration 0 included (the prime
-        push that *builds* iteration 0 is not observable step by step).
-        """
-        ids = query_ids(queries, self.graph_store.num_nodes)
-        if stop is None:
-            stop = StopAfterIterations(2)
-        started = time.perf_counter()
+    def _iteration0(self, ids):
+        """The chunk's cluster waves, and the store's block: the hub
+        queries' own rows now, the rows a round lacks when it first
+        needs them (``get_many``).  Each start carries its query's I/O
+        record — a hub query's is one hub read and no push."""
         self.ppv_store.trim()
         pushed = {
             q: Start(
@@ -660,17 +639,7 @@ class DiskFastPPV(BatchOfOne):
             )
             for q, run in self._grouped_pushes(ids).items()
         }
-        # The store's block: the hub queries' own rows now, the rows a
-        # round lacks when it first needs them.
-        hub_query = Start(io=(0, 1, False))  # one hub read, no push
-        return splice_batch(
-            ids,
-            [pushed.get(q, hub_query) for q in ids],
-            self.ppv_store.get_many([q for q in ids if q not in pushed]),
-            self.ppv_store.get_many,
-            stop,
-            self.delta,
-            self.max_iterations,
-            started,
-            on_iteration,
-        )
+        hub_query = Start(io=(0, 1, False))
+        starts = [pushed.get(q, hub_query) for q in ids]
+        block = self.ppv_store.get_many([q for q in ids if q not in pushed])
+        return starts, block, self.ppv_store.get_many

@@ -4,8 +4,9 @@
 paper states them: one dict frontier per query, one hub at a time.
 ``reference_query`` is ``FastPPV.query`` as it stood when it ran that
 loop over ``index.get`` after a per-query ``prime_ppv`` push, and
-``ReferenceFastPPV`` is a ``FastPPV`` whose ``query`` is that function
-(so ``query_top_k`` and ``multi_node_ppv`` run on it too).
+``ReferenceFastPPV`` is a ``FastPPV`` whose ``query_many`` runs that
+function per query (so ``query``, ``query_top_k`` and
+``multi_node_ppv`` run on it too).
 ``repro.core.batch.FastPPV`` answers a query as a batch of one through
 ``repro.core.splice.splice_rounds_exact``; it must equal
 ``reference_query`` in every field, bit for bit.  The scalar loop
@@ -65,6 +66,7 @@ import json
 import threading
 import time
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -207,9 +209,20 @@ def reference_query(engine, query, stop=None, on_iteration=None):
 
 
 class ReferenceFastPPV(FastPPV):
-    """A ``FastPPV`` whose ``query`` is :func:`reference_query`."""
+    """A ``FastPPV`` whose every query runs :func:`reference_query`
+    alone: ``query_many`` and all that the engine builds on it
+    (``query``, certified top-k, the serving calls)."""
 
-    query = reference_query
+    def query_many(self, queries, stop=None, on_iteration=None):
+        return [
+            reference_query(
+                self,
+                query,
+                stop,
+                None if on_iteration is None else partial(on_iteration, position),
+            )
+            for position, query in enumerate(queries)
+        ]
 
 
 class LoneCompiledRun:

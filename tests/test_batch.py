@@ -19,6 +19,7 @@ from repro import (
     select_hubs,
     social_graph,
 )
+from repro.core import batch as batch_module
 from repro.core.batch import Start, splice_batch
 from repro.core.index import PPVIndex
 from repro.core.prime import PrimePPV, prime_ppv, prime_push_many
@@ -238,14 +239,14 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             build_index(small_social, [1, 2], workers=0)
 
-    def test_chunked_batches(self, small_social, small_social_index):
+    def test_chunked_batches(self, small_social, small_social_index,
+                             monkeypatch):
         # A chunk size smaller than the batch must not change results.
-        full = FastPPV(small_social, small_social_index)
-        chunked = FastPPV(
-            small_social, small_social_index, chunk_size=3
-        )
+        engine = FastPPV(small_social, small_social_index)
         queries = list(range(10))
-        for a, b in zip(full.query_many(queries), chunked.query_many(queries)):
+        full = engine.query_many(queries)
+        monkeypatch.setattr(batch_module, "_chunk_size", lambda num_nodes: 3)
+        for a, b in zip(full, engine.query_many(queries)):
             np.testing.assert_array_equal(a.scores, b.scores)
             assert a.iterations == b.iterations
 
@@ -328,10 +329,8 @@ class TestSpliceMatrix:
         # An index is not edited in place — its get() views refuse
         # writes — so a changed index is a new one, which an existing
         # engine serves once it is swapped in.
-        from repro.serving.engines import MemoryEngine
-
         index = build_index(small_social, select_hubs(small_social, 12))
-        engine = MemoryEngine(small_social, index, delta=0.0)
+        engine = FastPPV(small_social, index, delta=0.0)
         assert engine.cache_token() is index
         query, stop = 3, StopAfterIterations(1)
         (served,) = engine.query_batch([query], stop)
@@ -482,9 +481,7 @@ class TestRoutingAndChunking:
         assert not batch_safe(CustomStop())
         assert batch_safe(any_of(StopAfterIterations(2),
                                  StopAtL1Error(0.1)))
-        from repro.serving.engines import MemoryEngine
-
-        engine = MemoryEngine(small_social, small_social_index, delta=1e-4)
+        engine = FastPPV(small_social, small_social_index, delta=1e-4)
         # A custom (uninspectable) condition routes per query too.
         custom_results = engine.query_batch([3], stop=CustomStop())
         assert custom_results[0].iterations == 1
@@ -499,14 +496,13 @@ class TestRoutingAndChunking:
     def test_removed_options_are_type_errors(self, small_social,
                                              small_social_index):
         # Result caching lives in the service's PopularityCache only, and
-        # no caller ever set the adapter's chunk size.
+        # the chunk size follows the graph (no caller ever set it).
         from repro import PPVService
-        from repro.serving.engines import MemoryEngine
 
         with pytest.raises(TypeError):
             FastPPV(small_social, small_social_index, cache_size=8)
         with pytest.raises(TypeError):
-            MemoryEngine(small_social, small_social_index, chunk_size=4)
+            FastPPV(small_social, small_social_index, chunk_size=4)
         with pytest.raises(TypeError):
             PPVService.open(
                 small_social_index, graph=small_social, chunk_size=4
@@ -514,10 +510,13 @@ class TestRoutingAndChunking:
         assert not hasattr(FastPPV(small_social, small_social_index),
                            "batch_engine")
 
-    def test_default_chunk_size_is_graph_aware(self, small_social,
-                                               small_social_index):
-        batch = FastPPV(small_social, small_social_index)
-        assert 16 <= batch.chunk_size <= 512
+    def test_default_chunk_size_is_graph_aware(self, small_social):
+        assert batch_module._chunk_size(small_social.num_nodes) == 512
+        # No batch the ledger serves at 4 000 nodes is split; huge
+        # graphs keep each dense matrix near the element budget.
+        assert batch_module._chunk_size(4_000) == 512
+        assert batch_module._chunk_size(100_000) == 41
+        assert batch_module._chunk_size(10**7) == 16
 
 
 class TestCallbackContract:

@@ -23,7 +23,7 @@ from oracles import (
     sharded_over,
 )
 from repro.core.topk import StopWhenCertified, top_k_result
-from repro.serving import DiskEngine, PPVService
+from repro.serving import PPVService
 from repro.storage import (
     DiskFastPPV,
     DiskGraphStore,
@@ -163,9 +163,58 @@ class TestEquality:
             with pytest.raises(ValueError, match="delta must be non-negative"):
                 DiskFastPPV(store, ppv_store, delta=-1.0)
             with pytest.raises(ValueError, match="delta must be non-negative"):
-                DiskEngine(store, ppv_store, delta=-1.0)
-            with pytest.raises(ValueError, match="delta must be non-negative"):
                 PPVService.open(ppv_store, graph_store=store, delta=-1)
+
+
+    def test_chunked_batch_equals_the_whole(
+        self, disk_batch_setup, small_social, monkeypatch
+    ):
+        # A batch is served in chunks of _chunk_size queries; the chunk
+        # never changes a query's result or its I/O record.
+        from repro.core import batch as batch_module
+
+        _, _, _, queries = disk_batch_setup
+        workload = queries + queries[:4]  # duplicates across chunks
+        stop = StopAfterIterations(3)
+        _, whole_ppv, whole = _fresh_engine(
+            small_social, disk_batch_setup, "chunk_whole", fault_budget=2
+        )
+        seen = {"whole": [], "chunked": []}
+        with whole_ppv:
+            expected = whole.query_many(
+                workload, stop=stop,
+                on_iteration=lambda at, state: seen["whole"].append(
+                    (at, state.iteration, state.l1_error)
+                ),
+            )
+        calls = []
+        splice_batch = batch_module.splice_batch
+        monkeypatch.setattr(batch_module, "_chunk_size", lambda num_nodes: 3)
+        monkeypatch.setattr(
+            batch_module, "splice_batch",
+            lambda ids, *rest: calls.append(len(ids)) or splice_batch(ids, *rest),
+        )
+        _, chunked_ppv, chunked = _fresh_engine(
+            small_social, disk_batch_setup, "chunk_three", fault_budget=2
+        )
+        with chunked_ppv:
+            got = chunked.query_many(
+                workload, stop=stop,
+                on_iteration=lambda at, state: seen["chunked"].append(
+                    (at, state.iteration, state.l1_error)
+                ),
+            )
+        assert calls == [3] * 6 + [2]
+        # Callback positions are the caller's, not the chunk's.
+        assert sorted(seen["chunked"]) == sorted(seen["whole"])
+        for a, b in zip(expected, got):
+            assert a.query == b.query
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.error_history == b.error_history
+            assert (a.cluster_faults, a.hub_reads, a.truncated, a.work_units) == (
+                b.cluster_faults, b.hub_reads, b.truncated, b.work_units
+            )
+        assert 0 < sum(r.truncated for r in got) < len(got)
 
 
 class TestKernels:
@@ -267,8 +316,6 @@ class TestKernels:
             with pytest.raises(TypeError):
                 DiskFastPPV(store, ppv_store, kernel="reference")
             with pytest.raises(TypeError):
-                DiskEngine(store, ppv_store, kernel="reference")
-            with pytest.raises(TypeError):
                 PPVService.open(
                     ppv_store, graph_store=store, kernel="vectorised"
                 )
@@ -282,7 +329,7 @@ class TestKernels:
             with PPVService.open(
                 ppv_store, graph_store=store, max_iterations=7
             ) as service:
-                assert service.engine._engine.max_iterations == 7
+                assert service.engine.max_iterations == 7
 
     def test_batch_on_iteration_counts(self, disk_batch_setup,
                                        small_social):

@@ -12,6 +12,7 @@ after a graph change; these tests drive its two serving on-ramps:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -120,6 +121,45 @@ class TestServiceUpdateIndex:
             for thread in threads:
                 thread.join()
             service.close()
+        assert not mismatches
+
+    def test_engine_swap_under_batches_never_blends_worlds(self, worlds):
+        """The engine itself: ``replace_index`` on one thread while
+        batches run on others, with a shortened switch interval, so a
+        batch that read the new graph with the old index would show."""
+        old_graph, old_index, new_graph, new_index = worlds
+        nodes = list(range(old_graph.num_nodes))
+        stop = StopAfterIterations(ETA)
+        worlds_bytes = [
+            {r.query: r.scores.tobytes() for r in engine.query_many(nodes, stop)}
+            for engine in (FastPPV(old_graph, old_index), FastPPV(new_graph, new_index))
+        ]
+        engine = FastPPV(old_graph, old_index)
+        done = threading.Event()
+        mismatches: list = []
+
+        def hammer() -> None:
+            while not done.is_set():
+                results = engine.query_many(nodes, stop)
+                got = {r.query: r.scores.tobytes() for r in results}
+                if got not in worlds_bytes:
+                    mismatches.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(2000):
+                engine.replace_index(new_index, graph=new_graph)
+                engine.replace_index(old_index, graph=old_graph)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert not mismatches
 
 

@@ -30,6 +30,7 @@ from repro.server import (
 )
 from repro.serving import CoalescingScheduler, PPVService
 from repro.storage import (
+    DiskFastPPV,
     DiskGraphStore,
     DiskPPVStore,
     cluster_graph,
@@ -478,11 +479,10 @@ class TestRouterFaultSites:
         self, shard_fleet, tiny_disk
     ):
         from repro import StopAfterIterations
-        from repro.serving.engines import DiskEngine
         from repro.sharding import RouterEngine
 
         store_dir, index_path = tiny_disk
-        local = DiskEngine(
+        local = DiskFastPPV(
             DiskGraphStore.open(store_dir), DiskPPVStore(index_path)
         )
         plan = FaultPlan()
@@ -497,7 +497,7 @@ class TestRouterFaultSites:
             )
         finally:
             engine.close()
-            local.close()
+            local.ppv_store.close()
         assert len(plan.fired_at("shard.recv")) == 1
 
     def test_dispatch_fault_surfaces_and_fleet_recovers(self, shard_fleet):

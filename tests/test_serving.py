@@ -188,6 +188,87 @@ class TestOpenTable:
             )
 
 
+class TestOneEngineObject:
+    """The service serves the engines themselves: no adapter sits
+    between, so each engine attribute has one copy."""
+
+    def test_open_serves_the_engine_classes(self, small_social,
+                                           small_social_index, disk_setup):
+        import repro.serving
+        from repro.core.batch import Engine
+
+        with PPVService.open(small_social_index, graph=small_social) as service:
+            assert type(service.engine) is FastPPV
+        root, graph, assignment, index_path = disk_setup
+        store = DiskGraphStore(graph, assignment, root / "engine_class")
+        with PPVService.open(index_path, graph_store=store) as service:
+            assert type(service.engine) is DiskFastPPV
+        # The frozen ledger's names are the engines, not wrappers.
+        assert repro.serving.MemoryEngine is FastPPV
+        assert repro.serving.DiskEngine is DiskFastPPV
+        assert repro.serving.Engine is Engine
+
+    def test_a_store_opened_from_a_path_closes_exactly_once(
+        self, disk_setup, monkeypatch
+    ):
+        root, graph, assignment, index_path = disk_setup
+        store = DiskGraphStore(graph, assignment, root / "close_once")
+        closed = []
+        close = DiskPPVStore.close
+
+        def counted(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(DiskPPVStore, "close", counted)
+        service = PPVService.open(index_path, graph_store=store)
+        opened = service.engine.ppv_store
+        service.query(QuerySpec(3, stop=STOP))
+        service.close()
+        service.close()
+        assert closed == [opened] and opened._handle.closed
+        # A store handed in is the caller's: the service leaves it open.
+        with DiskPPVStore(index_path) as handed:
+            with PPVService.open(handed, graph_store=store) as service:
+                service.query(QuerySpec(3, stop=STOP))
+            assert closed == [opened] and not handed._handle.closed
+
+    def test_update_index_clears_the_cache_and_follows_epsilon(
+        self, small_social, small_social_index
+    ):
+        coarse = build_index(small_social, small_social_index.hubs, epsilon=1e-3)
+        with PPVService.open(small_social_index, graph=small_social) as service:
+            engine = service.engine
+            service.query(QuerySpec(5, stop=STOP))
+            assert len(service.cache) == 1
+            assert engine.online_epsilon == small_social_index.epsilon
+            service.update_index(coarse)
+            assert len(service.cache) == 0
+            assert engine.cache_token() is coarse
+            # A cut-off left at its default follows the new index ...
+            assert engine.online_epsilon == 1e-3
+            served = service.query(QuerySpec(5, stop=STOP))
+            expected = FastPPV(small_social, coarse).query(5, stop=STOP)
+            assert served.scores.tobytes() == expected.scores.tobytes()
+        # ... and one the caller chose stays.
+        with PPVService.open(
+            small_social_index, graph=small_social, online_epsilon=1e-5
+        ) as service:
+            service.update_index(coarse)
+            assert service.engine.online_epsilon == 1e-5
+
+    def test_swap_path_clears_the_cache(self, small_social,
+                                        small_social_index, tmp_path):
+        coarse = build_index(small_social, small_social_index.hubs, epsilon=1e-3)
+        save_index(coarse, tmp_path / "coarse.fppv")
+        with PPVService.open(small_social_index, graph=small_social) as service:
+            service.query(QuerySpec(5, stop=STOP))
+            service.swap_path(str(tmp_path / "coarse.fppv"))
+            assert len(service.cache) == 0
+            assert service.engine.online_epsilon == 1e-3
+            assert service.engine.index.hubs.tolist() == coarse.hubs.tolist()
+
+
 class TestMemoryEquivalence:
     def test_query_many_bitwise_equal_to_engine(self, small_social,
                                                 small_social_index,
